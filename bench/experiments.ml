@@ -659,20 +659,19 @@ let perf () =
   let workloads =
     Csources.all @ [ ("echronos-like", Ac_codegen.generate Ac_codegen.echronos_like) ]
   in
-  let opts ?(l2_memo = true) jobs =
-    { Driver.default_options with Driver.keep_going = true; jobs; l2_memo }
-  in
-  let translate_all ?l2_memo jobs () =
-    List.map (fun (_, src) -> Driver.run ~options:(opts ?l2_memo jobs) src) workloads
+  let translate_all jobs () =
+    List.map
+      (fun (_, src) ->
+        Driver.run ~options:{ Driver.default_options with Driver.keep_going = true; jobs } src)
+      workloads
   in
   let reps = 5 in
-  (* The pre-PR baseline: structural equality everywhere, every fixpoint
-     round re-converting every function, one domain. *)
+  (* The baseline: structural equality everywhere, one domain. *)
   let baseline_thunk () =
     T.hc_enabled := false;
     Fun.protect
       ~finally:(fun () -> T.hc_enabled := true)
-      (translate_all ~l2_memo:false 1)
+      (translate_all 1)
   in
   let ( (baseline_results, baseline_s), (seq_results, seq_s), (par_results, par_s) ) =
     match
@@ -698,7 +697,7 @@ let perf () =
   let cores = Domain.recommended_domain_count () in
   let rows =
     [
-      [ "translate, baseline (no hc/memo, jobs=1)"; Printf.sprintf "%.3f" baseline_s;
+      [ "translate, baseline (no hc, jobs=1)"; Printf.sprintf "%.3f" baseline_s;
         "1.00x" ];
       [ "translate, optimised, jobs=1"; Printf.sprintf "%.3f" seq_s;
         Printf.sprintf "%.2fx" (speedup baseline_s seq_s) ];

@@ -102,7 +102,6 @@ let options_of ?(no_discharge = false) ?(no_interproc = false) ?(keep_going = fa
     keep_going;
     budgets;
     jobs = max 1 jobs;
-    l2_memo = true;
     interproc = not no_interproc;
     summary_profile = false;
   }

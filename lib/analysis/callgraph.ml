@@ -102,6 +102,36 @@ let sccs (g : t) : string list list =
   List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) g.nodes;
   List.rev !out
 
+(* The SCCs grouped into waves, lowest first: an SCC's wave is one more
+   than the highest wave of any SCC it calls (0 when it calls none), so
+   every callee outside an SCC sits in a strictly lower wave and the SCCs
+   of one wave are independent of each other.  Within a wave SCCs keep
+   their [sccs] order. *)
+let waves (g : t) : string list list list =
+  let wave_of = Hashtbl.create 64 in
+  let ranked =
+    List.map
+      (fun scc ->
+        (* Callee SCCs precede this one in [sccs], so their waves are
+           known; members of [scc] itself are not yet in the table. *)
+        let w =
+          List.fold_left
+            (fun acc v ->
+              List.fold_left
+                (fun acc s ->
+                  match Hashtbl.find_opt wave_of s with Some ws -> max acc (ws + 1) | None -> acc)
+                acc (successors g v))
+            0 scc
+        in
+        List.iter (fun v -> Hashtbl.replace wave_of v w) scc;
+        (w, scc))
+      (sccs g)
+  in
+  let depth = List.fold_left (fun acc (w, _) -> max acc (w + 1)) 0 ranked in
+  let buckets = Array.make depth [] in
+  List.iter (fun (w, scc) -> buckets.(w) <- scc :: buckets.(w)) (List.rev ranked);
+  Array.to_list buckets
+
 (* Whether any member of [scc] has an edge back into the scc — a
    singleton without a self-edge needs no fixpoint. *)
 let scc_cyclic (g : t) (scc : string list) : bool =

@@ -82,12 +82,6 @@ type options = {
      value: [Pool.map] preserves input order and first-failure
      semantics. *)
   jobs : int;
-  (* Reuse L2 conversions across nothrow-fixpoint rounds when the
-     function's observable environment (the nothrow status of its own
-     callees) is unchanged.  A/B switch for benchmarking: off reproduces
-     the pre-memo cost model (every function re-converted every round);
-     output is identical either way. *)
-  l2_memo : bool;
   (* Interprocedural guard discharge: compute per-function summaries
      bottom-up over the call graph and let the analysis carry facts
      across calls (every discharge still goes through the kernel, which
@@ -104,7 +98,7 @@ type options = {
 let default_options =
   { defaults = default_func_options; overrides = []; strategy = Wa.default_strategy;
     polish = true; keep_going = false; budgets = default_budgets; jobs = 1;
-    l2_memo = true; interproc = true; summary_profile = false }
+    interproc = true; summary_profile = false }
 
 let options_for options fname =
   match List.assoc_opt fname options.overrides with
@@ -115,8 +109,8 @@ let options_for options fname =
    key: every knob that can change what the pipeline produces for one
    function must appear here, so flipping any of them misses the store
    instead of replaying a result computed under different settings.
-   [jobs] and [l2_memo] are deliberately absent — they change scheduling
-   and cost, never output. *)
+   [jobs] is deliberately absent — it changes scheduling and cost, never
+   output. *)
 let opt_string (options : options) (fname : string) : string =
   let o = options_for options fname in
   let b = options.budgets in
@@ -588,16 +582,16 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
       heap_types = [];
     }
   in
-  (* L2.  The nothrow analysis is a fixpoint across functions: once a
-     callee's exception wrapper is eliminated, callers can eliminate theirs
-     too, so iterate until the nothrow set stabilises.  A function whose
-     conversion fails with the clean-up rewrites on is retried without
-     them ([Polish] degradation); failing even then drops it to L1.
+  (* L2.  The nothrow analysis spans functions: once a callee's exception
+     wrapper is eliminated, callers can eliminate theirs too.  A function
+     whose conversion fails with the clean-up rewrites on is retried
+     without them ([Polish] degradation); failing even then drops it to
+     L1.
 
      Diagnostics go into a per-conversion buffer, not the function's
-     stream: only the buffer of the *final* conversion (under the
-     stabilised nothrow set) is banked into the stream, so a failing
-     function reports its failure once, not once per fixpoint round. *)
+     stream: only the buffer of a function's *final* conversion is banked
+     into the stream, so a function on a call cycle reports its failure
+     once, not once per iteration. *)
   let l2_convert ctx diags (l1f : M.func) : (M.func * Thm.t) option =
     let fname = l1f.M.name in
     let plain () = L2.convert_func ~polish:false ctx l1f in
@@ -623,101 +617,82 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   in
   (* A conversion observes [ctx.nothrows] only through the call targets in
      the function's body ([Rules.nothrow_in]; rewriting never invents
-     calls), so it is a function of the nothrow status of the function's
-     own callees.  Memoise on that projection: a fixpoint round re-converts
-     a function only when one of its callees changed status. *)
-  let rec callees_of (m : M.t) acc =
-    match m with
-    | M.Call (g, _) | M.Exec_concrete (g, _) -> g :: acc
-    | M.Bind (a, _, b) | M.Try (a, _, b) -> callees_of a (callees_of b acc)
-    | M.Cond (_, a, b) -> callees_of a (callees_of b acc)
-    | M.While (_, _, body, _) -> callees_of body acc
-    | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _ ->
-      acc
-  in
-  (* fname -> (nothrow callees at conversion time, (result, emitted diags
-     in emission order)).  Local to this run; written only from the
-     calling domain. *)
-  let l2_memo :
-      (string, string list * ((M.func * Thm.t) option * Diag.t list)) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let l2_round nothrows =
-    let ctx = { base_ctx with Rules.nothrows } in
-    let rows =
-      List.map
-        (fun ((_, l1f, _, _) as row) ->
-          let key =
-            List.sort_uniq String.compare
-              (List.filter
-                 (fun g -> List.mem g nothrows)
-                 (callees_of (l1f : M.func).M.body []))
-          in
-          let hit =
-            if not options.l2_memo then None
-            else
-              match Hashtbl.find_opt l2_memo l1f.M.name with
-              | Some (k, entry) when List.equal String.equal k key -> Some entry
-              | _ -> None
-          in
-          (row, key, hit))
-        l1_results
-    in
-    let converted =
-      pmap
-        (fun ((_, l1f, _, _), _, hit) ->
-          match hit with
-          | Some entry -> entry
-          | None ->
-            let buf = ref [] in
-            let r = Profile.record ~func:l1f.M.name "l2" (fun () -> l2_convert ctx buf l1f) in
-            (r, List.rev !buf))
-        rows
-    in
-    List.iter2
-      (fun ((_, (l1f : M.func), _, _), key, _) entry ->
-        Hashtbl.replace l2_memo l1f.M.name (key, entry))
-      rows converted;
-    List.map2
-      (fun ((sf, l1f, l1_thm, diags), _, _) (r, _) -> (sf, l1f, l1_thm, diags, r))
-      rows converted
-  in
-  (* Store hits contribute their claimed nothrow status as a constant seed
-     of the fixpoint (their L2 bodies are not re-derived); [replay_entry]
-     re-checks each claim against the assembled unit afterwards, so a
-     wrong seed costs a retry, never soundness. *)
+     calls), so once its callees' statuses are settled one conversion
+     decides it.  Convert callee-first: the call graph's SCCs, grouped
+     into waves ([Callgraph.waves]), run one [pmap] per wave under the
+     statuses the lower waves settled.  A function outside a cycle is
+     converted once.  A cyclic SCC iterates over its own members only,
+     from none of them nothrow until that set stops growing — the least
+     fixpoint — and keeps the last iteration's bodies and statuses.
+     Store hits are settled from the start with their claimed status (their
+     L2 bodies are not re-derived); [replay_entry] re-checks each claim
+     against the assembled unit afterwards, so a wrong seed costs a retry,
+     never soundness. *)
   let seed_nothrows =
     List.filter_map (fun (n, e) -> if e.Store.e_nothrow then Some n else None) entries
   in
-  let rec l2_fix nothrows round =
-    let results = l2_round nothrows in
-    let nothrows' =
-      seed_nothrows
-      @ List.filter_map
-          (fun (_, _, _, _, l2) ->
-            match l2 with
-            | Some ((l2f : M.func), _) ->
-              if Rules.nothrow_in nothrows l2f.M.body then Some l2f.M.name else None
-            | None -> None)
-          results
-    in
-    if round > List.length l1_results || List.length nothrows' = List.length nothrows then
-      nothrows'
-    else l2_fix nothrows' (round + 1)
+  let l1_funcs = List.map (fun (_, (l1f : M.func), _, _) -> l1f) l1_results in
+  let l1_by_name = Hashtbl.create 64 in
+  List.iter (fun (l1f : M.func) -> Hashtbl.replace l1_by_name l1f.M.name l1f) l1_funcs;
+  let l2_graph = Ac_analysis.Callgraph.of_funcs l1_funcs in
+  (* fname -> (final conversion, its diagnostics in emission order), and
+     the misses settled nothrow.  Written only from the calling domain. *)
+  let l2_final : (string, (M.func * Thm.t) option * Diag.t list) Hashtbl.t =
+    Hashtbl.create 64
   in
-  let nothrows = l2_fix seed_nothrows 0 in
-  (* The final round under the stabilised set: with the memo on this is
-     pure lookup (the stable fixpoint round already converted under the
-     same callee environments); with it off (bench baseline) it re-converts
-     everything, reproducing the cost of the old recording round. *)
+  let nothrow_misses = Hashtbl.create 64 in
+  let settled = ref seed_nothrows in
+  (* [pending]: the wave's unsettled SCCs, each with its current guess of
+     nothrow members. *)
+  let rec run_wave pending =
+    if pending <> [] then begin
+      let nothrows = List.concat_map snd pending @ !settled in
+      let ctx = { base_ctx with Rules.nothrows } in
+      pmap
+        (fun (l1f : M.func) ->
+          let buf = ref [] in
+          let r = Profile.record ~func:l1f.M.name "l2" (fun () -> l2_convert ctx buf l1f) in
+          (l1f.M.name, (r, List.rev !buf)))
+        (List.concat_map (fun (scc, _) -> List.map (Hashtbl.find l1_by_name) scc) pending)
+      |> List.iter (fun (name, entry) -> Hashtbl.replace l2_final name entry);
+      let nothrow name =
+        match Hashtbl.find l2_final name with
+        | Some ((l2f : M.func), _), _ -> Rules.nothrow_in nothrows l2f.M.body
+        | None, _ -> false
+      in
+      run_wave
+        (List.filter_map
+           (fun (scc, guess) ->
+             let guess' = List.filter nothrow scc in
+             if
+               Ac_analysis.Callgraph.scc_cyclic l2_graph scc
+               && List.length guess' > List.length guess
+             then Some (scc, guess')
+             else begin
+               List.iter (fun n -> Hashtbl.replace nothrow_misses n ()) guess';
+               settled := guess' @ !settled;
+               None
+             end)
+           pending)
+    end
+  in
+  List.iter
+    (fun wave -> run_wave (List.map (fun scc -> (scc, [])) wave))
+    (Ac_analysis.Callgraph.waves l2_graph);
+  let nothrows =
+    seed_nothrows
+    @ List.filter_map
+        (fun (_, (l1f : M.func), _, _) ->
+          if Hashtbl.mem nothrow_misses l1f.M.name then Some l1f.M.name else None)
+        l1_results
+  in
   let l2_rows =
     List.map
-      (fun (sf, (l1f : M.func), l1_thm, diags, r) ->
-        (match Hashtbl.find_opt l2_memo l1f.M.name with
-        | Some (_, (_, banked)) when banked <> [] -> diags := List.rev banked @ !diags
-        | _ -> ());
+      (fun (sf, (l1f : M.func), l1_thm, diags) ->
+        let r, banked = Hashtbl.find l2_final l1f.M.name in
+        diags := List.rev_append banked !diags;
         (sf, l1f, l1_thm, diags, r))
-      (l2_round nothrows)
+      l1_results
   in
   let l2_results, l1_only =
     List.partition_map

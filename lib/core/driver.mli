@@ -73,12 +73,6 @@ type options = {
           output: {!Pool.map_on} preserves input order and first-failure
           semantics, engine counters are atomic, and per-goal state is
           domain-local *)
-  l2_memo : bool;
-      (** reuse L2 conversions across nothrow-fixpoint rounds when the
-          function's observable environment (the nothrow status of its own
-          callees) is unchanged.  A/B switch for benchmarking — off
-          re-converts every function every round; output is identical
-          either way *)
   interproc : bool;
       (** interprocedural guard discharge (default on): compute
           kernel-checkable per-function summaries bottom-up over the call

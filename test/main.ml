@@ -39,4 +39,5 @@ let () =
       ("store", Test_store.suite);
       ("serve", Test_serve.suite);
       ("obs", Test_obs.suite);
+      ("l2_order", Test_l2_order.suite);
     ]

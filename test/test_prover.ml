@@ -27,7 +27,8 @@ let assert_proved ?hyps name goal =
                 (match value with
                 | Term.Vint n -> B.to_string n
                 | Term.Vbool b -> string_of_bool b
-                | Term.Varr _ -> "<array>"))
+                | Term.Varr _ -> "<array>"
+                | Term.Vseq _ -> "<sequence>"))
             model))
   | Solver.Unknown _ -> Alcotest.failf "%s: unknown" name
 
