@@ -337,18 +337,36 @@ let to_float x =
 
 let ten = of_int 10
 
+(* Decimal printing peels four digits per pass: one short division of the
+   magnitude by 10^4, which fits a single base-2^16 digit, so a pass is one
+   sweep over the digits and its partial remainder (below 10^4 * 2^16)
+   stays a native int. *)
 let to_string x =
   if x.sign = 0 then "0"
   else begin
-    let buf = Buffer.create 16 in
-    let rec digits v = if is_zero v then () else begin
-      let q, r = divmod v ten in
-      digits q;
-      Buffer.add_char buf (Char.chr (Char.code '0' + to_int_exn r))
-    end
-    in
-    digits (abs x);
-    (if x.sign < 0 then "-" else "") ^ Buffer.contents buf
+    let chunk = 10_000 in
+    let mag = Array.copy x.mag in
+    let top = ref (Array.length mag) and chunks = ref [] in
+    while !top > 0 do
+      let r = ref 0 in
+      for i = !top - 1 downto 0 do
+        let cur = (!r lsl base_bits) lor mag.(i) in
+        mag.(i) <- cur / chunk;
+        r := cur mod chunk
+      done;
+      while !top > 0 && mag.(!top - 1) = 0 do
+        decr top
+      done;
+      chunks := !r :: !chunks
+    done;
+    let buf = Buffer.create (4 * List.length !chunks + 1) in
+    if x.sign < 0 then Buffer.add_char buf '-';
+    List.iteri
+      (fun i c ->
+        if i = 0 then Buffer.add_string buf (string_of_int c)
+        else Printf.bprintf buf "%04d" c)
+      !chunks;
+    Buffer.contents buf
   end
 
 let of_string s =

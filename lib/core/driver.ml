@@ -443,6 +443,14 @@ let replay_entry (ctx : Rules.ctx) ~(sums_digest : string) (f : Ir.func) (e : St
     end
   end
 
+(* A name-keyed index over a unit-sized list, the first binding winning as
+   with [List.assoc].  Built once and only read afterwards, so lookups under
+   [pmap] are safe. *)
+let index_by (key : 'a -> string) (xs : 'a list) : (string, 'a) Hashtbl.t =
+  let t = Hashtbl.create (2 * List.length xs + 1) in
+  List.iter (fun x -> if not (Hashtbl.mem t (key x)) then Hashtbl.add t (key x) x) xs;
+  t
+
 let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
     ?(fresh_tables = true) (source : string) : result =
   Ac_obs.Obs.span ~cat:"driver" "driver.run" @@ fun () ->
@@ -502,11 +510,13 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   in
   let store_keys =
     match store with
-    | None -> []
+    | None -> Hashtbl.create 1
     | Some st ->
       Profile.record "store_keys" (fun () ->
           Store.cone_keys ~tag:(Store.tag st) ~opt_string:(opt_string options) simpl)
+    |> index_by fst
   in
+  let store_key name = Option.map snd (Hashtbl.find_opt store_keys name) in
   let store_diags = ref [] in
   let store_diag ~fname msg =
     store_diags :=
@@ -520,7 +530,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
       List.filter_map
         (fun (f : Ir.func) ->
           let name = f.Ir.name in
-          match List.assoc_opt name store_keys with
+          match store_key name with
           | None -> None
           | Some key -> (
             match Profile.record ~func:name "store_load" (fun () -> Store.load st ~key) with
@@ -541,7 +551,9 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
      [entries] shrinks strictly each retry, so this terminates (at worst
      as a full cold run). ---- *)
   let rec translate (entries : (string * Store.fentry) list) : result =
-  let is_hit n = List.mem_assoc n entries in
+  let hits = index_by fst entries in
+  let hit_entry n = Option.map snd (Hashtbl.find_opt hits n) in
+  let is_hit n = Hashtbl.mem hits n in
   let miss_funcs =
     List.filter (fun (f : Ir.func) -> not (is_hit f.Ir.name)) simpl.Ir.funcs
   in
@@ -563,6 +575,8 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
       miss_funcs
     |> List.partition_map Fun.id
   in
+  let l1_funcs = List.map (fun (_, (l1f : M.func), _, _) -> l1f) l1_results in
+  let l1_by_name = index_by (fun (l1f : M.func) -> l1f.M.name) l1_funcs in
   (* Source order, hits contributing their stored L1 image. *)
   let l1_prog : M.program =
     {
@@ -571,13 +585,9 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
       funcs =
         List.filter_map
           (fun (f : Ir.func) ->
-            match List.assoc_opt f.Ir.name entries with
+            match hit_entry f.Ir.name with
             | Some e -> Some e.Store.e_l1
-            | None ->
-              List.find_map
-                (fun (_, (m : M.func), _, _) ->
-                  if String.equal m.M.name f.Ir.name then Some m else None)
-                l1_results)
+            | None -> Hashtbl.find_opt l1_by_name f.Ir.name)
           simpl.Ir.funcs;
       heap_types = [];
     }
@@ -631,9 +641,6 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   let seed_nothrows =
     List.filter_map (fun (n, e) -> if e.Store.e_nothrow then Some n else None) entries
   in
-  let l1_funcs = List.map (fun (_, (l1f : M.func), _, _) -> l1f) l1_results in
-  let l1_by_name = Hashtbl.create 64 in
-  List.iter (fun (l1f : M.func) -> Hashtbl.replace l1_by_name l1f.M.name l1f) l1_funcs;
   let l2_graph = Ac_analysis.Callgraph.of_funcs l1_funcs in
   (* fname -> (final conversion, its diagnostics in emission order), and
      the misses settled nothrow.  Written only from the calling domain. *)
@@ -715,16 +722,16 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
      against [Rules.fbodies] (same trust class as [nothrows] — see the
      summary-trust section of DESIGN.md for why replayed entries may
      contribute to [fbodies]). *)
+  let l2_by_name =
+    index_by (fun (l2f : M.func) -> l2f.M.name)
+      (List.map (fun (_, _, _, l2f, _, _) -> l2f) l2_results)
+  in
   let fbodies : M.func list =
     List.filter_map
       (fun (f : Ir.func) ->
-        match List.assoc_opt f.Ir.name entries with
+        match hit_entry f.Ir.name with
         | Some e -> Some e.Store.e_l2g
-        | None ->
-          List.find_map
-            (fun (_, _, _, (l2f : M.func), _, _) ->
-              if String.equal l2f.M.name f.Ir.name then Some l2f else None)
-            l2_results)
+        | None -> Hashtbl.find_opt l2_by_name f.Ir.name)
       simpl.Ir.funcs
   in
   let sums, sum_stats =
@@ -743,27 +750,34 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
           Ac_analysis.Domains.restrict sums
             (Ac_analysis.Callgraph.reachable callgraph fb.M.name) ))
       fbodies
+    |> index_by fst
   in
   let sums_for name =
-    match List.assoc_opt name sums_slices with Some s -> s | None -> []
+    match Hashtbl.find_opt sums_slices name with Some (_, s) -> s | None -> []
   in
   (* Slice digests share the table entries, so stringify each entry once
      (the slices are [restrict]ions of one table: same pairs) instead of
      per cone; equal to [Domains.sums_digest] of the slice by
-     construction.  Eager, like the slices: read-only under [pmap]. *)
+     construction.  Only the store reads the digests (replay and save), so
+     the strings are built only when one is attached; eagerly, like the
+     slices, so they are read-only under [pmap]. *)
   let entry_strings =
-    List.map (fun entry -> (fst entry, Ac_analysis.Domains.entry_to_string entry)) sums
+    if Option.is_none store then Hashtbl.create 1
+    else
+      index_by fst
+        (List.map (fun entry -> (fst entry, Ac_analysis.Domains.entry_to_string entry)) sums)
   in
   let sums_digest_for name =
     Ac_analysis.Domains.digest_of_entry_strings
       (List.filter_map
-         (fun (g, _) -> List.assoc_opt g entry_strings)
+         (fun (g, _) -> Option.map snd (Hashtbl.find_opt entry_strings g))
          (sums_for name))
   in
   (* Per-function analysis profile, with and without the table. *)
   let iprof =
     if not (options.interproc && options.summary_profile) then []
     else
+      let sum_stats = index_by fst sum_stats in
       Profile.record "iprof" (fun () ->
           pmap
             (fun (fb : M.func) ->
@@ -772,8 +786,8 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
                 Ac_analysis.count_provable lenv ~sums:(sums_for fb.M.name) fb.M.body
               in
               let cx, sz =
-                match List.assoc_opt fb.M.name sum_stats with
-                | Some st ->
+                match Hashtbl.find_opt sum_stats fb.M.name with
+                | Some (_, st) ->
                   (st.Ac_analysis.Summary.fs_contexts, st.Ac_analysis.Summary.fs_size)
                 | None -> (0, 0)
               in
@@ -850,10 +864,11 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
      against the entry's own L2 image afterwards. *)
   let hit_fsigs = List.map (fun (n, e) -> (n, e.Store.e_fsig)) entries in
   let fsigs_for enabled_names =
+    let enabled_names = index_by Fun.id enabled_names in
     hit_fsigs
     @ List.map
         (fun (_, _, _, (l2f : M.func), _, _) ->
-          let enabled = List.mem l2f.M.name enabled_names in
+          let enabled = Hashtbl.mem enabled_names l2f.M.name in
           (l2f.M.name, Wa.func_sig ~enabled l2f))
         l2_results
   in
@@ -912,11 +927,12 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   in
   let rec wa_fix enabled =
     let wa_ctx = { ctx with Rules.fsigs = fsigs_for enabled } in
+    let enabled_set = index_by Fun.id enabled in
     let attempts =
       pmap
         (fun (_, _, _, (l2f : M.func), _, hl, _, diags) ->
           let name = l2f.M.name in
-          if not (List.mem name enabled) then (name, None)
+          if not (Hashtbl.mem enabled_set name) then (name, None)
           else begin
             let after_hl = match hl with Some (hf, _) -> hf | None -> l2f in
             match try_wa wa_ctx diags after_hl with
@@ -931,23 +947,28 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
         attempts
     in
     if failures = [] then (wa_ctx, attempts)
-    else wa_fix (List.filter (fun n -> not (List.mem n failures)) enabled)
+    else begin
+      let failures = index_by Fun.id failures in
+      wa_fix (List.filter (fun n -> not (Hashtbl.mem failures n)) enabled)
+    end
   in
   let wa_ctx, wa_attempts = wa_fix initially_enabled in
   let ctx = wa_ctx in
+  let wa_attempts = index_by fst wa_attempts in
+  let fsig_of = index_by fst ctx.Rules.fsigs in
   let miss_frs =
     pmap
       (fun (sf, l1f, l1_thm, l2f, l2_thm, hl, skipped, diags) ->
         let name = (l2f : M.func).M.name in
         let opts = options_for options name in
         let wa =
-          match List.assoc name wa_attempts with
+          match snd (Hashtbl.find wa_attempts name) with
           | Some (Result.Ok r) -> Some r
           | Some (Result.Error e) ->
             skipped := ("word_abstraction", e) :: !skipped;
             None
           | None ->
-            if opts.word_abs && not (List.mem name (List.map fst ctx.Rules.fsigs)) then
+            if opts.word_abs && not (Hashtbl.mem fsig_of name) then
               skipped := ("word_abstraction", "demoted") :: !skipped;
             None
         in
@@ -1027,7 +1048,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   let hit_results =
     pmap
       (fun (f : Ir.func) ->
-        let e = List.assoc f.Ir.name entries in
+        let e = snd (Hashtbl.find hits f.Ir.name) in
         let r =
           Profile.record ~func:f.Ir.name "store_replay" (fun () ->
               match replay_entry ctx ~sums_digest:(sums_digest_for f.Ir.name) f e with
@@ -1048,23 +1069,20 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
         Option.iter Store.demote_hit store;
         store_diag ~fname:n ("stale or invalid store entry (re-translating): " ^ m))
       failed;
-    translate (List.filter (fun (n, _) -> not (List.mem_assoc n failed)) entries)
+    let failed = index_by fst failed in
+    translate (List.filter (fun (n, _) -> not (Hashtbl.mem failed n)) entries)
   end
   else begin
     let hit_frs =
       List.filter_map
-        (fun (n, r) -> match r with Result.Ok fr -> Some (n, fr) | Result.Error _ -> None)
+        (fun (_, r) -> match r with Result.Ok fr -> Some fr | Result.Error _ -> None)
         hit_results
     in
     (* Source order, hits and fresh translations interleaved exactly as a
        cold run would produce them. *)
+    let frs = index_by (fun fr -> fr.fr_name) (hit_frs @ miss_frs) in
     let funcs =
-      List.filter_map
-        (fun (f : Ir.func) ->
-          match List.assoc_opt f.Ir.name hit_frs with
-          | Some fr -> Some fr
-          | None -> List.find_opt (fun fr -> String.equal fr.fr_name f.Ir.name) miss_frs)
-        simpl.Ir.funcs
+      List.filter_map (fun (f : Ir.func) -> Hashtbl.find_opt frs f.Ir.name) simpl.Ir.funcs
     in
     let degraded = simpl_only @ l1_only in
     let heap_types =
@@ -1092,21 +1110,18 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
     | None -> ()
     | Some st ->
       Profile.record "store_save" (fun () ->
+          let nothrow_set = index_by Fun.id ctx.Rules.nothrows in
           List.iter
             (fun fr ->
               if (not (is_hit fr.fr_name)) && fr.fr_diags = [] then begin
-                match (fr.fr_chain, List.assoc_opt fr.fr_name store_keys) with
+                match (fr.fr_chain, store_key fr.fr_name) with
                 | Some chain, Some key ->
                   let e =
                     {
                       Store.e_name = fr.fr_name;
                       e_l1 = fr.fr_l1;
                       e_l2g =
-                        (match
-                           List.find_opt
-                             (fun (fb : M.func) -> String.equal fb.M.name fr.fr_name)
-                             fbodies
-                         with
+                        (match Hashtbl.find_opt l2_by_name fr.fr_name with
                         | Some fb -> fb
                         | None -> fr.fr_l2);
                       e_l2 = fr.fr_l2;
@@ -1115,10 +1130,10 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
                       e_final = fr.fr_final;
                       e_wvars = fr.fr_wa_wvars;
                       e_skipped = fr.fr_skipped;
-                      e_nothrow = List.mem fr.fr_name ctx.Rules.nothrows;
+                      e_nothrow = Hashtbl.mem nothrow_set fr.fr_name;
                       e_fsig =
-                        (match List.assoc_opt fr.fr_name ctx.Rules.fsigs with
-                        | Some s -> s
+                        (match Hashtbl.find_opt fsig_of fr.fr_name with
+                        | Some (_, s) -> s
                         | None -> Wa.func_sig ~enabled:false fr.fr_l2);
                       e_sums_digest = sums_digest_for fr.fr_name;
                       e_trace = Trace.record chain;

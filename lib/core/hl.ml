@@ -82,20 +82,14 @@ let rec hs (ctx : Rules.ctx) (m : M.t) : Thm.t =
 (* Abstract one function, then run the certified clean-up (de-duplicating
    and discharging the freshly introduced validity guards). *)
 (* Returns the function plus the derivation steps: the abs_h_stmt theorem
-   and the clean-up equivalence, chained by the driver into the
-   per-function refinement theorem. *)
+   and, when it changed anything, the clean-up equivalence, chained by the
+   driver into the per-function refinement theorem. *)
 let convert_func ?(polish = true) (ctx : Rules.ctx) (f : M.func) : M.func * Thm.t list =
   let thm = hs ctx f.M.body in
   let abs = abs_of_stmt thm in
-  let final_abs, cleaned =
-    if polish then begin
-      let cleaned = Rewrite.normalize ctx abs in
-      (Rewrite.abs_of cleaned, cleaned)
-    end
-    else (abs, Thm.by ctx (Ac_kernel.Rules.Eq_refl abs) [])
-  in
-  ( { f with M.body = final_abs; heap_model = M.Typed_split },
-    if M.equal final_abs abs then [ thm ] else [ thm; cleaned ] )
+  let cleaned = if polish then Rewrite.normalize ctx abs else None in
+  let body = match cleaned with Some t -> Rewrite.abs_of t | None -> abs in
+  ({ f with M.body = body; heap_model = M.Typed_split }, thm :: Option.to_list cleaned)
 
 (* The split heaps required by a set of lifted functions: every C type the
    code reads or writes through the heap (paper Sec 4.4). *)

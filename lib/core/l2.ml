@@ -27,14 +27,14 @@ let convert_func ?(polish = true) (ctx : Rules.ctx) (f : M.func) : M.func * Thm.
     ({ f with M.body = lifted; convention = M.Lambda_bound; locals = [] }, lift_thm)
   else begin
   (* Clean up the raw lifted output. *)
-  let clean1 = Rewrite.trans ctx (Rewrite.normalize ctx lifted) lift_thm in
+  let clean1 = Rewrite.chain_onto ctx (Rewrite.normalize ctx lifted) lift_thm in
   (* Try straightening the return flow; fall back to the exception form. *)
   let final =
     let cur = Rewrite.abs_of clean1 in
     match Thm.by_opt ctx (Rules.Rw_elim_returns (cur, f.M.ret_ty)) [] with
     | Some elim ->
       let straightened = Rewrite.trans ctx elim clean1 in
-      Rewrite.trans ctx (Rewrite.normalize ctx (Rewrite.abs_of straightened)) straightened
+      Rewrite.chain_onto ctx (Rewrite.normalize ctx (Rewrite.abs_of straightened)) straightened
     | None -> clean1
   in
   ( {

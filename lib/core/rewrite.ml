@@ -10,7 +10,8 @@ module J = Ac_kernel.Judgment
 
    Applies the kernel's equivalence rules bottom-up to a fixed point,
    composing the steps with transitivity and congruence, so the result is a
-   single [Equiv (simplified, original)] theorem.  This engine drives the
+   single [Equiv (simplified, original)] theorem, or [None] when nothing
+   changed: no theorem is minted for a subterm left alone.  This engine drives the
    paper's L2 clean-up steps: plain translation artefacts, guard
    de-duplication and discharging, and exception-flow simplification. *)
 
@@ -110,48 +111,83 @@ let rec try_head (ctx : Rules.ctx) (m : M.t) : Thm.t option =
       (fun acc rule -> match acc with Some _ -> acc | None -> Thm.by_opt ctx rule [])
       None (head_rules m)
 
+(* Steps are identity-free: [None] stands for [Equiv (m, m)] on a term the
+   step left alone, and is never minted.  [chain newer older] composes a
+   step taken after [older]; [chain_onto] does so onto a theorem a caller of
+   [normalize] already holds. *)
+let chain ctx (newer : Thm.t option) (older : Thm.t option) : Thm.t option =
+  match (newer, older) with
+  | None, t | t, None -> t
+  | Some n, Some o -> Some (trans ctx n o)
+
+let chain_onto ctx (newer : Thm.t option) (older : Thm.t) : Thm.t =
+  match newer with Some n -> trans ctx n older | None -> older
+
 (* One bottom-up pass: normalise children via congruence, then rewrite the
-   head to a fixed point.  [tank] is the remaining fuel for this
-   [normalize] call. *)
-let rec pass (ctx : Rules.ctx) (tank : int ref) (m : M.t) : Thm.t =
+   head to a fixed point.  [None]: nothing in [m] changed and nothing was
+   minted for it.  A congruence rule is minted only over a changed child;
+   its unchanged sibling gets the one [Eq_refl] the rule needs.  [tank] is
+   the remaining fuel for this [normalize] call. *)
+let rec pass (ctx : Rules.ctx) (tank : int ref) (m : M.t) : Thm.t option =
+  let refl x = function Some t -> t | None -> Thm.by ctx (Rules.Eq_refl x) [] in
+  (* Right child first: where an exhausted tank stops rewriting depends on
+     the order fuel is spent in, and outputs under a small budget must not
+     change. *)
+  let congr2 rule a b =
+    let tb = pass ctx tank b in
+    match (pass ctx tank a, tb) with
+    | None, None -> None
+    | ta, tb -> Some (Thm.by ctx rule [ refl a ta; refl b tb ])
+  in
   let congr =
     match m with
-    | M.Bind (a, p, b) -> Thm.by ctx (Rules.Eq_bind p) [ pass ctx tank a; pass ctx tank b ]
-    | M.Try (a, p, b) -> Thm.by ctx (Rules.Eq_try p) [ pass ctx tank a; pass ctx tank b ]
-    | M.Cond (c, a, b) -> Thm.by ctx (Rules.Eq_cond c) [ pass ctx tank a; pass ctx tank b ]
+    | M.Bind (a, p, b) -> congr2 (Rules.Eq_bind p) a b
+    | M.Try (a, p, b) -> congr2 (Rules.Eq_try p) a b
+    | M.Cond (c, a, b) -> congr2 (Rules.Eq_cond c) a b
     | M.While (p, c, body, init) ->
-      Thm.by ctx (Rules.Eq_while (p, c, init)) [ pass ctx tank body ]
-    | _ -> Thm.by ctx (Rules.Eq_refl m) []
+      Option.map (fun t -> Thm.by ctx (Rules.Eq_while (p, c, init)) [ t ]) (pass ctx tank body)
+    | _ -> None
   in
-  head_fix ctx tank congr
+  head_fix ctx tank (match congr with Some t -> abs_of t | None -> m) congr
 
-and head_fix ctx (tank : int ref) (thm : Thm.t) : Thm.t =
+(* [thm] relates [cur] to the pass's input ([None]: [cur] is the input). *)
+and head_fix ctx (tank : int ref) (cur : M.t) (thm : Thm.t option) : Thm.t option =
   if !tank <= 0 then thm
   else begin
-    match try_head ctx (abs_of thm) with
+    match try_head ctx cur with
     | Some step ->
       decr tank;
-      head_fix ctx tank (trans ctx step thm)
+      head_fix ctx tank (abs_of step) (chain ctx (Some step) thm)
     | None -> thm
   end
 
 (* Normalise to a global fixed point (with the expression simplifier run
    between passes), bounded for safety by a pass limit and the fuel
-   budget. *)
-let normalize ?(max_passes = 12) (ctx : Rules.ctx) (m : M.t) : Thm.t =
+   budget.  [None]: the result is structurally [m].  [Rw_simp] and
+   [Rw_discharge] are minted every round, since only the kernel computes
+   their result, but chained only when they changed the term; a round
+   whose steps leave the term structurally as it was ends the loop and is
+   dropped. *)
+let normalize ?(max_passes = 12) (ctx : Rules.ctx) (m : M.t) : Thm.t option =
   let tank = ref !fuel in
-  let rec go n thm =
+  let whole rule (cur, thm) =
+    let step = Thm.by ctx (rule cur) [] in
+    if M.equal (abs_of step) cur then (cur, thm) else (abs_of step, chain ctx (Some step) thm)
+  in
+  let rec go n cur thm =
     if n >= max_passes || !tank <= 0 then thm
     else begin
-      let before = abs_of thm in
-      let simped = trans ctx (Thm.by ctx (Rules.Rw_simp before) []) thm in
-      let discharged =
-        trans ctx (Thm.by ctx (Rules.Rw_discharge (abs_of simped)) []) simped
+      let mid, round =
+        whole (fun t -> Rules.Rw_discharge t) (whole (fun t -> Rules.Rw_simp t) (cur, None))
       in
-      let next = trans ctx (pass ctx tank (abs_of discharged)) discharged in
-      if M.equal (abs_of next) before then next else go (n + 1) next
+      match chain ctx (pass ctx tank mid) round with
+      | Some r when not (M.equal (abs_of r) cur) ->
+        go (n + 1) (abs_of r) (chain ctx (Some r) thm)
+      | _ -> thm
     end
   in
-  let out = go 0 (Thm.by ctx (Rules.Eq_refl m) []) in
+  let out =
+    match go 0 m None with Some t when M.equal (abs_of t) m -> None | out -> out
+  in
   if !tank <= 0 then Atomic.incr exhaustions;
   out

@@ -363,11 +363,8 @@ let convert_func ?(strategy = default_strategy) ?(polish = true) (ctx : Rules.ct
     | _ -> assert false
   in
   (* Certified clean-up of the freshly introduced overflow guards. *)
-  let cleaned =
-    if polish then Rewrite.normalize ctx abs
-    else Thm.by ctx (Rules.Eq_refl abs) []
-  in
-  let final = Rewrite.abs_of cleaned in
+  let cleaned = if polish then Rewrite.normalize ctx abs else None in
+  let final = match cleaned with Some t -> Rewrite.abs_of t | None -> abs in
   let params =
     List.map
       (fun (x, t) ->
@@ -383,5 +380,4 @@ let convert_func ?(strategy = default_strategy) ?(polish = true) (ctx : Rules.ct
     | J.Csint _, _ -> Ty.Tint
     | _, t -> t
   in
-  ( { f with M.body = final; params; ret_ty },
-    if M.equal final abs then [ thm ] else [ thm; cleaned ] )
+  ({ f with M.body = final; params; ret_ty }, thm :: Option.to_list cleaned)

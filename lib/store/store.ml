@@ -40,8 +40,12 @@ module J = Ac_kernel.Judgment
 (* Bump when the kernel rule base, the trace format, or anything else
    that replay depends on changes shape.  ruleset-2: [Absdom.cert]
    became a record carrying a summary table, entries gained
-   [e_sums_digest]. *)
-let ruleset_tag = "acc-store-1/ruleset-2"
+   [e_sums_digest].  ruleset-3: derivation shapes shrank — the rewrite
+   engine mints no reflexivity, congruence or transitivity step for a
+   subterm it leaves unchanged.  Older entries would still replay, but
+   their traces are about 1.6x larger, so a warm run would keep paying
+   for them and report chain sizes that disagree with a cold run. *)
+let ruleset_tag = "acc-store-1/ruleset-3"
 
 let magic = "ACC-STORE v1\n"
 

@@ -40,4 +40,5 @@ let () =
       ("serve", Test_serve.suite);
       ("obs", Test_obs.suite);
       ("l2_order", Test_l2_order.suite);
+      ("rewrite", Test_rewrite.suite);
     ]

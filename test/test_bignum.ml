@@ -123,6 +123,25 @@ let prop_tests =
         B.to_int_exn (B.div (b x) (b y)) = x / y && B.to_int_exn (B.rem (b x) (b y)) = x mod y);
     Test.make ~name:"string round trip" ~count:200 arb_big (fun x ->
         B.equal (B.of_string (s x)) x);
+    (* Decimal printing works in base-10^4 chunks: check it against the
+       native printer, on multi-limb values of either sign, and at the
+       chunk boundaries, where a dropped or unpadded chunk would show. *)
+    Test.make ~name:"to_string: native, multi-limb, chunk boundaries" ~count:300
+      (triple int arb_big arb_big)
+      (fun (n, x, y) ->
+        let p = B.mul x y in
+        let boundary k =
+          let ten_k = B.pow (b 10) k and zeros = String.make k '0' in
+          String.equal (s ten_k) ("1" ^ zeros)
+          && String.equal (s (B.neg ten_k)) ("-1" ^ zeros)
+          && String.equal (s (B.pred ten_k)) (if k = 0 then "0" else String.make k '9')
+          && String.equal (s (B.succ ten_k))
+               (if k = 0 then "2" else "1" ^ String.sub zeros 1 (k - 1) ^ "1")
+        in
+        String.equal (s (b n)) (string_of_int n)
+        && B.equal (B.of_string (s p)) p
+        && B.equal (B.of_string (s (B.neg p))) (B.neg p)
+        && List.for_all boundary (List.init 41 Fun.id));
     Test.make ~name:"divmod identity" ~count:500 (pair arb_big arb_big) (fun (a, d) ->
         QCheck.assume (not (B.is_zero d));
         let q, r = B.divmod a d in
