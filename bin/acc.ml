@@ -25,44 +25,32 @@
 open Cmdliner
 module Driver = Autocorres.Driver
 module Diag = Autocorres.Diag
-module Pool = Autocorres.Pool
-module Supervisor = Autocorres.Supervisor
 module Faults = Autocorres.Faults
 module Store = Ac_store.Store
 module Obs = Ac_obs.Obs
-module Metrics = Ac_obs.Metrics
-module Effort = Ac_obs.Effort
-
-(* Monotonic wall clock for serve's watchdog: must not jump when the
-   system clock is stepped.  Shared with [Supervisor.timed] and the
-   store-lock backoff — one clock for every deadline in the service
-   path. *)
-let mono_s = Autocorres.Profile.mono_s
+module Session = Ac_serve.Session
 
 (* Usage errors: one-line diagnostic on stderr, exit 2. *)
 let usage_error fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt
 
-(* Flight recorder (serve --flight-recorder): when armed, this holds the
-   dump action — harvest the span rings, repair truncation, write the
-   trace file.  Consulted from the SIGUSR1 check, the serve watchdog on
-   a deadline overrun, and the fatal-exit paths in [protect], so a
-   misbehaving session leaves its last N events on disk for post-mortem
-   even when nobody asked for a full --trace. *)
-let flight_dump : (unit -> unit) option ref = ref None
-let maybe_dump_flight () = match !flight_dump with Some f -> f () | None -> ()
+(* A malformed fault spec is a usage error: silently injecting nothing
+   would defeat a soak. *)
+let parse_faults ~what spec =
+  match Faults.parse spec with Ok cfg -> cfg | Error m -> usage_error "%s: %s" what m
 
 (* The last line of defence for the exit-code contract: anything a command
    body lets escape is an internal error — one line on stderr, exit 2,
-   never cmdliner's uncaught-exception dump. *)
+   never cmdliner's uncaught-exception dump.  Both fatal paths dump a
+   serve session's flight recorder, if armed. *)
 let protect (f : unit -> unit) () =
   match f () with
   | () -> ()
   | exception Diag.Error d ->
-    maybe_dump_flight ();
+    Session.dump_flight ();
     prerr_endline (Diag.to_string d);
     exit 1
   | exception e ->
-    maybe_dump_flight ();
+    Session.dump_flight ();
     Printf.eprintf "acc: internal error: %s\n%!" (Diag.message_of_exn e);
     exit 2
 
@@ -181,28 +169,12 @@ let trace_format_arg =
         ~doc:"Trace file format: $(b,chrome) (trace_event JSON) or $(b,jsonl) \
               (one event object per line, for streaming consumers)")
 
-let write_trace ~format path =
-  let evs = Obs.harvest () in
-  (* Ring mode overwrites the oldest events, which can orphan B/E pairs;
-     repair the stream so every dump passes `acc trace --validate`.
-     Identity when the buffers are unbounded, so plain --trace output is
-     byte-for-byte what it always was. *)
-  let evs = if Obs.ring () <> None then Obs.repair evs else evs in
-  let s = match format with `Chrome -> Obs.to_chrome evs | `Jsonl -> Obs.to_jsonl evs in
-  match
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
-  with
-  | () -> ()
-  | exception Sys_error m -> Printf.eprintf "acc: cannot write trace: %s\n%!" m
-
 let setup_trace trace format =
   match trace with
   | None -> ()
   | Some path ->
     Obs.set_enabled true;
-    at_exit (fun () -> write_trace ~format path)
+    at_exit (fun () -> Obs.write_trace ~format path)
 
 let no_heap =
   Arg.(value & flag & info [ "no-heap-abs" ] ~doc:"Disable heap abstraction (Sec 4)")
@@ -360,28 +332,6 @@ let run_frontend ?store ?pool ?fresh_tables ~file ~options source =
   | Ac_cfront.Typecheck.Type_error (m, pos) ->
     usage_error "%s:%d:%d: type error: %s" file pos.Ac_cfront.Ast.line pos.Ac_cfront.Ast.col m
 
-(* The machine-readable translation report for --diag-json. *)
-let result_json ~file (res : Driver.result) : string =
-  let fn name level chained =
-    Printf.sprintf "{\"name\":\"%s\",\"level\":\"%s\",\"chained\":%b}"
-      (Diag.json_escape name) (Driver.level_name level) chained
-  in
-  let funcs =
-    List.map
-      (fun fr ->
-        fn fr.Driver.fr_name (Driver.level_of fr) (fr.Driver.fr_chain <> None))
-      res.Driver.funcs
-    @ List.map
-        (fun d -> fn d.Driver.dg_name (Driver.degraded_level d) false)
-        res.Driver.degraded
-  in
-  Printf.sprintf
-    "{\"file\":\"%s\",\"functions\":[%s],\"budget_exhaustions\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"pool\":{\"retries\":%d,\"quarantined\":%d,\"restarts\":%d},\"diagnostics\":%s}"
-    (Diag.json_escape file) (String.concat "," funcs) res.Driver.budget_hits
-    res.Driver.store_hits res.Driver.store_misses res.Driver.retries
-    res.Driver.quarantined res.Driver.restarts
-    (Diag.list_to_json res.Driver.diags)
-
 let translate files no_heap no_word no_discharge no_interproc keep_low stage func_filter
     keep_going diag_json budgets jobs store_dir no_store trace trace_format =
   setup_trace trace trace_format;
@@ -395,7 +345,7 @@ let translate files no_heap no_word no_discharge no_interproc keep_low stage fun
     (fun file ->
       let source = read_file file in
       let res = run_frontend ?store ~file ~options source in
-      if diag_json then print_endline (result_json ~file res)
+      if diag_json then print_endline (Session.result_json ~file res)
       else begin
         with_funcs res func_filter (fun fr ->
             (match stage with
@@ -477,15 +427,9 @@ let stats file profile profile_json jobs store_dir no_store =
   in
   let store = store_of ~store_dir ~no_store in
   let (_ : Driver.result) = run_frontend ~file ~options source in
-  (* Proof-effort accounting for the profile: the kernel hook is
-     installed from here — outside the kernel — and reset after the
-     probe run above so the profile counts exactly one measured
-     translation. *)
-  if profile || profile_json then begin
-    Ac_kernel.Thm.set_obs_hook (Some Effort.on_rule);
-    Effort.set_enabled true;
-    Effort.reset ()
-  end;
+  (* Proof-effort accounting for the profile, armed after the probe run
+     above so the profile counts exactly one measured translation. *)
+  if profile || profile_json then Ac_stats.arm_effort ();
   let row, res =
     Ac_stats.measure ~options ?store ~name:(Filename.basename file) source
   in
@@ -496,58 +440,8 @@ let stats file profile profile_json jobs store_dir no_store =
     print_string
       (Ac_stats.render_table ~header:Ac_stats.table5_header
          [ Ac_stats.row_to_strings row ]);
-    if profile then begin
-      print_newline ();
-      print_string
-        (Ac_stats.render_table ~header:Ac_stats.profile_header
-           (Ac_stats.profile_rows (Autocorres.Profile.snapshot ())));
-      if res.Driver.iprof <> [] then begin
-        print_newline ();
-        print_string
-          (Ac_stats.render_table ~header:Ac_stats.summary_header
-             (Ac_stats.summary_rows res))
-      end;
-      Printf.printf "\nstore: %d hits, %d misses\n" res.Driver.store_hits
-        res.Driver.store_misses;
-      Printf.printf "pool: %d retries, %d quarantined, %d restarts\n"
-        res.Driver.retries res.Driver.quarantined res.Driver.restarts;
-      (* Where the kernel's work went: rule applications, chain shapes,
-         and which pass paid for each discharged guard. *)
-      let total = Effort.total_applications () in
-      if total > 0 then begin
-        let chains = Metrics.counter_value (Metrics.counter "kernel.chains") in
-        let hd = Metrics.histogram "kernel.chain_depth" in
-        let hs = Metrics.histogram "kernel.chain_size" in
-        Printf.printf
-          "kernel: %d rule applications; %d chains (depth p50 %.0f p95 %.0f, \
-           size p50 %.0f p95 %.0f)\n"
-          total chains (Metrics.quantile hd 0.50) (Metrics.quantile hd 0.95)
-          (Metrics.quantile hs 0.50) (Metrics.quantile hs 0.95);
-        let top =
-          List.filteri (fun i _ -> i < 5) (Effort.rule_counts ())
-          |> List.map (fun (r, n) -> Printf.sprintf "%s %d" r n)
-        in
-        Printf.printf "top rules: %s\n" (String.concat ", " top);
-        Printf.printf "discharge provenance: %d intra, %d interproc, %d scrub_dead\n"
-          (Metrics.counter_value (Metrics.counter "kernel.discharged_intra"))
-          (Metrics.counter_value (Metrics.counter "kernel.discharged_interproc"))
-          (Metrics.counter_value (Metrics.counter "kernel.discharged_scrub_dead"))
-      end
-    end
+    if profile then print_string (Ac_stats.profile_report res)
   end
-
-(* A lint/analyze finding rendered as a structured diagnostic, so every
-   machine output (serve responses, `acc analyze --json`) uses the exact
-   JSON shape `--diag-json` established. *)
-let diag_of_finding ~severity (f : Ac_analysis.finding) : Diag.t =
-  let msg =
-    match f.Ac_analysis.lf_kind with
-    | Some k ->
-      Printf.sprintf "%s [%s]" f.Ac_analysis.lf_msg (Ac_simpl.Ir.guard_kind_name k)
-    | None -> f.Ac_analysis.lf_msg
-  in
-  Diag.make ~func:f.Ac_analysis.lf_func ?pos:f.Ac_analysis.lf_pos ~severity
-    Diag.Guard_discharge msg
 
 let print_finding ~file ~severity (f : Ac_analysis.finding) =
   let where =
@@ -648,8 +542,8 @@ let analyze file no_heap no_word no_interproc keep_low budgets jobs json store_d
         (List.length sv.Ac_analysis.sv_residual)
     in
     let findings =
-      List.map (diag_of_finding ~severity:Diag.Warning) refuted
-      @ List.map (diag_of_finding ~severity:Diag.Note) residual
+      List.map (Session.diag_of_finding ~severity:Diag.Warning) refuted
+      @ List.map (Session.diag_of_finding ~severity:Diag.Note) residual
     in
     print_endline
       (Printf.sprintf
@@ -679,37 +573,10 @@ let analyze file no_heap no_word no_interproc keep_low budgets jobs json store_d
   if refuted <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* `acc serve`: a long-lived batch mode.  Requests are newline-delimited
-   on stdin — `translate FILE`, `check FILE`, `lint FILE` or `status` —
-   and each produces exactly one JSON response line on stdout, in request
-   order.  The proof store, the worker pool and the hash-consing tables
-   stay warm across requests, so a serve session amortises everything a
-   one-shot invocation pays per run.  A bad request never kills the
-   session (the response carries "ok":false); EOF ends it.
-
-   Hardening (this PR): the session is meant to run for days —
-     - pool maps run under one shared [Supervisor]: a crashed worker
-       domain is respawned and the lost item retried or quarantined, so
-       a request never loses a function result;
-     - `--request-timeout SECS` bounds each request via the existing
-       budget plumbing (solver/analysis deadlines) plus a monotonic-clock
-       watchdog that *counts* overruns (`requests_over_deadline`) —
-       degrade and report, never kill;
-     - SIGINT/SIGTERM shut down gracefully: the in-flight request
-       finishes and its complete response line is flushed, then the
-       session exits 0;
-     - `status` reports uptime and all counters as JSON;
-     - `--inject SPEC` (or $ACC_FAULTS) turns on the deterministic
-       fault-injection harness for soak testing.
-
-   Socket mode (this PR): `--socket PATH` (and/or `--tcp PORT` on
-   localhost) serves the same request grammar to many concurrent
-   clients at once, each connection newline-framed exactly like stdin;
-   all connections feed one bounded scheduler (see Ac_serve.Server for
-   the backpressure and drain contract).  Stdin and socket modes share
-   [handle_line] below — one request-handling core, so a response is
-   byte-identical whichever transport carried it.  `--connect PATH`
-   turns the binary into a pipelining line client for shell scripts. *)
+(* `acc serve`: the long-lived batch mode of [Ac_serve.Session], over
+   stdin or, with --socket/--tcp, many concurrent clients.  `--connect
+   PATH` turns the binary into a pipelining line client for shell
+   scripts instead. *)
 let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
     max_inflight connect_path trace trace_format metrics_port flight_recorder
     flight_dump_path slow_ms slow_log =
@@ -718,450 +585,18 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
   | None -> ());
   if metrics_port <> None && socket_path = None && tcp_port = None then
     usage_error "acc serve: --metrics-port requires socket mode (--socket or --tcp)";
-  setup_trace trace trace_format;
-  (* Flight recorder: bounded per-domain span rings (overwrite-oldest),
-     dumped on SIGUSR1, on a watchdog deadline overrun, and on fatal
-     exit.  Dumps are repaired for truncation, so they always validate. *)
-  let usr1_requested = Atomic.make false in
   (match flight_recorder with
-  | None -> ()
-  | Some n ->
-    if n <= 0 then usage_error "acc serve: --flight-recorder: N must be positive";
-    Obs.set_enabled true;
-    Obs.set_ring (Some n);
-    let path =
-      match flight_dump_path with
-      | Some p -> p
-      | None -> Printf.sprintf "acc-flight-%d.json" (Unix.getpid ())
-    in
-    flight_dump := Some (fun () -> write_trace ~format:trace_format path);
-    (try
-       Sys.set_signal Sys.sigusr1
-         (Sys.Signal_handle (fun _ -> Atomic.set usr1_requested true))
-     with Invalid_argument _ | Sys_error _ -> ()));
-  (* Honour a pending SIGUSR1 outside any syscall: called once per event
-     loop tick in socket mode and per line in stdin mode. *)
-  let check_usr1 () =
-    if Atomic.compare_and_set usr1_requested true false then maybe_dump_flight ()
+  | Some n when n <= 0 -> usage_error "acc serve: --flight-recorder: N must be positive"
+  | _ -> ());
+  let faults = Option.map (parse_faults ~what:"acc serve") inject in
+  setup_trace trace trace_format;
+  let cfg =
+    { Session.jobs = max 1 jobs; request_timeout; faults;
+      store = store_of ~store_dir ~no_store; socket_path; tcp_port; max_inflight;
+      metrics_port; trace; trace_format; flight_recorder; flight_dump_path; slow_ms;
+      slow_log }
   in
-  (* Proof-effort accounting is armed whenever the scrape plane is up:
-     the kernel hook stays a no-op otherwise, and CI byte-compares
-     hooked vs unhooked sessions. *)
-  if metrics_port <> None then begin
-    Ac_kernel.Thm.set_obs_hook (Some Effort.on_rule);
-    Effort.set_enabled true
-  end;
-  let jobs = max 1 jobs in
-  (match inject with
-  | None -> ()
-  | Some spec -> (
-    match Faults.parse spec with
-    | Ok cfg -> Faults.install cfg
-    | Error m -> usage_error "acc serve: %s" m));
-  let store = store_of ~store_dir ~no_store in
-  let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  let sup = Supervisor.create ?task_deadline_s:request_timeout () in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
-  let budgets =
-    (* The request timeout rides the existing budget plumbing: the
-       unbounded engines already know how to stop at a deadline and
-       degrade (guards kept, proofs left open) instead of hanging. *)
-    match request_timeout with
-    | None -> Driver.default_budgets
-    | Some t ->
-      { Driver.default_budgets with
-        Driver.solver_deadline_s = Some t;
-        analysis_deadline_s = Some t }
-  in
-  let options =
-    options_of ~keep_going:true ~budgets ~jobs ~no_heap:false ~no_word:false
-      ~keep_low:[] ()
-  in
-  let started = mono_s () in
-  (* Session counters live in the metrics registry (one source of truth
-     for `status`, the `metrics` verb and any future exporter) instead
-     of ad-hoc refs.  An increment is one atomic op, so these stay on
-     even when tracing is off. *)
-  let m_requests = Metrics.counter "serve.requests" in
-  let m_failures = Metrics.counter "serve.failures" in
-  let m_degraded = Metrics.counter "serve.degraded" in
-  let m_over_deadline = Metrics.counter "serve.requests_over_deadline" in
-  let m_shed = Metrics.counter "serve.shed" in
-  let m_store_hits = Metrics.counter "serve.store_hits" in
-  let m_store_misses = Metrics.counter "serve.store_misses" in
-  let m_retries = Metrics.counter "serve.retries" in
-  let m_quarantined = Metrics.counter "serve.quarantined" in
-  let m_restarts = Metrics.counter "serve.worker_restarts" in
-  let h_latency = Metrics.histogram "serve.request_latency_s" in
-  (* Mirror of [Obs.dropped] (events lost to buffer caps or ring
-     overwrites), refreshed before every exposition so the scrape and
-     the status verb agree. *)
-  let m_trace_dropped = Metrics.counter "trace.dropped_events" in
-  (* Slow-request log: requests whose wall-clock exceeds the threshold
-     append one structured JSONL record.  The channel opens lazily (the
-     common case logs nothing) and appends, so operators can tail one
-     file across server restarts. *)
-  let slow_cfg =
-    match (slow_ms, slow_log) with
-    | None, None -> None
-    | ms, path ->
-      Some
-        ( Option.value ms ~default:1000.,
-          lazy
-            (open_out_gen
-               [ Open_wronly; Open_append; Open_creat ]
-               0o644
-               (Option.value path ~default:"acc-slow.jsonl")) )
-  in
-  (* Graceful shutdown: the handler only flips a flag (async-signal-safe);
-     the main loop finishes the in-flight request, flushes, and exits.
-     A signal while blocked in [Unix.read] surfaces as EINTR, so the
-     flag is honoured immediately even on an idle session. *)
-  let shutting = Atomic.make false in
-  let install_signal s =
-    try Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set shutting true))
-    with Invalid_argument _ | Sys_error _ -> ()
-  in
-  install_signal Sys.sigterm;
-  install_signal Sys.sigint;
-  let respond line =
-    print_string line;
-    print_newline ();
-    flush stdout
-  in
-  let err_json msg =
-    Metrics.incr m_failures;
-    Printf.sprintf "{\"ok\":false,\"error\":\"%s\"}" (Diag.json_escape msg)
-  in
-  (* Set in socket mode so `status` can report the scheduler. *)
-  let sched_stats : (unit -> Ac_serve.Server.sched_stats) option ref = ref None in
-  (* Counter invariants (asserted by the serve tests):
-     - [requests] counts EVERY non-empty request line the session
-       accepts, across stdin and all socket connections — translate/
-       check/lint, `status` itself, malformed and unknown lines, and
-       shed requests all count, and each counted line gets exactly one
-       response.
-     - [failures] counts the subset answered with "ok":false (bad
-       request, unknown command, internal error, shed), so
-       failures <= requests always.  Before PR 8, malformed lines
-       bumped [failures] but not [requests], so a status probe could
-       report more failures than requests. *)
-  let status_json () =
-    let s = Supervisor.stats sup in
-    let sched =
-      match !sched_stats with
-      | None -> ""
-      | Some f ->
-        let n = f () in
-        Printf.sprintf
-          ",\"conns\":{\"active\":%d,\"total\":%d},\"sched\":{\"queued\":%d,\"shed\":%d,\"drained\":%d,\"net_io_faults\":%d}"
-          n.Ac_serve.Server.active_conns n.Ac_serve.Server.total_conns
-          n.Ac_serve.Server.queued n.Ac_serve.Server.shed
-          n.Ac_serve.Server.drained n.Ac_serve.Server.net_io_faults
-    in
-    (* Request-latency percentiles from the histogram, in ms.  Appended
-       AFTER every pre-existing field (including the conditional socket
-       [sched] block) so PR 7/8 consumers parsing a status prefix keep
-       working; precision is one log bucket (~19%). *)
-    let lat =
-      Printf.sprintf ",\"latency_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f}"
-        (1000. *. Metrics.quantile h_latency 0.50)
-        (1000. *. Metrics.quantile h_latency 0.95)
-        (1000. *. Metrics.quantile h_latency 0.99)
-    in
-    (* Trace events lost to span-buffer caps or flight-recorder ring
-       overwrites.  Appended after [lat], preserving every earlier
-       prefix. *)
-    let dropped = Printf.sprintf ",\"dropped\":%d" (Obs.dropped ()) in
-    Printf.sprintf
-      "{\"ok\":true,\"cmd\":\"status\",\"uptime_s\":%.3f,\"requests\":%d,\"failures\":%d,\"degraded\":%d,\"retries\":%d,\"quarantined\":%d,\"worker_restarts\":%d,\"worker_crashes\":%d,\"deadline_blown\":%d,\"requests_over_deadline\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"faults_active\":%b,\"shutting_down\":%b%s%s%s}"
-      (mono_s () -. started)
-      (Metrics.counter_value m_requests)
-      (Metrics.counter_value m_failures)
-      (Metrics.counter_value m_degraded)
-      s.Supervisor.retries s.Supervisor.quarantined s.Supervisor.restarts
-      s.Supervisor.crashes s.Supervisor.deadline_blown
-      (Metrics.counter_value m_over_deadline)
-      (match store with Some st -> Store.hits st | None -> 0)
-      (match store with Some st -> Store.misses st | None -> 0)
-      (Faults.active () <> None)
-      (Atomic.get shutting)
-      sched lat dropped
-  in
-  let read_source file =
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (* The one request-handling core, shared verbatim by stdin and socket
-     modes: one trimmed non-empty request line in, its one-line JSON
-     response out.  Total by construction — every exception becomes an
-     "ok":false response — because in socket mode a raise would tear
-     down the event loop under every other client. *)
-  (* Per-request activity for the slow-request log, filled in by [run]
-     below.  Request execution is serialized (stdin loop or the socket
-     scheduler's execute-one), so plain refs are race-free. *)
-  let req_store_hits = ref 0 in
-  let req_store_misses = ref 0 in
-  let req_retries = ref 0 in
-  let req_degraded = ref 0 in
-  let req_overrun = ref false in
-  let handle_line ?(queued_s = 0.) line : string =
-    Metrics.incr m_requests;
-    let rid_n = Metrics.counter_value m_requests in
-    req_store_hits := 0;
-    req_store_misses := 0;
-    req_retries := 0;
-    req_degraded := 0;
-    req_overrun := false;
-    let t0 = mono_s () in
-    let body () =
-      match
-      if line = "status" then status_json ()
-      else if line = "metrics" then
-        (* The whole registry: session counters plus the latency
-           histogram (count/mean/p50/p95/p99). *)
-        Printf.sprintf "{\"ok\":true,\"cmd\":\"metrics\",\"metrics\":%s}"
-          (Metrics.to_json ())
-      else begin
-        match String.index_opt line ' ' with
-        | None ->
-          err_json
-            (Printf.sprintf
-               "bad request %S (want: translate|check|lint FILE, or status)" line)
-        | Some i -> (
-          let cmd = String.sub line 0 i in
-          let file = String.trim (String.sub line i (String.length line - i)) in
-          let run () =
-            Faults.sleep_if_slow ();
-            let t0 = mono_s () in
-            let res =
-              Driver.run ~options ?store ?pool ~supervisor:sup ~fresh_tables:false
-                (read_source file)
-            in
-            (* The after-the-fact half of the watchdog: the budget deadlines
-               bound the engines from inside, this counts requests that
-               still overran (e.g. many functions each under budget). *)
-            (match request_timeout with
-            | Some t when mono_s () -. t0 > t ->
-              Metrics.incr m_over_deadline;
-              req_overrun := true;
-              (* A deadline overrun is exactly the moment the last N
-                 events matter: dump the flight recorder (no-op when not
-                 armed). *)
-              maybe_dump_flight ()
-            | _ -> ());
-            Metrics.add m_degraded (List.length res.Driver.degraded);
-            (* Per-request store/supervision activity, via the counters the
-               driver already aggregates for this run. *)
-            Metrics.add m_store_hits res.Driver.store_hits;
-            Metrics.add m_store_misses res.Driver.store_misses;
-            Metrics.add m_retries res.Driver.retries;
-            Metrics.add m_quarantined res.Driver.quarantined;
-            Metrics.add m_restarts res.Driver.restarts;
-            req_store_hits := res.Driver.store_hits;
-            req_store_misses := res.Driver.store_misses;
-            req_retries := res.Driver.retries;
-            req_degraded := List.length res.Driver.degraded;
-            res
-          in
-          match cmd with
-          | "translate" ->
-            let res = run () in
-            Printf.sprintf "{\"ok\":true,\"cmd\":\"translate\",\"result\":%s}"
-              (result_json ~file res)
-          | "check" ->
-            let res = run () in
-            let kernel =
-              match Driver.check_all res with
-              | Ok () -> "\"ok\""
-              | Error e -> Printf.sprintf "\"failed: %s\"" (Diag.json_escape e)
-            in
-            Printf.sprintf
-              "{\"ok\":true,\"cmd\":\"check\",\"file\":\"%s\",\"kernel\":%s,\"degraded\":%d,\"store\":{\"hits\":%d,\"misses\":%d}}"
-              (Diag.json_escape file) kernel
-              (List.length res.Driver.degraded)
-              res.Driver.store_hits res.Driver.store_misses
-          | "lint" ->
-            let res = run () in
-            let lenv = res.Driver.ctx.Ac_kernel.Rules.lenv in
-            let findings =
-              Ac_analysis.sort_findings
-                (List.concat_map
-                   (fun fr ->
-                     Ac_analysis.lint_func lenv ~simpl:fr.Driver.fr_simpl
-                       ~sums:res.Driver.sums fr.Driver.fr_l2)
-                   res.Driver.funcs)
-            in
-            (* Findings use the same structured-diagnostic JSON shape as
-               --diag-json (phase/function/line/col/severity/message), so a
-               serve client and a one-shot client parse one format. *)
-            Printf.sprintf "{\"ok\":true,\"cmd\":\"lint\",\"file\":\"%s\",\"findings\":%s}"
-              (Diag.json_escape file)
-              (Diag.list_to_json
-                 (List.map (diag_of_finding ~severity:Diag.Warning) findings))
-          | other -> err_json (Printf.sprintf "unknown command %S" other))
-      end
-      with
-      | resp -> resp
-      (* One failing request (missing file, parse error, even an internal
-         error) answers with ok:false and the session continues. *)
-      | exception Diag.Error d -> err_json (Diag.to_string d)
-      | exception Sys_error m -> err_json m
-      | exception e -> err_json (Diag.message_of_exn e)
-    in
-    let resp =
-      if Obs.enabled () then
-        (* Trace id: the request ordinal, attached to every event this
-           request records (driver phases included) via the domain-local
-           context. *)
-        let rid = Printf.sprintf "req-%d" rid_n in
-        Obs.with_ctx rid (fun () -> Obs.span ~cat:"serve" "serve.request" body)
-      else body ()
-    in
-    let dur = mono_s () -. t0 in
-    Metrics.observe h_latency dur;
-    (match slow_cfg with
-    | Some (threshold_ms, oc) when 1000. *. dur >= threshold_ms ->
-      let verb =
-        match String.index_opt line ' ' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      let oc = Lazy.force oc in
-      Printf.fprintf oc
-        "{\"rid\":%d,\"verb\":\"%s\",\"latency_ms\":%.3f,\"queue_ms\":%.3f,\"store_hits\":%d,\"store_misses\":%d,\"retries\":%d,\"degraded\":%d,\"over_deadline\":%b}\n"
-        rid_n (Diag.json_escape verb) (1000. *. dur) (1000. *. queued_s)
-        !req_store_hits !req_store_misses !req_retries !req_degraded !req_overrun;
-      flush oc
-    | _ -> ());
-    resp
-  in
-  (* Stdin mode.  The line reader sits on [Unix.read] rather than
-     [input_line]: OCaml channels retry EINTR internally, so a SIGTERM
-     arriving while the session is blocked waiting for a request would
-     be invisible until the next byte shows up.  With a raw read the
-     signal interrupts the syscall, the handler flips [shutting], and
-     the loop exits.  Framing goes through [Ac_serve.Line_buf] — the
-     old reader rebuilt [Buffer.contents] per extracted line, which is
-     O(n²) across a pipelined batch arriving in one chunk; the shared
-     buffer makes delivery chunking irrelevant (and is the same framing
-     the socket server uses). *)
-  let run_stdin () =
-    let lb = Ac_serve.Line_buf.create () in
-    let chunk = Bytes.create 4096 in
-    let rec next_line () : string option =
-      match Ac_serve.Line_buf.next lb with
-      | Some l -> Some l
-      | None ->
-        if Atomic.get shutting then None
-        else begin
-          match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
-          | 0 ->
-            (* EOF: a trailing unterminated line still counts as a request. *)
-            Ac_serve.Line_buf.take_rest lb
-          | n ->
-            Ac_serve.Line_buf.add lb chunk 0 n;
-            next_line ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_line ()
-        end
-    in
-    let rec loop () =
-      check_usr1 ();
-      if Atomic.get shutting then ()
-      else begin
-        match next_line () with
-        | None -> ()
-        | Some raw ->
-          let line = String.trim raw in
-          if line <> "" then respond (handle_line line);
-          loop ()
-      end
-    in
-    loop ()
-  in
-  (match (socket_path, tcp_port) with
-  | None, None -> run_stdin ()
-  | _ ->
-    (* Socket mode: many clients, one scheduler (Ac_serve.Server).  A
-       client disappearing mid-response must not kill the server, so
-       writes see EPIPE as an error, not a signal. *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ());
-    let cfg =
-      {
-        Ac_serve.Server.socket_path;
-        tcp_port;
-        metrics_port;
-        max_inflight = max 1 max_inflight;
-        backlog = 64;
-        shutting;
-      }
-    in
-    (* The scrape/health plane.  Rendered in the select loop between
-       request executions, so every exposition sees the registry
-       quiescent — cumulative histogram buckets can never tear. *)
-    let metrics_body () =
-      Metrics.set_counter m_trace_dropped (Obs.dropped ());
-      Metrics.to_openmetrics () ^ Effort.to_openmetrics () ^ "# EOF\n"
-    in
-    let readyz () =
-      (* Ready = willing and able to take a request: not draining, the
-         store lock reachable (a wedged lock blocks every store path),
-         and no worker domain dead without a respawn. *)
-      if Atomic.get shutting then Error "draining"
-      else
-        let store_ok =
-          match store with
-          | None -> true
-          | Some st -> (
-            match
-              Ac_store.Lock.with_lock ~timeout_s:0.2 ~dir:(Store.dir st)
-                (fun ~locked -> locked)
-            with
-            | ok -> ok
-            | exception _ -> false)
-        in
-        if not store_ok then Error "store lock unreachable"
-        else
-          let s = Supervisor.stats sup in
-          if s.Supervisor.crashes > s.Supervisor.restarts then
-            Error "worker pool degraded"
-          else Ok ()
-    in
-    let http path =
-      match path with
-      | "/metrics" -> (200, metrics_body ())
-      | "/healthz" -> (200, "ok\n")
-      | "/readyz" -> (
-        match readyz () with
-        | Ok () -> (200, "ready\n")
-        | Error why -> (503, why ^ "\n"))
-      | _ -> (404, "not found\n")
-    in
-    (match Ac_serve.Server.create cfg with
-    | Error m -> usage_error "acc serve: %s" m
-    | Ok srv ->
-      sched_stats := Some (fun () -> Ac_serve.Server.stats srv);
-      (* A shed request is a counted request that failed — the client
-         got a response line, just not the one it wanted. *)
-      Ac_serve.Server.run ~http ~on_tick:check_usr1
-        ~handler:(fun ~queued_s line -> handle_line ~queued_s line)
-        ~on_shed:(fun () ->
-          Metrics.incr m_requests;
-          Metrics.incr m_failures;
-          Metrics.incr m_shed)
-        srv));
-  (* Flush everything on the way out so the final response line is
-     complete even under a signal-driven shutdown; store counters are
-     in-memory only, entries were already published atomically.  An
-     in-progress --trace is written here, right after the drain, rather
-     than only from [at_exit]: the drain promised every harvested
-     request a response, and the trace of those requests is part of the
-     same promise (the at_exit rewrite is then a harmless no-op). *)
-  (match trace with Some path -> write_trace ~format:trace_format path | None -> ());
-  flush stdout
+  match Session.run cfg with Ok () -> () | Error m -> usage_error "acc serve: %s" m
 
 (* `acc cache stat|clear|gc|doctor`: maintenance of the persistent proof
    store.  gc and doctor take the store lock (so they never race a
@@ -1346,7 +781,7 @@ let trace_run files out format jobs validate =
         funcs := !funcs + List.length res.Driver.funcs)
       files;
     let evs = Obs.harvest () in
-    write_trace ~format out;
+    Obs.write_trace ~format out;
     Printf.printf "trace: %d file(s), %d function(s), %d event(s) -> %s\n"
       (List.length files) !funcs (List.length evs) out
 
@@ -1354,13 +789,12 @@ let trace_run files out format jobs validate =
 (* `acc effort`: translate FILE(s) with proof-effort accounting armed and
    report where the kernel's work went — per-rule application counts,
    refinement-chain shapes, guard-discharge provenance.  The kernel
-   observation hook is installed HERE, from outside the kernel; the
+   observation hook is installed from outside the kernel; the
    translation output itself is byte-identical to an unhooked run (ci.sh
    asserts it). *)
 let effort_run files json jobs store_dir no_store =
   if files = [] then usage_error "acc effort: no input files";
-  Ac_kernel.Thm.set_obs_hook (Some Effort.on_rule);
-  Effort.set_enabled true;
+  Ac_stats.arm_effort ();
   let options =
     options_of ~keep_going:true ~jobs ~no_heap:false ~no_word:false ~keep_low:[] ()
   in
@@ -1371,25 +805,7 @@ let effort_run files json jobs store_dir no_store =
       let (_ : Driver.result) = run_frontend ?store ~file ~options source in
       ())
     files;
-  if json then print_endline (Effort.snapshot_json ())
-  else begin
-    Printf.printf "proof effort over %d file(s):\n" (List.length files);
-    Printf.printf "  %-32s %10s\n" "rule" "applied";
-    List.iter
-      (fun (r, n) -> Printf.printf "  %-32s %10d\n" r n)
-      (Effort.rule_counts ());
-    Printf.printf "  %-32s %10d\n" "total" (Effort.total_applications ());
-    let chains = Metrics.counter_value (Metrics.counter "kernel.chains") in
-    let hd = Metrics.histogram "kernel.chain_depth" in
-    let hs = Metrics.histogram "kernel.chain_size" in
-    Printf.printf "chains: %d (depth p50 %.0f p95 %.0f, size p50 %.0f p95 %.0f)\n"
-      chains (Metrics.quantile hd 0.50) (Metrics.quantile hd 0.95)
-      (Metrics.quantile hs 0.50) (Metrics.quantile hs 0.95);
-    Printf.printf "discharge provenance: %d intra, %d interproc, %d scrub_dead\n"
-      (Metrics.counter_value (Metrics.counter "kernel.discharged_intra"))
-      (Metrics.counter_value (Metrics.counter "kernel.discharged_interproc"))
-      (Metrics.counter_value (Metrics.counter "kernel.discharged_scrub_dead"))
-  end
+  print_string (Ac_stats.effort_report ~json ~files:(List.length files))
 
 (* Wrap a fully-applied command body in [protect], keeping cmdliner's
    n-ary term application readable. *)
@@ -1720,14 +1136,10 @@ let cache_cmd =
 let () =
   (* $ACC_FAULTS arms the fault-injection harness for any subcommand (the
      soak drives one-shot invocations too); `acc serve --inject` overrides
-     it.  A malformed spec is a usage error — silently injecting nothing
-     would defeat the soak. *)
+     it. *)
   (match Sys.getenv_opt "ACC_FAULTS" with
   | None | Some "" -> ()
-  | Some spec -> (
-    match Faults.parse spec with
-    | Ok cfg -> Faults.install cfg
-    | Error m -> usage_error "acc: ACC_FAULTS: %s" m));
+  | Some spec -> Faults.install (parse_faults ~what:"acc: ACC_FAULTS" spec));
   let info =
     Cmd.info "acc" ~version:"1.0.0"
       ~doc:"Proof-producing abstraction of C code (AutoCorres, PLDI 2014)"

@@ -476,6 +476,9 @@ done
 "$ACC" trace --validate "$TEL_DIR/flight.json"
 # shellcheck disable=SC2086
 wait $cpids
+# The final status verb, then the final scrape: every serve counter the
+# scrape exposes must equal the status field it reads from the same owner.
+echo status | "$ACC" serve --connect "$TSOCK" > "$TEL_DIR/status.final"
 curl -fsS "http://127.0.0.1:$MPORT/metrics" > "$TEL_DIR/metrics.final"
 kill -TERM "$spid"
 if ! wait "$spid"; then
@@ -495,6 +498,32 @@ for series in acc_serve_requests_total acc_serve_request_latency_s_bucket \
     exit 1
   fi
 done
+python3 - "$TEL_DIR/status.final" "$TEL_DIR/metrics.final" <<'PYEOF'
+import json, sys
+status = json.loads(open(sys.argv[1]).read())
+samples = {}
+for line in open(sys.argv[2]):
+    if line.startswith("acc_") and "{" not in line:
+        name, value = line.split()
+        samples[name] = float(value)
+pairs = [
+    ("requests", status["requests"]), ("failures", status["failures"]),
+    ("degraded", status["degraded"]),
+    ("requests_over_deadline", status["requests_over_deadline"]),
+    ("retries", status["retries"]), ("quarantined", status["quarantined"]),
+    ("worker_restarts", status["worker_restarts"]),
+    ("store_hits", status["store"]["hits"]), ("store_misses", status["store"]["misses"]),
+    ("shed", status["sched"]["shed"]),
+]
+for field, want in pairs:
+    got = samples.get(f"acc_serve_{field}_total")
+    assert got == want, f"/metrics acc_serve_{field}_total = {got}, status says {want}"
+# the ring keeps overwriting after the status answer: the later scrape
+# may only have dropped more
+dropped = samples["acc_trace_dropped_events_total"]
+assert dropped >= status["dropped"], f"/metrics dropped {dropped} < status {status['dropped']}"
+print(f"final /metrics equals final status on {len(pairs)} serve counters")
+PYEOF
 for c in 1 2 3 4; do
   if ! cmp -s "$TEL_DIR/ref.$c" "$TEL_DIR/out.$c"; then
     echo "FAIL: telemetered client $c diverged from untelemetered reference" >&2

@@ -22,7 +22,7 @@ module A = Ac_kernel.Absdom
 type budget = {
   max_rounds : int;  (* widen/join rounds per loop *)
   max_steps : int;  (* iterate calls per analysed function *)
-  deadline_s : float option;  (* wall clock per analysed function *)
+  deadline_s : float option;  (* elapsed seconds per analysed function, monotonic *)
 }
 
 let default_budget = { max_rounds = 40; max_steps = 20_000; deadline_s = None }
@@ -48,7 +48,7 @@ let widen_after = 3
 
    The fixpoint runs under the budget above: a per-loop round limit, a
    per-function step limit (total [iterate] calls across all loops of one
-   walk) and an optional wall-clock deadline.  Exhausting any of them
+   walk) and an optional elapsed-time deadline.  Exhausting any of them
    answers ⊤ for the remaining loops — precision is lost (guards stay,
    nothing discharges), soundness and availability are not. *)
 
@@ -57,13 +57,14 @@ let fixpoint_solver ?(on_guard = fun _ _ _ -> ()) ?(sums = []) ?(on_call = fun _
   let muted = ref false in
   let steps = ref 0 in
   let spent = ref false in
-  (* Wall clock (see Solver): CPU time races ahead under parallel workers. *)
-  let deadline = Option.map (fun d -> Unix.gettimeofday () +. d) !budget.deadline_s in
+  (* Monotonic elapsed time (see Solver): CPU time races ahead under
+     parallel workers, and a system-clock step must not cut a run short. *)
+  let deadline = Option.map (fun d -> Ac_obs.Obs.mono_s () +. d) !budget.deadline_s in
   let out_of_budget () =
     !spent
     || !steps >= !budget.max_steps
     || (match deadline with
-       | Some d -> !steps land 15 = 0 && Unix.gettimeofday () > d
+       | Some d -> !steps land 15 = 0 && Ac_obs.Obs.mono_s () > d
        | None -> false)
     || (match !fault_hook with Some f -> f () | None -> false)
   in

@@ -1,13 +1,14 @@
-(* Per-phase profiling counters for the pipeline.
+(* Per-phase profiling counters for the pipeline, kept in the [Metrics]
+   registry.
 
    [record phase f] measures one unit of phase work — wall-clock seconds
-   and bytes allocated on the executing domain — and folds it into the
-   executing domain's own accumulator table.  Accumulation is per-domain
-   (each table has its own mutex, uncontended on the hot path because
-   only the owning domain writes to it); [snapshot] merges every
-   domain's table at harvest time.  Workers under [--jobs N] therefore
-   contribute their phase work with no cross-domain lock traffic, and
-   nothing is silently attributed to the main domain.
+   on [Obs.mono_s] and bytes allocated on the executing domain — and
+   folds it into two registry cells: the histogram
+   [profile.<phase>.wall_s] (its count is the phase's calls, its sum the
+   wall seconds) and the counter [profile.<phase>.alloc_bytes].  Both
+   are atomics, so workers under [--jobs N] record without a lock and
+   nothing is attributed to the wrong domain; the cells are also
+   scrapeable from a serve session for free.
 
    Two readings to keep straight:
    - wall seconds are summed across workers, so under [--jobs N] a
@@ -17,16 +18,14 @@
      OCaml 5), which is exactly right: the delta is taken on the domain
      running the work.
 
-   The driver resets the counters at the start of every [Driver.run], so
+   Registry counters only grow (a scrape must never see one go
+   backwards), so [reset] records a baseline and [snapshot] reports the
+   difference.  The driver resets at the start of every [Driver.run], so
    a snapshot taken after [run] (+ [check_all]) describes that run. *)
 
-(* Monotonic wall clock in seconds (bechamel's CLOCK_MONOTONIC stub).
-   This is the clock for every deadline and watchdog in the service path
-   — serve's request watchdog, [Supervisor.timed], lock backoff — which
-   must not jump when the system clock is stepped (NTP slew, manual
-   `date`, VM resume).  [Unix.gettimeofday] remains correct only for
-   calendar timestamps and file-mtime comparisons. *)
-let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+module Metrics = Ac_obs.Metrics
+
+let mono_s = Ac_obs.Obs.mono_s
 
 type entry = {
   phase : string;
@@ -35,66 +34,45 @@ type entry = {
   alloc_bytes : float;
 }
 
-type cell = { mutable c_calls : int; mutable c_wall : float; mutable c_alloc : float }
+(* Phase -> its registry cells.  Copy-on-write, so [record] costs one
+   atomic load and a short list scan; a racing insert of the same phase
+   is harmless because [Metrics] find-or-create returns the same cells. *)
+let cells : (string * (Metrics.histogram * Metrics.counter)) list Atomic.t = Atomic.make []
 
-(* One table per domain.  The per-table mutex exists for the benefit of
-   the cross-domain readers ([snapshot]/[reset]); the owning domain is
-   the only writer, so [add] never contends in steady state. *)
-type dtab = { dt_mu : Mutex.t; dt_tbl : (string, cell) Hashtbl.t }
+let rec cells_of phase =
+  let known = Atomic.get cells in
+  match List.assoc_opt phase known with
+  | Some c -> c
+  | None ->
+    let c =
+      ( Metrics.histogram ("profile." ^ phase ^ ".wall_s"),
+        Metrics.counter ("profile." ^ phase ^ ".alloc_bytes") )
+    in
+    if Atomic.compare_and_set cells known ((phase, c) :: known) then c else cells_of phase
 
-let reg_mu = Mutex.create ()
-let registry : dtab list ref = ref []
+let totals () =
+  List.map
+    (fun (phase, (h, a)) ->
+      { phase;
+        calls = Metrics.hist_count h;
+        wall_s = Metrics.hist_sum h;
+        alloc_bytes = float_of_int (Metrics.counter_value a) })
+    (Atomic.get cells)
 
-let tab_key : dtab Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let t = { dt_mu = Mutex.create (); dt_tbl = Hashtbl.create 16 } in
-      Mutex.lock reg_mu;
-      registry := t :: !registry;
-      Mutex.unlock reg_mu;
-      t)
+let baseline : entry list Atomic.t = Atomic.make []
 
-(* Phases in pipeline order, so snapshots render in a stable, meaningful
-   order regardless of which phase happened to be recorded first. *)
-let canonical_order =
-  [ "parse"; "l1"; "l2"; "guard_discharge"; "heap_abs"; "word_abs"; "chain"; "check" ]
-
-let all_tabs () =
-  Mutex.lock reg_mu;
-  let tabs = !registry in
-  Mutex.unlock reg_mu;
-  tabs
-
-let reset () =
-  List.iter
-    (fun t ->
-      Mutex.lock t.dt_mu;
-      Hashtbl.reset t.dt_tbl;
-      Mutex.unlock t.dt_mu)
-    (all_tabs ())
-
-let add phase dt da =
-  let t = Domain.DLS.get tab_key in
-  Mutex.lock t.dt_mu;
-  let c =
-    match Hashtbl.find_opt t.dt_tbl phase with
-    | Some c -> c
-    | None ->
-      let c = { c_calls = 0; c_wall = 0.; c_alloc = 0. } in
-      Hashtbl.add t.dt_tbl phase c;
-      c
-  in
-  c.c_calls <- c.c_calls + 1;
-  c.c_wall <- c.c_wall +. dt;
-  c.c_alloc <- c.c_alloc +. da;
-  Mutex.unlock t.dt_mu
+let reset () = Atomic.set baseline (totals ())
 
 let record ?(cat = "driver") ?func (phase : string) (f : unit -> 'a) : 'a =
   let measured () =
-    let t0 = Unix.gettimeofday () in
+    let t0 = mono_s () in
     let a0 = Gc.allocated_bytes () in
     Fun.protect
       ~finally:(fun () ->
-        add phase (Unix.gettimeofday () -. t0) (Gc.allocated_bytes () -. a0))
+        let dt = mono_s () -. t0 and da = Gc.allocated_bytes () -. a0 in
+        let h, a = cells_of phase in
+        Metrics.observe h dt;
+        Metrics.add a (int_of_float da))
       f
   in
   (* Gate here (not just inside [Obs.span]) so the args list is never
@@ -104,33 +82,21 @@ let record ?(cat = "driver") ?func (phase : string) (f : unit -> 'a) : 'a =
     Ac_obs.Obs.span ~cat ~args phase measured
   else measured ()
 
+(* Phases in pipeline order, so snapshots render in a stable, meaningful
+   order regardless of which phase happened to be recorded first. *)
+let canonical_order =
+  [ "parse"; "l1"; "l2"; "guard_discharge"; "heap_abs"; "word_abs"; "chain"; "check" ]
+
 let snapshot () : entry list =
-  (* Merge every domain's table into one per-phase map. *)
-  let merged : (string, cell) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun t ->
-      Mutex.lock t.dt_mu;
-      Hashtbl.iter
-        (fun phase c ->
-          let m =
-            match Hashtbl.find_opt merged phase with
-            | Some m -> m
-            | None ->
-              let m = { c_calls = 0; c_wall = 0.; c_alloc = 0. } in
-              Hashtbl.add merged phase m;
-              m
-          in
-          m.c_calls <- m.c_calls + c.c_calls;
-          m.c_wall <- m.c_wall +. c.c_wall;
-          m.c_alloc <- m.c_alloc +. c.c_alloc)
-        t.dt_tbl;
-      Mutex.unlock t.dt_mu)
-    (all_tabs ());
-  let all =
-    Hashtbl.fold
-      (fun phase c acc ->
-        { phase; calls = c.c_calls; wall_s = c.c_wall; alloc_bytes = c.c_alloc } :: acc)
-      merged []
+  let base = Atomic.get baseline in
+  let since e =
+    match List.find_opt (fun b -> String.equal b.phase e.phase) base with
+    | None -> e
+    | Some b ->
+      { e with
+        calls = e.calls - b.calls;
+        wall_s = e.wall_s -. b.wall_s;
+        alloc_bytes = e.alloc_bytes -. b.alloc_bytes }
   in
   let rank p =
     let rec go i = function
@@ -139,12 +105,12 @@ let snapshot () : entry list =
     in
     go 0 canonical_order
   in
-  List.sort
-    (fun a b ->
-      match Int.compare (rank a.phase) (rank b.phase) with
-      | 0 -> String.compare a.phase b.phase
-      | c -> c)
-    all
+  List.map since (totals ())
+  |> List.filter (fun e -> e.calls > 0)
+  |> List.sort (fun a b ->
+         match Int.compare (rank a.phase) (rank b.phase) with
+         | 0 -> String.compare a.phase b.phase
+         | c -> c)
 
 let total_wall () = List.fold_left (fun acc e -> acc +. e.wall_s) 0. (snapshot ())
 

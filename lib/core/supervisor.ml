@@ -24,9 +24,6 @@ type stats = {
   deadline_blown : int;
 }
 
-let zero_stats =
-  { retries = 0; quarantined = 0; restarts = 0; crashes = 0; deadline_blown = 0 }
-
 type t = {
   retries : int Atomic.t;
   quarantined : int Atomic.t;
@@ -81,7 +78,7 @@ let backoff (t : t) ~attempt =
    and *counted* (the budget plumbing inside the phases is what actually
    bounds the work); the service degrades rather than kills.
 
-   Measured on the monotonic clock ([Profile.mono_s]): the deadline is
+   Measured on the monotonic clock ([Obs.mono_s]): the deadline is
    the step-proof watchdog of a serve session that may run for days, so
    an NTP step or VM resume must not spuriously blow (or mask) it —
    [Unix.gettimeofday] did both before PR 8. *)
@@ -89,8 +86,8 @@ let timed (t : t) (f : 'a -> 'b) (x : 'a) : 'b =
   match t.task_deadline_s with
   | None -> f x
   | Some d ->
-    let t0 = Profile.mono_s () in
-    let finish () = if Profile.mono_s () -. t0 > d then Atomic.incr t.deadline_blown in
+    let t0 = Ac_obs.Obs.mono_s () in
+    let finish () = if Ac_obs.Obs.mono_s () -. t0 > d then Atomic.incr t.deadline_blown in
     let r = try f x with e -> finish (); raise e in
     finish ();
     r

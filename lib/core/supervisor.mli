@@ -20,8 +20,6 @@ type stats = {
   deadline_blown : int;  (** items that overran the task deadline *)
 }
 
-val zero_stats : stats
-
 val create :
   ?max_retries:int ->
   ?backoff_base_s:float ->

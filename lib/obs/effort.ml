@@ -10,9 +10,9 @@
    Trust boundary: the kernel exposes one observation hook
    ([Thm.set_obs_hook], an [int -> string -> unit] fed the dense rule id
    and rule name of every successful mint) and knows nothing about this
-   module — the hook is installed from the CLI, defaults to a no-op, and
-   observing changes no theorem.  CI byte-compares hooked vs unhooked
-   runs.
+   module — the hook is installed from outside the kernel ([arm]),
+   defaults to a no-op, and observing changes no theorem.  CI
+   byte-compares hooked vs unhooked runs.
 
    Cost model: rule minting is the kernel's hot path — the whole
    translation pipeline averages under 100 ns of work per mint, so the
@@ -139,6 +139,45 @@ let reset () =
     (fun c -> Metrics.set_counter (Lazy.force c) 0)
     [ c_chains; c_intra; c_inter; c_scrub ];
   List.iter (fun h -> Metrics.reset_histogram (Lazy.force h)) [ h_chain_depth; h_chain_size ]
+
+(* The caller passes the kernel's hook setter: this module has no kernel
+   dependency, by design. *)
+let arm install =
+  install (Some on_rule);
+  set_enabled true;
+  reset ()
+
+(* The text report of `acc effort` ([~files]: the per-rule table) and of
+   `acc stats --profile` (a one-line rule summary, nothing when no rule
+   fired); both show the chain shapes and the discharge provenance. *)
+let report ?files () =
+  let b = Buffer.create 1024 in
+  let counts = rule_counts () in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in
+  let chains = Metrics.counter_value (Lazy.force c_chains) in
+  let q h p = Metrics.quantile (Lazy.force h) p in
+  let shape =
+    Printf.sprintf "(depth p50 %.0f p95 %.0f, size p50 %.0f p95 %.0f)" (q h_chain_depth 0.50)
+      (q h_chain_depth 0.95) (q h_chain_size 0.50) (q h_chain_size 0.95)
+  in
+  (match files with
+  | Some n ->
+    Printf.bprintf b "proof effort over %d file(s):\n  %-32s %10s\n" n "rule" "applied";
+    List.iter (fun (r, n) -> Printf.bprintf b "  %-32s %10d\n" r n) (counts @ [ ("total", total) ]);
+    Printf.bprintf b "chains: %d %s\n" chains shape
+  | None when total > 0 ->
+    List.filteri (fun i _ -> i < 5) counts
+    |> List.map (fun (r, n) -> Printf.sprintf "%s %d" r n)
+    |> String.concat ", "
+    |> Printf.bprintf b "kernel: %d rule applications; %d chains %s\ntop rules: %s\n" total
+         chains shape
+  | None -> ());
+  if files <> None || total > 0 then
+    Printf.bprintf b "discharge provenance: %d intra, %d interproc, %d scrub_dead\n"
+      (Metrics.counter_value (Lazy.force c_intra))
+      (Metrics.counter_value (Lazy.force c_inter))
+      (Metrics.counter_value (Lazy.force c_scrub));
+  Buffer.contents b
 
 let snapshot_json () =
   let rules =

@@ -2,11 +2,11 @@
     refinement-chain shape histograms, and guard-discharge provenance.
 
     Fed by the kernel's observation hook ([Thm.set_obs_hook] — installed
-    from the CLI, never by the kernel itself; the kernel has zero
-    dependencies on this library) and by the driver's discharge/chain
-    call sites.  Everything here observes; nothing can influence a
-    theorem, and hooked runs are byte-identical to unhooked ones (CI
-    asserts it). *)
+    from outside the kernel by {!arm}, never by the kernel itself; the
+    kernel has zero dependencies on this library) and by the driver's
+    discharge/chain call sites.  Everything here observes; nothing can
+    influence a theorem, and hooked runs are byte-identical to unhooked
+    ones (CI asserts it). *)
 
 (** Master gate, like [Obs.enabled]: when off, the installed hook and
     every recording entry point below are a single atomic load. *)
@@ -54,3 +54,14 @@ val to_openmetrics : unit -> string
 
 (** Zero the per-rule tables and the chain/provenance metrics. *)
 val reset : unit -> unit
+
+(** [arm Thm.set_obs_hook]: install {!on_rule} through the kernel's hook
+    setter, enable accounting and {!reset}. *)
+val arm : ((int -> string -> unit) option -> unit) -> unit
+
+(** Human-readable report.  With [~files:n], the [acc effort] text: the
+    per-rule table over [n] files, chain shapes and discharge
+    provenance.  Without, the [acc stats --profile] tail: a rule summary
+    with the top five rules and the same provenance line, or [""] when
+    no rule fired. *)
+val report : ?files:int -> unit -> string

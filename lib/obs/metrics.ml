@@ -24,7 +24,13 @@ type histogram = {
   h_sum : float Atomic.t;  (* CAS loop on observe *)
 }
 
-type metric = C of counter | G of gauge | H of histogram
+(* A probe is a counter whose value is owned elsewhere (the supervisor,
+   the store, the span buffers): the registry holds only the reader and
+   calls it at exposition, so the series can never disagree with its
+   owner. *)
+type probe = { p_name : string; p_read : unit -> int }
+
+type metric = C of counter | G of gauge | H of histogram | P of probe
 
 let mu = Mutex.create ()
 let tbl : (string, metric) Hashtbl.t = Hashtbl.create 32
@@ -78,12 +84,20 @@ let histogram name : histogram =
   Mutex.unlock mu;
   match r with Some h -> h | None -> kind_mismatch name
 
+(* Registering a name again replaces its reader: the newest owner wins. *)
+let probe name read =
+  Mutex.lock mu;
+  let ok =
+    match Hashtbl.find_opt tbl name with None | Some (P _) -> true | Some _ -> false
+  in
+  if ok then Hashtbl.replace tbl name (P { p_name = name; p_read = read });
+  Mutex.unlock mu;
+  if not ok then kind_mismatch name
+
 let incr c = Atomic.incr c.c_v
 let add c n = ignore (Atomic.fetch_and_add c.c_v n)
 let counter_value c = Atomic.get c.c_v
 
-(* For counters that mirror a value owned elsewhere (e.g. the span
-   buffers' dropped-event count): overwrite rather than accumulate. *)
 let set_counter c n = Atomic.set c.c_v n
 
 let set_gauge g v = Atomic.set g.g_v v
@@ -144,18 +158,32 @@ let json_num v =
      magnitudes we emit (seconds, ratios). *)
   Printf.sprintf "%.6f" v
 
-let to_json () =
+(* Every registered metric, sorted by name (taken under the registry
+   lock, read outside it). *)
+let sorted_metrics () =
   Mutex.lock mu;
   let all = Hashtbl.fold (fun _ m acc -> m :: acc) tbl [] in
   Mutex.unlock mu;
-  let name_of = function C c -> c.c_name | G g -> g.g_name | H h -> h.h_name in
-  let all = List.sort (fun a b -> String.compare (name_of a) (name_of b)) all in
-  let cs = List.filter_map (function C c -> Some c | _ -> None) all in
+  let name_of = function
+    | C c -> c.c_name | G g -> g.g_name | H h -> h.h_name | P p -> p.p_name
+  in
+  List.sort (fun a b -> String.compare (name_of a) (name_of b)) all
+
+(* A counter or probe as (name, value); probes render as counters. *)
+let counter_sample = function
+  | C c -> Some (c.c_name, counter_value c)
+  | P p -> Some (p.p_name, p.p_read ())
+  | G _ | H _ -> None
+
+let to_json () =
+  let all = sorted_metrics () in
   let gs = List.filter_map (function G g -> Some g | _ -> None) all in
   let hs = List.filter_map (function H h -> Some h | _ -> None) all in
   let counters =
     String.concat ","
-      (List.map (fun c -> Printf.sprintf "\"%s\":%d" c.c_name (counter_value c)) cs)
+      (List.map
+         (fun (name, v) -> Printf.sprintf "\"%s\":%d" name v)
+         (List.filter_map counter_sample all))
   in
   let gauges =
     String.concat ","
@@ -205,19 +233,15 @@ let om_num v =
    [+Inf]) with [_sum] and [_count].  No trailing [# EOF] — the caller
    composes additional series and terminates the exposition. *)
 let to_openmetrics () =
-  Mutex.lock mu;
-  let all = Hashtbl.fold (fun _ m acc -> m :: acc) tbl [] in
-  Mutex.unlock mu;
-  let name_of = function C c -> c.c_name | G g -> g.g_name | H h -> h.h_name in
-  let all = List.sort (fun a b -> String.compare (name_of a) (name_of b)) all in
   let buf = Buffer.create 4096 in
   List.iter
     (fun m ->
       match m with
-      | C c ->
-        let n = om_name c.c_name in
+      | C _ | P _ ->
+        let name, v = Option.get (counter_sample m) in
+        let n = om_name name in
         Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
-        Buffer.add_string buf (Printf.sprintf "%s_total %d\n" n (counter_value c))
+        Buffer.add_string buf (Printf.sprintf "%s_total %d\n" n v)
       | G g ->
         let n = om_name g.g_name in
         Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
@@ -238,19 +262,15 @@ let to_openmetrics () =
           (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n (hist_count h));
         Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (om_num (hist_sum h)));
         Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n (hist_count h)))
-    all;
+    (sorted_metrics ());
   Buffer.contents buf
 
+(* Probes are left alone: their owners hold the value. *)
 let reset_all () =
-  Mutex.lock mu;
-  let all = Hashtbl.fold (fun _ m acc -> m :: acc) tbl [] in
-  Mutex.unlock mu;
   List.iter
     (function
       | C c -> Atomic.set c.c_v 0
       | G g -> Atomic.set g.g_v 0.
-      | H h ->
-        Array.iter (fun a -> Atomic.set a 0) h.h_counts;
-        Atomic.set h.h_total 0;
-        Atomic.set h.h_sum 0.)
-    all
+      | H h -> reset_histogram h
+      | P _ -> ())
+    (sorted_metrics ())

@@ -26,9 +26,16 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 
-(** Overwrite the counter with an externally-owned value (e.g. mirroring
-    the span buffers' dropped-event count into the registry). *)
+(** Overwrite the counter (zeroing one for a new measurement). *)
 val set_counter : counter -> int -> unit
+
+(** [probe name read] registers a read-at-exposition counter: a fact
+    owned elsewhere (supervisor, store, span buffers) exposed under
+    [name] by calling [read] whenever the registry is rendered, so the
+    series cannot diverge from its owner.  Re-registering replaces the
+    reader; {!reset_all} leaves probes alone.  Raises [Invalid_argument]
+    if [name] is registered as another kind. *)
+val probe : string -> (unit -> int) -> unit
 
 (** {1 Gauges} *)
 
@@ -85,5 +92,6 @@ val to_json : unit -> string
     extra series and the terminating [# EOF] line. *)
 val to_openmetrics : unit -> string
 
-(** Zero every registered metric (tests and bench rounds). *)
+(** Zero every registered metric except probes (tests and bench
+    rounds). *)
 val reset_all : unit -> unit

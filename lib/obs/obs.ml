@@ -17,6 +17,12 @@
    Trust boundary: this module is observation only.  The kernel never
    reads these buffers; no certificate or theorem depends on them. *)
 
+(* The process's one monotonic clock (bechamel's CLOCK_MONOTONIC stub):
+   spans, profile phases, and every deadline and watchdog — serve's
+   request watchdog, [Supervisor.timed], store-lock backoff, the analysis
+   budget — read it, so an NTP step, a manual `date` or a VM resume moves
+   none of them.  [Unix.gettimeofday] is for calendar timestamps and
+   file-mtime comparisons only. *)
 let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 type ph = B | E | I | X
@@ -327,3 +333,19 @@ let to_jsonl evs =
       Buffer.add_char buf '\n')
     evs;
   Buffer.contents buf
+
+let write_trace ~format path =
+  let evs = harvest () in
+  (* Ring mode overwrites the oldest events, which can orphan B/E pairs;
+     repair the stream so every dump passes `acc trace --validate`.
+     Identity when the buffers are unbounded, so plain --trace output is
+     byte-for-byte what it always was. *)
+  let evs = if ring () <> None then repair evs else evs in
+  let s = match format with `Chrome -> to_chrome evs | `Jsonl -> to_jsonl evs in
+  match
+    let oc = open_out path in
+    output_string oc s;
+    close_out oc
+  with
+  | () -> ()
+  | exception Sys_error m -> Printf.eprintf "acc: cannot write trace: %s\n%!" m

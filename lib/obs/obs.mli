@@ -20,8 +20,9 @@ val set_enabled : bool -> unit
 
 (** {1 Clock} *)
 
-(** Monotonic seconds ([CLOCK_MONOTONIC]); same clock as
-    [Profile.mono_s].  Only differences are meaningful. *)
+(** Monotonic seconds ([CLOCK_MONOTONIC]): the one clock for spans,
+    profile phases, deadlines and watchdogs, immune to system-clock
+    steps.  Only differences are meaningful. *)
 val mono_s : unit -> float
 
 (** {1 Events} *)
@@ -89,9 +90,6 @@ val dropped : unit -> int
 
 val set_ring : int option -> unit
 
-(** The armed ring capacity, if any. *)
-val ring : unit -> int option
-
 (** Truncation repair for mid-run dumps: drops E events whose B was lost
     to the ring, and closes spans still open at dump time with synthetic
     E events at the thread's last timestamp — the output always passes
@@ -112,3 +110,8 @@ val to_chrome : ev list -> string
 (** One JSON object per line, same fields, no array wrapper — for
     streaming consumers. *)
 val to_jsonl : ev list -> string
+
+(** Harvest every buffer and write the trace to [path] (repaired first in
+    ring mode, so a dump always validates).  A write error is reported on
+    stderr, never raised. *)
+val write_trace : format:[ `Chrome | `Jsonl ] -> string -> unit

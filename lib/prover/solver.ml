@@ -221,21 +221,23 @@ exception Too_hard
 (* Absolute deadline for the goal currently being proved; [prove] is not
    reentrant (nothing in the code base re-enters it), but the parallel
    driver does prove goals in several domains at once, so the deadline is
-   domain-local.  Wall clock, not [Sys.time]: process CPU time advances
+   domain-local.  Elapsed time, not [Sys.time]: process CPU time advances
    [jobs] times faster than the wall when every worker is busy, which
-   would make per-goal deadlines fire early. *)
-let deadline_key : float option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+   would make per-goal deadlines fire early.  Monotonic nanoseconds, not
+   [Unix.gettimeofday]: a system-clock step must not cut a request's
+   proofs short and so change its output. *)
+let deadline_key : int64 option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let out_of_time () =
   match Domain.DLS.get deadline_key with
   | None -> false
-  | Some d -> Unix.gettimeofday () > d
+  | Some d -> Int64.compare (Monotonic_clock.now ()) d > 0
 
 let rec refute (stats : stats) (pending : Term.t list) (lits : Term.t list) : bool =
   stats.branches <- stats.branches + 1;
   if stats.branches > !budget.max_branches then raise Too_hard;
-  (* Wall clock is polled on the first branch and then every 64th, keeping
-     the Sys.time cost off the hot path. *)
+  (* The clock is polled on the first branch and then every 64th, keeping
+     its cost off the hot path. *)
   if stats.branches land 63 = 1 && out_of_time () then raise Too_hard;
   (match !fault_hook with Some f when f () -> raise Too_hard | _ -> ());
   match pending with
@@ -335,7 +337,9 @@ let try_refute ?(attempts = 400) (hyps : Term.t list) (goal : Term.t) :
 let prove ?(hyps = []) (goal : Term.t) : outcome * stats =
   let stats = new_stats () in
   Domain.DLS.set deadline_key
-    (Option.map (fun d -> Unix.gettimeofday () +. d) !budget.deadline_s);
+    (Option.map
+       (fun d -> Int64.add (Monotonic_clock.now ()) (Int64.of_float (d *. 1e9)))
+       !budget.deadline_s);
   let facts =
     List.map hc (elaborate_divmod (List.map Simp.normalize (not_t goal :: hyps)))
   in

@@ -28,7 +28,7 @@
    order — a client that pipelines 10 requests into a full server gets
    its successes and its overloads in request order, never reordered.
 
-   Shutdown: on SIGTERM/SIGINT the CLI flips [cfg.shutting]; the loop
+   Shutdown: on SIGTERM/SIGINT the session flips [cfg.shutting]; the loop
    then stops accepting, closes the listeners, performs one final
    non-blocking read sweep per connection (harvesting requests the
    client had already sent — these were promised a response), executes
@@ -53,7 +53,7 @@ type config = {
   metrics_port : int option;  (* scrape/health HTTP plane, 127.0.0.1 only *)
   max_inflight : int;
   backlog : int;
-  shutting : bool Atomic.t;  (* flipped by the CLI's signal handlers *)
+  shutting : bool Atomic.t;  (* flipped by the session's signal handlers *)
 }
 
 type sched_stats = {
@@ -200,7 +200,7 @@ let enqueue_out (c : conn) (resp : string) =
   end
 
 (* Minimal HTTP/1.0-style framing for the metrics plane: status line,
-   Content-Length, Connection: close.  [body] is rendered by the CLI's
+   Content-Length, Connection: close.  [body] is rendered by the session's
    [http] callback; scrapers (Prometheus, curl) need nothing more. *)
 let http_response (status : int) (body : string) : Bytes.t =
   let reason =

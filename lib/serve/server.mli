@@ -25,7 +25,7 @@ type config = {
           whether or not anyone is scraping. *)
   max_inflight : int;
   backlog : int;
-  shutting : bool Atomic.t;  (** flipped by the CLI's signal handlers *)
+  shutting : bool Atomic.t;  (** flipped by the session's signal handlers *)
 }
 
 type sched_stats = {
@@ -53,13 +53,13 @@ val create : config -> (t, string) result
     serve's handler answers malformed requests with an error object
     rather than raising.  [queued_s] is the time the request spent in
     the scheduler queue before execution (feeds the slow-request log).
-    [on_shed] is invoked once per shed request so the CLI can count it
+    [on_shed] is invoked once per shed request so the session can count it
     against its request/failure counters.
 
     [http] answers one metrics-plane request: path -> (status, body);
     the server adds the HTTP framing and closes the connection after the
     response.  Only consulted when [metrics_port] is set.  [on_tick]
-    runs once per loop iteration, between I/O and execution — the CLI
+    runs once per loop iteration, between I/O and execution — the session
     uses it to honour SIGUSR1 flight-recorder dumps promptly.
 
     Returns after a drain completes. *)

@@ -197,3 +197,28 @@ let profile_rows (entries : Autocorres.Profile.entry list) : string list list =
         Printf.sprintf "%.1f" (e.Autocorres.Profile.alloc_bytes /. 1_048_576.);
       ])
     entries
+
+(* ------------------------------------------------------------------ *)
+(* Proof-effort accounting for `acc stats --profile` and `acc effort`.
+   The kernel's observation hook is installed from here, outside the
+   kernel. *)
+
+let arm_effort () = Ac_obs.Effort.arm Ac_kernel.Thm.set_obs_hook
+
+let effort_report ~json ~files =
+  if json then Ac_obs.Effort.snapshot_json () ^ "\n" else Ac_obs.Effort.report ~files ()
+
+(* Everything `acc stats --profile` prints after the Table 5 row: the
+   phase table, the interprocedural table when summaries were profiled,
+   store and pool activity, and where the kernel's work went. *)
+let profile_report (res : Driver.result) : string =
+  String.concat ""
+    [ "\n";
+      render_table ~header:profile_header (profile_rows (Autocorres.Profile.snapshot ()));
+      (if res.Driver.iprof = [] then ""
+       else "\n" ^ render_table ~header:summary_header (summary_rows res));
+      Printf.sprintf "\nstore: %d hits, %d misses\n" res.Driver.store_hits
+        res.Driver.store_misses;
+      Printf.sprintf "pool: %d retries, %d quarantined, %d restarts\n" res.Driver.retries
+        res.Driver.quarantined res.Driver.restarts;
+      Ac_obs.Effort.report () ]

@@ -37,10 +37,8 @@
 
 (* Backoff deadlines are measured on the monotonic clock: a serve
    process holding stores open for days must not have its lock waits cut
-   short (or stretched) by an NTP step.  ac_store sits below the
-   autocorres library, so it cannot use [Profile.mono_s]; this is the
-   same one-line bechamel stub. *)
-let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+   short (or stretched) by an NTP step. *)
+let mono_s = Ac_obs.Obs.mono_s
 
 (* One per lock path, kept forever.  [h_refs] counts live same-process
    holders; the kernel lock is held iff [h_refs > 0]. *)

@@ -312,6 +312,37 @@ let test_profile_pool_merge () =
     par;
   Alcotest.(check bool) "pooled total wall positive" true (Profile.total_wall () > 0.)
 
+(* The registry-backed profile: calls stay exact at jobs 2, and a
+   snapshot describes only the work recorded since the last [reset] —
+   the registry cells keep growing underneath. *)
+let test_profile_reset_baseline () =
+  let src = Csources.max_c ^ "\n" ^ Csources.gcd_c in
+  ignore (Driver.run ~options:keep_going src);
+  let seq = Profile.snapshot () in
+  let pool = Pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> ignore (Driver.run ~options:keep_going ~pool src));
+  let calls entries =
+    List.map (fun e -> (e.Profile.phase, e.Profile.calls)) entries
+  in
+  Alcotest.(check (list (pair string int)))
+    "jobs 2: the same calls per phase as jobs 1" (calls seq)
+    (calls (Profile.snapshot ()));
+  Profile.reset ();
+  Alcotest.(check (list (pair string int))) "nothing since reset" []
+    (calls (Profile.snapshot ()));
+  Profile.record "test.phase" ignore;
+  Profile.record "test.phase" ignore;
+  Alcotest.(check (list (pair string int))) "only the runs since reset"
+    [ ("test.phase", 2) ]
+    (calls (Profile.snapshot ()));
+  Profile.reset ();
+  Profile.record "test.phase" ignore;
+  Alcotest.(check (list (pair string int))) "a second reset starts over"
+    [ ("test.phase", 1) ]
+    (calls (Profile.snapshot ()))
+
 (* ------------------------------------------------------------------ *)
 (* CLI: --trace must not change a byte of output, and the trace must
    validate. *)
@@ -622,6 +653,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_traced_faulted_wellformed;
     Alcotest.test_case "profile: pooled run matches sequential units" `Slow
       test_profile_pool_merge;
+    Alcotest.test_case "profile: exact at jobs 2, snapshot since reset" `Slow
+      test_profile_reset_baseline;
     Alcotest.test_case "cli: --trace is byte-invisible and validates" `Slow
       test_cli_trace_byte_identical;
     Alcotest.test_case "serve: status latency + metrics verb" `Slow

@@ -388,21 +388,35 @@ let json_int_field line field =
     done;
     int_of_string_opt (String.sub line start (!stop - start))
 
+(* Many small functions, so a 5% worker-crash rate has tasks to hit. *)
+let many_src =
+  String.concat ""
+    (List.init 16 (fun i -> Printf.sprintf "int f%d(int a) { return a + %d; }\n" i i))
+
 let test_metrics_endpoint () =
   let a = Filename.temp_file "serve_a" ".c" in
-  write_file a a_src;
+  write_file a many_src;
+  let store = Filename.temp_file "serve_store" "" in
+  Sys.remove store;
   let sock = Filename.temp_file "serve" ".sock" in
   Sys.remove sock;
   let port = 21000 + (Unix.getpid () mod 10000) in
   let pid =
     start_server
-      [ "--no-store"; "--socket"; sock; "--metrics-port"; string_of_int port ]
+      [ "--store"; store; "--jobs"; "2";
+        "--inject"; "worker_crash:0.05,io_error:0.05,seed:7";
+        "--socket"; sock; "--metrics-port"; string_of_int port ]
   in
+  (* A failed check must not leave the server running: it would hold the
+     test runner's output open. *)
+  Fun.protect ~finally:(fun () -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+  @@ fun () ->
   wait_for_socket sock;
   let fd = connect sock in
   let ic = Unix.in_channel_of_descr fd in
-  send_all fd (Printf.sprintf "translate %s\ncheck %s\nfrob x\n" a a);
-  let _r1 = input_line ic and _r2 = input_line ic and _r3 = input_line ic in
+  let reqs = [ "translate " ^ a; "check " ^ a; "frob x"; "translate " ^ a; "lint " ^ a ] in
+  send_all fd (String.concat "\n" reqs ^ "\n");
+  List.iter (fun _ -> ignore (input_line ic)) reqs;
   send_all fd "status\n";
   let status = input_line ic in
   (* the scrape runs on the same select loop, strictly after the status
@@ -421,14 +435,23 @@ let test_metrics_endpoint () =
     | Some v -> v
     | None -> Alcotest.fail (f ^ " missing from status JSON")
   in
-  Alcotest.(check int) "requests: /metrics = status (4 lines)" (field "requests")
-    (counter "acc_serve_requests_total");
-  Alcotest.(check int) "failures: /metrics = status (1 bad verb)" (field "failures")
-    (counter "acc_serve_failures_total");
-  Alcotest.(check int) "4 request lines seen" 4 (field "requests");
-  Alcotest.(check int) "trace_dropped_events: /metrics = status dropped"
-    (field "dropped")
-    (counter "acc_trace_dropped_events_total");
+  List.iter
+    (fun (f, series) ->
+      Alcotest.(check int) (f ^ ": /metrics = status") (field f)
+        (counter ("acc_" ^ series ^ "_total")))
+    [ ("requests", "serve_requests");
+      ("failures", "serve_failures");
+      ("degraded", "serve_degraded");
+      ("requests_over_deadline", "serve_requests_over_deadline");
+      ("retries", "serve_retries");
+      ("quarantined", "serve_quarantined");
+      ("worker_restarts", "serve_worker_restarts");
+      ("hits", "serve_store_hits");
+      ("misses", "serve_store_misses");
+      ("dropped", "trace_dropped_events") ];
+  Alcotest.(check int) "6 request lines seen" 6 (field "requests");
+  Alcotest.(check int) "1 bad verb failed" 1 (field "failures");
+  Alcotest.(check bool) "the store was used" true (field "hits" + field "misses" > 0);
   Alcotest.(check bool) "latency histogram exposed with _sum" true
     (metrics_sample body "acc_serve_request_latency_s_sum" <> None);
   Alcotest.(check bool) "latency histogram has le buckets" true
@@ -444,7 +467,8 @@ let test_metrics_endpoint () =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   let code = stop_server pid in
   Alcotest.(check int) "server exits 0" 0 code;
-  Sys.remove a
+  Sys.remove a;
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store)))
 
 (* ------------------------------------------------------------------ *)
 (* PR 10: SIGTERM drain flushes an in-progress --trace file, and the
