@@ -156,7 +156,7 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Record a structured trace of the run (per-function pipeline phases, \
-           pool/supervisor events, store I/O, serve request lifecycle) and \
+           pool tasks, store I/O, serve request lifecycle) and \
            write it to $(docv) on exit.  Chrome trace_event JSON by default \
            (open in about:tracing or Perfetto); see --trace-format.  Output \
            bytes are identical with or without tracing.")
@@ -918,8 +918,8 @@ let serve_cmd =
       & info [ "inject" ] ~docv:"SPEC"
           ~doc:
             "Deterministic fault injection for soak testing, e.g. \
-             'io_error:0.05,worker_crash:0.02,slow:0.01,seed:42'.  Overrides \
-             \\$ACC_FAULTS.")
+             'io_error:0.05,slow:0.01,seed:42' (transient store and socket I/O \
+             errors, request stalls).  Overrides \\$ACC_FAULTS.")
   in
   let socket_arg =
     Arg.(
@@ -1005,7 +1005,7 @@ let serve_cmd =
           ~doc:
             "Slow-request threshold: requests taking longer than $(docv) \
              milliseconds append a structured JSONL record (rid, verb, \
-             latency, queue wait, store hits/misses, retries) to the \
+             latency, queue wait, store hits/misses, degraded count) to the \
              --slow-log file (default 1000 when only --slow-log is given)")
   in
   let slow_log_arg =
@@ -1024,9 +1024,8 @@ let serve_cmd =
           check FILE, lint FILE, status) from stdin — or from many concurrent \
           socket clients with --socket/--tcp — and answer each with one JSON \
           line, keeping the proof store, worker pool and hash-cons tables warm.  \
-          Supervised: crashed worker domains are respawned and their tasks \
-          retried or quarantined; SIGINT/SIGTERM drain in-flight requests \
-          across all connections and exit 0.")
+          SIGINT/SIGTERM drain in-flight requests across all connections and \
+          exit 0.")
     (protected
        Term.(
          const (fun a b c d e f g h i j k l m n o p () ->

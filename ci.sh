@@ -205,8 +205,8 @@ case "$doctor_out" in
 esac
 for f in corpus/*.c; do
   warm=$("$ACC" translate --keep-going --diag-json --store "$CRASH_STORE" "$f" \
-    | sed 's/"store":{[^}]*}//; s/"pool":{[^}]*}//')
-  ref=$(sed 's/"store":{[^}]*}//; s/"pool":{[^}]*}//' "$REF_DIR/$(basename "$f").json")
+    | sed 's/"store":{[^}]*}//')
+  ref=$(sed 's/"store":{[^}]*}//' "$REF_DIR/$(basename "$f").json")
   if [ "$warm" != "$ref" ]; then
     echo "FAIL: post-crash replay diverged from the cold reference on $f" >&2
     exit 1
@@ -225,9 +225,9 @@ for f in corpus/*.c; do
   pb=$!
   "$ACC" cache gc --store "$CONT_STORE" --max-entries 1024 > /dev/null
   wait "$pa" "$pb"
-  a=$(sed 's/"store":{[^}]*}//; s/"pool":{[^}]*}//' "$CONT_STORE/a.$b.json")
-  c=$(sed 's/"store":{[^}]*}//; s/"pool":{[^}]*}//' "$CONT_STORE/b.$b.json")
-  ref=$(sed 's/"store":{[^}]*}//; s/"pool":{[^}]*}//' "$REF_DIR/$b.json")
+  a=$(sed 's/"store":{[^}]*}//' "$CONT_STORE/a.$b.json")
+  c=$(sed 's/"store":{[^}]*}//' "$CONT_STORE/b.$b.json")
+  ref=$(sed 's/"store":{[^}]*}//' "$REF_DIR/$b.json")
   if [ "$a" != "$ref" ] || [ "$c" != "$ref" ]; then
     echo "FAIL: contended writers diverged from the reference on $f" >&2
     exit 1
@@ -244,11 +244,11 @@ case "$doctor_out" in
 esac
 rm -rf "$CONT_STORE" "$REF_DIR"
 
-echo "== serve fault-injection soak: 300 requests at io_error:0.05,worker_crash:0.02 =="
+echo "== serve fault-injection soak: 300 requests at io_error:0.05 =="
 # The same request stream through a clean session and an injected one.
 # The injected session must answer every request (zero session deaths)
-# and every response must match the clean run once the store/pool
-# counters and diagnostics (fault injection adds warnings) are stripped.
+# and every response must match the clean run once the store counters
+# and diagnostics (fault injection adds warnings) are stripped.
 SOAK_STORE=$(mktemp -d)
 SOAK_REQS=$(mktemp)
 SOAK_CLEAN=$(mktemp)
@@ -262,7 +262,7 @@ while [ "$i" -lt 300 ]; do
   done
 done
 "$ACC" serve --no-store < "$SOAK_REQS" > "$SOAK_CLEAN"
-if ! "$ACC" serve --store "$SOAK_STORE" --inject 'io_error:0.05,worker_crash:0.02,seed:7' \
+if ! "$ACC" serve --store "$SOAK_STORE" --inject 'io_error:0.05,seed:7' \
     < "$SOAK_REQS" > "$SOAK_OUT" 2> /dev/null; then
   echo "FAIL: injected serve session died" >&2
   exit 1
@@ -273,7 +273,7 @@ if [ "$answered" -ne 300 ]; then
   exit 1
 fi
 strip_volatile() {
-  sed 's/"store":{[^}]*}//; s/"pool":{[^}]*}//; s/"diagnostics":\[[^]]*\]//' "$1"
+  sed 's/"store":{[^}]*}//; s/"diagnostics":\[[^]]*\]//' "$1"
 }
 if ! strip_volatile "$SOAK_CLEAN" > "$SOAK_CLEAN.n" \
    || ! strip_volatile "$SOAK_OUT" > "$SOAK_OUT.n" \
@@ -510,8 +510,6 @@ pairs = [
     ("requests", status["requests"]), ("failures", status["failures"]),
     ("degraded", status["degraded"]),
     ("requests_over_deadline", status["requests_over_deadline"]),
-    ("retries", status["retries"]), ("quarantined", status["quarantined"]),
-    ("worker_restarts", status["worker_restarts"]),
     ("store_hits", status["store"]["hits"]), ("store_misses", status["store"]["misses"]),
     ("shed", status["sched"]["shed"]),
 ]

@@ -201,9 +201,8 @@ type result = {
   heap_types : Ty.cty list;
   store_hits : int; (* store entries used by this run (0 without a store) *)
   store_misses : int; (* functions translated from scratch despite a store *)
-  retries : int; (* lost pool items re-attempted by the supervisor *)
-  quarantined : int; (* items re-run masked after repeated worker crashes *)
-  restarts : int; (* worker domains respawned during this run *)
+  retries : int; (* always 0; read by perfbench/bench.ml *)
+  restarts : int; (* always 0; read by perfbench/bench.ml *)
   sums : Ac_kernel.Absdom.sums;
       (* the kernel-checkable summary table this run's certificates drew
          from ([] when [interproc] is off); `acc analyze` reuses it *)
@@ -256,6 +255,12 @@ let reset_budget_counters () =
 let processing_key : string option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let processing () = Domain.DLS.get processing_key
 
+(* Run [f] with [fname] as the function being processed. *)
+let with_processing fname f =
+  let was = Domain.DLS.get processing_key in
+  Domain.DLS.set processing_key (Some fname);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set processing_key was) f
+
 (* Run one phase for one function.  Any escaping exception becomes a
    structured diagnostic: recorded (and the phase skipped) when the
    pipeline can degrade, raised as [Diag.Error] when it cannot and
@@ -263,18 +268,10 @@ let processing () = Domain.DLS.get processing_key
    already structured and already decided. *)
 let attempt ~(keep_going : bool) ~(phase : Diag.phase) ~(fname : string)
     ~(recoverable : bool) (diags : Diag.t list ref) (f : unit -> 'a) : 'a option =
-  let was = Domain.DLS.get processing_key in
-  Domain.DLS.set processing_key (Some fname);
-  let restore () = Domain.DLS.set processing_key was in
-  match f () with
-  | v ->
-    restore ();
-    Some v
-  | exception (Diag.Error _ as e) ->
-    restore ();
-    raise e
+  match with_processing fname f with
+  | v -> Some v
+  | exception (Diag.Error _ as e) -> raise e
   | exception e ->
-    restore ();
     let d =
       Diag.make ~func:fname
         ~severity:(if recoverable then Diag.Warning else Diag.Error)
@@ -451,8 +448,8 @@ let index_by (key : 'a -> string) (xs : 'a list) : (string, 'a) Hashtbl.t =
   List.iter (fun x -> if not (Hashtbl.mem t (key x)) then Hashtbl.add t (key x) x) xs;
   t
 
-let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
-    ?(fresh_tables = true) (source : string) : result =
+let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true)
+    (source : string) : result =
   Ac_obs.Obs.span ~cat:"driver" "driver.run" @@ fun () ->
   install_budgets options.budgets;
   reset_budget_counters ();
@@ -479,15 +476,13 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
     ~finally:(fun () -> if Option.is_none ext_pool then Option.iter Pool.shutdown pool)
   @@ fun () ->
   let keep_going = options.keep_going in
-  (* Per-function phases run on the pool under supervision; order and
-     first-failure semantics match the sequential [List.map], and a
-     worker-domain crash never loses a function result — the supervisor
-     respawns workers and retries (or quarantines) the lost items.  A
-     caller-supplied supervisor ([?supervisor]) lets a batch server
-     accumulate retry/quarantine counters across requests. *)
-  let sup = match supervisor with Some s -> s | None -> Supervisor.create () in
-  let sup_base = Supervisor.stats sup in
-  let pmap f xs = Supervisor.map sup ?pool f xs in
+  (* Per-function phases run on the pool; order and first-failure
+     semantics match the sequential [List.map]. *)
+  let pmap f xs =
+    match pool with
+    | Some p when List.length xs > 1 -> Pool.map_on p f xs
+    | _ -> List.map f xs
+  in
   let simpl = Profile.record "parse" (fun () -> Ac_simpl.C2simpl.parse source) in
   let lenv = simpl.Ir.lenv in
   (* Which functions get which treatment. *)
@@ -608,12 +603,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
     if not options.polish then
       attempt ~keep_going ~phase:Diag.L2 ~fname ~recoverable:false diags plain
     else begin
-      match
-        let was = Domain.DLS.get processing_key in
-        Domain.DLS.set processing_key (Some fname);
-        Fun.protect ~finally:(fun () -> Domain.DLS.set processing_key was) (fun () ->
-            L2.convert_func ~polish:true ctx l1f)
-      with
+      match with_processing fname (fun () -> L2.convert_func ~polish:true ctx l1f) with
       | ok -> Some ok
       | exception (Diag.Error _ as e) -> raise e
       | exception e ->
@@ -1157,10 +1147,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
       store_hits = (match store with Some st -> Store.hits st - fst store_base | None -> 0);
       store_misses =
         (match store with Some st -> Store.misses st - snd store_base | None -> 0);
-      retries = (Supervisor.stats sup).Supervisor.retries - sup_base.Supervisor.retries;
-      quarantined =
-        (Supervisor.stats sup).Supervisor.quarantined - sup_base.Supervisor.quarantined;
-      restarts = (Supervisor.stats sup).Supervisor.restarts - sup_base.Supervisor.restarts;
+      retries = 0; restarts = 0;
       sums; iprof }
   end
   in

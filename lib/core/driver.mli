@@ -168,13 +168,8 @@ type result = {
   store_misses : int;
       (** functions translated from scratch despite a store (includes
           entries demoted after failing replay or validation) *)
-  retries : int;
-      (** pool items lost to worker-domain crashes and re-attempted by the
-          supervisor during this run *)
-  quarantined : int;
-      (** items that kept crashing workers and were re-run in-process with
-          fault injection masked *)
-  restarts : int;  (** worker domains respawned during this run *)
+  retries : int;  (** always 0; kept only because perfbench/bench.ml reads it *)
+  restarts : int;  (** always 0; kept only because perfbench/bench.ml reads it *)
   sums : Ac_kernel.Absdom.sums;
       (** the kernel-checkable summary table this run's certificates drew
           from ([] when {!options.interproc} is off); `acc analyze`
@@ -214,13 +209,6 @@ val budget_exhaustions : unit -> int
     (the batch server amortises domain spawn across requests); without it
     the run creates and tears down its own pool when [options.jobs > 1].
 
-    [supervisor] supplies the supervisor that oversees the pool maps
-    (crash retry, worker respawn, quarantine — see {!Supervisor}); a
-    batch server passes its own so retry/quarantine counters accumulate
-    across requests.  Without it the run creates a fresh one, whose
-    per-run deltas surface as {!result.retries} / [quarantined] /
-    [restarts].
-
     [fresh_tables] (default [true]) clears the hash-consing intern tables
     at the start of the run; a batch server passes [false] to keep them
     warm across requests.
@@ -233,7 +221,6 @@ val run :
   ?options:options ->
   ?store:Ac_store.Store.t ->
   ?pool:Pool.t ->
-  ?supervisor:Supervisor.t ->
   ?fresh_tables:bool ->
   string ->
   result

@@ -14,33 +14,21 @@
    pull items off a shared atomic index, so scheduling is dynamic but the
    output is deterministic.
 
-   Crash tolerance (this PR): OCaml domains cannot be killed from
-   outside, so a "worker crash" is modelled as the [Crash] exception
-   escaping a task — which is also exactly what the fault-injection
-   harness raises at task dispatch.  A crash kills the worker domain
-   (it exits its loop; the pool records it dead) but never the pool
-   itself: the affected item is reported as [Lost] in [map_outcomes],
-   and [Supervisor] decides whether to respawn workers and retry or to
-   quarantine the item.  A crash on the *calling* domain is recorded the
-   same way without unwinding the caller.
+   A worker fails only by raising, and a raise is confined to the item's
+   result slot, so a worker domain never dies mid-map and the pool needs
+   no supervision.
 
    The pool is safe for the pipeline because PR 2 made every phase
    per-function fault-isolated and the engines keep their per-goal state
    in domain-local storage (hash-cons tables, solver deadlines) or
    atomics (budget-exhaustion counters); see DESIGN.md. *)
 
-exception Crash of string
-(* A worker-domain death.  Deliberately not caught by the driver's
-   per-function [attempt] wrapper (it escapes to the pool layer), so it
-   faithfully models losing the domain mid-task. *)
-
 type task = { run : int -> unit; items : int }
-(* [run i] processes item [i]; workers grab indices from [t.next]. *)
-
-type worker = { dom : unit Domain.t; alive : bool ref }
+(* [run i] processes item [i] and never raises; workers grab indices
+   from [t.next]. *)
 
 type t = {
-  mutable workers : worker list;
+  mutable workers : unit Domain.t list;
   mu : Mutex.t;
   work_ready : Condition.t;
   work_done : Condition.t;
@@ -49,22 +37,19 @@ type t = {
   mutable active : int; (* workers currently inside task.run *)
   mutable generation : int; (* bumped per map, wakes workers *)
   mutable stop : bool;
-  crashed : int Atomic.t; (* worker domains lost to Crash, ever *)
 }
 
-let worker_loop (t : t) (alive : bool ref) () =
+let worker_loop (t : t) () =
   let gen = ref 0 in
   let rec loop () =
     Mutex.lock t.mu;
     (* Proceed only on a NEW map whose task is still installed.  A worker
-       can sleep through an entire map: [map_outcomes] waits only for
-       workers that entered the task ([t.active]), so if every item was
-       drained before this worker woke, the map is torn down
-       ([t.task = None]) with [t.generation] already bumped.  Waking on
-       generation alone would then crash on the missing task — treat it
-       as a missed map and go back to waiting for the next one.  (This
-       also covers freshly respawned workers, whose local [gen] starts at
-       0 while [t.generation] is arbitrary.) *)
+       can sleep through an entire map: [map_on] waits only for workers
+       that entered the task ([t.active]), so if every item was drained
+       before this worker woke, the map is torn down ([t.task = None])
+       with [t.generation] already bumped.  Waking on generation alone
+       would then crash on the missing task — treat it as a missed map
+       and go back to waiting for the next one. *)
     while (not t.stop) && (t.generation = !gen || Option.is_none t.task) do
       Condition.wait t.work_ready t.mu
     done;
@@ -81,28 +66,15 @@ let worker_loop (t : t) (alive : bool ref) () =
           drain ()
         end
       in
-      (* [task.run] confines ordinary exceptions to its result slot; only
-         [Crash] (a worker death) can escape.  The dying worker still
-         signs off under the lock — otherwise [map_outcomes] would wait
-         forever on [t.active] — then falls off its loop. *)
-      let died = match drain () with () -> false | exception _ -> true in
+      drain ();
       Mutex.lock t.mu;
       t.active <- t.active - 1;
-      if died then begin
-        alive := false;
-        Atomic.incr t.crashed;
-        Ac_obs.Obs.instant ~cat:"pool" "pool.worker_death"
-      end;
       if t.active = 0 then Condition.broadcast t.work_done;
       Mutex.unlock t.mu;
-      if not died then loop ()
+      loop ()
     end
   in
   loop ()
-
-let spawn_worker t =
-  let alive = ref true in
-  { dom = Domain.spawn (worker_loop t alive); alive }
 
 let create ~(jobs : int) : t =
   let t =
@@ -116,11 +88,10 @@ let create ~(jobs : int) : t =
       active = 0;
       generation = 0;
       stop = false;
-      crashed = Atomic.make 0;
     }
   in
   (* The calling domain participates in every map, so spawn jobs - 1. *)
-  t.workers <- List.init (max 0 (jobs - 1)) (fun _ -> spawn_worker t);
+  t.workers <- List.init (max 0 (jobs - 1)) (fun _ -> Domain.spawn (worker_loop t));
   t
 
 let shutdown (t : t) =
@@ -128,61 +99,23 @@ let shutdown (t : t) =
   t.stop <- true;
   Condition.broadcast t.work_ready;
   Mutex.unlock t.mu;
-  List.iter (fun w -> Domain.join w.dom) t.workers;
+  List.iter Domain.join t.workers;
   t.workers <- []
 
-let crashes (t : t) = Atomic.get t.crashed
-
-(* Join dead workers and spawn replacements; returns how many were
-   replaced.  Joining a crashed domain is immediate (it already exited
-   its loop).  Intended between maps — the supervisor calls it after a
-   map reported [Lost] items. *)
-let respawn (t : t) : int =
-  let dead, live = List.partition (fun w -> not !(w.alive)) t.workers in
-  List.iter (fun w -> Domain.join w.dom) dead;
-  let fresh = List.map (fun _ -> spawn_worker t) dead in
-  t.workers <- live @ fresh;
-  let n = List.length fresh in
-  if n > 0 && Ac_obs.Obs.enabled () then
-    Ac_obs.Obs.instant ~cat:"pool" ~args:[ ("count", string_of_int n) ] "pool.respawn";
-  n
-
-type 'b outcome =
-  | Done of 'b
-  | Failed of exn * Printexc.raw_backtrace
-  | Lost of string (* worker crashed while holding this item *)
-
-(* The crash-aware primitive: every item gets exactly one outcome, and a
-   worker crash surfaces as [Lost] instead of an exception or a hang.
-   Fault injection happens here, at task dispatch — *before* [f] runs —
-   so under the supervisor's retry policy [f] still runs at most once
-   per item and the final output stays byte-identical to a fault-free
-   run. *)
-let map_outcomes (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b outcome array =
+let map_on (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   let n = List.length xs in
-  if n = 0 then [||]
+  if n = 0 then []
   else begin
     let items = Array.of_list xs in
-    let slots : 'b outcome array = Array.make n (Lost "not attempted") in
-    let caller = Domain.self () in
+    let slots = Array.make n None in
     let run_item i =
-      match
-        if Faults.fire Faults.Worker_crash then
-          raise (Crash "injected worker-domain crash");
-        f items.(i)
-      with
-      | v -> slots.(i) <- Done v
-      | exception Crash m ->
-        slots.(i) <- Lost m;
-        (* Kill the worker domain; the caller domain merely records the
-           loss and keeps draining (the pool must survive its owner). *)
-        if Domain.self () <> caller then raise (Crash m)
-      | exception e -> slots.(i) <- Failed (e, Printexc.get_raw_backtrace ())
+      slots.(i) <-
+        Some
+          (match f items.(i) with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     in
-    (* Span per dispatched item, on the executing domain.  The injected
-       [Crash] above is raised inside the span, and [Obs.span] closes it
-       from [Fun.protect], so traced B/E events stay balanced even when
-       the worker domain dies. *)
+    (* Span per dispatched item, on the executing domain. *)
     let run i =
       if Ac_obs.Obs.enabled () then
         Ac_obs.Obs.span ~cat:"pool" ~args:[ ("item", string_of_int i) ] "pool.task"
@@ -205,30 +138,20 @@ let map_outcomes (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b outcome array =
       end
     in
     drain ();
-    (* Wait for stragglers still inside [run] — including dying workers,
-       which sign off ([active] decrement) before exiting. *)
+    (* Wait for stragglers still inside [run]. *)
     Mutex.lock t.mu;
     while t.active > 0 do
       Condition.wait t.work_done t.mu
     done;
     t.task <- None;
     Mutex.unlock t.mu;
-    slots
+    (* Deterministic failure semantics: surface the lowest-indexed
+       failure, exactly as sequential evaluation would. *)
+    Array.iter
+      (function Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
+      slots;
+    List.init n (fun i -> match slots.(i) with Some (Ok v) -> v | _ -> assert false)
   end
-
-let map_on (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  let slots = map_outcomes t f xs in
-  (* Deterministic failure semantics: surface the lowest-indexed failure,
-     exactly as sequential evaluation would.  An unsupervised [Lost]
-     becomes a [Crash] here — [map_on] never silently drops items; use
-     [Supervisor.map] for retry/quarantine. *)
-  Array.iter
-    (function
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | Lost m -> raise (Crash m)
-      | Done _ -> ())
-    slots;
-  Array.to_list (Array.map (function Done v -> v | _ -> assert false) slots)
 
 (* One-shot convenience used when no pool is alive: sequential for
    [jobs <= 1], otherwise a throwaway pool. *)

@@ -1,17 +1,9 @@
 (** A persistent domain-based worker pool.
 
     The driver creates one pool per run ([create]), pushes every
-    per-function phase through [map_on] (or, supervised, through
-    {!Supervisor.map} which uses [map_outcomes]), and tears the domains
-    down with [shutdown].  This amortises domain-spawn cost across all
-    phases of a run instead of paying it per phase. *)
-
-exception Crash of string
-(** A worker-domain death.  Raised by the fault-injection harness at
-    task dispatch, or by a task that genuinely takes its domain down.
-    Escaping a task on a worker domain kills that domain (the pool
-    records it dead and survives); on the calling domain it is recorded
-    without unwinding the caller. *)
+    per-function phase through [map_on], and tears the domains down with
+    [shutdown].  This amortises domain-spawn cost across all phases of a
+    run instead of paying it per phase. *)
 
 type t
 
@@ -24,26 +16,6 @@ val shutdown : t -> unit
 (** Stop and join all worker domains.  The pool must not be used after
     shutdown. *)
 
-val crashes : t -> int
-(** Worker domains lost to {!Crash} over the pool's lifetime. *)
-
-val respawn : t -> int
-(** Join dead worker domains and spawn replacements; returns the number
-    replaced.  Call between maps (the supervisor does, after a map
-    reports lost items). *)
-
-type 'b outcome =
-  | Done of 'b
-  | Failed of exn * Printexc.raw_backtrace
-  | Lost of string  (** a worker crashed while holding this item *)
-
-val map_outcomes : t -> ('a -> 'b) -> 'a list -> 'b outcome array
-(** The crash-aware primitive: apply [f] across the pool and report one
-    outcome per item, in input order.  A worker crash never raises and
-    never hangs the map — the affected item comes back [Lost] and the
-    domain is recorded dead (see {!respawn}).  Ordinary exceptions from
-    [f] come back [Failed] with their backtrace. *)
-
 val map_on : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_on pool f xs] applies [f] to every element of [xs] across the
     pool's domains (plus the calling domain) and returns the results in
@@ -52,10 +24,9 @@ val map_on : t -> ('a -> 'b) -> 'a list -> 'b list
     Deterministic failure semantics: if any application raises, the
     exception of the {e lowest-indexed} failing item is re-raised with
     its original backtrace — the same exception sequential evaluation
-    would have surfaced first.  A lost item (worker crash) re-raises
-    {!Crash}.  Callers that need per-item isolation must catch inside
-    [f] (the driver's phase wrappers do); callers that need retry and
-    quarantine use {!Supervisor.map}. *)
+    would have surfaced first.  A raise never takes a worker domain
+    down.  Callers that need per-item isolation must catch inside [f]
+    (the driver's phase wrappers do). *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** One-shot convenience: [map ~jobs f xs] is [List.map f xs] when

@@ -24,8 +24,8 @@ type histogram = {
   h_sum : float Atomic.t;  (* CAS loop on observe *)
 }
 
-(* A probe is a counter whose value is owned elsewhere (the supervisor,
-   the store, the span buffers): the registry holds only the reader and
+(* A probe is a counter whose value is owned elsewhere (the store, the
+   scheduler, the span buffers): the registry holds only the reader and
    calls it at exposition, so the series can never disagree with its
    owner. *)
 type probe = { p_name : string; p_read : unit -> int }

@@ -30,7 +30,7 @@ val counter_value : counter -> int
 val set_counter : counter -> int -> unit
 
 (** [probe name read] registers a read-at-exposition counter: a fact
-    owned elsewhere (supervisor, store, span buffers) exposed under
+    owned elsewhere (store, scheduler, span buffers) exposed under
     [name] by calling [read] whenever the registry is rendered, so the
     series cannot diverge from its owner.  Re-registering replaces the
     reader; {!reset_all} leaves probes alone.  Raises [Invalid_argument]

@@ -9,19 +9,18 @@
       the lock is uncontended except during harvest/reset — it exists
       to make those two cross-domain readers safe, not to arbitrate
       writers.
-   3. Crash-tolerant balance: [span] emits its end event from
-      [Fun.protect ~finally], so a [Pool.Crash] (or any exception)
-      escaping the traced work still closes the span and harvested B/E
-      events stay balanced under fault injection.
+   3. Exception-safe balance: [span] emits its end event from
+      [Fun.protect ~finally], so any exception escaping the traced work
+      still closes the span and harvested B/E events stay balanced under
+      fault injection.
 
    Trust boundary: this module is observation only.  The kernel never
    reads these buffers; no certificate or theorem depends on them. *)
 
 (* The process's one monotonic clock (bechamel's CLOCK_MONOTONIC stub):
    spans, profile phases, and every deadline and watchdog — serve's
-   request watchdog, [Supervisor.timed], store-lock backoff, the analysis
-   budget — read it, so an NTP step, a manual `date` or a VM resume moves
-   none of them.  [Unix.gettimeofday] is for calendar timestamps and
+   request watchdog, store-lock backoff, the analysis budget — read it,
+   so an NTP step, a manual `date` or a VM resume moves none of them.  [Unix.gettimeofday] is for calendar timestamps and
    file-mtime comparisons only. *)
 let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
@@ -78,9 +77,9 @@ let reg_mu = Mutex.create ()
 let registry : buf list ref = ref []
 
 (* One buffer per domain, created lazily on first event and registered
-   for harvest.  A respawned worker domain gets a fresh buffer; dead
+   for harvest.  Every worker domain gets a fresh buffer; joined
    domains' buffers stay registered (their events are still wanted) —
-   growth is bounded by the number of respawns. *)
+   growth is bounded by the number of domains spawned. *)
 let buf_key : buf Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let b =

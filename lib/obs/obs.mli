@@ -48,7 +48,7 @@ type ev = {
 
 (** [span ~cat ?args name f] wraps [f ()] in a begin/end pair on the
     calling domain.  The end event is emitted even when [f] raises
-    ([Fun.protect]), so harvested B/E events stay balanced under crash
+    ([Fun.protect]), so harvested B/E events stay balanced under fault
     injection.  When tracing is off this is a single atomic load and a
     tail call to [f]. *)
 val span : cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a

@@ -167,9 +167,9 @@ module PhysTbl = Hashtbl.Make (struct
 end)
 
 (* Per-domain memo of the full structural hash of interned nodes (see the
-   hash-consing section below; [intern] populates it, [hc_clear] drops
-   it).  A node is in this table iff it is this domain's canonical
-   representative — [intern] also uses membership as its O(1) fast path. *)
+   hash-consing section below; [hc] populates it, [hc_clear] drops it).
+   A node is in this table iff it is this domain's canonical
+   representative — [hc] also uses membership as its O(1) fast path. *)
 let hash_memo_key : int PhysTbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> PhysTbl.create 1024)
 
@@ -233,15 +233,7 @@ let hc_key =
   Domain.DLS.new_key (fun () ->
       { hc_tbl = Tbl.create 1024; hc_ids = Tbl.create 1024; hc_next = 0 })
 
-(* A/B switch for the bench harness: with interning off, [hc] is the
-   identity, [equal]/[compare_t] lose their physical fast path on solver
-   terms, and the pipeline behaves as it did before hash-consing — the
-   honest baseline a speedup is measured against.  Everything stays
-   correct either way ([equal] always falls back to the structural
-   walk). *)
-let hc_enabled = ref true
-
-let rec intern (t : t) : t =
+let rec hc (t : t) : t =
   let memo = Domain.DLS.get hash_memo_key in
   if PhysTbl.mem memo t then t (* already this domain's canonical node *)
   else begin
@@ -252,7 +244,7 @@ let rec intern (t : t) : t =
       match t with
       | Int _ | Bool _ | Var _ -> t
       | App (f, xs) ->
-        let xs' = List.map intern xs in
+        let xs' = List.map hc xs in
         if List.for_all2 ( == ) xs xs' then t else App (f, xs')
     in
     let st = Domain.DLS.get hc_key in
@@ -266,13 +258,10 @@ let rec intern (t : t) : t =
       c
   end
 
-let hc (t : t) : t = if !hc_enabled then intern t else t
-
-(* The unique id of a term's canonical representative (interns [t] even
-   when the [hc] fast path is switched off, so ids are always total). *)
+(* The unique id of a term's canonical representative. *)
 let hc_id (t : t) : int =
   let st = Domain.DLS.get hc_key in
-  match Tbl.find_opt st.hc_ids (intern t) with Some i -> i | None -> assert false
+  match Tbl.find_opt st.hc_ids (hc t) with Some i -> i | None -> assert false
 
 (* Number of distinct terms interned in this domain's table. *)
 let hc_size () = Tbl.length (Domain.DLS.get hc_key).hc_tbl

@@ -5,8 +5,7 @@
    requests per connection with newline-delimited lines — the exact
    grammar and JSON response shape of stdin serve mode, byte for byte —
    and feeds every connection's requests into ONE bounded in-flight
-   scheduler running over the process's shared Pool + Supervisor +
-   Store.
+   scheduler running over the process's shared Pool + Store.
 
    Architecture: a single-threaded [Unix.select] event loop.  Request
    execution is serialized on the main domain (the handler may run the

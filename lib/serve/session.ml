@@ -3,17 +3,15 @@
    gets exactly one JSON response line, in request order; a bad request
    answers "ok":false and never kills the session.  The proof store, the
    worker pool and the hash-consing tables stay warm across requests.
-   Pool maps run under one [Supervisor] (crashed workers respawned, lost
-   items retried or quarantined); [request_timeout] rides the budget
-   deadlines plus a watchdog that counts overruns — degrade and report,
-   never kill; SIGINT/SIGTERM finish and flush the in-flight request,
-   then return.  Stdin and socket transports share [handle_line], so a
-   response is byte-identical whichever transport carried it. *)
+   [request_timeout] rides the budget deadlines plus a watchdog that
+   counts overruns — degrade and report, never kill; SIGINT/SIGTERM
+   finish and flush the in-flight request, then return.  Stdin and
+   socket transports share [handle_line], so a response is
+   byte-identical whichever transport carried it. *)
 
 module Driver = Autocorres.Driver
 module Diag = Autocorres.Diag
 module Pool = Autocorres.Pool
-module Supervisor = Autocorres.Supervisor
 module Faults = Autocorres.Faults
 module Store = Ac_store.Store
 module Obs = Ac_obs.Obs
@@ -34,10 +32,9 @@ let result_json ~file (res : Driver.result) : string =
         res.Driver.degraded
   in
   Printf.sprintf
-    "{\"file\":\"%s\",\"functions\":[%s],\"budget_exhaustions\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"pool\":{\"retries\":%d,\"quarantined\":%d,\"restarts\":%d},\"diagnostics\":%s}"
+    "{\"file\":\"%s\",\"functions\":[%s],\"budget_exhaustions\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"diagnostics\":%s}"
     (Diag.json_escape file) (String.concat "," funcs) res.Driver.budget_hits
-    res.Driver.store_hits res.Driver.store_misses res.Driver.retries
-    res.Driver.quarantined res.Driver.restarts
+    res.Driver.store_hits res.Driver.store_misses
     (Diag.list_to_json res.Driver.diags)
 
 let diag_of_finding ~severity (f : Ac_analysis.finding) : Diag.t =
@@ -155,7 +152,6 @@ let run (cfg : config) : (unit, string) result =
   Option.iter Faults.install cfg.faults;
   let store = cfg.store in
   let pool = if cfg.jobs > 1 then Some (Pool.create ~jobs:cfg.jobs) else None in
-  let sup = Supervisor.create ?task_deadline_s:cfg.request_timeout () in
   Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
   let budgets =
     (* The request timeout rides the existing budget plumbing: the
@@ -182,10 +178,6 @@ let run (cfg : config) : (unit, string) result =
   (* Set in socket mode so `status` can report the scheduler. *)
   let sched_stats : (unit -> Server.sched_stats) option ref = ref None in
   let store_count read () = match store with Some st -> read st | None -> 0 in
-  let sup_count read () = read (Supervisor.stats sup) in
-  Metrics.probe "serve.retries" (sup_count (fun s -> s.Supervisor.retries));
-  Metrics.probe "serve.quarantined" (sup_count (fun s -> s.Supervisor.quarantined));
-  Metrics.probe "serve.worker_restarts" (sup_count (fun s -> s.Supervisor.restarts));
   Metrics.probe "serve.store_hits" (store_count Store.hits);
   Metrics.probe "serve.store_misses" (store_count Store.misses);
   Metrics.probe "serve.shed" (fun () ->
@@ -229,7 +221,6 @@ let run (cfg : config) : (unit, string) result =
        request, unknown command, internal error, shed), so
        failures <= requests always. *)
   let status_json () =
-    let s = Supervisor.stats sup in
     let sched =
       match !sched_stats with
       | None -> ""
@@ -246,13 +237,11 @@ let run (cfg : config) : (unit, string) result =
        consumers parsing a status prefix keep working. *)
     let ms p = 1000. *. Metrics.quantile h_latency p in
     Printf.sprintf
-      "{\"ok\":true,\"cmd\":\"status\",\"uptime_s\":%.3f,\"requests\":%d,\"failures\":%d,\"degraded\":%d,\"retries\":%d,\"quarantined\":%d,\"worker_restarts\":%d,\"worker_crashes\":%d,\"deadline_blown\":%d,\"requests_over_deadline\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"faults_active\":%b,\"shutting_down\":%b%s,\"latency_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f},\"dropped\":%d}"
+      "{\"ok\":true,\"cmd\":\"status\",\"uptime_s\":%.3f,\"requests\":%d,\"failures\":%d,\"degraded\":%d,\"requests_over_deadline\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"faults_active\":%b,\"shutting_down\":%b%s,\"latency_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f},\"dropped\":%d}"
       (Obs.mono_s () -. started)
       (Metrics.counter_value m_requests)
       (Metrics.counter_value m_failures)
       (Metrics.counter_value m_degraded)
-      s.Supervisor.retries s.Supervisor.quarantined s.Supervisor.restarts
-      s.Supervisor.crashes s.Supervisor.deadline_blown
       (Metrics.counter_value m_over_deadline)
       (store_count Store.hits ()) (store_count Store.misses ())
       (Faults.active () <> None)
@@ -282,8 +271,7 @@ let run (cfg : config) : (unit, string) result =
       Faults.sleep_if_slow ();
       let t0 = Obs.mono_s () in
       let res =
-        Driver.run ~options ?store ?pool ~supervisor:sup ~fresh_tables:false
-          (read_source file)
+        Driver.run ~options ?store ?pool ~fresh_tables:false (read_source file)
       in
       (* The after-the-fact half of the watchdog: the budget deadlines
          bound the engines from inside, this counts requests that still
@@ -367,18 +355,17 @@ let run (cfg : config) : (unit, string) result =
     Metrics.observe h_latency dur;
     (match slow_cfg with
     | Some (threshold_ms, oc) when 1000. *. dur >= threshold_ms ->
-      let hits, misses, retries, degraded, over =
+      let hits, misses, degraded, over =
         match !ran with
         | Some (r, over) ->
-          ( r.Driver.store_hits, r.Driver.store_misses, r.Driver.retries,
-            List.length r.Driver.degraded, over )
-        | None -> (0, 0, 0, 0, false)
+          (r.Driver.store_hits, r.Driver.store_misses, List.length r.Driver.degraded, over)
+        | None -> (0, 0, 0, false)
       in
       let oc = Lazy.force oc in
       Printf.fprintf oc
-        "{\"rid\":%d,\"verb\":\"%s\",\"latency_ms\":%.3f,\"queue_ms\":%.3f,\"store_hits\":%d,\"store_misses\":%d,\"retries\":%d,\"degraded\":%d,\"over_deadline\":%b}\n"
+        "{\"rid\":%d,\"verb\":\"%s\",\"latency_ms\":%.3f,\"queue_ms\":%.3f,\"store_hits\":%d,\"store_misses\":%d,\"degraded\":%d,\"over_deadline\":%b}\n"
         rid_n (Diag.json_escape verb) (1000. *. dur) (1000. *. queued_s) hits misses
-        retries degraded over;
+        degraded over;
       flush oc
     | _ -> ());
     resp
@@ -396,12 +383,9 @@ let run (cfg : config) : (unit, string) result =
          request executions, so every exposition sees the registry
          quiescent — cumulative histogram buckets can never tear. *)
       let readyz () =
-        (* Ready = willing and able to take a request: not draining, the
-           store lock reachable (a wedged lock blocks every store path),
-           and no worker domain dead without a respawn — domain deaths
-           as the pool counts them, not the supervisor's [crashes],
-           which also counts injected crashes of items retried in
-           process, where no domain died. *)
+        (* Ready = willing and able to take a request: not draining and
+           the store lock reachable (a wedged lock blocks every store
+           path). *)
         if Atomic.get shutting then Error "draining"
         else
           let store_ok =
@@ -415,11 +399,7 @@ let run (cfg : config) : (unit, string) result =
               | ok -> ok
               | exception _ -> false)
           in
-          let dead = match pool with Some p -> Pool.crashes p | None -> 0 in
-          if not store_ok then Error "store lock unreachable"
-          else if dead > (Supervisor.stats sup).Supervisor.restarts then
-            Error "worker pool degraded"
-          else Ok ()
+          if store_ok then Ok () else Error "store lock unreachable"
       in
       let http = function
         | "/metrics" ->

@@ -4,8 +4,8 @@
     signal-driven shutdown, over stdin or the socket {!Server}.
 
     One owner per fact: the session counts requests, failures, degraded
-    functions, deadline overruns and latency; supervision, store and
-    dropped-event figures are read from their owners by [status] and
+    functions, deadline overruns and latency; store and dropped-event
+    figures are read from their owners by [status] and
     exposed to [/metrics] as [Metrics.probe]s of the same readers. *)
 
 type config = {

@@ -210,7 +210,7 @@ let effort_report ~json ~files =
 
 (* Everything `acc stats --profile` prints after the Table 5 row: the
    phase table, the interprocedural table when summaries were profiled,
-   store and pool activity, and where the kernel's work went. *)
+   store activity, and where the kernel's work went. *)
 let profile_report (res : Driver.result) : string =
   String.concat ""
     [ "\n";
@@ -219,6 +219,4 @@ let profile_report (res : Driver.result) : string =
        else "\n" ^ render_table ~header:summary_header (summary_rows res));
       Printf.sprintf "\nstore: %d hits, %d misses\n" res.Driver.store_hits
         res.Driver.store_misses;
-      Printf.sprintf "pool: %d retries, %d quarantined, %d restarts\n" res.Driver.retries
-        res.Driver.quarantined res.Driver.restarts;
       Ac_obs.Effort.report () ]

@@ -9,8 +9,7 @@
    - harvested span streams are well-formed — per-domain B/E events
      balance with stack discipline, timestamps are monotone per buffer,
      sequence numbers order ties — and stay well-formed under injected
-     worker crashes and I/O errors (the [Fun.protect] in [Obs.span] is
-     what this pins);
+     I/O errors (the [Fun.protect] in [Obs.span] is what this pins);
    - tracing is invisible in the results: a traced, fault-injected run
      produces the same observable surface as a clean untraced run;
    - per-phase profile totals harvested from pool workers match the
@@ -25,7 +24,6 @@ module Metrics = Ac_obs.Metrics
 module Driver = Autocorres.Driver
 module Profile = Autocorres.Profile
 module Pool = Autocorres.Pool
-module Supervisor = Autocorres.Supervisor
 module Faults = Autocorres.Faults
 module Csources = Ac_cases.Csources
 
@@ -198,8 +196,8 @@ let test_span_nesting_unit () =
            (List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl))))
 
 (* ------------------------------------------------------------------ *)
-(* Traced full pipeline runs: spans from driver, pool, supervisor, store
-   and analysis instrumentation all harvest into one well-formed stream,
+(* Traced full pipeline runs: spans from driver, pool, store and
+   analysis instrumentation all harvest into one well-formed stream,
    and the result is untouched. *)
 
 let fingerprint (res : Driver.result) : string =
@@ -226,7 +224,7 @@ let fingerprint (res : Driver.result) : string =
 let fault_sources =
   [ Csources.max_c; Csources.gcd_c; Csources.counter_c; Csources.div_guarded_c ]
 
-(* qcheck: any crash/io-error schedule, traced, on a real multi-domain
+(* qcheck: any io-error schedule, traced, on a real multi-domain
    pool — the harvested stream is well-formed and the result matches the
    clean untraced baseline byte for byte.  [Driver.run] caps
    [options.jobs] at the hardware, so the pool is created directly
@@ -245,17 +243,13 @@ let prop_traced_faulted_wellformed =
   in
   Test.make ~name:"traced faulted runs: spans well-formed, results unchanged"
     ~count:25
-    (quad (int_bound 0x3FFFFFF) (int_bound 300) (int_bound 300)
+    (triple (int_bound 0x3FFFFFF) (int_bound 300)
        (int_bound (List.length fault_sources - 1)))
-    (fun (seed, crash, io, src_ix) ->
+    (fun (seed, io, src_ix) ->
       let src = List.nth fault_sources src_ix in
       let expect = baseline src in
       let cfg =
-        { Faults.default with
-          Faults.seed;
-          worker_crash = float_of_int crash /. 1000.;
-          io_error = float_of_int io /. 1000.
-        }
+        { Faults.default with Faults.seed; io_error = float_of_int io /. 1000. }
       in
       with_tracing (fun () ->
           let pool = Pool.create ~jobs:3 in

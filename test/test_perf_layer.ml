@@ -85,20 +85,10 @@ let props =
         if ab <= 0 && bc <= 0 then T.compare_t a c <= 0 else true);
     Test.make ~name:"hash-cons soundness: hc a == hc b <=> equal a b" ~count:2000
       arb_pair
-      (fun (a, b) ->
-        let was = !T.hc_enabled in
-        T.hc_enabled := true;
-        let r = T.hc a == T.hc b in
-        T.hc_enabled := was;
-        r = T.equal a b);
+      (fun (a, b) -> (T.hc a == T.hc b) = T.equal a b);
     Test.make ~name:"hc preserves the term" ~count:1000
       (QCheck.make ~print:T.to_string gen_term)
-      (fun a ->
-        let was = !T.hc_enabled in
-        T.hc_enabled := true;
-        let r = T.equal (T.hc a) a in
-        T.hc_enabled := was;
-        r);
+      (fun a -> T.equal (T.hc a) a);
   ]
 
 (* ------------------------------------------------------------------ *)

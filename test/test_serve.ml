@@ -388,7 +388,7 @@ let json_int_field line field =
     done;
     int_of_string_opt (String.sub line start (!stop - start))
 
-(* Many small functions, so a 5% worker-crash rate has tasks to hit. *)
+(* Many small functions, so a 5% store-I/O fault rate has entries to hit. *)
 let many_src =
   String.concat ""
     (List.init 16 (fun i -> Printf.sprintf "int f%d(int a) { return a + %d; }\n" i i))
@@ -404,7 +404,7 @@ let test_metrics_endpoint () =
   let pid =
     start_server
       [ "--store"; store; "--jobs"; "2";
-        "--inject"; "worker_crash:0.05,io_error:0.05,seed:7";
+        "--inject"; "io_error:0.05,seed:7";
         "--socket"; sock; "--metrics-port"; string_of_int port ]
   in
   (* A failed check must not leave the server running: it would hold the
@@ -443,9 +443,6 @@ let test_metrics_endpoint () =
       ("failures", "serve_failures");
       ("degraded", "serve_degraded");
       ("requests_over_deadline", "serve_requests_over_deadline");
-      ("retries", "serve_retries");
-      ("quarantined", "serve_quarantined");
-      ("worker_restarts", "serve_worker_restarts");
       ("hits", "serve_store_hits");
       ("misses", "serve_store_misses");
       ("dropped", "trace_dropped_events") ];
