@@ -33,6 +33,24 @@ module Session = Ac_serve.Session
 (* Usage errors: one-line diagnostic on stderr, exit 2. *)
 let usage_error fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt
 
+(* Budget values: a count must be a non-negative integer and a deadline a
+   finite non-negative number of seconds ([nan] compares false against
+   every clock reading, so it would silently switch the deadline off).
+   A violation is a command-line error like any other. *)
+let checked conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let count = checked Arg.int (fun n -> n >= 0) "a non-negative integer"
+
+let seconds =
+  checked Arg.float (fun x -> Float.is_finite x && x >= 0.) "a finite non-negative number"
+
 (* A malformed fault spec is a usage error: silently injecting nothing
    would defeat a soak. *)
 let parse_faults ~what spec =
@@ -233,35 +251,35 @@ let budgets_term =
   let solver_branches =
     Arg.(
       value
-      & opt int Driver.default_budgets.Driver.solver_branches
+      & opt count Driver.default_budgets.Driver.solver_branches
       & info [ "solver-branches" ] ~docv:"N"
           ~doc:"Prover budget: tableau branches per goal before giving up")
   in
   let analysis_rounds =
     Arg.(
       value
-      & opt int Driver.default_budgets.Driver.analysis_rounds
+      & opt count Driver.default_budgets.Driver.analysis_rounds
       & info [ "analysis-rounds" ] ~docv:"N"
           ~doc:"Analysis budget: widen/join rounds per loop")
   in
   let analysis_steps =
     Arg.(
       value
-      & opt int Driver.default_budgets.Driver.analysis_steps
+      & opt count Driver.default_budgets.Driver.analysis_steps
       & info [ "analysis-steps" ] ~docv:"N"
           ~doc:"Analysis budget: fixpoint iterations per analysed function")
   in
   let rewrite_fuel =
     Arg.(
       value
-      & opt int Driver.default_budgets.Driver.rewrite_fuel
+      & opt count Driver.default_budgets.Driver.rewrite_fuel
       & info [ "rewrite-fuel" ] ~docv:"N"
           ~doc:"Rewrite budget: head rewrites per kernel normalize call")
   in
   let timeout =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "timeout" ] ~docv:"SECS"
           ~doc:
             "Wall-clock deadline for the prover (per goal) and the guard \
@@ -271,16 +289,17 @@ let budgets_term =
   let summary_rounds =
     Arg.(
       value
-      & opt int Driver.default_budgets.Driver.summary_rounds
+      & opt count Driver.default_budgets.Driver.summary_rounds
       & info [ "summary-rounds" ] ~docv:"N"
           ~doc:
-            "Interprocedural budget: whole-program context-refinement rounds \
-             of the summary engine")
+            "Interprocedural budget: context-refinement rounds of the \
+             summary engine (each re-walks only the call-graph SCCs a new \
+             context reaches)")
   in
   let summary_contexts =
     Arg.(
       value
-      & opt int Driver.default_budgets.Driver.summary_contexts
+      & opt count Driver.default_budgets.Driver.summary_contexts
       & info [ "summary-contexts" ] ~docv:"N"
           ~doc:"Interprocedural budget: refined summary contexts per callee")
   in
@@ -903,7 +922,7 @@ let serve_cmd =
   let request_timeout =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "request-timeout" ] ~docv:"SECS"
           ~doc:
             "Per-request wall-clock deadline: installed as the solver/analysis \
@@ -1143,8 +1162,19 @@ let () =
     Cmd.info "acc" ~version:"1.0.0"
       ~doc:"Proof-producing abstraction of C code (AutoCorres, PLDI 2014)"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ translate_cmd; check_cmd; stats_cmd; lint_cmd; analyze_cmd; serve_cmd;
-            trace_cmd; cache_cmd; effort_cmd ]))
+  (* Cmdliner answers a malformed command line with a usage message and
+     its own exit codes: keep only the message's first line and exit 2. *)
+  let err = Buffer.create 256 in
+  let err_fmt = Format.formatter_of_buffer err in
+  Format.pp_set_margin err_fmt 10_000;
+  let code =
+    Cmd.eval ~err:err_fmt
+      (Cmd.group info
+         [ translate_cmd; check_cmd; stats_cmd; lint_cmd; analyze_cmd; serve_cmd;
+           trace_cmd; cache_cmd; effort_cmd ])
+  in
+  Format.pp_print_flush err_fmt ();
+  (match String.split_on_char '\n' (Buffer.contents err) with
+  | first :: _ when first <> "" -> prerr_endline first
+  | _ -> ());
+  exit (if code = Cmd.Exit.ok then 0 else 2)

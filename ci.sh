@@ -29,6 +29,23 @@ for f in corpus/*.c; do
   echo "ok: $f"
 done
 
+echo "== malformed command lines: exit 2, one stderr line =="
+USAGE_ERR=$(mktemp)
+for args in "--bogus" "--timeout nan" "--summary-rounds=-1"; do
+  set +e
+  # shellcheck disable=SC2086 # $args is a list of words
+  "$ACC" translate $args corpus/max.c > /dev/null 2> "$USAGE_ERR"
+  code=$?
+  set -e
+  lines=$(wc -l < "$USAGE_ERR")
+  if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ]; then
+    echo "FAIL: acc translate $args exited $code with $lines stderr lines" >&2
+    exit 1
+  fi
+  echo "ok: $args"
+done
+rm -f "$USAGE_ERR"
+
 echo "== corpus: acc lint (findings allowed, crashes not) =="
 for f in corpus/*.c; do
   set +e

@@ -21,8 +21,13 @@ module D = Domains
    [on_call] hook), and a callee observed under strictly-more-precise
    arguments gains an extra summary context (most specific first, capped
    at [!contexts] beyond the base ⊤-arguments context).  After any
-   addition the whole table is recomputed bottom-up, so caller claims
-   are always derived from the final callee claims.
+   addition the table is recomputed bottom-up, so caller claims are
+   always derived from the final callee claims.  The recompute is
+   incremental: it re-walks an SCC only when one of its members gained a
+   context or a callee's entry moved in this pass, and reuses every other
+   SCC's previous result, which a re-walk would reproduce exactly (a
+   walk is a deterministic function of the members' bodies and contexts
+   and the callees' entries).
 
    Budgets: SCC rounds are capped by the shared [!Domains.budget]
    (non-convergence drops that SCC's summaries — callers havoc across
@@ -30,8 +35,8 @@ module D = Domains
    capped by [!rounds].  Either cap bumps [exhaustions], which the
    driver folds into `budget_hits`.  Inference never fails. *)
 
-(* Outer context-refinement rounds; each round is a full bottom-up
-   recompute, so this bounds whole-program passes. *)
+(* Outer context-refinement rounds; each round is one bottom-up pass,
+   so this bounds the passes over the call graph. *)
 let rounds = ref 4
 
 (* Refined contexts per callee, beyond the base ⊤-arguments context. *)
@@ -40,6 +45,10 @@ let contexts = ref 3
 (* Summary-budget exhaustions (SCC non-convergence, refinement cut
    short).  Reset by the driver per run, reported as budget hits. *)
 let exhaustions = Atomic.make 0
+
+(* SCC walks (one SCC's fixpoint, in one refinement round) made by the
+   latest [compute]. *)
+let scc_walks = Atomic.make 0
 
 (* Per-function inference statistics, for `acc stats --profile`. *)
 type fstat = { fs_contexts : int; fs_size : int }
@@ -73,142 +82,201 @@ let claim_of lenv (table : A.sums) ~on_call (f : M.func) (args : A.vdom list) :
 
 exception Scc_budget
 
+(* What one SCC's walks produced in a recompute, kept so that a later
+   recompute can reuse it when none of the walks' inputs moved: the SCC's
+   table entries ([None]: out of budget, dropped), its call-site
+   observations (newest first) and the loop-budget exhaustions its walks
+   counted. *)
+type scc_result = {
+  entries : (string * A.summary list) list option;
+  observed : (string * A.vdom list) list;
+  loop_hits : int;
+}
+
+(* The part of a member's entry a walk reads at its call sites: every
+   field of every context but the loop invariants. *)
+let call_view (r : scc_result) (g : string) =
+  Option.map
+    (fun es ->
+      List.map
+        (fun s -> (s.A.s_args, s.A.s_ret, s.A.s_noret, s.A.s_throws))
+        (List.assoc g es))
+    r.entries
+
 let compute (lenv : Layout.env) (fs : M.func list) :
     A.sums * (string * fstat) list =
+  Atomic.set scc_walks 0;
   let cg = Callgraph.of_funcs fs in
-  let fmap = List.map (fun f -> (f.M.name, f)) fs in
-  let sccs = Callgraph.sccs cg in
+  let fmap = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace fmap f.M.name f) (List.rev fs);
+  (* Each SCC with whether it is cyclic, its members and the callees its
+     walks read the table at, in [Callgraph.sccs] order. *)
+  let sccs =
+    Callgraph.sccs cg
+    |> List.filter_map (fun scc ->
+           match List.filter_map (Hashtbl.find_opt fmap) scc with
+           | [] -> None
+           | members ->
+             Some
+               ( Callgraph.scc_cyclic cg scc,
+                 members,
+                 List.concat_map (fun f -> Callgraph.successors cg f.M.name) members ))
+    |> Array.of_list
+  in
   (* Contexts per function, most specific first; grows monotonically
      across refinement rounds. *)
   let ctxs : (string, A.vdom list list) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace ctxs f.M.name [ base_args f ]) fs;
-  (* Call-site argument domains observed during the latest recompute, in
-     walk order (compute is sequential, so this is deterministic and
+  let walk_scc committed cyclic members : scc_result =
+    Atomic.incr scc_walks;
+    let observed = ref [] in
+    let on_call g argds = observed := (g, argds) :: !observed in
+    let hits_before = Atomic.get D.exhaustions in
+    let claims =
+      List.map
+        (fun f -> (f, List.map (fun c -> ref (D.sum_bottom c)) (Hashtbl.find ctxs f.M.name)))
+        members
+    in
+    let table_now () =
+      List.map (fun (f, rs) -> (f.M.name, List.map (fun r -> !r) rs)) claims @ committed
+    in
+    let step round =
+      let changed = ref false in
+      List.iter
+        (fun (f, rs) ->
+          List.iter
+            (fun r ->
+              let c = claim_of lenv (table_now ()) ~on_call f !r.A.s_args in
+              if D.sum_leq c !r then
+                (* Outcome stable: refresh the invariants so the
+                   final round leaves them consistent with the
+                   final table (invariants of other entries never
+                   influence a walk, only outcomes do). *)
+                r := { !r with A.s_invs = c.A.s_invs }
+              else begin
+                changed := true;
+                r := if round >= D.widen_after then D.sum_widen !r c else D.sum_join !r c
+              end)
+            rs)
+        claims;
+      !changed
+    in
+    let entries =
+      match
+        if cyclic then begin
+          let round = ref 0 in
+          while step !round do
+            incr round;
+            if !round > !D.budget.max_rounds then raise Scc_budget
+          done
+        end
+        else
+          (* Acyclic: the claim cannot feed back into its own walk,
+             so one pass is already the fixpoint. *)
+          List.iter
+            (fun (f, rs) ->
+              List.iter (fun r -> r := claim_of lenv (table_now ()) ~on_call f !r.A.s_args) rs)
+            claims
+      with
+      | () -> Some (List.map (fun (f, rs) -> (f.M.name, List.map (fun r -> !r) rs)) claims)
+      | exception Scc_budget -> None
+    in
+    { entries; observed = !observed; loop_hits = Atomic.get D.exhaustions - hits_before }
+  in
+  let last : scc_result option array = Array.make (Array.length sccs) None in
+  (* One bottom-up pass.  An SCC's walks read only its members' bodies and
+     contexts and its callees' committed entries, so after the first pass
+     an SCC is re-walked only when a member is in [grown] (it gained a
+     context in [refine]) or a callee's entry moved earlier in this pass;
+     otherwise its previous result is reused as is, exhaustions included.
+     Returns the table and the call-site argument domains observed, newest
+     first (compute is sequential, so the order is deterministic and
      independent of [--jobs]). *)
-  let calls : (string * A.vdom list) list ref = ref [] in
-  let on_call g argds = calls := (g, argds) :: !calls in
-  let recompute () : A.sums =
-    calls := [];
+  let recompute (grown : (string, unit) Hashtbl.t) : A.sums * (string * A.vdom list) list =
+    let moved = Hashtbl.create 16 in
+    let calls = ref [] in
     let committed = ref [] in
-    List.iter
-      (fun scc ->
-        let members = List.filter_map (fun g -> List.assoc_opt g fmap) scc in
-        if members <> [] then begin
-          let claims =
-            List.map
-              (fun f ->
-                ( f,
-                  List.map
-                    (fun c -> ref (D.sum_bottom c))
-                    (Hashtbl.find ctxs f.M.name) ))
-              members
-          in
-          let table_now () =
-            List.map (fun (f, rs) -> (f.M.name, List.map (fun r -> !r) rs)) claims
-            @ !committed
-          in
-          let step round =
-            let changed = ref false in
-            List.iter
-              (fun (f, rs) ->
+    Array.iteri
+      (fun i (cyclic, members, callees) ->
+        let r =
+          match last.(i) with
+          | Some r
+            when not
+                   (List.exists (fun f -> Hashtbl.mem grown f.M.name) members
+                   || List.exists (Hashtbl.mem moved) callees) ->
+            ignore (Atomic.fetch_and_add D.exhaustions r.loop_hits);
+            r
+          | prev ->
+            let r = walk_scc !committed cyclic members in
+            Option.iter
+              (fun p ->
                 List.iter
-                  (fun r ->
-                    let c =
-                      claim_of lenv (table_now ()) ~on_call f !r.A.s_args
-                    in
-                    if D.sum_leq c !r then
-                      (* Outcome stable: refresh the invariants so the
-                         final round leaves them consistent with the
-                         final table (invariants of other entries never
-                         influence a walk, only outcomes do). *)
-                      r := { !r with A.s_invs = c.A.s_invs }
-                    else begin
-                      changed := true;
-                      r :=
-                        (if round >= D.widen_after then D.sum_widen !r c
-                         else D.sum_join !r c)
-                    end)
-                  rs)
-              claims;
-            !changed
-          in
-          match
-            if Callgraph.scc_cyclic cg scc then begin
-              let round = ref 0 in
-              while step !round do
-                incr round;
-                if !round > !D.budget.max_rounds then raise Scc_budget
-              done
-            end
-            else
-              (* Acyclic: the claim cannot feed back into its own walk,
-                 so one pass is already the fixpoint. *)
-              List.iter
-                (fun (f, rs) ->
-                  List.iter
-                    (fun r -> r := claim_of lenv (table_now ()) ~on_call f !r.A.s_args)
-                    rs)
-                claims
-          with
-          | () ->
-            committed :=
-              List.map (fun (f, rs) -> (f.M.name, List.map (fun r -> !r) rs)) claims
-              @ !committed
-          | exception Scc_budget ->
-            (* Non-convergence: drop this SCC's summaries — callers
-               havoc across these calls (the intraprocedural result). *)
-            Atomic.incr exhaustions
-        end)
+                  (fun f ->
+                    if call_view p f.M.name <> call_view r f.M.name then
+                      Hashtbl.replace moved f.M.name ())
+                  members)
+              prev;
+            last.(i) <- Some r;
+            r
+        in
+        calls := r.observed @ !calls;
+        match r.entries with
+        | Some es -> committed := es @ !committed
+        | None ->
+          (* Non-convergence: drop this SCC's summaries — callers
+             havoc across these calls (the intraprocedural result). *)
+          Atomic.incr exhaustions)
       sccs;
-    !committed
+    (!committed, !calls)
   in
   (* Add summary contexts for observed call-site argument domains that
      are strictly more precise than every context the callee already
-     has.  Returns whether anything was added. *)
-  let refine () : bool =
-    let added = ref false in
-    let seen = ref [] in
+     has.  Returns the functions that gained one. *)
+  let refine calls : (string, unit) Hashtbl.t =
+    let grown = Hashtbl.create 16 in
+    let seen = Hashtbl.create 64 in
     List.iter
       (fun (g, argds) ->
-        match List.assoc_opt g fmap with
-        | None -> ()
-        | Some f when List.length argds = List.length f.M.params ->
-          if not (List.mem (g, argds) !seen) then begin
-            seen := (g, argds) :: !seen;
-            let existing = Hashtbl.find ctxs g in
-            if
-              List.length existing < 1 + !contexts
-              && (not (List.mem argds existing))
-              && List.for_all2 A.vdom_leq argds (base_args f)
-            then begin
-              Hashtbl.replace ctxs g (argds :: existing);
-              added := true
-            end
+        match Hashtbl.find_opt fmap g with
+        | Some f
+          when List.length argds = List.length f.M.params
+               && not (Hashtbl.mem seen (g, argds)) ->
+          Hashtbl.replace seen (g, argds) ();
+          let existing = Hashtbl.find ctxs g in
+          if
+            List.length existing < 1 + !contexts
+            && (not (List.mem argds existing))
+            && List.for_all2 A.vdom_leq argds (base_args f)
+          then begin
+            Hashtbl.replace ctxs g (argds :: existing);
+            Hashtbl.replace grown g ()
           end
-        | Some _ -> ())
-      (List.rev !calls);
-    !added
+        | _ -> ())
+      (List.rev calls);
+    grown
   in
-  let rec outer round =
-    (* One span per refinement round — each is a whole-program bottom-up
-       recompute, the unit of fixpoint work worth seeing on a trace. *)
-    let table =
+  let rec outer round grown =
+    (* One span per refinement round, the unit of fixpoint work worth
+       seeing on a trace. *)
+    let table, calls =
       if Ac_obs.Obs.enabled () then
         Ac_obs.Obs.span ~cat:"analysis"
           ~args:[ ("round", string_of_int round) ]
-          "summary.round" recompute
-      else recompute ()
+          "summary.round"
+          (fun () -> recompute grown)
+      else recompute grown
     in
-    if round >= !rounds then begin
-      (* Out of refinement rounds; if more contexts were wanted, record
+    let grown = refine calls in
+    if Hashtbl.length grown = 0 then table
+    else if round >= !rounds then begin
+      (* Out of refinement rounds while more contexts were wanted: record
          the degradation (the table itself stays valid and checkable). *)
-      if refine () then Atomic.incr exhaustions;
+      Atomic.incr exhaustions;
       table
     end
-    else if refine () then outer (round + 1)
-    else table
+    else outer (round + 1) grown
   in
-  let table = outer 1 in
+  let table = outer 1 (Hashtbl.create 1) in
   let stats =
     List.map
       (fun (g, ss) ->

@@ -59,8 +59,19 @@ let head_rules (m : M.t) : Rules.rule list =
   in
   let prune_rules =
     match m with
-    | M.Bind (M.While ((M.Ptuple ips as ip), c, body, init), (M.Ptuple _ as qp), k) ->
-      List.mapi (fun i _ -> Rules.Rw_prune_loop (i, ip, c, body, init, qp, k)) ips
+    | M.Bind (M.While ((M.Ptuple ips as ip), c, body, init), (M.Ptuple qps as qp), k) ->
+      (* The kernel refuses to drop a component the condition or the
+         continuation reads: propose only the others. *)
+      let read = E.free_vars c @ M.free_vars k in
+      let unread p = List.for_all (fun (x, _) -> not (List.mem x read)) (M.pat_vars p) in
+      List.concat
+        (List.mapi
+           (fun i p ->
+             match List.nth_opt qps i with
+             | Some q when unread p && unread q ->
+               [ Rules.Rw_prune_loop (i, ip, c, body, init, qp, k) ]
+             | _ -> [])
+           ips)
     | _ -> []
   in
   let other =

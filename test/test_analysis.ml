@@ -360,6 +360,27 @@ let summary_tests =
         Alcotest.(check bool)
           (Printf.sprintf "%d (inter) < %d (intra)" inter intra)
           true (inter < intra) );
+    ( "refinement re-walks only the SCCs a new context reaches",
+      fun () ->
+        (* f calls g(5), so g gains a [5, 5] context after the first
+           round; u calls nothing.  Round 1 walks all three SCCs, round 2
+           walks g (new context) and f (its callee's entry moved) and
+           reuses u's result. *)
+        let y = E.Var ("y", u32) and d = E.Var ("d", u32) in
+        let f =
+          mk_l2_func "f" [ ("y", u32) ] u32
+            (M.Bind (M.Call ("g", [ w32 5 ]), M.Pvar ("d", u32), M.Return d))
+        in
+        let u = mk_l2_func "u" [ ("y", u32) ] u32 (M.Return y) in
+        let sums, _ = Ac_analysis.Summary.compute lenv [ u; f; bounded_callee ] in
+        Alcotest.(check int) "g gained a context" 2 (List.length (List.assoc "g" sums));
+        (match List.assoc "f" sums with
+        | [ s ] ->
+          Alcotest.(check bool) "f re-walked under g's new context" true
+            (A.vdom_leq s.A.s_ret (A.Dword (Ty.Unsigned, Ty.W32, itv 5 5, A.Ptop)))
+        | _ -> Alcotest.fail "f has one context");
+        Alcotest.(check int) "u walked once: 3 + 2 walks" 5
+          (Atomic.get Ac_analysis.Summary.scc_walks) );
     ( "recursive callee summaries converge and discharge",
       fun () ->
         let source = List.assoc "rec_bound" Csources.all in

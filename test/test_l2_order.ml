@@ -88,6 +88,75 @@ let test_golden jobs () =
         (unit_digest ~jobs (unit_source name)))
     golden_digests
 
+(* The summary table and the budget-hit count at jobs 1, pinned to the
+   values the refinement loop produced when every round re-walked every
+   SCC: an SCC that is not re-walked must reuse exactly what a re-walk
+   would recompute, and replay its exhaustions.  Each unit runs under the
+   default budgets and under tight ones, which make loop fixpoints, SCC
+   fixpoints and refinement rounds run dry. *)
+let tight_budgets =
+  { Driver.default_budgets with Driver.summary_rounds = 2; analysis_rounds = 3 }
+
+(* (unit, (table digest, budget hits) by default, the same when tight) *)
+let golden_sums =
+  [
+    ("binary_search", ("c7bf7060b382a988d55ee4e77e597cbd", 0), ("c7bf7060b382a988d55ee4e77e597cbd", 0));
+    ("call_chain", ("0627505bfbbb8886d2eadaca4783e25d", 0), ("0627505bfbbb8886d2eadaca4783e25d", 0));
+    ("clamp_shift", ("7b8938f63fdb25937c832b0fbe2e58f7", 0), ("7b8938f63fdb25937c832b0fbe2e58f7", 0));
+    ("counter", ("85e84809f210050078132511b06ab882", 0), ("85e84809f210050078132511b06ab882", 0));
+    ("div_guarded", ("42dff2ee32bd83b2592ab92d0fd9bf36", 0), ("42dff2ee32bd83b2592ab92d0fd9bf36", 0));
+    ("gcd", ("0bc6b9bd74ac5cc9aa27279a9b377278", 0), ("0bc6b9bd74ac5cc9aa27279a9b377278", 0));
+    ("max", ("a5d1018d558c36cf0fd1f940d95cf585", 0), ("a5d1018d558c36cf0fd1f940d95cf585", 0));
+    ("memset", ("1d2b9a3b493e7e283d54a5e645e5ef78", 0), ("19ddace21b36fa62c1ce0937c3160230", 3));
+    ("memset_mixed", ("449292e7bcccae9c9ab7f481d9313259", 0), ("7d100e6086ab85e109eb34fa3c0d7f5c", 5));
+    ("mid", ("a0b7d2b3337a23c2ebe1e95b4215e43d", 0), ("a0b7d2b3337a23c2ebe1e95b4215e43d", 0));
+    ("mutual_parity", ("8834e85d63863eea8de341241929eae3", 0), ("c4cea7f97f84330f01c20dfa82f5917b", 1));
+    ("odd_divisor", ("d0d87720bf616c18701a3dc9ecff2b1d", 0), ("d0d87720bf616c18701a3dc9ecff2b1d", 0));
+    ("rec_bound", ("6af9fe2c8789dcb34f6e19c42fd2c45f", 0), ("cd4b0c14c0bbbe19e6c199ae2a48afb8", 1));
+    ("reverse", ("0b67d1e5f03e1b33d669dcc6eee07c98", 0), ("0b67d1e5f03e1b33d669dcc6eee07c98", 0));
+    ("schorr_waite", ("2cc8cd5f9cef5c498ba6c93b40071c92", 0), ("2cc8cd5f9cef5c498ba6c93b40071c92", 0));
+    ("shift_guarded", ("a49ba6045c9e3bc747a73093b14fcc08", 0), ("a49ba6045c9e3bc747a73093b14fcc08", 0));
+    ("suzuki", ("4ae763582cd574545f0c289763f32e02", 0), ("4ae763582cd574545f0c289763f32e02", 0));
+    ("swap", ("0060f5696f89b5b2aca6f65c02ed5c0c", 0), ("0060f5696f89b5b2aca6f65c02ed5c0c", 0));
+    ("sel4-like", ("a2d312c192baf318e5a82cd870a8b510", 0), ("c52f382fa050e288e4dbf852b624e7fa", 1006));
+    ("capdl-sysinit-like", ("3810f291791c10bae5decd0889bff3fa", 0), ("5574ea502ad1560a942d2576e05f007b", 203));
+    ("piccolo-like", ("a03bd0b0f9bd910dc03121ff82b9a0d6", 0), ("43e3cd27fb5d8bbb97926324aa7ae777", 83));
+    ("echronos-like", ("b46f73bc7f227a561d06070508802fe1", 0), ("1e72e1b7c553222b7dc8ceb7ef2fe0fa", 33));
+  ]
+
+let test_golden_sums () =
+  List.iter
+    (fun (name, default, tight) ->
+      List.iter
+        (fun (tag, budgets, (digest, hits)) ->
+          let res =
+            Driver.run ~options:{ (options ~jobs:1) with Driver.budgets } (unit_source name)
+          in
+          Alcotest.(check (pair string int))
+            (Printf.sprintf "%s summaries, %s budgets" name tag)
+            (digest, hits)
+            (Ac_analysis.Domains.sums_digest res.Driver.sums, res.Driver.budget_hits))
+        [ ("default", Driver.default_budgets, default); ("tight", tight_budgets, tight) ])
+    golden_sums
+
+(* Refinement rounds re-walk only the SCCs a new context reaches: on
+   the sel4-like unit every one of the four rounds used to walk every
+   SCC. *)
+let test_summary_walks () =
+  let res =
+    Driver.run ~options:(options ~jobs:1) (Ac_codegen.generate Ac_codegen.sel4_like)
+  in
+  let sccs =
+    List.length
+      (Callgraph.sccs
+         (Callgraph.of_funcs (List.map (fun fr -> fr.Driver.fr_l2) res.Driver.funcs)))
+  in
+  let walks = Atomic.get Ac_analysis.Summary.scc_walks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d SCC walks for %d SCCs" walks sccs)
+    true
+    (sccs > 500 && walks >= sccs && walks < 2 * sccs)
+
 (* A cycle's statuses must be judged under the guess its bodies were
    converted under: judged under the pre-cycle set instead, [parity]
    keeps a [try ... catch] and stops at HL, and the kernel re-check
@@ -205,6 +274,9 @@ let suite =
     Alcotest.test_case "waves: deterministic, sccs order" `Quick test_waves_deterministic;
     Alcotest.test_case "golden output at jobs 1" `Quick (test_golden 1);
     Alcotest.test_case "golden output at jobs 2" `Quick (test_golden 2);
+    Alcotest.test_case "golden summary table and budget hits" `Quick test_golden_sums;
+    Alcotest.test_case "summary refinement re-walks only what moved" `Quick
+      test_summary_walks;
     Alcotest.test_case "recursive SCCs reach WA, whole cycle nothrow" `Quick
       test_recursive_scc;
     Alcotest.test_case "one L2 conversion per function (acyclic unit)" `Quick

@@ -497,6 +497,37 @@ let test_cli_unknown_fault () =
   Alcotest.(check bool) "names the unknown fault" true
     (contains err (Printf.sprintf "unknown fault %S" retired_kind))
 
+(* A malformed command line is a usage error: exit 2 with a one-line
+   diagnostic naming the offending option.  A non-finite or negative
+   deadline and a negative count are malformed too: [nan] would switch the
+   deadline off rather than fail. *)
+let test_cli_malformed () =
+  let file = Filename.temp_file "acc_usage" ".c" in
+  let oc = open_out_bin file in
+  output_string oc Csources.max_c;
+  close_out oc;
+  List.iter
+    (fun (args, option) ->
+      let code, out, err = run_acc ("translate " ^ args) file in
+      Alcotest.(check int) (args ^ ": exit 2") 2 code;
+      Alcotest.(check string) (args ^ ": nothing on stdout") "" out;
+      Alcotest.(check int) (args ^ ": one stderr line") 1
+        (List.length (String.split_on_char '\n' (String.trim err)));
+      Alcotest.(check bool) (args ^ ": names " ^ option) true (contains err option))
+    [
+      ("--bogus", "--bogus");
+      ("--solver-branches abc", "--solver-branches");
+      ("--timeout nan", "--timeout");
+      ("--timeout inf", "--timeout");
+      ("--timeout=-1", "--timeout");
+      ("--summary-rounds=-1", "--summary-rounds");
+      ("--analysis-steps=-5", "--analysis-steps");
+    ];
+  (* The boundary values are accepted. *)
+  let code, _out, _err = run_acc "translate --timeout 0.5 --summary-rounds 0" file in
+  Sys.remove file;
+  Alcotest.(check int) "finite timeout and zero count accepted" 0 code
+
 let test_cli_budget_flags () =
   let file = Filename.temp_file "acc_budget" ".c" in
   let oc = open_out_bin file in
@@ -531,6 +562,7 @@ let suite =
     ("CLI --diag-json machine output", `Quick, test_cli_diag_json);
     ("CLI budget flags surface exhaustions", `Quick, test_cli_budget_flags);
     ("CLI rejects an unknown fault kind", `Quick, test_cli_unknown_fault);
+    ("CLI malformed command lines exit 2 with one line", `Quick, test_cli_malformed);
   ]
   |> List.map (fun (n, s, f) -> Alcotest.test_case n s f)
 
