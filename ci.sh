@@ -46,6 +46,34 @@ for args in "--bogus" "--timeout nan" "--summary-rounds=-1"; do
 done
 rm -f "$USAGE_ERR"
 
+echo "== front end: hostile literals =="
+# The lexer reads a literal's digits only until its value passes 2^64, so
+# a million-digit literal is one linear-time type error, not a hang.  A
+# leading 0 is octal (C99 6.4.4.1).
+HOSTILE=$(mktemp -d)
+{
+  printf 'int f() { return '
+  head -c 1000000 /dev/zero | tr '\0' '9'
+  printf '; }\n'
+} > "$HOSTILE/long.c"
+set +e
+timeout 10 "$ACC" translate "$HOSTILE/long.c" > /dev/null 2> "$HOSTILE/err"
+code=$?
+set -e
+lines=$(wc -l < "$HOSTILE/err")
+if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ]; then
+  echo "FAIL: a 1,000,000-digit literal exited $code with $lines stderr lines" >&2
+  exit 1
+fi
+echo "ok: 1,000,000-digit literal rejected: $(cat "$HOSTILE/err")"
+printf 'int f() { return 010; }\n' > "$HOSTILE/octal.c"
+if ! timeout 10 "$ACC" translate "$HOSTILE/octal.c" | grep -q 'return 8$'; then
+  echo "FAIL: 010 did not translate as octal 8" >&2
+  exit 1
+fi
+echo "ok: 010 translates as return 8"
+rm -rf "$HOSTILE"
+
 echo "== corpus: acc lint (findings allowed, crashes not) =="
 for f in corpus/*.c; do
   set +e

@@ -52,28 +52,28 @@ let expect_ident st =
 (* ------------------------------------------------------------------ *)
 (* Types.  A starting type keyword sequence followed by '*'s. *)
 
-let fixed_width_types =
-  [
-    ("uint8_t", Integer (Unsigned, W8));
-    ("uint16_t", Integer (Unsigned, W16));
-    ("uint32_t", Integer (Unsigned, W32));
-    ("uint64_t", Integer (Unsigned, W64));
-    ("int8_t", Integer (Signed, W8));
-    ("int16_t", Integer (Signed, W16));
-    ("int32_t", Integer (Signed, W32));
-    ("int64_t", Integer (Signed, W64));
-    ("word_t", Integer (Unsigned, W32));
-    ("bool", Bool);
-    ("_Bool", Bool);
-    ("void", Void);
-  ]
+(* The type a single keyword names on its own, if any. *)
+let fixed_width_type = function
+  | "uint8_t" -> Some (Integer (Unsigned, W8))
+  | "uint16_t" -> Some (Integer (Unsigned, W16))
+  | "uint32_t" -> Some (Integer (Unsigned, W32))
+  | "uint64_t" -> Some (Integer (Unsigned, W64))
+  | "int8_t" -> Some (Integer (Signed, W8))
+  | "int16_t" -> Some (Integer (Signed, W16))
+  | "int32_t" -> Some (Integer (Signed, W32))
+  | "int64_t" -> Some (Integer (Signed, W64))
+  | "word_t" -> Some (Integer (Unsigned, W32))
+  | "bool" | "_Bool" -> Some Bool
+  | "void" -> Some Void
+  | _ -> None
 
-let starts_type st =
-  match peek st with
-  | Lexer.KW k ->
-    List.mem_assoc k fixed_width_types
-    || List.mem k [ "int"; "unsigned"; "signed"; "char"; "short"; "long"; "struct"; "const" ]
+let is_type_start = function
+  | Lexer.KW ("int" | "unsigned" | "signed" | "char" | "short" | "long" | "struct" | "const") ->
+    true
+  | Lexer.KW k -> fixed_width_type k <> None
   | _ -> false
+
+let starts_type st = is_type_start (peek st)
 
 (* Parse a base type: handles the multi-word integer type names of C.  The
    architecture is ILP32 (paper: "matches a two's-complement 32-bit system"),
@@ -82,9 +82,6 @@ let parse_base_type st =
   while accept_kw st "const" do () done;
   let t =
     match peek st with
-    | Lexer.KW k when List.mem_assoc k fixed_width_types ->
-      advance st;
-      List.assoc k fixed_width_types
     | Lexer.KW "struct" ->
       advance st;
       let name = expect_ident st in
@@ -110,6 +107,9 @@ let parse_base_type st =
       Integer (sign, width)
     | Lexer.KW (("union" | "float" | "double") as kw) ->
       error st "'%s' is not in the supported C subset (paper Sec 2)" kw
+    | Lexer.KW k when fixed_width_type k <> None ->
+      advance st;
+      Option.get (fixed_width_type k)
     | t -> error st "expected type, found '%s'" (Lexer.token_to_string t)
   in
   while accept_kw st "const" do () done;
@@ -126,17 +126,27 @@ let parse_type st =
 (* ------------------------------------------------------------------ *)
 (* Expressions: precedence climbing. *)
 
-let binop_table =
-  (* token, constructor, precedence, right-assoc *)
-  [
-    ("*", Bmul, 13); ("/", Bdiv, 13); ("%", Bmod, 13);
-    ("+", Badd, 12); ("-", Bsub, 12);
-    ("<<", Bshl, 11); (">>", Bshr, 11);
-    ("<", Blt, 10); ("<=", Ble, 10); (">", Bgt, 10); (">=", Bge, 10);
-    ("==", Beq, 9); ("!=", Bne, 9);
-    ("&", Bband, 8); ("^", Bbxor, 7); ("|", Bbor, 6);
-    ("&&", Bland, 5); ("||", Blor, 4);
-  ]
+(* A binary operator's constructor and precedence. *)
+let binop = function
+  | "*" -> Some (Bmul, 13)
+  | "/" -> Some (Bdiv, 13)
+  | "%" -> Some (Bmod, 13)
+  | "+" -> Some (Badd, 12)
+  | "-" -> Some (Bsub, 12)
+  | "<<" -> Some (Bshl, 11)
+  | ">>" -> Some (Bshr, 11)
+  | "<" -> Some (Blt, 10)
+  | "<=" -> Some (Ble, 10)
+  | ">" -> Some (Bgt, 10)
+  | ">=" -> Some (Bge, 10)
+  | "==" -> Some (Beq, 9)
+  | "!=" -> Some (Bne, 9)
+  | "&" -> Some (Bband, 8)
+  | "^" -> Some (Bbxor, 7)
+  | "|" -> Some (Bbor, 6)
+  | "&&" -> Some (Bland, 5)
+  | "||" -> Some (Blor, 4)
+  | _ -> None
 
 let rec parse_expr st = parse_assignment st
 
@@ -176,37 +186,23 @@ and parse_conditional st =
   end
   else c
 
+(* Precedence climbing: a unary operand, then every binary operator that
+   binds at least as tightly as [min_prec], each taking a right operand
+   that binds strictly tighter (so all operators associate left). *)
 and parse_binary st min_prec =
   let rec loop lhs =
     match peek st with
     | Lexer.PUNCT p -> (
-      match List.find_opt (fun (s, _, _) -> String.equal s p) binop_table with
-      | Some (_, op, prec) when prec >= min_prec ->
+      match binop p with
+      | Some (op, prec) when prec >= min_prec ->
         let pos = pos_of st in
         advance st;
-        let rhs = parse_unary_chain st (prec + 1) in
+        let rhs = parse_binary st (prec + 1) in
         loop { desc = Binop (op, lhs, rhs); pos }
       | _ -> lhs)
     | _ -> lhs
   in
-  loop (parse_unary_chain st min_prec)
-
-and parse_unary_chain st min_prec =
-  let lhs = parse_unary st in
-  (* continue climbing at this precedence *)
-  let rec loop lhs =
-    match peek st with
-    | Lexer.PUNCT p -> (
-      match List.find_opt (fun (s, _, _) -> String.equal s p) binop_table with
-      | Some (_, op, prec) when prec >= min_prec ->
-        let pos = pos_of st in
-        advance st;
-        let rhs = parse_unary_chain st (prec + 1) in
-        loop { desc = Binop (op, lhs, rhs); pos }
-      | _ -> lhs)
-    | _ -> lhs
-  in
-  loop lhs
+  loop (parse_unary st)
 
 and parse_unary st =
   let pos = pos_of st in
@@ -261,11 +257,7 @@ and parse_unary st =
 
 and starts_type_after_paren st =
   (* lookahead: '(' followed by a type keyword *)
-  match peek2 st with
-  | Lexer.KW k ->
-    List.mem_assoc k fixed_width_types
-    || List.mem k [ "int"; "unsigned"; "signed"; "char"; "short"; "long"; "struct"; "const" ]
-  | _ -> false
+  is_type_start (peek2 st)
 
 and parse_postfix st =
   let e = parse_primary st in
@@ -534,7 +526,7 @@ let parse_top st : decl =
     end
 
 let parse_program (src : string) : program =
-  let toks = Array.of_list (Lexer.tokenize src) in
+  let toks = Lexer.tokens src in
   let st = { toks; cur = 0 } in
   let rec loop acc =
     match peek st with

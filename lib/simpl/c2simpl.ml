@@ -113,101 +113,109 @@ let fresh_tmp ctx ty =
   name
 
 (* ------------------------------------------------------------------ *)
-(* Expressions: produce (guards, expression). *)
+(* Expressions: produce (guards, expression).  The workers thread the
+   guards emitted so far, most recent first, so a long chain such as
+   x + x + ... + x costs linear time rather than re-copying the left
+   operand's guards at every level. *)
 
 let rec tr_expr ctx (e : Tir.texpr) : guard list * E.t =
+  let gs, e' = tr ctx [] e in
+  (List.rev gs, e')
+
+(* [tr ctx acc e] is [(rev gs @ acc, e')] for [tr_expr ctx e = (gs, e')]. *)
+and tr ctx acc (e : Tir.texpr) : guard list * E.t =
   match e.te with
   | Tconst (v, t) -> (
     match t with
-    | Ast.Integer (s, w) -> ([], E.Const (Value.vword s (W.of_bignum w v)))
-    | Ast.Bool -> ([], E.Const (Value.vword Unsigned (W.of_bignum W8 v)))
+    | Ast.Integer (s, w) -> (acc, E.Const (Value.vword s (W.of_bignum w v)))
+    | Ast.Bool -> (acc, E.Const (Value.vword Unsigned (W.of_bignum W8 v)))
     | _ -> raise (Unsupported "non-integer constant"))
   | Tnull t -> (
     match ty_of_ctype t with
-    | Ty.Tptr c -> ([], E.null_e c)
+    | Ty.Tptr c -> (acc, E.null_e c)
     | _ -> raise (Unsupported "null of non-pointer type"))
-  | Tvar x -> ([], E.Var (x, var_type ctx x))
-  | Tglobal x -> ([], E.Global (x, var_type ctx x))
+  | Tvar x -> (acc, E.Var (x, var_type ctx x))
+  | Tglobal x -> (acc, E.Global (x, var_type ctx x))
   | Tunop (Ast.Uneg, x) -> (
-    let gs, x' = tr_expr ctx x in
+    let acc, x' = tr ctx acc x in
     match x.tt with
     | Ast.Integer (Signed, w) ->
-      (gs @ [ signed_range_guard (E.Unop (E.Neg, sint x')) w ], E.Unop (E.Neg, x'))
-    | Ast.Integer (Unsigned, _) -> (gs, E.Unop (E.Neg, x'))
+      (signed_range_guard (E.Unop (E.Neg, sint x')) w :: acc, E.Unop (E.Neg, x'))
+    | Ast.Integer (Unsigned, _) -> (acc, E.Unop (E.Neg, x'))
     | _ -> raise (Unsupported "negation of non-integer"))
   | Tunop (Ast.Ubnot, x) ->
-    let gs, x' = tr_expr ctx x in
-    (gs, E.Unop (E.Bnot, x'))
+    let acc, x' = tr ctx acc x in
+    (acc, E.Unop (E.Bnot, x'))
   | Tunop (Ast.Ulnot, x) ->
-    let gs, x' = tr_expr ctx x in
-    (gs, E.not_e x')
+    let acc, x' = tr ctx acc x in
+    (acc, E.not_e x')
   | Tbinop ((Ast.Bland | Ast.Blor) as op, x, y) ->
-    let gx, x' = tr_expr ctx x in
+    let acc, x' = tr ctx acc x in
     let gy, y' = tr_expr ctx y in
     let cond = if op = Ast.Bland then x' else E.not_e x' in
-    if op = Ast.Bland then (gx @ under_condition cond gy, E.and_e x' y')
-    else (gx @ under_condition cond gy, E.or_e x' y')
-  | Tbinop (op, x, y) -> tr_arith ctx op x y
+    let acc = List.rev_append (under_condition cond gy) acc in
+    if op = Ast.Bland then (acc, E.and_e x' y') else (acc, E.or_e x' y')
+  | Tbinop (op, x, y) -> tr_arith ctx acc op x y
   | Tcast (t, x) -> (
-    let gs, x' = tr_expr ctx x in
+    let acc, x' = tr ctx acc x in
     match (t, x.tt) with
-    | Ast.Bool, _ -> (gs, E.Cast (Ty.Tword (Unsigned, W8), x'))
-    | Ast.Integer (s, w), _ -> (gs, E.Cast (Ty.Tword (s, w), x'))
+    | Ast.Bool, _ -> (acc, E.Cast (Ty.Tword (Unsigned, W8), x'))
+    | Ast.Integer (s, w), _ -> (acc, E.Cast (Ty.Tword (s, w), x'))
     | Ast.Pointer _, _ -> (
       match ty_of_ctype t with
-      | Ty.Tptr c -> (gs, E.Cast (Ty.Tptr c, x'))
+      | Ty.Tptr c -> (acc, E.Cast (Ty.Tptr c, x'))
       | _ -> raise (Unsupported "cast to void pointer-like type"))
     | _ -> raise (Unsupported ("cast to " ^ Ast.ctype_to_string t)))
-  | Tload lv -> tr_load ctx lv
-  | Taddr lv -> (
-    let gs, addr = lval_addr ctx lv in
-    (gs, addr))
+  | Tload lv -> tr_load ctx acc lv
+  | Taddr lv ->
+    let acc, addr, _, _ = lval_mem_addr ctx acc lv in
+    (acc, addr)
   | Tptradd (p, n) -> (
-    let gp, p' = tr_expr ctx p in
-    let gn, n' = tr_expr ctx n in
+    let acc, p' = tr ctx acc p in
+    let acc, n' = tr ctx acc n in
     match ty_of_ctype p.tt with
-    | Ty.Tptr c -> (gp @ gn, E.PtrAdd (c, p', n'))
+    | Ty.Tptr c -> (acc, E.PtrAdd (c, p', n'))
     | _ -> raise (Unsupported "pointer arithmetic on non-pointer"))
   | Ttobool x -> (
-    let gs, x' = tr_expr ctx x in
+    let acc, x' = tr ctx acc x in
     match ty_of_ctype x.tt with
-    | Ty.Tword (s, w) -> (gs, E.Binop (E.Ne, x', E.word_e s w 0))
-    | Ty.Tptr c -> (gs, E.Binop (E.Ne, x', E.null_e c))
-    | Ty.Tbool -> (gs, x')
+    | Ty.Tword (s, w) -> (acc, E.Binop (E.Ne, x', E.word_e s w 0))
+    | Ty.Tptr c -> (acc, E.Binop (E.Ne, x', E.null_e c))
+    | Ty.Tbool -> (acc, x')
     | _ -> raise (Unsupported "condition on non-scalar"))
   | Tofbool b ->
-    let gs, b' = tr_expr ctx b in
-    (gs, E.Ite (b', E.word_e Signed W32 1, E.word_e Signed W32 0))
+    let acc, b' = tr ctx acc b in
+    (acc, E.Ite (b', E.word_e Signed W32 1, E.word_e Signed W32 0))
   | Tcond (c, x, y) ->
-    let gc, c' = tr_expr ctx c in
+    let acc, c' = tr ctx acc c in
     let gx, x' = tr_expr ctx x in
     let gy, y' = tr_expr ctx y in
-    (gc @ under_condition c' gx @ under_condition (E.not_e c') gy, E.Ite (c', x', y'))
+    let acc = List.rev_append (under_condition c' gx) acc in
+    (List.rev_append (under_condition (E.not_e c') gy) acc, E.Ite (c', x', y'))
 
 and var_type ctx x =
   match SMap.find_opt x ctx.venv with
   | Some t -> t
   | None -> raise (Unsupported ("unknown variable " ^ x))
 
-and tr_arith ctx op x y : guard list * E.t =
-  let gx, x' = tr_expr ctx x in
-  let gy, y' = tr_expr ctx y in
-  let gs = gx @ gy in
+and tr_arith ctx acc op x y : guard list * E.t =
+  let acc, x' = tr ctx acc x in
+  let acc, y' = tr ctx acc y in
   let e = E.Binop (binop_of op, x', y') in
   match (op, x.tt) with
   | (Ast.Badd | Ast.Bsub | Ast.Bmul), Ast.Integer (Signed, w) ->
     let ideal = E.Binop (binop_of op, sint x', sint y') in
-    (gs @ [ signed_range_guard ideal w ], e)
-  | (Ast.Badd | Ast.Bsub | Ast.Bmul), _ -> (gs, e)
+    (signed_range_guard ideal w :: acc, e)
+  | (Ast.Badd | Ast.Bsub | Ast.Bmul), _ -> (acc, e)
   | (Ast.Bdiv | Ast.Bmod), Ast.Integer (Signed, w) ->
     let nonzero = (Div_by_zero, E.Binop (E.Ne, y', E.word_e Signed w 0)) in
     let ideal = E.Binop (E.Div, sint x', sint y') in
     (* INT_MIN div -1 is the only in-type overflow; the range guard rules
        it out.  The guard is vacuous for Bmod but emitted for Bdiv. *)
     let range = signed_range_guard ideal w in
-    (gs @ (nonzero :: (if op = Ast.Bdiv then [ range ] else [])), e)
+    ((if op = Ast.Bdiv then [ range; nonzero ] else [ nonzero ]) @ acc, e)
   | (Ast.Bdiv | Ast.Bmod), Ast.Integer (Unsigned, w) ->
-    (gs @ [ (Div_by_zero, E.Binop (E.Ne, y', E.word_e Unsigned w 0)) ], e)
+    ((Div_by_zero, E.Binop (E.Ne, y', E.word_e Unsigned w 0)) :: acc, e)
   | (Ast.Bshl | Ast.Bshr), Ast.Integer (sx, w) ->
     let bits = E.big_nat_e (B.of_int (W.bits w)) in
     let amount_ok =
@@ -224,9 +232,9 @@ and tr_arith ctx op x y : guard list * E.t =
         E.and_e amount_ok (E.Binop (E.Le, E.int_e 0, sint x'))
       else amount_ok
     in
-    (gs @ [ (Shift_bounds, value_ok) ], e)
-  | (Ast.Bband | Ast.Bbor | Ast.Bbxor), _ -> (gs, e)
-  | (Ast.Beq | Ast.Bne | Ast.Blt | Ast.Ble | Ast.Bgt | Ast.Bge), _ -> (gs, e)
+    ((Shift_bounds, value_ok) :: acc, e)
+  | (Ast.Bband | Ast.Bbor | Ast.Bbxor), _ -> (acc, e)
+  | (Ast.Beq | Ast.Bne | Ast.Blt | Ast.Ble | Ast.Bgt | Ast.Bge), _ -> (acc, e)
   | (Ast.Bland | Ast.Blor), _ -> assert false
   | _, t -> raise (Unsupported ("arithmetic on " ^ Ast.ctype_to_string t))
 
@@ -238,41 +246,36 @@ and deref_guard (c : Ty.cty) (p : E.t) : guard =
 (* Address of a memory lvalue: (guards, address expression, object type).
    Also reports the *root* pointer and its type, whose validity guards
    dereferences (a field access p->f is guarded via the struct pointer p). *)
-and lval_mem_addr ctx (lv : Tir.tlval) : guard list * E.t * Ty.cty * (E.t * Ty.cty) =
+and lval_mem_addr ctx acc (lv : Tir.tlval) : guard list * E.t * Ty.cty * (E.t * Ty.cty) =
   match lv with
   | Tir.Lmem (p, t) ->
-    let gp, p' = tr_expr ctx p in
+    let acc, p' = tr ctx acc p in
     let c = cty_exn t in
-    (gp, p', c, (p', c))
+    (acc, p', c, (p', c))
   | Tir.Lfield (base, sname, fname, fty) ->
-    let gb, base_addr, _bc, root = lval_mem_addr ctx base in
+    let acc, base_addr, _bc, root = lval_mem_addr ctx acc base in
     let fc = cty_exn fty in
     ignore fc;
-    (gb, E.FieldAddr (sname, fname, base_addr), Layout.field_type ctx.lenv sname fname, root)
+    (acc, E.FieldAddr (sname, fname, base_addr), Layout.field_type ctx.lenv sname fname, root)
   | Tir.Lvar _ | Tir.Lglobal _ ->
     raise (Unsupported "address of register lvalue")
 
 (* Loading an lvalue. *)
-and tr_load ctx (lv : Tir.tlval) : guard list * E.t =
+and tr_load ctx acc (lv : Tir.tlval) : guard list * E.t =
   match lv with
-  | Tir.Lvar (x, _) -> ([], E.Var (x, var_type ctx x))
-  | Tir.Lglobal (x, t) -> ([], E.Global (x, ty_of_ctype t))
+  | Tir.Lvar (x, _) -> (acc, E.Var (x, var_type ctx x))
+  | Tir.Lglobal (x, t) -> (acc, E.Global (x, ty_of_ctype t))
   | Tir.Lfield (base, sname, fname, _) when is_register_lval base ->
-    let gs, b = tr_load ctx base in
-    (gs, E.StructGet (sname, fname, b))
+    let acc, b = tr_load ctx acc base in
+    (acc, E.StructGet (sname, fname, b))
   | Tir.Lmem _ | Tir.Lfield _ ->
-    let gs, addr, c, (root, root_c) = lval_mem_addr ctx lv in
-    (gs @ [ deref_guard root_c root ], E.HeapRead (c, addr))
+    let acc, addr, c, (root, root_c) = lval_mem_addr ctx acc lv in
+    (deref_guard root_c root :: acc, E.HeapRead (c, addr))
 
 and is_register_lval = function
   | Tir.Lvar _ | Tir.Lglobal _ -> true
   | Tir.Lfield (base, _, _, _) -> is_register_lval base
   | Tir.Lmem _ -> false
-
-(* Address expression for AddrOf: no dereference, hence no validity guard. *)
-and lval_addr ctx (lv : Tir.tlval) : guard list * E.t =
-  let gs, addr, _, _ = lval_mem_addr ctx lv in
-  (gs, addr)
 
 (* ------------------------------------------------------------------ *)
 (* Statements. *)
@@ -293,13 +296,13 @@ let rec tr_stmt ctx (ret_ty : Ty.t) (s : Tir.tstmt) : stmt =
   | Tir.Tcall (dest, fname, args) -> (
     let g_args, args' =
       List.fold_left
-        (fun (gs, acc) a ->
-          let g, a' = tr_expr ctx a in
-          (gs @ g, a' :: acc))
+        (fun (acc, args') a ->
+          let acc, a' = tr ctx acc a in
+          (acc, a' :: args'))
         ([], []) args
     in
     let args' = List.rev args' in
-    let pre = emit ctx pos g_args in
+    let pre = emit ctx pos (List.rev g_args) in
     match dest with
     | None -> seq_of_list (pre @ [ Call (None, fname, args') ])
     | Some (Tir.Lvar (x, _)) -> seq_of_list (pre @ [ Call (Some x, fname, args') ])
@@ -347,11 +350,11 @@ and tr_assign ctx (lv : Tir.tlval) (rhs : E.t) : stmt * guard list =
   | Tir.Lvar (x, _) -> (Local_set (x, rhs), [])
   | Tir.Lglobal (x, _) -> (Global_set (x, rhs), [])
   | Tir.Lfield (base, sname, fname, _) when is_register_lval base ->
-    let _, base_e = tr_load ctx base in
+    let _, base_e = tr_load ctx [] base in
     tr_assign ctx base (E.StructSet (sname, fname, base_e, rhs))
   | Tir.Lmem _ | Tir.Lfield _ ->
-    let gs, addr, c, (root, root_c) = lval_mem_addr ctx lv in
-    (Heap_write (c, addr, rhs), gs @ [ deref_guard root_c root ])
+    let gs, addr, c, (root, root_c) = lval_mem_addr ctx [] lv in
+    (Heap_write (c, addr, rhs), List.rev (deref_guard root_c root :: gs))
 
 (* ------------------------------------------------------------------ *)
 (* Functions and programs. *)

@@ -37,7 +37,7 @@ let lexer_tests =
         Alcotest.(check bool) "nonempty" true (List.length toks > 10) );
     ( "integer literals",
       fun () ->
-        let toks = Lexer.tokenize "0x10 42u 7ull 5LL" in
+        let toks = Lexer.tokenize "0x10 42u 7ull 5LL 010 0777u 00" in
         let lits =
           List.filter_map
             (fun (t : Lexer.loc_token) ->
@@ -46,7 +46,10 @@ let lexer_tests =
         in
         Alcotest.(check (list (triple string bool bool)))
           "values"
-          [ ("16", false, false); ("42", true, false); ("7", true, true); ("5", false, true) ]
+          [
+            ("16", false, false); ("42", true, false); ("7", true, true); ("5", false, true);
+            ("8", false, false); ("511", true, false); ("0", false, false);
+          ]
           lits );
     ( "comments and preprocessor lines are skipped",
       fun () ->
@@ -175,5 +178,338 @@ let typecheck_tests =
           (Tir.source_loc "/* hi\n  there */\nint x;\n\n// c\nint y;\n") );
   ]
 
+
+(* ------------------------------------------------------------------ *)
+(* Front-end goldens.  The front end is trusted, so a faster lexer or
+   parser must not move a single token, position, Simpl image or
+   diagnostic.  The digests below were recorded before the lexer stopped
+   scanning keyword and punctuation lists per token. *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every corpus file, by name, and every [Ac_codegen] profile. *)
+let golden_sources () =
+  let corpus =
+    Sys.readdir "../corpus" |> Array.to_list
+    |> List.filter_map (Filename.chop_suffix_opt ~suffix:".c")
+    |> List.sort compare
+  in
+  List.map (fun name -> (name, read_file (Filename.concat "../corpus" (name ^ ".c")))) corpus
+  @ List.map (fun p -> (p.Ac_codegen.p_name, Ac_codegen.generate p)) Ac_codegen.profiles
+
+let show_token = function
+  | Lexer.INT_LIT (v, u, ll) ->
+    Printf.sprintf "I%s%s%s" (B.to_string v) (if u then "u" else "") (if ll then "ll" else "")
+  | Lexer.IDENT s -> "N" ^ s
+  | Lexer.KW s -> "K" ^ s
+  | Lexer.PUNCT s -> "P" ^ s
+  | Lexer.EOF -> "E"
+
+let show_loc_token (t : Lexer.loc_token) =
+  Printf.sprintf "%s@%d:%d" (show_token t.tok) t.tpos.line t.tpos.col
+
+let token_digest src =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun t ->
+      Buffer.add_string b (show_loc_token t);
+      Buffer.add_char b '\n')
+    (Lexer.tokenize src);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Everything [C2simpl.parse] hands downstream: bodies, signatures,
+   locals, globals and the per-guard source positions. *)
+let simpl_digest src =
+  let module Ir = Ac_simpl.Ir in
+  let module Ty = Ac_lang.Ty in
+  let p = Ac_simpl.C2simpl.parse src in
+  let b = Buffer.create 4096 in
+  let add s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\n'
+  in
+  let vars vs = String.concat "," (List.map (fun (n, t) -> n ^ ":" ^ Ty.to_string t) vs) in
+  add ("globals " ^ vars p.Ir.globals);
+  List.iter
+    (fun (f : Ir.func) ->
+      add (Ac_simpl.Print.func_to_string f);
+      add ("params " ^ vars f.params);
+      add ("locals " ^ vars f.locals);
+      add ("ret " ^ Ty.to_string f.ret_ty);
+      add (Printf.sprintf "at %d:%d" f.fpos.line f.fpos.col);
+      List.iter
+        (fun (k, e, (pos : Ast.pos)) ->
+          add
+            (Printf.sprintf "guard %s %s @%d:%d" (Ir.guard_kind_name k)
+               (Ac_lang.Pretty.expr_to_string e) pos.line pos.col))
+        f.gsrc)
+    p.Ir.funcs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (source, token-stream digest, Simpl-image digest) *)
+let golden_images =
+  [
+    ("binary_search", "7ce55b4d83142bbe3c92e50f8221a01d", "69ffd5678b2a8a5e8d7298eaf472737a");
+    ("call_chain", "8594b6e13a8d4c0b2513c0fe7cd137e1", "787e8917960036d68afdb35990c0d2fd");
+    ("clamp_shift", "9d8a1b34a42a68722bdd40e717fa0968", "44c9cdef1b01eaafb7457b40047cd443");
+    ("counter", "6112b9818db553dac4212e96a398cc34", "2742836ec3977d4cb29cf9bf8d0c3daf");
+    ("div_guarded", "e4bc8303e44f701613d4a00b9b7e7a84", "3ae19374d02b360d56d57b41aafa3c60");
+    ("gcd", "6783293d426b00ed2220367c36238a4d", "dd7b57e92114993690040215b69b71ed");
+    ("max", "32b7d2232621815e348db13a984910d6", "1a4888309c8690ec09d7b92fe001af55");
+    ("memset", "08912f1cac89589c6582ae21fcf7588a", "71c661291a8ac9d188bed0130c325b10");
+    ("memset_mixed", "9c166cea0e68bb812f1b3d2aa647af91", "5a48215cb7c1b9b60b448921c709eed8");
+    ("mid", "4feebb336580fa2bb696cf1231eb6042", "4db0620bd03df26d502ac7e77afbcd94");
+    ("mutual_parity", "4b18c2659db534359393fd9af45af5d0", "5384c59209a2a4dbfba86be99e2dbed4");
+    ("odd_divisor", "e121906d8f161d2cf6d896f714b6489e", "7fda2ea9e3f5544a9b29076281c2cc7d");
+    ("rec_bound", "3c199ee9932dabed2028c59cbdbb99c9", "5021871c0c2a5b1be474f42cd8f7b30a");
+    ("reverse", "ead17f19b0b4320cf0761543466df3ff", "5aa1375dff438b97b5c0ea8f2f57a2a5");
+    ("schorr_waite", "d641d9dcf4791b281babeb28f97c46ae", "b5c8a8de3b121cac7cd5b0314efad9fa");
+    ("shift_guarded", "7557b808b4614c79eb8cfca8e5433573", "3cacbb130135dd385f7f23f7a833ed96");
+    ("suzuki", "44dae6108c0d86dc0ad8df9f926e4261", "7f96fc2823efa5a6b2ca5f2f78ec95e7");
+    ("swap", "fa37e21049c5f94a2cd7d93be5085286", "5c209fcbfd6d866c35f90d05ebafaca9");
+    ("sel4-like", "ecd097c23e8ccea2cd0db38548195d4d", "85ab6158aef32110aad9e8c33aca6fcc");
+    ("capdl-sysinit-like", "4009fc9e342071201fb54a7278e9619e", "ab9d06c58e9374f13c02e028e2747489");
+    ("piccolo-like", "3cfadb2ffebfe780e21b4c7c5f8524c8", "2aa78c5a9edd44c46bf356b15792515b");
+    ("echronos-like", "bdb10bc7cc9bb6131c8cdcabcbb3e1bc", "bde27d8e7861dbdf1ad71084b07858f9");
+  ]
+
+let test_golden_images () =
+  let sources = golden_sources () in
+  Alcotest.(check (list string)) "every source has a golden" (List.map fst sources)
+    (List.map (fun (n, _, _) -> n) golden_images);
+  List.iter
+    (fun (name, toks, image) ->
+      let src = List.assoc name sources in
+      Alcotest.(check string) (name ^ " tokens") toks (token_digest src);
+      Alcotest.(check string) (name ^ " Simpl image") image (simpl_digest src))
+    golden_images
+
+(* What the front end makes of a source: its tokens, then the parse and
+   typecheck verdict, or the first diagnostic with its position. *)
+let front_end_outcome src =
+  let at (pos : Ast.pos) = Printf.sprintf "%d:%d" pos.line pos.col in
+  match Lexer.tokenize src with
+  | exception Lexer.Lex_error (m, pos) -> "lexical error at " ^ at pos ^ ": " ^ m
+  | toks -> (
+    let shown =
+      String.concat " "
+        (List.filter_map
+           (fun (t : Lexer.loc_token) ->
+             match t.tok with Lexer.INT_LIT _ -> Some (show_token t.tok) | _ -> None)
+           toks)
+    in
+    "literals [" ^ shown ^ "] "
+    ^
+    match Typecheck.parse_and_check src with
+    | _ -> "ok"
+    | exception Parser.Parse_error (m, pos) -> "parse error at " ^ at pos ^ ": " ^ m
+    | exception Typecheck.Type_error (m, pos) -> "type error at " ^ at pos ^ ": " ^ m)
+
+(* (source, outcome).  Recorded with the image digests above, except the
+   integer-literal rows: a leading 0 now reads as octal; 08, a bare 0x
+   and a repeated suffix are malformed; and a literal's digits are read
+   only until its value passes 2^64. *)
+let golden_diagnostics =
+  [
+    ("int f() { return 1; }\n/* never\n closed",
+     "lexical error at 3:-8: unterminated comment");
+    ("int f() { return @; }",
+     "lexical error at 1:18: unexpected character '@'");
+    ("int f() {\n  return 1;\000 }",
+     "lexical error at 2:12: unexpected character '\\000'");
+    ("int f() { return 12abc; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("union u { int a; };",
+     "literals [] parse error at 1:1: 'union' is not in the supported C subset (paper Sec 2)");
+    ("int f() {\n  return 1\n}",
+     "literals [I1] parse error at 3:1: expected ';', found '}'");
+    ("int f() { int x; x = 1 +; }",
+     "literals [I1] parse error at 1:25: expected expression, found ';'");
+    ("int f() { return y; }",
+     "literals [] type error at 1:18: undeclared identifier y");
+    ("float f() { return 1; }",
+     "literals [I1] parse error at 1:1: 'float' is not in the supported C subset (paper Sec 2)");
+    ("int f() { goto l; }",
+     "literals [] parse error at 1:11: 'goto' is not in the supported C subset (paper Sec 2)");
+    ("int f() {\n  int x = 1;\n  x = x @ 2;\n  return x;\n}",
+     "lexical error at 3:9: unexpected character '@'");
+    ("int f() { return 0; }",
+     "literals [I0] ok");
+    ("int f() { return 0x10; }",
+     "literals [I16] ok");
+    ("int f() { return 0u; }",
+     "literals [I0u] ok");
+    ("int f() { return 1ul + 1lu + 1ull + 1llu + 1LL + 1ULL; }",
+     "literals [I1u I1u I1ull I1ull I1ll I1ull] ok");
+    ("int f() { return 1lL; }",
+     "literals [I1ll] ok");
+    ("unsigned long long f() { return 0xFFFFFFFFFFFFFFFFull; }",
+     "literals [I18446744073709551615ull] ok");
+    ("unsigned long long f() { return 18446744073709551615u; }",
+     "literals [I18446744073709551615u] ok");
+    ("int f() { return 18446744073709551616; }",
+     "literals [I18446744073709551616] type error at 1:18: integer literal out of range");
+    ("int f() { return 99999999999999999999999999999999; }",
+     "literals [I99999999999999999999] type error at 1:18: integer literal out of range");
+    ("long long f() { return 99999999999999999999999ll; }",
+     "literals [I99999999999999999999ll] type error at 1:24: integer literal out of range");
+    ("int f() { return 010; }",
+     "literals [I8] ok");
+    ("int f() { return 0777 + 00; }",
+     "literals [I511 I0] ok");
+    ("int f() { return 08; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 019; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 0x; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 0X; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 1uu; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 1lul; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 1lll; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 1ulu; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 1Uu; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 1LLl; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 0xg; }",
+     "lexical error at 1:18: malformed integer literal");
+    ("int f() { return 0x1u2; }",
+     "lexical error at 1:18: malformed integer literal");
+  ]
+
+let test_golden_diagnostics () =
+  Alcotest.(check (list (pair string string)))
+    "outcomes" golden_diagnostics
+    (List.map (fun (src, _) -> (src, front_end_outcome src)) golden_diagnostics)
+
+(* ------------------------------------------------------------------ *)
+(* Round trip: printing tokens with random layout and lexing the text
+   gives back the tokens, at the positions they were printed at. *)
+
+let puncts =
+  [ "<<="; ">>="; "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "->"; "++"; "--";
+    "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "+"; "-"; "*"; "/"; "%"; "=";
+    "<"; ">"; "!"; "&"; "|"; "^"; "~"; "("; ")"; "{"; "}"; "["; "]"; ";"; ","; ".";
+    "?"; ":" ]
+
+(* Adjacent pairs whose spellings would fuse into one token (or start a
+   comment) without a separator. *)
+let fusing_pairs =
+  [ ("<<", "="); ("<", "<="); ("-", ">"); ("-", "-"); ("+", "+"); ("&", "&"); ("|", "|");
+    ("=", "="); ("!", "="); (">", ">="); ("/", "/"); ("/", "*"); ("*", "=") ]
+
+let is_word s = Lexer.is_ident_char s.[0]
+
+(* Whether [a] immediately followed by [b] lexes as the two tokens. *)
+let glues a b =
+  if is_word a then not (Lexer.is_ident_char b.[0])
+  else if is_word b then true
+  else
+    let ab = a ^ b in
+    a.[String.length a - 1] <> '/'
+    && not
+         (List.exists
+            (fun p ->
+              String.length p > String.length a
+              && String.length p <= String.length ab
+              && String.sub ab 0 (String.length p) = p)
+            puncts)
+
+(* (spelling, token) *)
+let gen_token : (string * Lexer.token) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let keyword = map (fun k -> (k, Lexer.KW k)) (oneofl Lexer.keywords) in
+  let punct = map (fun p -> (p, Lexer.PUNCT p)) (oneofl puncts) in
+  let ident =
+    map2
+      (fun c rest ->
+        let s = String.make 1 c ^ rest in
+        let s = if List.mem s Lexer.keywords then s ^ "_" else s in
+        (s, Lexer.IDENT s))
+      (oneofl [ 'a'; 'z'; 'A'; 'Q'; '_'; 'i'; 'u'; 'l' ])
+      (string_size ~gen:(oneofl [ 'a'; 'x'; 'Z'; '_'; '0'; '9'; 'l'; 'u' ]) (int_bound 6))
+  in
+  let literal =
+    map3
+      (fun v spell (sfx, u, ll) ->
+        let digits =
+          match spell with
+          | 0 -> string_of_int v
+          | 1 -> Printf.sprintf "0x%x" v
+          | 2 -> Printf.sprintf "0X%X" v
+          | _ -> Printf.sprintf "0%o" v
+        in
+        (digits ^ sfx, Lexer.INT_LIT (B.of_int v, u, ll)))
+      (oneof [ int_bound 20; int_bound 100_000; map abs int ])
+      (int_bound 3)
+      (oneofl
+         [ ("", false, false); ("u", true, false); ("U", true, false); ("l", false, false);
+           ("ul", true, false); ("Lu", true, false); ("ll", false, true); ("LL", false, true);
+           ("ull", true, true); ("llu", true, true); ("ULL", true, true) ])
+  in
+  frequency [ (2, keyword); (4, punct); (3, ident); (2, literal) ]
+
+let gen_tokens : (string * Lexer.token) list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let pair =
+    map (fun (a, b) -> [ (a, Lexer.PUNCT a); (b, Lexer.PUNCT b) ]) (oneofl fusing_pairs)
+  in
+  map List.concat (list_size (int_bound 40) (frequency [ (6, map (fun t -> [ t ]) gen_token); (1, pair) ]))
+
+let separators =
+  [ " "; "  "; "\n"; "\t"; "\r\n"; " /* c */ "; " /* two\nlines * / */ "; " // line\n"; "\n#pragma x\n" ]
+
+(* The text, and each token with the line and column it starts at. *)
+let layout (toks : (string * Lexer.token) list) (seps : int list) =
+  let b = Buffer.create 256 in
+  let line = ref 1 and col = ref 1 in
+  let put s =
+    String.iter (fun c -> if c = '\n' then (incr line; col := 1) else incr col) s;
+    Buffer.add_string b s
+  in
+  let rec go prev toks seps acc =
+    match toks with
+    | [] -> List.rev acc
+    | (spell, tok) :: rest ->
+      let k, seps = match seps with k :: seps -> (k, seps) | [] -> (0, []) in
+      (match prev with
+      | Some p when k = 0 && glues p spell -> ()
+      | _ -> put (List.nth separators (k mod List.length separators)));
+      let at = (!line, !col) in
+      put spell;
+      go (Some spell) rest seps ((tok, at) :: acc)
+  in
+  let placed = go None toks seps [] in
+  (Buffer.contents b, placed)
+
+let prop_round_trip =
+  QCheck.Test.make ~name:"printed tokens lex back at their positions" ~count:500
+    (QCheck.make
+       ~print:(fun (toks, seps) -> String.escaped (fst (layout toks seps)))
+       QCheck.Gen.(pair gen_tokens (list_size (int_bound 40) (int_bound 12))))
+    (fun (toks, seps) ->
+      let text, placed = layout toks seps in
+      let lexed = Lexer.tokenize text in
+      let lexed, eof =
+        match List.rev lexed with
+        | { Lexer.tok = Lexer.EOF; _ } :: rest -> (List.rev rest, true)
+        | _ -> (lexed, false)
+      in
+      eof
+      && List.map (fun (t : Lexer.loc_token) -> (t.tok, (t.tpos.line, t.tpos.col))) lexed
+         = placed)
+
 let suite =
-  List.map (fun (n, f) -> Alcotest.test_case n `Quick f) (lexer_tests @ parser_tests @ typecheck_tests)
+  List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
+    (lexer_tests @ parser_tests @ typecheck_tests
+    @ [
+        ("token streams and Simpl images match the goldens", test_golden_images);
+        ("diagnostics match the goldens", test_golden_diagnostics);
+      ])
+  @ [ QCheck_alcotest.to_alcotest prop_round_trip ]

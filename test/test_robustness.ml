@@ -348,6 +348,52 @@ let test_frontend_structs () =
   expect_type_error "struct e {};";
   expect_type_error "struct s { struct s inner; };"
 
+(* Hostile input: the front end is linear on long literals and long
+   expressions.  Allocation is the measure: unlike wall time it is
+   deterministic, and a quadratic pass shows in it just as plainly. *)
+let allocated_bytes f =
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. before
+
+let test_frontend_long_literal () =
+  (* Every value of 2^64 or more is out of range at every type, so the
+     lexer stops reading digits there; a million of them used to cost a
+     bignum multiply each. *)
+  let src = "int f() { return " ^ String.make 1_000_000 '9' ^ "; }" in
+  let bytes = allocated_bytes (fun () -> Ac_cfront.Lexer.tokenize src) in
+  Alcotest.(check bool)
+    (Printf.sprintf "lexing allocates %.0f bytes for a %d-byte source" bytes (String.length src))
+    true
+    (bytes < 8. *. float_of_int (String.length src));
+  match Ac_cfront.Typecheck.parse_and_check src with
+  | _ -> Alcotest.fail "a million-digit literal was accepted"
+  | exception Ac_cfront.Typecheck.Type_error (m, pos) ->
+    Alcotest.(check (triple string int int))
+      "rejected at the literal" ("integer literal out of range", 1, 18) (m, pos.line, pos.col)
+
+let test_frontend_long_sum () =
+  (* Each level of x + x + ... + x used to re-copy its left operand's
+     overflow guards: quadrupling the terms multiplied the work by 16. *)
+  let sum n = "int f(int x) { return " ^ String.concat " + " (List.init n (fun _ -> "x")) ^ "; }" in
+  let cost n =
+    let src = sum n in
+    let prog = ref None in
+    let bytes = allocated_bytes (fun () -> prog := Some (Ac_simpl.C2simpl.parse src)) in
+    (match !prog with
+    | Some { Ac_simpl.Ir.funcs = [ f ]; _ } ->
+      (* one overflow guard per addition, and the fall-off guard *)
+      Alcotest.(check int) (Printf.sprintf "%d terms: guards" n) n
+        (List.length f.Ac_simpl.Ir.gsrc)
+    | _ -> Alcotest.fail "expected one function");
+    bytes
+  in
+  let small = cost 2_000 and large = cost 8_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "4x the terms allocates %.1fx the bytes" (large /. small))
+    true
+    (large < 6. *. small)
+
 (* ------------------------------------------------------------------ *)
 (* The CLI crash corpus: run the real acc binary over truncated and
    byte-mutated variants of every corpus source; the exit-code contract
@@ -558,6 +604,8 @@ let suite =
     ("diagnostics render compiler-style", `Quick, test_diag_rendering);
     ("diagnostics render as escaped JSON", `Quick, test_diag_json);
     ("degenerate struct declarations are type errors", `Quick, test_frontend_structs);
+    ("a million-digit literal lexes in linear time", `Quick, test_frontend_long_literal);
+    ("a long sum translates to Simpl in linear time", `Quick, test_frontend_long_sum);
     ("CLI exit-code contract on the crash corpus", `Slow, test_cli_crash_corpus);
     ("CLI --diag-json machine output", `Quick, test_cli_diag_json);
     ("CLI budget flags surface exhaustions", `Quick, test_cli_budget_flags);
