@@ -604,13 +604,13 @@ let suite =
     ("diagnostics render compiler-style", `Quick, test_diag_rendering);
     ("diagnostics render as escaped JSON", `Quick, test_diag_json);
     ("degenerate struct declarations are type errors", `Quick, test_frontend_structs);
-    ("a million-digit literal lexes in linear time", `Quick, test_frontend_long_literal);
-    ("a long sum translates to Simpl in linear time", `Quick, test_frontend_long_sum);
     ("CLI exit-code contract on the crash corpus", `Slow, test_cli_crash_corpus);
     ("CLI --diag-json machine output", `Quick, test_cli_diag_json);
     ("CLI budget flags surface exhaustions", `Quick, test_cli_budget_flags);
     ("CLI rejects an unknown fault kind", `Quick, test_cli_unknown_fault);
     ("CLI malformed command lines exit 2 with one line", `Quick, test_cli_malformed);
+    ("a million-digit literal lexes in linear time", `Quick, test_frontend_long_literal);
+    ("a long sum translates to Simpl in linear time", `Quick, test_frontend_long_sum);
   ]
   |> List.map (fun (n, s, f) -> Alcotest.test_case n s f)
 
