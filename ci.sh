@@ -72,6 +72,15 @@ if ! timeout 10 "$ACC" translate "$HOSTILE/octal.c" | grep -q 'return 8$'; then
   exit 1
 fi
 echo "ok: 010 translates as return 8"
+printf 'int f() { return 1; }\n/* never\n closed' > "$HOSTILE/comment.c"
+set +e
+timeout 10 "$ACC" translate "$HOSTILE/comment.c" > /dev/null 2> "$HOSTILE/err"
+set -e
+if ! grep -q ':2:1: .*unterminated comment' "$HOSTILE/err"; then
+  echo "FAIL: an unterminated comment was not reported at 2:1: $(cat "$HOSTILE/err")" >&2
+  exit 1
+fi
+echo "ok: unterminated comment reported at its opening: $(cat "$HOSTILE/err")"
 rm -rf "$HOSTILE"
 
 echo "== corpus: acc lint (findings allowed, crashes not) =="

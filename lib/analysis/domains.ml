@@ -163,8 +163,17 @@ let summary_size (s : A.summary) : int =
    with) and restriction to a callee cone (certificates only carry the
    summaries their verification walk can reach). *)
 
-let restrict (sums : A.sums) (names : string list) : A.sums =
-  List.filter (fun (g, _) -> List.exists (String.equal g) names) sums
+(* [restrict sums names]: the entries of [sums] named in [names], in the
+   table's order.  Apply it to the table once and to each cone after: the
+   partial application indexes the table by name, so a cone costs lookups
+   of its own names, not a scan of the whole table. *)
+let restrict (sums : A.sums) : string list -> A.sums =
+  let index = Hashtbl.create 64 in
+  List.iteri (fun i ((g, _) as entry) -> Hashtbl.add index g (i, entry)) sums;
+  fun names ->
+    List.concat_map (Hashtbl.find_all index) names
+    |> List.sort_uniq (fun (i, _) (j, _) -> Int.compare i j)
+    |> List.map snd
 
 (* Digest a canonical text rendering, not [Marshal] bytes: marshalling
    records physical sharing, which differs between a table computed from

@@ -4,8 +4,15 @@
    [nat] types.  OCaml's native [int] is 63-bit, which cannot faithfully model
    ideal integers (e.g. products of 64-bit words), so we implement a small
    bignum substrate from scratch: sign-magnitude, little-endian base-2^16
-   digit arrays.  Performance is a non-goal; values in this code base are a
-   few hundred bits at most. *)
+   digit arrays.  Values in this code base are a few hundred bits at most.
+
+   Nearly every value the guard discharge and the word layer compute fits in
+   three digits, so the magnitude operations have a native fast path: when
+   the operands have at most three digits (below 2^48; for a product, when
+   the digit counts sum to at most three) the result is computed on native
+   ints and written back as digits.  The representation is canonical (no
+   leading zero digits, [sign = 0] iff zero), so both paths build the same
+   value: [hash], [Marshal] images and printing cannot tell them apart. *)
 
 let base_bits = 16
 let base = 1 lsl base_bits
@@ -35,49 +42,86 @@ let mag_is_zero a = Array.length a = 0
 let mag_compare a b =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then compare la lb
-  else
-    let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then compare a.(i) b.(i) else go (i - 1) in
-    go (la - 1)
+  else begin
+    let i = ref (la - 1) in
+    while !i >= 0 && a.(!i) = b.(!i) do
+      decr i
+    done;
+    if !i < 0 then 0 else compare a.(!i) b.(!i)
+  end
+
+(* The native fast path: magnitudes of at most [native_digits] digits are
+   below 2^48, so their sums, differences, quotients and remainders (and
+   products whose digit counts sum to at most three) fit a native int. *)
+let native_digits = 3
+
+let mag_to_native a =
+  match Array.length a with
+  | 0 -> 0
+  | 1 -> a.(0)
+  | 2 -> a.(0) lor (a.(1) lsl base_bits)
+  | _ -> a.(0) lor (a.(1) lsl base_bits) lor (a.(2) lsl (2 * base_bits))
+
+(* The digits of a non-negative native int, with no leading zeros. *)
+let mag_of_native n =
+  let digit k = (n lsr (k * base_bits)) land base_mask in
+  if n = 0 then [||]
+  else if n < 1 lsl base_bits then [| n |]
+  else if n < 1 lsl (2 * base_bits) then [| digit 0; digit 1 |]
+  else if n < 1 lsl (3 * base_bits) then [| digit 0; digit 1; digit 2 |]
+  else [| digit 0; digit 1; digit 2; digit 3 |]
 
 let mag_add a b =
   let la = Array.length a and lb = Array.length b in
-  let lr = 1 + max la lb in
-  let r = Array.make lr 0 in
-  let carry = ref 0 in
-  for i = 0 to lr - 1 do
-    let da = if i < la then a.(i) else 0 in
-    let db = if i < lb then b.(i) else 0 in
-    let s = da + db + !carry in
-    r.(i) <- s land base_mask;
-    carry := s lsr base_bits
-  done;
-  assert (!carry = 0);
-  mag_normalize r
+  if la <= native_digits && lb <= native_digits then
+    mag_of_native (mag_to_native a + mag_to_native b)
+  else begin
+    let lr = 1 + max la lb in
+    let r = Array.make lr 0 in
+    let carry = ref 0 in
+    for i = 0 to lr - 1 do
+      let da = if i < la then a.(i) else 0 in
+      let db = if i < lb then b.(i) else 0 in
+      let s = da + db + !carry in
+      r.(i) <- s land base_mask;
+      carry := s lsr base_bits
+    done;
+    assert (!carry = 0);
+    mag_normalize r
+  end
 
 (* Requires a >= b. *)
 let mag_sub a b =
   let la = Array.length a and lb = Array.length b in
-  let r = Array.make la 0 in
-  let borrow = ref 0 in
-  for i = 0 to la - 1 do
-    let da = a.(i) in
-    let db = if i < lb then b.(i) else 0 in
-    let s = da - db - !borrow in
-    if s < 0 then begin
-      r.(i) <- s + base;
-      borrow := 1
-    end
-    else begin
-      r.(i) <- s;
-      borrow := 0
-    end
-  done;
-  assert (!borrow = 0);
-  mag_normalize r
+  if la <= native_digits then begin
+    let d = mag_to_native a - mag_to_native b in
+    assert (d >= 0);
+    mag_of_native d
+  end
+  else begin
+    let r = Array.make la 0 in
+    let borrow = ref 0 in
+    for i = 0 to la - 1 do
+      let da = a.(i) in
+      let db = if i < lb then b.(i) else 0 in
+      let s = da - db - !borrow in
+      if s < 0 then begin
+        r.(i) <- s + base;
+        borrow := 1
+      end
+      else begin
+        r.(i) <- s;
+        borrow := 0
+      end
+    done;
+    assert (!borrow = 0);
+    mag_normalize r
+  end
 
 let mag_mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]
+  else if la + lb <= native_digits then mag_of_native (mag_to_native a * mag_to_native b)
   else begin
     let r = Array.make (la + lb) 0 in
     for i = 0 to la - 1 do
@@ -102,9 +146,11 @@ let mag_bit_length a =
   let l = Array.length a in
   if l = 0 then 0
   else begin
-    let top = a.(l - 1) in
-    let rec width n = if top lsr n = 0 then n else width (n + 1) in
-    ((l - 1) * base_bits) + width 1
+    let top = a.(l - 1) and width = ref 1 in
+    while top lsr !width <> 0 do
+      incr width
+    done;
+    ((l - 1) * base_bits) + !width
   end
 
 let mag_test_bit a i =
@@ -145,6 +191,10 @@ let mag_shift_right a n =
 let mag_divmod a b =
   if mag_is_zero b then raise Division_by_zero;
   if mag_compare a b < 0 then ([||], a)
+  else if Array.length a <= native_digits then begin
+    let x = mag_to_native a and y = mag_to_native b in
+    (mag_of_native (x / y), mag_of_native (x mod y))
+  end
   else begin
     let bits_a = mag_bit_length a and bits_b = mag_bit_length b in
     let shift = bits_a - bits_b in
@@ -174,11 +224,7 @@ let rec of_int n =
   else if n = min_int then
     (* abs min_int overflows; build it as -(max_int + 1). *)
     { sign = -1; mag = mag_add (of_int max_int).mag [| 1 |] }
-  else begin
-    let sign = if n < 0 then -1 else 1 in
-    let rec digits acc n = if n = 0 then acc else digits ((n land base_mask) :: acc) (n lsr base_bits) in
-    of_mag sign (Array.of_list (List.rev (digits [] (abs n))))
-  end
+  else { sign = (if n < 0 then -1 else 1); mag = mag_of_native (abs n) }
 
 let one = of_int 1
 let two = of_int 2
@@ -215,7 +261,17 @@ let add a b =
     else { sign = b.sign; mag = mag_sub b.mag a.mag }
   end
 
-let sub a b = add a (neg b)
+(* [add a (neg b)], without building [neg b]. *)
+let sub a b =
+  if b.sign = 0 then a
+  else if a.sign = 0 then neg b
+  else if a.sign <> b.sign then { sign = a.sign; mag = mag_add a.mag b.mag }
+  else begin
+    let c = mag_compare a.mag b.mag in
+    if c = 0 then zero
+    else if c > 0 then { sign = a.sign; mag = mag_sub a.mag b.mag }
+    else { sign = -a.sign; mag = mag_sub b.mag a.mag }
+  end
 
 let mul a b =
   if a.sign = 0 || b.sign = 0 then zero
@@ -407,11 +463,28 @@ let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 let hash x = Hashtbl.hash (x.sign, x.mag)
 
-(* Modular reduction to [0, 2^n): the C unsigned-overflow semantics. *)
-let mod_pow2 x n = fmod x (pow2 n)
+(* The low [n] bits of a magnitude. *)
+let mag_low_bits a n =
+  if Array.length a * base_bits <= n || mag_bit_length a <= n then a
+  else begin
+    let dig = n / base_bits and off = n mod base_bits in
+    let r = Array.sub a 0 (dig + 1) in
+    r.(dig) <- r.(dig) land ((1 lsl off) - 1);
+    mag_normalize r
+  end
+
+(* Modular reduction to [0, 2^n): the C unsigned-overflow semantics.  The
+   remainder is the low [n] bits of the magnitude, complemented against 2^n
+   for a negative value. *)
+let mod_pow2 x n =
+  if n < 0 then invalid_arg "Ac_bignum.pow2";
+  let low = mag_low_bits x.mag n in
+  if x.sign >= 0 then (if low == x.mag then x else of_mag 1 low)
+  else if mag_is_zero low then zero
+  else { sign = 1; mag = mag_sub (mag_shift_left [| 1 |] n) low }
 
 (* Reduction to the signed two's-complement range [-2^(n-1), 2^(n-1)). *)
 let signed_mod_pow2 x n =
-  let m = pow2 n in
-  let r = fmod x m in
-  if ge r (pow2 (n - 1)) then sub r m else r
+  if n < 1 then invalid_arg "Ac_bignum.pow2";
+  let r = mod_pow2 x n in
+  if test_bit r (n - 1) then sub r (pow2 n) else r

@@ -142,10 +142,12 @@ let tokens (src : string) : loc_token array =
       while !i < n && src.[!i] <> '\n' do incr i done
     end
     else if c = '/' && !i + 1 < n && src.[!i + 1] = '*' then begin
-      let start = !i in
+      (* The comment's own newlines move [line] and [bol]: take its position
+         before skipping. *)
+      let start = pos !i in
       i := !i + 2;
       let rec skip () =
-        if !i + 1 >= n then error start "unterminated comment"
+        if !i + 1 >= n then raise (Lex_error ("unterminated comment", start))
         else if src.[!i] = '*' && src.[!i + 1] = '/' then i := !i + 2
         else begin
           if src.[!i] = '\n' then newline !i;

@@ -734,11 +734,10 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
      Its digest is the function's store-key claim component.  Built
      eagerly so lookups under [pmap] are read-only. *)
   let sums_slices =
+    let restrict = Ac_analysis.Domains.restrict sums in
     List.map
       (fun (fb : M.func) ->
-        ( fb.M.name,
-          Ac_analysis.Domains.restrict sums
-            (Ac_analysis.Callgraph.reachable callgraph fb.M.name) ))
+        (fb.M.name, restrict (Ac_analysis.Callgraph.reachable callgraph fb.M.name)))
       fbodies
     |> index_by fst
   in

@@ -62,8 +62,10 @@ let head_rules (m : M.t) : Rules.rule list =
     | M.Bind (M.While ((M.Ptuple ips as ip), c, body, init), (M.Ptuple qps as qp), k) ->
       (* The kernel refuses to drop a component the condition or the
          continuation reads: propose only the others. *)
-      let read = E.free_vars c @ M.free_vars k in
-      let unread p = List.for_all (fun (x, _) -> not (List.mem x read)) (M.pat_vars p) in
+      let unread p =
+        let xs = List.map fst (M.pat_vars p) in
+        not (E.occurs_any xs c || M.occurs_free xs k)
+      in
       List.concat
         (List.mapi
            (fun i p ->
@@ -76,7 +78,7 @@ let head_rules (m : M.t) : Rules.rule list =
   in
   let other =
     match m with
-    | M.Gets e -> [ Rules.Rw_gets_pure e ]
+    | M.Gets e when not (E.reads_state e) -> [ Rules.Rw_gets_pure e ]
     | M.Guard (k, E.Const (Ac_lang.Value.Vbool true)) -> [ Rules.Rw_guard_true k ]
     | M.Try (a, p, h) -> [ Rules.Rw_try_nothrow (a, p, h) ]
     | _ -> []
@@ -86,9 +88,11 @@ let head_rules (m : M.t) : Rules.rule list =
 (* Inline only cheap expressions to avoid size blow-up (standard
    let-inlining heuristic); the kernel rule itself is indifferent. *)
 let cheap e =
+  (* [budget - E.size e], counting no further once it is negative *)
+  let rec spare budget e = if budget < 0 then budget else E.fold_children spare (budget - 1) e in
   match e with
   | E.Var _ | E.Const _ | E.Global _ | E.Tuple _ -> true
-  | _ -> E.size e <= 8
+  | _ -> spare 8 e >= 0
 
 let want_head_rewrite (m : M.t) =
   match m with
@@ -96,10 +100,7 @@ let want_head_rewrite (m : M.t) =
   | M.Bind (M.Gets e, M.Pvar (x, _), b) when not (cheap e) ->
     (* still inline single-use bindings *)
     let uses = ref 0 in
-    M.iter_exprs
-      (fun expr ->
-        List.iter (fun v -> if String.equal v x then incr uses) (E.free_vars expr))
-      b;
+    M.iter_exprs (fun expr -> if E.mem_var x expr then incr uses) b;
     !uses <= 1
   | _ -> true
 

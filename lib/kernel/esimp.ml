@@ -18,40 +18,46 @@ module Layout = Ac_lang.Layout
 let rec is_closed_pure (e : E.t) =
   match e with
   | E.Var _ | E.Global _ | E.HeapRead _ | E.TypedRead _ | E.IsValid _ -> false
-  | E.Binop ((E.Div | E.Rem), _, _) ->
-    (* folding division would need the totalised semantics; fold only when
-       the divisor is a non-zero literal *)
-    List.for_all is_closed_pure (E.children e)
-  | _ -> List.for_all is_closed_pure (E.children e)
+  | _ -> not (E.exists_child (fun c -> not (is_closed_pure c)) e)
 
 let fold_constant lenv (e : E.t) : E.t =
   match e with
   | E.Const _ -> e
   | _ ->
     if is_closed_pure e then begin
-      let module SM = Map.Make (String) in
-      match E.eval_pure lenv SM.empty e with
+      match E.eval_pure lenv E.SMap.empty e with
       (* Tuples and structs stay structural: the abstraction rules match on
          their shape. *)
       | Value.Vtuple _ | Value.Vstruct _ -> e
       | v -> E.Const v
+      (* e.g. a division by zero: left for the guards to rule out *)
       | exception E.Eval_stuck _ -> e
     end
     else e
 
-let rec simp lenv (e : E.t) : E.t =
-  let e = E.map_children (simp lenv) e in
-  let e =
-    match e with
-    | E.Proj (i, E.Tuple es) when i < List.length es -> List.nth es i
-    | E.Binop (E.And, a, b) -> E.and_e a b
-    | E.Binop (E.Or, a, b) -> E.or_e a b
-    | E.Binop (E.Imp, a, b) -> E.imp_e a b
-    | E.Unop (E.Not, x) -> E.not_e x
-    | E.Ite (E.Const (Value.Vbool true), a, _) -> a
-    | E.Ite (E.Const (Value.Vbool false), _, b) -> b
-    | E.Ite (_, a, b) when E.equal a b -> a
-    | E.Binop (E.Eq, a, b) when E.equal a b && not (E.reads_state a) -> E.true_e
-    | e -> e
+let is_bool_const = function E.Const (Value.Vbool _) -> true | _ -> false
+
+(* [simp lenv] is the simplifier itself: apply it once per term, not per
+   expression.  A node no rewrite applies to is returned as it is
+   (physically); the boolean smart constructors are called only where they
+   simplify, since they would rebuild any other node. *)
+let simp lenv : E.t -> E.t =
+  let rec go e =
+    let e = E.map_children go e in
+    let e =
+      match e with
+      | E.Proj (i, E.Tuple es) when i < List.length es -> List.nth es i
+      | E.Binop (E.And, a, b) when is_bool_const a || is_bool_const b -> E.and_e a b
+      | E.Binop (E.Or, a, b) when is_bool_const a || is_bool_const b -> E.or_e a b
+      | E.Binop (E.Imp, a, (E.Const (Value.Vbool true) as b)) -> E.imp_e a b
+      | E.Binop (E.Imp, a, b) when is_bool_const a -> E.imp_e a b
+      | E.Unop (E.Not, ((E.Const (Value.Vbool _) | E.Unop (E.Not, _)) as x)) -> E.not_e x
+      | E.Ite (E.Const (Value.Vbool true), a, _) -> a
+      | E.Ite (E.Const (Value.Vbool false), _, b) -> b
+      | E.Ite (_, a, b) when E.equal a b -> a
+      | E.Binop (E.Eq, a, b) when E.equal a b && not (E.reads_state a) -> E.true_e
+      | e -> e
+    in
+    fold_constant lenv e
   in
-  fold_constant lenv e
+  go

@@ -573,32 +573,70 @@ let rec str nothrows (m : M.t) ((p, cont) : M.pat * M.t) : M.t option =
   | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Unknown _ ->
     Some (M.Bind (m, p, cont))
 
-(* Map the kernel expression simplifier over every expression of a term. *)
-let rec msimp lenv (m : M.t) : M.t =
-  let s e = Esimp.simp lenv e in
-  match m with
-  | M.Return e -> M.Return (s e)
-  | M.Gets e -> if E.reads_state (s e) then M.Gets (s e) else M.Return (s e)
-  | M.Guard (k, e) -> M.Guard (k, s e)
-  | M.Fail -> M.Fail
-  | M.Unknown t -> M.Unknown t
-  | M.Throw e -> M.Throw (s e)
-  | M.Modify ms ->
-    M.Modify
-      (List.map
-         (function
-           | M.Heap_write (c, p, v) -> M.Heap_write (c, s p, s v)
-           | M.Typed_write (c, p, v) -> M.Typed_write (c, s p, s v)
-           | M.Global_set (x, e) -> M.Global_set (x, s e)
-           | M.Local_set (x, e) -> M.Local_set (x, s e)
-           | M.Retype (c, e) -> M.Retype (c, s e))
-         ms)
-  | M.Bind (a, p, b) -> M.Bind (msimp lenv a, p, msimp lenv b)
-  | M.Try (a, p, b) -> M.Try (msimp lenv a, p, msimp lenv b)
-  | M.Cond (c, a, b) -> M.Cond (s c, msimp lenv a, msimp lenv b)
-  | M.While (p, c, body, init) -> M.While (p, s c, msimp lenv body, s init)
-  | M.Call (f, args) -> M.Call (f, List.map s args)
-  | M.Exec_concrete (f, args) -> M.Exec_concrete (f, List.map s args)
+(* Map the kernel expression simplifier over every expression of a term.  A
+   subterm the simplifier leaves alone is returned as it is (physically). *)
+let msimp lenv (m : M.t) : M.t =
+  let s = Esimp.simp lenv in
+  let s_args args =
+    let args' = List.map s args in
+    if List.for_all2 ( == ) args args' then args else args'
+  in
+  let rec go m =
+    match m with
+    | M.Return e ->
+      let e' = s e in
+      if e' == e then m else M.Return e'
+    | M.Gets e ->
+      let e' = s e in
+      if not (E.reads_state e') then M.Return e' else if e' == e then m else M.Gets e'
+    | M.Guard (k, e) ->
+      let e' = s e in
+      if e' == e then m else M.Guard (k, e')
+    | M.Fail | M.Unknown _ -> m
+    | M.Throw e ->
+      let e' = s e in
+      if e' == e then m else M.Throw e'
+    | M.Modify ms ->
+      let simp_one sm =
+        match sm with
+        | M.Heap_write (c, p, v) ->
+          let p' = s p and v' = s v in
+          if p' == p && v' == v then sm else M.Heap_write (c, p', v')
+        | M.Typed_write (c, p, v) ->
+          let p' = s p and v' = s v in
+          if p' == p && v' == v then sm else M.Typed_write (c, p', v')
+        | M.Global_set (x, e) ->
+          let e' = s e in
+          if e' == e then sm else M.Global_set (x, e')
+        | M.Local_set (x, e) ->
+          let e' = s e in
+          if e' == e then sm else M.Local_set (x, e')
+        | M.Retype (c, e) ->
+          let e' = s e in
+          if e' == e then sm else M.Retype (c, e')
+      in
+      let ms' = List.map simp_one ms in
+      if List.for_all2 ( == ) ms ms' then m else M.Modify ms'
+    | M.Bind (a, p, b) ->
+      let a' = go a and b' = go b in
+      if a' == a && b' == b then m else M.Bind (a', p, b')
+    | M.Try (a, p, b) ->
+      let a' = go a and b' = go b in
+      if a' == a && b' == b then m else M.Try (a', p, b')
+    | M.Cond (c, a, b) ->
+      let c' = s c and a' = go a and b' = go b in
+      if c' == c && a' == a && b' == b then m else M.Cond (c', a', b')
+    | M.While (p, c, body, init) ->
+      let c' = s c and body' = go body and init' = s init in
+      if c' == c && body' == body && init' == init then m else M.While (p, c', body', init')
+    | M.Call (f, args) ->
+      let args' = s_args args in
+      if args' == args then m else M.Call (f, args')
+    | M.Exec_concrete (f, args) ->
+      let args' = s_args args in
+      if args' == args then m else M.Exec_concrete (f, args')
+  in
+  go m
 
 (* Syntactic implication: [implies_syn c g] holds when [g] is [c] itself, a
    conjunct of [c], or a conjunction of implied parts.  Used by the
@@ -638,19 +676,15 @@ let conjuncts (e : E.t) =
 type fact_kind = Fpure | Fvalidity | Ffragile
 
 let fact_kind (e : E.t) : fact_kind =
-  let rec scan e (seen_valid, seen_other) =
-    let acc =
-      match e with
-      | E.IsValid _ -> (true, seen_other)
-      | E.HeapRead _ | E.TypedRead _ | E.Global _ -> (seen_valid, true)
-      | _ -> (seen_valid, seen_other)
-    in
-    List.fold_left (fun acc c -> scan c acc) acc (E.children e)
+  let rec reads_values e =
+    match e with
+    | E.HeapRead _ | E.TypedRead _ | E.Global _ -> true
+    | _ -> E.exists_child reads_values e
   in
-  match scan e (false, false) with
-  | _, true -> Ffragile
-  | true, false -> Fvalidity
-  | false, false -> Fpure
+  let rec reads_validity e =
+    match e with E.IsValid _ -> true | _ -> E.exists_child reads_validity e
+  in
+  if reads_values e then Ffragile else if reads_validity e then Fvalidity else Fpure
 
 type kills = { k_values : bool; k_retype_or_call : bool }
 
@@ -681,8 +715,16 @@ let fact_survives (k : kills) (f : E.t) =
   | Fvalidity -> not k.k_retype_or_call
   | Ffragile -> not (k.k_values || k.k_retype_or_call)
 
+(* [List.filter p facts], sharing [facts] when [p] keeps every fact. *)
+let rec filter_facts p facts =
+  match facts with
+  | [] -> []
+  | f :: rest ->
+    let rest' = filter_facts p rest in
+    if not (p f) then rest' else if rest' == rest then facts else f :: rest'
+
 let drop_rebound vars facts =
-  List.filter (fun f -> not (List.exists (fun v -> List.mem v vars) (E.free_vars f))) facts
+  match vars with [] -> facts | _ -> filter_facts (fun f -> not (E.occurs_any vars f)) facts
 
 let established facts g = List.exists (E.equal g) facts
 
@@ -696,40 +738,44 @@ let rec discharge lenv (facts : E.t list) (m : M.t) : M.t * E.t list =
     let m' =
       match remaining with
       | [] -> M.Return E.unit_e
-      | parts' -> M.Guard (k, E.conj parts')
+      | parts' ->
+        let g' = E.conj parts' in
+        if E.equal g' g then m else M.Guard (k, g')
     in
     (m', parts @ facts)
   | M.Return _ | M.Gets _ | M.Throw _ | M.Fail | M.Unknown _ -> (m, facts)
   | M.Modify sms ->
     let k = List.fold_left (fun k sm -> kills_union k (smod_kills sm)) no_kills sms in
-    (m, List.filter (fact_survives k) facts)
+    (m, filter_facts (fact_survives k) facts)
   | M.Bind (a, p, b) ->
     let a', facts1 = discharge lenv facts a in
     let facts2 = drop_rebound (List.map fst (M.pat_vars p)) facts1 in
     let b', facts3 = discharge lenv facts2 b in
-    (M.Bind (a', p, b'), facts3)
+    ((if a' == a && b' == b then m else M.Bind (a', p, b')), facts3)
   | M.Try (a, p, h) ->
     let a', facts_a = discharge lenv facts a in
     (* Handler entry: effects of an unknown prefix of [a] have happened. *)
     let facts_h_in =
       drop_rebound (List.map fst (M.pat_vars p))
-        (List.filter (fact_survives (term_kills a)) facts)
+        (filter_facts (fact_survives (term_kills a)) facts)
     in
     let h', facts_h = discharge lenv facts_h_in h in
-    (M.Try (a', p, h'), List.filter (fun f -> List.exists (E.equal f) facts_h) facts_a)
+    ( (if a' == a && h' == h then m else M.Try (a', p, h')),
+      List.filter (fun f -> List.exists (E.equal f) facts_h) facts_a )
   | M.Cond (c, a, b) ->
     let a', facts_a = discharge lenv (conjuncts c @ facts) a in
     let b', facts_b = discharge lenv (E.not_e c :: facts) b in
-    (M.Cond (c, a', b'), List.filter (fun f -> List.exists (E.equal f) facts_b) facts_a)
+    ( (if a' == a && b' == b then m else M.Cond (c, a', b')),
+      List.filter (fun f -> List.exists (E.equal f) facts_b) facts_a )
   | M.While (p, c, body, init) ->
     let k = term_kills body in
     let inner_facts =
       conjuncts c
-      @ drop_rebound (List.map fst (M.pat_vars p)) (List.filter (fact_survives k) facts)
+      @ drop_rebound (List.map fst (M.pat_vars p)) (filter_facts (fact_survives k) facts)
     in
     let body', _ = discharge lenv inner_facts body in
-    (M.While (p, c, body', init), List.filter (fact_survives k) facts)
-  | M.Call _ | M.Exec_concrete _ -> (m, List.filter (fact_survives all_kills) facts)
+    ((if body' == body then m else M.While (p, c, body', init)), filter_facts (fact_survives k) facts)
+  | M.Call _ | M.Exec_concrete _ -> (m, filter_facts (fact_survives all_kills) facts)
 
 let discharge_guards lenv (m : M.t) : M.t = fst (discharge lenv [] m)
 
@@ -760,8 +806,20 @@ let binder_names (m : M.t) : string list =
 (* Substituting [e] for pattern variables inside [b] is capture-free when no
    binder in [b] reuses a free variable of [e]. *)
 let capture_free (e : E.t) (b : M.t) =
-  let binders = binder_names b in
-  not (List.exists (fun v -> List.mem v binders) (E.free_vars e))
+  match E.free_vars e with
+  | [] -> true
+  | fv ->
+    let free x = List.mem x fv in
+    let rec binds m =
+      match m with
+      | M.Bind (a, p, b) | M.Try (a, p, b) -> M.pat_exists free p || binds a || binds b
+      | M.Cond (_, a, b) -> binds a || binds b
+      | M.While (p, _, body, _) -> M.pat_exists free p || binds body
+      | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _
+      | M.Call _ | M.Exec_concrete _ ->
+        false
+    in
+    not (binds b)
 
 (* Alpha-rename every binder of [m] whose name is in [avoid] to a fresh name
    (alpha conversion: semantics-preserving by construction). *)
@@ -926,9 +984,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | Rw_bind_assoc (a, p, b, q, c) ->
     (* (do v <- (do w <- A; B od); C od) = do w <- A; v <- B; C od,
        provided w's variables do not occur free in C *)
-    let pvars = List.map fst (M.pat_vars p) in
-    let cfree = M.free_vars c in
-    if List.exists (fun v -> List.mem v cfree) pvars then
+    if M.occurs_free (List.map fst (M.pat_vars p)) c then
       fail "rw_bind_assoc: variable capture"
     else ok (Equiv (M.Bind (a, p, M.Bind (b, q, c)), M.Bind (M.Bind (a, p, b), q, c)))
   | Rw_gets_pure e ->

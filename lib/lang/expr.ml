@@ -141,26 +141,67 @@ let rec equal a b =
       _ ) ->
     false
 
-(* Bottom-up map over immediate subexpressions. *)
+(* Bottom-up map over immediate subexpressions, right to left.  A node none
+   of whose children changed (physically) is returned as it is, so an
+   unchanged subterm stays shared and compares in O(1).  Written out case
+   by case: a helper taking the rebuilding function would allocate a
+   closure per node. *)
 let map_children f e =
   match e with
   | Const _ | Var _ | Global _ -> e
-  | Unop (o, x) -> Unop (o, f x)
-  | Binop (o, x, y) -> Binop (o, f x, f y)
-  | Ite (c, x, y) -> Ite (f c, f x, f y)
-  | Cast (t, x) -> Cast (t, f x)
-  | OfWord (t, x) -> OfWord (t, f x)
-  | HeapRead (c, x) -> HeapRead (c, f x)
-  | TypedRead (c, x) -> TypedRead (c, f x)
-  | IsValid (c, x) -> IsValid (c, f x)
-  | PtrAligned (c, x) -> PtrAligned (c, f x)
-  | PtrSpan (c, x) -> PtrSpan (c, f x)
-  | PtrAdd (c, x, y) -> PtrAdd (c, f x, f y)
-  | FieldAddr (s, fl, x) -> FieldAddr (s, fl, f x)
-  | StructGet (s, fl, x) -> StructGet (s, fl, f x)
-  | StructSet (s, fl, x, y) -> StructSet (s, fl, f x, f y)
-  | Tuple xs -> Tuple (List.map f xs)
-  | Proj (i, x) -> Proj (i, f x)
+  | Unop (o, x) ->
+    let x' = f x in
+    if x' == x then e else Unop (o, x')
+  | Binop (o, x, y) ->
+    let y' = f y in
+    let x' = f x in
+    if x' == x && y' == y then e else Binop (o, x', y')
+  | Ite (c, x, y) ->
+    let y' = f y in
+    let x' = f x in
+    let c' = f c in
+    if c' == c && x' == x && y' == y then e else Ite (c', x', y')
+  | Cast (t, x) ->
+    let x' = f x in
+    if x' == x then e else Cast (t, x')
+  | OfWord (t, x) ->
+    let x' = f x in
+    if x' == x then e else OfWord (t, x')
+  | HeapRead (c, x) ->
+    let x' = f x in
+    if x' == x then e else HeapRead (c, x')
+  | TypedRead (c, x) ->
+    let x' = f x in
+    if x' == x then e else TypedRead (c, x')
+  | IsValid (c, x) ->
+    let x' = f x in
+    if x' == x then e else IsValid (c, x')
+  | PtrAligned (c, x) ->
+    let x' = f x in
+    if x' == x then e else PtrAligned (c, x')
+  | PtrSpan (c, x) ->
+    let x' = f x in
+    if x' == x then e else PtrSpan (c, x')
+  | PtrAdd (c, x, y) ->
+    let y' = f y in
+    let x' = f x in
+    if x' == x && y' == y then e else PtrAdd (c, x', y')
+  | FieldAddr (s, fl, x) ->
+    let x' = f x in
+    if x' == x then e else FieldAddr (s, fl, x')
+  | StructGet (s, fl, x) ->
+    let x' = f x in
+    if x' == x then e else StructGet (s, fl, x')
+  | StructSet (s, fl, x, y) ->
+    let y' = f y in
+    let x' = f x in
+    if x' == x && y' == y then e else StructSet (s, fl, x', y')
+  | Tuple xs ->
+    let xs' = List.map f xs in
+    if List.for_all2 ( == ) xs xs' then e else Tuple xs'
+  | Proj (i, x) ->
+    let x' = f x in
+    if x' == x then e else Proj (i, x')
 
 (* Rebuild a node with the given children, in [children] order.  (Unlike
    [map_children], the association is positional and explicit — constructor
@@ -205,23 +246,83 @@ let children e =
   | Ite (c, x, y) -> [ c; x; y ]
   | Tuple xs -> xs
 
-let rec fold f acc e = List.fold_left (fold f) (f acc e) (children e)
+(* Does [p] hold of some immediate subexpression?  [children] without the
+   list. *)
+let exists_child p e =
+  match e with
+  | Const _ | Var _ | Global _ -> false
+  | Unop (_, x)
+  | Cast (_, x)
+  | OfWord (_, x)
+  | HeapRead (_, x)
+  | TypedRead (_, x)
+  | IsValid (_, x)
+  | PtrAligned (_, x)
+  | PtrSpan (_, x)
+  | FieldAddr (_, _, x)
+  | StructGet (_, _, x)
+  | Proj (_, x) ->
+    p x
+  | Binop (_, x, y) | PtrAdd (_, x, y) | StructSet (_, _, x, y) -> p x || p y
+  | Ite (c, x, y) -> p c || p x || p y
+  | Tuple xs -> List.exists p xs
+
+(* Left fold over the immediate subexpressions, in [children] order. *)
+let fold_children f acc e =
+  match e with
+  | Const _ | Var _ | Global _ -> acc
+  | Unop (_, x)
+  | Cast (_, x)
+  | OfWord (_, x)
+  | HeapRead (_, x)
+  | TypedRead (_, x)
+  | IsValid (_, x)
+  | PtrAligned (_, x)
+  | PtrSpan (_, x)
+  | FieldAddr (_, _, x)
+  | StructGet (_, _, x)
+  | Proj (_, x) ->
+    f acc x
+  | Binop (_, x, y) | PtrAdd (_, x, y) | StructSet (_, _, x, y) -> f (f acc x) y
+  | Ite (c, x, y) -> f (f (f acc c) x) y
+  | Tuple xs -> List.fold_left f acc xs
 
 (* Term size: the number of AST nodes.  This is the paper's "term size"
    metric for Table 5 ("the number of nodes in the abstract syntax tree of a
    specification"). *)
-let size e = fold (fun n _ -> n + 1) 0 e
+let rec size e = fold_children (fun n c -> n + size c) 1 e
 
+(* The distinct free variables, sorted. *)
 let free_vars e =
-  fold (fun acc e -> match e with Var (v, _) -> SMap.add v () acc | _ -> acc) SMap.empty e
-  |> SMap.bindings |> List.map fst
+  let rec go acc e =
+    match e with
+    | Var (v, _) -> if List.mem v acc then acc else v :: acc
+    | _ -> fold_children go acc e
+  in
+  List.sort String.compare (go [] e)
 
-let mem_var v e = List.mem v (free_vars e)
+(* Does any of [vs] occur (free) in [e]?  [List.exists (fun v -> List.mem v
+   (free_vars e)) vs] without building the set. *)
+let occurs_any vs e =
+  let rec go e =
+    match e with
+    | Var (v, _) -> List.mem v vs
+    | _ -> exists_child go e
+  in
+  go e
 
-let rec subst (bindings : (string * t) list) e =
-  match e with
-  | Var (v, _) -> ( match List.assoc_opt v bindings with Some x -> x | None -> e)
-  | _ -> map_children (subst bindings) e
+let mem_var v e = occurs_any [ v ] e
+
+let subst (bindings : (string * t) list) e =
+  match bindings with
+  | [] -> e
+  | _ ->
+    let rec go e =
+      match e with
+      | Var (v, _) -> ( match List.assoc_opt v bindings with Some x -> x | None -> e)
+      | _ -> map_children go e
+    in
+    go e
 
 let rename_var old_name new_name ty e = subst [ (old_name, Var (new_name, ty)) ] e
 
@@ -230,13 +331,13 @@ let rename_var old_name new_name ty e = subst [ (old_name, Var (new_name, ty)) ]
 let rec reads_state e =
   match e with
   | Global _ | HeapRead _ | TypedRead _ | IsValid _ -> true
-  | _ -> List.exists reads_state (children e)
+  | _ -> exists_child reads_state e
 
 (* Does the expression mention the concrete (byte-level) heap? *)
 let rec reads_concrete_heap e =
   match e with
   | HeapRead _ -> true
-  | _ -> List.exists reads_concrete_heap (children e)
+  | _ -> exists_child reads_concrete_heap e
 
 (* ------------------------------------------------------------------ *)
 (* Typing. *)

@@ -206,46 +206,88 @@ and smod_equal x y =
   | Retype (c1, e1), Retype (c2, e2) -> Ty.cty_equal c1 c2 && E.equal e1 e2
   | (Heap_write _ | Typed_write _ | Global_set _ | Local_set _ | Retype _), _ -> false
 
+(* Does [f] hold of a variable the pattern binds? *)
+let rec pat_exists f = function
+  | Pvar (x, _) -> f x
+  | Ptuple ps -> List.exists (pat_exists f) ps
+  | Pwild -> false
+
 (* Substitute expressions for free variables throughout a term, respecting
-   binder shadowing. *)
+   binder shadowing.  A subterm the substitution leaves alone is returned as
+   it is (physically), so an unchanged term stays shared. *)
 let rec subst (bindings : (string * E.t) list) m =
-  if bindings = [] then m
-  else begin
+  match bindings with
+  | [] -> m
+  | _ -> (
     let sub_e = E.subst bindings in
     let drop p bindings =
-      let bound = List.map fst (pat_vars p) in
-      List.filter (fun (x, _) -> not (List.mem x bound)) bindings
+      if pat_exists (fun x -> List.mem_assoc x bindings) p then
+        List.filter (fun (x, _) -> not (pat_exists (String.equal x) p)) bindings
+      else bindings
+    in
+    let sub_args args =
+      let args' = List.map sub_e args in
+      if List.for_all2 ( == ) args args' then args else args'
     in
     match m with
-    | Return e -> Return (sub_e e)
-    | Gets e -> Gets (sub_e e)
-    | Throw e -> Throw (sub_e e)
-    | Fail -> Fail
-    | Unknown t -> Unknown t
-    | Guard (k, e) -> Guard (k, sub_e e)
+    | Return e ->
+      let e' = sub_e e in
+      if e' == e then m else Return e'
+    | Gets e ->
+      let e' = sub_e e in
+      if e' == e then m else Gets e'
+    | Throw e ->
+      let e' = sub_e e in
+      if e' == e then m else Throw e'
+    | Fail | Unknown _ -> m
+    | Guard (k, e) ->
+      let e' = sub_e e in
+      if e' == e then m else Guard (k, e')
     | Modify ms ->
-      Modify
-        (List.map
-           (function
-             | Heap_write (c, p, v) -> Heap_write (c, sub_e p, sub_e v)
-             | Typed_write (c, p, v) -> Typed_write (c, sub_e p, sub_e v)
-             | Global_set (x, e) -> Global_set (x, sub_e e)
-             | Local_set (x, e) -> Local_set (x, sub_e e)
-             | Retype (c, e) -> Retype (c, sub_e e))
-           ms)
-    | Bind (a, p, b) -> Bind (subst bindings a, p, subst (drop p bindings) b)
-    | Try (a, p, b) -> Try (subst bindings a, p, subst (drop p bindings) b)
-    | Cond (c, a, b) -> Cond (sub_e c, subst bindings a, subst bindings b)
+      let sub_one sm =
+        match sm with
+        | Heap_write (c, p, v) ->
+          let p' = sub_e p and v' = sub_e v in
+          if p' == p && v' == v then sm else Heap_write (c, p', v')
+        | Typed_write (c, p, v) ->
+          let p' = sub_e p and v' = sub_e v in
+          if p' == p && v' == v then sm else Typed_write (c, p', v')
+        | Global_set (x, e) ->
+          let e' = sub_e e in
+          if e' == e then sm else Global_set (x, e')
+        | Local_set (x, e) ->
+          let e' = sub_e e in
+          if e' == e then sm else Local_set (x, e')
+        | Retype (c, e) ->
+          let e' = sub_e e in
+          if e' == e then sm else Retype (c, e')
+      in
+      let ms' = List.map sub_one ms in
+      if List.for_all2 ( == ) ms ms' then m else Modify ms'
+    | Bind (a, p, b) ->
+      let a' = subst bindings a and b' = subst (drop p bindings) b in
+      if a' == a && b' == b then m else Bind (a', p, b')
+    | Try (a, p, b) ->
+      let a' = subst bindings a and b' = subst (drop p bindings) b in
+      if a' == a && b' == b then m else Try (a', p, b')
+    | Cond (c, a, b) ->
+      let c' = sub_e c and a' = subst bindings a and b' = subst bindings b in
+      if c' == c && a' == a && b' == b then m else Cond (c', a', b')
     | While (p, c, body, init) ->
       let inner = drop p bindings in
-      While (p, E.subst inner c, subst inner body, sub_e init)
-    | Call (f, args) -> Call (f, List.map sub_e args)
-    | Exec_concrete (f, args) -> Exec_concrete (f, List.map sub_e args)
-  end
+      let c' = E.subst inner c and body' = subst inner body and init' = sub_e init in
+      if c' == c && body' == body && init' == init then m else While (p, c', body', init')
+    | Call (f, args) ->
+      let args' = sub_args args in
+      if args' == args then m else Call (f, args')
+    | Exec_concrete (f, args) ->
+      let args' = sub_args args in
+      if args' == args then m else Exec_concrete (f, args'))
+
+module SSet = Set.Make (String)
 
 (* Free variables of a monadic term. *)
 let free_vars m =
-  let module SSet = Set.Make (String) in
   let rec go bound m acc =
     let fv_e e acc =
       List.fold_left
@@ -277,3 +319,36 @@ let free_vars m =
     | Call (_, args) | Exec_concrete (_, args) -> List.fold_left (fun acc e -> fv_e e acc) acc args
   in
   SSet.elements (go SSet.empty m SSet.empty)
+
+(* Does any of [xs] occur free in [m]?  [List.exists (fun x -> List.mem x
+   (free_vars m)) xs] without building the set. *)
+let occurs_free xs m =
+  (* [xs] less the variables [p] binds *)
+  let unbound xs p =
+    if pat_exists (fun y -> List.mem y xs) p then
+      List.filter (fun x -> not (pat_exists (String.equal x) p)) xs
+    else xs
+  in
+  let rec go xs m =
+    match xs with
+    | [] -> false
+    | _ -> (
+      match m with
+      | Return e | Gets e | Guard (_, e) | Throw e -> E.occurs_any xs e
+      | Fail | Unknown _ -> false
+      | Modify ms ->
+        List.exists
+          (function
+            | Heap_write (_, p, v) | Typed_write (_, p, v) -> E.occurs_any xs p || E.occurs_any xs v
+            | Global_set (_, e) | Local_set (_, e) | Retype (_, e) -> E.occurs_any xs e)
+          ms
+      | Bind (a, p, b) | Try (a, p, b) -> go xs a || go (unbound xs p) b
+      | Cond (c, a, b) -> E.occurs_any xs c || go xs a || go xs b
+      | While (p, c, body, init) ->
+        E.occurs_any xs init
+        ||
+        let inner = unbound xs p in
+        E.occurs_any inner c || go inner body
+      | Call (_, args) | Exec_concrete (_, args) -> List.exists (E.occurs_any xs) args)
+  in
+  go xs m

@@ -73,6 +73,17 @@ let record (thm : Thm.t) : t =
 (* ------------------------------------------------------------------ *)
 (* Replay. *)
 
+exception Bad of string
+
+(* The minted theorems a node's premise indices name: each must point at
+   an earlier node. *)
+let rec premises (minted : Thm.t array) i = function
+  | [] -> []
+  | p :: ps ->
+    if p < 0 || p >= i then
+      raise (Bad (Printf.sprintf "node %d: premise index %d out of range" i p))
+    else minted.(p) :: premises minted i ps
+
 (* Re-mint every node through the kernel.  Malformed indices and failing
    side conditions both surface as [Error]; the caller treats any error as
    a cache miss and falls back to full translation. *)
@@ -80,29 +91,20 @@ let replay (ctx : Rules.ctx) (tr : t) : (Thm.t, string) result =
   let n = Array.length tr in
   if n = 0 then Result.error "empty trace"
   else begin
-    let minted : Thm.t option array = Array.make n None in
-    let exception Bad of string in
+    let mint i prems =
+      let rule = tr.(i).n_rule in
+      match Thm.by ctx rule prems with
+      | t -> t
+      | exception Thm.Kernel_error m ->
+        raise (Bad (Printf.sprintf "%s: %s" (Rules.rule_name rule) m))
+    in
     try
-      Array.iteri
-        (fun i node ->
-          let prems =
-            List.map
-              (fun p ->
-                if p < 0 || p >= i then
-                  raise (Bad (Printf.sprintf "node %d: premise index %d out of range" i p))
-                else
-                  match minted.(p) with
-                  | Some t -> t
-                  | None -> raise (Bad "internal: unminted premise"))
-              node.n_prems
-          in
-          match Thm.by ctx node.n_rule prems with
-          | t -> minted.(i) <- Some t
-          | exception Thm.Kernel_error m ->
-            raise (Bad (Printf.sprintf "%s: %s" (Rules.rule_name node.n_rule) m)))
-        tr;
-      match minted.(n - 1) with
-      | Some t -> Result.ok t
-      | None -> Result.error "internal: no root"
+      (* Node 0 has no premises (each must be an earlier node), and its
+         theorem fills the array until the later ones are minted. *)
+      let minted = Array.make n (mint 0 (premises [||] 0 tr.(0).n_prems)) in
+      for i = 1 to n - 1 do
+        minted.(i) <- mint i (premises minted i tr.(i).n_prems)
+      done;
+      Result.ok minted.(n - 1)
     with Bad m -> Result.error ("replay: " ^ m)
   end

@@ -63,16 +63,26 @@ let compare_s a b = B.compare (sint a) (sint b)
 
 let compare sign = match sign with Unsigned -> compare_u | Signed -> compare_s
 
-(* Range bounds, per width and signedness: INT_MIN/INT_MAX/UINT_MAX etc. *)
+(* Range bounds, per width and signedness: INT_MIN/INT_MAX/UINT_MAX etc.
+   They are computed once per width: the analysis asks for them at every
+   word operation. *)
+let per_width f =
+  let w8 = f W8 and w16 = f W16 and w32 = f W32 and w64 = f W64 in
+  function W8 -> w8 | W16 -> w16 | W32 -> w32 | W64 -> w64
+
+let signed_min = per_width (fun w -> B.neg (B.pow2 (bits w - 1)))
+let signed_max = per_width (fun w -> B.pred (B.pow2 (bits w - 1)))
+let unsigned_max = per_width (fun w -> B.pred (B.pow2 (bits w)))
+
 let min_value sign width =
   match sign with
   | Unsigned -> B.zero
-  | Signed -> B.neg (B.pow2 (bits width - 1))
+  | Signed -> signed_min width
 
 let max_value sign width =
   match sign with
-  | Unsigned -> B.pred (B.pow2 (bits width))
-  | Signed -> B.pred (B.pow2 (bits width - 1))
+  | Unsigned -> unsigned_max width
+  | Signed -> signed_max width
 
 let in_range sign width v = B.le (min_value sign width) v && B.le v (max_value sign width)
 

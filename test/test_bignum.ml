@@ -22,6 +22,22 @@ let arb_big = QCheck.make ~print:s gen_big
 
 let arb_small_int = QCheck.int_range (-1000000) 1000000
 
+(* Values at the edges of the native fast path (magnitudes of at most three
+   base-2^16 digits, below 2^48) and of native ints: ±(2^16, 2^32, 2^47 to
+   2^49, 2^62, 2^64) plus or minus a small value, mixed with small ints. *)
+let gen_edge =
+  let open QCheck.Gen in
+  let edge =
+    let* e = oneofl [ 16; 32; 47; 48; 49; 62; 64 ] in
+    let* d = int_range (-70000) 70000 in
+    let* neg = bool in
+    let v = B.add (B.pow2 e) (b d) in
+    return (if neg then B.neg v else v)
+  in
+  frequency [ (4, edge); (1, map b (int_range (-70000) 70000)) ]
+
+let arb_edge = QCheck.make ~print:s gen_edge
+
 let unit_tests =
   [
     ( "of_string/to_string round trips",
@@ -182,6 +198,55 @@ let prop_tests =
         B.to_int_exn (B.logand (b x) (b y)) = x land y
         && B.to_int_exn (B.logor (b x) (b y)) = x lor y
         && B.to_int_exn (B.logxor (b x) (b y)) = x lxor y);
+    (* The native fast path against native ints where those are exact, and
+       against the ring laws (which mix fast and digit paths) beyond. *)
+    Test.make ~name:"fast path: add/sub/mul match native, ring laws" ~count:1000
+      (triple arb_edge arb_edge arb_edge) (fun (x, y, z) ->
+        let native v = Option.map (fun n -> (n, abs n)) (B.to_int_opt v) in
+        let exact =
+          match (native x, native y) with
+          | Some (m, am), Some (n, an) ->
+            (am >= 1 lsl 61 || an >= 1 lsl 61
+            || B.to_int_opt (B.add x y) = Some (m + n) && B.to_int_opt (B.sub x y) = Some (m - n))
+            && (am >= 1 lsl 31 || an >= 1 lsl 31 || B.to_int_opt (B.mul x y) = Some (m * n))
+          | _ -> true
+        in
+        exact
+        && B.equal (B.sub (B.add x y) y) x
+        && B.equal (B.add x y) (B.add y x)
+        && B.equal (B.sub x y) (B.neg (B.sub y x))
+        && B.equal (B.mul x y) (B.mul y x)
+        && B.equal (B.mul (B.mul x y) z) (B.mul x (B.mul y z))
+        && B.equal (B.mul (B.add x y) z) (B.add (B.mul x z) (B.mul y z)));
+    Test.make ~name:"fast path: divmod identity at the edges" ~count:1000
+      (pair arb_edge arb_edge) (fun (a, d) ->
+        QCheck.assume (not (B.is_zero d));
+        let q, r = B.divmod a d in
+        B.equal a (B.add (B.mul q d) r)
+        && B.lt (B.abs r) (B.abs d)
+        && (B.is_zero r || B.sign r = B.sign a));
+    Test.make ~name:"fast path: mod_pow2 and signed_mod_pow2 at word widths" ~count:1000
+      (pair arb_edge (oneofl [ 1; 8; 16; 32; 63; 64 ])) (fun (x, w) ->
+        let m = B.pow2 w and half = B.pow2 (w - 1) in
+        let r = B.mod_pow2 x w and sr = B.signed_mod_pow2 x w in
+        let congruent v = B.is_zero (B.fmod (B.sub x v) m) in
+        B.le B.zero r && B.lt r m && congruent r
+        && B.equal r (B.fmod x m)
+        && B.le (B.neg half) sr && B.lt sr half && congruent sr);
+    (* The store marshals values and the hash-cons tables hash them: a value
+       computed on the fast path must be indistinguishable from the same
+       value parsed from its digits. *)
+    Test.make ~name:"fast path: same hash, string and Marshal image" ~count:1000
+      (pair arb_edge arb_edge) (fun (x, y) ->
+        List.for_all
+          (fun v ->
+            let parsed = B.of_string (s v) in
+            B.hash v = B.hash parsed
+            && String.equal (s v) (s parsed)
+            && String.equal (Marshal.to_string v []) (Marshal.to_string parsed []))
+          [ B.add x y; B.sub x y; B.mul x y; B.mod_pow2 x 32; B.signed_mod_pow2 y 64;
+            (if B.is_zero y then x else B.div x y); (if B.is_zero y then y else B.rem x y);
+            b (B.to_int_opt x |> Option.value ~default:0) ]);
   ]
 
 let suite =

@@ -308,11 +308,13 @@ let front_end_outcome src =
 (* (source, outcome).  Recorded with the image digests above, except the
    integer-literal rows: a leading 0 now reads as octal; 08, a bare 0x
    and a repeated suffix are malformed; and a literal's digits are read
-   only until its value passes 2^64. *)
+   only until its value passes 2^64.  The unterminated-comment row now
+   reports where the comment opens (it read 3:-8, a column computed after
+   the comment's own newlines). *)
 let golden_diagnostics =
   [
     ("int f() { return 1; }\n/* never\n closed",
-     "lexical error at 3:-8: unterminated comment");
+     "lexical error at 2:1: unterminated comment");
     ("int f() { return @; }",
      "lexical error at 1:18: unexpected character '@'");
     ("int f() {\n  return 1;\000 }",

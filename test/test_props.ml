@@ -304,6 +304,110 @@ let interproc_discharge_sound (((hbody : M.t), (fbody : M.t)), (a, b)) =
          [ (a, b); (0, 0); (1, 0xFFFFFFFF); (31, 2); (0xFFFFFFFF, 0xFFFFFFFF) ]
 
 (* ------------------------------------------------------------------ *)
+(* The list-free term queries and the sharing-preserving maps, against the
+   list- and set-based definitions they replace.  Expressions here need
+   not be well typed: the queries only look at their shape. *)
+
+let query_vars = [ "x"; "y"; "z2"; "z3"; "w2"; "w3"; "i"; "n" ]
+
+let gen_sexpr =
+  let open QCheck.Gen in
+  let cint = Ty.Cword (Ty.Signed, Ty.W32) in
+  let var = map (fun x -> E.Var (x, u32)) (oneofl query_vars) in
+  let leaf =
+    oneof
+      [ var;
+        map w32 (int_range 0 3);
+        return (E.Global ("g", u32));
+        map (fun p -> E.HeapRead (cint, p)) var;
+        map (fun p -> E.TypedRead (cint, p)) var;
+        map (fun p -> E.IsValid (cint, p)) var ]
+  in
+  let rec go n =
+    if n = 0 then leaf
+    else
+      oneof
+        [ leaf;
+          map2 (fun a b -> E.Binop (E.Add, a, b)) (go (n - 1)) (go (n - 1));
+          map3 (fun c a b -> E.Ite (c, a, b)) (go (n - 1)) (go (n - 1)) (go (n - 1));
+          map (fun a -> E.Unop (E.Not, a)) (go (n - 1));
+          map (fun a -> E.PtrAligned (cint, a)) (go (n - 1));
+          map2 (fun a b -> E.StructSet ("s", "f", a, b)) (go (n - 1)) (go (n - 1));
+          map (fun xs -> E.Tuple xs) (list_size (int_range 0 3) (go (n - 1)));
+          map (fun a -> E.Proj (0, a)) (go (n - 1)) ]
+  in
+  let* depth = int_range 0 4 in
+  go depth
+
+let gen_vars = QCheck.Gen.(list_size (int_range 0 3) (oneofl query_vars))
+
+(* Monadic terms with something for [Rw_simp] and [Rw_discharge] to do:
+   pure [gets], foldable constants and repeated guards. *)
+let gen_mterm =
+  let open QCheck.Gen in
+  let* m = gen_mprog in
+  let* e = gen_expr in
+  let* k = gen_guard_kind in
+  let* c = gen_cond [ "x"; "y" ] 1 in
+  oneofl
+    [ m;
+      M.Bind (M.Gets e, M.Pwild, m);
+      M.Bind (M.Return e, M.Pvar ("x", u32), m);
+      M.Bind (M.Guard (k, c), M.Pwild, M.Bind (M.Guard (k, c), M.Pwild, m)) ]
+
+(* The definitions the queries replace. *)
+let rec reads_state_by_children e =
+  match e with
+  | E.Global _ | E.HeapRead _ | E.TypedRead _ | E.IsValid _ -> true
+  | _ -> List.exists reads_state_by_children (E.children e)
+
+let occurs_by_list xs fv = List.exists (fun x -> List.mem x fv) xs
+
+let rec size_by_children e = List.fold_left (fun n c -> n + size_by_children c) 1 (E.children e)
+
+let free_vars_by_map e =
+  let rec go acc e =
+    let acc = match e with E.Var (v, _) -> SMap.add v () acc | _ -> acc in
+    List.fold_left go acc (E.children e)
+  in
+  List.map fst (SMap.bindings (go SMap.empty e))
+
+(* Substitution as it was, rebuilding every node. *)
+let rec subst_rebuild_e bs e =
+  match e with
+  | E.Var (v, _) -> ( match List.assoc_opt v bs with Some x -> x | None -> e)
+  | _ -> E.replace_children e (List.map (subst_rebuild_e bs) (E.children e))
+
+let rec subst_rebuild bs m =
+  let sub_e = subst_rebuild_e bs in
+  let drop p = List.filter (fun (x, _) -> not (List.mem_assoc x (M.pat_vars p))) bs in
+  match m with
+  | M.Return e -> M.Return (sub_e e)
+  | M.Gets e -> M.Gets (sub_e e)
+  | M.Throw e -> M.Throw (sub_e e)
+  | M.Fail | M.Unknown _ -> m
+  | M.Guard (k, e) -> M.Guard (k, sub_e e)
+  | M.Modify ms ->
+    M.Modify
+      (List.map
+         (function
+           | M.Heap_write (c, p, v) -> M.Heap_write (c, sub_e p, sub_e v)
+           | M.Typed_write (c, p, v) -> M.Typed_write (c, sub_e p, sub_e v)
+           | M.Global_set (x, e) -> M.Global_set (x, sub_e e)
+           | M.Local_set (x, e) -> M.Local_set (x, sub_e e)
+           | M.Retype (c, e) -> M.Retype (c, sub_e e))
+         ms)
+  | M.Bind (a, p, b) -> M.Bind (subst_rebuild bs a, p, subst_rebuild (drop p) b)
+  | M.Try (a, p, b) -> M.Try (subst_rebuild bs a, p, subst_rebuild (drop p) b)
+  | M.Cond (c, a, b) -> M.Cond (sub_e c, subst_rebuild bs a, subst_rebuild bs b)
+  | M.While (p, c, body, init) ->
+    let inner = drop p in
+    M.While (p, subst_rebuild_e inner c, subst_rebuild inner body, sub_e init)
+  | M.Call (f, args) -> M.Call (f, List.map sub_e args)
+  | M.Exec_concrete (f, args) -> M.Exec_concrete (f, List.map sub_e args)
+
+let gen_bindings =
+  QCheck.Gen.(list_size (int_range 0 2) (pair (oneofl query_vars) (gen_wexpr [ "x"; "y" ] 1)))
 
 let props =
   let open QCheck in
@@ -405,6 +509,49 @@ let props =
     Test.make
       ~name:"interprocedural discharge is sound and monotone vs intraprocedural"
       ~count:300 arb_callprog interproc_discharge_sound;
+    Test.make ~name:"list-free expression queries match their list forms" ~count:1000
+      (QCheck.make
+         ~print:(fun (e, xs) -> Ac_lang.Pretty.expr_to_string e ^ " / " ^ String.concat "," xs)
+         QCheck.Gen.(pair gen_sexpr gen_vars))
+      (fun (e, xs) ->
+        E.free_vars e = free_vars_by_map e
+        && E.size e = size_by_children e
+        && E.occurs_any xs e = occurs_by_list xs (E.free_vars e)
+        && E.reads_state e = reads_state_by_children e
+        && List.for_all (fun x -> E.mem_var x e = List.mem x (E.free_vars e)) query_vars);
+    Test.make ~name:"occurs_free and capture_free match their list forms" ~count:1000
+      (QCheck.make
+         ~print:(fun (m, (e, xs)) ->
+           Ac_monad.Mprint.to_string m ^ " / " ^ Ac_lang.Pretty.expr_to_string e ^ " / "
+           ^ String.concat "," xs)
+         QCheck.Gen.(pair gen_mterm (pair gen_sexpr gen_vars)))
+      (fun (m, (e, xs)) ->
+        M.occurs_free xs m = occurs_by_list xs (M.free_vars m)
+        && Rules.capture_free e m
+           = not (occurs_by_list (E.free_vars e) (Rules.binder_names m)));
+    Test.make ~name:"subst shares what it leaves alone, rebuilds the rest equally" ~count:1000
+      (QCheck.make
+         ~print:(fun (m, (e, bs)) ->
+           Ac_monad.Mprint.to_string m ^ " / " ^ Ac_lang.Pretty.expr_to_string e ^ " / "
+           ^ String.concat "," (List.map fst bs))
+         QCheck.Gen.(pair gen_mterm (pair gen_sexpr gen_bindings)))
+      (fun (m, (e, bs)) ->
+        let dom = List.map fst bs in
+        let m' = M.subst bs m and e' = E.subst bs e in
+        M.equal m' (subst_rebuild bs m)
+        && E.equal e' (subst_rebuild_e bs e)
+        && (M.occurs_free dom m || m' == m)
+        && (E.occurs_any dom e || e' == e));
+    Test.make ~name:"Rw_simp and Rw_discharge return an unchanged term as it is" ~count:1000
+      (QCheck.make ~print:Ac_monad.Mprint.to_string gen_mterm)
+      (fun m ->
+        let ctx = Rules.empty_ctx lenv in
+        List.for_all
+          (fun rule ->
+            match Thm.concl (Thm.by ctx rule []) with
+            | J.Equiv (m', src) -> src == m && M.equal m' m = (m' == m)
+            | _ -> false)
+          [ Rules.Rw_simp m; Rules.Rw_discharge m ]);
   ]
 
 let suite = List.map QCheck_alcotest.to_alcotest props

@@ -71,9 +71,29 @@ let test_chain_size_ceiling () =
     (Printf.sprintf "summed chain size %d <= %d" total echronos_ceiling)
     true (total <= echronos_ceiling)
 
+(* Allocation ceiling: the bytes one jobs-1 run of the echronos-like unit
+   allocates once the process is warm, at most 1.1x the 11.8 MB measured
+   once bignum arithmetic took native fast paths and the term maps stopped
+   rebuilding unchanged nodes (18.5 MB before).  Allocation, unlike wall
+   time, is stable enough to gate on. *)
+let echronos_alloc_ceiling_mb = 13.0
+
+let test_alloc_ceiling () =
+  let src = Ac_codegen.generate Ac_codegen.echronos_like in
+  let run () = ignore (Sys.opaque_identity (Driver.run ~options:(Test_l2_order.options ~jobs:1) src)) in
+  (* The first run in a process also fills tables that live across runs. *)
+  run ();
+  let before = Gc.allocated_bytes () in
+  run ();
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576. in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.1f MB <= %.1f MB" mb echronos_alloc_ceiling_mb)
+    true (mb <= echronos_alloc_ceiling_mb)
+
 let suite =
   [
     Alcotest.test_case "identity-free derivations at jobs 1" `Quick (test_identity_free 1);
     Alcotest.test_case "identity-free derivations at jobs 2" `Quick (test_identity_free 2);
     Alcotest.test_case "echronos-like chain size ceiling" `Quick test_chain_size_ceiling;
+    Alcotest.test_case "echronos-like allocation ceiling" `Quick test_alloc_ceiling;
   ]
