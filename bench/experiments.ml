@@ -1689,10 +1689,10 @@ let telemetry () =
        (the CLI installs the hook and opens the gate together), measured
        as the informational cost of hook dispatch alone *)
     disarm ();
-    Thm.set_obs_hook (Some Effort.on_rule)
+    Thm.set_obs_hook (Some (Effort.on_rule Ac_kernel.Rules.rule_name))
   in
   let arm_enabled () =
-    Thm.set_obs_hook (Some Effort.on_rule);
+    Thm.set_obs_hook (Some (Effort.on_rule Ac_kernel.Rules.rule_name));
     Effort.set_enabled true;
     Obs.set_ring (Some 65536);
     Obs.set_enabled true

@@ -143,6 +143,27 @@ if [ "$rate" -le "$BASELINE_PCT" ]; then
   exit 1
 fi
 
+echo "== corpus: identity-free discharge (every Rule_guard_true mint removes a guard) =="
+# The driver asks the kernel for a Rule_guard_true theorem only when the
+# analyser's own walk changed the body, so each mint removes at least one
+# guard: the rule's count is at most the guards the discharge provenance
+# line attributes (intra + interproc + scrub_dead).
+effort_out=$("$ACC" effort corpus/*.c)
+minted=$(printf '%s\n' "$effort_out" | awk '$1 == "rule_guard_true" { print $2 }')
+minted=${minted:-0}
+removed=$(printf '%s\n' "$effort_out" \
+  | sed -n 's/^discharge provenance: \([0-9]*\) intra, \([0-9]*\) interproc, \([0-9]*\) scrub_dead$/\1 \2 \3/p' \
+  | awk '{ print $1 + $2 + $3 }')
+if [ -z "$removed" ]; then
+  echo "FAIL: acc effort printed no discharge provenance line" >&2
+  exit 1
+fi
+if [ "$minted" -gt "$removed" ]; then
+  echo "FAIL: $minted rule_guard_true mints but only $removed guards removed" >&2
+  exit 1
+fi
+echo "ok: $minted rule_guard_true mints, $removed guards removed"
+
 echo "== corpus: --no-interproc A/B (feature off = clean intraprocedural output) =="
 # Toggling the summary engine off must restore the intraprocedural
 # pipeline exactly — even beside a proof store warmed by interprocedural

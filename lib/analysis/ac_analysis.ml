@@ -54,64 +54,53 @@ let replay_solver = Domains.replay_solver
 (* ------------------------------------------------------------------ *)
 (* Certificates and kernel-checked discharge. *)
 
-let infer_cert ?(sums = []) (lenv : Layout.env) (m : M.t) : A.cert =
+(* Solve [m]'s loop invariants by widening fixpoint and package them as a
+   certificate, together with the body the solver's final walk produced.
+   Each table entry is the invariant that final walk used (a nested
+   loop's entry is overwritten on every outer iteration, last by the
+   final one), and the kernel re-walks [m] under exactly those
+   invariants with the same transfer functions, so whenever it accepts
+   the certificate its result is this body.  [on_guard] sees the final
+   verdict of each reachable guard once ([fixpoint_solver] mutes it
+   during speculative widening rounds). *)
+let solve ?on_guard ?(sums = []) (lenv : Layout.env) (m : M.t) : A.cert * M.t =
   let tbl = Hashtbl.create 8 in
-  let sv = fixpoint_solver ~sums tbl in
-  let (_ : M.t * A.aout) = A.walk lenv sv 0 A.env_top m in
+  let sv = fixpoint_solver ?on_guard ~sums tbl in
+  let m', (_ : A.aout) = A.walk lenv sv 0 A.env_top m in
   let invs =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  { A.c_invs = invs; c_sums = sums }
+  ({ A.c_invs = invs; c_sums = sums }, m')
+
+let infer_cert ?sums (lenv : Layout.env) (m : M.t) : A.cert = fst (solve ?sums lenv m)
 
 (* Run the analysis on one function and, if any guard is provable, push the
    certificate through the kernel.  Returns the rewritten function and the
    [Equiv (new_body, old_body)] theorem, or [None] when nothing changed (or
    the kernel rejected the certificate — which only costs precision).
    [sums] is the (restricted) summary table the certificate embeds; the
-   kernel re-verifies it against [ctx.fbodies] before trusting any of it. *)
-let discharge_func (ctx : Rules.ctx) ?(sums = []) (f : M.func) : (M.func * Thm.t) option =
-  let cert = infer_cert ~sums ctx.Rules.lenv f.M.body in
-  match Thm.by_opt ctx (Rules.Rule_guard_true (f.M.body, cert)) [] with
-  | None -> None
-  | Some thm -> (
-    match Thm.concl thm with
-    | J.Equiv (m', m) when not (M.equal m' m) -> Some ({ f with M.body = m' }, thm)
-    | _ -> None)
+   kernel re-verifies it against [ctx.fbodies] before trusting any of it.
+   [on_guard] sees each reachable guard's final verdict once (the driver
+   counts provenance with it when effort accounting is armed).
 
-(* [discharge_func] fused with the provenance count: one fixpoint, one
-   replay over the memoized invariant table to count analysis-proven
-   guards, one kernel walk.  Same certificate (and so the same theorem
-   and rewritten body) as [discharge_func]; the count is what
-   [count_provable] would report, without re-solving the fixpoint.  The
-   driver switches to this entry when effort accounting is armed. *)
-let discharge_func_counted (ctx : Rules.ctx) ?(sums = []) (f : M.func) :
-    (M.func * Thm.t) option * int =
-  let tbl = Hashtbl.create 8 in
-  (* [fixpoint_solver] mutes [on_guard] during speculative widening
-     rounds and every loop body is re-walked once with its stable
-     invariant, so counting here fires exactly once per reachable guard
-     with the same verdict a [replay_solver] pass over [tbl] would
-     report — the count is [count_provable]'s number without the extra
-     walk, and the certificate (hence the theorem) is untouched. *)
-  let proven = ref 0 in
-  let on_guard _ _ v = if v = Some true then incr proven in
-  let sv = fixpoint_solver ~on_guard ~sums tbl in
-  let (_ : M.t * A.aout) = A.walk ctx.Rules.lenv sv 0 A.env_top f.M.body in
-  let invs =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let cert = { A.c_invs = invs; c_sums = sums } in
-  let r =
+   Identity-free: when the solver's own walk leaves the body as it was
+   ([A.walk] returns its input physically then), the kernel's walk would
+   conclude [Equiv (m, m)], so nothing is minted.  The prediction is
+   untrusted: a wrong "unchanged" could only lose a discharge, never
+   admit a theorem, and a body that changes still takes the kernel's
+   result. *)
+let discharge_func ?on_guard (ctx : Rules.ctx) ?(sums = []) (f : M.func) :
+    (M.func * Thm.t) option =
+  let cert, predicted = solve ?on_guard ~sums ctx.Rules.lenv f.M.body in
+  if predicted == f.M.body then None
+  else
     match Thm.by_opt ctx (Rules.Rule_guard_true (f.M.body, cert)) [] with
     | None -> None
     | Some thm -> (
       match Thm.concl thm with
       | J.Equiv (m', m) when not (M.equal m' m) -> Some ({ f with M.body = m' }, thm)
       | _ -> None)
-  in
-  (r, !proven)
 
 (* How many guards of [m] the analysis proves true under [sums] — a pure
    analysis count, no kernel involved; the driver runs it with and

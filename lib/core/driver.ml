@@ -6,6 +6,7 @@ module Thm = Ac_kernel.Thm
 module J = Ac_kernel.Judgment
 module Store = Ac_store.Store
 module Trace = Ac_store.Trace
+module Index = Ac_kernel.Index
 
 (* The AutoCorres driver: runs the full pipeline of Fig 1 over a C program
    and returns every intermediate representation together with the
@@ -440,14 +441,6 @@ let replay_entry (ctx : Rules.ctx) ~(sums_digest : string) (f : Ir.func) (e : St
     end
   end
 
-(* A name-keyed index over a unit-sized list, the first binding winning as
-   with [List.assoc].  Built once and only read afterwards, so lookups under
-   [pmap] are safe. *)
-let index_by (key : 'a -> string) (xs : 'a list) : (string, 'a) Hashtbl.t =
-  let t = Hashtbl.create (2 * List.length xs + 1) in
-  List.iter (fun x -> if not (Hashtbl.mem t (key x)) then Hashtbl.add t (key x) x) xs;
-  t
-
 let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true)
     (source : string) : result =
   Ac_obs.Obs.span ~cat:"driver" "driver.run" @@ fun () ->
@@ -492,7 +485,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
         if (options_for options f.Ir.name).heap_abs then Some f.Ir.name else None)
       simpl.Ir.funcs
   in
-  let base_ctx = { (Rules.empty_ctx lenv) with Rules.lifted } in
+  let base_ctx = { (Rules.empty_ctx lenv) with Rules.lifted = Index.names lifted } in
   (* ---- proof store: content keys and candidate entries ---- *)
   let store =
     (* Custom word-abstraction rules are closures: they cannot be rendered
@@ -505,13 +498,13 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
   in
   let store_keys =
     match store with
-    | None -> Hashtbl.create 1
+    | None -> Index.empty
     | Some st ->
       Profile.record "store_keys" (fun () ->
           Store.cone_keys ~tag:(Store.tag st) ~opt_string:(opt_string options) simpl)
-    |> index_by fst
+    |> Index.of_list fst
   in
-  let store_key name = Option.map snd (Hashtbl.find_opt store_keys name) in
+  let store_key name = Option.map snd (Index.find_opt store_keys name) in
   let store_diags = ref [] in
   let store_diag ~fname msg =
     store_diags :=
@@ -546,9 +539,9 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
      [entries] shrinks strictly each retry, so this terminates (at worst
      as a full cold run). ---- *)
   let rec translate (entries : (string * Store.fentry) list) : result =
-  let hits = index_by fst entries in
-  let hit_entry n = Option.map snd (Hashtbl.find_opt hits n) in
-  let is_hit n = Hashtbl.mem hits n in
+  let hits = Index.of_list fst entries in
+  let hit_entry n = Option.map snd (Index.find_opt hits n) in
+  let is_hit n = Index.mem hits n in
   let miss_funcs =
     List.filter (fun (f : Ir.func) -> not (is_hit f.Ir.name)) simpl.Ir.funcs
   in
@@ -571,7 +564,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
     |> List.partition_map Fun.id
   in
   let l1_funcs = List.map (fun (_, (l1f : M.func), _, _) -> l1f) l1_results in
-  let l1_by_name = index_by (fun (l1f : M.func) -> l1f.M.name) l1_funcs in
+  let l1_by_name = Index.of_list (fun (l1f : M.func) -> l1f.M.name) l1_funcs in
   (* Source order, hits contributing their stored L1 image. *)
   let l1_prog : M.program =
     {
@@ -582,7 +575,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
           (fun (f : Ir.func) ->
             match hit_entry f.Ir.name with
             | Some e -> Some e.Store.e_l1
-            | None -> Hashtbl.find_opt l1_by_name f.Ir.name)
+            | None -> Index.find_opt l1_by_name f.Ir.name)
           simpl.Ir.funcs;
       heap_types = [];
     }
@@ -643,14 +636,14 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
      nothrow members. *)
   let rec run_wave pending =
     if pending <> [] then begin
-      let nothrows = List.concat_map snd pending @ !settled in
+      let nothrows = Index.names (List.concat_map snd pending @ !settled) in
       let ctx = { base_ctx with Rules.nothrows } in
       pmap
         (fun (l1f : M.func) ->
           let buf = ref [] in
           let r = Profile.record ~func:l1f.M.name "l2" (fun () -> l2_convert ctx buf l1f) in
           (l1f.M.name, (r, List.rev !buf)))
-        (List.concat_map (fun (scc, _) -> List.map (Hashtbl.find l1_by_name) scc) pending)
+        (List.concat_map (fun (scc, _) -> List.map (Index.find l1_by_name) scc) pending)
       |> List.iter (fun (name, entry) -> Hashtbl.replace l2_final name entry);
       let nothrow name =
         match Hashtbl.find l2_final name with
@@ -677,11 +670,12 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
     (fun wave -> run_wave (List.map (fun scc -> (scc, [])) wave))
     (Ac_analysis.Callgraph.waves l2_graph);
   let nothrows =
-    seed_nothrows
-    @ List.filter_map
-        (fun (_, (l1f : M.func), _, _) ->
-          if Hashtbl.mem nothrow_misses l1f.M.name then Some l1f.M.name else None)
-        l1_results
+    Index.names
+      (seed_nothrows
+      @ List.filter_map
+          (fun (_, (l1f : M.func), _, _) ->
+            if Hashtbl.mem nothrow_misses l1f.M.name then Some l1f.M.name else None)
+          l1_results)
   in
   let l2_rows =
     List.map
@@ -713,7 +707,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
      summary-trust section of DESIGN.md for why replayed entries may
      contribute to [fbodies]). *)
   let l2_by_name =
-    index_by (fun (l2f : M.func) -> l2f.M.name)
+    Index.of_list (fun (l2f : M.func) -> l2f.M.name)
       (List.map (fun (_, _, _, l2f, _, _) -> l2f) l2_results)
   in
   let fbodies : M.func list =
@@ -721,7 +715,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
       (fun (f : Ir.func) ->
         match hit_entry f.Ir.name with
         | Some e -> Some e.Store.e_l2g
-        | None -> Hashtbl.find_opt l2_by_name f.Ir.name)
+        | None -> Index.find_opt l2_by_name f.Ir.name)
       simpl.Ir.funcs
   in
   let sums, sum_stats =
@@ -739,10 +733,10 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
       (fun (fb : M.func) ->
         (fb.M.name, restrict (Ac_analysis.Callgraph.reachable callgraph fb.M.name)))
       fbodies
-    |> index_by fst
+    |> Index.of_list fst
   in
   let sums_for name =
-    match Hashtbl.find_opt sums_slices name with Some (_, s) -> s | None -> []
+    match Index.find_opt sums_slices name with Some (_, s) -> s | None -> []
   in
   (* Slice digests share the table entries, so stringify each entry once
      (the slices are [restrict]ions of one table: same pairs) instead of
@@ -751,22 +745,22 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
      the strings are built only when one is attached; eagerly, like the
      slices, so they are read-only under [pmap]. *)
   let entry_strings =
-    if Option.is_none store then Hashtbl.create 1
+    if Option.is_none store then Index.empty
     else
-      index_by fst
+      Index.of_list fst
         (List.map (fun entry -> (fst entry, Ac_analysis.Domains.entry_to_string entry)) sums)
   in
   let sums_digest_for name =
     Ac_analysis.Domains.digest_of_entry_strings
       (List.filter_map
-         (fun (g, _) -> Option.map snd (Hashtbl.find_opt entry_strings g))
+         (fun (g, _) -> Option.map snd (Index.find_opt entry_strings g))
          (sums_for name))
   in
   (* Per-function analysis profile, with and without the table. *)
   let iprof =
     if not (options.interproc && options.summary_profile) then []
     else
-      let sum_stats = index_by fst sum_stats in
+      let sum_stats = Index.of_list fst sum_stats in
       Profile.record "iprof" (fun () ->
           pmap
             (fun (fb : M.func) ->
@@ -775,7 +769,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
                 Ac_analysis.count_provable lenv ~sums:(sums_for fb.M.name) fb.M.body
               in
               let cx, sz =
-                match Hashtbl.find_opt sum_stats fb.M.name with
+                match Index.find_opt sum_stats fb.M.name with
                 | Some (_, st) ->
                   (st.Ac_analysis.Summary.fs_contexts, st.Ac_analysis.Summary.fs_size)
                 | None -> (0, 0)
@@ -783,7 +777,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
               (fb.M.name, { ip_contexts = cx; ip_size = sz; ip_intra = intra; ip_inter = inter }))
             fbodies)
   in
-  let base_ctx = { base_ctx with Rules.fbodies } in
+  let base_ctx = { base_ctx with Rules.fbodies = Rules.index_funcs fbodies } in
   (* Guard discharge, round 1 (after L2): the abstract-interpretation pass
      proves guards true and removes them through the kernel
      ([Rules.Rule_guard_true]); its [Equiv] theorem composes with the L2
@@ -800,28 +794,31 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
            the guards this pass removed, how many did the analysis prove
            true — under the summary table when one was supplied
            (interprocedural) — and how many vanished with dead code
-           scrubbed by the certificate walk.  The counted entry fuses
-           the count into the discharge (one extra replay walk, paid
-           only when effort accounting is armed) and produces the same
-           certificate, so results are byte-identical either way. *)
+           scrubbed by the certificate walk.  The count rides the
+           discharge's own guard hook, which changes nothing the
+           discharge computes, so results are byte-identical either
+           way. *)
         let counted = Ac_obs.Effort.enabled () in
+        let provable = ref 0 in
+        let on_guard =
+          if counted then Some (fun _ _ v -> if v = Some true then incr provable) else None
+        in
         match
           attempt ~keep_going ~phase ~fname:f.M.name ~recoverable:true diags (fun () ->
-              if counted then Ac_analysis.discharge_func_counted ctx ~sums f
-              else (Ac_analysis.discharge_func ctx ~sums f, 0))
+              Ac_analysis.discharge_func ?on_guard ctx ~sums f)
         with
-        | Some ((Some (f', _) as r), provable) ->
+        | Some (Some (f', _) as r) ->
           if counted then begin
             let removed =
               Ac_analysis.guard_count f.M.body - Ac_analysis.guard_count f'.M.body
             in
             Ac_obs.Effort.record_discharge
               (if sums <> [] then Ac_obs.Effort.Interproc else Ac_obs.Effort.Intra)
-              ~proven:(min removed provable)
-              ~scrubbed:(max 0 (removed - provable))
+              ~proven:(min removed !provable)
+              ~scrubbed:(max 0 (removed - !provable))
           end;
           r
-        | Some (r, _) -> r
+        | Some r -> r
         | None -> None)
   in
   let l2_results =
@@ -853,13 +850,14 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
      against the entry's own L2 image afterwards. *)
   let hit_fsigs = List.map (fun (n, e) -> (n, e.Store.e_fsig)) entries in
   let fsigs_for enabled_names =
-    let enabled_names = index_by Fun.id enabled_names in
-    hit_fsigs
-    @ List.map
-        (fun (_, _, _, (l2f : M.func), _, _) ->
-          let enabled = Hashtbl.mem enabled_names l2f.M.name in
-          (l2f.M.name, Wa.func_sig ~enabled l2f))
-        l2_results
+    let enabled_names = Index.names enabled_names in
+    Index.of_list fst
+      (hit_fsigs
+      @ List.map
+          (fun (_, _, _, (l2f : M.func), _, _) ->
+            let enabled = Index.mem enabled_names l2f.M.name in
+            (l2f.M.name, Wa.func_sig ~enabled l2f))
+          l2_results)
   in
   let initially_enabled =
     List.filter_map
@@ -916,12 +914,12 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
   in
   let rec wa_fix enabled =
     let wa_ctx = { ctx with Rules.fsigs = fsigs_for enabled } in
-    let enabled_set = index_by Fun.id enabled in
+    let enabled_set = Index.names enabled in
     let attempts =
       pmap
         (fun (_, _, _, (l2f : M.func), _, hl, _, diags) ->
           let name = l2f.M.name in
-          if not (Hashtbl.mem enabled_set name) then (name, None)
+          if not (Index.mem enabled_set name) then (name, None)
           else begin
             let after_hl = match hl with Some (hf, _) -> hf | None -> l2f in
             match try_wa wa_ctx diags after_hl with
@@ -937,27 +935,26 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
     in
     if failures = [] then (wa_ctx, attempts)
     else begin
-      let failures = index_by Fun.id failures in
-      wa_fix (List.filter (fun n -> not (Hashtbl.mem failures n)) enabled)
+      let failures = Index.names failures in
+      wa_fix (List.filter (fun n -> not (Index.mem failures n)) enabled)
     end
   in
   let wa_ctx, wa_attempts = wa_fix initially_enabled in
   let ctx = wa_ctx in
-  let wa_attempts = index_by fst wa_attempts in
-  let fsig_of = index_by fst ctx.Rules.fsigs in
+  let wa_attempts = Index.of_list fst wa_attempts in
   let miss_frs =
     pmap
       (fun (sf, l1f, l1_thm, l2f, l2_thm, hl, skipped, diags) ->
         let name = (l2f : M.func).M.name in
         let opts = options_for options name in
         let wa =
-          match snd (Hashtbl.find wa_attempts name) with
+          match snd (Index.find wa_attempts name) with
           | Some (Result.Ok r) -> Some r
           | Some (Result.Error e) ->
             skipped := ("word_abstraction", e) :: !skipped;
             None
           | None ->
-            if opts.word_abs && not (Hashtbl.mem fsig_of name) then
+            if opts.word_abs && not (Index.mem ctx.Rules.fsigs name) then
               skipped := ("word_abstraction", "demoted") :: !skipped;
             None
         in
@@ -1037,7 +1034,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
   let hit_results =
     pmap
       (fun (f : Ir.func) ->
-        let e = snd (Hashtbl.find hits f.Ir.name) in
+        let e = snd (Index.find hits f.Ir.name) in
         let r =
           Profile.record ~func:f.Ir.name "store_replay" (fun () ->
               match replay_entry ctx ~sums_digest:(sums_digest_for f.Ir.name) f e with
@@ -1058,8 +1055,8 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
         Option.iter Store.demote_hit store;
         store_diag ~fname:n ("stale or invalid store entry (re-translating): " ^ m))
       failed;
-    let failed = index_by fst failed in
-    translate (List.filter (fun (n, _) -> not (Hashtbl.mem failed n)) entries)
+    let failed = Index.of_list fst failed in
+    translate (List.filter (fun (n, _) -> not (Index.mem failed n)) entries)
   end
   else begin
     let hit_frs =
@@ -1069,9 +1066,9 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
     in
     (* Source order, hits and fresh translations interleaved exactly as a
        cold run would produce them. *)
-    let frs = index_by (fun fr -> fr.fr_name) (hit_frs @ miss_frs) in
+    let frs = Index.of_list (fun fr -> fr.fr_name) (hit_frs @ miss_frs) in
     let funcs =
-      List.filter_map (fun (f : Ir.func) -> Hashtbl.find_opt frs f.Ir.name) simpl.Ir.funcs
+      List.filter_map (fun (f : Ir.func) -> Index.find_opt frs f.Ir.name) simpl.Ir.funcs
     in
     let degraded = simpl_only @ l1_only in
     let heap_types =
@@ -1099,7 +1096,6 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
     | None -> ()
     | Some st ->
       Profile.record "store_save" (fun () ->
-          let nothrow_set = index_by Fun.id ctx.Rules.nothrows in
           List.iter
             (fun fr ->
               if (not (is_hit fr.fr_name)) && fr.fr_diags = [] then begin
@@ -1110,7 +1106,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
                       Store.e_name = fr.fr_name;
                       e_l1 = fr.fr_l1;
                       e_l2g =
-                        (match Hashtbl.find_opt l2_by_name fr.fr_name with
+                        (match Index.find_opt l2_by_name fr.fr_name with
                         | Some fb -> fb
                         | None -> fr.fr_l2);
                       e_l2 = fr.fr_l2;
@@ -1119,9 +1115,9 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true
                       e_final = fr.fr_final;
                       e_wvars = fr.fr_wa_wvars;
                       e_skipped = fr.fr_skipped;
-                      e_nothrow = Hashtbl.mem nothrow_set fr.fr_name;
+                      e_nothrow = Index.mem ctx.Rules.nothrows fr.fr_name;
                       e_fsig =
-                        (match Hashtbl.find_opt fsig_of fr.fr_name with
+                        (match Index.find_opt ctx.Rules.fsigs fr.fr_name with
                         | Some (_, s) -> s
                         | None -> Wa.func_sig ~enabled:false fr.fr_l2);
                       e_sums_digest = sums_digest_for fr.fr_name;

@@ -6,6 +6,7 @@ module Ir = Ac_simpl.Ir
 module Rules = Ac_kernel.Rules
 module Thm = Ac_kernel.Thm
 module J = Ac_kernel.Judgment
+module Index = Ac_kernel.Index
 
 (* Phase HL: heap abstraction (paper Sec 4).
 
@@ -75,7 +76,7 @@ let rec hs (ctx : Rules.ctx) (m : M.t) : Thm.t =
     Thm.by ctx (Rules.Hs_while p) [ hv ctx init; hv ctx c; hs ctx body ]
   | M.Call (f, args) ->
     let prems = List.map (hv ctx) args in
-    if List.mem f ctx.Rules.lifted then Thm.by ctx (Rules.Hs_call f) prems
+    if Index.mem ctx.Rules.lifted f then Thm.by ctx (Rules.Hs_call f) prems
     else Thm.by ctx (Rules.Hs_call_concrete f) prems
   | M.Exec_concrete _ -> raise (Not_liftable "exec_concrete below heap abstraction")
 

@@ -114,13 +114,13 @@ let random_case (res : Driver.result) (rand : Random.State.t) (fname : string) :
 (* The refinement check itself. *)
 
 let ret_conv (res : Driver.result) fname : J.conv =
-  match List.assoc_opt fname res.Driver.ctx.Rules.fsigs with
-  | Some (_, rc) -> rc
+  match Ac_kernel.Index.find_opt res.Driver.ctx.Rules.fsigs fname with
+  | Some (_, (_, rc)) -> rc
   | None -> J.Cid
 
 let param_convs (res : Driver.result) fname : J.conv list option =
-  match List.assoc_opt fname res.Driver.ctx.Rules.fsigs with
-  | Some (pcs, _) -> Some pcs
+  match Ac_kernel.Index.find_opt res.Driver.ctx.Rules.fsigs fname with
+  | Some (_, (pcs, _)) -> Some pcs
   | None -> None
 
 let run_case (res : Driver.result) fname (args : Value.t list) (state : State.t) : verdict =

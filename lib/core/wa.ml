@@ -8,6 +8,7 @@ module Ir = Ac_simpl.Ir
 module Rules = Ac_kernel.Rules
 module Thm = Ac_kernel.Thm
 module J = Ac_kernel.Judgment
+module Index = Ac_kernel.Index
 
 (* Phase WA: word abstraction (paper Sec 3).
 
@@ -255,9 +256,9 @@ let rec ws strat ctx (want : J.conv) (m : M.t) : Thm.t =
     let tb = ws strat ctx iconv body in
     wrap ctx (Thm.by ctx (Rules.Ws_while p) [ ti; tc; tb ])
   | M.Call (f, args) -> (
-    match List.assoc_opt f ctx.Rules.fsigs with
+    match Index.find_opt ctx.Rules.fsigs f with
     | None -> raise (Not_abstractable ("no word-abstraction signature for " ^ f))
-    | Some (param_convs, _) ->
+    | Some (_, (param_convs, _)) ->
       let prems = List.map2 (wv strat ctx) param_convs args in
       wrap ctx (Thm.by ctx (Rules.Ws_call f) prems))
   | M.Exec_concrete (f, args) ->
@@ -287,7 +288,7 @@ and throw_conv ctx (e : E.t) : J.conv =
    patterns, loop iterators and catch patterns.  A name bound at two
    different word types is left unregistered (the re-concretisation
    fallback covers it). *)
-let collect_wvars (fsigs : (string * (J.conv list * J.conv)) list) (f : M.func) :
+let collect_wvars (fsigs : (string * (J.conv list * J.conv)) Index.t) (f : M.func) :
     (string * (Ty.sign * Ty.width)) list =
   let table : (string, (Ty.sign * Ty.width) option) Hashtbl.t = Hashtbl.create 16 in
   let exclude x = Hashtbl.replace table x None in
@@ -308,8 +309,8 @@ let collect_wvars (fsigs : (string * (J.conv list * J.conv)) list) (f : M.func) 
          a non-abstracted result stay at the machine level. *)
       (match (a, p) with
       | (M.Call (g, _) | M.Exec_concrete (g, _)), M.Pvar (x, _) -> (
-        match List.assoc_opt g fsigs with
-        | Some (_, J.Cid) | None -> exclude x
+        match Index.find_opt fsigs g with
+        | Some (_, (_, J.Cid)) | None -> exclude x
         | Some _ -> List.iter note (M.pat_vars p))
       | _ -> List.iter note (M.pat_vars p));
       scan a;
@@ -352,8 +353,8 @@ let convert_func ?(strategy = default_strategy) ?(polish = true) (ctx : Rules.ct
   let wvars = collect_wvars ctx.Rules.fsigs f in
   let ctx = { ctx with Rules.wvars } in
   let _, ret_conv =
-    match List.assoc_opt f.M.name ctx.Rules.fsigs with
-    | Some s -> s
+    match Index.find_opt ctx.Rules.fsigs f.M.name with
+    | Some (_, s) -> s
     | None -> func_sig ~enabled:true f
   in
   let thm = ws strategy ctx ret_conv f.M.body in

@@ -1108,24 +1108,24 @@ let rec walk lenv (sv : solver) (idx : int) (env : aenv) (m : M.t) : M.t * aout 
     let a', oa = walk lenv sv idx env a in
     let bidx = idx + count_loops a in
     match oa.onorm with
-    | None -> (mk_bind a' p (scrub_dead sv b), { onorm = None; oexn = oa.oexn })
+    | None -> (mk_bind m a' p (scrub_dead sv b), { onorm = None; oexn = oa.oexn })
     | Some (enva, va) ->
       let saved = save_pat_vars enva p in
       let envb = bind_pat_dom enva p va in
       let b', ob = walk lenv sv bidx envb b in
       let ob = restore_out saved ob in
-      (mk_bind a' p b', { onorm = ob.onorm; oexn = join_res oa.oexn ob.oexn }))
+      (mk_bind m a' p b', { onorm = ob.onorm; oexn = join_res oa.oexn ob.oexn }))
   | M.Try (a, p, h) -> (
     let a', oa = walk lenv sv idx env a in
     let hidx = idx + count_loops a in
     match oa.oexn with
-    | None -> (M.Try (a', p, scrub_dead sv h), { onorm = oa.onorm; oexn = None })
+    | None -> (mk_try m a' p (scrub_dead sv h), { onorm = oa.onorm; oexn = None })
     | Some (enve, ve) ->
       let saved = save_pat_vars enve p in
       let envh = bind_pat_dom enve p ve in
       let h', oh = walk lenv sv hidx envh h in
       let oh = restore_out saved oh in
-      (M.Try (a', p, h'), { onorm = join_res oa.onorm oh.onorm; oexn = oh.oexn }))
+      (mk_try m a' p h', { onorm = join_res oa.onorm oh.onorm; oexn = oh.oexn }))
   | M.Cond (c, a, b) ->
     let a', oa =
       match assume lenv env c true with
@@ -1137,7 +1137,7 @@ let rec walk lenv (sv : solver) (idx : int) (env : aenv) (m : M.t) : M.t * aout 
       | None -> (scrub_dead sv b, dead_out)
       | Some eb -> walk lenv sv (idx + count_loops a) eb b
     in
-    (M.Cond (c, a', b'), join_out oa ob)
+    (mk_cond m c a' b', join_out oa ob)
   | M.While (p, cond, body, init) ->
     let dinit, _ = aeval lenv env init in
     let saved = save_pat_vars env p in
@@ -1164,7 +1164,7 @@ let rec walk lenv (sv : solver) (idx : int) (env : aenv) (m : M.t) : M.t * aout 
         let rv = dom_of_pat envx p in
         Some (restore_pat_vars saved envx, rv)
     in
-    (M.While (p, cond, body', init), { onorm; oexn = Option.map (fun (e, v) -> (restore_pat_vars saved e, v)) obody.oexn })
+    (mk_while m p cond body' init, { onorm; oexn = Option.map (fun (e, v) -> (restore_pat_vars saved e, v)) obody.oexn })
 
 (* Code the walk proved unreachable (a callee summary says the call never
    returns / never throws, a branch condition contradicts the environment,
@@ -1173,25 +1173,51 @@ let rec walk lenv (sv : solver) (idx : int) (env : aenv) (m : M.t) : M.t * aout 
    with a definite verdict keeps the analysis' accounting aligned with the
    rewrite; the checker's hook ignores it.  Without this pass a *more*
    precise walk could keep guards a less precise one discharges, merely
-   because precision proved their whole region dead. *)
+   because precision proved their whole region dead.  The right child is
+   scrubbed first, so the hook sees guards in the order lint's position
+   pairing was recorded in. *)
 and scrub_dead (sv : solver) (m : M.t) : M.t =
   match m with
   | M.Guard (k, c) ->
     sv.on_guard k c (Some true);
     M.Return E.unit_e
-  | M.Bind (a, p, b) -> mk_bind (scrub_dead sv a) p (scrub_dead sv b)
-  | M.Try (a, p, h) -> M.Try (scrub_dead sv a, p, scrub_dead sv h)
-  | M.Cond (c, a, b) -> M.Cond (c, scrub_dead sv a, scrub_dead sv b)
-  | M.While (p, c, body, init) -> M.While (p, c, scrub_dead sv body, init)
+  | M.Bind (a, p, b) ->
+    let b' = scrub_dead sv b in
+    mk_bind m (scrub_dead sv a) p b'
+  | M.Try (a, p, h) ->
+    let h' = scrub_dead sv h in
+    mk_try m (scrub_dead sv a) p h'
+  | M.Cond (c, a, b) ->
+    let b' = scrub_dead sv b in
+    mk_cond m c (scrub_dead sv a) b'
+  | M.While (p, c, body, init) -> mk_while m p c (scrub_dead sv body) init
   | M.Return _ | M.Gets _ | M.Modify _ | M.Fail | M.Throw _ | M.Unknown _
   | M.Call _ | M.Exec_concrete _ -> m
 
-(* Drop a discharged guard's [return ()] when nothing is bound to it; the
-   constant cannot get stuck, so the bind is pure glue. *)
-and mk_bind a p b =
+(* Rebuild [m] over its walked children, or return [m] itself when no
+   child changed: the walk's result is [==] its input exactly when it is
+   structurally equal to it, so callers test "nothing discharged" in
+   O(1) and no unchanged spine is copied.  [mk_bind] drops a discharged
+   guard's [return ()] when nothing is bound to it; the constant cannot
+   get stuck, so the bind is pure glue. *)
+and mk_bind m a p b =
   match (a, p) with
   | M.Return (E.Const Value.Vunit), M.Pwild -> b
-  | _ -> M.Bind (a, p, b)
+  | _ -> (
+    match m with
+    | M.Bind (a0, _, b0) when a == a0 && b == b0 -> m
+    | _ -> M.Bind (a, p, b))
+
+and mk_try m a p h =
+  match m with M.Try (a0, _, h0) when a == a0 && h == h0 -> m | _ -> M.Try (a, p, h)
+
+and mk_cond m c a b =
+  match m with M.Cond (_, a0, b0) when a == a0 && b == b0 -> m | _ -> M.Cond (c, a, b)
+
+and mk_while m p c body init =
+  match m with
+  | M.While (_, _, body0, _) when body == body0 -> m
+  | _ -> M.While (p, c, body, init)
 
 (* ------------------------------------------------------------------ *)
 (* The certificate checker: no fixpoint — verify that each recorded
@@ -1224,11 +1250,11 @@ let check_solver (sums : sums) (invs : (int * aenv) list) : solver =
    argument at [summary]).  No fixpoint — loop invariants ride in
    [s_invs] and get the same single inductiveness check as a
    certificate's.  Raises [Cert_error] on any violation. *)
-let check_sums (lenv : Layout.env) (fbodies : M.func list) (sums : sums) : unit =
+let check_sums (lenv : Layout.env) (fbodies : M.func Index.t) (sums : sums) : unit =
   List.iter
     (fun (g, ss) ->
       let f =
-        match List.find_opt (fun f -> String.equal f.M.name g) fbodies with
+        match Index.find_opt fbodies g with
         | Some f -> f
         | None -> cert_error "summary for unknown function %s" g
       in
@@ -1263,7 +1289,7 @@ let check_sums (lenv : Layout.env) (fbodies : M.func list) (sums : sums) : unit 
    bodies, then re-walk [m] under the certificate and return the
    rewritten term.  The walk is deterministic, so [Thm.check] reproduces
    it exactly. *)
-let discharge (lenv : Layout.env) (fbodies : M.func list) (cert : cert) (m : M.t) :
+let discharge (lenv : Layout.env) (fbodies : M.func Index.t) (cert : cert) (m : M.t) :
     (M.t, string) result =
   match
     check_sums lenv fbodies cert.c_sums;

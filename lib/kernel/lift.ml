@@ -60,14 +60,17 @@ let current_value env x =
   if SMap.mem x env.bound then E.Var (x, var_ty env x) else default_expr env (var_ty env x)
 
 (* Replace reads of not-yet-assigned locals by their default value (locals
-   are default-initialised at function entry). *)
+   are default-initialised at function entry).  An expression reading none
+   is returned as it is. *)
 let resolve env (e : E.t) : E.t =
-  let unbound =
-    List.filter
-      (fun x -> SMap.mem x env.var_tys && not (SMap.mem x env.bound))
-      (E.free_vars e)
+  let rec go (e : E.t) =
+    match e with
+    | E.Var (x, _) when SMap.mem x env.var_tys && not (SMap.mem x env.bound) ->
+      default_expr env (var_ty env x)
+    | E.Var _ -> e
+    | _ -> E.map_children go e
   in
-  E.subst (List.map (fun x -> (x, default_expr env (var_ty env x))) unbound) e
+  go e
 
 let canon vars = List.sort_uniq String.compare vars
 

@@ -28,23 +28,31 @@ type ctx = {
      paper abstracts all local variables and arguments of selected
      functions (Sec 3.3). *)
   wvars : (string * (Ty.sign * Ty.width)) list;
-  (* Word-abstraction signatures of callees: parameter and result convs. *)
-  fsigs : (string * (conv list * conv)) list;
+  (* The unit-level facts below are indexed by function name ([Index]):
+     the driver builds each index once per context, and the rules look
+     names up without scanning the unit.
+     Word-abstraction signatures of callees: parameter and result convs. *)
+  fsigs : (string * (conv list * conv)) Index.t;
   (* Functions translated with the typed split-heap model (Sec 4.6). *)
-  lifted : string list;
+  lifted : string Index.t;
   (* Functions whose bodies provably never throw (after L2's type
      specialisation), extending the syntactic nothrow check across calls. *)
-  nothrows : string list;
+  nothrows : string Index.t;
   (* The unit's (pre-discharge) L2 function bodies, for verifying the
      interprocedural summaries a [Rule_guard_true] certificate may carry.
      Same trust class as [nothrows]: driver-supplied facts about the
      translation unit — a wrong body here is a wrong unit, not a kernel
      hole, and the certificates themselves stay untrusted ([Absdom]
      re-verifies every summary against these bodies on each check). *)
-  fbodies : M.func list;
+  fbodies : M.func Index.t;
 }
 
-let empty_ctx lenv = { lenv; wvars = []; fsigs = []; lifted = []; nothrows = []; fbodies = [] }
+let empty_ctx lenv =
+  { lenv; wvars = []; fsigs = Index.empty; lifted = Index.empty; nothrows = Index.empty;
+    fbodies = Index.empty }
+
+(* The index [fbodies] takes. *)
+let index_funcs (l : M.func list) = Index.of_list (fun (f : M.func) -> f.M.name) l
 
 type rule =
   (* ---- L1: monadic conversion, Table 1 ---- *)
@@ -182,7 +190,13 @@ let register_custom_rule name f = Hashtbl.replace custom_rules name f
 
 let ( let* ) r f = Result.bind r f
 let ok x = Result.ok x
-let fail fmt = Format.kasprintf (fun m -> Result.error m) fmt
+(* A rejection.  Most side conditions reject with a constant message,
+   which costs nothing to build; [failf] formats the rest (the messages
+   that print a name or a judgment).  The rewriter proposes thousands of
+   steps the kernel rejects and [Thm.by_opt] discards the message, so the
+   constant path must not go through [Format]. *)
+let fail (msg : string) = Result.Error msg
+let failf fmt = Format.kasprintf (fun m -> Result.error m) fmt
 
 let rule_name = function
   | L1 _ -> "l1"
@@ -429,33 +443,33 @@ let in_srange_e w e = E.and_e (E.Binop (E.Le, imin_e w, e)) (E.Binop (E.Le, e, i
 
 (* Check a premise list has exactly n members. *)
 let prems_n n prems =
-  if List.length prems = n then ok prems else fail "expected %d premises" n
+  if List.length prems = n then ok prems else failf "expected %d premises" n
 
 let as_wval = function
   | Abs_w_val (p, f, a, c) -> ok (p, f, a, c)
-  | j -> fail "expected abs_w_val premise, got %a" pp_judgment j
+  | j -> failf "expected abs_w_val premise, got %a" pp_judgment j
 
 let as_wstmt = function
   | Abs_w_stmt (p, rx, ex, a, c) -> ok (p, rx, ex, a, c)
-  | j -> fail "expected abs_w_stmt premise, got %a" pp_judgment j
+  | j -> failf "expected abs_w_stmt premise, got %a" pp_judgment j
 
 let as_hval = function
   | Abs_h_val (p, a, c) -> ok (p, a, c)
-  | j -> fail "expected abs_h_val premise, got %a" pp_judgment j
+  | j -> failf "expected abs_h_val premise, got %a" pp_judgment j
 
 let as_hstmt = function
   | Abs_h_stmt (a, c) -> ok (a, c)
-  | j -> fail "expected abs_h_stmt premise, got %a" pp_judgment j
+  | j -> failf "expected abs_h_stmt premise, got %a" pp_judgment j
 
 let as_equiv = function
   | Equiv (a, c) -> ok (a, c)
-  | j -> fail "expected equivalence premise, got %a" pp_judgment j
+  | j -> failf "expected equivalence premise, got %a" pp_judgment j
 
 (* A syntactic no-throw check: sound, incomplete.  Calls are conservatively
    assumed to throw unless the callee is known nothrow — the strategy layer
    only applies the rewrite after exception elimination, where this
    suffices. *)
-let rec nothrow_in (nothrows : string list) (m : M.t) =
+let rec nothrow_in (nothrows : string Index.t) (m : M.t) =
   let go = nothrow_in nothrows in
   match m with
   | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Unknown _ -> true
@@ -464,9 +478,9 @@ let rec nothrow_in (nothrows : string list) (m : M.t) =
   | M.Try (_, _, h) -> go h
   | M.Cond (_, a, b) -> go a && go b
   | M.While (_, _, body, _) -> go body
-  | M.Call (f, _) | M.Exec_concrete (f, _) -> List.mem f nothrows
+  | M.Call (f, _) | M.Exec_concrete (f, _) -> Index.mem nothrows f
 
-let nothrow (m : M.t) = nothrow_in [] m
+let nothrow (m : M.t) = nothrow_in Index.empty m
 
 (* Exception convs only constrain actually-thrown values: a side that
    provably never throws imposes no constraint. *)
@@ -1016,7 +1030,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | Rw_lift (params, locals, ret_ty, body) -> (
     match Lift.lift_body ctx.lenv ~params ~locals ~ret_ty body with
     | lifted -> ok (Equiv (lifted, body))
-    | exception Lift.Lift_failure m -> fail "rw_lift: %s" m)
+    | exception Lift.Lift_failure m -> failf "rw_lift: %s" m)
   | Rw_simp m -> ok (Equiv (msimp ctx.lenv m, m))
   | Rw_elim_returns (m, ret_ty) -> (
     match m with
@@ -1046,7 +1060,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | Rule_guard_true (m, cert) -> (
     match Absdom.discharge ctx.lenv ctx.fbodies cert m with
     | Result.Ok m' -> ok (Equiv (m', m))
-    | Result.Error msg -> fail "rule_guard_true: %s" msg)
+    | Result.Error msg -> failf "rule_guard_true: %s" msg)
   | Rw_prune_loop (i, ip, cond, body, init, qp, k) -> (
     match (ip, init, qp) with
     | M.Ptuple ips, E.Tuple inits, M.Ptuple qps
@@ -1156,7 +1170,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
              conv_of_sign s w,
              E.Var (x, Ty.ideal_of_word_sign s),
              E.Var (x, Ty.Tword (s, w)) ))
-    | None -> fail "w_var: %s is not abstracted" x)
+    | None -> failf "w_var: %s is not abstracted" x)
   | W_const (s, w, v) ->
     let word = W.of_bignum w v in
     let ideal =
@@ -1277,7 +1291,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | W_custom name -> (
     match Hashtbl.find_opt custom_rules name with
     | Some f -> f ctx prems
-    | None -> fail "w_custom: unknown rule %s" name)
+    | None -> failf "w_custom: unknown rule %s" name)
   (* ================= Word abstraction: statements ================= *)
   | Ws_ret ->
     let* prems = prems_n 1 prems in
@@ -1359,7 +1373,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       fail "ws_bind: premises must be guard-wrapped first"
     else begin
       match merge_ex ctx.nothrows exl la exr ra with
-      | Result.Error m -> fail "ws_bind: %s" m
+      | Result.Error m -> failf "ws_bind: %s" m
       | Result.Ok ex ->
         if not (conv_equal rx1 (pat_conv ctx cpat)) then
           fail "ws_bind: left conv does not match the bound pattern"
@@ -1392,7 +1406,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     else if not (conv_equal rxa rxb) then fail "ws_cond: branch result convs differ"
     else begin
       match merge_ex ctx.nothrows exa aa exb ab with
-      | Result.Error m -> fail "ws_cond: %s" m
+      | Result.Error m -> failf "ws_cond: %s" m
       | Result.Ok ex -> ok (Abs_w_stmt (pc, rxa, ex, M.Cond (ac, aa, ab), M.Cond (cc, ca, cb)))
     end
   | Ws_while cpat ->
@@ -1415,9 +1429,9 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
              M.While (abs_pat ctx cpat, ac, ab, ai),
              M.While (cpat, cc, cb, ci) ))
   | Ws_call fname -> (
-    match List.assoc_opt fname ctx.fsigs with
-    | None -> fail "ws_call: no signature for %s" fname
-    | Some (param_convs, ret_conv) ->
+    match Index.find_opt ctx.fsigs fname with
+    | None -> failf "ws_call: no signature for %s" fname
+    | Some (_, (param_convs, ret_conv)) ->
       if List.length prems <> List.length param_convs then fail "ws_call: arity mismatch"
       else begin
         let* args =
@@ -1691,7 +1705,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let a = M.seq_of_list (entry_guard @ [ a_loop ]) in
     ok (Abs_h_stmt (guard_if Ir.Ptr_valid pi a, M.While (pat, cc, cb, ci)))
   | Hs_call fname ->
-    if not (List.mem fname ctx.lifted) then fail "hs_call: %s is not heap-lifted" fname
+    if not (Index.mem ctx.lifted fname) then failf "hs_call: %s is not heap-lifted" fname
     else begin
       let* args =
         List.fold_left
@@ -1740,7 +1754,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
         | Abs_h_stmt (a, c) -> ok (c, a)
         | Abs_w_stmt (p, _, _, a, c) ->
           if E.equal p E.true_e then ok (c, a) else fail "fn_chain: open precondition"
-        | j -> fail "fn_chain: bad first premise %a" pp_judgment j
+        | j -> failf "fn_chain: bad first premise %a" pp_judgment j
       in
       let* final =
         List.fold_left
@@ -1784,9 +1798,13 @@ and bind_expr_to_pat (p : M.pat) (e : E.t) : (string * E.t) list option =
 (* ---- L1 rules: Table 1 pairing ---- *)
 and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) result =
   ignore ctx;
+  (* [=] with a physical shortcut, the same relation (statements hold no
+     floats): a premise built over the rule's own sub-statement is not
+     re-walked, so a long sequence costs linear time, not quadratic. *)
+  let ( =~ ) (x : Ir.stmt) y = x == y || x = y in
   let as_corres = function
     | Corres_l1 (s, m) -> ok (s, m)
-    | j -> fail "expected corres_l1 premise, got %a" pp_judgment j
+    | j -> failf "expected corres_l1 premise, got %a" pp_judgment j
   in
   match stmt with
   | Ir.Skip -> ok (Corres_l1 (stmt, M.Return E.unit_e))
@@ -1794,7 +1812,7 @@ and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) r
     let* prems = prems_n 2 prems in
     let* sa, ma = as_corres (List.nth prems 0) in
     let* sb, mb = as_corres (List.nth prems 1) in
-    if sa = a && sb = b then ok (Corres_l1 (stmt, M.Bind (ma, M.Pwild, mb)))
+    if sa =~ a && sb =~ b then ok (Corres_l1 (stmt, M.Bind (ma, M.Pwild, mb)))
     else fail "l1 seq: premise mismatch"
   | Ir.Local_set (x, e) -> ok (Corres_l1 (stmt, M.Modify [ M.Local_set (x, e) ]))
   | Ir.Global_set (x, e) -> ok (Corres_l1 (stmt, M.Modify [ M.Global_set (x, e) ]))
@@ -1804,12 +1822,12 @@ and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) r
     let* prems = prems_n 2 prems in
     let* sa, ma = as_corres (List.nth prems 0) in
     let* sb, mb = as_corres (List.nth prems 1) in
-    if sa = a && sb = b then ok (Corres_l1 (stmt, M.Cond (c, ma, mb)))
+    if sa =~ a && sb =~ b then ok (Corres_l1 (stmt, M.Cond (c, ma, mb)))
     else fail "l1 cond: premise mismatch"
   | Ir.While (c, body) ->
     let* prems = prems_n 1 prems in
     let* sb, mb = as_corres (List.hd prems) in
-    if sb = body then ok (Corres_l1 (stmt, M.While (M.Pwild, c, mb, E.unit_e)))
+    if sb =~ body then ok (Corres_l1 (stmt, M.While (M.Pwild, c, mb, E.unit_e)))
     else fail "l1 while: premise mismatch"
   | Ir.Guard (k, e) -> ok (Corres_l1 (stmt, M.Guard (k, e)))
   | Ir.Throw -> ok (Corres_l1 (stmt, M.Throw E.unit_e))
@@ -1817,7 +1835,7 @@ and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) r
     let* prems = prems_n 2 prems in
     let* sa, ma = as_corres (List.nth prems 0) in
     let* sb, mb = as_corres (List.nth prems 1) in
-    if sa = a && sb = b then ok (Corres_l1 (stmt, M.Try (ma, M.Pwild, mb)))
+    if sa =~ a && sb =~ b then ok (Corres_l1 (stmt, M.Try (ma, M.Pwild, mb)))
     else fail "l1 try: premise mismatch"
   | Ir.Call (None, f, args) ->
     ok (Corres_l1 (stmt, M.Bind (M.Call (f, args), M.Pwild, M.Return E.unit_e)))

@@ -56,21 +56,21 @@ let injected rule =
   match !fault_hook with Some f -> f (Rules.rule_name rule) | None -> false
 
 (* Observation hook: when installed, called with the dense rule id
-   ([Rules.rule_id]; -1 for custom rules) and rule name of every
-   SUCCESSFUL mint ([by]/[by_opt]).  Strictly write-only telemetry — the
-   hook cannot veto, alter or construct a theorem, and the kernel never
-   reads anything back from it, so the trusted surface is unchanged.  It
-   is installed from outside (the CLI's effort accounting); the kernel
-   itself depends on no observability code and defaults to a no-op.
-   Cost when uninstalled: one ref read per mint. *)
-let obs_hook : (int -> string -> unit) option ref = ref None
+   ([Rules.rule_id]; -1 for custom rules) and the rule instance of every
+   SUCCESSFUL mint ([by]/[by_opt]).  The kernel computes nothing else for
+   it: a hook that wants a name asks [Rules.rule_name] itself, once per id.
+   Strictly write-only telemetry — the hook cannot veto, alter or
+   construct a theorem, and the kernel never reads anything back from it,
+   so the trusted surface is unchanged.  It is installed from outside (the
+   CLI's effort accounting); the kernel itself depends on no
+   observability code and defaults to a no-op.  Cost when uninstalled:
+   one ref read per mint. *)
+let obs_hook : (int -> Rules.rule -> unit) option ref = ref None
 
 let set_obs_hook h = obs_hook := h
 
 let observed rule =
-  match !obs_hook with
-  | Some f -> f (Rules.rule_id rule) (Rules.rule_name rule)
-  | None -> ()
+  match !obs_hook with Some f -> f (Rules.rule_id rule) rule | None -> ()
 
 let rec shape d s = function
   | [] -> (d + 1, s + 1)

@@ -42,14 +42,15 @@ val by_opt : Rules.ctx -> Rules.rule -> t list -> t option
 val set_fault_hook : (string -> bool) option -> unit
 
 (** Observation hook: receives the dense rule id ([Rules.rule_id]; -1
-    for custom rules) and rule name of every SUCCESSFUL theorem mint
-    ([by]/[by_opt]).  Write-only telemetry — the hook cannot veto, alter
-    or construct a theorem, and the kernel reads nothing back, so it
-    stays outside the trusted surface.  Installed from outside the
-    kernel (the CLI's proof-effort accounting installs
-    [Ac_obs.Effort.on_rule]); defaults to a no-op.  Pass [None] to
-    uninstall. *)
-val set_obs_hook : (int -> string -> unit) option -> unit
+    for custom rules) and the rule instance of every SUCCESSFUL theorem
+    mint ([by]/[by_opt]); a hook needing the name calls
+    [Rules.rule_name], once per id.  Write-only telemetry — the hook
+    cannot veto, alter or construct a theorem, and the kernel reads
+    nothing back, so it stays outside the trusted surface.  Installed
+    from outside the kernel (the CLI's proof-effort accounting installs
+    [Ac_obs.Effort.on_rule Rules.rule_name]); defaults to a no-op.  Pass
+    [None] to uninstall. *)
+val set_obs_hook : (int -> Rules.rule -> unit) option -> unit
 
 (** Independently re-validate the entire stored derivation.
 

@@ -8,11 +8,11 @@
    dead-code scrubbing inside the certificate walk).
 
    Trust boundary: the kernel exposes one observation hook
-   ([Thm.set_obs_hook], an [int -> string -> unit] fed the dense rule id
-   and rule name of every successful mint) and knows nothing about this
-   module — the hook is installed from outside the kernel ([arm]),
-   defaults to a no-op, and observing changes no theorem.  CI
-   byte-compares hooked vs unhooked runs.
+   ([Thm.set_obs_hook], fed the dense rule id and the rule instance of
+   every successful mint) and knows nothing about this module — the hook
+   is installed from outside the kernel ([arm]), defaults to a no-op,
+   and observing changes no theorem.  CI byte-compares hooked vs
+   unhooked runs.
 
    Cost model: rule minting is the kernel's hot path — the whole
    translation pipeline averages under 100 ns of work per mint, so the
@@ -23,7 +23,9 @@
    race (plain int stores are memory-safe in the OCaml 5 model, just not
    atomic); telemetry counters are allowed to be approximate under
    contention and exact in the single-domain case the bench bounds.  The
-   rule NAME is only stored the first time an id fires.  Custom rules
+   rule NAME is only computed, and stored, the first time an id fires
+   (this module has no kernel dependency, so the caller supplies the
+   naming function with the hook: [on_rule Rules.rule_name]).  Custom rules
    (id -1, user-chosen names) take a mutex-guarded assoc-list slow path;
    they are rare by construction.  Chain shapes and discharge provenance
    are rare events (once per function) and go straight to the {!Metrics}
@@ -63,13 +65,14 @@ let custom : (string * int) list ref = ref []
    stays installed for the life of the process once armed (bench rounds
    flip the flag instead of racing hook deinstallation against worker
    domains mid-map). *)
-let on_rule (id : int) (rule : string) : unit =
+let on_rule (name : 'r -> string) (id : int) (r : 'r) : unit =
   if Atomic.get enabled_flag then
     if id >= 0 && id < id_capacity then begin
       Array.unsafe_set counts id (Array.unsafe_get counts id + 1);
-      if Array.unsafe_get names id == no_name then names.(id) <- rule
+      if Array.unsafe_get names id == no_name then names.(id) <- name r
     end
     else begin
+      let rule = name r in
       Mutex.lock custom_mu;
       custom :=
         (match List.assoc_opt rule !custom with
@@ -142,8 +145,8 @@ let reset () =
 
 (* The caller passes the kernel's hook setter: this module has no kernel
    dependency, by design. *)
-let arm install =
-  install (Some on_rule);
+let arm install name =
+  install (Some (fun id r -> on_rule name id r));
   set_enabled true;
   reset ()
 

@@ -14,12 +14,14 @@
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-(** The kernel hook body: count one successful application of the rule
-    with the given dense id ([Rules.rule_id]; -1 for custom rules) and
-    name.  Counts are unsynchronised on the hot path, so concurrent
-    domains may drop the odd increment — exact when single-domain or
-    quiescent.  Install with [Thm.set_obs_hook (Some Effort.on_rule)]. *)
-val on_rule : int -> string -> unit
+(** The kernel hook body: [on_rule name id r] counts one successful
+    application of the rule [r] with the given dense id
+    ([Rules.rule_id]; -1 for custom rules).  [name r] is called only the
+    first time an id fires, and on every application of a custom rule.
+    Counts are unsynchronised on the hot path, so concurrent domains may
+    drop the odd increment — exact when single-domain or quiescent.
+    Install with [Thm.set_obs_hook (Some (Effort.on_rule Rules.rule_name))]. *)
+val on_rule : ('r -> string) -> int -> 'r -> unit
 
 (** Record one completed end-to-end refinement chain:
     [depth] = longest premise path, [size] = rule applications in the
@@ -55,9 +57,9 @@ val to_openmetrics : unit -> string
 (** Zero the per-rule tables and the chain/provenance metrics. *)
 val reset : unit -> unit
 
-(** [arm Thm.set_obs_hook]: install {!on_rule} through the kernel's hook
-    setter, enable accounting and {!reset}. *)
-val arm : ((int -> string -> unit) option -> unit) -> unit
+(** [arm Thm.set_obs_hook Rules.rule_name]: install {!on_rule} through
+    the kernel's hook setter, enable accounting and {!reset}. *)
+val arm : ((int -> 'r -> unit) option -> unit) -> ('r -> string) -> unit
 
 (** Human-readable report.  With [~files:n], the [acc effort] text: the
     per-rule table over [n] files, chain shapes and discharge

@@ -148,7 +148,8 @@ let run (cfg : config) : (unit, string) result =
   (* Proof-effort accounting is armed whenever the scrape plane is up:
      the kernel hook stays a no-op otherwise, and CI byte-compares
      hooked vs unhooked sessions. *)
-  if cfg.metrics_port <> None then Ac_obs.Effort.arm Ac_kernel.Thm.set_obs_hook;
+  if cfg.metrics_port <> None then
+    Ac_obs.Effort.arm Ac_kernel.Thm.set_obs_hook Ac_kernel.Rules.rule_name;
   Option.iter Faults.install cfg.faults;
   let store = cfg.store in
   let pool = if cfg.jobs > 1 then Some (Pool.create ~jobs:cfg.jobs) else None in

@@ -203,7 +203,7 @@ let profile_rows (entries : Autocorres.Profile.entry list) : string list list =
    The kernel's observation hook is installed from here, outside the
    kernel. *)
 
-let arm_effort () = Ac_obs.Effort.arm Ac_kernel.Thm.set_obs_hook
+let arm_effort () = Ac_obs.Effort.arm Ac_kernel.Thm.set_obs_hook Ac_kernel.Rules.rule_name
 
 let effort_report ~json ~files =
   if json then Ac_obs.Effort.snapshot_json () ^ "\n" else Ac_obs.Effort.report ~files ()

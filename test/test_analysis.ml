@@ -13,8 +13,10 @@ module A = Ac_kernel.Absdom
 module Rules = Ac_kernel.Rules
 module Thm = Ac_kernel.Thm
 module J = Ac_kernel.Judgment
+module Index = Ac_kernel.Index
 module Driver = Autocorres.Driver
 module Csources = Ac_cases.Csources
+module Effort = Ac_obs.Effort
 
 let lenv = Layout.empty
 let u32 = Ty.Tword (Ty.Unsigned, Ty.W32)
@@ -283,7 +285,9 @@ let summary_tests =
             s_noret = false; s_throws = false; s_invs = [] }
         in
         let cert = { A.c_invs = []; c_sums = [ ("g", [ truth ]) ] } in
-        let ctx = { (Rules.empty_ctx lenv) with Rules.fbodies = [ bounded_callee ] } in
+        let ctx =
+          { (Rules.empty_ctx lenv) with Rules.fbodies = Rules.index_funcs [ bounded_callee ] }
+        in
         let thm = Thm.by ctx (Rules.Rule_guard_true (summary_caller, cert)) [] in
         (match Thm.check ctx thm with
         | Result.Ok () -> ()
@@ -303,7 +307,9 @@ let summary_tests =
             s_noret = false; s_throws = false; s_invs = [] }
         in
         let cert = { A.c_invs = []; c_sums = [ ("g", [ lie ]) ] } in
-        let ctx = { (Rules.empty_ctx lenv) with Rules.fbodies = [ bounded_callee ] } in
+        let ctx =
+          { (Rules.empty_ctx lenv) with Rules.fbodies = Rules.index_funcs [ bounded_callee ] }
+        in
         match Thm.by_opt ctx (Rules.Rule_guard_true (summary_caller, cert)) [] with
         | None -> ()
         | Some thm -> (
@@ -562,7 +568,109 @@ let lint_tests =
         Alcotest.(check int) "no findings" 0 (List.length findings) );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Identity-free discharge: the driver mints a [Rule_guard_true] theorem
+   only when the analyser's own walk changed the body, trusting that the
+   kernel's walk reproduces it. *)
+
+let keep_going = { Driver.default_options with Driver.keep_going = true }
+
+let units =
+  Csources.all
+  @ List.map (fun p -> (p.Ac_codegen.p_name, Ac_codegen.generate p)) Ac_codegen.profiles
+
+(* Each function's round-1 input (its pre-discharge L2 body, with the
+   summary slice of its transitive callees) and round-2 input (its
+   post-HL/WA body, intraprocedural), as the driver discharges them. *)
+let discharge_inputs (res : Driver.result) : (string * M.t * A.sums) list =
+  let fbodies = Index.to_list res.Driver.ctx.Rules.fbodies in
+  let cg = Ac_analysis.Callgraph.of_funcs fbodies in
+  let round1 =
+    List.map
+      (fun (f : M.func) ->
+        ( f.M.name,
+          f.M.body,
+          Ac_analysis.Domains.restrict res.Driver.sums
+            (Ac_analysis.Callgraph.reachable cg f.M.name) ))
+      fbodies
+  in
+  let round2 =
+    List.filter_map
+      (fun fr ->
+        match (fr.Driver.fr_wa, fr.Driver.fr_hl) with
+        | Some (f : M.func), _ | None, Some f -> Some (f.M.name, f.M.body, [])
+        | None, None -> None)
+      res.Driver.funcs
+  in
+  round1 @ round2
+
+let prediction_tests =
+  [
+    ( "the analyser predicts the kernel's discharge on the corpus and profiles",
+      fun () ->
+        let accepted = ref 0 and changed = ref 0 in
+        List.iter
+          (fun (unit_name, source) ->
+            let res = Driver.run ~options:keep_going source in
+            let klenv = res.Driver.ctx.Rules.lenv in
+            List.iter
+              (fun (fname, body, sums) ->
+                let cert, predicted = Ac_analysis.solve ~sums klenv body in
+                match A.discharge klenv res.Driver.ctx.Rules.fbodies cert body with
+                | Result.Error _ -> ()
+                | Result.Ok m' ->
+                  incr accepted;
+                  if not (M.equal m' body) then incr changed;
+                  if not (M.equal m' predicted) then
+                    Alcotest.failf "%s/%s: the kernel's body differs from the prediction"
+                      unit_name fname;
+                  if (predicted == body) <> M.equal m' body then
+                    Alcotest.failf "%s/%s: predicted unchanged <> kernel unchanged" unit_name
+                      fname)
+              (discharge_inputs res))
+          units;
+        Alcotest.(check bool) "the kernel accepted certificates" true (!accepted > 0);
+        Alcotest.(check bool) "some discharges changed a body" true (!changed > 0) );
+    ( "rule_guard_true is minted once per body the discharge changed (echronos-like)",
+      fun () ->
+        Thm.set_obs_hook (Some (Effort.on_rule Rules.rule_name));
+        Effort.set_enabled true;
+        Effort.reset ();
+        let res, counts =
+          Fun.protect
+            ~finally:(fun () ->
+              Effort.set_enabled false;
+              Thm.set_obs_hook None;
+              Effort.reset ())
+            (fun () ->
+              let res =
+                Driver.run ~options:keep_going (Ac_codegen.generate Ac_codegen.echronos_like)
+              in
+              (res, Effort.rule_counts ()))
+        in
+        let minted = Option.value ~default:0 (List.assoc_opt "rule_guard_true" counts) in
+        let differs (a : M.func) (b : M.func) = if M.equal a.M.body b.M.body then 0 else 1 in
+        let changed =
+          List.fold_left
+            (fun n fr ->
+              let round1 =
+                match Index.find_opt res.Driver.ctx.Rules.fbodies fr.Driver.fr_name with
+                | Some pre -> differs pre fr.Driver.fr_l2
+                | None -> 0
+              in
+              let round2 =
+                match (fr.Driver.fr_wa, fr.Driver.fr_hl) with
+                | Some f, _ | None, Some f -> differs f fr.Driver.fr_final
+                | None, None -> 0
+              in
+              n + round1 + round2)
+            0 res.Driver.funcs
+        in
+        Alcotest.(check int) "mints = changed bodies" changed minted;
+        Alcotest.(check bool) "some body changed" true (changed > 0) );
+  ]
+
 let tests =
   interval_tests @ nullness_tests @ discharge_tests @ parity_tests @ summary_tests
-  @ corpus_tests @ uninit_tests @ lint_tests
+  @ corpus_tests @ uninit_tests @ lint_tests @ prediction_tests
 let suite = List.map (fun (n, f) -> Alcotest.test_case n `Quick f) tests

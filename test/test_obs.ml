@@ -524,7 +524,7 @@ let prop_ring_harvest_wellformed =
 let test_effort_hook_invisible () =
   let src = Csources.gcd_c ^ "\n" ^ Csources.div_guarded_c in
   let clean = fingerprint (Driver.run ~options:keep_going src) in
-  Ac_kernel.Thm.set_obs_hook (Some Ac_obs.Effort.on_rule);
+  Ac_kernel.Thm.set_obs_hook (Some (Ac_obs.Effort.on_rule Ac_kernel.Rules.rule_name));
   Ac_obs.Effort.set_enabled true;
   Ac_obs.Effort.reset ();
   Fun.protect

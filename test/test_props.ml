@@ -248,6 +248,54 @@ let discharge_agrees ((m : M.t), (a, b)) =
       [ (a, b); (0, 0); (1, 0xFFFFFFFF); (31, 2); (0xFFFFFFFF, 0xFFFFFFFF) ]
 
 (* ------------------------------------------------------------------ *)
+(* The certificate walk shares what it leaves alone, and the analyser's
+   walk predicts the kernel's: identity-free discharge relies on both. *)
+
+module A = Ac_kernel.Absdom
+module Index = Ac_kernel.Index
+
+(* [m] without its guards: a body the walk has nothing to discharge in. *)
+let rec strip_guards (m : M.t) : M.t =
+  match m with
+  | M.Bind (M.Guard _, M.Pwild, b) -> strip_guards b
+  | M.Bind (a, p, b) -> M.Bind (strip_guards a, p, strip_guards b)
+  | M.Try (a, p, b) -> M.Try (strip_guards a, p, strip_guards b)
+  | M.Cond (c, a, b) -> M.Cond (c, strip_guards a, strip_guards b)
+  | M.While (p, c, body, init) -> M.While (p, c, strip_guards body, init)
+  | _ -> m
+
+(* Random guarded and looping bodies, some under a handler. *)
+let gen_walk_body =
+  QCheck.Gen.(
+    let* m = gen_mprog in
+    let* h = gen_prog [ "x"; "y"; "t" ] 1 in
+    oneofl [ m; M.Try (m, M.Pvar ("t", u32), h) ])
+
+(* The walk returns its input physically exactly when its result is
+   structurally equal to it, under the analyser's solver and the
+   kernel's; a body with no guard comes back as it is. *)
+let walk_shares (m : M.t) =
+  let walk m =
+    fst (A.walk lenv (Ac_analysis.fixpoint_solver (Hashtbl.create 8)) 0 A.env_top m)
+  in
+  let shares m m' = (m' == m) = M.equal m' m in
+  let m' = walk m in
+  let plain = strip_guards m in
+  shares m m'
+  && walk plain == plain
+  && (match A.discharge lenv Index.empty (Ac_analysis.infer_cert lenv m) m with
+     | Result.Ok k -> shares m k
+     | Result.Error _ -> false)
+
+(* Whenever the kernel accepts the analyser's certificate, its body is
+   the one the analyser predicted. *)
+let prediction_matches (m : M.t) =
+  let cert, predicted = Ac_analysis.solve lenv m in
+  match A.discharge lenv Index.empty cert m with
+  | Result.Ok m' -> M.equal m' predicted
+  | Result.Error _ -> true
+
+(* ------------------------------------------------------------------ *)
 (* Interprocedural summaries: on random two-function programs, the
    summary-assisted discharge of the caller must (1) produce a
    certificate the kernel accepts, (2) agree with the original program
@@ -277,7 +325,7 @@ let interproc_discharge_sound (((hbody : M.t), (fbody : M.t)), (a, b)) =
   let ff = mk_ufunc "f" [ ("x", u32); ("y", u32) ] fbody in
   let fbodies = [ hf; ff ] in
   let sums, _ = Ac_analysis.Summary.compute lenv fbodies in
-  let ctx = { (Rules.empty_ctx lenv) with Rules.fbodies } in
+  let ctx = { (Rules.empty_ctx lenv) with Rules.fbodies = Rules.index_funcs fbodies } in
   let discharged cert =
     match Thm.by_opt ctx (Rules.Rule_guard_true (fbody, cert)) [] with
     | None -> None
@@ -290,6 +338,9 @@ let interproc_discharge_sound (((hbody : M.t), (fbody : M.t)), (a, b)) =
   match discharged (Ac_analysis.infer_cert ~sums lenv fbody) with
   | None -> false (* the kernel must accept the analysis's own certificate *)
   | Some inter ->
+    (* The analyser predicted the kernel's body. *)
+    M.equal inter (snd (Ac_analysis.solve ~sums lenv fbody))
+    &&
     let intra =
       match discharged (Ac_analysis.infer_cert lenv fbody) with
       | Some m -> m
@@ -509,6 +560,30 @@ let props =
     Test.make
       ~name:"interprocedural discharge is sound and monotone vs intraprocedural"
       ~count:300 arb_callprog interproc_discharge_sound;
+    Test.make ~name:"the certificate walk returns its input exactly when unchanged"
+      ~count:600
+      (QCheck.make ~print:Ac_monad.Mprint.to_string gen_walk_body)
+      walk_shares;
+    Test.make ~name:"the analyser's walk predicts the kernel's discharge" ~count:600
+      (QCheck.make ~print:Ac_monad.Mprint.to_string gen_walk_body)
+      prediction_matches;
+    Test.make ~name:"Index lookups agree with List.mem and List.assoc_opt" ~count:1000
+      (QCheck.make
+         ~print:(fun (l, q) ->
+           String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) l) ^ " ? " ^ q)
+         QCheck.Gen.(
+           let name = oneofl [ "f"; "g"; "h"; "fg"; "" ] in
+           pair (list_size (int_range 0 10) (pair name small_nat)) name))
+      (fun (l, q) ->
+        let ix = Index.of_list fst l in
+        let names = List.map fst l in
+        let nx = Index.names names in
+        Index.mem ix q = List.mem_assoc q l
+        && Option.map snd (Index.find_opt ix q) = List.assoc_opt q l
+        && Index.mem nx q = List.mem q names
+        && Index.find_opt nx q = List.find_opt (String.equal q) names
+        && Index.to_list ix == l
+        && Index.to_list nx == names);
     Test.make ~name:"list-free expression queries match their list forms" ~count:1000
       (QCheck.make
          ~print:(fun (e, xs) -> Ac_lang.Pretty.expr_to_string e ^ " / " ^ String.concat "," xs)

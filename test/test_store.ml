@@ -285,8 +285,8 @@ let test_forged_entry_fails_replay () =
       e_final = fr_a.Driver.fr_final;
       e_wvars = fr_a.Driver.fr_wa_wvars;
       e_skipped = fr_a.Driver.fr_skipped;
-      e_nothrow = List.mem "f" res_a.Driver.ctx.Rules.nothrows;
-      e_fsig = List.assoc "f" res_a.Driver.ctx.Rules.fsigs;
+      e_nothrow = Ac_kernel.Index.mem res_a.Driver.ctx.Rules.nothrows "f";
+      e_fsig = snd (Ac_kernel.Index.find res_a.Driver.ctx.Rules.fsigs "f");
       (* A genuine-looking digest, from A's own summary table: rejection
          must come from replay/anchoring, not from an obviously-bogus
          digest. *)
