@@ -29,6 +29,19 @@ for f in corpus/*.c; do
   echo "ok: $f"
 done
 
+echo "== corpus: no budget runs dry under the default budgets =="
+# BudgetX counts every budget exhaustion of the run: solver, analysis,
+# summary and rewrite fuel, and a normalize call stopped at its pass
+# limit.  Exhaustion is sound but costs polish, and the corpus needs none.
+for f in corpus/*.c; do
+  hits=$("$ACC" stats "$f" | awk 'NR == 1 && $NF != "BudgetX" { exit } NR == 3 { print $NF }')
+  if [ "$hits" != "0" ]; then
+    echo "FAIL: acc stats $f reports BudgetX '${hits}', not 0" >&2
+    exit 1
+  fi
+  echo "ok: $f"
+done
+
 echo "== malformed command lines: exit 2, one stderr line =="
 USAGE_ERR=$(mktemp)
 for args in "--bogus" "--timeout nan" "--summary-rounds=-1"; do

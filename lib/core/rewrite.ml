@@ -135,71 +135,130 @@ let chain ctx (newer : Thm.t option) (older : Thm.t option) : Thm.t option =
 let chain_onto ctx (newer : Thm.t option) (older : Thm.t) : Thm.t =
   match newer with Some n -> trans ctx n older | None -> older
 
-(* One bottom-up pass: normalise children via congruence, then rewrite the
-   head to a fixed point.  [None]: nothing in [m] changed and nothing was
-   minted for it.  A congruence rule is minted only over a changed child;
-   its unchanged sibling gets the one [Eq_refl] the rule needs.  [tank] is
-   the remaining fuel for this [normalize] call. *)
-let rec pass (ctx : Rules.ctx) (tank : int ref) (m : M.t) : Thm.t option =
-  let refl x = function Some t -> t | None -> Thm.by ctx (Rules.Eq_refl x) [] in
+(* One bottom-up sweep: normalise children via congruence, then rewrite
+   the head to a fixed point.  [None]: nothing in [m] changed and nothing
+   was minted for it.  A congruence rule is minted only over a changed
+   child; its unchanged sibling gets the one [Eq_refl] the rule needs.
+   [tank] is the remaining fuel for this [normalize] call.
+
+   [old] is a head-normal term that [m] was derived from by a map
+   returning unchanged subterms physically (a substitution, a loop-body
+   rewrite).  A child of [m] that is physically [old]'s child at the same
+   position is normal already and is not visited again.  [fresh], a leaf
+   no head rule rewrites, stands for no such term: [pass] visits all of
+   [m]. *)
+let fresh = M.Unknown Ty.Tunit
+
+let first = function
+  | M.Bind (a, _, _) | M.Try (a, _, _) | M.Cond (_, a, _) | M.While (_, _, a, _) -> a
+  | _ -> fresh
+
+let second = function M.Bind (_, _, b) | M.Try (_, _, b) | M.Cond (_, _, b) -> b | _ -> fresh
+
+let refl ctx x = function Some t -> t | None -> Thm.by ctx (Rules.Eq_refl x) []
+
+let rec sweep (ctx : Rules.ctx) (tank : int ref) (old : M.t) (m : M.t) : Thm.t option =
+  if m == old then None
+  else
+    let congr = children ctx tank old m in
+    head_fix ctx tank (match congr with Some t -> abs_of t | None -> m) congr
+
+and pass ctx tank m = sweep ctx tank fresh m
+
+(* The congruence over [m]'s swept children. *)
+and children ctx tank old m =
   (* Right child first: where an exhausted tank stops rewriting depends on
      the order fuel is spent in, and outputs under a small budget must not
      change. *)
   let congr2 rule a b =
-    let tb = pass ctx tank b in
-    match (pass ctx tank a, tb) with
+    let tb = sweep ctx tank (second old) b in
+    match (sweep ctx tank (first old) a, tb) with
     | None, None -> None
-    | ta, tb -> Some (Thm.by ctx rule [ refl a ta; refl b tb ])
+    | ta, tb -> Some (Thm.by ctx rule [ refl ctx a ta; refl ctx b tb ])
   in
-  let congr =
-    match m with
-    | M.Bind (a, p, b) -> congr2 (Rules.Eq_bind p) a b
-    | M.Try (a, p, b) -> congr2 (Rules.Eq_try p) a b
-    | M.Cond (c, a, b) -> congr2 (Rules.Eq_cond c) a b
-    | M.While (p, c, body, init) ->
-      Option.map (fun t -> Thm.by ctx (Rules.Eq_while (p, c, init)) [ t ]) (pass ctx tank body)
-    | _ -> None
-  in
-  head_fix ctx tank (match congr with Some t -> abs_of t | None -> m) congr
+  match m with
+  | M.Bind (a, p, b) -> congr2 (Rules.Eq_bind p) a b
+  | M.Try (a, p, b) -> congr2 (Rules.Eq_try p) a b
+  | M.Cond (c, a, b) -> congr2 (Rules.Eq_cond c) a b
+  | M.While (p, c, body, init) ->
+    Option.map
+      (fun t -> Thm.by ctx (Rules.Eq_while (p, c, init)) [ t ])
+      (sweep ctx tank (first old) body)
+  | _ -> None
 
-(* [thm] relates [cur] to the pass's input ([None]: [cur] is the input). *)
+(* [thm] relates [cur] to the sweep's input ([None]: [cur] is the input).
+   Every head step is followed by [settle] before the head is tried again,
+   so the sweep leaves no redex behind it: its output is a fixed point of
+   [pass]. *)
 and head_fix ctx (tank : int ref) (cur : M.t) (thm : Thm.t option) : Thm.t option =
   if !tank <= 0 then thm
   else begin
     match try_head ctx cur with
     | Some step ->
       decr tank;
-      head_fix ctx tank (abs_of step) (chain ctx (Some step) thm)
+      let thm = chain ctx (Some step) thm in
+      let settled = settle ctx tank step in
+      head_fix ctx tank
+        (abs_of (match settled with Some t -> t | None -> step))
+        (chain ctx settled thm)
     | None -> thm
   end
 
-(* Normalise to a global fixed point (with the expression simplifier run
-   between passes), bounded for safety by a pass limit and the fuel
-   budget.  [None]: the result is structurally [m].  [Rw_simp] and
+(* Normalise what a head step built below the new head; its other
+   subterms were normal before the step.
+   - [Rw_bind_assoc] builds [Bind (b, q, c)] over normal [b] and [c], so
+     only its head needs rewriting.
+   - [Rw_return_bind]/[Rw_gets_bind] substitute into the normal body:
+     only the subterms the substitution rebuilt are visited.
+   - [Rw_prune_loop] rewrites the tail of the loop body likewise.
+   Every other head rule yields a leaf or a subterm of the normal input. *)
+and settle ctx tank (step : Thm.t) : Thm.t option =
+  match (Thm.rule step, abs_of step) with
+  | Rules.Rw_bind_assoc _, M.Bind (a, p, (M.Bind _ as inner)) ->
+    Option.map
+      (fun t -> Thm.by ctx (Rules.Eq_bind p) [ refl ctx a None; t ])
+      (head_fix ctx tank inner None)
+  | (Rules.Rw_return_bind (_, _, b) | Rules.Rw_gets_bind (_, _, b)), m -> children ctx tank b m
+  | Rules.Rw_prune_loop (_, ip, c, body, init, qp, k), m ->
+    children ctx tank (M.Bind (M.While (ip, c, body, init), qp, k)) m
+  | _ -> None
+
+(* Normalise to a global fixed point, with the expression simplifier and
+   guard discharge run between sweeps, bounded by a pass limit and the
+   fuel budget.  [None]: the result is structurally [m].  [Rw_simp] and
    [Rw_discharge] are minted every round, since only the kernel computes
-   their result, but chained only when they changed the term; a round
-   whose steps leave the term structurally as it was ends the loop and is
-   dropped. *)
+   their result, but chained only when they changed the term.  A sweep's
+   output is a fixed point of [pass], so a later round sweeps only when
+   simp or discharge changed the term: the round that finds them idle
+   ends the loop without a sweep.  Stopping at the pass limit with work
+   left counts as an exhaustion, like running out of fuel. *)
 let normalize ?(max_passes = 12) (ctx : Rules.ctx) (m : M.t) : Thm.t option =
   let tank = ref !fuel in
+  let truncated = ref false in
   let whole rule (cur, thm) =
     let step = Thm.by ctx (rule cur) [] in
     if M.equal (abs_of step) cur then (cur, thm) else (abs_of step, chain ctx (Some step) thm)
   in
   let rec go n cur thm =
-    if n >= max_passes || !tank <= 0 then thm
+    if !tank <= 0 then thm
     else begin
       let mid, round =
         whole (fun t -> Rules.Rw_discharge t) (whole (fun t -> Rules.Rw_simp t) (cur, None))
       in
-      match chain ctx (pass ctx tank mid) round with
-      | Some r when not (M.equal (abs_of r) cur) ->
-        go (n + 1) (abs_of r) (chain ctx (Some r) thm)
-      | _ -> thm
+      if n > 0 && Option.is_none round then thm
+      else if n >= max_passes then begin
+        truncated := true;
+        chain ctx round thm
+      end
+      else
+        match chain ctx (pass ctx tank mid) round with
+        | Some r when not (M.equal (abs_of r) cur) ->
+          go (n + 1) (abs_of r) (chain ctx (Some r) thm)
+        | _ -> thm
     end
   in
   let out =
     match go 0 m None with Some t when M.equal (abs_of t) m -> None | out -> out
   in
-  if !tank <= 0 then Atomic.incr exhaustions;
+  if !tank <= 0 || !truncated then Atomic.incr exhaustions;
   out

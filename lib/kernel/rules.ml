@@ -981,6 +981,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     (match bind_expr_to_pat p e with
     | Some bs -> ok (Equiv (M.subst bs b', M.Bind (M.Return e, p, b)))
     | None -> fail "rw_return_bind: pattern does not destructure expression")
+  | Rw_return_bind _ -> fail "rw_return_bind: not a return"
   | Rw_gets_bind (M.Gets e, p, b) ->
     if E.reads_state e then fail "rw_gets_bind: expression reads state"
     else begin

@@ -44,8 +44,12 @@ module J = Ac_kernel.Judgment
    engine mints no reflexivity, congruence or transitivity step for a
    subterm it leaves unchanged.  Older entries would still replay, but
    their traces are about 1.6x larger, so a warm run would keep paying
-   for them and report chain sizes that disagree with a cold run. *)
-let ruleset_tag = "acc-store-1/ruleset-3"
+   for them and report chain sizes that disagree with a cold run.
+   ruleset-4: the rewrite engine normalises what a head step builds within
+   the same sweep, which changes some normal forms.  Older entries would
+   replay the old normal forms, so a warm run would differ from a cold
+   one. *)
+let ruleset_tag = "acc-store-1/ruleset-4"
 
 let magic = "ACC-STORE v1\n"
 

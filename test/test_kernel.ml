@@ -212,6 +212,11 @@ let rule_tests =
             Result.ok (J.Abs_w_val (E.true_e, J.Cid, E.int_e 1, E.int_e 1)));
         ignore (Thm.by ctx (Rules.W_custom "test_rule") []);
         expect_fail "unknown" (fun () -> Thm.by ctx (Rules.W_custom "no_such_rule") []) );
+    ( "rw_return_bind refuses a first component that is not a return",
+      fun () ->
+        let rule = Rules.Rw_return_bind (M.Fail, M.Pwild, M.Fail) in
+        Alcotest.(check bool) "by_opt declines" true (Option.is_none (Thm.by_opt ctx rule []));
+        expect_fail "by" (fun () -> Thm.by ctx rule []) );
   ]
 
 let suite = List.map (fun (n, f) -> Alcotest.test_case n `Quick f) rule_tests

@@ -54,7 +54,11 @@ let unit_source name =
   | None -> corpus_file name
 
 (* Every corpus file and every [Ac_codegen] profile, digested as produced
-   by the round-based schedule (identical at [jobs] 1 and 2). *)
+   by the round-based schedule (identical at [jobs] 1 and 2).  The
+   sel4-like, piccolo-like and echronos-like digests were re-recorded when
+   the rewrite engine began normalising what a head step builds within the
+   same sweep: 9 of their 810 functions changed, 4 losing a dead
+   [x <- return e] binding and 5 only in the primes of renamed binders. *)
 let golden_digests =
   [
     ("binary_search", "f2a65db7d99d95aea082144c21c35cfd");
@@ -75,10 +79,10 @@ let golden_digests =
     ("shift_guarded", "c618aec9cfe36f1607486bc2d6d408de");
     ("suzuki", "e8ca39a4e52d4336f95e3dea4b683a95");
     ("swap", "612011e9d366329a53d6f420aa477f7a");
-    ("sel4-like", "f2ea31f04a0eec8d058f2196d13a9c17");
+    ("sel4-like", "828118a770006c5fd414dfe584bea207");
     ("capdl-sysinit-like", "e4bd5f46c5fae7c73864f94b29e72802");
-    ("piccolo-like", "bf6a0a1f8587bf6775e904313b915c5b");
-    ("echronos-like", "11bc040ddb5a258887606da4ad75d003");
+    ("piccolo-like", "0d5f9d3adb419a121a380a17868c23f2");
+    ("echronos-like", "a6d1b1b016c4244b6cfc77af046ac530");
   ]
 
 let test_golden jobs () =
@@ -95,7 +99,9 @@ let test_golden jobs () =
    SCC: an SCC that is not re-walked must reuse exactly what a re-walk
    would recompute, and replay its exhaustions.  Each unit runs under the
    default budgets and under tight ones, which make loop fixpoints, SCC
-   fixpoints and refinement rounds run dry. *)
+   fixpoints and refinement rounds run dry.  The sel4-like and
+   piccolo-like default-budget tables were re-recorded with the digests
+   above: they summarise the changed L2 bodies. *)
 let tight_budgets =
   { Driver.default_budgets with Driver.summary_rounds = 2; analysis_rounds = 3 }
 
@@ -120,9 +126,9 @@ let golden_sums =
     ("shift_guarded", ("a49ba6045c9e3bc747a73093b14fcc08", 0), ("a49ba6045c9e3bc747a73093b14fcc08", 0));
     ("suzuki", ("4ae763582cd574545f0c289763f32e02", 0), ("4ae763582cd574545f0c289763f32e02", 0));
     ("swap", ("0060f5696f89b5b2aca6f65c02ed5c0c", 0), ("0060f5696f89b5b2aca6f65c02ed5c0c", 0));
-    ("sel4-like", ("a2d312c192baf318e5a82cd870a8b510", 0), ("c52f382fa050e288e4dbf852b624e7fa", 1006));
+    ("sel4-like", ("64232dd2cb0663568c3d5de8d62ff77d", 0), ("c52f382fa050e288e4dbf852b624e7fa", 1006));
     ("capdl-sysinit-like", ("3810f291791c10bae5decd0889bff3fa", 0), ("5574ea502ad1560a942d2576e05f007b", 203));
-    ("piccolo-like", ("a03bd0b0f9bd910dc03121ff82b9a0d6", 0), ("43e3cd27fb5d8bbb97926324aa7ae777", 83));
+    ("piccolo-like", ("6a2f42be7caa0d767a33be39e3e351fe", 0), ("43e3cd27fb5d8bbb97926324aa7ae777", 83));
     ("echronos-like", ("b46f73bc7f227a561d06070508802fe1", 0), ("1e72e1b7c553222b7dc8ceb7ef2fe0fa", 33));
   ]
 

@@ -5,9 +5,14 @@
    [Ac_codegen] profile, at jobs 1 and 2, with the kernel re-checking each
    chain. *)
 
+module Ty = Ac_lang.Ty
+module E = Ac_lang.Expr
+module M = Ac_monad.M
+module Ir = Ac_simpl.Ir
 module Rules = Ac_kernel.Rules
 module Thm = Ac_kernel.Thm
 module Driver = Autocorres.Driver
+module Rewrite = Autocorres.Rewrite
 
 let units = List.map fst Test_l2_order.golden_digests
 
@@ -53,8 +58,10 @@ let test_identity_free jobs () =
 
 (* Regression ceiling: the summed chain size (rule applications, counted
    with multiplicity) of the echronos-like unit.  The engine that minted a
-   reflexivity proof for every unchanged subterm reached 11921. *)
-let echronos_ceiling = 7711
+   reflexivity proof for every unchanged subterm reached 11921, and the
+   one that re-associated a statement spine one level per whole-term
+   round reached 7711. *)
+let echronos_ceiling = 7301
 
 let test_chain_size_ceiling () =
   let res =
@@ -90,10 +97,130 @@ let test_alloc_ceiling () =
     (Printf.sprintf "allocated %.1f MB <= %.1f MB" mb echronos_alloc_ceiling_mb)
     true (mb <= echronos_alloc_ceiling_mb)
 
+(* A sweep leaves no redex behind it, so what [Rewrite.normalize] returns
+   is its own fixed point: normalising it again mints nothing.  The
+   round that finds simp and discharge idle skips its sweep on the
+   strength of this.  Checked on the three [normalize] outputs of each
+   function: its L2 body (converted again from its L1 image under the
+   run's context), its HL body and its WA body.  The names of the bodies
+   that are not fixed points. *)
+let not_fixpoints (res : Driver.result) : string list =
+  let ctx = res.Driver.ctx in
+  List.concat_map
+    (fun (fr : Driver.func_result) ->
+      let l2f, _ = Autocorres.L2.convert_func ctx fr.Driver.fr_l1 in
+      List.filter_map
+        (fun (stage, body) ->
+          match body with
+          | Some (f : M.func) when Option.is_some (Rewrite.normalize ctx f.M.body) ->
+            Some (fr.Driver.fr_name ^ " " ^ stage)
+          | _ -> None)
+        [ ("L2", Some l2f); ("HL", fr.Driver.fr_hl); ("WA", fr.Driver.fr_wa) ])
+    res.Driver.funcs
+
+let test_fixpoints () =
+  List.iter
+    (fun name ->
+      let res =
+        Driver.run ~options:(Test_l2_order.options ~jobs:1) (Test_l2_order.unit_source name)
+      in
+      Alcotest.(check int) (name ^ ": no budget ran dry") 0 res.Driver.budget_hits;
+      Alcotest.(check (list string)) (name ^ ": normalised bodies are fixed points") []
+        (not_fixpoints res);
+      Alcotest.(check int) (name ^ ": no normalize call stopped early") 0
+        (Atomic.get Rewrite.exhaustions))
+    units
+
+let prop_fixpoints =
+  QCheck.Test.make ~count:12 ~name:"rewrite: small generated units normalise to fixed points"
+    QCheck.(pair (int_range 1 1_000_000) (int_range 2 7))
+    (fun (seed, stmts) ->
+      let profile =
+        { Ac_codegen.echronos_like with
+          Ac_codegen.p_name = "small"; target_functions = 5; stmts_per_function = stmts; seed }
+      in
+      let res =
+        Driver.run ~options:(Test_l2_order.options ~jobs:1) (Ac_codegen.generate profile)
+      in
+      not_fixpoints res = [] && Atomic.get Rewrite.exhaustions = 0)
+
+(* Stopping at the pass limit with work left is an exhaustion, counted
+   like running out of fuel.  Inlining [x] leaves a guard only the
+   simplifier of the next round turns into [true], and only a further
+   sweep then removes. *)
+let test_pass_limit_counted () =
+  let ctx = Rules.empty_ctx Ac_lang.Layout.empty in
+  let x = E.Var ("x", Ty.Tint) in
+  let m =
+    M.Bind
+      ( M.Return (E.int_e 3),
+        M.Pvar ("x", Ty.Tint),
+        M.Guard (Ir.Unsigned_overflow, E.Binop (E.Le, E.Binop (E.Add, x, E.int_e 1), E.int_e 5))
+      )
+  in
+  let saved = !Rewrite.fuel in
+  Rewrite.fuel := Rewrite.default_fuel;
+  Atomic.set Rewrite.exhaustions 0;
+  let out = Rewrite.normalize ctx m in
+  Alcotest.(check bool) "normalises to return ()" true
+    (match out with Some t -> M.equal (Rewrite.abs_of t) (M.Return E.unit_e) | None -> false);
+  Alcotest.(check int) "no exhaustion within the limit" 0 (Atomic.get Rewrite.exhaustions);
+  ignore (Rewrite.normalize ~max_passes:1 ctx m);
+  Rewrite.fuel := saved;
+  Alcotest.(check int) "stopping at the pass limit counts" 1 (Atomic.get Rewrite.exhaustions)
+
+(* One sweep normalises what a head step rebuilds below the new head, so
+   its output is a fixed point of the next: a constant inlined under a
+   statement makes a branch decidable, and pruning a dead loop component
+   leaves a [y <- gets g; return y] tail in the loop body. *)
+let test_settle_rebuilt () =
+  let ctx = Rules.empty_ctx Ac_lang.Layout.empty in
+  let var x = E.Var (x, Ty.Tint) and pvar x = M.Pvar (x, Ty.Tint) in
+  let set v = M.Modify [ M.Global_set ("g", E.int_e v) ] in
+  let get_g = M.Gets (E.Global ("g", Ty.Tint)) in
+  let loop ps body init = M.While (ps, E.Binop (E.Lt, var "i", E.int_e 10), body, init) in
+  let cases =
+    [
+      ( "inlined constant",
+        M.Bind
+          ( M.Return E.true_e,
+            M.Pvar ("b", Ty.Tbool),
+            M.Bind (set 0, M.Pwild, M.Cond (E.Var ("b", Ty.Tbool), set 1, set 2)) ),
+        M.Bind (set 0, M.Pwild, set 1) );
+      ( "pruned loop component",
+        M.Bind
+          ( loop
+              (M.Ptuple [ pvar "i"; pvar "z" ])
+              (M.Bind (get_g, pvar "y", M.Return (E.Tuple [ var "y"; var "z" ])))
+              (E.Tuple [ E.int_e 0; E.int_e 0 ]),
+            M.Ptuple [ pvar "i'"; pvar "z'" ],
+            M.Return (var "i'") ),
+        loop (pvar "i") get_g (E.int_e 0) );
+    ]
+  in
+  let sweep m = Rewrite.pass ctx (ref Rewrite.default_fuel) m in
+  List.iter
+    (fun (name, m, want) ->
+      match sweep m with
+      | None -> Alcotest.failf "%s: nothing rewritten" name
+      | Some t ->
+        Alcotest.(check string) name (Ac_monad.Mprint.to_string want)
+          (Ac_monad.Mprint.to_string (Rewrite.abs_of t));
+        Alcotest.(check bool) (name ^ ": a fixed point") true
+          (Option.is_none (sweep (Rewrite.abs_of t))))
+    cases
+
 let suite =
   [
     Alcotest.test_case "identity-free derivations at jobs 1" `Quick (test_identity_free 1);
     Alcotest.test_case "identity-free derivations at jobs 2" `Quick (test_identity_free 2);
     Alcotest.test_case "echronos-like chain size ceiling" `Quick test_chain_size_ceiling;
     Alcotest.test_case "echronos-like allocation ceiling" `Quick test_alloc_ceiling;
+    Alcotest.test_case "normalised bodies are fixed points, no pass limit hit" `Quick
+      test_fixpoints;
+    Alcotest.test_case "stopping at the pass limit counts as an exhaustion" `Quick
+      test_pass_limit_counted;
+    QCheck_alcotest.to_alcotest prop_fixpoints;
+    Alcotest.test_case "a sweep normalises what a head step rebuilt" `Quick
+      test_settle_rebuilt;
   ]

@@ -331,6 +331,19 @@ let test_trace_roundtrip () =
     Alcotest.(check bool) "replay under the wrong context fails" true
       (match Trace.replay res.Driver.ctx tr with Error _ -> true | Ok _ -> false)
 
+(* A trace node the kernel's rule base has no case for is an [Error] of
+   replay, wherever it sits in the trace, never an escaping exception. *)
+let test_trace_replay_refuses () =
+  let ctx = Rules.empty_ctx Ac_lang.Layout.empty in
+  let module M = Ac_monad.M in
+  let bad = { Trace.n_rule = Rules.Rw_return_bind (M.Fail, M.Pwild, M.Fail); n_prems = [] } in
+  let leaf = { Trace.n_rule = Rules.Eq_refl M.Fail; n_prems = [] } in
+  List.iter
+    (fun (where, tr) ->
+      Alcotest.(check bool) (where ^ ": replay is an Error") true
+        (match Trace.replay ctx tr with Error _ -> true | Ok _ -> false))
+    [ ("first node", [| bad |]); ("later node", [| leaf; bad |]) ]
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: warm = cold across the corpus under random option vectors. *)
 
@@ -785,4 +798,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_write_truncation;
     Alcotest.test_case "strict lock survives same-process with_lock (fd-drop fix)"
       `Quick test_lock_survives_same_process_release;
+    Alcotest.test_case "replay of a rule the kernel refuses is an Error" `Quick
+      test_trace_replay_refuses;
   ]
