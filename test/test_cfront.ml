@@ -190,11 +190,11 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 (* Every corpus file, by name, and every [Ac_codegen] profile. *)
 let golden_sources () =
   let corpus =
-    Sys.readdir "../corpus" |> Array.to_list
+    Sys.readdir Paths.corpus_dir |> Array.to_list
     |> List.filter_map (Filename.chop_suffix_opt ~suffix:".c")
     |> List.sort compare
   in
-  List.map (fun name -> (name, read_file (Filename.concat "../corpus" (name ^ ".c")))) corpus
+  List.map (fun name -> (name, read_file (Paths.corpus_file (name ^ ".c")))) corpus
   @ List.map (fun p -> (p.Ac_codegen.p_name, Ac_codegen.generate p)) Ac_codegen.profiles
 
 let show_token = function

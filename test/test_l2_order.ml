@@ -15,7 +15,7 @@ module Callgraph = Ac_analysis.Callgraph
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let corpus_file name = read_file (Filename.concat "../corpus" (name ^ ".c"))
+let corpus_file name = read_file (Paths.corpus_file (name ^ ".c"))
 
 let options ~jobs = { Driver.default_options with Driver.keep_going = true; jobs }
 

@@ -341,16 +341,7 @@ let test_profile_reset_baseline () =
 (* CLI: --trace must not change a byte of output, and the trace must
    validate. *)
 
-let acc_exe =
-  let candidates =
-    [
-      Filename.concat (Sys.getcwd ()) "../bin/acc.exe";
-      Filename.concat (Sys.getcwd ()) "_build/default/bin/acc.exe";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> List.hd candidates
+let acc_exe = Paths.acc_exe
 
 let write_file path s =
   let oc = open_out_bin path in

@@ -175,7 +175,7 @@ let test_driver_jobs_differential () =
 
 (* The same differential through the real binary: `acc translate
    --diag-json --jobs 4` must be byte-identical to `--jobs 1`. *)
-let acc_exe = Filename.concat (Sys.getcwd ()) "../bin/acc.exe"
+let acc_exe = Paths.acc_exe
 
 let run_acc args file =
   let out = Filename.temp_file "acc_out" ".txt" in

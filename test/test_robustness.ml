@@ -400,7 +400,7 @@ let test_frontend_long_sum () =
    (0/1/2, one-line diagnostics, no stack traces) must hold on all of
    them. *)
 
-let acc_exe = Filename.concat (Sys.getcwd ()) "../bin/acc.exe"
+let acc_exe = Paths.acc_exe
 
 let run_acc args file =
   let out = Filename.temp_file "acc_out" ".txt" in

@@ -19,18 +19,9 @@
 module Line_buf = Ac_serve.Line_buf
 
 (* ------------------------------------------------------------------ *)
-(* Helpers (same acc.exe discovery as test_store). *)
+(* Helpers. *)
 
-let acc_exe =
-  let candidates =
-    [
-      Filename.concat (Sys.getcwd ()) "../bin/acc.exe";
-      Filename.concat (Sys.getcwd ()) "_build/default/bin/acc.exe";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> List.hd candidates
+let acc_exe = Paths.acc_exe
 
 let write_file path s =
   let oc = open_out_bin path in

@@ -367,18 +367,7 @@ let prop_replay_identical =
 (* ------------------------------------------------------------------ *)
 (* Exit-code contract through the real binary. *)
 
-let acc_exe =
-  (* cwd is _build/default/test under `dune runtest`, the repo root under
-     `dune exec test/main.exe`. *)
-  let candidates =
-    [
-      Filename.concat (Sys.getcwd ()) "../bin/acc.exe";
-      Filename.concat (Sys.getcwd ()) "_build/default/bin/acc.exe";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> List.hd candidates
+let acc_exe = Paths.acc_exe
 
 let run_acc args =
   let out = Filename.temp_file "acc_out" ".txt" in
@@ -773,6 +762,109 @@ let test_lock_survives_same_process_release () =
   Alcotest.(check bool) "lock is reacquirable after release" true (probe_locked dir);
   Lock.release again
 
+(* ------------------------------------------------------------------ *)
+(* qcheck: a mutated trace never makes replay raise.  A trace read from
+   disk is untrusted: whatever its nodes say, replay must answer [Ok] or
+   [Error], which the driver turns into a cache miss. *)
+
+(* Every chain the corpus and the echronos-like unit translate to, with
+   the context it replays under. *)
+let recorded_traces =
+  lazy
+    (List.map snd Csources.all @ [ Ac_codegen.generate Ac_codegen.echronos_like ]
+    |> List.concat_map (fun src ->
+           let res = Driver.run ~options:opts src in
+           List.filter_map
+             (fun fr ->
+               Option.map
+                 (fun chain ->
+                   ({ res.Driver.ctx with Rules.wvars = fr.Driver.fr_wa_wvars },
+                    Trace.record chain))
+                 fr.Driver.fr_chain)
+             res.Driver.funcs)
+    |> Array.of_list)
+
+(* Node and position operands are taken modulo the trace's length and
+   the premise list's. *)
+type mutation =
+  | Swap_rules of int * int
+  | Drop_prem of int * int
+  | Dup_prem of int * int
+  | Rotate_prems of int * int
+  | Bad_index of int * int
+  | Truncate of int
+
+let show_mutation = function
+  | Swap_rules (i, j) -> Printf.sprintf "swap rules %d %d" i j
+  | Drop_prem (i, k) -> Printf.sprintf "drop premise %d of %d" k i
+  | Dup_prem (i, k) -> Printf.sprintf "duplicate premise %d of %d" k i
+  | Rotate_prems (i, k) -> Printf.sprintf "rotate premises of %d by %d" i k
+  | Bad_index (i, p) -> Printf.sprintf "premise index %d at %d" p i
+  | Truncate k -> Printf.sprintf "truncate to %d" k
+
+let gen_mutation =
+  let open QCheck.Gen in
+  let node = int_bound 1_000_000 and pos = int_bound 8 in
+  oneof
+    [
+      map2 (fun i j -> Swap_rules (i, j)) node node;
+      map2 (fun i k -> Drop_prem (i, k)) node pos;
+      map2 (fun i k -> Dup_prem (i, k)) node pos;
+      map2 (fun i k -> Rotate_prems (i, 1 + k)) node pos;
+      (* out of range: negative, the node itself or later, past the end *)
+      map2 (fun i p -> Bad_index (i, p)) node (int_range (-3) 1_000_000);
+      map (fun k -> Truncate k) node;
+    ]
+
+let mutate (tr : Trace.t) m : Trace.t =
+  let n = Array.length tr in
+  if n = 0 then tr else
+  let tr = Array.copy tr in
+  let edit i f =
+    let node = tr.(i mod n) in
+    let ps = node.Trace.n_prems in
+    let k = List.length ps in
+    tr.(i mod n) <- { node with Trace.n_prems = (if k = 0 then ps else f ps k) }
+  in
+  match m with
+  | Swap_rules (i, j) ->
+    let a = tr.(i mod n) and b = tr.(j mod n) in
+    tr.(i mod n) <- { a with Trace.n_rule = b.Trace.n_rule };
+    tr.(j mod n) <- { b with Trace.n_rule = a.Trace.n_rule };
+    tr
+  | Drop_prem (i, p) ->
+    edit i (fun ps k -> List.filteri (fun j _ -> j <> p mod k) ps);
+    tr
+  | Dup_prem (i, p) ->
+    edit i (fun ps k -> List.nth ps (p mod k) :: ps);
+    tr
+  | Rotate_prems (i, r) ->
+    edit i (fun ps k ->
+        let r = r mod k in
+        List.filteri (fun j _ -> j >= r) ps @ List.filteri (fun j _ -> j < r) ps);
+    tr
+  | Bad_index (i, p) ->
+    let node = tr.(i mod n) in
+    let p = if p < 0 then p else if p mod 2 = 0 then (i mod n) + (p mod 4) else n + (p mod 4) in
+    tr.(i mod n) <- { node with Trace.n_prems = p :: node.Trace.n_prems };
+    tr
+  | Truncate k -> Array.sub tr 0 (k mod n)
+
+let prop_mutated_replay_total =
+  QCheck.Test.make ~count:2000 ~name:"store: a mutated trace replays to Ok or Error, never raises"
+    QCheck.(
+      make
+        ~print:(fun (t, ms) ->
+          Printf.sprintf "trace %d: %s" t (String.concat "; " (List.map show_mutation ms)))
+        Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 3) gen_mutation)))
+    (fun (t, ms) ->
+      let traces = Lazy.force recorded_traces in
+      let ctx, tr = traces.(t mod Array.length traces) in
+      match Trace.replay ctx (List.fold_left mutate tr ms) with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "replay raised %s" (Printexc.to_string e))
+
 let suite =
   [
     Alcotest.test_case "warm = cold across the corpus" `Quick test_corpus_roundtrip;
@@ -800,4 +892,5 @@ let suite =
       `Quick test_lock_survives_same_process_release;
     Alcotest.test_case "replay of a rule the kernel refuses is an Error" `Quick
       test_trace_replay_refuses;
+    QCheck_alcotest.to_alcotest prop_mutated_replay_total;
   ]
