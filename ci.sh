@@ -338,7 +338,9 @@ echo "== serve fault-injection soak: 300 requests at io_error:0.01 and io_error:
 # per rate.  Each injected session must answer every request (zero
 # session deaths) and every response must match the clean run once the
 # store counters and diagnostics (fault injection adds warnings) are
-# stripped.
+# stripped.  The store retries each failed I/O attempt, so the responses
+# alone cannot show that a fault fired: the injected sessions end with
+# one `status` request, whose store `io_retries` must be above zero.
 SOAK_DIR=$(mktemp -d)
 i=0
 while [ "$i" -lt 300 ]; do
@@ -348,6 +350,8 @@ while [ "$i" -lt 300 ]; do
     i=$(( i + 1 ))
   done
 done
+cp "$SOAK_DIR/reqs" "$SOAK_DIR/reqs.status"
+echo "status" >> "$SOAK_DIR/reqs.status"
 strip_volatile() {
   sed 's/"store":{[^}]*}//; s/"diagnostics":\[[^]]*\]//' "$1"
 }
@@ -355,22 +359,28 @@ strip_volatile() {
 strip_volatile "$SOAK_DIR/clean" > "$SOAK_DIR/clean.n"
 for rate in 0.01 0.05; do
   if ! "$ACC" serve --store "$SOAK_DIR/store.$rate" --inject "io_error:$rate,seed:7" \
-      < "$SOAK_DIR/reqs" > "$SOAK_DIR/out" 2> /dev/null; then
+      < "$SOAK_DIR/reqs.status" > "$SOAK_DIR/out" 2> /dev/null; then
     echo "FAIL: injected serve session died at io_error:$rate" >&2
     exit 1
   fi
   answered=$(wc -l < "$SOAK_DIR/out")
-  if [ "$answered" -ne 300 ]; then
-    echo "FAIL: injected serve answered $answered of 300 requests at io_error:$rate" >&2
+  if [ "$answered" -ne 301 ]; then
+    echo "FAIL: injected serve answered $answered of 301 requests at io_error:$rate" >&2
     exit 1
   fi
-  if ! strip_volatile "$SOAK_DIR/out" > "$SOAK_DIR/out.n" \
+  head -n 300 "$SOAK_DIR/out" > "$SOAK_DIR/out.300"
+  if ! strip_volatile "$SOAK_DIR/out.300" > "$SOAK_DIR/out.n" \
      || ! cmp -s "$SOAK_DIR/clean.n" "$SOAK_DIR/out.n"; then
     echo "FAIL: injected serve output diverged from the clean session at io_error:$rate" >&2
     diff "$SOAK_DIR/clean.n" "$SOAK_DIR/out.n" | head -5 >&2 || true
     exit 1
   fi
-  echo "ok: io_error:$rate 300/300 answered, zero divergence"
+  retries=$(tail -n 1 "$SOAK_DIR/out" | sed -n 's/.*"io_retries":\([0-9]*\).*/\1/p')
+  if [ -z "$retries" ] || [ "$retries" -le 0 ]; then
+    echo "FAIL: no store I/O attempt was retried at io_error:$rate (io_retries '${retries}')" >&2
+    exit 1
+  fi
+  echo "ok: io_error:$rate 300/300 answered, zero divergence, $retries I/O attempts retried"
 done
 rm -rf "$SOAK_DIR"
 

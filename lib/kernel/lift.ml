@@ -10,11 +10,13 @@ module SMap = Map.Make (String)
 
    Input: an L1 body, where locals live in the state (Modify/Local_set) and
    THROW communicates through the ghost locals global_exn_var and ret.
-   Output: an L2 body where locals are lambda-bound, every sub-program
-   returns the tuple of locals it modifies, and exceptions carry a tuple of
-   (exit code, return value, live modified locals) so that abrupt exits
-   transport local updates to their catch site — the same discipline the
-   Isabelle AutoCorres uses for its L2 exception values.
+   Output: an L2 body where locals are lambda-bound and exceptions carry a
+   tuple of (exit code, return value, live modified locals) so that abrupt
+   exits transport local updates to their catch site — the same discipline
+   the Isabelle AutoCorres uses for its L2 exception values.  A local update
+   binds the local for the rest of its statement sequence; only a join (a
+   condition, loop, catch or value bind) returns the tuple of the locals it
+   assigns, which the code after it binds (DESIGN.md, "Lean lifting").
 
    The transformation lives inside the kernel and is exposed through the
    single reflective rule [Rw_lift]; the refinement between its input and
@@ -23,7 +25,8 @@ module SMap = Map.Make (String)
    test suite on random programs and states.
 
    Invariants assumed of L1 input (checked, failing the rule otherwise):
-   - non-wildcard [Bind] patterns only bind call results (never locals);
+   - non-wildcard [Bind] patterns only bind the value of a statement with
+     no sub-program and no local update (at L1, a call result);
    - [Throw] carries unit;
    - every sub-program's value is unit. *)
 
@@ -72,8 +75,6 @@ let resolve env (e : E.t) : E.t =
   in
   go e
 
-let canon vars = List.sort_uniq String.compare vars
-
 let tuple_pat env vars =
   match vars with
   | [] -> M.Pwild
@@ -89,32 +90,13 @@ let tuple_of_current env vars =
   | [ x ] -> current_value env x
   | xs -> E.Tuple (List.map (current_value env) xs)
 
-(* Locals assigned (Local_set) anywhere in an L1 term: the statically
-   computed modified set. *)
-let scan_modified (m : M.t) : string list =
-  let acc = ref [] in
-  (* The exit code and return value ride in the first two components of
-     every exception tuple already. *)
-  let add x =
-    if (not (List.mem x !acc)) && not (String.equal x Ir.exn_var || String.equal x Ir.ret_var)
-    then acc := x :: !acc
-  in
-  let rec scan m =
-    match m with
-    | M.Modify sms -> List.iter (function M.Local_set (x, _) -> add x | _ -> ()) sms
-    | M.Bind (a, _, b) | M.Try (a, _, b) ->
-      scan a;
-      scan b
-    | M.Cond (_, a, b) ->
-      scan a;
-      scan b
-    | M.While (_, _, body, _) -> scan body
-    | M.Return _ | M.Gets _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _ | M.Call _
-    | M.Exec_concrete _ ->
-      ()
-  in
-  scan m;
-  canon !acc
+let union a b = List.sort_uniq String.compare (a @ b)
+
+(* The exit code and return value ride in the first two components of
+   every exception tuple already, so neither is part of a catch shape or
+   carried round a loop. *)
+let drop_ghosts =
+  List.filter (fun x -> not (String.equal x Ir.exn_var || String.equal x Ir.ret_var))
 
 (* The value thrown to the innermost catch: exit code, return value, then
    the catch-shape locals' current values. *)
@@ -129,103 +111,116 @@ let exn_pat env shape =
     ([ M.Pvar (Ir.exn_var, Ir.exn_ty); M.Pvar (Ir.ret_var, env.ret_ty) ]
     @ List.map (fun x -> M.Pvar (x, var_ty env x)) shape)
 
-(* Wrap a lifted sub-program so its value is the canonical [modified] tuple
-   (locals it did not touch keep their pre-existing values). *)
-let complete env (m', mine) modified =
-  let env_full = bind_all env mine in
-  if mine = modified then m'
-  else M.Bind (m', tuple_pat env mine, M.Return (tuple_of_current env_full modified))
-
-(* [go env m] lifts [m], returning (m', modified) where [m'] computes the
-   tuple of [modified] locals in canonical order. *)
-let rec go env (m : M.t) : M.t * string list =
+(* A statement without sub-programs or local updates, its reads resolved. *)
+let atom env (m : M.t) : M.t =
   match m with
-  | M.Return _ -> (m, [])
-  | M.Gets e -> (M.Gets (resolve env e), [])
-  | M.Guard (k, e) -> (M.Guard (k, resolve env e), [])
-  | M.Fail -> (M.Fail, [])
-  | M.Unknown t -> (M.Unknown t, [])
+  | M.Gets e -> M.Gets (resolve env e)
+  | M.Guard (k, e) -> M.Guard (k, resolve env e)
+  | M.Call (f, args) -> M.Call (f, List.map (resolve env) args)
+  | M.Exec_concrete (f, args) -> M.Exec_concrete (f, List.map (resolve env) args)
+  | M.Modify sms ->
+    M.Modify
+      (List.map
+         (function
+           | M.Heap_write (c, p, v) -> M.Heap_write (c, resolve env p, resolve env v)
+           | M.Typed_write (c, p, v) -> M.Typed_write (c, resolve env p, resolve env v)
+           | M.Global_set (x, e) -> M.Global_set (x, resolve env e)
+           | M.Retype (c, e) -> M.Retype (c, resolve env e)
+           | M.Local_set _ -> failwith_lift "local update in a value bind")
+         sms)
+  | M.Return _ | M.Fail | M.Unknown _ -> m
+  | _ -> failwith_lift "value bind of a compound program"
+
+(* [m] then [rest] under [p]; just [m] when [rest] returns what [m] does
+   ([unit]: [m]'s value is unit). *)
+let bind ?(unit = false) m p rest =
+  match rest with
+  | M.Return e when (unit || p <> M.Pwild) && E.equal e (M.pat_expr p) -> m
+  | _ -> M.Bind (m, p, rest)
+
+(* A join: [m] computes the tuple of the [carried] locals, which the
+   continuation sees bound. *)
+let join env carried m k =
+  bind ~unit:(carried = []) m (tuple_pat env carried) (k (bind_all env carried))
+
+let return_carried carried env = M.Return (tuple_of_current env carried)
+
+(* [go m] returns the locals [m] assigns, computed once bottom-up, and a
+   builder: [build env k] is the lifted [m] followed by [k env'], where
+   [env'] binds the locals as [m] leaves them.  A local update binds the
+   local for the rest of the statement sequence; only a condition, a
+   loop, a catch and a value bind build a tuple of what they assign. *)
+let rec go (m : M.t) : string list * (env -> (env -> M.t) -> M.t) =
+  match m with
+  | M.Return _ -> ([], fun env k -> k env)
   | M.Throw e ->
     if not (E.equal e E.unit_e) then failwith_lift "L1 throw carries a value";
-    (M.Throw (throw_value env), [])
-  | M.Modify sms -> (
-    let locals, others =
-      List.partition (function M.Local_set _ -> true | _ -> false) sms
-    in
-    match (locals, others) with
-    | [], others ->
-      let others =
-        List.map
-          (function
-            | M.Heap_write (c, p, v) -> M.Heap_write (c, resolve env p, resolve env v)
-            | M.Typed_write (c, p, v) -> M.Typed_write (c, resolve env p, resolve env v)
-            | M.Global_set (x, e) -> M.Global_set (x, resolve env e)
-            | M.Retype (c, e) -> M.Retype (c, resolve env e)
-            | M.Local_set _ -> assert false)
-          others
-      in
-      (M.Modify others, [])
-    | [ M.Local_set (x, e) ], [] ->
-      let e = resolve env e in
-      let m' = if E.reads_state e then M.Gets e else M.Return e in
-      (m', [ x ])
-    | _ -> failwith_lift "mixed or multiple local updates in one modify")
+    ([], fun env _ -> M.Throw (throw_value env))
+  | M.Fail -> ([], fun _ _ -> M.Fail)
+  | M.Modify [ M.Local_set (x, e) ] ->
+    ( [ x ],
+      fun env k ->
+        let e = resolve env e in
+        bind (if E.reads_state e then M.Gets e else M.Return e) (M.Pvar (x, var_ty env x))
+          (k (bind_all env [ x ])) )
+  | M.Modify sms when List.exists (function M.Local_set _ -> true | _ -> false) sms ->
+    failwith_lift "mixed or multiple local updates in one modify"
+  | M.Gets _ | M.Guard _ | M.Unknown _ | M.Call _ | M.Exec_concrete _ | M.Modify _ ->
+    let unit = match m with M.Guard _ | M.Modify _ -> true | _ -> false in
+    ([], fun env k -> bind ~unit (atom env m) M.Pwild (k env))
   | M.Bind (a, M.Pwild, b) ->
-    let a', ma = go env a in
-    let env_a = bind_all env ma in
-    let b', mb = go env_a b in
-    let env_b = bind_all env_a mb in
-    let modified = canon (ma @ mb) in
-    ( M.Bind
-        ( a',
-          tuple_pat env_a ma,
-          M.Bind (b', tuple_pat env_b mb, M.Return (tuple_of_current env_b modified)) ),
-      modified )
+    let ma, build_a = go a in
+    let mb, build_b = go b in
+    (union ma mb, fun env k -> build_a env (fun env -> build_b env k))
   | M.Bind (a, p, b) ->
-    let a', ma = go env a in
-    if ma <> [] then failwith_lift "value bind of a local-modifying program";
+    (* Stays a join, so [p]'s temporaries do not outlive [b]. *)
+    let mb, build_b = go b in
     let vars = M.pat_vars p in
-    let env_p =
-      bind_all
-        { env with var_tys = List.fold_left (fun m (x, t) -> SMap.add x t m) env.var_tys vars }
-        (List.map fst vars)
-    in
-    let b', mb = go env_p b in
-    (M.Bind (a', p, b'), mb)
+    ( mb,
+      fun env k ->
+        let env_p =
+          bind_all
+            { env with var_tys = List.fold_left (fun m (x, t) -> SMap.add x t m) env.var_tys vars }
+            (List.map fst vars)
+        in
+        join env mb (M.Bind (atom env a, p, build_b env_p (return_carried mb))) k )
   | M.Cond (c, a, b) ->
-    let c = resolve env c in
-    let a', ma = go env a in
-    let b', mb = go env b in
-    let modified = canon (ma @ mb) in
-    (M.Cond (c, complete env (a', ma) modified, complete env (b', mb) modified), modified)
+    let ma, build_a = go a in
+    let mb, build_b = go b in
+    let carried = union ma mb in
+    ( carried,
+      fun env k ->
+        let ret = return_carried carried in
+        join env carried (M.Cond (resolve env c, build_a env ret, build_b env ret)) k )
   | M.While (M.Pwild, cond, body, init) ->
     if not (E.equal init E.unit_e) then failwith_lift "L1 loop has an iterator";
-    let carried = scan_modified body in
-    let env_in = bind_all env carried in
-    let body', mb = go env_in body in
-    let body_wrapped = complete env_in (body', mb) carried in
-    (M.While (tuple_pat env_in carried, resolve env_in cond, body_wrapped, tuple_of_current env carried),
-      carried )
+    let mb, build_body = go body in
+    let carried = drop_ghosts mb in
+    ( carried,
+      fun env k ->
+        let env_in = bind_all env carried in
+        join env carried
+          (M.While
+             ( tuple_pat env carried,
+               resolve env_in cond,
+               build_body env_in (return_carried carried),
+               tuple_of_current env carried ))
+          k )
   | M.While _ -> failwith_lift "unexpected iterator pattern at L1"
   | M.Try (a, M.Pwild, handler) ->
-    let shape = scan_modified a in
-    let a', ma = go { env with catch_shape = shape } a in
-    (* Handler entry: exit code, return value and the shape locals are all
-       pattern-bound with their values at the throw site. *)
-    let henv =
-      bind_all
-        { env with
-          var_tys =
-            SMap.add Ir.ret_var env.ret_ty (SMap.add Ir.exn_var Ir.exn_ty env.var_tys) }
-        (Ir.exn_var :: Ir.ret_var :: shape)
-    in
-    let h', mh = go henv handler in
-    let modified = canon (ma @ mh @ shape) in
-    ( M.Try (complete env (a', ma) modified, exn_pat henv shape, complete henv (h', mh) modified),
-      modified )
+    let ma, build_a = go a in
+    let mh, build_h = go handler in
+    let shape = drop_ghosts ma in
+    let carried = union ma mh in
+    ( carried,
+      fun env k ->
+        let ret = return_carried carried in
+        (* Handler entry: exit code, return value and the shape locals are
+           all pattern-bound with their values at the throw site. *)
+        let henv = bind_all env (Ir.exn_var :: Ir.ret_var :: shape) in
+        let body = build_a { env with catch_shape = shape } ret in
+        join env carried (M.Try (body, exn_pat henv shape, build_h henv ret)) k )
   | M.Try _ -> failwith_lift "unexpected catch pattern at L1"
-  | M.Call (f, args) -> (M.Call (f, List.map (resolve env) args), [])
-  | M.Exec_concrete (f, args) -> (M.Exec_concrete (f, List.map (resolve env) args), [])
 
 (* Lift a whole L1 function body (shape: TRY inner [;; guard] CATCH SKIP). *)
 let lift_body lenv ~(params : (string * Ty.t) list) ~(locals : (string * Ty.t) list)
@@ -245,21 +240,16 @@ let lift_body lenv ~(params : (string * Ty.t) list) ~(locals : (string * Ty.t) l
   in
   match body with
   | M.Try (inner, M.Pwild, M.Return u) when E.equal u E.unit_e ->
-    let shape = scan_modified inner in
-    let inner', mi = go { env with catch_shape = shape } inner in
+    let mi, build = go inner in
+    let shape = drop_ghosts mi in
     let normal_result =
       if Ty.equal ret_ty Ty.Tunit then E.unit_e else default_expr env ret_ty
-    in
-    let henv =
-      bind_all
-        { env with var_tys = SMap.add Ir.ret_var ret_ty (SMap.add Ir.exn_var Ir.exn_ty var_tys) }
-        (Ir.exn_var :: Ir.ret_var :: shape)
     in
     (* Normal completion: a void function's unit result (non-void functions
        cannot complete normally — the DontReach guard precedes this point).
        Abrupt completion: the transported return value. *)
     M.Try
-      ( M.Bind (inner', tuple_pat (bind_all env mi) mi, M.Return normal_result),
-        exn_pat henv shape,
+      ( build { env with catch_shape = shape } (fun _ -> M.Return normal_result),
+        exn_pat env shape,
         M.Return (E.Var (Ir.ret_var, ret_ty)) )
   | _ -> failwith_lift "unexpected L1 function shape"

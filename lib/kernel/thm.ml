@@ -80,10 +80,20 @@ let mint concl rule prems =
   let d_depth, d_size = shape 0 0 prems in
   { concl; rule; prems; id = Atomic.fetch_and_add next_id 1; d_depth; d_size }
 
+(* [Rules.infer], total: an instance whose inference raises (an ill-typed
+   constant folded, a struct the layout does not declare, ...) is refused
+   like any failed side condition.  Refusing is always sound; running out
+   of memory or stack still propagates. *)
+let infer ctx rule prems =
+  match Rules.infer ctx rule (List.map (fun p -> p.concl) prems) with
+  | r -> r
+  | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) -> raise e
+  | exception e -> Result.Error ("inference raised " ^ Printexc.to_string e)
+
 let by (ctx : Rules.ctx) (rule : Rules.rule) (prems : t list) : t =
   if injected rule then
     raise (Kernel_error (Printf.sprintf "%s: injected fault" (Rules.rule_name rule)));
-  match Rules.infer ctx rule (List.map (fun p -> p.concl) prems) with
+  match infer ctx rule prems with
   | Result.Ok concl ->
     observed rule;
     mint concl rule prems
@@ -93,7 +103,7 @@ let by (ctx : Rules.ctx) (rule : Rules.rule) (prems : t list) : t =
 let by_opt ctx rule prems =
   if injected rule then None
   else
-    match Rules.infer ctx rule (List.map (fun p -> p.concl) prems) with
+    match infer ctx rule prems with
     | Result.Ok concl ->
       observed rule;
       Some (mint concl rule prems)
@@ -111,7 +121,7 @@ let rec check (ctx : Rules.ctx) (t : t) : (unit, string) result =
   match check_all t.prems with
   | Result.Error _ as e -> e
   | Result.Ok () -> (
-    match Rules.infer ctx t.rule (List.map (fun p -> p.concl) t.prems) with
+    match infer ctx t.rule t.prems with
     | Result.Ok concl ->
       if Judgment.judgment_equal concl t.concl then Result.ok ()
       else Result.error ("conclusion mismatch at rule " ^ Rules.rule_name t.rule)

@@ -181,6 +181,7 @@ let run (cfg : config) : (unit, string) result =
   let store_count read () = match store with Some st -> read st | None -> 0 in
   Metrics.probe "serve.store_hits" (store_count Store.hits);
   Metrics.probe "serve.store_misses" (store_count Store.misses);
+  Metrics.probe "serve.store_io_retries" (store_count Store.io_retries);
   Metrics.probe "serve.shed" (fun () ->
       match !sched_stats with Some f -> (f ()).Server.shed | None -> 0);
   Metrics.probe "trace.dropped_events" Obs.dropped;
@@ -238,13 +239,14 @@ let run (cfg : config) : (unit, string) result =
        consumers parsing a status prefix keep working. *)
     let ms p = 1000. *. Metrics.quantile h_latency p in
     Printf.sprintf
-      "{\"ok\":true,\"cmd\":\"status\",\"uptime_s\":%.3f,\"requests\":%d,\"failures\":%d,\"degraded\":%d,\"requests_over_deadline\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"faults_active\":%b,\"shutting_down\":%b%s,\"latency_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f},\"dropped\":%d}"
+      "{\"ok\":true,\"cmd\":\"status\",\"uptime_s\":%.3f,\"requests\":%d,\"failures\":%d,\"degraded\":%d,\"requests_over_deadline\":%d,\"store\":{\"hits\":%d,\"misses\":%d,\"io_retries\":%d},\"faults_active\":%b,\"shutting_down\":%b%s,\"latency_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f},\"dropped\":%d}"
       (Obs.mono_s () -. started)
       (Metrics.counter_value m_requests)
       (Metrics.counter_value m_failures)
       (Metrics.counter_value m_degraded)
       (Metrics.counter_value m_over_deadline)
       (store_count Store.hits ()) (store_count Store.misses ())
+      (store_count Store.io_retries ())
       (Faults.active () <> None)
       (Atomic.get shutting)
       sched (ms 0.50) (ms 0.95) (ms 0.99) (Obs.dropped ())

@@ -48,8 +48,10 @@ module J = Ac_kernel.Judgment
    ruleset-4: the rewrite engine normalises what a head step builds within
    the same sweep, which changes some normal forms.  Older entries would
    replay the old normal forms, so a warm run would differ from a cold
-   one. *)
-let ruleset_tag = "acc-store-1/ruleset-4"
+   one.  ruleset-5: [Rw_lift] threads locals forward and builds a tuple of
+   modified locals only at a join, so its conclusion changed.  An older
+   entry would replay the old lifted term and its longer clean-up. *)
+let ruleset_tag = "acc-store-1/ruleset-5"
 
 let magic = "ACC-STORE v1\n"
 
@@ -220,10 +222,11 @@ let set_io_hook h = io_hook := h
    Each attempt re-runs [f] from scratch (reopening files), so a failure
    mid-attempt never leaves a half-consumed channel behind.  Only
    plausibly-transient exceptions ([Sys_error], [Unix_error]) are
-   retried; anything else propagates immediately. *)
+   retried; anything else propagates immediately.  [on_retry] is called
+   once per failed attempt that is retried. *)
 let io_attempts = 3
 
-let with_io_retry (op : string) (f : unit -> 'a) : 'a =
+let with_io_retry ~on_retry (op : string) (f : unit -> 'a) : 'a =
   let rec go attempt =
     match
       (match !io_hook with Some h -> h op | None -> ());
@@ -233,6 +236,7 @@ let with_io_retry (op : string) (f : unit -> 'a) : 'a =
     | exception ((Sys_error _ | Unix.Unix_error _) as e) ->
       if attempt >= io_attempts then raise e
       else begin
+        on_retry ();
         Unix.sleepf (0.002 *. Float.pow 2.0 (float_of_int (attempt - 1)));
         go (attempt + 1)
       end
@@ -294,6 +298,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable corrupt : int;
+  mutable io_retries : int; (* I/O attempts that failed and were retried *)
 }
 
 let dir t = t.dir
@@ -301,7 +306,15 @@ let tag t = t.tag
 let hits t = t.hits
 let misses t = t.misses
 let corrupt_count t = t.corrupt
-let reset_counters t = t.hits <- 0; t.misses <- 0; t.corrupt <- 0
+let io_retries t = t.io_retries
+
+let reset_counters t =
+  t.hits <- 0;
+  t.misses <- 0;
+  t.corrupt <- 0;
+  t.io_retries <- 0
+
+let count_retry t () = t.io_retries <- t.io_retries + 1
 
 (* A hit that later fails replay or post-run validation is really a miss;
    the driver reclassifies it so counters describe usable entries. *)
@@ -317,7 +330,7 @@ let open_ ?(tag = ruleset_tag) ?grace_s ~(dir : string) () : (t, string) result 
        quarantined (never deleted — they may be evidence) so the directory
        listing stays clean for gc and stat. *)
     ignore (recover_scan ?grace_s ~dir ());
-    Result.ok { dir; tag; hits = 0; misses = 0; corrupt = 0 }
+    Result.ok { dir; tag; hits = 0; misses = 0; corrupt = 0; io_retries = 0 }
   end
 
 let entry_path dir key = Filename.concat dir (key ^ ".acc")
@@ -377,7 +390,7 @@ let load (t : t) ~(key : string) : load_result =
       ignore (quarantine_file ~dir:t.dir (key ^ ".acc"));
       Corrupt m
     in
-    match with_io_retry "read" (fun () -> read_file path) with
+    match with_io_retry ~on_retry:(count_retry t) "read" (fun () -> read_file path) with
     | exception e ->
       poison (Printf.sprintf "unreadable entry %s: %s" path (Printexc.to_string e))
     | raw -> (
@@ -402,7 +415,7 @@ let save (t : t) ~(key : string) (e : fentry) : (unit, string) result =
     mkdirs t.dir;
     let payload = Marshal.to_string e [] in
     let dg = Digest.to_hex (Digest.string payload) in
-    with_io_retry "write" (fun () ->
+    with_io_retry ~on_retry:(count_retry t) "write" (fun () ->
         let tmp = Filename.temp_file ~temp_dir:t.dir ".acc-tmp" ".part" in
         let cleanup () = try Sys.remove tmp with Sys_error _ -> () in
         match

@@ -58,13 +58,16 @@ let unit_source name =
    sel4-like, piccolo-like and echronos-like digests were re-recorded when
    the rewrite engine began normalising what a head step builds within the
    same sweep: 9 of their 810 functions changed, 4 losing a dead
-   [x <- return e] binding and 5 only in the primes of renamed binders. *)
+   [x <- return e] binding and 5 only in the primes of renamed binders.
+   They, and binary_search, counter, schorr_waite and swap, were
+   re-recorded again when lifting began to thread locals forward and
+   tuple them only at joins: no function changed level and none grew. *)
 let golden_digests =
   [
-    ("binary_search", "f2a65db7d99d95aea082144c21c35cfd");
+    ("binary_search", "c0d2fd2c3490b9f44694d9336a5703ec");
     ("call_chain", "52bfd78d4049769335975238d2fb6d9e");
     ("clamp_shift", "d08113bc07e21d13e53dca985f6524d1");
-    ("counter", "716f14516855a446616df2026a31ee12");
+    ("counter", "c0b9e454697106c0c56f2ab9d4c4abb4");
     ("div_guarded", "92d659cdd844f834ddad9a1a9090f7d6");
     ("gcd", "2a4b42726e6bb9ace81f24c6556c4662");
     ("max", "8571bb4ba5a3f355b4eda59a41245d96");
@@ -75,14 +78,14 @@ let golden_digests =
     ("odd_divisor", "e92fcbf50735e0a71aba927ac98373b5");
     ("rec_bound", "d28fa16af47e687484fdb0df0bd3f646");
     ("reverse", "0a61c6956b562e7aad6acc8f84949163");
-    ("schorr_waite", "51dfe5bcff2c41971253ebf1264460cb");
+    ("schorr_waite", "22bcd5fe1b1f5a78fd6e58371ba6086f");
     ("shift_guarded", "c618aec9cfe36f1607486bc2d6d408de");
     ("suzuki", "e8ca39a4e52d4336f95e3dea4b683a95");
-    ("swap", "612011e9d366329a53d6f420aa477f7a");
-    ("sel4-like", "828118a770006c5fd414dfe584bea207");
-    ("capdl-sysinit-like", "e4bd5f46c5fae7c73864f94b29e72802");
-    ("piccolo-like", "0d5f9d3adb419a121a380a17868c23f2");
-    ("echronos-like", "a6d1b1b016c4244b6cfc77af046ac530");
+    ("swap", "0092343d6c43d9bc4b283f72603778c9");
+    ("sel4-like", "17f2452a6c5bf282afd98be043e63ca8");
+    ("capdl-sysinit-like", "77335b7d3dba1b8ecce4c4ddd3b87035");
+    ("piccolo-like", "b90e55e9e56d6acd752775486ef98be5");
+    ("echronos-like", "f63788db20a8b17e1a228ef89e7d08c3");
   ]
 
 let test_golden jobs () =
@@ -101,7 +104,9 @@ let test_golden jobs () =
    default budgets and under tight ones, which make loop fixpoints, SCC
    fixpoints and refinement rounds run dry.  The sel4-like and
    piccolo-like default-budget tables were re-recorded with the digests
-   above: they summarise the changed L2 bodies. *)
+   above: they summarise the changed L2 bodies.  So were, with the leaner
+   lifting, the default tables of every profile and sel4-like's tight one;
+   no budget-hit count moved. *)
 let tight_budgets =
   { Driver.default_budgets with Driver.summary_rounds = 2; analysis_rounds = 3 }
 
@@ -126,10 +131,10 @@ let golden_sums =
     ("shift_guarded", ("a49ba6045c9e3bc747a73093b14fcc08", 0), ("a49ba6045c9e3bc747a73093b14fcc08", 0));
     ("suzuki", ("4ae763582cd574545f0c289763f32e02", 0), ("4ae763582cd574545f0c289763f32e02", 0));
     ("swap", ("0060f5696f89b5b2aca6f65c02ed5c0c", 0), ("0060f5696f89b5b2aca6f65c02ed5c0c", 0));
-    ("sel4-like", ("64232dd2cb0663568c3d5de8d62ff77d", 0), ("c52f382fa050e288e4dbf852b624e7fa", 1006));
-    ("capdl-sysinit-like", ("3810f291791c10bae5decd0889bff3fa", 0), ("5574ea502ad1560a942d2576e05f007b", 203));
-    ("piccolo-like", ("6a2f42be7caa0d767a33be39e3e351fe", 0), ("43e3cd27fb5d8bbb97926324aa7ae777", 83));
-    ("echronos-like", ("b46f73bc7f227a561d06070508802fe1", 0), ("1e72e1b7c553222b7dc8ceb7ef2fe0fa", 33));
+    ("sel4-like", ("cc717cd2d468081666249ed755c12342", 0), ("b9f1f1111e8ebe7b5b964f710cf1b41f", 1006));
+    ("capdl-sysinit-like", ("7b59084be15dacf6623f8c739c7b4151", 0), ("5574ea502ad1560a942d2576e05f007b", 203));
+    ("piccolo-like", ("145c3eec497ab53c5f2baa2595d0f86f", 0), ("43e3cd27fb5d8bbb97926324aa7ae777", 83));
+    ("echronos-like", ("b2ca486e78349c3d6624066beadf3c49", 0), ("1e72e1b7c553222b7dc8ceb7ef2fe0fa", 33));
   ]
 
 let test_golden_sums () =

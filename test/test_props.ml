@@ -1,7 +1,9 @@
 (* Property-based soundness tests for the trusted computational pieces:
    the kernel expression simplifier preserves evaluation, the prover's
    term simplifier preserves ground evaluation, linear-arithmetic verdicts
-   agree with brute-force search, and the byte codec round-trips. *)
+   agree with brute-force search, the byte codec round-trips, local-variable
+   lifting preserves behaviour, and no rule instance makes the kernel
+   raise. *)
 
 module B = Ac_bignum
 module W = Ac_word
@@ -210,8 +212,8 @@ let mk_ufunc name params body : M.func =
 (* [f] (with body m / m') applied to every probe input must behave
    identically under the interpreter: a discharged guard that could
    actually fail shows up as [Fails] on one side only. *)
-let funcs_agree (funcs : M.t -> M.func list) (m : M.t) (m' : M.t) probes =
-  let prog body = { M.lenv; globals = [ ("g", u32) ]; funcs = funcs body; heap_types = [] } in
+let progs_agree (fs : M.func list) (fs' : M.func list) probes =
+  let prog funcs = { M.lenv; globals = [ ("g", u32) ]; funcs; heap_types = [] } in
   let state0 =
     State.set_global State.empty "g" (Value.vword Ty.Unsigned (W.of_int W.W32 0))
   in
@@ -220,8 +222,8 @@ let funcs_agree (funcs : M.t -> M.func list) (m : M.t) (m' : M.t) probes =
       [ Value.vword Ty.Unsigned (W.of_int W.W32 vx);
         Value.vword Ty.Unsigned (W.of_int W.W32 vy) ]
     in
-    let r = Interp.run_func (prog m) ~fuel:5000 state0 "f" args in
-    let r' = Interp.run_func (prog m') ~fuel:5000 state0 "f" args in
+    let r = Interp.run_func (prog fs) ~fuel:5000 state0 "f" args in
+    let r' = Interp.run_func (prog fs') ~fuel:5000 state0 "f" args in
     match (r, r') with
     | Interp.Returns (v, s), Interp.Returns (v', s') ->
       Value.equal v v' && Value.equal (State.get_global s "g") (State.get_global s' "g")
@@ -232,6 +234,9 @@ let funcs_agree (funcs : M.t -> M.func list) (m : M.t) (m' : M.t) probes =
     | _ -> false
   in
   List.for_all agree probes
+
+let funcs_agree (funcs : M.t -> M.func list) (m : M.t) (m' : M.t) probes =
+  progs_agree (funcs m) (funcs m') probes
 
 let discharge_agrees ((m : M.t), (a, b)) =
   let ctx = Rules.empty_ctx lenv in
@@ -460,6 +465,454 @@ let rec subst_rebuild bs m =
 let gen_bindings =
   QCheck.Gen.(list_size (int_range 0 2) (pair (oneofl query_vars) (gen_wexpr [ "x"; "y" ] 1)))
 
+(* ------------------------------------------------------------------ *)
+(* Local-variable lifting preserves behaviour: random C-shaped Simpl
+   bodies (assignments, conditions, loops with break and continue, early
+   returns, value-returning calls) go through the kernel's L1 rules and
+   [Rw_lift], and the L1 function (locals in the state) and the lifted one
+   (locals lambda-bound) must agree under the interpreter. *)
+
+let lift_locals = [ "a"; "b"; "c" ]
+
+(* One counter per loop depth, so a counted loop always terminates. *)
+let lift_counters = [ "i1"; "i2"; "i3"; "i4" ]
+
+let rec gen_cstmt ~in_loop n =
+  let open QCheck.Gen in
+  let vars = [ "x"; "y" ] @ lift_locals in
+  let exit k = Ir.Seq (Ir.Local_set (Ir.exn_var, w32 (Ir.exit_code k)), Ir.Throw) in
+  let catch k = Ir.Cond (Ir.exn_is k, Ir.Skip, Ir.Throw) in
+  let leaf =
+    oneof
+      ([ map2 (fun v e -> Ir.Local_set (v, e)) (oneofl vars) (gen_wexpr vars 1);
+         map (fun e -> Ir.Global_set ("g", e)) (gen_wexpr vars 1);
+         map2 (fun k c -> Ir.Guard (k, c)) gen_guard_kind (gen_cond vars 1);
+         map2 (fun v e -> Ir.Call (Some v, "h", [ e ])) (oneofl vars) (gen_wexpr vars 1);
+         map (fun e -> Ir.Call (None, "h", [ e ])) (gen_wexpr vars 1);
+         map (fun e -> Ir.Seq (Ir.Local_set (Ir.ret_var, e), exit Ir.Xreturn)) (gen_wexpr vars 1) ]
+      @ if in_loop then [ return (exit Ir.Xbreak); return (exit Ir.Xcontinue) ] else [])
+  in
+  if n = 0 then leaf
+  else
+    let sub = gen_cstmt ~in_loop (n - 1) in
+    oneof
+      [ leaf;
+        map2 (fun a b -> Ir.Seq (a, b)) sub sub;
+        map3 (fun c a b -> Ir.Cond (c, a, b)) (gen_cond vars 1) sub sub;
+        map2
+          (fun c body -> Ir.Try (Ir.While (c, Ir.Try (body, catch Ir.Xcontinue)), catch Ir.Xbreak))
+          (gen_cond vars 1)
+          (gen_cstmt ~in_loop:true (n - 1));
+        (* for (i = 0; i < bound; i++) body *)
+        (let i = List.nth lift_counters (n - 1) in
+         let iv = E.Var (i, u32) in
+         map2
+           (fun bound body ->
+             Ir.Seq
+               ( Ir.Local_set (i, w32 0),
+                 Ir.Try
+                   ( Ir.While
+                       ( E.Binop (E.Lt, iv, w32 bound),
+                         Ir.Seq
+                           ( Ir.Try (body, catch Ir.Xcontinue),
+                             Ir.Local_set (i, E.Binop (E.Add, iv, w32 1)) ) ),
+                     catch Ir.Xbreak ) ))
+           (int_range 0 4)
+           (gen_cstmt ~in_loop:true (n - 1))) ]
+
+let arb_cbody =
+  QCheck.make
+    ~print:(fun (s, _) -> Format.asprintf "%a" Ac_simpl.Print.pp_stmt s)
+    QCheck.Gen.(
+      pair
+        (int_range 1 4 >>= gen_cstmt ~in_loop:false)
+        (pair (int_range 0 0xFFFF) (int_range 0 0xFFFF)))
+
+let lift_agrees ((s : Ir.stmt), (a, b)) =
+  let ctx = Rules.empty_ctx lenv in
+  let params = [ ("x", u32); ("y", u32) ] in
+  let locals =
+    List.map (fun v -> (v, u32)) (lift_locals @ lift_counters @ [ Ir.ret_var ])
+    @ [ (Ir.exn_var, Ir.exn_ty) ]
+  in
+  (* Normal completion returns every local, so none of them goes unseen. *)
+  let all = List.map (fun v -> E.Var (v, u32)) ([ "x"; "y" ] @ lift_locals) in
+  let sum =
+    List.fold_left (fun acc v -> E.Binop (E.Bxor, E.Binop (E.Mul, acc, w32 3), v)) (w32 0) all
+  in
+  let observe =
+    Ir.Seq
+      ( Ir.Local_set (Ir.ret_var, sum),
+        Ir.Seq (Ir.Local_set (Ir.exn_var, w32 (Ir.exit_code Ir.Xreturn)), Ir.Throw) )
+  in
+  let l1 =
+    Autocorres.L1.monad_of (Autocorres.L1.convert ctx (Ir.Try (Ir.Seq (s, observe), Ir.Skip)))
+  in
+  match Thm.concl (Thm.by ctx (Rules.Rw_lift (params, locals, u32, l1)) []) with
+  | J.Equiv (l2, _) ->
+    let h = mk_ufunc "h" [ ("a", u32) ] (M.Return (E.Binop (E.Add, E.Var ("a", u32), w32 1))) in
+    let l1f = { (mk_ufunc "f" params l1) with M.convention = M.Locals_in_state; locals } in
+    progs_agree [ h; l1f ] [ h; mk_ufunc "f" params l2 ]
+      [ (a, b); (0, 0); (1, 0xFFFFFFFF); (31, 2) ]
+  | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* A total kernel: whatever rule instance and premises it is handed,
+   [Thm.by_opt] answers [Some] or [None] and [Thm.by] raises nothing but
+   [Kernel_error].  Instances come from every [Rules.rule] constructor,
+   over small random terms that need not be well typed, with premises
+   drawn from a pool of genuine theorems of every judgment form.  The
+   [Rw_lift] instances include malformed L1 bodies. *)
+
+module Gen = QCheck.Gen
+
+let k_cty =
+  Gen.oneofl
+    [ Ty.Cword (Ty.Unsigned, Ty.W32); Ty.Cword (Ty.Signed, Ty.W8);
+      Ty.Cptr (Ty.Cword (Ty.Unsigned, Ty.W32)); Ty.Cstruct "s"; Ty.Cstruct "nosuch" ]
+
+let k_ty =
+  Gen.oneofl
+    [ Ty.Tunit; Ty.Tbool; u32; Ty.Tword (Ty.Signed, Ty.W32); Ty.Tint; Ty.Tnat;
+      Ty.Tptr (Ty.Cword (Ty.Unsigned, Ty.W32)); Ty.Tstruct "s"; Ty.Tstruct "nosuch";
+      Ty.Ttuple [ u32; Ty.Tbool ] ]
+
+let k_names = [ "x"; "y"; "p"; "ret'"; Ir.ret_var; Ir.exn_var ]
+
+let k_sign = Gen.oneofl [ Ty.Signed; Ty.Unsigned ]
+let k_width = Gen.oneofl [ Ty.W8; Ty.W16; Ty.W32; Ty.W64 ]
+let k_kind =
+  Gen.oneofl
+    [ Ir.Div_by_zero; Ir.Signed_overflow; Ir.Shift_bounds; Ir.Ptr_valid; Ir.Array_bounds;
+      Ir.Dont_reach; Ir.Unsigned_overflow ]
+
+let k_binop =
+  Gen.oneofl
+    E.[ Add; Sub; Mul; Div; Rem; Shl; Shr; Band; Bor; Bxor; Eq; Ne; Lt; Le; Gt; Ge; And; Or ]
+
+let k_expr =
+  let open Gen in
+  let leaf =
+    oneof
+      [ map2 (fun x t -> E.Var (x, t)) (oneofl k_names) k_ty;
+        map2 (fun s n -> E.word_e s Ty.W32 n) k_sign (int_range 0 40);
+        map E.int_e (int_range (-5) 5);
+        map E.nat_e (int_range 0 5);
+        oneofl [ E.true_e; E.false_e; E.unit_e ];
+        map (fun c -> E.null_e c) k_cty;
+        return (E.Global ("g", u32)) ]
+  in
+  let rec go n =
+    if n = 0 then leaf
+    else
+      let sub = go (n - 1) in
+      oneof
+        [ leaf;
+          map2 (fun op a -> E.Unop (op, a)) (oneofl E.[ Neg; Bnot; Not ]) sub;
+          map3 (fun op a b -> E.Binop (op, a, b)) k_binop sub sub;
+          map3 (fun c a b -> E.Ite (c, a, b)) sub sub sub;
+          map2 (fun t a -> E.Cast (t, a)) k_ty sub;
+          map2 (fun t a -> E.OfWord (t, a)) (oneofl [ Ty.Tnat; Ty.Tint ]) sub;
+          map2 (fun c a -> E.HeapRead (c, a)) k_cty sub;
+          map2 (fun c a -> E.TypedRead (c, a)) k_cty sub;
+          map2 (fun c a -> E.IsValid (c, a)) k_cty sub;
+          map2 (fun c a -> E.PtrAligned (c, a)) k_cty sub;
+          map2 (fun c a -> E.PtrSpan (c, a)) k_cty sub;
+          map3 (fun c a b -> E.PtrAdd (c, a, b)) k_cty sub sub;
+          map (fun a -> E.FieldAddr ("s", "f", a)) sub;
+          map (fun a -> E.StructGet ("s", "nosuch", a)) sub;
+          map2 (fun a b -> E.StructSet ("s", "f", a, b)) sub sub;
+          map (fun xs -> E.Tuple xs) (list_size (int_range 0 3) sub);
+          map2 (fun i a -> E.Proj (i, a)) (int_range (-1) 3) sub ]
+  in
+  int_range 0 2 >>= go
+
+let rec k_pat n =
+  let open Gen in
+  oneof
+    ([ return M.Pwild; map2 (fun x t -> M.Pvar (x, t)) (oneofl k_names) k_ty ]
+    @
+    if n = 0 then []
+    else [ map (fun ps -> M.Ptuple ps) (list_size (int_range 0 3) (k_pat (n - 1))) ])
+
+let k_smod =
+  let open Gen in
+  oneof
+    [ map3 (fun c p v -> M.Heap_write (c, p, v)) k_cty k_expr k_expr;
+      map3 (fun c p v -> M.Typed_write (c, p, v)) k_cty k_expr k_expr;
+      map (fun e -> M.Global_set ("g", e)) k_expr;
+      map2 (fun x e -> M.Local_set (x, e)) (oneofl k_names) k_expr;
+      map2 (fun c e -> M.Retype (c, e)) k_cty k_expr ]
+
+let k_call = Gen.(pair (oneofl [ "f"; "h"; "nosuch" ]) (list_size (int_range 0 2) k_expr))
+
+let rec k_term n =
+  let open Gen in
+  let leaf =
+    oneof
+      [ map (fun e -> M.Return e) k_expr;
+        map (fun e -> M.Gets e) k_expr;
+        map (fun ms -> M.Modify ms) (list_size (int_range 0 2) k_smod);
+        map2 (fun k e -> M.Guard (k, e)) k_kind k_expr;
+        return M.Fail;
+        map (fun e -> M.Throw e) k_expr;
+        map (fun t -> M.Unknown t) k_ty;
+        map (fun (f, args) -> M.Call (f, args)) k_call;
+        map (fun (f, args) -> M.Exec_concrete (f, args)) k_call ]
+  in
+  if n = 0 then leaf
+  else
+    let sub = k_term (n - 1) in
+    oneof
+      [ leaf;
+        map3 (fun a p b -> M.Bind (a, p, b)) sub (k_pat 1) sub;
+        map3 (fun a p b -> M.Try (a, p, b)) sub (k_pat 1) sub;
+        map3 (fun c a b -> M.Cond (c, a, b)) k_expr sub sub;
+        (let* p = k_pat 1 in
+         map3 (fun c body init -> M.While (p, c, body, init)) k_expr sub k_expr) ]
+
+(* L1-shaped bodies, well formed or not: local updates, unit and valued
+   throws, mixed modifies, loops with and without an iterator, value
+   binds of calls and of local-modifying programs. *)
+let rec k_l1 n =
+  let open Gen in
+  let set = map2 (fun x e -> M.Modify [ M.Local_set (x, e) ]) (oneofl k_names) k_expr in
+  let leaf =
+    oneof
+      [ set;
+        return (M.Return E.unit_e);
+        return (M.Throw E.unit_e);
+        map (fun e -> M.Throw e) k_expr;
+        map2 (fun k e -> M.Guard (k, e)) k_kind k_expr;
+        map2 (fun x e -> M.Modify [ M.Local_set (x, e); M.Global_set ("g", e) ])
+          (oneofl k_names) k_expr;
+        map (fun (f, args) -> M.Bind (M.Call (f, args), M.Pwild, M.Return E.unit_e)) k_call;
+        map2
+          (fun (f, args) x ->
+            M.Bind (M.Call (f, args), M.Pvar ("ret'", Ty.Tunit),
+                    M.Modify [ M.Local_set (x, E.Var ("ret'", Ty.Tunit)) ]))
+          k_call (oneofl k_names);
+        k_term 1 ]
+  in
+  if n = 0 then leaf
+  else
+    let sub = k_l1 (n - 1) in
+    oneof
+      [ leaf;
+        map2 (fun a b -> M.Bind (a, M.Pwild, b)) sub sub;
+        map3 (fun c a b -> M.Cond (c, a, b)) k_expr sub sub;
+        map2 (fun c body -> M.While (M.Pwild, c, body, E.unit_e)) k_expr sub;
+        map3 (fun c body init -> M.While (M.Pwild, c, body, init)) k_expr sub k_expr;
+        map2 (fun a h -> M.Try (a, M.Pwild, h)) sub sub;
+        map3 (fun a p b -> M.Bind (a, p, b)) sub (k_pat 1) sub ]
+
+let k_lift =
+  let open Gen in
+  let decls = list_size (int_range 0 3) (pair (oneofl k_names) k_ty) in
+  let* inner = int_range 0 3 >>= k_l1 in
+  let* body =
+    oneofl [ M.Try (inner, M.Pwild, M.Return E.unit_e); inner;
+             M.Try (inner, M.Pwild, M.Throw E.unit_e) ]
+  in
+  map3 (fun params locals ret_ty -> Rules.Rw_lift (params, locals, ret_ty, body)) decls decls k_ty
+
+let rec k_stmt n =
+  let open Gen in
+  let leaf =
+    oneof
+      [ return Ir.Skip; return Ir.Throw;
+        map2 (fun x e -> Ir.Local_set (x, e)) (oneofl k_names) k_expr;
+        map (fun e -> Ir.Global_set ("g", e)) k_expr;
+        map3 (fun c p v -> Ir.Heap_write (c, p, v)) k_cty k_expr k_expr;
+        map2 (fun c e -> Ir.Retype (c, e)) k_cty k_expr;
+        map2 (fun k e -> Ir.Guard (k, e)) k_kind k_expr;
+        map2 (fun d (f, args) -> Ir.Call (d, f, args)) (opt (oneofl k_names)) k_call ]
+  in
+  if n = 0 then leaf
+  else
+    let sub = k_stmt (n - 1) in
+    oneof
+      [ leaf;
+        map2 (fun a b -> Ir.Seq (a, b)) sub sub;
+        map2 (fun a b -> Ir.Try (a, b)) sub sub;
+        map3 (fun c a b -> Ir.Cond (c, a, b)) k_expr sub sub;
+        map2 (fun c b -> Ir.While (c, b)) k_expr sub ]
+
+let rec k_conv n =
+  let open Gen in
+  oneof
+    ([ return J.Cid; map (fun w -> J.Cunat w) k_width; map (fun w -> J.Csint w) k_width ]
+    @
+    if n = 0 then []
+    else [ map (fun cs -> J.Ctuple cs) (list_size (int_range 0 2) (k_conv (n - 1))) ])
+
+let k_cert =
+  let open Gen in
+  let* m = k_term 2 in
+  (* The analyser is not total on ill-typed terms; the kernel must be. *)
+  let cert = try Ac_analysis.infer_cert lenv m with _ -> A.cert_of_invs [] in
+  let* shift = int_range (-1) 1 in
+  oneofl
+    [ cert;
+      A.cert_of_invs [];
+      A.cert_of_invs [ (0, A.env_top); (0, A.env_top); (-1, A.env_top) ];
+      { cert with A.c_invs = List.map (fun (i, a) -> (i + shift, a)) cert.A.c_invs } ]
+
+(* One instance of a uniformly chosen constructor. *)
+let k_rule : Rules.rule Gen.t =
+  let open Gen in
+  let m = k_term 2 and e = k_expr and p = k_pat 1 in
+  let sw = pair k_sign k_width in
+  let l2 =
+    [ map (fun s -> Rules.L1 s) (k_stmt 2);
+      map (fun m -> Rules.Eq_refl m) m; return Rules.Eq_trans; return Rules.Eq_sym;
+      map (fun p -> Rules.Eq_bind p) p; map (fun p -> Rules.Eq_try p) p;
+      map (fun e -> Rules.Eq_cond e) e;
+      map3 (fun p c i -> Rules.Eq_while (p, c, i)) p e e;
+      map3 (fun a p b -> Rules.Rw_return_bind (a, p, b)) m p m;
+      map3 (fun a p b -> Rules.Rw_gets_bind (a, p, b)) m p m;
+      map2 (fun a p -> Rules.Rw_bind_return (a, p)) m p;
+      (let* a = m and* p = p and* b = m and* q = p and* c = m in
+       return (Rules.Rw_bind_assoc (a, p, b, q, c)));
+      map (fun e -> Rules.Rw_gets_pure e) e;
+      map (fun k -> Rules.Rw_guard_true k) k_kind;
+      map2 (fun a b -> Rules.Rw_cond_true (a, b)) m m;
+      map2 (fun a b -> Rules.Rw_cond_false (a, b)) m m;
+      map2 (fun c a -> Rules.Rw_cond_same (c, a)) e m;
+      map3 (fun a p b -> Rules.Rw_try_nothrow (a, p, b)) m p m;
+      map (fun a -> Rules.Rw_seq_unit a) m;
+      k_lift;
+      map (fun m -> Rules.Rw_simp m) m;
+      map2 (fun m t -> Rules.Rw_elim_returns (m, t)) m k_ty;
+      map3 (fun e p b -> Rules.Rw_dead_after_throw (e, p, b)) e p m;
+      map2 (fun p b -> Rules.Rw_dead_after_fail (p, b)) p m;
+      map3 (fun c a b -> Rules.Rw_cond_return (c, a, b)) e m m;
+      map (fun m -> Rules.Rw_discharge m) m;
+      (let* i = int_range (-1) 3 and* p = p and* c = e and* body = m and* init = e
+       and* q = p and* k = m in
+       return (Rules.Rw_prune_loop (i, p, c, body, init, q, k)));
+      (let* a = m and* p = p and* k = k_kind and* g = e and* b = m in
+       return (Rules.Rw_hoist_guard (a, p, k, g, b)));
+      map3 (fun (sms, k) g b -> Rules.Rw_guard_past_write (sms, k, g, b))
+        (pair (list_size (int_range 0 2) k_smod) k_kind) e m;
+      (let* k1 = k_kind and* g1 = e and* k2 = k_kind and* g2 = e and* b = m in
+       return (Rules.Rw_dup_guard (k1, g1, k2, g2, b)));
+      map3 (fun c a b -> Rules.Rw_discharge_cond_guard (c, a, b)) e m m;
+      (let* p = p and* c = e and* body = m and* i = e in
+       return (Rules.Rw_discharge_loop_guard (p, c, body, i)));
+      map2 (fun m c -> Rules.Rule_guard_true (m, c)) m k_cert ]
+  in
+  let wa =
+    [ map2 (fun c e -> Rules.W_triv (c, e)) (k_conv 1) e;
+      map (fun x -> Rules.W_var x) (oneofl k_names);
+      map2 (fun (s, w) n -> Rules.W_const (s, w, B.of_int n)) sw (int_range (-3) 300);
+      map (fun e -> Rules.W_id e) e;
+      map2 (fun op (s, w) -> Rules.W_binop (op, s, w)) k_binop sw;
+      map (fun (s, w) -> Rules.W_neg (s, w)) sw;
+      map (fun (s, w) -> Rules.W_recon (s, w)) sw;
+      return Rules.W_ite; return Rules.W_tuple;
+      map (fun e -> Rules.W_node e) e;
+      map (fun op -> Rules.W_shortcircuit op) k_binop;
+      map (fun (s, w) -> Rules.W_unconv (s, w)) sw;
+      map (fun (s, w) -> Rules.W_abs_any (s, w)) sw;
+      map (fun e -> Rules.W_weaken e) e;
+      map (fun n -> Rules.W_custom n) (oneofl [ "no_such_rule"; "" ]);
+      return Rules.Ws_ret; return Rules.Ws_gets;
+      map (fun k -> Rules.Ws_guard k) k_kind;
+      map (fun sms -> Rules.Ws_modify sms) (list_size (int_range 0 2) k_smod);
+      map2 (fun a b -> Rules.Ws_fail (a, b)) (k_conv 1) (k_conv 1);
+      map (fun t -> Rules.Ws_unknown t) k_ty;
+      map (fun c -> Rules.Ws_throw c) (k_conv 1);
+      map (fun p -> Rules.Ws_bind p) p; map (fun p -> Rules.Ws_try p) p;
+      return Rules.Ws_cond;
+      map (fun p -> Rules.Ws_while p) p;
+      map (fun f -> Rules.Ws_call f) (oneofl [ "f"; "h" ]);
+      map (fun f -> Rules.Ws_exec_concrete f) (oneofl [ "f"; "h" ]);
+      return Rules.Ws_wrap_guard ]
+  in
+  let hl =
+    [ map (fun e -> Rules.Hv_id e) e;
+      map (fun c -> Rules.Hv_read c) k_cty;
+      map2 (fun s f -> Rules.Hv_read_field (s, f)) (oneofl [ "s"; "nosuch" ])
+        (oneofl [ "f"; "g" ]);
+      map (fun e -> Rules.Hv_node e) e;
+      map (fun op -> Rules.Hv_shortcircuit op) k_binop;
+      return Rules.Hv_ite;
+      map (fun e -> Rules.Hv_weaken e) e;
+      map (fun m -> Rules.Hs_pure m) m;
+      return Rules.Hs_ret; return Rules.Hs_gets;
+      map (fun c -> Rules.Hs_guard_ptr c) k_cty;
+      map (fun k -> Rules.Hs_guard_strengthen k) k_kind;
+      map (fun k -> Rules.Hs_guard k) k_kind;
+      map (fun sms -> Rules.Hs_modify sms) (list_size (int_range 0 2) k_smod);
+      map (fun c -> Rules.Hs_write c) k_cty;
+      map2 (fun s f -> Rules.Hs_write_field (s, f)) (oneofl [ "s"; "nosuch" ])
+        (oneofl [ "f"; "g" ]);
+      return Rules.Hs_fail;
+      map (fun t -> Rules.Hs_unknown t) k_ty;
+      return Rules.Hs_throw;
+      map (fun p -> Rules.Hs_bind p) p; map (fun p -> Rules.Hs_try p) p;
+      return Rules.Hs_cond;
+      map (fun p -> Rules.Hs_while p) p;
+      map (fun f -> Rules.Hs_call f) (oneofl [ "f"; "h" ]);
+      map (fun f -> Rules.Hs_call_concrete f) (oneofl [ "f"; "h" ]);
+      map (fun f -> Rules.Fn_chain f) (oneofl [ "f"; "h" ]) ]
+  in
+  oneof (l2 @ wa @ hl)
+
+(* The context the kernel runs in: a struct "s" with a word field "f",
+   "x" abstracted, and signatures, bodies and lifted sets for "f". *)
+let k_ctx =
+  let lenv = Layout.declare_struct Layout.empty "s" [ ("f", Ty.Cword (Ty.Unsigned, Ty.W32)) ] in
+  let f = { (mk_ufunc "f" [ ("x", u32) ] (M.Return (E.Var ("x", u32)))) with M.ret_ty = u32 } in
+  { (Rules.empty_ctx lenv) with
+    Rules.wvars = [ ("x", (Ty.Unsigned, Ty.W32)) ];
+    fsigs = Index.of_list fst [ ("f", ([ J.Cunat Ty.W32 ], J.Cunat Ty.W32)) ];
+    lifted = Index.names [ "f" ];
+    nothrows = Index.names [ "f" ];
+    fbodies = Rules.index_funcs [ f ] }
+
+(* Genuine theorems of every judgment form, for premise lists. *)
+let k_pool : Thm.t list Lazy.t =
+  lazy
+    (let by r ps = Thm.by k_ctx r ps in
+     let x = E.Var ("x", u32) in
+     let skip = by (Rules.L1 Ir.Skip) [] and refl = by (Rules.Eq_refl (M.Return x)) [] in
+     let wv = by (Rules.W_var "x") [] in
+     let wc = by (Rules.W_const (Ty.Unsigned, Ty.W32, B.of_int 7)) [] in
+     [ skip; by (Rules.L1 Ir.Throw) []; by (Rules.L1 (Ir.Local_set ("x", x))) [];
+       refl; by (Rules.Eq_refl M.Fail) []; by Rules.Eq_sym [ refl ];
+       wv; wc; by (Rules.W_id (E.word_e Ty.Unsigned Ty.W32 1)) [];
+       by (Rules.W_binop (E.Add, Ty.Unsigned, Ty.W32)) [ wv; wc ];
+       by Rules.Ws_ret [ wv ]; by Rules.Ws_gets [ wc ];
+       by (Rules.Hv_id x) []; by (Rules.Hs_pure (M.Return x)) [];
+       by (Rules.Hs_pure (M.Guard (Ir.Div_by_zero, E.true_e))) [];
+       by (Rules.Fn_chain "f") [ skip ] ])
+
+let k_instance =
+  let open Gen in
+  let pool = Lazy.force k_pool in
+  pair k_rule (list_size (int_range 0 3) (oneofl pool))
+
+(* Holds when the kernel answered or refused; a failure report names the
+   exception that escaped and the rule. *)
+let kernel_total (rule, prems) =
+  let opt =
+    match Thm.by_opt k_ctx rule prems with
+    | _ -> None
+    | exception exn -> Some (Printexc.to_string exn)
+  in
+  let by =
+    match Thm.by k_ctx rule prems with
+    | _ -> None
+    | exception Thm.Kernel_error _ -> None
+    | exception exn -> Some (Printexc.to_string exn)
+  in
+  match (opt, by) with
+  | None, None -> true
+  | Some m, _ | None, Some m ->
+    QCheck.Test.fail_reportf "%s escaped the kernel on %s" m (Rules.rule_name rule)
+
 let props =
   let open QCheck in
   [
@@ -627,6 +1080,14 @@ let props =
             | J.Equiv (m', src) -> src == m && M.equal m' m = (m' == m)
             | _ -> false)
           [ Rules.Rw_simp m; Rules.Rw_discharge m ]);
+    Test.make ~name:"lifting preserves the behaviour of random C-shaped bodies" ~count:1000
+      arb_cbody lift_agrees;
+    Test.make ~name:"kernel: every rule instance is answered or refused, never raises"
+      ~count:50000
+      (QCheck.make ~print:(fun (r, ps) ->
+           Printf.sprintf "%s over %d premises" (Rules.rule_name r) (List.length ps))
+         k_instance)
+      kernel_total;
   ]
 
 let suite = List.map QCheck_alcotest.to_alcotest props

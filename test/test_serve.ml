@@ -436,6 +436,7 @@ let test_metrics_endpoint () =
       ("requests_over_deadline", "serve_requests_over_deadline");
       ("hits", "serve_store_hits");
       ("misses", "serve_store_misses");
+      ("io_retries", "serve_store_io_retries");
       ("dropped", "trace_dropped_events") ];
   Alcotest.(check int) "6 request lines seen" 6 (field "requests");
   Alcotest.(check int) "1 bad verb failed" 1 (field "failures");
