@@ -10,9 +10,9 @@
      acc cache stat|clear|gc         manage the persistent proof store
 
    Options select the paper's per-function abstraction switches, fault
-   isolation (--keep-going), resource budgets (--timeout, --solver-branches,
-   --analysis-steps, --analysis-rounds, --rewrite-fuel), and the persistent
-   proof store (--store DIR / $ACC_STORE / --no-store).
+   isolation (--keep-going), resource budgets (--timeout, --analysis-steps,
+   --analysis-rounds, --rewrite-fuel, --summary-rounds, --summary-contexts),
+   and the persistent proof store (--store DIR / $ACC_STORE / --no-store).
 
    Exit-code contract (kept by every subcommand, on every input):
      0  success (for lint: no findings)
@@ -248,13 +248,6 @@ let diag_json =
 
 (* Budget flags: one term producing a [Driver.budgets]. *)
 let budgets_term =
-  let solver_branches =
-    Arg.(
-      value
-      & opt count Driver.default_budgets.Driver.solver_branches
-      & info [ "solver-branches" ] ~docv:"N"
-          ~doc:"Prover budget: tableau branches per goal before giving up")
-  in
   let analysis_rounds =
     Arg.(
       value
@@ -282,9 +275,8 @@ let budgets_term =
       & opt (some seconds) None
       & info [ "timeout" ] ~docv:"SECS"
           ~doc:
-            "Wall-clock deadline for the prover (per goal) and the guard \
-             analysis (per function); exhaustion keeps the guard instead of \
-             hanging")
+            "Wall-clock deadline for the guard analysis, per analysed \
+             function; exhaustion keeps the guard instead of hanging")
   in
   let summary_rounds =
     Arg.(
@@ -303,13 +295,9 @@ let budgets_term =
       & info [ "summary-contexts" ] ~docv:"N"
           ~doc:"Interprocedural budget: refined summary contexts per callee")
   in
-  let mk solver_branches analysis_rounds analysis_steps rewrite_fuel summary_rounds
-      summary_contexts timeout =
+  let mk analysis_rounds analysis_steps rewrite_fuel summary_rounds summary_contexts timeout =
     {
-      Driver.solver_branches;
-      solver_deadline_s = timeout;
-      cc_merges = Driver.default_budgets.Driver.cc_merges;
-      analysis_rounds;
+      Driver.analysis_rounds;
       analysis_steps;
       analysis_deadline_s = timeout;
       rewrite_fuel;
@@ -318,8 +306,8 @@ let budgets_term =
     }
   in
   Term.(
-    const mk $ solver_branches $ analysis_rounds $ analysis_steps $ rewrite_fuel
-    $ summary_rounds $ summary_contexts $ timeout)
+    const mk $ analysis_rounds $ analysis_steps $ rewrite_fuel $ summary_rounds
+    $ summary_contexts $ timeout)
 
 let stage =
   Arg.(
@@ -342,8 +330,8 @@ let with_funcs res func_filter f =
 
 (* Front-end errors carry positions; render them the way compilers do, on
    stderr, and exit 2 (a problem with the input, not a finding). *)
-let run_frontend ?store ?pool ?fresh_tables ~file ~options source =
-  try Driver.run ~options ?store ?pool ?fresh_tables source with
+let run_frontend ?store ?pool ~file ~options source =
+  try Driver.run ~options ?store ?pool source with
   | Ac_cfront.Lexer.Lex_error (m, pos) ->
     usage_error "%s:%d:%d: lexical error: %s" file pos.Ac_cfront.Ast.line pos.Ac_cfront.Ast.col m
   | Ac_cfront.Parser.Parse_error (m, pos) ->
@@ -925,8 +913,8 @@ let serve_cmd =
       & opt (some seconds) None
       & info [ "request-timeout" ] ~docv:"SECS"
           ~doc:
-            "Per-request wall-clock deadline: installed as the solver/analysis \
-             budget deadline (the engines degrade instead of hanging) and \
+            "Per-request wall-clock deadline: installed as the guard analysis's \
+             per-function deadline (it keeps the guard instead of hanging) and \
              watched by a monotonic clock — overruns are counted in `status`, \
              never killed")
   in
@@ -1042,7 +1030,7 @@ let serve_cmd =
          "Long-lived batch mode: read newline-delimited requests (translate FILE, \
           check FILE, lint FILE, status) from stdin — or from many concurrent \
           socket clients with --socket/--tcp — and answer each with one JSON \
-          line, keeping the proof store, worker pool and hash-cons tables warm.  \
+          line, keeping the proof store and worker pool warm.  \
           SIGINT/SIGTERM drain in-flight requests across all connections and \
           exit 0.")
     (protected

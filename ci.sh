@@ -30,7 +30,7 @@ for f in corpus/*.c; do
 done
 
 echo "== corpus: no budget runs dry under the default budgets =="
-# BudgetX counts every budget exhaustion of the run: solver, analysis,
+# BudgetX counts every budget exhaustion of the run: analysis,
 # summary and rewrite fuel, and a normalize call stopped at its pass
 # limit.  Exhaustion is sound but costs polish, and the corpus needs none.
 for f in corpus/*.c; do
@@ -44,7 +44,7 @@ done
 
 echo "== malformed command lines: exit 2, one stderr line =="
 USAGE_ERR=$(mktemp)
-for args in "--bogus" "--timeout nan" "--summary-rounds=-1"; do
+for args in "--bogus" "--timeout nan" "--summary-rounds=-1" "--solver-branches 5"; do
   set +e
   # shellcheck disable=SC2086 # $args is a list of words
   "$ACC" translate $args corpus/max.c > /dev/null 2> "$USAGE_ERR"

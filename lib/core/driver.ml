@@ -38,13 +38,10 @@ type func_options = {
 
 let default_func_options = { word_abs = true; heap_abs = true; discharge_guards = true }
 
-(* Resource budgets for every unbounded engine the pipeline embeds.
-   Exhaustion degrades (the guard is kept, the rewrite stops, the proof
-   stays open) instead of hanging. *)
+(* Resource budgets for every unbounded engine the pipeline embeds: the
+   guard analysis, the summary engine and the kernel rewriter.  Exhaustion
+   degrades (the guard is kept, the rewrite stops) instead of hanging. *)
 type budgets = {
-  solver_branches : int;  (* tableau branches per prover goal *)
-  solver_deadline_s : float option;  (* wall clock per prover goal *)
-  cc_merges : int;  (* congruence-closure unions per closure instance *)
   analysis_rounds : int;  (* widen/join rounds per loop *)
   analysis_steps : int;  (* fixpoint iterations per analysed function *)
   analysis_deadline_s : float option;  (* wall clock per analysed function *)
@@ -55,9 +52,6 @@ type budgets = {
 
 let default_budgets =
   {
-    solver_branches = 40000;
-    solver_deadline_s = None;
-    cc_merges = 50_000;
     analysis_rounds = 40;
     analysis_steps = 20_000;
     analysis_deadline_s = None;
@@ -117,11 +111,10 @@ let opt_string (options : options) (fname : string) : string =
   let b = options.budgets in
   let fl = function None -> "-" | Some f -> string_of_float f in
   Printf.sprintf
-    "wa=%b ha=%b dg=%b polish=%b sb=%d sd=%s cc=%d ar=%d as=%d ad=%s rf=%d ip=%b sr=%d sc=%d"
-    o.word_abs o.heap_abs o.discharge_guards options.polish b.solver_branches
-    (fl b.solver_deadline_s) b.cc_merges b.analysis_rounds b.analysis_steps
-    (fl b.analysis_deadline_s) b.rewrite_fuel options.interproc b.summary_rounds
-    b.summary_contexts
+    "wa=%b ha=%b dg=%b polish=%b ar=%d as=%d ad=%s rf=%d ip=%b sr=%d sc=%d"
+    o.word_abs o.heap_abs o.discharge_guards options.polish b.analysis_rounds
+    b.analysis_steps (fl b.analysis_deadline_s) b.rewrite_fuel options.interproc
+    b.summary_rounds b.summary_contexts
 
 (* The degradation ladder: the last certified level a function reached. *)
 type level = Lsimpl | Ll1 | Ll2 | Lhl | Lwa
@@ -212,8 +205,6 @@ type result = {
 
 let find_result res name = List.find_opt (fun r -> String.equal r.fr_name name) res.funcs
 
-let all_diags res = res.diags
-
 let ( ||> ) x f = f x
 
 (* ------------------------------------------------------------------ *)
@@ -222,9 +213,6 @@ let ( ||> ) x f = f x
    the exhaustion counters. *)
 
 let install_budgets (b : budgets) =
-  Ac_prover.Solver.budget :=
-    { Ac_prover.Solver.max_branches = b.solver_branches; deadline_s = b.solver_deadline_s };
-  Ac_prover.Cc.merge_budget := b.cc_merges;
   Ac_analysis.budget :=
     { Ac_analysis.max_rounds = b.analysis_rounds; max_steps = b.analysis_steps;
       deadline_s = b.analysis_deadline_s };
@@ -233,15 +221,11 @@ let install_budgets (b : budgets) =
   Rewrite.fuel := b.rewrite_fuel
 
 let budget_exhaustions () =
-  Atomic.get Ac_prover.Solver.exhaustions
-  + Atomic.get Ac_prover.Cc.exhaustions
-  + Atomic.get Ac_analysis.exhaustions
+  Atomic.get Ac_analysis.exhaustions
   + Atomic.get Ac_analysis.Summary.exhaustions
   + Atomic.get Rewrite.exhaustions
 
 let reset_budget_counters () =
-  Atomic.set Ac_prover.Solver.exhaustions 0;
-  Atomic.set Ac_prover.Cc.exhaustions 0;
   Atomic.set Ac_analysis.exhaustions 0;
   Atomic.set Ac_analysis.Summary.exhaustions 0;
   Atomic.set Rewrite.exhaustions 0
@@ -441,16 +425,10 @@ let replay_entry (ctx : Rules.ctx) ~(sums_digest : string) (f : Ir.func) (e : St
     end
   end
 
-let run ?(options = default_options) ?store ?pool:ext_pool ?(fresh_tables = true)
-    (source : string) : result =
+let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : result =
   Ac_obs.Obs.span ~cat:"driver" "driver.run" @@ fun () ->
   install_budgets options.budgets;
   reset_budget_counters ();
-  (* Per-run invalidation of the hash-cons intern table (worker domains
-     get fresh domain-local tables and drop them at join).  A batch server
-     passes [~fresh_tables:false] to keep the tables warm across
-     requests. *)
-  if fresh_tables then Ac_prover.Term.hc_clear ();
   Profile.reset ();
   (* One persistent pool per run: worker domains are spawned here once and
      reused by every per-function phase (spawning per phase costs more than

@@ -33,14 +33,12 @@ type func_options = {
 
 val default_func_options : func_options
 
-(** Resource budgets for the unbounded engines the pipeline embeds.
-    Exhaustion degrades the result (guards kept, rewriting stopped,
-    proof left open) instead of hanging; it is counted in
-    {!result.budget_hits} and never costs soundness. *)
+(** Resource budgets for the unbounded engines the pipeline embeds: the
+    guard analysis, the summary engine and the kernel rewriter.
+    Exhaustion degrades the result (guards kept, rewriting stopped)
+    instead of hanging; it is counted in {!result.budget_hits} and never
+    costs soundness. *)
 type budgets = {
-  solver_branches : int;  (** tableau branches per prover goal *)
-  solver_deadline_s : float option;  (** wall clock per prover goal *)
-  cc_merges : int;  (** congruence-closure unions per closure instance *)
   analysis_rounds : int;  (** widen/join rounds per loop *)
   analysis_steps : int;  (** fixpoint iterations per analysed function *)
   analysis_deadline_s : float option;  (** wall clock per analysed function *)
@@ -179,15 +177,14 @@ type result = {
 
 val options_for : options -> string -> func_options
 val find_result : result -> string -> func_result option
-val all_diags : result -> Diag.t list
 
 (** The function a phase is currently processing, if any.  The
     fault-injection harness reads this to target failures at a single
     function. *)
 val processing : unit -> string option
 
-(** Total budget exhaustions since the last {!run} started (solver +
-    analysis + rewrite engines). *)
+(** Total budget exhaustions since the last {!run} started (analysis +
+    summary + rewrite engines). *)
 val budget_exhaustions : unit -> int
 
 (** Run the pipeline on a C source string.
@@ -209,10 +206,6 @@ val budget_exhaustions : unit -> int
     (the batch server amortises domain spawn across requests); without it
     the run creates and tears down its own pool when [options.jobs > 1].
 
-    [fresh_tables] (default [true]) clears the hash-consing intern tables
-    at the start of the run; a batch server passes [false] to keep them
-    warm across requests.
-
     @raise Ac_cfront.Typecheck.Type_error or {!Ac_cfront.Parser.Parse_error}
     on inputs outside the supported subset.
     @raise Diag.Error on a non-recoverable per-function failure when
@@ -221,7 +214,6 @@ val run :
   ?options:options ->
   ?store:Ac_store.Store.t ->
   ?pool:Pool.t ->
-  ?fresh_tables:bool ->
   string ->
   result
 

@@ -19,8 +19,8 @@
    no supervision.
 
    The pool is safe for the pipeline because PR 2 made every phase
-   per-function fault-isolated and the engines keep their per-goal state
-   in domain-local storage (hash-cons tables, solver deadlines) or
+   per-function fault-isolated and the engines keep their per-domain state in
+   domain-local storage (trace buffers, the function being processed) or
    atomics (budget-exhaustion counters); see DESIGN.md. *)
 
 type task = { run : int -> unit; items : int }

@@ -71,19 +71,8 @@ let rec apply_conv (c : conv) (v : Ac_lang.Value.t) : Ac_lang.Value.t =
     Value.Vtuple (List.map2 apply_conv cs vs)
   | _ -> raise (Value.Type_mismatch "apply_conv")
 
-(* Syntactic application of a conversion to an expression: [f c]. *)
-let rec conv_expr (c : conv) (e : E.t) : E.t =
-  match c with
-  | Cid -> e
-  | Cunat _ -> E.OfWord (Ty.Tnat, e)
-  | Csint _ -> E.OfWord (Ty.Tint, e)
-  | Ctuple cs -> (
-    match e with
-    | E.Tuple es when List.length es = List.length cs -> E.Tuple (List.map2 conv_expr cs es)
-    | _ -> E.Tuple (List.mapi (fun i ci -> conv_expr ci (E.Proj (i, e))) cs))
-
-(* Re-concretisation: the word whose abstraction is [e].  Inverse of
-   [conv_expr] on in-range values (of_nat/of_int). *)
+(* Re-concretisation: the word whose abstraction is [e], on in-range
+   values (of_nat/of_int). *)
 let unconv_expr (c : conv) sign (e : E.t) : E.t =
   match c with
   | Cid -> e

@@ -60,7 +60,6 @@ type rule =
   (* ---- L2: semantic-preserving rewrites ---- *)
   | Eq_refl of M.t
   | Eq_trans
-  | Eq_sym
   | Eq_bind of M.pat (* congruence *)
   | Eq_try of M.pat
   | Eq_cond of E.t
@@ -75,7 +74,6 @@ type rule =
   | Rw_cond_false of M.t * M.t
   | Rw_cond_same of E.t * M.t
   | Rw_try_nothrow of M.t * M.pat * M.t (* body cannot throw *)
-  | Rw_seq_unit of M.t (* do _ <- A; return () od = A when A : unit *)
   | Rw_lift of (string * Ty.t) list * (string * Ty.t) list * Ty.t * M.t
     (* reflective local-variable lifting of a whole L1 body:
        params, locals, return type, L1 body *)
@@ -92,18 +90,6 @@ type rule =
   | Rw_prune_loop of int * M.pat * E.t * M.t * E.t * M.pat * M.t
     (* drop dead iterator component [i] from
        do q <- whileLoop c (λp. body) init; k od *)
-  | Rw_hoist_guard of M.t * M.pat * Ir.guard_kind * E.t * M.t
-    (* do v <- A; _ <- guard g; B od = do _ <- guard g; v <- A; B od
-       when A is state- and control-neutral (return/gets) and does not bind
-       variables of g *)
-  | Rw_guard_past_write of M.smod list * Ir.guard_kind * E.t * M.t
-    (* is_valid guards commute backwards over retype-free writes *)
-  | Rw_dup_guard of Ir.guard_kind * E.t * Ir.guard_kind * E.t * M.t
-    (* consecutive guards: drop the second when implied by the first *)
-  | Rw_discharge_cond_guard of E.t * M.t * M.t
-    (* IF c THEN (guard g; A) ELSE B: drop g when c implies g *)
-  | Rw_discharge_loop_guard of M.pat * E.t * M.t * E.t
-    (* whileLoop c (λi. guard g; body) i: drop g when c implies g *)
   | Rule_guard_true of M.t * Absdom.cert
     (* abstract-interpretation guard discharge: rewrite away every guard
        whose condition the certified abstract walk proves.  The certificate
@@ -111,7 +97,6 @@ type rule =
        Ac_analysis; [Absdom.discharge] re-verifies it here, so [Thm.check]
        re-validates the side condition from scratch. *)
   (* ---- word abstraction: values (Table 3) ---- *)
-  | W_triv of conv * E.t (* abs_w_val True f (f c) c *)
   | W_var of string (* an abstracted variable *)
   | W_const of Ty.sign * Ty.width * B.t
   | W_id of E.t (* expr free of abstracted vars abstracts to itself *)
@@ -126,7 +111,6 @@ type rule =
     (* from (P, sint/unat, a, c) conclude (P, id, a, sint/unat c) *)
   | W_abs_any of Ty.sign * Ty.width
     (* from (P, id, a, c : word) conclude (P, unat/sint, unat/sint a, c) *)
-  | W_weaken of E.t (* strengthen precondition *)
   | W_custom of string (* user-registered extension rule, looked up at infer *)
   (* ---- word abstraction: statements ---- *)
   | Ws_ret
@@ -151,9 +135,7 @@ type rule =
   | Hv_shortcircuit of E.binop (* ∧/∨: the right operand's precondition is
                                   weakened by the left's value *)
   | Hv_ite (* if-then-else with branch preconditions under the condition *)
-  | Hv_weaken of E.t
   (* ---- heap abstraction: statements ---- *)
-  | Hs_pure of M.t (* no heap access at all: program abstracts to itself *)
   | Hs_ret
   | Hs_gets
   | Hs_guard_ptr of Ty.cty (* alignment guard becomes is_valid *)
@@ -202,7 +184,6 @@ let rule_name = function
   | L1 _ -> "l1"
   | Eq_refl _ -> "eq_refl"
   | Eq_trans -> "eq_trans"
-  | Eq_sym -> "eq_sym"
   | Eq_bind _ -> "eq_bind"
   | Eq_try _ -> "eq_try"
   | Eq_cond _ -> "eq_cond"
@@ -217,7 +198,6 @@ let rule_name = function
   | Rw_cond_false _ -> "rw_cond_false"
   | Rw_cond_same _ -> "rw_cond_same"
   | Rw_try_nothrow _ -> "rw_try_nothrow"
-  | Rw_seq_unit _ -> "rw_seq_unit"
   | Rw_lift _ -> "rw_lift"
   | Rw_simp _ -> "rw_simp"
   | Rw_elim_returns _ -> "rw_elim_returns"
@@ -226,13 +206,7 @@ let rule_name = function
   | Rw_cond_return _ -> "rw_cond_return"
   | Rw_discharge _ -> "rw_discharge"
   | Rw_prune_loop _ -> "rw_prune_loop"
-  | Rw_hoist_guard _ -> "rw_hoist_guard"
-  | Rw_guard_past_write _ -> "rw_guard_past_write"
-  | Rw_dup_guard _ -> "rw_dup_guard"
-  | Rw_discharge_cond_guard _ -> "rw_discharge_cond_guard"
-  | Rw_discharge_loop_guard _ -> "rw_discharge_loop_guard"
   | Rule_guard_true _ -> "rule_guard_true"
-  | W_triv _ -> "w_triv"
   | W_var _ -> "w_var"
   | W_const _ -> "w_const"
   | W_id _ -> "w_id"
@@ -252,7 +226,6 @@ let rule_name = function
   | W_shortcircuit _ -> "w_shortcircuit"
   | W_unconv _ -> "w_unconv"
   | W_abs_any _ -> "w_abs_any"
-  | W_weaken _ -> "w_weaken"
   | W_custom n -> "w_custom:" ^ n
   | Ws_ret -> "ws_ret"
   | Ws_gets -> "ws_gets"
@@ -274,8 +247,6 @@ let rule_name = function
   | Hv_node _ -> "hv_node"
   | Hv_shortcircuit _ -> "hv_shortcircuit"
   | Hv_ite -> "hv_ite"
-  | Hv_weaken _ -> "hv_weaken"
-  | Hs_pure _ -> "hs_pure"
   | Hs_ret -> "hs_ret"
   | Hs_gets -> "hs_gets"
   | Hs_guard_ptr _ -> "hs_guard_ptr"
@@ -300,104 +271,93 @@ let rule_name = function
    can count applications in a flat array instead of hashing the name on
    the minting hot path.  [W_custom] has no static id — its name is
    user-chosen — and maps to -1; ids of built-in rules are < [num_rule_ids]. *)
-let num_rule_ids = 92
+let num_rule_ids = 81
 
 let rule_id = function
   | L1 _ -> 0
   | Eq_refl _ -> 1
   | Eq_trans -> 2
-  | Eq_sym -> 3
-  | Eq_bind _ -> 4
-  | Eq_try _ -> 5
-  | Eq_cond _ -> 6
-  | Eq_while _ -> 7
-  | Rw_return_bind _ -> 8
-  | Rw_gets_bind _ -> 9
-  | Rw_bind_return _ -> 10
-  | Rw_bind_assoc _ -> 11
-  | Rw_gets_pure _ -> 12
-  | Rw_guard_true _ -> 13
-  | Rw_cond_true _ -> 14
-  | Rw_cond_false _ -> 15
-  | Rw_cond_same _ -> 16
-  | Rw_try_nothrow _ -> 17
-  | Rw_seq_unit _ -> 18
-  | Rw_lift _ -> 19
-  | Rw_simp _ -> 20
-  | Rw_elim_returns _ -> 21
-  | Rw_dead_after_throw _ -> 22
-  | Rw_dead_after_fail _ -> 23
-  | Rw_cond_return _ -> 24
-  | Rw_discharge _ -> 25
-  | Rw_prune_loop _ -> 26
-  | Rw_hoist_guard _ -> 27
-  | Rw_guard_past_write _ -> 28
-  | Rw_dup_guard _ -> 29
-  | Rw_discharge_cond_guard _ -> 30
-  | Rw_discharge_loop_guard _ -> 31
-  | Rule_guard_true _ -> 32
-  | W_triv _ -> 33
-  | W_var _ -> 34
-  | W_const _ -> 35
-  | W_id _ -> 36
+  | Eq_bind _ -> 3
+  | Eq_try _ -> 4
+  | Eq_cond _ -> 5
+  | Eq_while _ -> 6
+  | Rw_return_bind _ -> 7
+  | Rw_gets_bind _ -> 8
+  | Rw_bind_return _ -> 9
+  | Rw_bind_assoc _ -> 10
+  | Rw_gets_pure _ -> 11
+  | Rw_guard_true _ -> 12
+  | Rw_cond_true _ -> 13
+  | Rw_cond_false _ -> 14
+  | Rw_cond_same _ -> 15
+  | Rw_try_nothrow _ -> 16
+  | Rw_lift _ -> 17
+  | Rw_simp _ -> 18
+  | Rw_elim_returns _ -> 19
+  | Rw_dead_after_throw _ -> 20
+  | Rw_dead_after_fail _ -> 21
+  | Rw_cond_return _ -> 22
+  | Rw_discharge _ -> 23
+  | Rw_prune_loop _ -> 24
+  | Rule_guard_true _ -> 25
+  | W_var _ -> 26
+  | W_const _ -> 27
+  | W_id _ -> 28
   | W_binop (op, _, _) -> (
     match op with
-    | E.Add -> 37
-    | E.Sub -> 38
-    | E.Mul -> 39
-    | E.Div -> 40
-    | E.Rem -> 41
-    | _ -> 42)
-  | W_neg _ -> 43
-  | W_recon _ -> 44
-  | W_ite -> 45
-  | W_tuple -> 46
-  | W_node _ -> 47
-  | W_shortcircuit _ -> 48
-  | W_unconv _ -> 49
-  | W_abs_any _ -> 50
-  | W_weaken _ -> 51
+    | E.Add -> 29
+    | E.Sub -> 30
+    | E.Mul -> 31
+    | E.Div -> 32
+    | E.Rem -> 33
+    | _ -> 34)
+  | W_neg _ -> 35
+  | W_recon _ -> 36
+  | W_ite -> 37
+  | W_tuple -> 38
+  | W_node _ -> 39
+  | W_shortcircuit _ -> 40
+  | W_unconv _ -> 41
+  | W_abs_any _ -> 42
   | W_custom _ -> -1
-  | Ws_ret -> 52
-  | Ws_gets -> 53
-  | Ws_guard _ -> 54
-  | Ws_modify _ -> 55
-  | Ws_fail _ -> 56
-  | Ws_unknown _ -> 57
-  | Ws_throw _ -> 58
-  | Ws_bind _ -> 59
-  | Ws_try _ -> 60
-  | Ws_cond -> 61
-  | Ws_while _ -> 62
-  | Ws_call _ -> 63
-  | Ws_exec_concrete _ -> 64
-  | Ws_wrap_guard -> 65
-  | Hv_id _ -> 66
-  | Hv_read _ -> 67
-  | Hv_read_field _ -> 68
-  | Hv_node _ -> 69
-  | Hv_shortcircuit _ -> 70
-  | Hv_ite -> 71
-  | Hv_weaken _ -> 72
-  | Hs_pure _ -> 73
-  | Hs_ret -> 74
-  | Hs_gets -> 75
-  | Hs_guard_ptr _ -> 76
-  | Hs_guard_strengthen _ -> 77
-  | Hs_guard _ -> 78
-  | Hs_modify _ -> 79
-  | Hs_write _ -> 80
-  | Hs_write_field _ -> 81
-  | Hs_fail -> 82
-  | Hs_unknown _ -> 83
-  | Hs_throw -> 84
-  | Hs_bind _ -> 85
-  | Hs_try _ -> 86
-  | Hs_cond -> 87
-  | Hs_while _ -> 88
-  | Hs_call _ -> 89
-  | Hs_call_concrete _ -> 90
-  | Fn_chain _ -> 91
+  | Ws_ret -> 43
+  | Ws_gets -> 44
+  | Ws_guard _ -> 45
+  | Ws_modify _ -> 46
+  | Ws_fail _ -> 47
+  | Ws_unknown _ -> 48
+  | Ws_throw _ -> 49
+  | Ws_bind _ -> 50
+  | Ws_try _ -> 51
+  | Ws_cond -> 52
+  | Ws_while _ -> 53
+  | Ws_call _ -> 54
+  | Ws_exec_concrete _ -> 55
+  | Ws_wrap_guard -> 56
+  | Hv_id _ -> 57
+  | Hv_read _ -> 58
+  | Hv_read_field _ -> 59
+  | Hv_node _ -> 60
+  | Hv_shortcircuit _ -> 61
+  | Hv_ite -> 62
+  | Hs_ret -> 63
+  | Hs_gets -> 64
+  | Hs_guard_ptr _ -> 65
+  | Hs_guard_strengthen _ -> 66
+  | Hs_guard _ -> 67
+  | Hs_modify _ -> 68
+  | Hs_write _ -> 69
+  | Hs_write_field _ -> 70
+  | Hs_fail -> 71
+  | Hs_unknown _ -> 72
+  | Hs_throw -> 73
+  | Hs_bind _ -> 74
+  | Hs_try _ -> 75
+  | Hs_cond -> 76
+  | Hs_while _ -> 77
+  | Hs_call _ -> 78
+  | Hs_call_concrete _ -> 79
+  | Fn_chain _ -> 80
 
 (* ------------------------------------------------------------------ *)
 (* Helpers shared by the word rules. *)
@@ -503,28 +463,6 @@ let rec assigns_local x (m : M.t) =
   | M.Call _ | M.Exec_concrete _ ->
     (* Callee frames are separate; calls cannot assign our locals. *)
     false
-
-(* Locals assigned (via Local_set) anywhere in m. *)
-let assigned_locals (m : M.t) =
-  let acc = ref [] in
-  let add x = if not (List.mem x !acc) then acc := x :: !acc in
-  let rec go m =
-    match m with
-    | M.Modify ms ->
-      List.iter (function M.Local_set (x, _) -> add x | _ -> ()) ms
-    | M.Bind (a, _, b) | M.Try (a, _, b) ->
-      go a;
-      go b
-    | M.Cond (_, a, b) ->
-      go a;
-      go b
-    | M.While (_, _, body, _) -> go body
-    | M.Return _ | M.Gets _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _ | M.Call _
-    | M.Exec_concrete _ ->
-      ()
-  in
-  go m;
-  List.rev !acc
 
 (* Exit codes statically known to be throwable by a term: used to prune dead
    re-throw branches.  [None] = unknown (dynamic code). *)
@@ -651,20 +589,6 @@ let msimp lenv (m : M.t) : M.t =
       if args' == args then m else M.Exec_concrete (f, args')
   in
   go m
-
-(* Syntactic implication: [implies_syn c g] holds when [g] is [c] itself, a
-   conjunct of [c], or a conjunction of implied parts.  Used by the
-   guard-discharging rewrites; anything subtler is the prover's job. *)
-let rec implies_syn (c : E.t) (g : E.t) =
-  E.equal c g
-  || (match g with
-     | E.Binop (E.And, a, b) -> implies_syn c a && implies_syn c b
-     | E.Const (Value.Vbool true) -> true
-     | _ -> false)
-  ||
-  match c with
-  | E.Binop (E.And, a, b) -> implies_syn a g || implies_syn b g
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* The guard-discharging pass (the L2 "discharging guards" step).
@@ -946,10 +870,6 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | L1 stmt -> infer_l1 ctx stmt prems
   (* ================= L2: equivalences ================= *)
   | Eq_refl m -> ok (Equiv (m, m))
-  | Eq_sym ->
-    let* prems = prems_n 1 prems in
-    let* a, c = as_equiv (List.hd prems) in
-    ok (Equiv (c, a))
   | Eq_trans ->
     let* prems = prems_n 2 prems in
     let* a, b1 = as_equiv (List.nth prems 0) in
@@ -1023,11 +943,6 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
         ok (Equiv (M.Try (a, p, h1), M.Try (a, p, h)))
       | _ -> fail "rw_try_nothrow: body may throw"
     end
-  | Rw_seq_unit a -> (
-    match a with
-    | M.Modify _ | M.Guard _ ->
-      ok (Equiv (a, M.Bind (a, M.Pwild, M.Return E.unit_e)))
-    | _ -> fail "rw_seq_unit: not a unit-valued statement")
   | Rw_lift (params, locals, ret_ty, body) -> (
     match Lift.lift_body ctx.lenv ~params ~locals ~ret_ty body with
     | lifted -> ok (Equiv (lifted, body))
@@ -1101,67 +1016,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
                ( new_term,
                  M.Bind (M.While (ip, cond, body, init), qp, k) )))
     | _ -> fail "rw_prune_loop: not a tuple-iterator loop")
-  | Rw_hoist_guard (a, p, k, g, b) -> (
-    match a with
-    | M.Return _ | M.Gets _ ->
-      let bound = List.map fst (M.pat_vars p) in
-      if List.exists (fun v -> List.mem v bound) (E.free_vars g) then
-        fail "rw_hoist_guard: guard uses the bound variable"
-      else
-        ok
-          (Equiv
-             ( M.Bind (M.Guard (k, g), M.Pwild, M.Bind (a, p, b)),
-               M.Bind (a, p, M.Bind (M.Guard (k, g), M.Pwild, b)) ))
-    | _ -> fail "rw_hoist_guard: prefix is not state-neutral")
-  | Rw_guard_past_write (sms, k, g, b) ->
-    let writes_ok =
-      List.for_all
-        (function
-          | M.Typed_write _ | M.Heap_write _ | M.Global_set _ -> true
-          | M.Retype _ | M.Local_set _ -> false)
-        sms
-    in
-    let rec validity_only (e : E.t) =
-      match e with
-      | E.TypedRead _ | E.HeapRead _ | E.Global _ -> false
-      | _ -> List.for_all validity_only (E.children e)
-    in
-    (* Validity predicates depend only on the tag map, which value writes
-       never change; value reads in the guard would not commute. *)
-    if not writes_ok then fail "rw_guard_past_write: retype or local write"
-    else if not (validity_only g) then fail "rw_guard_past_write: guard reads heap values"
-    else begin
-      let uses_globals =
-        List.exists (function M.Global_set _ -> true | _ -> false) sms
-      in
-      if uses_globals then fail "rw_guard_past_write: global write"
-      else
-        ok
-          (Equiv
-             ( M.Bind (M.Guard (k, g), M.Pwild, M.Bind (M.Modify sms, M.Pwild, b)),
-               M.Bind (M.Modify sms, M.Pwild, M.Bind (M.Guard (k, g), M.Pwild, b)) ))
-    end
-  | Rw_dup_guard (k1, g1, k2, g2, b) ->
-    if implies_syn g1 g2 then
-      ok
-        (Equiv
-           ( M.Bind (M.Guard (k1, g1), M.Pwild, b),
-             M.Bind (M.Guard (k1, g1), M.Pwild, M.Bind (M.Guard (k2, g2), M.Pwild, b)) ))
-    else fail "rw_dup_guard: no syntactic implication"
-  | Rw_discharge_cond_guard (c, thenb, elseb) -> (
-    match thenb with
-    | M.Bind (M.Guard (_, g), M.Pwild, a) when implies_syn c g ->
-      ok (Equiv (M.Cond (c, a, elseb), M.Cond (c, thenb, elseb)))
-    | _ -> fail "rw_discharge_cond_guard: no implication")
-  | Rw_discharge_loop_guard (p, c, body, init) -> (
-    match body with
-    | M.Bind (M.Guard (_, g), M.Pwild, rest) when implies_syn c g ->
-      ok (Equiv (M.While (p, c, rest, init), M.While (p, c, body, init)))
-    | _ -> fail "rw_discharge_loop_guard: no implication")
   (* ================= Word abstraction: values ================= *)
-  | W_triv (f, c) ->
-    if mentions_wvar ctx c then fail "w_triv: mentions abstracted variables"
-    else ok (Abs_w_val (E.true_e, f, conv_expr f c, c))
   | W_var x -> (
     match List.assoc_opt x ctx.wvars with
     | Some (s, w) ->
@@ -1284,11 +1139,6 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       let ideal = Ty.ideal_of_word_sign sign in
       ok (Abs_w_val (p, conv_of_sign sign w, E.OfWord (ideal, a), c))
     end
-  | W_weaken p' ->
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    (* Strengthening the precondition is always sound. *)
-    ok (Abs_w_val (E.and_e p' p, f, a, c))
   | W_custom name -> (
     match Hashtbl.find_opt custom_rules name with
     | Some f -> f ctx prems
@@ -1540,25 +1390,6 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
          ( E.and_e pc (E.and_e (E.imp_e ac pa) (E.imp_e (E.not_e ac) pb)),
            E.Ite (ac, aa, ab),
            E.Ite (cc, ca, cb) ))
-  | Hv_weaken p' ->
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    ok (Abs_h_val (E.and_e p' p, a, c))
-  | Hs_pure m ->
-    let ok_m = ref true in
-    M.iter_exprs (fun e -> if E.reads_concrete_heap e then ok_m := false) m;
-    let rec no_heap_write m =
-      match m with
-      | M.Modify ms ->
-        List.for_all (function M.Heap_write _ | M.Retype _ -> false | _ -> true) ms
-      | M.Bind (a, _, b) | M.Try (a, _, b) -> no_heap_write a && no_heap_write b
-      | M.Cond (_, a, b) -> no_heap_write a && no_heap_write b
-      | M.While (_, _, body, _) -> no_heap_write body
-      | M.Call _ | M.Exec_concrete _ -> false
-      | M.Return _ | M.Gets _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _ -> true
-    in
-    if !ok_m && no_heap_write m then ok (Abs_h_stmt (m, m))
-    else fail "hs_pure: term touches the byte heap"
   | Hs_ret ->
     let* prems = prems_n 1 prems in
     let* p, a, c = as_hval (List.hd prems) in

@@ -219,13 +219,12 @@ let set_fault_hook h = fault_hook := h
 exception Too_hard
 
 (* Absolute deadline for the goal currently being proved; [prove] is not
-   reentrant (nothing in the code base re-enters it), but the parallel
-   driver does prove goals in several domains at once, so the deadline is
+   reentrant (nothing in the code base re-enters it), but a caller may
+   prove goals in several domains at once, so the deadline is
    domain-local.  Elapsed time, not [Sys.time]: process CPU time advances
-   [jobs] times faster than the wall when every worker is busy, which
-   would make per-goal deadlines fire early.  Monotonic nanoseconds, not
-   [Unix.gettimeofday]: a system-clock step must not cut a request's
-   proofs short and so change its output. *)
+   once per busy domain, which would make per-goal deadlines fire early.
+   Monotonic nanoseconds, not [Unix.gettimeofday]: a system-clock step
+   must not cut a proof short and so change its outcome. *)
 let deadline_key : int64 option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let out_of_time () =

@@ -218,10 +218,11 @@ end)
    any trusted code, and [equal] falls back to the structural walk for
    non-interned terms.
 
-   The state is domain-local (each worker of the parallel driver interns
-   into its own table), so no locking is needed and physical-identity
-   claims never cross domains.  The driver clears the main domain's table
-   per run; worker tables die with their domain. *)
+   The state is domain-local (each domain interns into its own table), so
+   no locking is needed and physical-identity claims never cross domains.
+   Nothing clears a table on its own; a caller proving unrelated batches
+   of goals can call [hc_clear] between them, and a domain's table dies with
+   the domain. *)
 
 type hc_state = {
   hc_tbl : t Tbl.t; (* structural term -> canonical representative *)
@@ -266,8 +267,8 @@ let hc_id (t : t) : int =
 (* Number of distinct terms interned in this domain's table. *)
 let hc_size () = Tbl.length (Domain.DLS.get hc_key).hc_tbl
 
-(* Drop this domain's table (the driver calls this per run, so canonical
-   nodes — and their ids — never leak across runs). *)
+(* Drop this domain's table, so canonical nodes — and their ids — do not
+   outlive the batch of goals that made them. *)
 let hc_clear () =
   let st = Domain.DLS.get hc_key in
   Tbl.reset st.hc_tbl;

@@ -1,8 +1,8 @@
 (* The `acc serve` session, meant to run for days.  Each request line
    (`translate FILE`, `check FILE`, `lint FILE`, `status`, `metrics`)
    gets exactly one JSON response line, in request order; a bad request
-   answers "ok":false and never kills the session.  The proof store, the
-   worker pool and the hash-consing tables stay warm across requests.
+   answers "ok":false and never kills the session.  The proof store and
+   the worker pool stay warm across requests.
    [request_timeout] rides the budget deadlines plus a watchdog that
    counts overruns — degrade and report, never kill; SIGINT/SIGTERM
    finish and flush the in-flight request, then return.  Stdin and
@@ -155,15 +155,12 @@ let run (cfg : config) : (unit, string) result =
   let pool = if cfg.jobs > 1 then Some (Pool.create ~jobs:cfg.jobs) else None in
   Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
   let budgets =
-    (* The request timeout rides the existing budget plumbing: the
-       unbounded engines already know how to stop at a deadline and
-       degrade (guards kept, proofs left open) instead of hanging. *)
+    (* The request timeout rides the existing budget plumbing: the guard
+       analysis already knows how to stop at a deadline and degrade
+       (guards kept) instead of hanging. *)
     match cfg.request_timeout with
     | None -> Driver.default_budgets
-    | Some t ->
-      { Driver.default_budgets with
-        Driver.solver_deadline_s = Some t;
-        analysis_deadline_s = Some t }
+    | Some t -> { Driver.default_budgets with Driver.analysis_deadline_s = Some t }
   in
   let options =
     { Driver.default_options with Driver.keep_going = true; budgets; jobs = cfg.jobs }
@@ -273,9 +270,7 @@ let run (cfg : config) : (unit, string) result =
     let run file =
       Faults.sleep_if_slow ();
       let t0 = Obs.mono_s () in
-      let res =
-        Driver.run ~options ?store ?pool ~fresh_tables:false (read_source file)
-      in
+      let res = Driver.run ~options ?store ?pool (read_source file) in
       (* The after-the-fact half of the watchdog: the budget deadlines
          bound the engines from inside, this counts requests that still
          overran (e.g. many functions each under budget). *)

@@ -50,8 +50,12 @@ module J = Ac_kernel.Judgment
    replay the old normal forms, so a warm run would differ from a cold
    one.  ruleset-5: [Rw_lift] threads locals forward and builds a tuple of
    modified locals only at a join, so its conclusion changed.  An older
-   entry would replay the old lifted term and its longer clean-up. *)
-let ruleset_tag = "acc-store-1/ruleset-5"
+   entry would replay the old lifted term and its longer clean-up.
+   ruleset-6: eleven rules nothing minted left the kernel.  Trace nodes
+   marshal [Rules.rule], whose constructor tags shifted, so an older
+   entry would decode to the wrong rules and fail replay.  The option
+   string in the key also lost the prover budgets. *)
+let ruleset_tag = "acc-store-1/ruleset-6"
 
 let magic = "ACC-STORE v1\n"
 

@@ -2,8 +2,8 @@
    the kernel expression simplifier preserves evaluation, the prover's
    term simplifier preserves ground evaluation, linear-arithmetic verdicts
    agree with brute-force search, the byte codec round-trips, local-variable
-   lifting preserves behaviour, and no rule instance makes the kernel
-   raise. *)
+   lifting preserves behaviour, no rule instance makes the kernel raise,
+   and the rule ids are dense. *)
 
 module B = Ac_bignum
 module W = Ac_word
@@ -765,7 +765,7 @@ let k_rule : Rules.rule Gen.t =
   let sw = pair k_sign k_width in
   let l2 =
     [ map (fun s -> Rules.L1 s) (k_stmt 2);
-      map (fun m -> Rules.Eq_refl m) m; return Rules.Eq_trans; return Rules.Eq_sym;
+      map (fun m -> Rules.Eq_refl m) m; return Rules.Eq_trans;
       map (fun p -> Rules.Eq_bind p) p; map (fun p -> Rules.Eq_try p) p;
       map (fun e -> Rules.Eq_cond e) e;
       map3 (fun p c i -> Rules.Eq_while (p, c, i)) p e e;
@@ -780,7 +780,6 @@ let k_rule : Rules.rule Gen.t =
       map2 (fun a b -> Rules.Rw_cond_false (a, b)) m m;
       map2 (fun c a -> Rules.Rw_cond_same (c, a)) e m;
       map3 (fun a p b -> Rules.Rw_try_nothrow (a, p, b)) m p m;
-      map (fun a -> Rules.Rw_seq_unit a) m;
       k_lift;
       map (fun m -> Rules.Rw_simp m) m;
       map2 (fun m t -> Rules.Rw_elim_returns (m, t)) m k_ty;
@@ -791,20 +790,10 @@ let k_rule : Rules.rule Gen.t =
       (let* i = int_range (-1) 3 and* p = p and* c = e and* body = m and* init = e
        and* q = p and* k = m in
        return (Rules.Rw_prune_loop (i, p, c, body, init, q, k)));
-      (let* a = m and* p = p and* k = k_kind and* g = e and* b = m in
-       return (Rules.Rw_hoist_guard (a, p, k, g, b)));
-      map3 (fun (sms, k) g b -> Rules.Rw_guard_past_write (sms, k, g, b))
-        (pair (list_size (int_range 0 2) k_smod) k_kind) e m;
-      (let* k1 = k_kind and* g1 = e and* k2 = k_kind and* g2 = e and* b = m in
-       return (Rules.Rw_dup_guard (k1, g1, k2, g2, b)));
-      map3 (fun c a b -> Rules.Rw_discharge_cond_guard (c, a, b)) e m m;
-      (let* p = p and* c = e and* body = m and* i = e in
-       return (Rules.Rw_discharge_loop_guard (p, c, body, i)));
       map2 (fun m c -> Rules.Rule_guard_true (m, c)) m k_cert ]
   in
   let wa =
-    [ map2 (fun c e -> Rules.W_triv (c, e)) (k_conv 1) e;
-      map (fun x -> Rules.W_var x) (oneofl k_names);
+    [ map (fun x -> Rules.W_var x) (oneofl k_names);
       map2 (fun (s, w) n -> Rules.W_const (s, w, B.of_int n)) sw (int_range (-3) 300);
       map (fun e -> Rules.W_id e) e;
       map2 (fun op (s, w) -> Rules.W_binop (op, s, w)) k_binop sw;
@@ -815,7 +804,6 @@ let k_rule : Rules.rule Gen.t =
       map (fun op -> Rules.W_shortcircuit op) k_binop;
       map (fun (s, w) -> Rules.W_unconv (s, w)) sw;
       map (fun (s, w) -> Rules.W_abs_any (s, w)) sw;
-      map (fun e -> Rules.W_weaken e) e;
       map (fun n -> Rules.W_custom n) (oneofl [ "no_such_rule"; "" ]);
       return Rules.Ws_ret; return Rules.Ws_gets;
       map (fun k -> Rules.Ws_guard k) k_kind;
@@ -838,8 +826,6 @@ let k_rule : Rules.rule Gen.t =
       map (fun e -> Rules.Hv_node e) e;
       map (fun op -> Rules.Hv_shortcircuit op) k_binop;
       return Rules.Hv_ite;
-      map (fun e -> Rules.Hv_weaken e) e;
-      map (fun m -> Rules.Hs_pure m) m;
       return Rules.Hs_ret; return Rules.Hs_gets;
       map (fun c -> Rules.Hs_guard_ptr c) k_cty;
       map (fun k -> Rules.Hs_guard_strengthen k) k_kind;
@@ -880,13 +866,14 @@ let k_pool : Thm.t list Lazy.t =
      let skip = by (Rules.L1 Ir.Skip) [] and refl = by (Rules.Eq_refl (M.Return x)) [] in
      let wv = by (Rules.W_var "x") [] in
      let wc = by (Rules.W_const (Ty.Unsigned, Ty.W32, B.of_int 7)) [] in
+     let hv = by (Rules.Hv_id x) [] in
      [ skip; by (Rules.L1 Ir.Throw) []; by (Rules.L1 (Ir.Local_set ("x", x))) [];
-       refl; by (Rules.Eq_refl M.Fail) []; by Rules.Eq_sym [ refl ];
+       refl; by (Rules.Eq_refl M.Fail) []; by Rules.Eq_trans [ refl; refl ];
        wv; wc; by (Rules.W_id (E.word_e Ty.Unsigned Ty.W32 1)) [];
        by (Rules.W_binop (E.Add, Ty.Unsigned, Ty.W32)) [ wv; wc ];
        by Rules.Ws_ret [ wv ]; by Rules.Ws_gets [ wc ];
-       by (Rules.Hv_id x) []; by (Rules.Hs_pure (M.Return x)) [];
-       by (Rules.Hs_pure (M.Guard (Ir.Div_by_zero, E.true_e))) [];
+       hv; by Rules.Hs_ret [ hv ];
+       by (Rules.Hs_guard Ir.Div_by_zero) [ by (Rules.Hv_id E.true_e) [] ];
        by (Rules.Fn_chain "f") [ skip ] ])
 
 let k_instance =
@@ -912,6 +899,34 @@ let kernel_total (rule, prems) =
   | None, None -> true
   | Some m, _ | None, Some m ->
     QCheck.Test.fail_reportf "%s escaped the kernel on %s" m (Rules.rule_name rule)
+
+(* [Effort] counts rule applications in a flat array indexed by
+   [Rules.rule_id], so the built-in ids must be dense and follow
+   [rule_name]: every id in [0, num_rule_ids), two rules share an id
+   exactly when they share a name, and every id in the range is some
+   rule's.  [k_rule] draws every constructor (and every operator class
+   of [W_binop]); 30,000 draws hit each of them. *)
+let test_rule_ids () =
+  let rules = QCheck.Gen.generate ~rand:(Random.State.make [| 24 |]) ~n:30_000 k_rule in
+  let by_id = Array.make Rules.num_rule_ids None and by_name = Hashtbl.create 97 in
+  List.iter
+    (fun r ->
+      let id = Rules.rule_id r and name = Rules.rule_name r in
+      match r with
+      | Rules.W_custom _ -> Alcotest.(check int) (name ^ " has no static id") (-1) id
+      | _ -> (
+        if id < 0 || id >= Rules.num_rule_ids then
+          Alcotest.failf "%s has id %d, outside [0, %d)" name id Rules.num_rule_ids;
+        (match by_id.(id) with
+        | Some n when n <> name -> Alcotest.failf "%s and %s share id %d" n name id
+        | _ -> by_id.(id) <- Some name);
+        match Hashtbl.find_opt by_name name with
+        | Some i when i <> id -> Alcotest.failf "%s has ids %d and %d" name i id
+        | _ -> Hashtbl.replace by_name name id))
+    rules;
+  Array.iteri
+    (fun id n -> if Option.is_none n then Alcotest.failf "no rule has id %d" id)
+    by_id
 
 let props =
   let open QCheck in
@@ -1090,4 +1105,6 @@ let props =
       kernel_total;
   ]
 
-let suite = List.map QCheck_alcotest.to_alcotest props
+let suite =
+  List.map QCheck_alcotest.to_alcotest props
+  @ [ Alcotest.test_case "kernel: rule ids are dense and follow rule names" `Quick test_rule_ids ]

@@ -158,14 +158,13 @@ let prop_fault_schedules =
           Driver.rewrite_fuel =
             (if hit () then next () mod 50 else Autocorres.Rewrite.default_fuel);
           analysis_steps = (if hit () then next () mod 20 else 20_000);
-          solver_branches = (if hit () then 1 + (next () mod 10) else 40000);
+          summary_contexts = (if hit () then next () mod 3 else 3);
         }
       in
       let options = { keep_going with Driver.budgets } in
       Thm.set_fault_hook (Some (fun _rule -> hit ()));
-      Solver.set_fault_hook (Some hit);
       Ac_analysis.set_fault_hook (Some hit);
-      (* Layer transient-I/O faults on top of the kernel/solver/analysis
+      (* Layer transient-I/O faults on top of the kernel/analysis
          schedule: they hit the store hooks (when the schedule puts a
          store in play) and degrade to misses. *)
       Faults.install
@@ -562,7 +561,7 @@ let test_cli_malformed () =
       Alcotest.(check bool) (args ^ ": names " ^ option) true (contains err option))
     [
       ("--bogus", "--bogus");
-      ("--solver-branches abc", "--solver-branches");
+      ("--rewrite-fuel abc", "--rewrite-fuel");
       ("--timeout nan", "--timeout");
       ("--timeout inf", "--timeout");
       ("--timeout=-1", "--timeout");
