@@ -488,9 +488,9 @@ let ablation () =
           rows));
   ignore base_t;
   print_endline
-    "Reading: the clean-up rewrites (guard discharge, inlining, return-flow
-     straightening) and the two semantic abstractions each contribute to the
-     reduction the paper reports; disabling any knob grows the output."
+    "Reading: the clean-up rewrites (guard discharge, inlining, return-flow\n\
+    \     straightening) and the two semantic abstractions each contribute to the\n\
+    \     reduction the paper reports; disabling any knob grows the output."
 
 let analysis () =
   header "Guard discharge: abstract interpretation over the corpus";

@@ -8,7 +8,6 @@
    code through exec_concrete.  This example keeps my_memset byte-level,
    lifts its caller, and executes the mixed program. *)
 
-module B = Ac_bignum
 module Ty = Ac_lang.Ty
 module Value = Ac_lang.Value
 module Driver = Autocorres.Driver

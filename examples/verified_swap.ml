@@ -11,7 +11,6 @@
    Also shows the byte-level triple the engineer would *otherwise* face
    (Fig 3 / the strengthened precondition of Sec 4.1). *)
 
-module B = Ac_bignum
 module T = Ac_prover.Term
 module Solver = Ac_prover.Solver
 module Vc = Ac_hoare.Vc

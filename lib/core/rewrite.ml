@@ -40,7 +40,7 @@ let head_rules (m : M.t) : Rules.rule list =
     match m with
     | M.Bind (M.Throw e, p, b) -> [ Rules.Rw_dead_after_throw (e, p, b) ]
     | M.Bind (M.Fail, p, b) -> [ Rules.Rw_dead_after_fail (p, b) ]
-    | M.Bind ((M.Return e as a), p, b) -> [ Rules.Rw_return_bind (a, p, b) ]
+    | M.Bind (M.Return _, _, _) -> [ Rules.Rw_inline (m, [ 0 ]) ]
     | M.Bind ((M.Gets e as a), p, b) when not (E.reads_state e) ->
       [ Rules.Rw_gets_bind (a, p, b) ]
     | _ -> []
@@ -94,15 +94,80 @@ let cheap e =
   | E.Var _ | E.Const _ | E.Global _ | E.Tuple _ -> true
   | _ -> spare 8 e >= 0
 
+(* How many expressions of [b] mention [x] once the cheap return-binds
+   left in [b] are inlined: such a binding's own expression is gone, and
+   an expression reading a variable it binds reads the bound value.  On a
+   normal [b], which has no such binding left, the plain count. *)
+let uses_after_inlining x (b : M.t) =
+  let uses = ref 0 in
+  let count xs e = if E.occurs_any xs e then incr uses in
+  let unbind p xs = List.filter (fun v -> not (M.pat_exists (String.equal v) p)) xs in
+  (* under a binder the pass keeps, which may bind a new [x] *)
+  let rebind p xs = if M.pat_exists (String.equal x) p then x :: unbind p xs else unbind p xs in
+  let rec go xs m =
+    match m with
+    | M.Bind (M.Return e, p, b) when cheap e ->
+      let bound = Option.value ~default:[] (Rules.bind_expr_to_pat p e) in
+      go (List.filter_map (fun (v, ev) -> if E.occurs_any xs ev then Some v else None) bound
+          @ unbind p xs) b
+    | M.Bind (a, p, b) | M.Try (a, p, b) ->
+      go xs a;
+      go (rebind p xs) b
+    | M.Cond (c, a, b) ->
+      count xs c;
+      go xs a;
+      go xs b
+    | M.While (p, c, body, init) ->
+      count xs init;
+      count (rebind p xs) c;
+      go (rebind p xs) body
+    | _ -> M.iter_exprs (count xs) m
+  in
+  go [ x ] b;
+  !uses
+
 let want_head_rewrite (m : M.t) =
   match m with
   | M.Bind (M.Return e, _, _) when not (cheap e) -> false
   | M.Bind (M.Gets e, M.Pvar (x, _), b) when not (cheap e) ->
     (* still inline single-use bindings *)
-    let uses = ref 0 in
-    M.iter_exprs (fun expr -> if E.mem_var x expr then incr uses) b;
-    !uses <= 1
+    uses_after_inlining x b <= 1
   | _ -> true
+
+(* The inlining a deferring sweep left for one [Rw_inline] step: the
+   pre-order positions (as the kernel counts them) of the return-binds
+   [want_head_rewrite] approves, and [m] with those binds dropped but
+   nothing substituted.  The latter lines up with the step's output, so a
+   sweep of the output can skip what the step left physically alone. *)
+let inline_plan (m : M.t) : int list * M.t =
+  let next = ref 0 and acc = ref [] in
+  let rec go m =
+    let i = !next in
+    incr next;
+    match m with
+    | M.Bind (M.Return _, _, b) when want_head_rewrite m ->
+      acc := i :: !acc;
+      incr next;
+      go b
+    | M.Bind (a, p, b) ->
+      let a' = go a in
+      let b' = go b in
+      if a' == a && b' == b then m else M.Bind (a', p, b')
+    | M.Try (a, p, b) ->
+      let a' = go a in
+      let b' = go b in
+      if a' == a && b' == b then m else M.Try (a', p, b')
+    | M.Cond (c, a, b) ->
+      let a' = go a in
+      let b' = go b in
+      if a' == a && b' == b then m else M.Cond (c, a', b')
+    | M.While (p, c, body, init) ->
+      let body' = go body in
+      if body' == body then m else M.While (p, c, body', init)
+    | _ -> m
+  in
+  let shadow = go m in
+  (List.rev !acc, shadow)
 
 (* Fuel budget: a cap on head rewrites per [normalize] call.  Running dry
    stops rewriting where it stands — the accumulated theorem is already a
@@ -116,12 +181,30 @@ let fuel = ref default_fuel
    the driver per run; atomic, workers rewrite concurrently. *)
 let exhaustions = Atomic.make 0
 
-let rec try_head (ctx : Rules.ctx) (m : M.t) : Thm.t option =
+(* The fuel left for one [normalize] call, whether its sweep is
+   deferring the return-binds it meets to one [Rw_inline] step, and
+   whether it deferred any. *)
+type tank = { mutable left : int; mutable defer : bool; mutable deferred : bool }
+
+let tank fuel = { left = fuel; defer = false; deferred = false }
+
+(* A deferring sweep still inlines a binding of a branch whose body is a
+   leaf: the result can let [Rw_cond_return] merge the branches into a new
+   return-bind, whose expression must be judged [cheap] before the
+   bindings around it are inlined, as the step-by-step sweep judges it. *)
+let try_head (ctx : Rules.ctx) tank ~branch (m : M.t) : Thm.t option =
   if not (want_head_rewrite m) then None
   else
-    List.fold_left
-      (fun acc rule -> match acc with Some _ -> acc | None -> Thm.by_opt ctx rule [])
-      None (head_rules m)
+    match m with
+    | M.Bind (M.Return _, _, b)
+      when tank.defer
+           && not (branch && match b with M.Bind _ | M.Try _ | M.Cond _ | M.While _ -> false | _ -> true) ->
+      tank.deferred <- true;
+      None
+    | _ ->
+      List.fold_left
+        (fun acc rule -> match acc with Some _ -> acc | None -> Thm.by_opt ctx rule [])
+        None (head_rules m)
 
 (* Steps are identity-free: [None] stands for [Equiv (m, m)] on a term the
    step left alone, and is never minted.  [chain newer older] composes a
@@ -157,11 +240,12 @@ let second = function M.Bind (_, _, b) | M.Try (_, _, b) | M.Cond (_, _, b) -> b
 
 let refl ctx x = function Some t -> t | None -> Thm.by ctx (Rules.Eq_refl x) []
 
-let rec sweep (ctx : Rules.ctx) (tank : int ref) (old : M.t) (m : M.t) : Thm.t option =
+let rec sweep ?(branch = false) (ctx : Rules.ctx) (tank : tank) (old : M.t) (m : M.t) :
+    Thm.t option =
   if m == old then None
   else
     let congr = children ctx tank old m in
-    head_fix ctx tank (match congr with Some t -> abs_of t | None -> m) congr
+    head_fix ctx tank ~branch (match congr with Some t -> abs_of t | None -> m) congr
 
 and pass ctx tank m = sweep ctx tank fresh m
 
@@ -170,16 +254,16 @@ and children ctx tank old m =
   (* Right child first: where an exhausted tank stops rewriting depends on
      the order fuel is spent in, and outputs under a small budget must not
      change. *)
-  let congr2 rule a b =
-    let tb = sweep ctx tank (second old) b in
-    match (sweep ctx tank (first old) a, tb) with
+  let congr2 ?(branch = false) rule a b =
+    let tb = sweep ~branch ctx tank (second old) b in
+    match (sweep ~branch ctx tank (first old) a, tb) with
     | None, None -> None
     | ta, tb -> Some (Thm.by ctx rule [ refl ctx a ta; refl ctx b tb ])
   in
   match m with
   | M.Bind (a, p, b) -> congr2 (Rules.Eq_bind p) a b
   | M.Try (a, p, b) -> congr2 (Rules.Eq_try p) a b
-  | M.Cond (c, a, b) -> congr2 (Rules.Eq_cond c) a b
+  | M.Cond (c, a, b) -> congr2 ~branch:true (Rules.Eq_cond c) a b
   | M.While (p, c, body, init) ->
     Option.map
       (fun t -> Thm.by ctx (Rules.Eq_while (p, c, init)) [ t ])
@@ -190,15 +274,15 @@ and children ctx tank old m =
    Every head step is followed by [settle] before the head is tried again,
    so the sweep leaves no redex behind it: its output is a fixed point of
    [pass]. *)
-and head_fix ctx (tank : int ref) (cur : M.t) (thm : Thm.t option) : Thm.t option =
-  if !tank <= 0 then thm
+and head_fix ctx tank ~branch (cur : M.t) (thm : Thm.t option) : Thm.t option =
+  if tank.left <= 0 then thm
   else begin
-    match try_head ctx cur with
+    match try_head ctx tank ~branch cur with
     | Some step ->
-      decr tank;
+      tank.left <- tank.left - 1;
       let thm = chain ctx (Some step) thm in
       let settled = settle ctx tank step in
-      head_fix ctx tank
+      head_fix ctx tank ~branch
         (abs_of (match settled with Some t -> t | None -> step))
         (chain ctx settled thm)
     | None -> thm
@@ -208,7 +292,8 @@ and head_fix ctx (tank : int ref) (cur : M.t) (thm : Thm.t option) : Thm.t optio
    subterms were normal before the step.
    - [Rw_bind_assoc] builds [Bind (b, q, c)] over normal [b] and [c], so
      only its head needs rewriting.
-   - [Rw_return_bind]/[Rw_gets_bind] substitute into the normal body:
+   - [Rw_inline] at the head and [Rw_gets_bind] substitute into the
+     normal body:
      only the subterms the substitution rebuilt are visited.
    - [Rw_prune_loop] rewrites the tail of the loop body likewise.
    Every other head rule yields a leaf or a subterm of the normal input. *)
@@ -217,30 +302,52 @@ and settle ctx tank (step : Thm.t) : Thm.t option =
   | Rules.Rw_bind_assoc _, M.Bind (a, p, (M.Bind _ as inner)) ->
     Option.map
       (fun t -> Thm.by ctx (Rules.Eq_bind p) [ refl ctx a None; t ])
-      (head_fix ctx tank inner None)
-  | (Rules.Rw_return_bind (_, _, b) | Rules.Rw_gets_bind (_, _, b)), m -> children ctx tank b m
+      (head_fix ctx tank ~branch:false inner None)
+  | (Rules.Rw_inline (M.Bind (_, _, b), [ 0 ]) | Rules.Rw_gets_bind (_, _, b)), m ->
+    children ctx tank b m
   | Rules.Rw_prune_loop (_, ip, c, body, init, qp, k), m ->
     children ctx tank (M.Bind (M.While (ip, c, body, init), qp, k)) m
   | _ -> None
+
+(* One round's sweep.  A sweep that defers every return-bind it would
+   inline, then one [Rw_inline] step for all of them, one unit of fuel
+   per binding, then a sweep of what that step rebuilt.  When the tank
+   holds fewer units than there are bindings, a second sweep inlines them
+   one head step at a time instead. *)
+let sweep_inlining ctx tank m =
+  tank.defer <- true;
+  tank.deferred <- false;
+  let deferred = pass ctx tank m in
+  tank.defer <- false;
+  if not tank.deferred then deferred
+  else
+    let cur = match deferred with Some t -> abs_of t | None -> m in
+    match inline_plan cur with
+    | [], _ -> deferred
+    | ps, _ when List.length ps > tank.left -> chain ctx (pass ctx tank cur) deferred
+    | ps, shadow ->
+      tank.left <- tank.left - List.length ps;
+      let step = Thm.by ctx (Rules.Rw_inline (cur, ps)) [] in
+      chain ctx (sweep ctx tank shadow (abs_of step)) (chain ctx (Some step) deferred)
 
 (* Normalise to a global fixed point, with the expression simplifier and
    guard discharge run between sweeps, bounded by a pass limit and the
    fuel budget.  [None]: the result is structurally [m].  [Rw_simp] and
    [Rw_discharge] are minted every round, since only the kernel computes
-   their result, but chained only when they changed the term.  A sweep's
-   output is a fixed point of [pass], so a later round sweeps only when
+   their result, but chained only when they changed the term.  A round's
+   sweep leaves a fixed point of [pass], so a later round sweeps only when
    simp or discharge changed the term: the round that finds them idle
    ends the loop without a sweep.  Stopping at the pass limit with work
    left counts as an exhaustion, like running out of fuel. *)
 let normalize ?(max_passes = 12) (ctx : Rules.ctx) (m : M.t) : Thm.t option =
-  let tank = ref !fuel in
+  let tank = tank !fuel in
   let truncated = ref false in
   let whole rule (cur, thm) =
     let step = Thm.by ctx (rule cur) [] in
     if M.equal (abs_of step) cur then (cur, thm) else (abs_of step, chain ctx (Some step) thm)
   in
   let rec go n cur thm =
-    if !tank <= 0 then thm
+    if tank.left <= 0 then thm
     else begin
       let mid, round =
         whole (fun t -> Rules.Rw_discharge t) (whole (fun t -> Rules.Rw_simp t) (cur, None))
@@ -251,7 +358,7 @@ let normalize ?(max_passes = 12) (ctx : Rules.ctx) (m : M.t) : Thm.t option =
         chain ctx round thm
       end
       else
-        match chain ctx (pass ctx tank mid) round with
+        match chain ctx (sweep_inlining ctx tank mid) round with
         | Some r when not (M.equal (abs_of r) cur) ->
           go (n + 1) (abs_of r) (chain ctx (Some r) thm)
         | _ -> thm
@@ -260,5 +367,5 @@ let normalize ?(max_passes = 12) (ctx : Rules.ctx) (m : M.t) : Thm.t option =
   let out =
     match go 0 m None with Some t when M.equal (abs_of t) m -> None | out -> out
   in
-  if !tank <= 0 || !truncated then Atomic.incr exhaustions;
+  if tank.left <= 0 || !truncated then Atomic.incr exhaustions;
   out

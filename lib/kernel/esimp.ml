@@ -30,8 +30,13 @@ let fold_constant lenv (e : E.t) : E.t =
          their shape. *)
       | Value.Vtuple _ | Value.Vstruct _ -> e
       | v -> E.Const v
-      (* e.g. a division by zero: left for the guards to rule out *)
-      | exception E.Eval_stuck _ -> e
+      (* e.g. a division by zero: left for the guards to rule out; an
+         ill-typed or undeclared constant is left as it is too *)
+      | exception
+          ( E.Eval_stuck _ | E.Type_error _ | Value.Type_mismatch _ | Invalid_argument _
+          | Layout.Unknown_struct _ | Layout.Unknown_field _ | Ac_bignum.Negative_operand _
+          | Ac_bignum.Division_by_zero ) ->
+        e
     end
     else e
 
@@ -46,7 +51,7 @@ let simp lenv : E.t -> E.t =
     let e = E.map_children go e in
     let e =
       match e with
-      | E.Proj (i, E.Tuple es) when i < List.length es -> List.nth es i
+      | E.Proj (i, E.Tuple es) when i >= 0 && i < List.length es -> List.nth es i
       | E.Binop (E.And, a, b) when is_bool_const a || is_bool_const b -> E.and_e a b
       | E.Binop (E.Or, a, b) when is_bool_const a || is_bool_const b -> E.or_e a b
       | E.Binop (E.Imp, a, (E.Const (Value.Vbool true) as b)) -> E.imp_e a b

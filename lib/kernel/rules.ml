@@ -64,7 +64,8 @@ type rule =
   | Eq_try of M.pat
   | Eq_cond of E.t
   | Eq_while of M.pat * E.t * E.t
-  | Rw_return_bind of M.t * M.pat * M.t (* do v <- return e; B od = B[v:=e] *)
+  | Rw_inline of M.t * int list
+    (* do v <- return e; B od = B[v:=e] at every listed position of a term *)
   | Rw_gets_bind of M.t * M.pat * M.t (* same for pure gets *)
   | Rw_bind_return of M.t * M.pat (* do v <- A; return v od = A *)
   | Rw_bind_assoc of M.t * M.pat * M.t * M.pat * M.t
@@ -188,7 +189,7 @@ let rule_name = function
   | Eq_try _ -> "eq_try"
   | Eq_cond _ -> "eq_cond"
   | Eq_while _ -> "eq_while"
-  | Rw_return_bind _ -> "rw_return_bind"
+  | Rw_inline _ -> "rw_inline"
   | Rw_gets_bind _ -> "rw_gets_bind"
   | Rw_bind_return _ -> "rw_bind_return"
   | Rw_bind_assoc _ -> "rw_bind_assoc"
@@ -281,7 +282,7 @@ let rule_id = function
   | Eq_try _ -> 4
   | Eq_cond _ -> 5
   | Eq_while _ -> 6
-  | Rw_return_bind _ -> 7
+  | Rw_inline _ -> 7
   | Rw_gets_bind _ -> 8
   | Rw_bind_return _ -> 9
   | Rw_bind_assoc _ -> 10
@@ -781,8 +782,9 @@ let alpha_avoid (avoid : string list) (m : M.t) : M.t =
       end
       else (p, [])
     | M.Ptuple ps ->
+      (* last first: of two same-named variables the later is bound *)
       let ps', subs = List.split (List.map freshen_pat ps) in
-      (M.Ptuple ps', List.concat subs)
+      (M.Ptuple ps', List.concat (List.rev subs))
   in
   let rec go (m : M.t) : M.t =
     match m with
@@ -801,6 +803,103 @@ let alpha_avoid (avoid : string list) (m : M.t) : M.t =
       m
   in
   go m
+
+(* Destructure an expression along a pattern for substitution-based
+   rewrites: (x, y) <- (e1, e2) gives [x := e1; y := e2]. *)
+let rec bind_expr_to_pat (p : M.pat) (e : E.t) : (string * E.t) list option =
+  match (p, e) with
+  | M.Pwild, _ -> Some []
+  | M.Pvar (x, _), e -> Some [ (x, e) ]
+  | M.Ptuple ps, E.Tuple es when List.length ps = List.length es ->
+    List.fold_left2
+      (fun acc p e ->
+        match (acc, bind_expr_to_pat p e) with
+        | Some acc, Some bs -> Some (acc @ bs)
+        | _ -> None)
+      (Some []) ps es
+  | M.Ptuple ps, e ->
+    (* project *)
+    let rec go i = function
+      | [] -> Some []
+      | p :: rest -> (
+        match (bind_expr_to_pat p (E.Proj (i, e)), go (i + 1) rest) with
+        | Some bs, Some rest' -> Some (bs @ rest')
+        | _ -> None)
+    in
+    go 0 ps
+
+(* [Rw_inline]: inline the return-binds [do p <- return e; B od] at the
+   listed [positions] of [m] (pre-order indices of its monadic nodes, in
+   increasing order) in one top-down pass: a simultaneous substitution of
+   every listed binding, a later pattern variable winning over an earlier
+   one of the same name, as when the pattern is bound.  A binder that
+   would capture a pending value is renamed to a fresh primed name.
+   [None] when a listed node is not a return-bind or a position is left
+   unvisited. *)
+let inline_at (m : M.t) (positions : int list) : M.t option =
+  let next = ref 0 and todo = ref positions in
+  let drop p sigma =
+    if not (M.pat_exists (fun x -> List.mem_assoc x sigma) p) then sigma
+    else List.filter (fun (x, _) -> not (M.pat_exists (String.equal x) p)) sigma
+  in
+  (* The substitution under the binder [p] of [node], which the pass
+     keeps; a renamed variable avoids every name of [node] and every free
+     variable of a pending value. *)
+  let under sigma p node =
+    let sigma = drop p sigma in
+    let captures x = List.exists (fun (_, e) -> E.mem_var x e) sigma in
+    if not (M.pat_exists captures p) then (p, sigma)
+    else
+      let avoid =
+        ref (M.free_vars node @ binder_names node @ List.concat_map (fun (_, e) -> E.free_vars e) sigma)
+      in
+      let rec fresh x = if List.mem x !avoid then fresh (x ^ "'") else (avoid := x :: !avoid; x) in
+      let rec rename (p : M.pat) =
+        match p with
+        | M.Pvar (x, t) when captures x ->
+          let x' = fresh (x ^ "'") in
+          (M.Pvar (x', t), [ (x, E.Var (x', t)) ])
+        | M.Ptuple ps ->
+          let ps, subs = List.split (List.map rename ps) in
+          (M.Ptuple ps, List.concat subs)
+        | p -> (p, [])
+      in
+      let p', subs = rename p in
+      (p', List.rev_append subs sigma)
+  in
+  let rec go sigma (m : M.t) : M.t =
+    let i = !next in
+    incr next;
+    match (!todo, m) with
+    | j :: rest, M.Bind (M.Return e, p, b) when j = i -> (
+      todo := rest;
+      incr next;
+      match bind_expr_to_pat p e with
+      | Some bs ->
+        go (List.rev_append (List.map (fun (x, v) -> (x, E.subst sigma v)) bs) (drop p sigma)) b
+      | None -> raise Exit)
+    | j :: _, _ when j = i -> raise Exit
+    | [], _ when sigma = [] -> m
+    | _, (M.Bind (a, p, b) | M.Try (a, p, b)) ->
+      let a' = go sigma a in
+      let p', inner = under sigma p m in
+      let b' = go inner b in
+      if a' == a && p' == p && b' == b then m
+      else (match m with M.Try _ -> M.Try (a', p', b') | _ -> M.Bind (a', p', b'))
+    | _, M.Cond (c, a, b) ->
+      let c' = E.subst sigma c and a' = go sigma a in
+      let b' = go sigma b in
+      if c' == c && a' == a && b' == b then m else M.Cond (c', a', b')
+    | _, M.While (p, c, body, init) ->
+      let p', inner = under sigma p m in
+      let c' = E.subst inner c and body' = go inner body and init' = E.subst sigma init in
+      if p' == p && c' == c && body' == body && init' == init then m
+      else M.While (p', c', body', init')
+    | _ -> M.subst sigma m
+  in
+  match go [] m with
+  | m' -> if !todo = [] then Some m' else None
+  | exception Exit -> None
 
 (* Replace byte-level validity conjunctions by is_valid in the positive
    positions of a guard condition.  is_valid implies alignment and span
@@ -894,20 +993,16 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let* prems = prems_n 1 prems in
     let* a, c = as_equiv (List.hd prems) in
     ok (Equiv (M.While (p, cond, a, init), M.While (p, cond, c, init)))
-  | Rw_return_bind (M.Return e, p, b) ->
-    (* capturing binders are alpha-renamed away; the conclusion relates the
-       substituted (renamed) body to the *original* term *)
-    let b' = if capture_free e b then b else alpha_avoid (E.free_vars e) b in
-    (match bind_expr_to_pat p e with
-    | Some bs -> ok (Equiv (M.subst bs b', M.Bind (M.Return e, p, b)))
-    | None -> fail "rw_return_bind: pattern does not destructure expression")
-  | Rw_return_bind _ -> fail "rw_return_bind: not a return"
+  | Rw_inline (m, positions) -> (
+    match inline_at m positions with
+    | Some m' -> ok (Equiv (m', m))
+    | None -> fail "rw_inline: a listed position is not a destructurable return-bind")
   | Rw_gets_bind (M.Gets e, p, b) ->
     if E.reads_state e then fail "rw_gets_bind: expression reads state"
     else begin
       let b' = if capture_free e b then b else alpha_avoid (E.free_vars e) b in
       match bind_expr_to_pat p e with
-      | Some bs -> ok (Equiv (M.subst bs b', M.Bind (M.Gets e, p, b)))
+      | Some bs -> ok (Equiv (M.subst (List.rev bs) b', M.Bind (M.Gets e, p, b)))
       | None -> fail "rw_gets_bind: pattern mismatch"
     end
   | Rw_gets_bind _ -> fail "rw_gets_bind: not a gets"
@@ -1602,30 +1697,6 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
           (ok cur) rest
       in
       ok (Fn_refines (name, final, src)))
-
-(* Destructure an expression along a pattern for substitution-based
-   rewrites: (x, y) <- (e1, e2) gives [x := e1; y := e2]. *)
-and bind_expr_to_pat (p : M.pat) (e : E.t) : (string * E.t) list option =
-  match (p, e) with
-  | M.Pwild, _ -> Some []
-  | M.Pvar (x, _), e -> Some [ (x, e) ]
-  | M.Ptuple ps, E.Tuple es when List.length ps = List.length es ->
-    List.fold_left2
-      (fun acc p e ->
-        match (acc, bind_expr_to_pat p e) with
-        | Some acc, Some bs -> Some (acc @ bs)
-        | _ -> None)
-      (Some []) ps es
-  | M.Ptuple ps, e ->
-    (* project *)
-    let rec go i = function
-      | [] -> Some []
-      | p :: rest -> (
-        match (bind_expr_to_pat p (E.Proj (i, e)), go (i + 1) rest) with
-        | Some bs, Some rest' -> Some (bs @ rest')
-        | _ -> None)
-    in
-    go 0 ps
 
 (* ---- L1 rules: Table 1 pairing ---- *)
 and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) result =

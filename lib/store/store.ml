@@ -54,8 +54,13 @@ module J = Ac_kernel.Judgment
    ruleset-6: eleven rules nothing minted left the kernel.  Trace nodes
    marshal [Rules.rule], whose constructor tags shifted, so an older
    entry would decode to the wrong rules and fail replay.  The option
-   string in the key also lost the prover budgets. *)
-let ruleset_tag = "acc-store-1/ruleset-6"
+   string in the key also lost the prover budgets.  ruleset-7:
+   [Rw_inline (m, positions)] replaced [Rw_return_bind], taking its
+   constructor tag, and one step now inlines a sweep's deferred bindings
+   with other binder names.  An older entry would decode its
+   [Rw_return_bind] nodes as malformed [Rw_inline] ones and replay the
+   old normal forms. *)
+let ruleset_tag = "acc-store-1/ruleset-7"
 
 let magic = "ACC-STORE v1\n"
 

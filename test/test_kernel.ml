@@ -131,7 +131,7 @@ let rule_tests =
                    M.Pvar ("y", Ty.Tint),
                    M.Return (E.Var ("x", Ty.Tint)) ))
               []) );
-    ( "rw_return_bind alpha-renames capturing binders",
+    ( "rw_inline alpha-renames capturing binders",
       fun () ->
         (* do v <- return x; do x <- return 1; return (v, x) od od:
            inlining v := x must not capture under the inner binder. *)
@@ -141,11 +141,8 @@ let rule_tests =
               M.Pvar ("x", Ty.Tint),
               M.Return (E.Tuple [ E.Var ("v", Ty.Tint); E.Var ("x", Ty.Tint) ]) )
         in
-        let thm =
-          Thm.by ctx
-            (Rules.Rw_return_bind (M.Return (E.Var ("x", Ty.Tint)), M.Pvar ("v", Ty.Tint), inner))
-            []
-        in
+        let m = M.Bind (M.Return (E.Var ("x", Ty.Tint)), M.Pvar ("v", Ty.Tint), inner) in
+        let thm = Thm.by ctx (Rules.Rw_inline (m, [ 0 ])) [] in
         match Thm.concl thm with
         | J.Equiv (abs, _) -> (
           match abs with
@@ -156,6 +153,21 @@ let rule_tests =
             Alcotest.(check string) "inner use follows binder" renamed v2
           | _ -> Alcotest.fail "unexpected shape")
         | _ -> Alcotest.fail "expected equivalence" );
+    ( "a repeated pattern variable is bound to its last component",
+      fun () ->
+        (* the interpreter binds (x, x) <- (1, 2) to x = 2; so must the
+           substituting rules *)
+        let x = M.Pvar ("x", Ty.Tint) and v = E.Tuple [ E.int_e 1; E.int_e 2 ] in
+        let body = M.Return (E.Var ("x", Ty.Tint)) in
+        List.iter
+          (fun (name, rule) ->
+            match Thm.concl (Thm.by ctx rule []) with
+            | J.Equiv (abs, _) ->
+              Alcotest.(check string) name "return 2"
+                (String.trim (Ac_monad.Mprint.to_string abs))
+            | _ -> Alcotest.fail "expected equivalence")
+          [ ("rw_gets_bind", Rules.Rw_gets_bind (M.Gets v, M.Ptuple [ x; x ], body));
+            ("rw_inline", Rules.Rw_inline (M.Bind (M.Return v, M.Ptuple [ x; x ], body), [ 0 ])) ] );
     ( "guard discharge drops established conditions only",
       fun () ->
         let g = E.Binop (E.Lt, E.Var ("x", Ty.Tnat), E.nat_e 5) in
@@ -212,9 +224,9 @@ let rule_tests =
             Result.ok (J.Abs_w_val (E.true_e, J.Cid, E.int_e 1, E.int_e 1)));
         ignore (Thm.by ctx (Rules.W_custom "test_rule") []);
         expect_fail "unknown" (fun () -> Thm.by ctx (Rules.W_custom "no_such_rule") []) );
-    ( "rw_return_bind refuses a first component that is not a return",
+    ( "rw_inline refuses a listed position that is not a return-bind",
       fun () ->
-        let rule = Rules.Rw_return_bind (M.Fail, M.Pwild, M.Fail) in
+        let rule = Rules.Rw_inline (M.Bind (M.Fail, M.Pwild, M.Fail), [ 0 ]) in
         Alcotest.(check bool) "by_opt declines" true (Option.is_none (Thm.by_opt ctx rule []));
         expect_fail "by" (fun () -> Thm.by ctx rule []) );
   ]
@@ -264,7 +276,31 @@ let test_lift_linear () =
         (apps 400 <= 9 * apps 50))
     [ 2; 16 ]
 
+(* Inlining linearity: the words [L2.convert_func] allocates on a
+   straight-line function of [n] local updates over two locals.  Each
+   update becomes a return-bind whose value reads the previous one; one
+   top-down [Rw_inline] step composes the values as it goes, where
+   inlining one binding at a time, innermost first, substitutes each value
+   into the whole expression built so far (quadratic: 29x from n = 50 to
+   n = 400, against 7x). *)
+let l2_alloc ~n =
+  let module Driver = Autocorres.Driver in
+  let res = Driver.run (straight_line ~n ~k:2) in
+  let l1 = (List.hd res.Driver.funcs).Driver.fr_l1 in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Autocorres.L2.convert_func res.Driver.ctx l1));
+  Gc.minor_words () -. before
+
+let test_inline_linear () =
+  let small = l2_alloc ~n:50 and large = l2_alloc ~n:400 in
+  Alcotest.(check bool)
+    (Printf.sprintf "L2 allocates %.0f words at n=400 <= 12 * %.0f at n=50" large small)
+    true
+    (large <= 12. *. small)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) rule_tests
   @ [ Alcotest.test_case "lifting is linear in statements, whatever the locals" `Quick
-        test_lift_linear ]
+        test_lift_linear;
+      Alcotest.test_case "L2 inlining allocates linearly in local updates" `Quick
+        test_inline_linear ]

@@ -528,7 +528,9 @@ let arb_cbody =
         (int_range 1 4 >>= gen_cstmt ~in_loop:false)
         (pair (int_range 0 0xFFFF) (int_range 0 0xFFFF)))
 
-let lift_agrees ((s : Ir.stmt), (a, b)) =
+(* The L1 and lifted images of a random C-shaped body, with the callee
+   [h] both call. *)
+let lift_cbody (s : Ir.stmt) =
   let ctx = Rules.empty_ctx lenv in
   let params = [ ("x", u32); ("y", u32) ] in
   let locals =
@@ -552,9 +554,115 @@ let lift_agrees ((s : Ir.stmt), (a, b)) =
   | J.Equiv (l2, _) ->
     let h = mk_ufunc "h" [ ("a", u32) ] (M.Return (E.Binop (E.Add, E.Var ("a", u32), w32 1))) in
     let l1f = { (mk_ufunc "f" params l1) with M.convention = M.Locals_in_state; locals } in
-    progs_agree [ h; l1f ] [ h; mk_ufunc "f" params l2 ]
+    (h, l1f, mk_ufunc "f" params l2)
+  | _ -> failwith "lift_cbody: Rw_lift concluded no equivalence"
+
+let lift_agrees ((s : Ir.stmt), (a, b)) =
+  let h, l1f, l2f = lift_cbody s in
+  progs_agree [ h; l1f ] [ h; l2f ] [ (a, b); (0, 0); (1, 0xFFFFFFFF); (31, 2) ]
+
+(* ------------------------------------------------------------------ *)
+(* One [Rw_inline] step over every return-bind the rewrite engine
+   approves is the step-by-step inlining, innermost binding first, up to
+   the names of renamed binders, and it preserves behaviour. *)
+
+module Rewrite = Autocorres.Rewrite
+
+(* Alpha-equivalence: [env] pairs the variables bound on the left with
+   those bound on the right, innermost first. *)
+let rec alpha_eq env (a : M.t) (b : M.t) =
+  let var env x y =
+    match (List.find_opt (fun (l, _) -> l = x) env, List.find_opt (fun (_, r) -> r = y) env) with
+    | None, None -> x = y
+    | Some (_, y'), Some (x', _) -> y' = y && x' = x
+    | _ -> false
+  in
+  let rec expr env e f =
+    match (e, f) with
+    | E.Var (x, t), E.Var (y, u) ->
+      (* a renamed variable takes its binder's type, which differs from
+         its own annotation only in an ill-typed term *)
+      var env x y && (Ty.equal t u || List.mem_assoc x env)
+    | _ ->
+      let ce = E.children e and cf = E.children f in
+      let blank e c = E.replace_children e (List.map (fun _ -> E.unit_e) c) in
+      List.length ce = List.length cf
+      && E.equal (blank e ce) (blank f cf)
+      && List.for_all2 (expr env) ce cf
+  in
+  let exprs xs ys = List.length xs = List.length ys && List.for_all2 (expr env) xs ys in
+  let rec pat env p q =
+    match (p, q) with
+    | M.Pwild, M.Pwild -> Some env
+    | M.Pvar (x, t), M.Pvar (y, u) when Ty.equal t u -> Some ((x, y) :: env)
+    | M.Ptuple ps, M.Ptuple qs when List.length ps = List.length qs ->
+      List.fold_left2 (fun env p q -> Option.bind env (fun env -> pat env p q)) (Some env) ps qs
+    | _ -> None
+  in
+  let under p q k = match pat env p q with Some env -> k env | None -> false in
+  match (a, b) with
+  | M.Bind (a1, p, b1), M.Bind (a2, q, b2) | M.Try (a1, p, b1), M.Try (a2, q, b2) ->
+    alpha_eq env a1 a2 && under p q (fun env -> alpha_eq env b1 b2)
+  | M.Cond (c, a1, b1), M.Cond (d, a2, b2) ->
+    expr env c d && alpha_eq env a1 a2 && alpha_eq env b1 b2
+  | M.While (p, c, b1, i), M.While (q, d, b2, j) ->
+    expr env i j && under p q (fun env -> expr env c d && alpha_eq env b1 b2)
+  | M.Return e, M.Return f | M.Gets e, M.Gets f | M.Throw e, M.Throw f -> expr env e f
+  | M.Guard (k, e), M.Guard (l, f) -> k = l && expr env e f
+  | M.Call (f, xs), M.Call (g, ys) | M.Exec_concrete (f, xs), M.Exec_concrete (g, ys) ->
+    f = g && exprs xs ys
+  | M.Modify ms, M.Modify ns ->
+    let expr = expr env in
+    List.length ms = List.length ns
+    && List.for_all2
+         (fun m n ->
+           match (m, n) with
+           | M.Heap_write (c, p, v), M.Heap_write (d, q, w)
+           | M.Typed_write (c, p, v), M.Typed_write (d, q, w) ->
+             Ty.cty_equal c d && expr p q && expr v w
+           | M.Global_set (x, e), M.Global_set (y, f) | M.Local_set (x, e), M.Local_set (y, f) ->
+             (* a local set names a local of the state, which no binder binds *)
+             x = y && expr e f
+           | M.Retype (c, e), M.Retype (d, f) -> Ty.cty_equal c d && expr e f
+           | _ -> false)
+         ms ns
+  | _ -> M.equal a b
+
+let inline_one ctx m ps =
+  match Thm.concl (Thm.by ctx (Rules.Rw_inline (m, ps)) []) with
+  | J.Equiv (m', src) when src == m -> m'
+  | _ -> failwith "inline_one: unexpected conclusion"
+
+(* Innermost first: a binding is inlined into its already inlined body,
+   by the substitution the kernel used before [Rw_inline]: rename every
+   binder of the body that a free variable of the value names, then
+   substitute, a later pattern variable winning. *)
+let rec inline_stepwise ctx (m : M.t) : M.t =
+  let go = inline_stepwise ctx in
+  match m with
+  | M.Bind (M.Return e, p, b) when Rewrite.want_head_rewrite m ->
+    let b = go b in
+    let b = if Rules.capture_free e b then b else Rules.alpha_avoid (E.free_vars e) b in
+    M.subst (List.rev (Option.get (Rules.bind_expr_to_pat p e))) b
+  | M.Bind (a, p, b) -> M.Bind (go a, p, go b)
+  | M.Try (a, p, b) -> M.Try (go a, p, go b)
+  | M.Cond (c, a, b) -> M.Cond (c, go a, go b)
+  | M.While (p, c, body, init) -> M.While (p, c, go body, init)
+  | _ -> m
+
+let inline_once ctx m = inline_one ctx m (fst (Rewrite.inline_plan m))
+
+let inline_agrees ((s : Ir.stmt), (a, b)) =
+  let ctx = Rules.empty_ctx lenv in
+  let h, _, l2f = lift_cbody s in
+  let once = inline_once ctx l2f.M.body in
+  let stepwise = inline_stepwise ctx l2f.M.body in
+  if not (alpha_eq [] once stepwise) then
+    QCheck.Test.fail_reportf "one step:@.%s@.step by step:@.%s" (Ac_monad.Mprint.to_string once)
+      (Ac_monad.Mprint.to_string stepwise)
+  else
+    progs_agree [ h; l2f ] [ h; { l2f with M.body = once } ]
       [ (a, b); (0, 0); (1, 0xFFFFFFFF); (31, 2) ]
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* A total kernel: whatever rule instance and premises it is handed,
@@ -758,6 +866,46 @@ let k_cert =
       A.cert_of_invs [ (0, A.env_top); (0, A.env_top); (-1, A.env_top) ];
       { cert with A.c_invs = List.map (fun (i, a) -> (i + shift, a)) cert.A.c_invs } ]
 
+(* The pre-order positions of [m]'s return-binds, as [Rw_inline] counts
+   them. *)
+let return_binds (m : M.t) =
+  let next = ref 0 and acc = ref [] in
+  let rec go m =
+    (match m with M.Bind (M.Return _, _, _) -> acc := !next :: !acc | _ -> ());
+    incr next;
+    match m with
+    | M.Bind (a, _, b) | M.Try (a, _, b) | M.Cond (_, a, b) ->
+      go a;
+      go b
+    | M.While (_, _, body, _) -> go body
+    | _ -> ()
+  in
+  go m;
+  List.rev !acc
+
+(* Terms with nested return-binds over the same few names, so inlining
+   meets shadowing and capture. *)
+let k_binds =
+  let open Gen in
+  let* m = k_term 2 in
+  let* layers = list_size (int_range 0 3) (pair k_expr (k_pat 1)) in
+  return (List.fold_left (fun b (e, p) -> M.Bind (M.Return e, p, b)) m layers)
+
+(* [Rw_inline] over every, some or none of the return-binds, or over
+   positions that are out of order, out of range or not return-binds. *)
+let k_inline =
+  let open Gen in
+  let* m = k_binds in
+  let all = return_binds m in
+  let* ps =
+    oneof
+      [ return all;
+        map (List.filteri (fun i _ -> i mod 2 = 0)) (return all);
+        return (List.rev all);
+        list_size (int_range 0 3) (int_range (-1) 12) ]
+  in
+  return (Rules.Rw_inline (m, ps))
+
 (* One instance of a uniformly chosen constructor. *)
 let k_rule : Rules.rule Gen.t =
   let open Gen in
@@ -769,7 +917,7 @@ let k_rule : Rules.rule Gen.t =
       map (fun p -> Rules.Eq_bind p) p; map (fun p -> Rules.Eq_try p) p;
       map (fun e -> Rules.Eq_cond e) e;
       map3 (fun p c i -> Rules.Eq_while (p, c, i)) p e e;
-      map3 (fun a p b -> Rules.Rw_return_bind (a, p, b)) m p m;
+      k_inline;
       map3 (fun a p b -> Rules.Rw_gets_bind (a, p, b)) m p m;
       map2 (fun a p -> Rules.Rw_bind_return (a, p)) m p;
       (let* a = m and* p = p and* b = m and* q = p and* c = m in
@@ -1097,6 +1245,23 @@ let props =
           [ Rules.Rw_simp m; Rules.Rw_discharge m ]);
     Test.make ~name:"lifting preserves the behaviour of random C-shaped bodies" ~count:1000
       arb_cbody lift_agrees;
+    Test.make ~name:"rw_inline: one step is step-by-step inlining, and agrees" ~count:500
+      arb_cbody inline_agrees;
+    Test.make ~name:"rw_inline: one step is step-by-step inlining under shadowing" ~count:5000
+      (QCheck.make ~print:Ac_monad.Mprint.to_string k_binds)
+      (fun m ->
+        let ctx = Rules.empty_ctx lenv in
+        let once = inline_once ctx m and stepwise = inline_stepwise ctx m in
+        alpha_eq [] once stepwise
+        || QCheck.Test.fail_reportf "one step:@.%s@.step by step:@.%s"
+             (Ac_monad.Mprint.to_string once) (Ac_monad.Mprint.to_string stepwise));
+    Test.make ~name:"kernel: Rw_simp's own inference raises nothing" ~count:20000
+      (QCheck.make ~print:Ac_monad.Mprint.to_string (k_term 2))
+      (fun m ->
+        match Rules.infer k_ctx (Rules.Rw_simp m) [] with
+        | _ -> true
+        | exception exn ->
+          QCheck.Test.fail_reportf "%s escaped Rw_simp" (Printexc.to_string exn));
     Test.make ~name:"kernel: every rule instance is answered or refused, never raises"
       ~count:50000
       (QCheck.make ~print:(fun (r, ps) ->

@@ -336,7 +336,7 @@ let test_trace_roundtrip () =
 let test_trace_replay_refuses () =
   let ctx = Rules.empty_ctx Ac_lang.Layout.empty in
   let module M = Ac_monad.M in
-  let bad = { Trace.n_rule = Rules.Rw_return_bind (M.Fail, M.Pwild, M.Fail); n_prems = [] } in
+  let bad = { Trace.n_rule = Rules.Rw_inline (M.Bind (M.Fail, M.Pwild, M.Fail), [ 0 ]); n_prems = [] } in
   let leaf = { Trace.n_rule = Rules.Eq_refl M.Fail; n_prems = [] } in
   List.iter
     (fun (where, tr) ->
