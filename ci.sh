@@ -192,6 +192,23 @@ if [ "$minted" -gt "$removed" ]; then
 fi
 echo "ok: $minted rule_guard_true mints, $removed guards removed"
 
+echo "== corpus: work counts (at most one l1 rule application per function) =="
+# A deterministic count, no timing: L1 is one kernel step per function,
+# so `acc effort` must report no more l1 applications than functions
+# that reached L1 (level L1 or beyond in the --diag-json report).
+l1_apps=$(printf '%s\n' "$effort_out" | awk '$1 == "l1" { print $2 }')
+l1_apps=${l1_apps:-0}
+reached=0
+for f in corpus/*.c; do
+  n=$("$ACC" translate --keep-going --diag-json "$f" | grep -o '"level":"\(L1\|L2\|HL\|WA\)"' | wc -l)
+  reached=$(( reached + n ))
+done
+if [ "$reached" -eq 0 ] || [ "$l1_apps" -gt "$reached" ]; then
+  echo "FAIL: $l1_apps l1 rule applications for $reached functions that reached L1" >&2
+  exit 1
+fi
+echo "ok: $l1_apps l1 rule applications for $reached functions that reached L1"
+
 echo "== corpus: --no-interproc A/B (feature off = clean intraprocedural output) =="
 # Toggling the summary engine off must restore the intraprocedural
 # pipeline exactly — even beside a proof store warmed by interprocedural

@@ -175,7 +175,6 @@ type result = {
   iprof : (string * iprof) list;  (** per function, source order *)
 }
 
-val options_for : options -> string -> func_options
 val find_result : result -> string -> func_result option
 
 (** The function a phase is currently processing, if any.  The

@@ -36,9 +36,5 @@ val fire : kind -> bool
 (** Decide whether the fault fires at this decision point.  Always false
     when no config is installed. *)
 
-val injected_io_error_msg : string
-(** Message of the [Sys_error] the store hook raises, so tests can tell
-    injected faults from real ones. *)
-
 val sleep_if_slow : unit -> unit
 (** Stall for [slow_s] if the [Slow] fault fires (serve request path). *)

@@ -37,48 +37,69 @@ let rec hv (ctx : Rules.ctx) (e : E.t) : Thm.t =
   | E.Ite (c, a, b) -> Thm.by ctx Rules.Hv_ite [ hv ctx c; hv ctx a; hv ctx b ]
   | _ -> Thm.by ctx (Rules.Hv_node e) (List.map (hv ctx) (E.children e))
 
-(* Statement abstraction (abs_h_stmt). *)
-let rec hs (ctx : Rules.ctx) (m : M.t) : Thm.t =
-  match m with
-  | M.Return e -> Thm.by ctx Rules.Hs_ret [ hv ctx e ]
-  | M.Gets e -> Thm.by ctx Rules.Hs_gets [ hv ctx e ]
-  | M.Guard (Ir.Ptr_valid, E.Binop (E.And, E.PtrAligned (c, p), E.PtrSpan (c', p')))
-    when Ty.cty_equal c c' && E.equal p p' ->
-    Thm.by ctx (Rules.Hs_guard_ptr c) [ hv ctx p ]
-  | M.Guard (k, g) ->
-    let g' = Rules.strengthen_positive g in
-    if E.equal g' g then Thm.by ctx (Rules.Hs_guard k) [ hv ctx g ]
-    else Thm.by ctx (Rules.Hs_guard_strengthen k) [ hv ctx g' ]
-  | M.Modify [ M.Heap_write (_, E.FieldAddr (sname, fname, p), v) ] ->
-    Thm.by ctx (Rules.Hs_write_field (sname, fname)) [ hv ctx p; hv ctx v ]
-  | M.Modify [ M.Heap_write (c, p, v) ] -> Thm.by ctx (Rules.Hs_write c) [ hv ctx p; hv ctx v ]
-  | M.Modify sms ->
-    if List.exists (function M.Retype _ -> true | _ -> false) sms then
-      raise (Not_liftable "retype in heap-lifted code")
-    else begin
+(* Statement abstraction (abs_h_stmt).  [go] answers [None] for a
+   statement that never touches the byte heap (no heap read or write, no
+   retype, no pointer-validity guard nor one [strengthen_positive]
+   rewrites, no call), deciding it from its children's answers; the
+   largest such subterms are then abstracted by one [Hs_id] step each. *)
+let hs (ctx : Rules.ctx) (m : M.t) : Thm.t =
+  let pure e = not (E.reads_concrete_heap e) in
+  let sub m = function Some thm -> thm | None -> Thm.by ctx (Rules.Hs_id m) [] in
+  let value rule e = if pure e then None else Some (Thm.by ctx rule [ hv ctx e ]) in
+  let rec go (m : M.t) : Thm.t option =
+    match m with
+    | M.Return e -> value Rules.Hs_ret e
+    | M.Gets e -> value Rules.Hs_gets e
+    | M.Guard (Ir.Ptr_valid, E.Binop (E.And, E.PtrAligned (c, p), E.PtrSpan (c', p')))
+      when Ty.cty_equal c c' && E.equal p p' ->
+      Some (Thm.by ctx (Rules.Hs_guard_ptr c) [ hv ctx p ])
+    | M.Guard (k, g) ->
+      let g' = Rules.strengthen_positive g in
+      if not (E.equal g' g) then Some (Thm.by ctx (Rules.Hs_guard_strengthen k) [ hv ctx g' ])
+      else if k <> Ir.Ptr_valid && pure g then None
+      else Some (Thm.by ctx (Rules.Hs_guard k) [ hv ctx g ])
+    | M.Modify [ M.Heap_write (_, E.FieldAddr (sname, fname, p), v) ] ->
+      Some (Thm.by ctx (Rules.Hs_write_field (sname, fname)) [ hv ctx p; hv ctx v ])
+    | M.Modify [ M.Heap_write (c, p, v) ] ->
+      Some (Thm.by ctx (Rules.Hs_write c) [ hv ctx p; hv ctx v ])
+    | M.Modify sms ->
+      if List.exists (function M.Retype _ -> true | _ -> false) sms then
+        raise (Not_liftable "retype in heap-lifted code");
       let prems =
         List.map
           (function
-            | M.Global_set (_, e) | M.Local_set (_, e) -> hv ctx e
+            | M.Global_set (_, e) | M.Local_set (_, e) -> e
             | M.Heap_write _ | M.Typed_write _ | M.Retype _ ->
               raise (Not_liftable "compound heap modify"))
           sms
       in
-      Thm.by ctx (Rules.Hs_modify sms) prems
-    end
-  | M.Fail -> Thm.by ctx Rules.Hs_fail []
-  | M.Unknown t -> Thm.by ctx (Rules.Hs_unknown t) []
-  | M.Throw e -> Thm.by ctx Rules.Hs_throw [ hv ctx e ]
-  | M.Bind (a, p, b) -> Thm.by ctx (Rules.Hs_bind p) [ hs ctx a; hs ctx b ]
-  | M.Try (a, p, h) -> Thm.by ctx (Rules.Hs_try p) [ hs ctx a; hs ctx h ]
-  | M.Cond (c, a, b) -> Thm.by ctx Rules.Hs_cond [ hv ctx c; hs ctx a; hs ctx b ]
-  | M.While (p, c, body, init) ->
-    Thm.by ctx (Rules.Hs_while p) [ hv ctx init; hv ctx c; hs ctx body ]
-  | M.Call (f, args) ->
-    let prems = List.map (hv ctx) args in
-    if Index.mem ctx.Rules.lifted f then Thm.by ctx (Rules.Hs_call f) prems
-    else Thm.by ctx (Rules.Hs_call_concrete f) prems
-  | M.Exec_concrete _ -> raise (Not_liftable "exec_concrete below heap abstraction")
+      if List.for_all pure prems then None
+      else Some (Thm.by ctx (Rules.Hs_modify sms) (List.map (hv ctx) prems))
+    | M.Fail | M.Unknown _ -> None
+    | M.Throw e -> value Rules.Hs_throw e
+    | M.Bind (a, p, b) -> (
+      match (go a, go b) with
+      | None, None -> None
+      | ra, rb -> Some (Thm.by ctx (Rules.Hs_bind p) [ sub a ra; sub b rb ]))
+    | M.Try (a, p, h) -> (
+      match (go a, go h) with
+      | None, None -> None
+      | ra, rh -> Some (Thm.by ctx (Rules.Hs_try p) [ sub a ra; sub h rh ]))
+    | M.Cond (c, a, b) -> (
+      match (go a, go b) with
+      | None, None when pure c -> None
+      | ra, rb -> Some (Thm.by ctx Rules.Hs_cond [ hv ctx c; sub a ra; sub b rb ]))
+    | M.While (p, c, body, init) -> (
+      match go body with
+      | None when pure c && pure init -> None
+      | rb -> Some (Thm.by ctx (Rules.Hs_while p) [ hv ctx init; hv ctx c; sub body rb ]))
+    | M.Call (f, args) ->
+      let prems = List.map (hv ctx) args in
+      if Index.mem ctx.Rules.lifted f then Some (Thm.by ctx (Rules.Hs_call f) prems)
+      else Some (Thm.by ctx (Rules.Hs_call_concrete f) prems)
+    | M.Exec_concrete _ -> raise (Not_liftable "exec_concrete below heap abstraction")
+  in
+  sub m (go m)
 
 (* Abstract one function, then run the certified clean-up (de-duplicating
    and discharging the freshly introduced validity guards). *)

@@ -147,8 +147,7 @@ type rule =
   | Hs_modify of M.smod list
   | Hs_write of Ty.cty
   | Hs_write_field of string * string
-  | Hs_fail
-  | Hs_unknown of Ty.t
+  | Hs_id of M.t (* a statement that never touches the byte heap *)
   | Hs_throw
   | Hs_bind of M.pat
   | Hs_try of M.pat
@@ -256,8 +255,7 @@ let rule_name = function
   | Hs_modify _ -> "hs_modify"
   | Hs_write _ -> "hs_write"
   | Hs_write_field _ -> "hs_write_field"
-  | Hs_fail -> "hs_fail"
-  | Hs_unknown _ -> "hs_unknown"
+  | Hs_id _ -> "hs_id"
   | Hs_throw -> "hs_throw"
   | Hs_bind _ -> "hs_bind"
   | Hs_try _ -> "hs_try"
@@ -272,7 +270,7 @@ let rule_name = function
    can count applications in a flat array instead of hashing the name on
    the minting hot path.  [W_custom] has no static id — its name is
    user-chosen — and maps to -1; ids of built-in rules are < [num_rule_ids]. *)
-let num_rule_ids = 81
+let num_rule_ids = 80
 
 let rule_id = function
   | L1 _ -> 0
@@ -349,16 +347,15 @@ let rule_id = function
   | Hs_modify _ -> 68
   | Hs_write _ -> 69
   | Hs_write_field _ -> 70
-  | Hs_fail -> 71
-  | Hs_unknown _ -> 72
-  | Hs_throw -> 73
-  | Hs_bind _ -> 74
-  | Hs_try _ -> 75
-  | Hs_cond -> 76
-  | Hs_while _ -> 77
-  | Hs_call _ -> 78
-  | Hs_call_concrete _ -> 79
-  | Fn_chain _ -> 80
+  | Hs_id _ -> 71
+  | Hs_throw -> 72
+  | Hs_bind _ -> 73
+  | Hs_try _ -> 74
+  | Hs_cond -> 75
+  | Hs_while _ -> 76
+  | Hs_call _ -> 77
+  | Hs_call_concrete _ -> 78
+  | Fn_chain _ -> 79
 
 (* ------------------------------------------------------------------ *)
 (* Helpers shared by the word rules. *)
@@ -915,6 +912,25 @@ let rec strengthen_positive (e : E.t) : E.t =
   | E.Binop (E.Imp, a, b) -> E.imp_e a (strengthen_positive b) (* a is negative: keep *)
   | _ -> e
 
+(* [Hs_id]'s side condition: no byte-heap read or write, no retype, no
+   pointer-validity guard nor one [Hs_guard_strengthen] would rewrite, no
+   call.  Such a statement is its own heap abstraction, by the [Hv_id]
+   argument: every per-node HL rule would conclude [Abs_h_stmt (m, m)]
+   over it, each precondition being [true]. *)
+let rec heap_free (m : M.t) =
+  let pure e = not (E.reads_concrete_heap e) in
+  match m with
+  | M.Return e | M.Gets e | M.Throw e -> pure e
+  | M.Guard (Ir.Ptr_valid, _) -> false
+  | M.Guard (_, g) -> pure g && E.equal (strengthen_positive g) g
+  | M.Modify sms ->
+    List.for_all (function M.Global_set (_, e) | M.Local_set (_, e) -> pure e | _ -> false) sms
+  | M.Fail | M.Unknown _ -> true
+  | M.Bind (a, _, b) | M.Try (a, _, b) -> heap_free a && heap_free b
+  | M.Cond (c, a, b) -> pure c && heap_free a && heap_free b
+  | M.While (_, c, body, init) -> pure c && pure init && heap_free body
+  | M.Call _ | M.Exec_concrete _ -> false
+
 (* Dead-iterator-component analysis for Rw_prune_loop: rewrite every
    tail-position [Return (Tuple es)] of a loop body, dropping component i.
    Fails (None) when the body's result is not in that shape. *)
@@ -948,6 +964,33 @@ let drop_i i xs = List.filteri (fun j _ -> j <> i) xs
 let guard_if kind (p : E.t) (m : M.t) : M.t =
   if E.equal p E.true_e then m else M.Bind (M.Guard (kind, p), M.Pwild, m)
 
+(* L1 (Table 1) in one step: the monadic image of a whole statement, node
+   by node, each case the Table 1 pairing of one Simpl construct.  The [L1]
+   rule takes no premises and concludes [Corres_l1 (s, l1_image s)];
+   [check] recomputes the image, so a [Corres_l1 (s, m)] holds only with
+   [m] the image of [s]. *)
+let rec l1_image (stmt : Ir.stmt) : M.t =
+  match stmt with
+  | Ir.Skip -> M.Return E.unit_e
+  | Ir.Seq (a, b) -> M.Bind (l1_image a, M.Pwild, l1_image b)
+  | Ir.Local_set (x, e) -> M.Modify [ M.Local_set (x, e) ]
+  | Ir.Global_set (x, e) -> M.Modify [ M.Global_set (x, e) ]
+  | Ir.Heap_write (c, p, v) -> M.Modify [ M.Heap_write (c, p, v) ]
+  | Ir.Retype (c, p) -> M.Modify [ M.Retype (c, p) ]
+  | Ir.Cond (c, a, b) -> M.Cond (c, l1_image a, l1_image b)
+  | Ir.While (c, body) -> M.While (M.Pwild, c, l1_image body, E.unit_e)
+  | Ir.Guard (k, e) -> M.Guard (k, e)
+  | Ir.Throw -> M.Throw E.unit_e
+  | Ir.Try (a, b) -> M.Try (l1_image a, M.Pwild, l1_image b)
+  | Ir.Call (None, f, args) -> M.Bind (M.Call (f, args), M.Pwild, M.Return E.unit_e)
+  | Ir.Call (Some d, f, args) ->
+    (* bind the call result, then store it in the destination local; the
+       temporary's type annotation is only used for display (the value
+       itself is dynamically typed) *)
+    let rv = "ret'" in
+    M.Bind
+      (M.Call (f, args), M.Pvar (rv, Ty.Tunit), M.Modify [ M.Local_set (d, E.Var (rv, Ty.Tunit)) ])
+
 (* ------------------------------------------------------------------ *)
 (* The inference function: rule + premise conclusions -> conclusion.
 
@@ -966,7 +1009,9 @@ let guard_if kind (p : E.t) (m : M.t) : M.t =
 let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, string) result =
   match rule with
   (* ================= L1: Table 1 ================= *)
-  | L1 stmt -> infer_l1 ctx stmt prems
+  | L1 stmt ->
+    let* _ = prems_n 0 prems in
+    ok (Corres_l1 (stmt, l1_image stmt))
   (* ================= L2: equivalences ================= *)
   | Eq_refl m -> ok (Equiv (m, m))
   | Eq_trans ->
@@ -1435,14 +1480,16 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | Hv_read_field (sname, fname) -> (
     let* prems = prems_n 1 prems in
     let* p, a, c = as_hval (List.hd prems) in
-    match Layout.field_type ctx.lenv sname fname with
-    | fty ->
-      ok
-        (Abs_h_val
-           ( E.and_e p (E.IsValid (Ty.Cstruct sname, a)),
-             E.StructGet (sname, fname, E.TypedRead (Ty.Cstruct sname, a)),
-             E.HeapRead (fty, E.FieldAddr (sname, fname, c)) ))
-    | exception Layout.Unknown_field _ -> fail "hv_read_field: unknown field")
+    if not (Layout.has_struct ctx.lenv sname) then fail "hv_read_field: undeclared struct"
+    else
+      match Layout.field_type ctx.lenv sname fname with
+      | fty ->
+        ok
+          (Abs_h_val
+             ( E.and_e p (E.IsValid (Ty.Cstruct sname, a)),
+               E.StructGet (sname, fname, E.TypedRead (Ty.Cstruct sname, a)),
+               E.HeapRead (fty, E.FieldAddr (sname, fname, c)) ))
+      | exception Layout.Unknown_field _ -> fail "hv_read_field: unknown field")
   | Hv_node skel -> (
     (* Congruence: rebuild a non-heap node from abstracted children. *)
     match skel with
@@ -1534,18 +1581,20 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let* prems = prems_n 2 prems in
     let* p1, a1, c1 = as_hval (List.nth prems 0) in
     let* p2, a2, c2 = as_hval (List.nth prems 1) in
-    match Layout.field_type ctx.lenv sname fname with
-    | fty ->
-      let sc = Ty.Cstruct sname in
-      let p = E.and_e (E.and_e p1 p2) (E.IsValid (sc, a1)) in
-      ok
-        (Abs_h_stmt
-           ( guard_if Ir.Ptr_valid p
-               (M.Modify
-                  [ M.Typed_write
-                      (sc, a1, E.StructSet (sname, fname, E.TypedRead (sc, a1), a2)) ]),
-             M.Modify [ M.Heap_write (fty, E.FieldAddr (sname, fname, c1), c2) ] ))
-    | exception Layout.Unknown_field _ -> fail "hs_write_field: unknown field")
+    if not (Layout.has_struct ctx.lenv sname) then fail "hs_write_field: undeclared struct"
+    else
+      match Layout.field_type ctx.lenv sname fname with
+      | fty ->
+        let sc = Ty.Cstruct sname in
+        let p = E.and_e (E.and_e p1 p2) (E.IsValid (sc, a1)) in
+        ok
+          (Abs_h_stmt
+             ( guard_if Ir.Ptr_valid p
+                 (M.Modify
+                    [ M.Typed_write
+                        (sc, a1, E.StructSet (sname, fname, E.TypedRead (sc, a1), a2)) ]),
+               M.Modify [ M.Heap_write (fty, E.FieldAddr (sname, fname, c1), c2) ] ))
+      | exception Layout.Unknown_field _ -> fail "hs_write_field: unknown field")
   | Hs_modify sms -> (
     (* Non-heap modifies (globals, local sets at L1). *)
     match
@@ -1573,8 +1622,8 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       in
       let* p, abs_sms = consume prems sms E.true_e [] in
       ok (Abs_h_stmt (guard_if Ir.Ptr_valid p (M.Modify abs_sms), M.Modify sms)))
-  | Hs_fail -> ok (Abs_h_stmt (M.Fail, M.Fail))
-  | Hs_unknown t -> ok (Abs_h_stmt (M.Unknown t, M.Unknown t))
+  | Hs_id m ->
+    if heap_free m then ok (Abs_h_stmt (m, m)) else fail "hs_id: touches the byte heap"
   | Hs_throw ->
     let* prems = prems_n 1 prems in
     let* p, a, c = as_hval (List.hd prems) in
@@ -1697,64 +1746,6 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
           (ok cur) rest
       in
       ok (Fn_refines (name, final, src)))
-
-(* ---- L1 rules: Table 1 pairing ---- *)
-and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) result =
-  ignore ctx;
-  (* [=] with a physical shortcut, the same relation (statements hold no
-     floats): a premise built over the rule's own sub-statement is not
-     re-walked, so a long sequence costs linear time, not quadratic. *)
-  let ( =~ ) (x : Ir.stmt) y = x == y || x = y in
-  let as_corres = function
-    | Corres_l1 (s, m) -> ok (s, m)
-    | j -> failf "expected corres_l1 premise, got %a" pp_judgment j
-  in
-  match stmt with
-  | Ir.Skip -> ok (Corres_l1 (stmt, M.Return E.unit_e))
-  | Ir.Seq (a, b) ->
-    let* prems = prems_n 2 prems in
-    let* sa, ma = as_corres (List.nth prems 0) in
-    let* sb, mb = as_corres (List.nth prems 1) in
-    if sa =~ a && sb =~ b then ok (Corres_l1 (stmt, M.Bind (ma, M.Pwild, mb)))
-    else fail "l1 seq: premise mismatch"
-  | Ir.Local_set (x, e) -> ok (Corres_l1 (stmt, M.Modify [ M.Local_set (x, e) ]))
-  | Ir.Global_set (x, e) -> ok (Corres_l1 (stmt, M.Modify [ M.Global_set (x, e) ]))
-  | Ir.Heap_write (c, p, v) -> ok (Corres_l1 (stmt, M.Modify [ M.Heap_write (c, p, v) ]))
-  | Ir.Retype (c, p) -> ok (Corres_l1 (stmt, M.Modify [ M.Retype (c, p) ]))
-  | Ir.Cond (c, a, b) ->
-    let* prems = prems_n 2 prems in
-    let* sa, ma = as_corres (List.nth prems 0) in
-    let* sb, mb = as_corres (List.nth prems 1) in
-    if sa =~ a && sb =~ b then ok (Corres_l1 (stmt, M.Cond (c, ma, mb)))
-    else fail "l1 cond: premise mismatch"
-  | Ir.While (c, body) ->
-    let* prems = prems_n 1 prems in
-    let* sb, mb = as_corres (List.hd prems) in
-    if sb =~ body then ok (Corres_l1 (stmt, M.While (M.Pwild, c, mb, E.unit_e)))
-    else fail "l1 while: premise mismatch"
-  | Ir.Guard (k, e) -> ok (Corres_l1 (stmt, M.Guard (k, e)))
-  | Ir.Throw -> ok (Corres_l1 (stmt, M.Throw E.unit_e))
-  | Ir.Try (a, b) ->
-    let* prems = prems_n 2 prems in
-    let* sa, ma = as_corres (List.nth prems 0) in
-    let* sb, mb = as_corres (List.nth prems 1) in
-    if sa =~ a && sb =~ b then ok (Corres_l1 (stmt, M.Try (ma, M.Pwild, mb)))
-    else fail "l1 try: premise mismatch"
-  | Ir.Call (None, f, args) ->
-    ok (Corres_l1 (stmt, M.Bind (M.Call (f, args), M.Pwild, M.Return E.unit_e)))
-  | Ir.Call (Some d, f, args) ->
-    (* bind the call result, then store it in the destination local *)
-    let rv = "ret'" in
-    let t = Ty.Tunit in
-    (* The temporary's type annotation is only used for display; the value
-       itself is dynamically typed. *)
-    ok
-      (Corres_l1
-         ( stmt,
-           M.Bind
-             ( M.Call (f, args),
-               M.Pvar (rv, t),
-               M.Modify [ M.Local_set (d, E.Var (rv, t)) ] ) ))
 
 and infer_w_binop ctx (op : E.binop) sign w prems : (judgment, string) result =
   ignore ctx;

@@ -69,5 +69,4 @@ val size : t -> int
 (** Longest premise path in the derivation (a leaf has depth 1). *)
 val depth : t -> int
 
-val pp_derivation : ?depth:int -> ?max_depth:int -> Format.formatter -> t -> unit
 val derivation_to_string : ?max_depth:int -> t -> string

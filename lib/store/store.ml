@@ -59,8 +59,11 @@ module J = Ac_kernel.Judgment
    constructor tag, and one step now inlines a sweep's deferred bindings
    with other binder names.  An older entry would decode its
    [Rw_return_bind] nodes as malformed [Rw_inline] ones and replay the
-   old normal forms. *)
-let ruleset_tag = "acc-store-1/ruleset-7"
+   old normal forms.  ruleset-8: [L1 s] takes no premises and concludes
+   the image of the whole statement, so an older entry's L1 nodes, one
+   per sub-statement, would fail replay; [Hs_id] replaced [Hs_fail] and
+   [Hs_unknown], shifting the constructor tags after them. *)
+let ruleset_tag = "acc-store-1/ruleset-8"
 
 let magic = "ACC-STORE v1\n"
 

@@ -18,19 +18,6 @@ let bits = function W8 -> 8 | W16 -> 16 | W32 -> 32 | W64 -> 64
 
 let width_equal (a : width) (b : width) = a = b
 
-let width_compare a b = compare (bits a) (bits b)
-
-let width_of_bits = function
-  | 8 -> Some W8
-  | 16 -> Some W16
-  | 32 -> Some W32
-  | 64 -> Some W64
-  | _ -> None
-
-let width_name w = Printf.sprintf "word%d" (bits w)
-
-let sign_equal (a : sign) (b : sign) = a = b
-
 type t = {
   width : width;
   v : B.t; (* unsigned representative, 0 <= v < 2^width *)
@@ -59,9 +46,9 @@ let to_int_exn w = B.to_int_exn w.v
 let equal a b = width_equal a.width b.width && B.equal a.v b.v
 
 let compare_u a b = B.compare a.v b.v
-let compare_s a b = B.compare (sint a) (sint b)
 
-let compare sign = match sign with Unsigned -> compare_u | Signed -> compare_s
+let compare sign =
+  match sign with Unsigned -> compare_u | Signed -> fun a b -> B.compare (sint a) (sint b)
 
 (* Range bounds, per width and signedness: INT_MIN/INT_MAX/UINT_MAX etc.
    They are computed once per width: the analysis asks for them at every
@@ -85,8 +72,6 @@ let max_value sign width =
   | Signed -> signed_max width
 
 let in_range sign width v = B.le (min_value sign width) v && B.le v (max_value sign width)
-
-let max_word width = { width; v = max_value Unsigned width }
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic.  Every operation computes the exact ideal result of the
@@ -121,8 +106,6 @@ let overflows2 sign f a b =
   not (in_range sign a.width exact)
 
 let add_overflows sign a b = overflows2 sign B.add a b
-let sub_overflows sign a b = overflows2 sign B.sub a b
-let mul_overflows sign a b = overflows2 sign B.mul a b
 
 (* INT_MIN / -1 overflows; that is the only divisive overflow case. *)
 let div_overflows sign a b =
@@ -172,8 +155,6 @@ let cast_value ~to_sign ~to_width v =
 
 let is_zero w = B.is_zero w.v
 
-let to_bool w = not (is_zero w)
-
 (* Byte-level view, little-endian: used by the byte-addressed heap model. *)
 let to_bytes w =
   let n = bits w.width / 8 in
@@ -188,7 +169,7 @@ let of_bytes width bytes =
   in
   norm width v
 
-let pp fmt w = Format.fprintf fmt "0x%s:%s" (B.to_string w.v) (width_name w.width)
+let pp fmt w = Format.fprintf fmt "0x%s:word%d" (B.to_string w.v) (bits w.width)
 
 let to_string_u w = B.to_string w.v
 let to_string_s w = B.to_string (sint w)

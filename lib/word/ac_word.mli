@@ -14,11 +14,6 @@ type sign = Signed | Unsigned
 type t
 
 val bits : width -> int
-val width_equal : width -> width -> bool
-val width_compare : width -> width -> int
-val width_of_bits : int -> width option
-val width_name : width -> string
-val sign_equal : sign -> sign -> bool
 
 (** Construction reduces the argument modulo 2{^width}. *)
 val of_bignum : width -> B.t -> t
@@ -26,7 +21,6 @@ val of_bignum : width -> B.t -> t
 val of_int : width -> int -> t
 val zero : width -> t
 val one : width -> t
-val max_word : width -> t
 val width_of : t -> width
 
 (** The unsigned value — the paper's [unat] (always in [0, 2{^width})). *)
@@ -38,11 +32,9 @@ val sint : t -> B.t
 val value : sign -> t -> B.t
 val to_int_exn : t -> int
 val is_zero : t -> bool
-val to_bool : t -> bool
 
 val equal : t -> t -> bool
 val compare_u : t -> t -> int
-val compare_s : t -> t -> int
 val compare : sign -> t -> t -> int
 
 val min_value : sign -> width -> B.t
@@ -63,8 +55,6 @@ val div : sign -> t -> t -> t
 val rem : sign -> t -> t -> t
 
 val add_overflows : sign -> t -> t -> bool
-val sub_overflows : sign -> t -> t -> bool
-val mul_overflows : sign -> t -> t -> bool
 val div_overflows : sign -> t -> t -> bool
 
 val lognot : t -> t

@@ -105,6 +105,46 @@ let rule_tests =
           Alcotest.(check bool) "typed read" true (E.equal a (E.TypedRead (cty, p)));
           Alcotest.(check bool) "concrete read" true (E.equal c (E.HeapRead (cty, p)))
         | _ -> Alcotest.fail "wrong judgment" );
+    ( "hl field rules refuse an undeclared struct by their own side condition",
+      fun () ->
+        (* [Rules.infer] itself, not [Thm]'s wrapper that refuses any
+           inference that raises. *)
+        let p = E.Var ("p", Ty.Tptr (Ty.Cstruct "nosuch")) in
+        let v = E.word_e Ty.Unsigned Ty.W32 1 in
+        let hval e = J.Abs_h_val (E.true_e, e, e) in
+        List.iter
+          (fun (rule, prems, want) ->
+            match Rules.infer ctx rule prems with
+            | Error msg -> Alcotest.(check string) (Rules.rule_name rule) want msg
+            | Ok _ -> Alcotest.failf "%s accepted an undeclared struct" (Rules.rule_name rule))
+          [ (Rules.Hv_read_field ("nosuch", "f"), [ hval p ], "hv_read_field: undeclared struct");
+            ( Rules.Hs_write_field ("nosuch", "f"),
+              [ hval p; hval v ],
+              "hs_write_field: undeclared struct" ) ] );
+    ( "hs_id takes only a statement that never touches the byte heap",
+      fun () ->
+        let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
+        let p = E.Var ("p", Ty.Tptr cty) and x = E.Var ("x", u32) in
+        let read = E.HeapRead (cty, p) in
+        let set e = M.Modify [ M.Local_set ("x", e) ] in
+        let ok = M.Bind (set x, M.Pwild, M.Cond (E.Binop (E.Lt, x, x), M.Fail, M.Throw x)) in
+        (match Thm.concl (Thm.by ctx (Rules.Hs_id ok) []) with
+        | J.Abs_h_stmt (a, c) -> Alcotest.(check bool) "identity" true (a == ok && c == ok)
+        | _ -> Alcotest.fail "wrong judgment");
+        List.iter
+          (fun (what, m) ->
+            expect_fail what (fun () ->
+                Thm.by ctx (Rules.Hs_id (M.Bind (set x, M.Pwild, m))) []))
+          [ ("heap read", set read);
+            ("heap write", M.Modify [ M.Heap_write (cty, p, x) ]);
+            ("retype", M.Modify [ M.Retype (cty, p) ]);
+            ("pointer guard", M.Guard (Ir.Ptr_valid, E.Binop (E.Eq, x, x)));
+            ( "guard strengthen_positive rewrites",
+              M.Guard (Ir.Div_by_zero, E.Binop (E.And, E.PtrAligned (cty, p), E.PtrSpan (cty, p))) );
+            ( "heap read in a loop condition",
+              M.While (M.Pwild, E.Binop (E.Lt, read, x), M.skip, E.unit_e) );
+            ("call", M.Call ("f", [ x ]));
+            ("exec_concrete", M.Exec_concrete ("f", [ x ])) ] );
     ( "hv_id rejects byte-heap reads",
       fun () ->
         let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in

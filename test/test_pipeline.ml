@@ -10,6 +10,11 @@ module M = Ac_monad.M
 module Mprint = Ac_monad.Mprint
 module Driver = Autocorres.Driver
 module Refine_test = Autocorres.Refine_test
+module Check_cache = Autocorres.Check_cache
+module Ir = Ac_simpl.Ir
+module Rules = Ac_kernel.Rules
+module Thm = Ac_kernel.Thm
+module J = Ac_kernel.Judgment
 
 let contains text needle = Astring.String.is_infix ~affix:needle text
 
@@ -191,8 +196,45 @@ let kernel_tests =
       fun () ->
         let res = Driver.run reverse_c in
         let fr = Option.get (Driver.find_result res "reverse") in
-        Alcotest.(check bool) "l1 thm > 10 rules" true
-          (Ac_kernel.Thm.size fr.Driver.fr_l1_thm > 10);
+        (* L1 is one kernel step: what keeps it from being vacuous is that
+           the kernel computes the image itself and takes no premise. *)
+        let l1 = fr.Driver.fr_l1_thm in
+        let ctx = res.Driver.ctx in
+        let s, m =
+          match Thm.concl l1 with
+          | J.Corres_l1 (s, m) -> (s, m)
+          | _ -> Alcotest.fail "fr_l1_thm concludes no corres_l1"
+        in
+        Alcotest.(check bool) "l1 is one rule over the whole body" true
+          (Thm.size l1 = 1 && Thm.rule l1 = Rules.L1 s);
+        Alcotest.(check bool) "an l1 instance with premises is refused" true
+          (Result.is_error (Rules.infer ctx (Rules.L1 s) [ Thm.concl l1 ]));
+        (* A certificate whose conclusion or statement was tampered with:
+           both checkers recompute the image and refuse it.  The kernel
+           has no constructor for such a theorem, so the test forges one
+           by copying the genuine node and overwriting one field. *)
+        let forged field v =
+          let r = Obj.repr l1 in
+          (* the layout this relies on: concl first, then the rule *)
+          assert (Obj.field r 0 == Obj.repr (Thm.concl l1));
+          assert (Obj.field r 1 == Obj.repr (Thm.rule l1));
+          let r' = Obj.dup r in
+          Obj.set_field r' field (Obj.repr v);
+          (Obj.obj r' : Thm.t)
+        in
+        let mutated = Ir.Seq (s, Ir.Skip) and skip = M.Return Ac_lang.Expr.unit_e in
+        List.iter
+          (fun (what, t) ->
+            Alcotest.(check bool) (what ^ ": kernel check refuses") true
+              (Result.is_error (Thm.check ctx t));
+            Alcotest.(check bool) (what ^ ": cached check refuses") true
+              (Result.is_error (Check_cache.check (Check_cache.create ctx) t)))
+          [ ("vacuous image", forged 0 (J.Corres_l1 (s, skip)));
+            ("image of another statement", forged 0 (J.Corres_l1 (s, Rules.l1_image mutated)));
+            ("equivalent, not the image", forged 0 (J.Corres_l1 (s, M.Bind (m, M.Pwild, skip))));
+            ("mutated statement", forged 1 (Rules.L1 mutated)) ];
+        Alcotest.(check bool) "the genuine l1 theorem checks" true
+          (Thm.check ctx l1 = Ok () && Check_cache.check (Check_cache.create ctx) l1 = Ok ());
         Alcotest.(check bool) "wa thm > 10 rules" true
           (match fr.Driver.fr_wa_thm with
           | Some t -> Ac_kernel.Thm.size t > 10
