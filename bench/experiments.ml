@@ -213,13 +213,17 @@ let table4 () =
   in
   let res = Driver.run ~options Csources.swap_c in
   let fr = Option.get (Driver.find_result res "swap") in
-  (match fr.Driver.fr_hl_thm with
+  match fr.Driver.fr_hl_thm with
   | Some thm ->
-    Printf.printf "Heap-abstraction derivation (rules as in Table 4; truncated):\n%s\n"
-      (Thm.derivation_to_string ~max_depth:3 thm);
-    Printf.printf "Derivation size: %d rule applications; revalidated: %b\n" (Thm.size thm)
+    (match Thm.concl thm with
+    | Ac_kernel.Judgment.Abs_h_stmt (a, _) ->
+      Printf.printf
+        "HL image of swap (one kernel step maps every access as in Table 4, before clean-up):\n%s\n"
+        (Mprint.to_string a)
+    | _ -> ());
+    Printf.printf "HL derivation: %d rule application(s), revalidated: %b\n" (Thm.size thm)
       (Thm.check res.Driver.ctx thm = Ok ())
-  | None -> print_endline "heap abstraction skipped!")
+  | None -> print_endline "heap abstraction skipped!"
 
 let fig5 () =
   header "Fig 5: swap with heap abstraction";

@@ -192,22 +192,36 @@ if [ "$minted" -gt "$removed" ]; then
 fi
 echo "ok: $minted rule_guard_true mints, $removed guards removed"
 
-echo "== corpus: work counts (at most one l1 rule application per function) =="
-# A deterministic count, no timing: L1 is one kernel step per function,
+echo "== corpus: work counts (at most one l1 and one heap rule application per function) =="
+# Deterministic counts, no timing.  L1 is one kernel step per function,
 # so `acc effort` must report no more l1 applications than functions
-# that reached L1 (level L1 or beyond in the --diag-json report).
+# that reached L1 (level L1 or beyond in the --diag-json report).  Heap
+# abstraction is one kernel step per function too: no more applications
+# of the heap rules (named hl, hs_* or hv_*) than functions at level HL
+# or WA.
 l1_apps=$(printf '%s\n' "$effort_out" | awk '$1 == "l1" { print $2 }')
 l1_apps=${l1_apps:-0}
+heap_apps=$(printf '%s\n' "$effort_out" \
+  | awk '$1 == "hl" || $1 ~ /^h[sv]_/ { n += $2 } END { print n + 0 }')
 reached=0
+heap_reached=0
 for f in corpus/*.c; do
-  n=$("$ACC" translate --keep-going --diag-json "$f" | grep -o '"level":"\(L1\|L2\|HL\|WA\)"' | wc -l)
+  levels=$("$ACC" translate --keep-going --diag-json "$f" | grep -o '"level":"[A-Z0-9]*"')
+  n=$(printf '%s\n' "$levels" | grep -c '"\(L1\|L2\|HL\|WA\)"' || true)
+  h=$(printf '%s\n' "$levels" | grep -c '"\(HL\|WA\)"' || true)
   reached=$(( reached + n ))
+  heap_reached=$(( heap_reached + h ))
 done
 if [ "$reached" -eq 0 ] || [ "$l1_apps" -gt "$reached" ]; then
   echo "FAIL: $l1_apps l1 rule applications for $reached functions that reached L1" >&2
   exit 1
 fi
 echo "ok: $l1_apps l1 rule applications for $reached functions that reached L1"
+if [ "$heap_reached" -eq 0 ] || [ "$heap_apps" -gt "$heap_reached" ]; then
+  echo "FAIL: $heap_apps heap-abstraction rule applications for $heap_reached functions at HL or WA" >&2
+  exit 1
+fi
+echo "ok: $heap_apps heap-abstraction rule applications for $heap_reached functions at HL or WA"
 
 echo "== corpus: --no-interproc A/B (feature off = clean intraprocedural output) =="
 # Toggling the summary engine off must restore the intraprocedural

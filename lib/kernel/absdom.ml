@@ -588,6 +588,10 @@ let dom_of_value (v : Value.t) : vdom =
   in
   go v
 
+exception Cert_error of string
+
+let cert_error fmt = Printf.ksprintf (fun m -> raise (Cert_error m)) fmt
+
 let rec aeval (lenv : Layout.env) (env : aenv) (e : E.t) : vdom * bool =
   match e with
   | E.Const v -> (dom_of_value v, true)
@@ -711,6 +715,10 @@ let rec aeval (lenv : Layout.env) (env : aenv) (e : E.t) : vdom * bool =
     let dp, cp = aeval lenv env p in
     match dp with
     | Dptr n ->
+      (match c with
+      | Ty.Cstruct sname when not (Layout.has_struct lenv sname) ->
+        cert_error "undeclared struct %s" sname
+      | _ -> ());
       if Layout.align_of lenv c = 1 then (Dbool (Some true), cp)
       else if n = Nnull then (Dbool (Some true), cp) (* 0 mod a = 0 *)
       else (Dbool None, cp)
@@ -1051,10 +1059,6 @@ let apply_smod_abs lenv (env : aenv) (sm : M.smod) : aenv =
        bindings in the evaluation environment; drop to top to stay safe. *)
     ignore e;
     set_var env x Dtop
-
-exception Cert_error of string
-
-let cert_error fmt = Printf.ksprintf (fun m -> raise (Cert_error m)) fmt
 
 (* The walk: returns the (possibly rewritten) term and abstract outcomes
    for normal return and thrown exception; [None] means no concrete

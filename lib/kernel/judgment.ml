@@ -16,7 +16,6 @@ module Ir = Ac_simpl.Ir
    - [Abs_w_stmt (P,rx,ex,a,c)] : paper's abs_w_stmt refinement between a
                                word-abstracted program and its concrete
                                original.
-   - [Abs_h_val (P, a, c)]   : paper Sec 4.5: P (st s) --> c s = a (st s).
    - [Abs_h_stmt (a, c)]     : paper's abs_h_stmt heap-abstraction
                                refinement (st is fixed by the program's
                                heap-type inventory).
@@ -84,7 +83,6 @@ type judgment =
   | Equiv of M.t * M.t
   | Abs_w_val of E.t * conv * E.t * E.t (* P, f, abstract, concrete *)
   | Abs_w_stmt of E.t * conv * conv * M.t * M.t (* P, rx, ex, A, C *)
-  | Abs_h_val of E.t * E.t * E.t (* P, abstract, concrete *)
   | Abs_h_stmt of M.t * M.t
   | Fn_refines of string * M.t * M.t (* function name, final abstract body, source body *)
 
@@ -99,12 +97,9 @@ let judgment_equal a b =
     E.equal p1 p2 && conv_equal f1 f2 && E.equal a1 a2 && E.equal c1 c2
   | Abs_w_stmt (p1, r1, e1, a1, c1), Abs_w_stmt (p2, r2, e2, a2, c2) ->
     E.equal p1 p2 && conv_equal r1 r2 && conv_equal e1 e2 && M.equal a1 a2 && M.equal c1 c2
-  | Abs_h_val (p1, a1, c1), Abs_h_val (p2, a2, c2) ->
-    E.equal p1 p2 && E.equal a1 a2 && E.equal c1 c2
   | Fn_refines (n1, a1, c1), Fn_refines (n2, a2, c2) ->
     String.equal n1 n2 && M.equal a1 a2 && M.equal c1 c2
-  | (Corres_l1 _ | Equiv _ | Abs_w_val _ | Abs_w_stmt _ | Abs_h_val _ | Abs_h_stmt _ | Fn_refines _), _
-    ->
+  | (Corres_l1 _ | Equiv _ | Abs_w_val _ | Abs_w_stmt _ | Abs_h_stmt _ | Fn_refines _), _ ->
     false
 
 let pp_judgment fmt (j : judgment) =
@@ -117,6 +112,5 @@ let pp_judgment fmt (j : judgment) =
     Format.fprintf fmt "abs_w_val (%a) %a (%a) (%a)" pe p pp_conv f pe a pe c
   | Abs_w_stmt (p, rx, ex, a, c) ->
     Format.fprintf fmt "abs_w_stmt (%a) %a %a (%a) (%a)" pe p pp_conv rx pp_conv ex pm a pm c
-  | Abs_h_val (p, a, c) -> Format.fprintf fmt "abs_h_val (%a) (%a) (%a)" pe p pe a pe c
   | Abs_h_stmt (a, c) -> Format.fprintf fmt "abs_h_stmt (%a) (%a)" pm a pm c
   | Fn_refines (n, _, _) -> Format.fprintf fmt "fn_refines %s" n

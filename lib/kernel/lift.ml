@@ -51,7 +51,9 @@ let default_expr env (t : Ty.t) : E.t =
   | Ty.Tint -> E.int_e 0
   | Ty.Tnat -> E.nat_e 0
   | Ty.Tptr c -> E.null_e c
-  | Ty.Tstruct n -> E.Const (Value.default env.lenv (Ty.Cstruct n))
+  | Ty.Tstruct n ->
+    if not (Layout.has_struct env.lenv n) then failwith_lift "undeclared struct %s" n;
+    E.Const (Value.default env.lenv (Ty.Cstruct n))
   | Ty.Ttuple _ -> failwith_lift "tuple-typed local"
 
 let var_ty env x =

@@ -19,8 +19,8 @@ open Judgment
    unsound abstract program cannot be produced by a buggy phase.
 
    The rules for word abstraction implement Table 3 (plus the unlisted
-   members of the ~40-rule set the paper describes); the rules for heap
-   abstraction implement Table 4. *)
+   members of the ~40-rule set the paper describes); the heap-abstraction
+   rule [Hl] implements Table 4. *)
 
 type ctx = {
   lenv : Layout.env;
@@ -128,33 +128,9 @@ type rule =
   | Ws_call of string
   | Ws_exec_concrete of string
   | Ws_wrap_guard (* prepend the precondition as a guard *)
-  (* ---- heap abstraction: values (Table 4) ---- *)
-  | Hv_id of E.t (* no byte-heap access *)
-  | Hv_read of Ty.cty (* read via lifted heap + validity *)
-  | Hv_read_field of string * string (* p->f via struct heap *)
-  | Hv_node of E.t (* congruence on a non-heap node *)
-  | Hv_shortcircuit of E.binop (* ∧/∨: the right operand's precondition is
-                                  weakened by the left's value *)
-  | Hv_ite (* if-then-else with branch preconditions under the condition *)
-  (* ---- heap abstraction: statements ---- *)
-  | Hs_ret
-  | Hs_gets
-  | Hs_guard_ptr of Ty.cty (* alignment guard becomes is_valid *)
-  | Hs_guard_strengthen of Ir.guard_kind
-    (* pointer-validity subformulas in positive positions of a guard become
-       is_valid checks (guards may fail more often under abstraction) *)
-  | Hs_guard of Ir.guard_kind
-  | Hs_modify of M.smod list
-  | Hs_write of Ty.cty
-  | Hs_write_field of string * string
-  | Hs_id of M.t (* a statement that never touches the byte heap *)
-  | Hs_throw
-  | Hs_bind of M.pat
-  | Hs_try of M.pat
-  | Hs_cond
-  | Hs_while of M.pat
-  | Hs_call of string (* lifted callee *)
-  | Hs_call_concrete of string (* byte-level callee via exec_concrete *)
+  (* ---- heap abstraction, Table 4 ---- *)
+  | Hl of M.t
+    (* the split-heap image of a whole byte-level term, computed here *)
   (* ---- chaining ---- *)
   | Fn_chain of string (* Corres_l1 + Equiv* + Abs_h + Abs_w compose *)
 
@@ -241,28 +217,7 @@ let rule_name = function
   | Ws_call _ -> "ws_call"
   | Ws_exec_concrete _ -> "ws_exec_concrete"
   | Ws_wrap_guard -> "ws_wrap_guard"
-  | Hv_id _ -> "hv_id"
-  | Hv_read _ -> "hv_read"
-  | Hv_read_field _ -> "hv_read_field"
-  | Hv_node _ -> "hv_node"
-  | Hv_shortcircuit _ -> "hv_shortcircuit"
-  | Hv_ite -> "hv_ite"
-  | Hs_ret -> "hs_ret"
-  | Hs_gets -> "hs_gets"
-  | Hs_guard_ptr _ -> "hs_guard_ptr"
-  | Hs_guard_strengthen _ -> "hs_guard_strengthen"
-  | Hs_guard _ -> "hs_guard"
-  | Hs_modify _ -> "hs_modify"
-  | Hs_write _ -> "hs_write"
-  | Hs_write_field _ -> "hs_write_field"
-  | Hs_id _ -> "hs_id"
-  | Hs_throw -> "hs_throw"
-  | Hs_bind _ -> "hs_bind"
-  | Hs_try _ -> "hs_try"
-  | Hs_cond -> "hs_cond"
-  | Hs_while _ -> "hs_while"
-  | Hs_call _ -> "hs_call"
-  | Hs_call_concrete _ -> "hs_call_concrete"
+  | Hl _ -> "hl"
   | Fn_chain _ -> "fn_chain"
 
 (* Dense numbering of the rule set, mirroring [rule_name]'s granularity
@@ -270,7 +225,7 @@ let rule_name = function
    can count applications in a flat array instead of hashing the name on
    the minting hot path.  [W_custom] has no static id — its name is
    user-chosen — and maps to -1; ids of built-in rules are < [num_rule_ids]. *)
-let num_rule_ids = 80
+let num_rule_ids = 59
 
 let rule_id = function
   | L1 _ -> 0
@@ -333,29 +288,8 @@ let rule_id = function
   | Ws_call _ -> 54
   | Ws_exec_concrete _ -> 55
   | Ws_wrap_guard -> 56
-  | Hv_id _ -> 57
-  | Hv_read _ -> 58
-  | Hv_read_field _ -> 59
-  | Hv_node _ -> 60
-  | Hv_shortcircuit _ -> 61
-  | Hv_ite -> 62
-  | Hs_ret -> 63
-  | Hs_gets -> 64
-  | Hs_guard_ptr _ -> 65
-  | Hs_guard_strengthen _ -> 66
-  | Hs_guard _ -> 67
-  | Hs_modify _ -> 68
-  | Hs_write _ -> 69
-  | Hs_write_field _ -> 70
-  | Hs_id _ -> 71
-  | Hs_throw -> 72
-  | Hs_bind _ -> 73
-  | Hs_try _ -> 74
-  | Hs_cond -> 75
-  | Hs_while _ -> 76
-  | Hs_call _ -> 77
-  | Hs_call_concrete _ -> 78
-  | Fn_chain _ -> 79
+  | Hl _ -> 57
+  | Fn_chain _ -> 58
 
 (* ------------------------------------------------------------------ *)
 (* Helpers shared by the word rules. *)
@@ -410,14 +344,6 @@ let as_wval = function
 let as_wstmt = function
   | Abs_w_stmt (p, rx, ex, a, c) -> ok (p, rx, ex, a, c)
   | j -> failf "expected abs_w_stmt premise, got %a" pp_judgment j
-
-let as_hval = function
-  | Abs_h_val (p, a, c) -> ok (p, a, c)
-  | j -> failf "expected abs_h_val premise, got %a" pp_judgment j
-
-let as_hstmt = function
-  | Abs_h_stmt (a, c) -> ok (a, c)
-  | j -> failf "expected abs_h_stmt premise, got %a" pp_judgment j
 
 let as_equiv = function
   | Equiv (a, c) -> ok (a, c)
@@ -912,24 +838,15 @@ let rec strengthen_positive (e : E.t) : E.t =
   | E.Binop (E.Imp, a, b) -> E.imp_e a (strengthen_positive b) (* a is negative: keep *)
   | _ -> e
 
-(* [Hs_id]'s side condition: no byte-heap read or write, no retype, no
-   pointer-validity guard nor one [Hs_guard_strengthen] would rewrite, no
-   call.  Such a statement is its own heap abstraction, by the [Hv_id]
-   argument: every per-node HL rule would conclude [Abs_h_stmt (m, m)]
-   over it, each precondition being [true]. *)
-let rec heap_free (m : M.t) =
-  let pure e = not (E.reads_concrete_heap e) in
-  match m with
-  | M.Return e | M.Gets e | M.Throw e -> pure e
-  | M.Guard (Ir.Ptr_valid, _) -> false
-  | M.Guard (_, g) -> pure g && E.equal (strengthen_positive g) g
-  | M.Modify sms ->
-    List.for_all (function M.Global_set (_, e) | M.Local_set (_, e) -> pure e | _ -> false) sms
-  | M.Fail | M.Unknown _ -> true
-  | M.Bind (a, _, b) | M.Try (a, _, b) -> heap_free a && heap_free b
-  | M.Cond (c, a, b) -> pure c && heap_free a && heap_free b
-  | M.While (_, c, body, init) -> pure c && pure init && heap_free body
-  | M.Call _ | M.Exec_concrete _ -> false
+(* The inverse rewrite: every is_valid in a positive position back to the
+   byte-level alignment and span conjunction. *)
+let rec weaken_positive (e : E.t) : E.t =
+  match e with
+  | E.IsValid (c, p) -> E.and_e (E.PtrAligned (c, p)) (E.PtrSpan (c, p))
+  | E.Binop (E.And, a, b) -> E.and_e (weaken_positive a) (weaken_positive b)
+  | E.Binop (E.Or, a, b) -> E.or_e (weaken_positive a) (weaken_positive b)
+  | E.Binop (E.Imp, a, b) -> E.imp_e a (weaken_positive b)
+  | _ -> e
 
 (* Dead-iterator-component analysis for Rw_prune_loop: rewrite every
    tail-position [Return (Tuple es)] of a loop body, dropping component i.
@@ -990,6 +907,171 @@ let rec l1_image (stmt : Ir.stmt) : M.t =
     let rv = "ret'" in
     M.Bind
       (M.Call (f, args), M.Pvar (rv, Ty.Tunit), M.Modify [ M.Local_set (d, E.Var (rv, Ty.Tunit)) ])
+
+(* Heap abstraction (Table 4) in one step: the split-heap image of a whole
+   byte-level term.  The [Hl] rule takes no premises and concludes
+   [Abs_h_stmt (hl_image ctx m, m)]; [check] recomputes the image.
+
+   A value [e] abstracts to a pair [(P, a)]: under the validity
+   precondition [P], [e] reads the byte heap as [a] reads the typed split
+   heaps (paper Sec 4.5).  A byte-heap read [*p] abstracts to [s[p]] under
+   [is_valid p], a field read [p->f] to the field of the struct heap's
+   [s[p]]; a short-circuit connective or an if-then-else gates its
+   operands' preconditions by the value that decides whether they are
+   evaluated.  A statement's preconditions become one pointer-validity
+   guard in front of it.  A statement that never touches the byte heap is
+   its own image ([None] below), decided from its children. *)
+let hl_image (ctx : ctx) (m : M.t) : (M.t, string) result =
+  let exception Refuse of string in
+  let refuse fmt = Format.kasprintf (fun msg -> raise (Refuse msg)) fmt in
+  let pure e = not (E.reads_concrete_heap e) in
+  let field sname fname cty =
+    if not (Layout.has_struct ctx.lenv sname) then refuse "undeclared struct %s" sname;
+    match Layout.field_type ctx.lenv sname fname with
+    | fty -> if not (Ty.cty_equal fty cty) then refuse "%s.%s accessed at another type" sname fname
+    | exception Layout.Unknown_field _ -> refuse "struct %s has no field %s" sname fname
+  in
+  let conj_all ps = List.fold_left (fun acc (p, _) -> E.and_e acc p) E.true_e ps in
+  let rec value (e : E.t) : E.t * E.t =
+    match e with
+    | E.HeapRead (cty, E.FieldAddr (sname, fname, p)) ->
+      field sname fname cty;
+      let pp, ap = value p in
+      let sc = Ty.Cstruct sname in
+      (E.and_e pp (E.IsValid (sc, ap)), E.StructGet (sname, fname, E.TypedRead (sc, ap)))
+    | E.HeapRead (cty, p) ->
+      let pp, ap = value p in
+      (E.and_e pp (E.IsValid (cty, ap)), E.TypedRead (cty, ap))
+    | _ when pure e -> (E.true_e, e)
+    | E.Binop (((E.And | E.Or) as op), a, b) ->
+      let pa, aa = value a and pb, ab = value b in
+      let gate = match op with E.And -> aa | _ -> E.not_e aa in
+      (E.and_e pa (E.imp_e gate pb), E.Binop (op, aa, ab))
+    | E.Ite (c, a, b) ->
+      let pc, ac = value c and pa, aa = value a and pb, ab = value b in
+      (E.and_e pc (E.and_e (E.imp_e ac pa) (E.imp_e (E.not_e ac) pb)), E.Ite (ac, aa, ab))
+    | _ ->
+      let kids = List.map value (E.children e) in
+      (conj_all kids, E.replace_children e (List.map snd kids))
+  in
+  let guarded p m = guard_if Ir.Ptr_valid p m in
+  let value_stmt mk e =
+    if pure e then None
+    else
+      let p, a = value e in
+      Some (guarded p (mk a))
+  in
+  let rec stmt (m : M.t) : M.t option =
+    match m with
+    | M.Return e -> value_stmt (fun a -> M.Return a) e
+    | M.Gets e -> value_stmt (fun a -> M.Gets a) e
+    | M.Throw e -> value_stmt (fun a -> M.Throw a) e
+    | M.Guard (Ir.Ptr_valid, E.Binop (E.And, E.PtrAligned (c, p), E.PtrSpan (c', p')))
+      when Ty.cty_equal c c' && E.equal p p' ->
+      (* the alignment and span guard becomes is_valid, which implies it *)
+      let pp, ap = value p in
+      Some (guarded pp (M.Guard (Ir.Ptr_valid, E.IsValid (c, ap))))
+    | M.Guard (k, g) ->
+      let g' = strengthen_positive g in
+      if not (E.equal g' g) then begin
+        (* a guard may fail more often under abstraction: its positive
+           alignment and span conjunctions become is_valid *)
+        if not (E.equal (weaken_positive g') g) then
+          refuse "strengthened guard does not round-trip";
+        let p, a = value g' in
+        Some (M.Guard (k, E.and_e p a))
+      end
+      else if k <> Ir.Ptr_valid && pure g then None
+      else
+        let p, a = value g in
+        Some (M.Guard (k, E.and_e p a))
+    | M.Modify [ M.Heap_write (cty, E.FieldAddr (sname, fname, p), v) ] ->
+      field sname fname cty;
+      let pp, ap = value p and pv, av = value v in
+      let sc = Ty.Cstruct sname in
+      Some
+        (guarded
+           (E.and_e (E.and_e pp pv) (E.IsValid (sc, ap)))
+           (M.Modify
+              [ M.Typed_write (sc, ap, E.StructSet (sname, fname, E.TypedRead (sc, ap), av)) ]))
+    | M.Modify [ M.Heap_write (cty, p, v) ] ->
+      let pp, ap = value p and pv, av = value v in
+      Some
+        (guarded
+           (E.and_e (E.and_e pp pv) (E.IsValid (cty, ap)))
+           (M.Modify [ M.Typed_write (cty, ap, av) ]))
+    | M.Modify sms ->
+      if List.exists (function M.Retype _ -> true | _ -> false) sms then
+        refuse "retype in heap-lifted code";
+      let sets =
+        List.map
+          (function
+            | M.Global_set (x, e) -> (x, e, fun x a -> M.Global_set (x, a))
+            | M.Local_set (x, e) -> (x, e, fun x a -> M.Local_set (x, a))
+            | M.Heap_write _ | M.Typed_write _ | M.Retype _ -> refuse "compound heap modify")
+          sms
+      in
+      if List.for_all (fun (_, e, _) -> pure e) sets then None
+      else
+        let vals = List.map (fun (_, e, _) -> value e) sets in
+        Some
+          (guarded (conj_all vals)
+             (M.Modify (List.map2 (fun (x, _, mk) (_, a) -> mk x a) sets vals)))
+    | M.Fail | M.Unknown _ -> None
+    | M.Bind (a, p, b) -> (
+      match (stmt a, stmt b) with
+      | None, None -> None
+      | ra, rb -> Some (M.Bind (image a ra, p, image b rb)))
+    | M.Try (a, p, h) -> (
+      match (stmt a, stmt h) with
+      | None, None -> None
+      | ra, rh -> Some (M.Try (image a ra, p, image h rh)))
+    | M.Cond (c, a, b) -> (
+      match (stmt a, stmt b) with
+      | None, None when pure c -> None
+      | ra, rb ->
+        let pc, ac = value c in
+        Some (guarded pc (M.Cond (ac, image a ra, image b rb))))
+    | M.While (pat, c, body, init) -> (
+      match stmt body with
+      | None when pure c && pure init -> None
+      | rb ->
+        let pi, ai = value init and pc, ac = value c in
+        let ab = image body rb in
+        (* A loop condition that reads the heap incurs validity obligations
+           at every evaluation point: before entry and after each
+           iteration. *)
+        let at (e : E.t) =
+          match bind_expr_to_pat pat e with Some bs -> E.subst bs pc | None -> pc
+        in
+        let loop =
+          if E.equal pc E.true_e then M.While (pat, ac, ab, ai)
+          else
+            let res = "loop_res'" and rty = M.pat_ty pat in
+            let recheck =
+              M.Bind
+                ( M.Guard (Ir.Ptr_valid, at (E.Var (res, rty))),
+                  M.Pwild,
+                  M.Return (E.Var (res, rty)) )
+            in
+            M.Bind
+              ( M.Guard (Ir.Ptr_valid, at ai),
+                M.Pwild,
+                M.While (pat, ac, M.Bind (ab, M.Pvar (res, rty), recheck), ai) )
+        in
+        Some (guarded pi loop))
+    | M.Call (f, args) ->
+      (* Sec 4.6: a call into byte-level code goes through exec_concrete *)
+      let vals = List.map value args in
+      let args' = List.map snd vals in
+      Some
+        (guarded (conj_all vals)
+           (if Index.mem ctx.lifted f then M.Call (f, args') else M.Exec_concrete (f, args')))
+    | M.Exec_concrete _ -> refuse "exec_concrete below heap abstraction"
+  and image m = function Some a -> a | None -> m in
+  match stmt m with
+  | r -> ok (image m r)
+  | exception Refuse msg -> Result.Error ("hl: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* The inference function: rule + premise conclusions -> conclusion.
@@ -1467,255 +1549,11 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let* prems = prems_n 1 prems in
     let* p, rx, ex, a, c = as_wstmt (List.hd prems) in
     ok (Abs_w_stmt (E.true_e, rx, ex, guard_if Ir.Unsigned_overflow p a, c))
-  (* ================= Heap abstraction ================= *)
-  | Hv_id e ->
-    if E.reads_concrete_heap e then fail "hv_id: reads the byte heap"
-    else ok (Abs_h_val (E.true_e, e, e))
-  | Hv_read cty ->
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    ok
-      (Abs_h_val
-         (E.and_e p (E.IsValid (cty, a)), E.TypedRead (cty, a), E.HeapRead (cty, c)))
-  | Hv_read_field (sname, fname) -> (
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    if not (Layout.has_struct ctx.lenv sname) then fail "hv_read_field: undeclared struct"
-    else
-      match Layout.field_type ctx.lenv sname fname with
-      | fty ->
-        ok
-          (Abs_h_val
-             ( E.and_e p (E.IsValid (Ty.Cstruct sname, a)),
-               E.StructGet (sname, fname, E.TypedRead (Ty.Cstruct sname, a)),
-               E.HeapRead (fty, E.FieldAddr (sname, fname, c)) ))
-      | exception Layout.Unknown_field _ -> fail "hv_read_field: unknown field")
-  | Hv_node skel -> (
-    (* Congruence: rebuild a non-heap node from abstracted children. *)
-    match skel with
-    | E.HeapRead _ -> fail "hv_node: byte-heap reads need hv_read"
-    | _ ->
-      let children = E.children skel in
-      if List.length prems <> List.length children then fail "hv_node: premise count"
-      else begin
-        let* triples =
-          List.fold_left2
-            (fun acc j c ->
-              let* acc = acc in
-              let* p, a, c' = as_hval j in
-              if not (E.equal c c') then fail "hv_node: child mismatch" else ok ((p, a) :: acc))
-            (ok []) prems children
-        in
-        let triples = List.rev triples in
-        let p = List.fold_left (fun acc (pi, _) -> E.and_e acc pi) E.true_e triples in
-        ok (Abs_h_val (p, E.replace_children skel (List.map snd triples), skel))
-      end)
-  | Hv_shortcircuit op -> (
-    match op with
-    | E.And | E.Or ->
-      let* prems = prems_n 2 prems in
-      let* pa, aa, ca = as_hval (List.nth prems 0) in
-      let* pb, ab, cb = as_hval (List.nth prems 1) in
-      (* b is evaluated only when a is true (∧) / false (∨). *)
-      let gate = match op with E.And -> aa | _ -> E.not_e aa in
-      ok
-        (Abs_h_val
-           (E.and_e pa (E.imp_e gate pb), E.Binop (op, aa, ab), E.Binop (op, ca, cb)))
-    | _ -> fail "hv_shortcircuit: not a boolean connective")
-  | Hv_ite ->
-    let* prems = prems_n 3 prems in
-    let* pc, ac, cc = as_hval (List.nth prems 0) in
-    let* pa, aa, ca = as_hval (List.nth prems 1) in
-    let* pb, ab, cb = as_hval (List.nth prems 2) in
-    ok
-      (Abs_h_val
-         ( E.and_e pc (E.and_e (E.imp_e ac pa) (E.imp_e (E.not_e ac) pb)),
-           E.Ite (ac, aa, ab),
-           E.Ite (cc, ca, cb) ))
-  | Hs_ret ->
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    ok (Abs_h_stmt (guard_if Ir.Ptr_valid p (M.Return a), M.Return c))
-  | Hs_gets ->
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    ok (Abs_h_stmt (guard_if Ir.Ptr_valid p (M.Gets a), M.Gets c))
-  | Hs_guard_ptr cty ->
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    (* HPTR: the abstract is_valid guard is stronger than the concrete
-       alignment/span guard. *)
-    let concrete = M.Guard (Ir.Ptr_valid, E.and_e (E.PtrAligned (cty, c)) (E.PtrSpan (cty, c))) in
-    ok (Abs_h_stmt (guard_if Ir.Ptr_valid p (M.Guard (Ir.Ptr_valid, E.IsValid (cty, a))), concrete))
-  | Hs_guard_strengthen k ->
-    (* premise: abs_h_val for the *strengthened* condition; the concrete
-       side is reconstructed by weakening is_valid back. *)
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    let rec weaken (e : E.t) : E.t =
-      match e with
-      | E.IsValid (cty, ptr) ->
-        E.and_e (E.PtrAligned (cty, ptr)) (E.PtrSpan (cty, ptr))
-      | E.Binop (E.And, x, y) -> E.and_e (weaken x) (weaken y)
-      | E.Binop (E.Or, x, y) -> E.or_e (weaken x) (weaken y)
-      | E.Binop (E.Imp, x, y) -> E.imp_e x (weaken y)
-      | _ -> e
-    in
-    if not (E.equal (strengthen_positive (weaken c)) c) then
-      fail "hs_guard_strengthen: premise does not round-trip"
-    else ok (Abs_h_stmt (M.Guard (k, E.and_e p a), M.Guard (k, weaken c)))
-  | Hs_guard k ->
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    ok (Abs_h_stmt (M.Guard (k, E.and_e p a), M.Guard (k, c)))
-  | Hs_write cty ->
-    let* prems = prems_n 2 prems in
-    let* p1, a1, c1 = as_hval (List.nth prems 0) in
-    let* p2, a2, c2 = as_hval (List.nth prems 1) in
-    let p = E.and_e (E.and_e p1 p2) (E.IsValid (cty, a1)) in
-    ok
-      (Abs_h_stmt
-         ( guard_if Ir.Ptr_valid p (M.Modify [ M.Typed_write (cty, a1, a2) ]),
-           M.Modify [ M.Heap_write (cty, c1, c2) ] ))
-  | Hs_write_field (sname, fname) -> (
-    let* prems = prems_n 2 prems in
-    let* p1, a1, c1 = as_hval (List.nth prems 0) in
-    let* p2, a2, c2 = as_hval (List.nth prems 1) in
-    if not (Layout.has_struct ctx.lenv sname) then fail "hs_write_field: undeclared struct"
-    else
-      match Layout.field_type ctx.lenv sname fname with
-      | fty ->
-        let sc = Ty.Cstruct sname in
-        let p = E.and_e (E.and_e p1 p2) (E.IsValid (sc, a1)) in
-        ok
-          (Abs_h_stmt
-             ( guard_if Ir.Ptr_valid p
-                 (M.Modify
-                    [ M.Typed_write
-                        (sc, a1, E.StructSet (sname, fname, E.TypedRead (sc, a1), a2)) ]),
-               M.Modify [ M.Heap_write (fty, E.FieldAddr (sname, fname, c1), c2) ] ))
-      | exception Layout.Unknown_field _ -> fail "hs_write_field: unknown field")
-  | Hs_modify sms -> (
-    (* Non-heap modifies (globals, local sets at L1). *)
-    match
-      List.for_all
-        (function M.Global_set _ | M.Local_set _ -> true | _ -> false)
-        sms
-    with
-    | false -> fail "hs_modify: heap writes need hs_write"
-    | true ->
-      let rec consume prems sms acc_p acc =
-        match sms with
-        | [] -> if prems = [] then ok (acc_p, List.rev acc) else fail "hs_modify: surplus"
-        | sm :: rest -> (
-          match (sm, prems) with
-          | (M.Global_set (x, ce) | M.Local_set (x, ce)), j :: prems' ->
-            let* p, a, c = as_hval j in
-            if not (E.equal c ce) then fail "hs_modify: mismatch"
-            else begin
-              let mk e =
-                match sm with M.Global_set _ -> M.Global_set (x, e) | _ -> M.Local_set (x, e)
-              in
-              consume prems' rest (E.and_e acc_p p) (mk a :: acc)
-            end
-          | _ -> fail "hs_modify: missing premise")
-      in
-      let* p, abs_sms = consume prems sms E.true_e [] in
-      ok (Abs_h_stmt (guard_if Ir.Ptr_valid p (M.Modify abs_sms), M.Modify sms)))
-  | Hs_id m ->
-    if heap_free m then ok (Abs_h_stmt (m, m)) else fail "hs_id: touches the byte heap"
-  | Hs_throw ->
-    let* prems = prems_n 1 prems in
-    let* p, a, c = as_hval (List.hd prems) in
-    ok (Abs_h_stmt (guard_if Ir.Ptr_valid p (M.Throw a), M.Throw c))
-  | Hs_bind pat ->
-    let* prems = prems_n 2 prems in
-    let* la, lc = as_hstmt (List.nth prems 0) in
-    let* ra, rc = as_hstmt (List.nth prems 1) in
-    ok (Abs_h_stmt (M.Bind (la, pat, ra), M.Bind (lc, pat, rc)))
-  | Hs_try pat ->
-    let* prems = prems_n 2 prems in
-    let* la, lc = as_hstmt (List.nth prems 0) in
-    let* ra, rc = as_hstmt (List.nth prems 1) in
-    ok (Abs_h_stmt (M.Try (la, pat, ra), M.Try (lc, pat, rc)))
-  | Hs_cond ->
-    let* prems = prems_n 3 prems in
-    let* pc, ac, cc = as_hval (List.nth prems 0) in
-    let* aa, ca = as_hstmt (List.nth prems 1) in
-    let* ab, cb = as_hstmt (List.nth prems 2) in
-    ok (Abs_h_stmt (guard_if Ir.Ptr_valid pc (M.Cond (ac, aa, ab)), M.Cond (cc, ca, cb)))
-  | Hs_while pat ->
-    let* prems = prems_n 3 prems in
-    let* pi, ai, ci = as_hval (List.nth prems 0) in
-    let* pc, ac, cc = as_hval (List.nth prems 1) in
-    let* ab, cb = as_hstmt (List.nth prems 2) in
-    (* A loop condition that reads the heap incurs validity obligations at
-       every evaluation point: before entry and after each iteration. *)
-    let entry_guard =
-      if E.equal pc E.true_e then []
-      else begin
-        match bind_expr_to_pat pat ai with
-        | Some bs -> [ M.Guard (Ir.Ptr_valid, E.subst bs pc) ]
-        | None -> [ M.Guard (Ir.Ptr_valid, E.subst [] pc) ]
-      end
-    in
-    let body' =
-      if E.equal pc E.true_e then ab
-      else begin
-        let res = "loop_res'" in
-        let rty = M.pat_ty pat in
-        M.Bind
-          ( ab,
-            M.Pvar (res, rty),
-            M.Bind
-              ( M.Guard
-                  ( Ir.Ptr_valid,
-                    match bind_expr_to_pat pat (E.Var (res, rty)) with
-                    | Some bs -> E.subst bs pc
-                    | None -> pc ),
-                M.Pwild,
-                M.Return (E.Var (res, rty)) ) )
-      end
-    in
-    let a_loop = M.While (pat, ac, body', ai) in
-    let a = M.seq_of_list (entry_guard @ [ a_loop ]) in
-    ok (Abs_h_stmt (guard_if Ir.Ptr_valid pi a, M.While (pat, cc, cb, ci)))
-  | Hs_call fname ->
-    if not (Index.mem ctx.lifted fname) then failf "hs_call: %s is not heap-lifted" fname
-    else begin
-      let* args =
-        List.fold_left
-          (fun acc j ->
-            let* acc = acc in
-            let* p, a, c = as_hval j in
-            ok ((p, a, c) :: acc))
-          (ok []) prems
-      in
-      let args = List.rev args in
-      let p = List.fold_left (fun acc (pi, _, _) -> E.and_e acc pi) E.true_e args in
-      ok
-        (Abs_h_stmt
-           ( guard_if Ir.Ptr_valid p (M.Call (fname, List.map (fun (_, a, _) -> a) args)),
-             M.Call (fname, List.map (fun (_, _, c) -> c) args) ))
-    end
-  | Hs_call_concrete fname ->
-    (* Sec 4.6: calls from lifted code to byte-level code go through
-       exec_concrete. *)
-    let* args =
-      List.fold_left
-        (fun acc j ->
-          let* acc = acc in
-          let* p, a, c = as_hval j in
-          ok ((p, a, c) :: acc))
-        (ok []) prems
-    in
-    let args = List.rev args in
-    let p = List.fold_left (fun acc (pi, _, _) -> E.and_e acc pi) E.true_e args in
-    ok
-      (Abs_h_stmt
-         ( guard_if Ir.Ptr_valid p
-             (M.Exec_concrete (fname, List.map (fun (_, a, _) -> a) args)),
-           M.Call (fname, List.map (fun (_, _, c) -> c) args) ))
+  (* ================= Heap abstraction: Table 4 ================= *)
+  | Hl m ->
+    let* _ = prems_n 0 prems in
+    let* a = hl_image ctx m in
+    ok (Abs_h_stmt (a, m))
   (* ================= chaining ================= *)
   | Fn_chain name -> (
     (* corres_l1 C m1, m1 == m2 (possibly several), abs_h m3 m2,

@@ -62,8 +62,11 @@ module J = Ac_kernel.Judgment
    old normal forms.  ruleset-8: [L1 s] takes no premises and concludes
    the image of the whole statement, so an older entry's L1 nodes, one
    per sub-statement, would fail replay; [Hs_id] replaced [Hs_fail] and
-   [Hs_unknown], shifting the constructor tags after them. *)
-let ruleset_tag = "acc-store-1/ruleset-8"
+   [Hs_unknown], shifting the constructor tags after them.  ruleset-9:
+   one [Hl m] step replaced the 22 per-node heap rules, so the
+   constructor tags after them moved; an older entry would decode its
+   heap and [Fn_chain] nodes as other rules and fail replay. *)
+let ruleset_tag = "acc-store-1/ruleset-9"
 
 let magic = "ACC-STORE v1\n"
 

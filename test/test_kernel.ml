@@ -97,59 +97,118 @@ let rule_tests =
       fun () ->
         let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
         let p = E.Var ("p", Ty.Tptr cty) in
-        let prem = Thm.by ctx (Rules.Hv_id p) [] in
-        let thm = Thm.by ctx (Rules.Hv_read cty) [ prem ] in
-        match Thm.concl thm with
-        | J.Abs_h_val (pre, a, c) ->
-          Alcotest.(check bool) "is_valid" true (E.equal pre (E.IsValid (cty, p)));
-          Alcotest.(check bool) "typed read" true (E.equal a (E.TypedRead (cty, p)));
-          Alcotest.(check bool) "concrete read" true (E.equal c (E.HeapRead (cty, p)))
-        | _ -> Alcotest.fail "wrong judgment" );
-    ( "hl field rules refuse an undeclared struct by their own side condition",
+        let sc = Ty.Cstruct "s" in
+        let q = E.Var ("q", Ty.Tptr sc) and x = E.Var ("x", u32) in
+        let sctx =
+          { ctx with Rules.lenv = Layout.declare_struct Layout.empty "s" [ ("f", cty) ] }
+        in
+        let field = E.FieldAddr ("s", "f", q) in
+        let valid c p = M.Guard (Ir.Ptr_valid, E.IsValid (c, p)) in
+        List.iter
+          (fun (what, m, want) ->
+            match Thm.concl (Thm.by sctx (Rules.Hl m) []) with
+            | J.Abs_h_stmt (a, c) ->
+              Alcotest.(check bool) (what ^ ": concrete side is the input") true (c == m);
+              Alcotest.(check bool) (what ^ ": is_valid guard, then the typed access") true
+                (M.equal a want)
+            | _ -> Alcotest.fail "wrong judgment")
+          [ ( "read",
+              M.Return (E.HeapRead (cty, p)),
+              M.Bind (valid cty p, M.Pwild, M.Return (E.TypedRead (cty, p))) );
+            ( "field read",
+              M.Return (E.HeapRead (cty, field)),
+              M.Bind
+                (valid sc q, M.Pwild, M.Return (E.StructGet ("s", "f", E.TypedRead (sc, q)))) );
+            ( "write",
+              M.Modify [ M.Heap_write (cty, p, x) ],
+              M.Bind (valid cty p, M.Pwild, M.Modify [ M.Typed_write (cty, p, x) ]) );
+            ( "field write",
+              M.Modify [ M.Heap_write (cty, field, x) ],
+              M.Bind
+                ( valid sc q,
+                  M.Pwild,
+                  M.Modify [ M.Typed_write (sc, q, E.StructSet ("s", "f", E.TypedRead (sc, q), x)) ]
+                ) ) ] );
+    ( "rules refuse an undeclared struct by their own side condition",
       fun () ->
         (* [Rules.infer] itself, not [Thm]'s wrapper that refuses any
            inference that raises. *)
-        let p = E.Var ("p", Ty.Tptr (Ty.Cstruct "nosuch")) in
+        let sc = Ty.Cstruct "nosuch" in
+        let p = E.Var ("p", Ty.Tptr sc) in
         let v = E.word_e Ty.Unsigned Ty.W32 1 in
-        let hval e = J.Abs_h_val (E.true_e, e, e) in
+        let u32c = Ty.Cword (Ty.Unsigned, Ty.W32) in
+        let field = E.FieldAddr ("nosuch", "f", p) in
+        let lifted ~locals ~ret_ty body =
+          Rules.Rw_lift ([], locals, ret_ty, M.Try (body, M.Pwild, M.Return E.unit_e))
+        in
         List.iter
-          (fun (rule, prems, want) ->
-            match Rules.infer ctx rule prems with
+          (fun (rule, want) ->
+            match Rules.infer ctx rule [] with
             | Error msg -> Alcotest.(check string) (Rules.rule_name rule) want msg
             | Ok _ -> Alcotest.failf "%s accepted an undeclared struct" (Rules.rule_name rule))
-          [ (Rules.Hv_read_field ("nosuch", "f"), [ hval p ], "hv_read_field: undeclared struct");
-            ( Rules.Hs_write_field ("nosuch", "f"),
-              [ hval p; hval v ],
-              "hs_write_field: undeclared struct" ) ] );
-    ( "hs_id takes only a statement that never touches the byte heap",
+          [ (Rules.Hl (M.Return (E.HeapRead (u32c, field))), "hl: undeclared struct nosuch");
+            ( Rules.Hl (M.Modify [ M.Heap_write (u32c, field, v) ]),
+              "hl: undeclared struct nosuch" );
+            ( Rules.Rule_guard_true
+                (M.Guard (Ir.Ptr_valid, E.PtrAligned (sc, p)), Ac_kernel.Absdom.cert_of_invs []),
+              "rule_guard_true: undeclared struct nosuch" );
+            ( lifted ~locals:[ ("l", Ty.Tstruct "nosuch") ] ~ret_ty:Ty.Tunit
+                (M.Gets (E.Var ("l", Ty.Tstruct "nosuch"))),
+              "rw_lift: undeclared struct nosuch" );
+            ( lifted ~locals:[] ~ret_ty:(Ty.Tstruct "nosuch") (M.Return E.unit_e),
+              "rw_lift: undeclared struct nosuch" ) ] );
+    ( "hl leaves a statement that never touches the byte heap as it is",
       fun () ->
         let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
         let p = E.Var ("p", Ty.Tptr cty) and x = E.Var ("x", u32) in
-        let read = E.HeapRead (cty, p) in
+        let read = E.HeapRead (cty, p) and valid = M.Guard (Ir.Ptr_valid, E.IsValid (cty, p)) in
         let set e = M.Modify [ M.Local_set ("x", e) ] in
-        let ok = M.Bind (set x, M.Pwild, M.Cond (E.Binop (E.Lt, x, x), M.Fail, M.Throw x)) in
-        (match Thm.concl (Thm.by ctx (Rules.Hs_id ok) []) with
-        | J.Abs_h_stmt (a, c) -> Alcotest.(check bool) "identity" true (a == ok && c == ok)
-        | _ -> Alcotest.fail "wrong judgment");
+        let seq a b = M.Bind (a, M.Pwild, b) in
+        let image ctx m =
+          match Thm.concl (Thm.by ctx (Rules.Hl m) []) with
+          | J.Abs_h_stmt (a, c) ->
+            Alcotest.(check bool) "concrete side is the input" true (c == m);
+            a
+          | _ -> Alcotest.fail "wrong judgment"
+        in
+        let ok = seq (set x) (M.Cond (E.Binop (E.Lt, x, x), M.Fail, M.Throw x)) in
+        Alcotest.(check bool) "identity" true (image ctx ok == ok);
+        let lifted_f = { ctx with Rules.lifted = Ac_kernel.Index.names [ "f" ] } in
+        let cond = E.Binop (E.Lt, read, x) in
+        let recheck =
+          M.Bind
+            ( M.skip,
+              M.Pvar ("loop_res'", Ty.Tunit),
+              seq valid (M.Return (E.Var ("loop_res'", Ty.Tunit))) )
+        in
         List.iter
-          (fun (what, m) ->
-            expect_fail what (fun () ->
-                Thm.by ctx (Rules.Hs_id (M.Bind (set x, M.Pwild, m))) []))
-          [ ("heap read", set read);
-            ("heap write", M.Modify [ M.Heap_write (cty, p, x) ]);
-            ("retype", M.Modify [ M.Retype (cty, p) ]);
-            ("pointer guard", M.Guard (Ir.Ptr_valid, E.Binop (E.Eq, x, x)));
+          (fun (what, ctx, m, want) ->
+            Alcotest.(check bool) what true (M.equal (image ctx (seq (set x) m)) (seq (set x) want)))
+          [ ("heap read", ctx, set read, seq valid (set (E.TypedRead (cty, p))));
+            ( "heap write",
+              ctx,
+              M.Modify [ M.Heap_write (cty, p, x) ],
+              seq valid (M.Modify [ M.Typed_write (cty, p, x) ]) );
             ( "guard strengthen_positive rewrites",
-              M.Guard (Ir.Div_by_zero, E.Binop (E.And, E.PtrAligned (cty, p), E.PtrSpan (cty, p))) );
-            ( "heap read in a loop condition",
-              M.While (M.Pwild, E.Binop (E.Lt, read, x), M.skip, E.unit_e) );
-            ("call", M.Call ("f", [ x ]));
-            ("exec_concrete", M.Exec_concrete ("f", [ x ])) ] );
-    ( "hv_id rejects byte-heap reads",
-      fun () ->
-        let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
-        let e = E.HeapRead (cty, E.Var ("p", Ty.Tptr cty)) in
-        expect_fail "hv_id" (fun () -> Thm.by ctx (Rules.Hv_id e) []) );
+              ctx,
+              M.Guard (Ir.Div_by_zero, E.Binop (E.And, E.PtrAligned (cty, p), E.PtrSpan (cty, p))),
+              M.Guard (Ir.Div_by_zero, E.IsValid (cty, p)) );
+            ( "heap read in a loop condition: entry and re-check guards",
+              ctx,
+              M.While (M.Pwild, cond, M.skip, E.unit_e),
+              seq valid
+                (M.While (M.Pwild, E.Binop (E.Lt, E.TypedRead (cty, p), x), recheck, E.unit_e)) );
+            ("call to byte-level code", ctx, M.Call ("f", [ x ]), M.Exec_concrete ("f", [ x ]));
+            ("call to lifted code", lifted_f, M.Call ("f", [ x ]), M.Call ("f", [ x ])) ];
+        List.iter
+          (fun (what, m, want) ->
+            match Rules.infer ctx (Rules.Hl (seq (set x) m)) [] with
+            | Error msg -> Alcotest.(check string) what want msg
+            | Ok _ -> Alcotest.failf "hl accepted %s" what)
+          [ ("retype", M.Modify [ M.Retype (cty, p) ], "hl: retype in heap-lifted code");
+            ( "exec_concrete",
+              M.Exec_concrete ("f", [ x ]),
+              "hl: exec_concrete below heap abstraction" ) ] );
     ( "eq_trans rejects mismatched middles",
       fun () ->
         let a = M.Return (E.int_e 1) and b = M.Return (E.int_e 2) in

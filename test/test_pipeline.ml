@@ -169,6 +169,28 @@ let shape_tests =
           corpus );
   ]
 
+(* A copy of the genuine theorem node [thm] with one field overwritten:
+   0 is the conclusion, 1 the rule.  The kernel has no constructor for such
+   a theorem, so the tests that need a tampered certificate forge one. *)
+let forged thm field v =
+  let r = Obj.repr thm in
+  (* the layout this relies on: concl first, then the rule *)
+  assert (Obj.field r 0 == Obj.repr (Thm.concl thm));
+  assert (Obj.field r 1 == Obj.repr (Thm.rule thm));
+  let r' = Obj.dup r in
+  Obj.set_field r' field (Obj.repr v);
+  (Obj.obj r' : Thm.t)
+
+(* Both the kernel's checker and the memoized one refuse each theorem. *)
+let both_refuse ctx cases =
+  List.iter
+    (fun (what, t) ->
+      Alcotest.(check bool) (what ^ ": kernel check refuses") true
+        (Result.is_error (Thm.check ctx t));
+      Alcotest.(check bool) (what ^ ": cached check refuses") true
+        (Result.is_error (Check_cache.check (Check_cache.create ctx) t)))
+    cases
+
 let kernel_tests =
   [
     ( "all derivations re-validate on the corpus",
@@ -192,6 +214,41 @@ let kernel_tests =
                 | None -> Alcotest.failf "%s/%s: no chain" name fr.Driver.fr_name)
               res.Driver.funcs)
           corpus );
+    ( "hl: a forged heap-abstraction image is refused by both checkers",
+      fun () ->
+        (* HL is one kernel step per function, like L1: the checkers
+           recompute the image, so a genuine node with its conclusion
+           overwritten is refused. *)
+        let res = Driver.run reverse_c in
+        let fr = Option.get (Driver.find_result res "reverse") in
+        let hl = Option.get fr.Driver.fr_hl_thm and ctx = res.Driver.ctx in
+        let a, c =
+          match Thm.concl hl with
+          | J.Abs_h_stmt (a, c) -> (a, c)
+          | _ -> Alcotest.fail "fr_hl_thm concludes no abs_h_stmt"
+        in
+        Alcotest.(check bool) "hl is one rule over the whole body" true
+          (Thm.size hl = 1 && Thm.rule hl = Rules.Hl c);
+        let unguarded =
+          (* the image with every pointer-validity guard made vacuous *)
+          let rec go (m : M.t) : M.t =
+            match m with
+            | M.Guard (Ir.Ptr_valid, _) -> M.Guard (Ir.Ptr_valid, Ac_lang.Expr.true_e)
+            | M.Bind (x, p, y) -> M.Bind (go x, p, go y)
+            | M.Try (x, p, y) -> M.Try (go x, p, go y)
+            | M.Cond (e, x, y) -> M.Cond (e, go x, go y)
+            | M.While (p, e, body, i) -> M.While (p, e, go body, i)
+            | m -> m
+          in
+          go a
+        in
+        Alcotest.(check bool) "the image has a guard to forge away" false (M.equal unguarded a);
+        both_refuse ctx
+          [ ("identity image", forged hl 0 (J.Abs_h_stmt (c, c)));
+            ("guards made vacuous", forged hl 0 (J.Abs_h_stmt (unguarded, c)));
+            ("another term's image", forged hl 1 (Rules.Hl fr.Driver.fr_l1.M.body)) ];
+        Alcotest.(check bool) "the genuine hl theorem checks" true
+          (Thm.check ctx hl = Ok () && Check_cache.check (Check_cache.create ctx) hl = Ok ()) );
     ( "derivations are substantial (not vacuous)",
       fun () ->
         let res = Driver.run reverse_c in
@@ -210,25 +267,10 @@ let kernel_tests =
         Alcotest.(check bool) "an l1 instance with premises is refused" true
           (Result.is_error (Rules.infer ctx (Rules.L1 s) [ Thm.concl l1 ]));
         (* A certificate whose conclusion or statement was tampered with:
-           both checkers recompute the image and refuse it.  The kernel
-           has no constructor for such a theorem, so the test forges one
-           by copying the genuine node and overwriting one field. *)
-        let forged field v =
-          let r = Obj.repr l1 in
-          (* the layout this relies on: concl first, then the rule *)
-          assert (Obj.field r 0 == Obj.repr (Thm.concl l1));
-          assert (Obj.field r 1 == Obj.repr (Thm.rule l1));
-          let r' = Obj.dup r in
-          Obj.set_field r' field (Obj.repr v);
-          (Obj.obj r' : Thm.t)
-        in
+           both checkers recompute the image and refuse it. *)
+        let forged field v = forged l1 field v in
         let mutated = Ir.Seq (s, Ir.Skip) and skip = M.Return Ac_lang.Expr.unit_e in
-        List.iter
-          (fun (what, t) ->
-            Alcotest.(check bool) (what ^ ": kernel check refuses") true
-              (Result.is_error (Thm.check ctx t));
-            Alcotest.(check bool) (what ^ ": cached check refuses") true
-              (Result.is_error (Check_cache.check (Check_cache.create ctx) t)))
+        both_refuse ctx
           [ ("vacuous image", forged 0 (J.Corres_l1 (s, skip)));
             ("image of another statement", forged 0 (J.Corres_l1 (s, Rules.l1_image mutated)));
             ("equivalent, not the image", forged 0 (J.Corres_l1 (s, M.Bind (m, M.Pwild, skip))));

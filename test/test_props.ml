@@ -706,6 +706,104 @@ let inline_agrees ((s : Ir.stmt), (a, b)) =
       [ (a, b); (0, 0); (1, 0xFFFFFFFF); (31, 2) ]
 
 (* ------------------------------------------------------------------ *)
+(* The one-step HL image refines the byte-level program: random C units
+   over a struct heap, heap-abstracted with word abstraction off, run
+   side by side with their Simpl source by the differential tester.  The
+   units read and write struct fields and plain words through pointers,
+   walk pointer chains, test pointers and the heap under [&&]/[||], loop
+   on conditions that read the heap, and call a lifted callee ([get]) and
+   one kept at byte level ([put], reached through exec_concrete). *)
+
+let hl_unit_prelude =
+  "struct s { unsigned f; struct s *n; unsigned g; };\n\
+   unsigned get(struct s *p) { return p->g; }\n\
+   void put(struct s *p, unsigned v) { p->g = v + p->f; }\n"
+
+let gen_hl_unit =
+  let open QCheck.Gen in
+  let ptr = oneofl [ "p"; "q" ] in
+  let rec expr n =
+    let leaf =
+      oneof
+        [ oneofl [ "x"; "y"; "*u" ];
+          map string_of_int (int_range 0 9);
+          map2 (Printf.sprintf "%s->%s") ptr (oneofl [ "f"; "g" ]);
+          map (Printf.sprintf "%s->n->f") ptr ]
+    in
+    if n = 0 then leaf
+    else
+      oneof
+        [ leaf;
+          map3 (Printf.sprintf "(%s %s %s)") (expr (n - 1)) (oneofl [ "+"; "-"; "^"; "&" ])
+            (expr (n - 1)) ]
+  in
+  let rec cond n =
+    let leaf =
+      oneof
+        [ map3 (Printf.sprintf "%s %s %s") (expr 1) (oneofl [ "<"; "=="; "!=" ]) (expr 1);
+          map (Printf.sprintf "%s != 0") ptr;
+          map (Printf.sprintf "%s->n != 0") ptr ]
+    in
+    if n = 0 then leaf
+    else
+      oneof
+        [ leaf;
+          map3 (Printf.sprintf "(%s %s %s)") (cond (n - 1)) (oneofl [ "&&"; "||" ]) (cond (n - 1));
+          map2 (Printf.sprintf "(%s != 0 && %s)") ptr (cond (n - 1)) ]
+  in
+  let rec stmt n =
+    let leaf =
+      oneof
+        [ map2 (Printf.sprintf "%s = %s;") (oneofl [ "x"; "y" ]) (expr 2);
+          map3 (Printf.sprintf "%s->%s = %s;") ptr (oneofl [ "f"; "g" ]) (expr 1);
+          map (Printf.sprintf "*u = %s;") (expr 1);
+          map2 (Printf.sprintf "%s = %s->n;") ptr ptr;
+          map (Printf.sprintf "x = get(%s);") ptr;
+          map2 (Printf.sprintf "put(%s, %s);") ptr (expr 1) ]
+    in
+    if n = 0 then leaf
+    else
+      let sub = stmt (n - 1) in
+      (* one counter per loop depth, so every loop terminates *)
+      let i = Printf.sprintf "i%d" n in
+      oneof
+        [ leaf;
+          map2 (Printf.sprintf "%s %s") sub sub;
+          map3 (Printf.sprintf "if (%s) { %s } else { %s }") (cond 1) sub sub;
+          map2
+            (fun c body ->
+              Printf.sprintf "%s = 0; while (%s < 3 && %s) { %s %s = %s + 1; }" i i c body i i)
+            (cond 1) sub ]
+  in
+  map
+    (fun body ->
+      hl_unit_prelude
+      ^ "unsigned t(struct s *p, struct s *q, unsigned *u, unsigned x) {\n\
+        \  unsigned y = 0;\n\
+        \  unsigned i1;\n\
+        \  unsigned i2;\n\
+        \  unsigned i3;\n\
+        \  " ^ body ^ "\n  return x + y;\n}\n")
+    (int_range 1 3 >>= stmt)
+
+let hl_refines src =
+  let module Driver = Autocorres.Driver in
+  let byte_level = { Driver.default_func_options with Driver.word_abs = false; heap_abs = false } in
+  let options =
+    { Driver.default_options with
+      Driver.defaults = { Driver.default_func_options with Driver.word_abs = false };
+      overrides = [ ("put", byte_level) ] }
+  in
+  let res = Driver.run ~options src in
+  match Driver.find_result res "t" with
+  | Some { Driver.fr_hl = Some _; _ } -> (
+    let report = Autocorres.Refine_test.check_program ~cases:30 res in
+    match report.Autocorres.Refine_test.violations with
+    | [] -> true
+    | (f, d) :: _ -> QCheck.Test.fail_reportf "%s: %s" f d)
+  | _ -> QCheck.Test.fail_report "t was not heap-abstracted"
+
+(* ------------------------------------------------------------------ *)
 (* A total kernel: whatever rule instance and premises it is handed,
    [Thm.by_opt] answers [Some] or [None] and [Thm.by] raises nothing but
    [Kernel_error].  Instances come from every [Rules.rule] constructor,
@@ -1008,28 +1106,7 @@ let k_rule : Rules.rule Gen.t =
       return Rules.Ws_wrap_guard ]
   in
   let hl =
-    [ map (fun e -> Rules.Hv_id e) e;
-      map (fun c -> Rules.Hv_read c) k_cty;
-      map2 (fun s f -> Rules.Hv_read_field (s, f)) (oneofl [ "s"; "nosuch" ])
-        (oneofl [ "f"; "g" ]);
-      map (fun e -> Rules.Hv_node e) e;
-      map (fun op -> Rules.Hv_shortcircuit op) k_binop;
-      return Rules.Hv_ite;
-      return Rules.Hs_ret; return Rules.Hs_gets;
-      map (fun c -> Rules.Hs_guard_ptr c) k_cty;
-      map (fun k -> Rules.Hs_guard_strengthen k) k_kind;
-      map (fun k -> Rules.Hs_guard k) k_kind;
-      map (fun sms -> Rules.Hs_modify sms) (list_size (int_range 0 2) k_smod);
-      map (fun c -> Rules.Hs_write c) k_cty;
-      map2 (fun s f -> Rules.Hs_write_field (s, f)) (oneofl [ "s"; "nosuch" ])
-        (oneofl [ "f"; "g" ]);
-      map (fun m -> Rules.Hs_id m) m;
-      return Rules.Hs_throw;
-      map (fun p -> Rules.Hs_bind p) p; map (fun p -> Rules.Hs_try p) p;
-      return Rules.Hs_cond;
-      map (fun p -> Rules.Hs_while p) p;
-      map (fun f -> Rules.Hs_call f) (oneofl [ "f"; "h" ]);
-      map (fun f -> Rules.Hs_call_concrete f) (oneofl [ "f"; "h" ]);
+    [ map (fun m -> Rules.Hl m) m;
       map (fun f -> Rules.Fn_chain f) (oneofl [ "f"; "h" ]) ]
   in
   oneof (l2 @ wa @ hl)
@@ -1054,14 +1131,13 @@ let k_pool : Thm.t list Lazy.t =
      let skip = by (Rules.L1 Ir.Skip) [] and refl = by (Rules.Eq_refl (M.Return x)) [] in
      let wv = by (Rules.W_var "x") [] in
      let wc = by (Rules.W_const (Ty.Unsigned, Ty.W32, B.of_int 7)) [] in
-     let hv = by (Rules.Hv_id x) [] in
      [ skip; by (Rules.L1 Ir.Throw) []; by (Rules.L1 (Ir.Local_set ("x", x))) [];
        refl; by (Rules.Eq_refl M.Fail) []; by Rules.Eq_trans [ refl; refl ];
        wv; wc; by (Rules.W_id (E.word_e Ty.Unsigned Ty.W32 1)) [];
        by (Rules.W_binop (E.Add, Ty.Unsigned, Ty.W32)) [ wv; wc ];
        by Rules.Ws_ret [ wv ]; by Rules.Ws_gets [ wc ];
-       hv; by Rules.Hs_ret [ hv ];
-       by (Rules.Hs_guard Ir.Div_by_zero) [ by (Rules.Hv_id E.true_e) [] ];
+       by (Rules.Hl (M.Return x)) [];
+       by (Rules.Hl (M.Guard (Ir.Div_by_zero, E.HeapRead (Ty.Cword (Ty.Unsigned, Ty.W32), x)))) [];
        by (Rules.Fn_chain "f") [ skip ] ])
 
 let k_instance =
@@ -1297,6 +1373,9 @@ let props =
         alpha_eq [] once stepwise
         || QCheck.Test.fail_reportf "one step:@.%s@.step by step:@.%s"
              (Ac_monad.Mprint.to_string once) (Ac_monad.Mprint.to_string stepwise));
+    Test.make ~name:"hl: the one-step image refines the byte-level program" ~count:200
+      (QCheck.make ~print:Fun.id gen_hl_unit)
+      hl_refines;
     Test.make ~name:"kernel: Rw_simp's own inference raises nothing" ~count:20000
       (QCheck.make ~print:Ac_monad.Mprint.to_string (k_term 2))
       (fun m ->
