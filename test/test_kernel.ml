@@ -157,6 +157,83 @@ let rule_tests =
               "rw_lift: undeclared struct nosuch" );
             ( lifted ~locals:[] ~ret_ty:(Ty.Tstruct "nosuch") (M.Return E.unit_e),
               "rw_lift: undeclared struct nosuch" ) ] );
+    ( "hs_id takes only a statement that never touches the byte heap",
+      fun () ->
+        (* only a heap-free statement is its own HL image: one that touches
+           the byte heap is refused or abstracted to a term that does not *)
+        let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
+        let p = E.Var ("p", Ty.Tptr cty) and x = E.Var ("x", u32) in
+        let read = E.HeapRead (cty, p) in
+        let set e = M.Modify [ M.Local_set ("x", e) ] in
+        let ok = M.Bind (set x, M.Pwild, M.Cond (E.Binop (E.Lt, x, x), M.Fail, M.Throw x)) in
+        (match Thm.concl (Thm.by ctx (Rules.Hl ok) []) with
+        | J.Abs_h_stmt (a, c) -> Alcotest.(check bool) "identity" true (a == ok && c == ok)
+        | _ -> Alcotest.fail "wrong judgment");
+        let rec byte_heap_e e =
+          (match e with E.HeapRead _ -> true | _ -> false) || E.exists_child byte_heap_e e
+        in
+        let rec byte_heap (m : M.t) =
+          let found = ref false in
+          M.iter_exprs (fun e -> if byte_heap_e e then found := true) m;
+          !found
+          ||
+          match m with
+          | M.Modify sms ->
+            List.exists (function M.Heap_write _ | M.Retype _ -> true | _ -> false) sms
+          | M.Bind (a, _, b) | M.Try (a, _, b) | M.Cond (_, a, b) -> byte_heap a || byte_heap b
+          | M.While (_, _, body, _) -> byte_heap body
+          | _ -> false
+        in
+        List.iter
+          (fun (what, m) ->
+            let m = M.Bind (set x, M.Pwild, m) in
+            match Rules.infer ctx (Rules.Hl m) [] with
+            | Error _ -> ()
+            | Ok (J.Abs_h_stmt (a, c)) ->
+              Alcotest.(check bool) (what ^ ": concrete side") true (c == m);
+              Alcotest.(check bool) (what ^ ": not its own image") false (M.equal a m);
+              Alcotest.(check bool) (what ^ ": image off the byte heap") false (byte_heap a)
+            | Ok _ -> Alcotest.failf "%s: wrong judgment" what)
+          [ ("heap read", set read);
+            ("heap write", M.Modify [ M.Heap_write (cty, p, x) ]);
+            ("retype", M.Modify [ M.Retype (cty, p) ]);
+            ( "guard strengthen_positive rewrites",
+              M.Guard (Ir.Div_by_zero, E.Binop (E.And, E.PtrAligned (cty, p), E.PtrSpan (cty, p))) );
+            ( "heap read in a loop condition",
+              M.While (M.Pwild, E.Binop (E.Lt, read, x), M.skip, E.unit_e) );
+            ("call", M.Call ("f", [ x ]));
+            ("exec_concrete", M.Exec_concrete ("f", [ x ])) ] );
+    ( "hv_id rejects byte-heap reads",
+      fun () ->
+        (* a byte-heap read, wherever it occurs, is not carried into the HL
+           image: it becomes a typed read under an is_valid guard *)
+        let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
+        let p = E.Var ("p", Ty.Tptr cty) in
+        let read = E.HeapRead (cty, p) and typed = E.TypedRead (cty, p) in
+        let rec has what e = E.equal e what || E.exists_child (has what) e in
+        let mentions what m =
+          let found = ref false in
+          M.iter_exprs (fun e -> if has what e then found := true) m;
+          !found
+        in
+        List.iter
+          (fun (where, m) ->
+            let a =
+              match Thm.concl (Thm.by ctx (Rules.Hl m) []) with
+              | J.Abs_h_stmt (a, _) -> a
+              | _ -> Alcotest.fail "wrong judgment"
+            in
+            Alcotest.(check bool) (where ^ ": byte-heap read gone") false (mentions read a);
+            Alcotest.(check bool) (where ^ ": typed read") true (mentions typed a);
+            Alcotest.(check bool) (where ^ ": is_valid") true (mentions (E.IsValid (cty, p)) a))
+          [ ("return", M.Return read);
+            ("gets", M.Gets read);
+            ("throw", M.Throw read);
+            ("local set", M.Modify [ M.Local_set ("x", read) ]);
+            ("global set", M.Modify [ M.Global_set ("g", read) ]);
+            ("condition", M.Cond (E.Binop (E.Lt, read, read), M.skip, M.Fail));
+            ("guard", M.Guard (Ir.Div_by_zero, E.Binop (E.Lt, read, read)));
+            ("call argument", M.Call ("f", [ read ])) ] );
     ( "hl leaves a statement that never touches the byte heap as it is",
       fun () ->
         let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
