@@ -160,9 +160,15 @@ let table3 () =
     (Mprint.func_to_string fr.Driver.fr_final);
   (match fr.Driver.fr_wa_thm with
   | Some thm ->
-    Printf.printf "Word-abstraction derivation (rules as in Table 3; truncated):\n%s\n"
-      (Thm.derivation_to_string ~max_depth:4 thm);
-    Printf.printf "Derivation size: %d rule applications\n" (Thm.size thm)
+    (match Thm.concl thm with
+    | Ac_kernel.Judgment.Abs_w_stmt (_, _, _, a, _) ->
+      Printf.printf
+        "WA image of mid (one kernel step applies Table 3 to the whole body, before clean-up):\n%s\n"
+        (Mprint.to_string a)
+    | _ -> ());
+    let ctx = { res.Driver.ctx with Ac_kernel.Rules.wvars = fr.Driver.fr_wa_wvars } in
+    Printf.printf "WA derivation: %d rule application(s), revalidated: %b\n" (Thm.size thm)
+      (Thm.check ctx thm = Ok ())
   | None -> print_endline "word abstraction skipped!");
   print_endline
     "Paper: the generated abstraction is\n\

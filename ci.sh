@@ -192,25 +192,31 @@ if [ "$minted" -gt "$removed" ]; then
 fi
 echo "ok: $minted rule_guard_true mints, $removed guards removed"
 
-echo "== corpus: work counts (at most one l1 and one heap rule application per function) =="
+echo "== corpus: work counts (at most one l1, one heap and one word rule application per function) =="
 # Deterministic counts, no timing.  L1 is one kernel step per function,
 # so `acc effort` must report no more l1 applications than functions
 # that reached L1 (level L1 or beyond in the --diag-json report).  Heap
 # abstraction is one kernel step per function too: no more applications
 # of the heap rules (named hl, hs_* or hv_*) than functions at level HL
-# or WA.
+# or WA.  So is word abstraction: no more applications of the word rules
+# (named w_* or ws_*) than functions at level WA.
 l1_apps=$(printf '%s\n' "$effort_out" | awk '$1 == "l1" { print $2 }')
 l1_apps=${l1_apps:-0}
 heap_apps=$(printf '%s\n' "$effort_out" \
   | awk '$1 == "hl" || $1 ~ /^h[sv]_/ { n += $2 } END { print n + 0 }')
+word_apps=$(printf '%s\n' "$effort_out" \
+  | awk '$1 ~ /^ws?_/ { n += $2 } END { print n + 0 }')
 reached=0
 heap_reached=0
+word_reached=0
 for f in corpus/*.c; do
   levels=$("$ACC" translate --keep-going --diag-json "$f" | grep -o '"level":"[A-Z0-9]*"')
   n=$(printf '%s\n' "$levels" | grep -c '"\(L1\|L2\|HL\|WA\)"' || true)
   h=$(printf '%s\n' "$levels" | grep -c '"\(HL\|WA\)"' || true)
+  w=$(printf '%s\n' "$levels" | grep -c '"WA"' || true)
   reached=$(( reached + n ))
   heap_reached=$(( heap_reached + h ))
+  word_reached=$(( word_reached + w ))
 done
 if [ "$reached" -eq 0 ] || [ "$l1_apps" -gt "$reached" ]; then
   echo "FAIL: $l1_apps l1 rule applications for $reached functions that reached L1" >&2
@@ -222,6 +228,11 @@ if [ "$heap_reached" -eq 0 ] || [ "$heap_apps" -gt "$heap_reached" ]; then
   exit 1
 fi
 echo "ok: $heap_apps heap-abstraction rule applications for $heap_reached functions at HL or WA"
+if [ "$word_reached" -eq 0 ] || [ "$word_apps" -gt "$word_reached" ]; then
+  echo "FAIL: $word_apps word-abstraction rule applications for $word_reached functions at WA" >&2
+  exit 1
+fi
+echo "ok: $word_apps word-abstraction rule applications for $word_reached functions at WA"
 
 echo "== corpus: --no-interproc A/B (feature off = clean intraprocedural output) =="
 # Toggling the summary engine off must restore the intraprocedural

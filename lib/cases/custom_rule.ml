@@ -1,10 +1,8 @@
-module Ty = Ac_lang.Ty
 module E = Ac_lang.Expr
 module W = Ac_word
 module B = Ac_bignum
 module Rules = Ac_kernel.Rules
 module J = Ac_kernel.Judgment
-module Thm = Ac_kernel.Thm
 module Wa = Autocorres.Wa
 module Driver = Autocorres.Driver
 
@@ -14,53 +12,35 @@ module Driver = Autocorres.Driver
 
    tests whether the addition overflows.  Under plain word abstraction the
    user would be obliged to prove x + y does not overflow, "making the test
-   useless"; the custom rule abstracts the test to
+   useless"; the extension abstracts the test to
 
      UINT_MAX < x + y
 
-   capturing the intent.  Here the rule is registered with the kernel (an
-   explicit extension of the trusted rule base, as in the paper) and a
-   matching strategy extension drives it. *)
+   capturing the intent.  It is registered with the kernel (an explicit
+   extension of the trusted rule base, as in the paper) and named in the
+   word-abstraction strategy, which has the kernel consult it. *)
 
 let rule_name = "unsigned_overflow_test"
 
 let uint_max w = B.pred (B.pow2 (W.bits w))
 
-(* Kernel side: from abs_w_val P unat x x' and abs_w_val Q unat y y',
-   conclude abs_w_val (P ∧ Q) id (UINT_MAX < x + y) (x' + y' < x'). *)
+(* From the ideal abstractions P, unat x and Q, unat y of the operands,
+   abstract x + y < x at conv id to UINT_MAX < x + y under P ∧ Q. *)
 let () =
-  Rules.register_custom_rule rule_name (fun _ctx prems ->
-      match prems with
-      | [ J.Abs_w_val (p, J.Cunat w1, a1, c1); J.Abs_w_val (q, J.Cunat w2, a2, c2) ]
-        when w1 = w2 ->
-        Result.ok
-          (J.Abs_w_val
-             ( E.and_e p q,
-               J.Cid,
-               E.Binop (E.Lt, E.big_nat_e (uint_max w1), E.Binop (E.Add, a1, a2)),
-               E.Binop (E.Lt, E.Binop (E.Add, c1, c2), c1) ))
-      | _ -> Result.error "expected two unat premises of equal width")
+  Rules.register_custom_rule rule_name (fun _ctx sub e ->
+      match e with
+      | E.Binop (E.Lt, E.Binop (E.Add, x, y), x') when E.equal x x' -> (
+        match (sub x, sub y) with
+        | Some (p, J.Cunat w1, a1, _), Some (q, J.Cunat w2, a2, _) when w1 = w2 ->
+          Some
+            ( E.and_e p q,
+              J.Cid,
+              E.Binop (E.Lt, E.big_nat_e (uint_max w1), E.Binop (E.Add, a1, a2)),
+              e )
+        | _ -> None)
+      | _ -> None)
 
-(* Strategy side: recognise the concrete idiom and drive the kernel rule. *)
-let strategy_extension : Wa.strategy =
-  {
-    Wa.customs =
-      [
-        (fun ctx e ->
-          match e with
-          | E.Binop (E.Lt, E.Binop (E.Add, x, y), x') when E.equal x x' -> (
-            match Wa.word_hint x with
-            | Some (Ty.Unsigned, w) -> (
-              match
-                ( Wa.wv_ideal Wa.default_strategy ctx (Ty.Unsigned, w) x,
-                  Wa.wv_ideal Wa.default_strategy ctx (Ty.Unsigned, w) y )
-              with
-              | Some tx, Some ty -> Thm.by_opt ctx (Rules.W_custom rule_name) [ tx; ty ]
-              | _ -> None)
-            | _ -> None)
-          | _ -> None);
-      ];
-  }
+let strategy_extension : Wa.strategy = [ rule_name ]
 
 (* The demonstration program: returns 1 iff x + y would overflow. *)
 let overflow_test_c =

@@ -33,7 +33,8 @@ module Thm = Ac_kernel.Thm
    ground truth (the test suite runs both on every corpus theorem).
 
    A cache is bound to the [Rules.ctx] it was created with, because the
-   verdict of a node depends on the context ([wvars] for the W_* rules);
+   verdict of a node depends on the context ([wvars] for the one word
+   rule, [W_abs], whose image is computed under the registration);
    callers create one cache per context and drop it when the run ends
    (per-run invalidation — the memo dies with the cache, so no verdict
    survives into a later run). *)

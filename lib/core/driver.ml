@@ -141,8 +141,8 @@ type func_result = {
   fr_wa_thm : Thm.t option; (* the abs_w_stmt step *)
   fr_wa_thms : Thm.t list;
   fr_wa_wvars : (string * (Ty.sign * Ty.width)) list;
-      (* the word-abstraction variable registration the W_* derivations
-         and the chain were built under; [check_all] re-checks them under
+      (* the word-abstraction variable registration the [W_abs] step and
+         the chain were built under; [check_all] re-checks them under
          [res.ctx] extended with exactly this *)
   fr_chain : Thm.t option; (* the end-to-end Fn_refines theorem *)
   fr_final : M.func;
@@ -466,10 +466,11 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
   let base_ctx = { (Rules.empty_ctx lenv) with Rules.lifted = Index.names lifted } in
   (* ---- proof store: content keys and candidate entries ---- *)
   let store =
-    (* Custom word-abstraction rules are closures: they cannot be rendered
-       into a stable content key, so the store stands down rather than
-       risk replaying entries built under a different rule base. *)
-    if options.strategy.Wa.customs <> [] then None else store
+    (* A word-abstraction extension is a closure behind its registered
+       name: it cannot be rendered into a stable content key, so the store
+       stands down rather than risk replaying entries built under a
+       different rule base. *)
+    if options.strategy <> [] then None else store
   in
   let store_base =
     match store with Some st -> (Store.hits st, Store.misses st) | None -> (0, 0)
@@ -879,7 +880,6 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
     let probe () =
       match Wa.convert_func ~strategy:options.strategy ~polish:options.polish wa_ctx after_hl with
       | r -> Result.Ok r
-      | exception Wa.Not_abstractable reason -> Result.Error reason
       | exception Thm.Kernel_error reason -> Result.Error reason
     in
     match
@@ -1134,8 +1134,9 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
    function's word-abstraction context (the context the end-to-end chain
    was built under).  This is semantically identical to checking the
    L1/L2/HL components under [res.ctx]: the two contexts differ only in
-   [Rules.wvars], which [Rules.infer] consults solely in the W_* rules,
-   and those appear only in derivations built under that same [wvars].
+   [Rules.wvars], which [Rules.infer] consults solely in the [W_abs]
+   rule, and that appears only in derivations built under that same
+   [wvars].
    That wvars-locality invariant is stated (and must be maintained) next
    to [Rules.infer] in rules.ml, and the test suite pins it down by also
    checking every component theorem under [res.ctx] ("components check

@@ -11,8 +11,6 @@ module Ir = Ac_simpl.Ir
                                the Simpl statement [c] (Table 1 pairing).
    - [Equiv (a, c)]          : [a] and [c] are semantically equal monadic
                                programs (the L2 rewrite steps).
-   - [Abs_w_val (P,f,a,c)]   : paper Sec 3.3: under precondition [P],
-                               [a] = [f c] — the value abstraction judgment.
    - [Abs_w_stmt (P,rx,ex,a,c)] : paper's abs_w_stmt refinement between a
                                word-abstracted program and its concrete
                                original.
@@ -47,16 +45,6 @@ let rec pp_conv fmt = function
       (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " × ") pp_conv)
       cs
 
-(* The ideal type a conversion produces. *)
-let rec conv_target_ty (c : conv) (src : Ty.t) : Ty.t =
-  match (c, src) with
-  | Cid, t -> t
-  | Cunat _, _ -> Ty.Tnat
-  | Csint _, _ -> Ty.Tint
-  | Ctuple cs, Ty.Ttuple ts when List.length cs = List.length ts ->
-    Ty.Ttuple (List.map2 conv_target_ty cs ts)
-  | Ctuple _, t -> t
-
 (* Apply a conversion to a runtime value (used by the differential tester
    to realise the judgment semantics). *)
 let rec apply_conv (c : conv) (v : Ac_lang.Value.t) : Ac_lang.Value.t =
@@ -70,18 +58,9 @@ let rec apply_conv (c : conv) (v : Ac_lang.Value.t) : Ac_lang.Value.t =
     Value.Vtuple (List.map2 apply_conv cs vs)
   | _ -> raise (Value.Type_mismatch "apply_conv")
 
-(* Re-concretisation: the word whose abstraction is [e], on in-range
-   values (of_nat/of_int). *)
-let unconv_expr (c : conv) sign (e : E.t) : E.t =
-  match c with
-  | Cid -> e
-  | Cunat w | Csint w -> E.Cast (Ty.Tword (sign, w), e)
-  | Ctuple _ -> invalid_arg "unconv_expr: tuple"
-
 type judgment =
   | Corres_l1 of Ir.stmt * M.t
   | Equiv of M.t * M.t
-  | Abs_w_val of E.t * conv * E.t * E.t (* P, f, abstract, concrete *)
   | Abs_w_stmt of E.t * conv * conv * M.t * M.t (* P, rx, ex, A, C *)
   | Abs_h_stmt of M.t * M.t
   | Fn_refines of string * M.t * M.t (* function name, final abstract body, source body *)
@@ -93,13 +72,11 @@ let judgment_equal a b =
   | Corres_l1 (s1, m1), Corres_l1 (s2, m2) -> Ir.stmt_equal s1 s2 && M.equal m1 m2
   | Equiv (a1, c1), Equiv (a2, c2) | Abs_h_stmt (a1, c1), Abs_h_stmt (a2, c2) ->
     M.equal a1 a2 && M.equal c1 c2
-  | Abs_w_val (p1, f1, a1, c1), Abs_w_val (p2, f2, a2, c2) ->
-    E.equal p1 p2 && conv_equal f1 f2 && E.equal a1 a2 && E.equal c1 c2
   | Abs_w_stmt (p1, r1, e1, a1, c1), Abs_w_stmt (p2, r2, e2, a2, c2) ->
     E.equal p1 p2 && conv_equal r1 r2 && conv_equal e1 e2 && M.equal a1 a2 && M.equal c1 c2
   | Fn_refines (n1, a1, c1), Fn_refines (n2, a2, c2) ->
     String.equal n1 n2 && M.equal a1 a2 && M.equal c1 c2
-  | (Corres_l1 _ | Equiv _ | Abs_w_val _ | Abs_w_stmt _ | Abs_h_stmt _ | Fn_refines _), _ ->
+  | (Corres_l1 _ | Equiv _ | Abs_w_stmt _ | Abs_h_stmt _ | Fn_refines _), _ ->
     false
 
 let pp_judgment fmt (j : judgment) =
@@ -108,8 +85,6 @@ let pp_judgment fmt (j : judgment) =
   match j with
   | Corres_l1 (_, m) -> Format.fprintf fmt "corres_l1 ⟨simpl⟩ (%a)" pm m
   | Equiv (a, c) -> Format.fprintf fmt "(%a) ≡ (%a)" pm a pm c
-  | Abs_w_val (p, f, a, c) ->
-    Format.fprintf fmt "abs_w_val (%a) %a (%a) (%a)" pe p pp_conv f pe a pe c
   | Abs_w_stmt (p, rx, ex, a, c) ->
     Format.fprintf fmt "abs_w_stmt (%a) %a %a (%a) (%a)" pe p pp_conv rx pp_conv ex pm a pm c
   | Abs_h_stmt (a, c) -> Format.fprintf fmt "abs_h_stmt (%a) (%a)" pm a pm c

@@ -18,9 +18,10 @@ open Judgment
    program and the collected precondition) is *computed here*, so an
    unsound abstract program cannot be produced by a buggy phase.
 
-   The rules for word abstraction implement Table 3 (plus the unlisted
-   members of the ~40-rule set the paper describes); the heap-abstraction
-   rule [Hl] implements Table 4. *)
+   The word-abstraction rule [W_abs] implements Table 3 (plus the
+   unlisted members of the ~40-rule set the paper describes) and the
+   heap-abstraction rule [Hl] implements Table 4, each over a whole term
+   in one step. *)
 
 type ctx = {
   lenv : Layout.env;
@@ -97,49 +98,29 @@ type rule =
        (one invariant per loop) comes from the untrusted fixpoint engine in
        Ac_analysis; [Absdom.discharge] re-verifies it here, so [Thm.check]
        re-validates the side condition from scratch. *)
-  (* ---- word abstraction: values (Table 3) ---- *)
-  | W_var of string (* an abstracted variable *)
-  | W_const of Ty.sign * Ty.width * B.t
-  | W_id of E.t (* expr free of abstracted vars abstracts to itself *)
-  | W_binop of E.binop * Ty.sign * Ty.width (* arithmetic/comparison, 2 premises *)
-  | W_neg of Ty.sign * Ty.width
-  | W_recon of Ty.sign * Ty.width (* re-concretise: Cid via of_nat/of_int *)
-  | W_ite (* premises: cond (Cid), then, else *)
-  | W_tuple (* premises: one per component; conv = Ctuple *)
-  | W_node of E.t (* congruence over a node with Cid children *)
-  | W_shortcircuit of E.binop (* ∧/∨ with implication-weakened preconditions *)
-  | W_unconv of Ty.sign * Ty.width
-    (* from (P, sint/unat, a, c) conclude (P, id, a, sint/unat c) *)
-  | W_abs_any of Ty.sign * Ty.width
-    (* from (P, id, a, c : word) conclude (P, unat/sint, unat/sint a, c) *)
-  | W_custom of string (* user-registered extension rule, looked up at infer *)
-  (* ---- word abstraction: statements ---- *)
-  | Ws_ret
-  | Ws_gets
-  | Ws_guard of Ir.guard_kind
-  | Ws_modify of M.smod list (* concrete modify skeleton *)
-  | Ws_fail of conv * conv (* rx, ex: fail never returns, both free *)
-  | Ws_unknown of Ty.t
-  | Ws_throw of conv (* desired rx: a throw never returns normally *)
-  | Ws_bind of M.pat (* concrete pattern; abstract pattern derived *)
-  | Ws_try of M.pat
-  | Ws_cond
-  | Ws_while of M.pat (* concrete iterator pattern *)
-  | Ws_call of string
-  | Ws_exec_concrete of string
-  | Ws_wrap_guard (* prepend the precondition as a guard *)
+  (* ---- word abstraction, Table 3 ---- *)
+  | W_abs of conv * string list * M.t
+    (* (want, exts, m): the word-abstracted image of the whole term [m] at
+       result conv [want], computed here, consulting the user extensions
+       named in [exts] *)
   (* ---- heap abstraction, Table 4 ---- *)
   | Hl of M.t
     (* the split-heap image of a whole byte-level term, computed here *)
   (* ---- chaining ---- *)
   | Fn_chain of string (* Corres_l1 + Equiv* + Abs_h + Abs_w compose *)
 
-(* User-registered extension rules (paper Sec 3.3: "the rule sets can be
+(* A value abstraction [(P, f, a, c)]: under precondition [P], the
+   abstract expression [a] is [f] of the concrete one [c] (paper Sec 3.3). *)
+type wval = E.t * conv * E.t * E.t
+
+(* User-registered extensions (paper Sec 3.3: "the rule sets can be
    extended if the user wishes to abstract code-specific idioms").  An
-   extension supplies its own inference function; registering it is an
-   explicit act of trust, exactly as adding a rule to the Isabelle rule set
-   requires proving it. *)
-let custom_rules : (string, ctx -> judgment list -> (judgment, string) result) Hashtbl.t =
+   extension is consulted at each value node before the built-in rules,
+   with [sub], the built-in ideal abstraction of an operand at its own
+   word type; [W_abs] names the extensions it consults.  Registering one
+   is an explicit act of trust, exactly as adding a rule to the Isabelle
+   rule set requires proving it. *)
+let custom_rules : (string, ctx -> (E.t -> wval option) -> E.t -> wval option) Hashtbl.t =
   Hashtbl.create 8
 
 let register_custom_rule name f = Hashtbl.replace custom_rules name f
@@ -183,49 +164,14 @@ let rule_name = function
   | Rw_discharge _ -> "rw_discharge"
   | Rw_prune_loop _ -> "rw_prune_loop"
   | Rule_guard_true _ -> "rule_guard_true"
-  | W_var _ -> "w_var"
-  | W_const _ -> "w_const"
-  | W_id _ -> "w_id"
-  | W_binop (op, _, _) -> (
-    match op with
-    | E.Add -> "w_sum"
-    | E.Sub -> "w_sub"
-    | E.Mul -> "w_mul"
-    | E.Div -> "w_div"
-    | E.Rem -> "w_mod"
-    | _ -> "w_cmp")
-  | W_neg _ -> "w_neg"
-  | W_recon _ -> "w_recon"
-  | W_ite -> "w_ite"
-  | W_tuple -> "w_tuple"
-  | W_node _ -> "w_node"
-  | W_shortcircuit _ -> "w_shortcircuit"
-  | W_unconv _ -> "w_unconv"
-  | W_abs_any _ -> "w_abs_any"
-  | W_custom n -> "w_custom:" ^ n
-  | Ws_ret -> "ws_ret"
-  | Ws_gets -> "ws_gets"
-  | Ws_guard _ -> "ws_guard"
-  | Ws_modify _ -> "ws_modify"
-  | Ws_fail _ -> "ws_fail"
-  | Ws_unknown _ -> "ws_unknown"
-  | Ws_throw _ -> "ws_throw"
-  | Ws_bind _ -> "ws_bind"
-  | Ws_try _ -> "ws_try"
-  | Ws_cond -> "ws_cond"
-  | Ws_while _ -> "ws_while"
-  | Ws_call _ -> "ws_call"
-  | Ws_exec_concrete _ -> "ws_exec_concrete"
-  | Ws_wrap_guard -> "ws_wrap_guard"
+  | W_abs _ -> "w_abs"
   | Hl _ -> "hl"
   | Fn_chain _ -> "fn_chain"
 
-(* Dense numbering of the rule set, mirroring [rule_name]'s granularity
-   (one id per reported name, so [W_binop] splits by operator).  Observers
-   can count applications in a flat array instead of hashing the name on
-   the minting hot path.  [W_custom] has no static id — its name is
-   user-chosen — and maps to -1; ids of built-in rules are < [num_rule_ids]. *)
-let num_rule_ids = 59
+(* Dense numbering of the rule set, one id per rule name.  Observers can
+   count applications in a flat array instead of hashing the name on the
+   minting hot path; every id is < [num_rule_ids]. *)
+let num_rule_ids = 29
 
 let rule_id = function
   | L1 _ -> 0
@@ -254,100 +200,26 @@ let rule_id = function
   | Rw_discharge _ -> 23
   | Rw_prune_loop _ -> 24
   | Rule_guard_true _ -> 25
-  | W_var _ -> 26
-  | W_const _ -> 27
-  | W_id _ -> 28
-  | W_binop (op, _, _) -> (
-    match op with
-    | E.Add -> 29
-    | E.Sub -> 30
-    | E.Mul -> 31
-    | E.Div -> 32
-    | E.Rem -> 33
-    | _ -> 34)
-  | W_neg _ -> 35
-  | W_recon _ -> 36
-  | W_ite -> 37
-  | W_tuple -> 38
-  | W_node _ -> 39
-  | W_shortcircuit _ -> 40
-  | W_unconv _ -> 41
-  | W_abs_any _ -> 42
-  | W_custom _ -> -1
-  | Ws_ret -> 43
-  | Ws_gets -> 44
-  | Ws_guard _ -> 45
-  | Ws_modify _ -> 46
-  | Ws_fail _ -> 47
-  | Ws_unknown _ -> 48
-  | Ws_throw _ -> 49
-  | Ws_bind _ -> 50
-  | Ws_try _ -> 51
-  | Ws_cond -> 52
-  | Ws_while _ -> 53
-  | Ws_call _ -> 54
-  | Ws_exec_concrete _ -> 55
-  | Ws_wrap_guard -> 56
-  | Hl _ -> 57
-  | Fn_chain _ -> 58
+  | W_abs _ -> 26
+  | Hl _ -> 27
+  | Fn_chain _ -> 28
 
 (* ------------------------------------------------------------------ *)
-(* Helpers shared by the word rules. *)
+(* Premise shapes.  Each rule matches its premise list against the one
+   shape it takes, so no arity can make an inference raise. *)
 
-let wvar_conv ctx x =
-  match List.assoc_opt x ctx.wvars with
-  | Some (Ty.Unsigned, w) -> Some (Cunat w)
-  | Some (Ty.Signed, w) -> Some (Csint w)
-  | None -> None
-
-(* Does an expression mention any abstracted variable? *)
-let mentions_wvar ctx e =
-  List.exists (fun v -> List.mem_assoc v ctx.wvars) (E.free_vars e)
-
-let conv_of_sign sign w = match sign with Ty.Unsigned -> Cunat w | Ty.Signed -> Csint w
-
-(* Abstract pattern: abstracted variables change type. *)
-let rec abs_pat ctx (p : M.pat) : M.pat =
-  match p with
-  | M.Pwild -> M.Pwild
-  | M.Ptuple ps -> M.Ptuple (List.map (abs_pat ctx) ps)
-  | M.Pvar (x, t) -> (
-    match (List.assoc_opt x ctx.wvars, t) with
-    | Some (s, w), Ty.Tword (s', w') when s = s' && w = w' ->
-      M.Pvar (x, Ty.ideal_of_word_sign s)
-    | _ -> M.Pvar (x, t))
-
-(* The conv taking a concrete pattern's value to the abstract pattern's. *)
-let rec pat_conv ctx (p : M.pat) : conv =
-  match p with
-  | M.Pwild -> Cid
-  | M.Ptuple ps -> Ctuple (List.map (pat_conv ctx) ps)
-  | M.Pvar (x, t) -> (
-    match (List.assoc_opt x ctx.wvars, t) with
-    | Some (s, w), Ty.Tword (s', w') when s = s' && w = w' -> conv_of_sign s w
-    | _ -> Cid)
-
-let umax_e w = E.big_nat_e (W.max_value Ty.Unsigned w)
-let imin_e w = E.big_int_e (W.min_value Ty.Signed w)
-let imax_e w = E.big_int_e (W.max_value Ty.Signed w)
-
-let in_srange_e w e = E.and_e (E.Binop (E.Le, imin_e w, e)) (E.Binop (E.Le, e, imax_e w))
-
-(* Check a premise list has exactly n members. *)
-let prems_n n prems =
-  if List.length prems = n then ok prems else failf "expected %d premises" n
-
-let as_wval = function
-  | Abs_w_val (p, f, a, c) -> ok (p, f, a, c)
-  | j -> failf "expected abs_w_val premise, got %a" pp_judgment j
-
-let as_wstmt = function
-  | Abs_w_stmt (p, rx, ex, a, c) -> ok (p, rx, ex, a, c)
-  | j -> failf "expected abs_w_stmt premise, got %a" pp_judgment j
+let no_prems = function [] -> ok () | _ -> fail "expected no premises"
 
 let as_equiv = function
   | Equiv (a, c) -> ok (a, c)
   | j -> failf "expected equivalence premise, got %a" pp_judgment j
+
+let equiv2 = function
+  | [ j1; j2 ] ->
+    let* a1, c1 = as_equiv j1 in
+    let* a2, c2 = as_equiv j2 in
+    ok (a1, c1, a2, c2)
+  | _ -> fail "expected 2 premises"
 
 (* A syntactic no-throw check: sound, incomplete.  Calls are conservatively
    assumed to throw unless the callee is known nothrow — the strategy layer
@@ -365,14 +237,6 @@ let rec nothrow_in (nothrows : string Index.t) (m : M.t) =
   | M.Call (f, _) | M.Exec_concrete (f, _) -> Index.mem nothrows f
 
 let nothrow (m : M.t) = nothrow_in Index.empty m
-
-(* Exception convs only constrain actually-thrown values: a side that
-   provably never throws imposes no constraint. *)
-let merge_ex nothrows (exl : conv) (la : M.t) (exr : conv) (ra : M.t) : (conv, string) result =
-  if conv_equal exl exr then Result.ok exl
-  else if nothrow_in nothrows la then Result.ok exr
-  else if nothrow_in nothrows ra then Result.ok exl
-  else Result.error "exception convs differ"
 
 (* Does [m] assign local [x] through the state (Local_set), or observe it
    through anything other than [Var]?  Used by the lifting rewrites. *)
@@ -397,10 +261,10 @@ let thrown_codes (m : M.t) : Ir.exit_kind list option =
   let code_of (e : E.t) =
     match e with
     | E.Tuple (E.Const (Value.Vword (_, w)) :: _) -> (
-      match W.to_int_exn w with
-      | 0 -> Ir.Xreturn
-      | 1 -> Ir.Xbreak
-      | 2 -> Ir.Xcontinue
+      match B.to_int_opt (W.unat w) with
+      | Some 0 -> Ir.Xreturn
+      | Some 1 -> Ir.Xbreak
+      | Some 2 -> Ir.Xcontinue
       | _ -> raise Dynamic)
     | _ -> raise Dynamic
   in
@@ -429,7 +293,7 @@ let thrown_codes (m : M.t) : Ir.exit_kind list option =
 let rec str nothrows (m : M.t) ((p, cont) : M.pat * M.t) : M.t option =
   let is_return_code (e : E.t) =
     match e with
-    | E.Const (Value.Vword (_, w)) -> W.to_int_exn w = Ir.exit_code Ir.Xreturn
+    | E.Const (Value.Vword (_, w)) -> B.to_int_opt (W.unat w) = Some (Ir.exit_code Ir.Xreturn)
     | _ -> false
   in
   match m with
@@ -1073,53 +937,330 @@ let hl_image (ctx : ctx) (m : M.t) : (M.t, string) result =
   | r -> ok (image m r)
   | exception Refuse msg -> Result.Error ("hl: " ^ msg)
 
+(* The type of a concrete expression, read from its annotations; [None]
+   where they do not say. *)
+let rec ty_hint (e : E.t) : Ty.t option =
+  match e with
+  | E.Const v -> Some (Value.ty_of v)
+  | E.Var (_, t) | E.Global (_, t) -> Some t
+  | E.Unop (E.Not, _) -> Some Ty.Tbool
+  | E.Unop (_, x) -> ty_hint x
+  | E.Binop ((E.Eq | E.Ne | E.Lt | E.Le | E.Gt | E.Ge | E.And | E.Or | E.Imp), _, _) ->
+    Some Ty.Tbool
+  | E.Binop (_, x, y) | E.Ite (_, x, y) -> (
+    match ty_hint x with Some t -> Some t | None -> ty_hint y)
+  | E.Cast (t, _) | E.OfWord (t, _) -> Some t
+  | E.HeapRead (c, _) | E.TypedRead (c, _) -> Some (Ty.of_cty c)
+  | E.IsValid _ | E.PtrAligned _ | E.PtrSpan _ -> Some Ty.Tbool
+  | E.PtrAdd (c, _, _) -> Some (Ty.Tptr c)
+  | E.FieldAddr _ | E.StructGet _ | E.StructSet _ | E.Tuple _ | E.Proj _ -> None
+
+let word_hint e = match ty_hint e with Some (Ty.Tword (s, w)) -> Some (s, w) | _ -> None
+
+(* Word abstraction (Table 3) in one step: the image of a whole term under
+   the variable registration [ctx.wvars], at result conv [want].  The
+   [W_abs] rule takes no premises and concludes
+   [Abs_w_stmt (True, rx, ex, image, m)]; [check] recomputes the image.
+
+   A registered variable of machine-word type becomes an ideal natural
+   (unsigned) or integer (signed).  A value abstracts to a precondition
+   and an abstract expression, in one of two ways:
+
+   - [ideal]: at the ideal conv [unat]/[sint] of one width.  Constants,
+     registered variables and arithmetic over them, each operator under
+     its no-overflow precondition (WSUM and its kin).  Anything else is
+     outside the rule set.
+   - [cid]: at conv id, always.  A comparison of ideal operands and
+     [unat]/[sint] of an ideal operand become ideal; a registered variable
+     is re-concretised ([of_nat]/[of_int]); any other node keeps its shape
+     over abstracted children.
+
+   A short-circuit connective or an if-then-else gates its operands'
+   preconditions by the value that decides whether they are evaluated.  A
+   loop condition, which no guard can precede, takes only abstractions
+   with a trivial precondition ([safe]).  A statement's preconditions
+   become one overflow guard in front of it.  The named user extensions
+   are consulted at each value node first; a result is taken only when its
+   concrete side is the node itself, its conv is the one wanted and, under
+   [safe], its precondition is trivial. *)
+let wa_image (ctx : ctx) (exts : string list) (want : conv) (m : M.t) :
+    (conv * conv * M.t, string) result =
+  let exception Refuse of string in
+  let refuse fmt = Format.kasprintf (fun msg -> raise (Refuse msg)) fmt in
+  let conv_of_sign s w = match s with Ty.Unsigned -> Cunat w | Ty.Signed -> Csint w in
+  let wnames = List.map fst ctx.wvars in
+  let all ps = List.fold_left E.and_e E.true_e ps in
+  let gate_ite pc ac pa pb = E.and_e pc (E.and_e (E.imp_e ac pa) (E.imp_e (E.not_e ac) pb)) in
+  let in_srange w e =
+    E.and_e
+      (E.Binop (E.Le, E.big_int_e (W.min_value Ty.Signed w), e))
+      (E.Binop (E.Le, e, E.big_int_e (W.max_value Ty.Signed w)))
+  in
+  (* A registered binder: its abstract pattern and its conv. *)
+  let rec pat (p : M.pat) : M.pat * conv =
+    match p with
+    | M.Pvar (x, Ty.Tword (s, w)) when List.assoc_opt x ctx.wvars = Some (s, w) ->
+      (M.Pvar (x, Ty.ideal_of_word_sign s), conv_of_sign s w)
+    | M.Pvar _ | M.Pwild -> (p, Cid)
+    | M.Ptuple ps ->
+      let ps, cs = List.split (List.map pat ps) in
+      (M.Ptuple ps, Ctuple cs)
+  in
+  let hooks = List.filter_map (Hashtbl.find_opt custom_rules) exts in
+  let rec consult hooks keep e =
+    List.find_map
+      (fun h ->
+        match h ctx sub e with
+        | Some (p, f, a, c) when E.equal c e && keep p f -> Some (p, a)
+        | _ -> None)
+      hooks
+  and sub e =
+    match word_hint e with
+    | Some (s, w) -> Option.map (fun (p, a) -> (p, conv_of_sign s w, a, e)) (ideal [] (s, w) e)
+    | None -> None
+  and ideal hooks (sign, w) e : (E.t * E.t) option =
+    match consult hooks (fun _ f -> conv_equal f (conv_of_sign sign w)) e with
+    | Some r -> Some r
+    | None -> (
+      let ideal = ideal hooks (sign, w) in
+      match e with
+      | E.Const (Value.Vword (s, word)) when s = sign && W.width_of word = w ->
+        Some
+          ( E.true_e,
+            match s with
+            | Ty.Unsigned -> E.big_nat_e (W.unat word)
+            | Ty.Signed -> E.big_int_e (W.sint word) )
+      | E.Var (x, Ty.Tword (s, w'))
+        when s = sign && w' = w && List.assoc_opt x ctx.wvars = Some (s, w) ->
+        Some (E.true_e, E.Var (x, Ty.ideal_of_word_sign s))
+      | E.Binop (((E.Add | E.Sub | E.Mul | E.Div | E.Rem) as op), a, b) -> (
+        match (ideal a, ideal b) with
+        | Some (pa, aa), Some (pb, ab) ->
+          let abs = E.Binop (op, aa, ab) in
+          let bound =
+            match (op, sign) with
+            | (E.Add | E.Mul), Ty.Unsigned ->
+              E.Binop (E.Le, abs, E.big_nat_e (W.max_value Ty.Unsigned w))
+            | E.Sub, Ty.Unsigned -> E.Binop (E.Le, ab, aa)
+            | E.Rem, _ | _, Ty.Unsigned -> E.true_e
+            | _, Ty.Signed -> in_srange w abs
+          in
+          Some (E.and_e (E.and_e pa pb) bound, abs)
+        | _ -> None)
+      | E.Unop (E.Neg, a) when sign = Ty.Signed ->
+        Option.map
+          (fun (pa, aa) ->
+            let abs = E.Unop (E.Neg, aa) in
+            (E.and_e pa (in_srange w abs), abs))
+          (ideal a)
+      | E.Ite (c, a, b) -> (
+        let pc, ac = cid hooks ~safe:true c in
+        match (ideal a, ideal b) with
+        | Some (pa, aa), Some (pb, ab) -> Some (gate_ite pc ac pa pb, E.Ite (ac, aa, ab))
+        | _ -> None)
+      | _ -> None)
+  and cid hooks ~safe e : E.t * E.t =
+    let trivial p = (not safe) || E.equal p E.true_e in
+    match consult hooks (fun p f -> conv_equal f Cid && trivial p) e with
+    | Some r -> r
+    | None -> (
+      if not (E.occurs_any wnames e) then (E.true_e, e)
+      else
+        let ideal_of =
+          match e with
+          | E.OfWord (t, x) -> (
+            match word_hint x with
+            | Some (s, w) when t = Ty.ideal_of_word_sign s -> ideal hooks (s, w) x
+            | _ -> None)
+          | E.Binop (((E.Lt | E.Le | E.Gt | E.Ge | E.Eq | E.Ne) as op), a, b) -> (
+            match word_hint a with
+            | None -> None
+            | Some sw -> (
+              match (ideal hooks sw a, ideal hooks sw b) with
+              | Some (pa, aa), Some (pb, ab) -> Some (E.and_e pa pb, E.Binop (op, aa, ab))
+              | _ -> None))
+          | _ -> None
+        in
+        match ideal_of with
+        | Some (p, a) when trivial p -> (p, a)
+        | _ -> (
+          match e with
+          | E.Var (x, t) -> (
+            (* [e] mentions a registered name, so [x] is registered *)
+            match List.assoc_opt x ctx.wvars with
+            | Some (s, w) when t = Ty.Tword (s, w) ->
+              (E.true_e, E.Cast (t, E.Var (x, Ty.ideal_of_word_sign s)))
+            | _ -> refuse "w_var: %s read at another type than its registration" x)
+          | E.Binop (((E.And | E.Or) as op), a, b) when not safe ->
+            let pa, aa = cid hooks ~safe a and pb, ab = cid hooks ~safe b in
+            let gate = match op with E.And -> aa | _ -> E.not_e aa in
+            (E.and_e pa (E.imp_e gate pb), E.Binop (op, aa, ab))
+          | _ ->
+            let kids = List.map (cid hooks ~safe) (E.children e) in
+            (all (List.map fst kids), E.replace_children e (List.map snd kids))))
+  in
+  (* A value at conv [want]: its precondition and abstract side. *)
+  let rec value want e : E.t * E.t =
+    match want with
+    | Cid -> cid hooks ~safe:false e
+    | Cunat w | Csint w -> (
+      let s = match want with Cunat _ -> Ty.Unsigned | _ -> Ty.Signed in
+      match ideal hooks (s, w) e with
+      | Some r -> r
+      | None ->
+        let p, a = cid hooks ~safe:false e in
+        (p, E.OfWord (Ty.ideal_of_word_sign s, a)))
+    | Ctuple cs -> (
+      match e with
+      | E.Tuple es when List.length es = List.length cs ->
+        let vs = List.map2 value cs es in
+        (all (List.map fst vs), E.Tuple (List.map snd vs))
+      | E.Ite (c, a, b) ->
+        let pc, ac = cid hooks ~safe:false c in
+        let pa, aa = value want a and pb, ab = value want b in
+        (gate_ite pc ac pa pb, E.Ite (ac, aa, ab))
+      | _ -> refuse "tuple conv (%d components) of a non-tuple" (List.length cs))
+  in
+  (* A statement at result conv [want]: its result and exception convs and
+     its image, preconditions guarded. *)
+  let merge_ex what exl la exr ra =
+    if conv_equal exl exr then exl
+    else if nothrow_in ctx.nothrows la then exr
+    else if nothrow_in ctx.nothrows ra then exl
+    else refuse "%s: exception convs differ" what
+  in
+  let guarded p rx ex a = (rx, ex, guard_if Ir.Unsigned_overflow p a) in
+  let rec stmt want (m : M.t) : conv * conv * M.t =
+    match m with
+    | M.Return e ->
+      let p, a = value want e in
+      guarded p want Cid (M.Return a)
+    | M.Gets e ->
+      let p, a = value want e in
+      guarded p want Cid (M.Gets a)
+    | M.Guard (k, g) ->
+      (* the abstract guard also assumes the precondition *)
+      let p, a = cid hooks ~safe:false g in
+      (Cid, Cid, M.Guard (k, E.and_e p a))
+    | M.Modify sms ->
+      let one (acc, out) sm =
+        let v e = cid hooks ~safe:false e in
+        match sm with
+        | M.Heap_write (c, pe, ve) | M.Typed_write (c, pe, ve) ->
+          let (p1, a1), (p2, a2) = (v pe, v ve) in
+          let sm' =
+            match sm with
+            | M.Heap_write _ -> M.Heap_write (c, a1, a2)
+            | _ -> M.Typed_write (c, a1, a2)
+          in
+          (E.and_e acc (E.and_e p1 p2), sm' :: out)
+        | M.Global_set (x, e) -> let p, a = v e in (E.and_e acc p, M.Global_set (x, a) :: out)
+        | M.Local_set (x, e) -> let p, a = v e in (E.and_e acc p, M.Local_set (x, a) :: out)
+        | M.Retype (c, e) -> let p, a = v e in (E.and_e acc p, M.Retype (c, a) :: out)
+      in
+      let p, out = List.fold_left one (E.true_e, []) sms in
+      guarded p Cid Cid (M.Modify (List.rev out))
+    | M.Fail -> (want, Cid, M.Fail)
+    | M.Unknown _ -> (Cid, Cid, m)
+    | M.Throw e ->
+      (* every word-typed component of a thrown tuple is abstracted by its
+         type, so that throw sites and handlers agree on one conv *)
+      let ex =
+        match e with
+        | E.Tuple es ->
+          Ctuple
+            (List.map
+               (fun el -> match word_hint el with Some (s, w) -> conv_of_sign s w | None -> Cid)
+               es)
+        | _ -> Cid
+      in
+      let p, a = value ex e in
+      guarded p want ex (M.Throw a)
+    | M.Bind (a, p, b) ->
+      let p', pconv = pat p in
+      let rx1, exl, la = stmt pconv a in
+      let rx2, exr, ra = stmt want b in
+      let ex = merge_ex "ws_bind" exl la exr ra in
+      if not (conv_equal rx1 pconv) then
+        refuse "ws_bind: left conv does not match the bound pattern";
+      (rx2, ex, M.Bind (la, p', ra))
+    | M.Try (a, p, h) ->
+      let p', pconv = pat p in
+      let rx1, exl, la = stmt want a in
+      let rx2, exr, ra = stmt want h in
+      if not (conv_equal exl pconv) then
+        refuse "ws_try: body exception conv does not match the handler pattern";
+      if not (conv_equal rx1 rx2) then refuse "ws_try: result convs differ";
+      (rx1, exr, M.Try (la, p', ra))
+    | M.Cond (c, a, b) ->
+      let pc, ac = cid hooks ~safe:false c in
+      let rxa, exa, aa = stmt want a in
+      let rxb, exb, ab = stmt want b in
+      if not (conv_equal rxa rxb) then refuse "ws_cond: branch result convs differ";
+      guarded pc rxa (merge_ex "ws_cond" exa aa exb ab) (M.Cond (ac, aa, ab))
+    | M.While (p, c, body, init) ->
+      let p', iconv = pat p in
+      let pi, ai = value iconv init in
+      let pc, ac = cid hooks ~safe:true c in
+      let rxb, exb, ab = stmt iconv body in
+      if not (E.equal pc E.true_e) then refuse "ws_while: condition precondition must be trivial";
+      if not (conv_equal rxb iconv) then refuse "ws_while: body conv mismatch";
+      guarded pi iconv exb (M.While (p', ac, ab, ai))
+    | M.Call (f, args) -> (
+      match Index.find_opt ctx.fsigs f with
+      | None -> refuse "no word-abstraction signature for %s" f
+      | Some (_, (pconvs, rconv)) ->
+        if List.length pconvs <> List.length args then refuse "ws_call: arity mismatch";
+        let vs = List.map2 value pconvs args in
+        guarded (all (List.map fst vs)) rconv Cid (M.Call (f, List.map snd vs)))
+    | M.Exec_concrete (f, args) ->
+      let vs = List.map (cid hooks ~safe:false) args in
+      guarded (all (List.map fst vs)) Cid Cid (M.Exec_concrete (f, List.map snd vs))
+  in
+  match List.find_opt (fun n -> not (Hashtbl.mem custom_rules n)) exts with
+  | Some n -> failf "unknown extension %s" n
+  | None -> ( match stmt want m with r -> ok r | exception Refuse msg -> Result.Error msg)
+
 (* ------------------------------------------------------------------ *)
 (* The inference function: rule + premise conclusions -> conclusion.
 
-   INVARIANT (wvars locality): [ctx.wvars] is consulted ONLY by the word
-   rules — the [W_*] cases below and the [Fn_chain] fold over their
-   conclusions — via [wvar_conv]/[mentions_wvar]/[abs_pat]/[pat_conv]
-   above.  [Driver.check_all] relies on this: it re-checks each
-   function's L1/L2/HL component theorems under that function's
-   recomputed word-abstraction context, which is sound precisely because
-   those derivations contain no wvars-sensitive rule and the two contexts
-   differ only in [wvars].  If you make any non-W_* rule read
-   [ctx.wvars], revisit the grouping in [Driver.check_all] (the
-   "components check under the run context" test in
-   [test/test_perf_layer.ml] guards this and will fail). *)
+   INVARIANT (wvars locality): [ctx.wvars] is consulted ONLY by the one
+   word rule, [W_abs], through [wa_image] above ([Fn_chain] folds over
+   its conclusions without reading the context).  [Driver.check_all]
+   relies on this: it re-checks each function's L1/L2/HL component
+   theorems under that function's recomputed word-abstraction context,
+   which is sound precisely because those derivations contain no
+   wvars-sensitive rule and the two contexts differ only in [wvars].  If
+   you make any other rule read [ctx.wvars], revisit the grouping in
+   [Driver.check_all] (the "components check under the run context" test
+   in [test/test_perf_layer.ml] guards this and will fail). *)
 
-let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, string) result =
+let infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, string) result =
   match rule with
   (* ================= L1: Table 1 ================= *)
   | L1 stmt ->
-    let* _ = prems_n 0 prems in
+    let* () = no_prems prems in
     ok (Corres_l1 (stmt, l1_image stmt))
   (* ================= L2: equivalences ================= *)
   | Eq_refl m -> ok (Equiv (m, m))
   | Eq_trans ->
-    let* prems = prems_n 2 prems in
-    let* a, b1 = as_equiv (List.nth prems 0) in
-    let* b2, c = as_equiv (List.nth prems 1) in
+    let* a, b1, b2, c = equiv2 prems in
     if M.equal b1 b2 then ok (Equiv (a, c)) else fail "eq_trans: middle terms differ"
   | Eq_bind p ->
-    let* prems = prems_n 2 prems in
-    let* a1, c1 = as_equiv (List.nth prems 0) in
-    let* a2, c2 = as_equiv (List.nth prems 1) in
+    let* a1, c1, a2, c2 = equiv2 prems in
     ok (Equiv (M.Bind (a1, p, a2), M.Bind (c1, p, c2)))
   | Eq_try p ->
-    let* prems = prems_n 2 prems in
-    let* a1, c1 = as_equiv (List.nth prems 0) in
-    let* a2, c2 = as_equiv (List.nth prems 1) in
+    let* a1, c1, a2, c2 = equiv2 prems in
     ok (Equiv (M.Try (a1, p, a2), M.Try (c1, p, c2)))
   | Eq_cond c ->
-    let* prems = prems_n 2 prems in
-    let* a1, c1 = as_equiv (List.nth prems 0) in
-    let* a2, c2 = as_equiv (List.nth prems 1) in
+    let* a1, c1, a2, c2 = equiv2 prems in
     ok (Equiv (M.Cond (c, a1, a2), M.Cond (c, c1, c2)))
-  | Eq_while (p, cond, init) ->
-    let* prems = prems_n 1 prems in
-    let* a, c = as_equiv (List.hd prems) in
-    ok (Equiv (M.While (p, cond, a, init), M.While (p, cond, c, init)))
+  | Eq_while (p, cond, init) -> (
+    match prems with
+    | [ j ] ->
+      let* a, c = as_equiv j in
+      ok (Equiv (M.While (p, cond, a, init), M.While (p, cond, c, init)))
+    | _ -> fail "expected 1 premise")
   | Rw_inline (m, positions) -> (
     match inline_at m positions with
     | Some m' -> ok (Equiv (m', m))
@@ -1202,7 +1343,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | Rw_prune_loop (i, ip, cond, body, init, qp, k) -> (
     match (ip, init, qp) with
     | M.Ptuple ips, E.Tuple inits, M.Ptuple qps
-      when i < List.length ips
+      when 0 <= i && i < List.length ips
            && List.length ips = List.length inits
            && List.length ips = List.length qps -> (
       let flat = function
@@ -1238,320 +1379,14 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
                ( new_term,
                  M.Bind (M.While (ip, cond, body, init), qp, k) )))
     | _ -> fail "rw_prune_loop: not a tuple-iterator loop")
-  (* ================= Word abstraction: values ================= *)
-  | W_var x -> (
-    match List.assoc_opt x ctx.wvars with
-    | Some (s, w) ->
-      ok
-        (Abs_w_val
-           ( E.true_e,
-             conv_of_sign s w,
-             E.Var (x, Ty.ideal_of_word_sign s),
-             E.Var (x, Ty.Tword (s, w)) ))
-    | None -> failf "w_var: %s is not abstracted" x)
-  | W_const (s, w, v) ->
-    let word = W.of_bignum w v in
-    let ideal =
-      match s with
-      | Ty.Unsigned -> E.big_nat_e (W.unat word)
-      | Ty.Signed -> E.big_int_e (W.sint word)
-    in
-    ok (Abs_w_val (E.true_e, conv_of_sign s w, ideal, E.Const (Value.vword s word)))
-  | W_id e ->
-    if mentions_wvar ctx e then fail "w_id: mentions abstracted variables"
-    else ok (Abs_w_val (E.true_e, Cid, e, e))
-  | W_binop (op, sign, w) -> infer_w_binop ctx op sign w prems
-  | W_neg (sign, w) -> (
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    match (sign, f) with
-    | Ty.Signed, Csint w' when w = w' ->
-      let e = E.Unop (E.Neg, a) in
-      ok (Abs_w_val (E.and_e p (in_srange_e w e), Csint w, e, E.Unop (E.Neg, c)))
-    | Ty.Unsigned, _ -> fail "w_neg: unsigned negation is not abstracted (wraps)"
-    | _ -> fail "w_neg: premise conv mismatch")
-  | W_recon (sign, w) ->
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    let expected = conv_of_sign sign w in
-    if conv_equal f expected then
-      ok (Abs_w_val (p, Cid, E.Cast (Ty.Tword (sign, w), a), c))
-    else fail "w_recon: conv mismatch"
-  | W_ite ->
-    let* prems = prems_n 3 prems in
-    let* pc, fc, ac, cc = as_wval (List.nth prems 0) in
-    let* pa, fa, aa, ca = as_wval (List.nth prems 1) in
-    let* pb, fb, ab, cb = as_wval (List.nth prems 2) in
-    if not (conv_equal fc Cid) then fail "w_ite: condition must abstract to itself"
-    else if not (conv_equal fa fb) then fail "w_ite: branch convs differ"
-    else
-      ok
-        (Abs_w_val
-           ( E.and_e pc (E.and_e (E.imp_e ac pa) (E.imp_e (E.not_e ac) pb)),
-             fa,
-             E.Ite (ac, aa, ab),
-             E.Ite (cc, ca, cb) ))
-  | W_tuple ->
-    let* triples =
-      List.fold_left
-        (fun acc j ->
-          let* acc = acc in
-          let* p, f, a, c = as_wval j in
-          ok ((p, f, a, c) :: acc))
-        (ok []) prems
-    in
-    let triples = List.rev triples in
-    let p = List.fold_left (fun acc (pi, _, _, _) -> E.and_e acc pi) E.true_e triples in
-    ok
-      (Abs_w_val
-         ( p,
-           Ctuple (List.map (fun (_, f, _, _) -> f) triples),
-           E.Tuple (List.map (fun (_, _, a, _) -> a) triples),
-           E.Tuple (List.map (fun (_, _, _, c) -> c) triples) ))
-  | W_node skel -> (
-    match skel with
-    | E.Var (x, _) when List.mem_assoc x ctx.wvars ->
-      fail "w_node: abstracted variable needs w_var"
-    | _ ->
-      let children = E.children skel in
-      if List.length prems <> List.length children then fail "w_node: premise count"
-      else begin
-        let* pairs =
-          List.fold_left2
-            (fun acc j c ->
-              let* acc = acc in
-              let* p, f, a, c' = as_wval j in
-              if not (conv_equal f Cid) then fail "w_node: children must be Cid"
-              else if not (E.equal c c') then fail "w_node: child mismatch"
-              else ok ((p, a) :: acc))
-            (ok []) prems children
-        in
-        let pairs = List.rev pairs in
-        let p = List.fold_left (fun acc (pi, _) -> E.and_e acc pi) E.true_e pairs in
-        ok (Abs_w_val (p, Cid, E.replace_children skel (List.map snd pairs), skel))
-      end)
-  | W_shortcircuit op -> (
-    match op with
-    | E.And | E.Or ->
-      let* prems = prems_n 2 prems in
-      let* pa, fa, aa, ca = as_wval (List.nth prems 0) in
-      let* pb, fb, ab, cb = as_wval (List.nth prems 1) in
-      if not (conv_equal fa Cid && conv_equal fb Cid) then
-        fail "w_shortcircuit: operands must be Cid"
-      else begin
-        let gate = match op with E.And -> aa | _ -> E.not_e aa in
-        ok
-          (Abs_w_val
-             (E.and_e pa (E.imp_e gate pb), Cid, E.Binop (op, aa, ab), E.Binop (op, ca, cb)))
-      end
-    | _ -> fail "w_shortcircuit: not a boolean connective")
-  | W_unconv (sign, w) ->
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    if not (conv_equal f (conv_of_sign sign w)) then fail "w_unconv: conv mismatch"
-    else begin
-      let ideal = Ty.ideal_of_word_sign sign in
-      ok (Abs_w_val (p, Cid, a, E.OfWord (ideal, c)))
-    end
-  | W_abs_any (sign, w) ->
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    if not (conv_equal f Cid) then fail "w_abs_any: premise must be Cid"
-    else begin
-      let ideal = Ty.ideal_of_word_sign sign in
-      ok (Abs_w_val (p, conv_of_sign sign w, E.OfWord (ideal, a), c))
-    end
-  | W_custom name -> (
-    match Hashtbl.find_opt custom_rules name with
-    | Some f -> f ctx prems
-    | None -> failf "w_custom: unknown rule %s" name)
-  (* ================= Word abstraction: statements ================= *)
-  | Ws_ret ->
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    ok (Abs_w_stmt (p, f, Cid, M.Return a, M.Return c))
-  | Ws_gets ->
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    ok (Abs_w_stmt (p, f, Cid, M.Gets a, M.Gets c))
-  | Ws_guard k ->
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    if not (conv_equal f Cid) then fail "ws_guard: condition must abstract to itself"
-    else
-      (* The abstract guard also assumes the precondition: failing more
-         often than the concrete program is sound for abs_w_stmt. *)
-      ok (Abs_w_stmt (E.true_e, Cid, Cid, M.Guard (k, E.and_e p a), M.Guard (k, c)))
-  | Ws_modify sms ->
-    let rec consume prems sms acc_p acc =
-      match sms with
-      | [] ->
-        if prems = [] then ok (acc_p, List.rev acc) else fail "ws_modify: surplus premises"
-      | sm :: rest -> (
-        match sm with
-        | M.Heap_write (cty, cp, cv) | M.Typed_write (cty, cp, cv) -> (
-          match prems with
-          | j1 :: j2 :: prems' ->
-            let* p1, f1, a1, c1 = as_wval j1 in
-            let* p2, f2, a2, c2 = as_wval j2 in
-            if not (conv_equal f1 Cid && conv_equal f2 Cid) then
-              fail "ws_modify: operands must be re-concretised"
-            else if not (E.equal c1 cp && E.equal c2 cv) then
-              fail "ws_modify: premise/skeleton mismatch"
-            else begin
-              let mk p v =
-                match sm with
-                | M.Heap_write _ -> M.Heap_write (cty, p, v)
-                | _ -> M.Typed_write (cty, p, v)
-              in
-              consume prems' rest (E.and_e acc_p (E.and_e p1 p2)) (mk a1 a2 :: acc)
-            end
-          | _ -> fail "ws_modify: missing premises")
-        | M.Global_set (x, ce) | M.Local_set (x, ce) -> (
-          match prems with
-          | j1 :: prems' ->
-            let* p1, f1, a1, c1 = as_wval j1 in
-            if not (conv_equal f1 Cid) then fail "ws_modify: value must be re-concretised"
-            else if not (E.equal c1 ce) then fail "ws_modify: premise/skeleton mismatch"
-            else begin
-              let mk e =
-                match sm with M.Global_set _ -> M.Global_set (x, e) | _ -> M.Local_set (x, e)
-              in
-              consume prems' rest (E.and_e acc_p p1) (mk a1 :: acc)
-            end
-          | _ -> fail "ws_modify: missing premises")
-        | M.Retype (cty, ce) -> (
-          match prems with
-          | j1 :: prems' ->
-            let* p1, f1, a1, c1 = as_wval j1 in
-            if not (conv_equal f1 Cid && E.equal c1 ce) then fail "ws_modify: retype mismatch"
-            else consume prems' rest (E.and_e acc_p p1) (M.Retype (cty, a1) :: acc)
-          | _ -> fail "ws_modify: missing premises"))
-    in
-    let* p, abs_sms = consume prems sms E.true_e [] in
-    ok (Abs_w_stmt (p, Cid, Cid, M.Modify abs_sms, M.Modify sms))
-  | Ws_fail (rx, ex) -> ok (Abs_w_stmt (E.true_e, rx, ex, M.Fail, M.Fail))
-  | Ws_unknown t -> ok (Abs_w_stmt (E.true_e, Cid, Cid, M.Unknown t, M.Unknown t))
-  | Ws_throw rx ->
-    let* prems = prems_n 1 prems in
-    let* p, f, a, c = as_wval (List.hd prems) in
-    (* The thrown value may be abstracted: f plays the paper's ex role.
-       A throw never returns normally, so rx is unconstrained. *)
-    ok (Abs_w_stmt (p, rx, f, M.Throw a, M.Throw c))
-  | Ws_bind cpat ->
-    let* prems = prems_n 2 prems in
-    let* pl, rx1, exl, la, lc = as_wstmt (List.nth prems 0) in
-    let* pr, rx2, exr, ra, rc = as_wstmt (List.nth prems 1) in
-    if not (E.equal pl E.true_e && E.equal pr E.true_e) then
-      fail "ws_bind: premises must be guard-wrapped first"
-    else begin
-      match merge_ex ctx.nothrows exl la exr ra with
-      | Result.Error m -> failf "ws_bind: %s" m
-      | Result.Ok ex ->
-        if not (conv_equal rx1 (pat_conv ctx cpat)) then
-          fail "ws_bind: left conv does not match the bound pattern"
-        else
-          ok
-            (Abs_w_stmt
-               (E.true_e, rx2, ex, M.Bind (la, abs_pat ctx cpat, ra), M.Bind (lc, cpat, rc)))
-    end
-  | Ws_try cpat ->
-    let* prems = prems_n 2 prems in
-    let* pl, rx1, exl, la, lc = as_wstmt (List.nth prems 0) in
-    let* pr, rx2, exr, ra, rc = as_wstmt (List.nth prems 1) in
-    if not (E.equal pl E.true_e && E.equal pr E.true_e) then
-      fail "ws_try: premises must be guard-wrapped first"
-    else if not (conv_equal exl (pat_conv ctx cpat)) then
-      fail "ws_try: body exception conv does not match the handler pattern"
-    else if not (conv_equal rx1 rx2) then fail "ws_try: result convs differ"
-    else
-      ok
-        (Abs_w_stmt
-           (E.true_e, rx1, exr, M.Try (la, abs_pat ctx cpat, ra), M.Try (lc, cpat, rc)))
-  | Ws_cond ->
-    let* prems = prems_n 3 prems in
-    let* pc, fc, ac, cc = as_wval (List.nth prems 0) in
-    let* pa, rxa, exa, aa, ca = as_wstmt (List.nth prems 1) in
-    let* pb, rxb, exb, ab, cb = as_wstmt (List.nth prems 2) in
-    if not (conv_equal fc Cid) then fail "ws_cond: condition must abstract to itself"
-    else if not (E.equal pa E.true_e && E.equal pb E.true_e) then
-      fail "ws_cond: branches must be guard-wrapped first"
-    else if not (conv_equal rxa rxb) then fail "ws_cond: branch result convs differ"
-    else begin
-      match merge_ex ctx.nothrows exa aa exb ab with
-      | Result.Error m -> failf "ws_cond: %s" m
-      | Result.Ok ex -> ok (Abs_w_stmt (pc, rxa, ex, M.Cond (ac, aa, ab), M.Cond (cc, ca, cb)))
-    end
-  | Ws_while cpat ->
-    let* prems = prems_n 3 prems in
-    let* pi, fi, ai, ci = as_wval (List.nth prems 0) in
-    let* pc, fc, ac, cc = as_wval (List.nth prems 1) in
-    let* pb, rxb, exb, ab, cb = as_wstmt (List.nth prems 2) in
-    let iconv = pat_conv ctx cpat in
-    if not (conv_equal fi iconv) then fail "ws_while: init conv mismatch"
-    else if not (conv_equal fc Cid) then fail "ws_while: condition must abstract to itself"
-    else if not (E.equal pc E.true_e) then fail "ws_while: condition precondition must be trivial"
-    else if not (E.equal pb E.true_e) then fail "ws_while: body must be guard-wrapped first"
-    else if not (conv_equal rxb iconv) then fail "ws_while: body conv mismatch"
-    else
-      ok
-        (Abs_w_stmt
-           ( pi,
-             iconv,
-             exb,
-             M.While (abs_pat ctx cpat, ac, ab, ai),
-             M.While (cpat, cc, cb, ci) ))
-  | Ws_call fname -> (
-    match Index.find_opt ctx.fsigs fname with
-    | None -> failf "ws_call: no signature for %s" fname
-    | Some (_, (param_convs, ret_conv)) ->
-      if List.length prems <> List.length param_convs then fail "ws_call: arity mismatch"
-      else begin
-        let* args =
-          List.fold_left2
-            (fun acc j expected ->
-              let* acc = acc in
-              let* p, f, a, c = as_wval j in
-              if not (conv_equal f expected) then fail "ws_call: argument conv mismatch"
-              else ok ((p, a, c) :: acc))
-            (ok []) prems param_convs
-        in
-        let args = List.rev args in
-        let p = List.fold_left (fun acc (pi, _, _) -> E.and_e acc pi) E.true_e args in
-        ok
-          (Abs_w_stmt
-             ( p,
-               ret_conv,
-               Cid,
-               M.Call (fname, List.map (fun (_, a, _) -> a) args),
-               M.Call (fname, List.map (fun (_, _, c) -> c) args) ))
-      end)
-  | Ws_exec_concrete fname ->
-    let* args =
-      List.fold_left
-        (fun acc j ->
-          let* acc = acc in
-          let* p, f, a, c = as_wval j in
-          if not (conv_equal f Cid) then fail "ws_exec_concrete: args must be concrete"
-          else ok ((p, a, c) :: acc))
-        (ok []) prems
-    in
-    let args = List.rev args in
-    let p = List.fold_left (fun acc (pi, _, _) -> E.and_e acc pi) E.true_e args in
-    ok
-      (Abs_w_stmt
-         ( p,
-           Cid,
-           Cid,
-           M.Exec_concrete (fname, List.map (fun (_, a, _) -> a) args),
-           M.Exec_concrete (fname, List.map (fun (_, _, c) -> c) args) ))
-  | Ws_wrap_guard ->
-    let* prems = prems_n 1 prems in
-    let* p, rx, ex, a, c = as_wstmt (List.hd prems) in
-    ok (Abs_w_stmt (E.true_e, rx, ex, guard_if Ir.Unsigned_overflow p a, c))
+  (* ================= Word abstraction: Table 3 ================= *)
+  | W_abs (want, exts, m) ->
+    let* () = no_prems prems in
+    let* rx, ex, a = wa_image ctx exts want m in
+    ok (Abs_w_stmt (E.true_e, rx, ex, a, m))
   (* ================= Heap abstraction: Table 4 ================= *)
   | Hl m ->
-    let* _ = prems_n 0 prems in
+    let* () = no_prems prems in
     let* a = hl_image ctx m in
     ok (Abs_h_stmt (a, m))
   (* ================= chaining ================= *)
@@ -1584,28 +1419,3 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
           (ok cur) rest
       in
       ok (Fn_refines (name, final, src)))
-
-and infer_w_binop ctx (op : E.binop) sign w prems : (judgment, string) result =
-  ignore ctx;
-  let* prems = prems_n 2 prems in
-  let* p1, f1, a1, c1 = as_wval (List.nth prems 0) in
-  let* p2, f2, a2, c2 = as_wval (List.nth prems 1) in
-  let expected = conv_of_sign sign w in
-  if not (conv_equal f1 expected && conv_equal f2 expected) then
-    fail "w_binop: premise conv mismatch"
-  else begin
-    let pq = E.and_e p1 p2 in
-    let abs = E.Binop (op, a1, a2) in
-    let conc = E.Binop (op, c1, c2) in
-    let arith precond = ok (Abs_w_val (E.and_e pq precond, expected, abs, conc)) in
-    let cmp () = ok (Abs_w_val (pq, Cid, abs, conc)) in
-    match (op, sign) with
-    | E.Add, Ty.Unsigned -> arith (E.Binop (E.Le, abs, umax_e w))
-    | E.Sub, Ty.Unsigned -> arith (E.Binop (E.Le, a2, a1))
-    | E.Mul, Ty.Unsigned -> arith (E.Binop (E.Le, abs, umax_e w))
-    | (E.Div | E.Rem), Ty.Unsigned -> arith E.true_e
-    | (E.Add | E.Sub | E.Mul | E.Div), Ty.Signed -> arith (in_srange_e w abs)
-    | E.Rem, Ty.Signed -> arith E.true_e
-    | (E.Lt | E.Le | E.Gt | E.Ge | E.Eq | E.Ne), _ -> cmp ()
-    | _ -> fail "w_binop: operator not abstracted (use w_recon)"
-  end

@@ -56,7 +56,7 @@ let injected rule =
   match !fault_hook with Some f -> f (Rules.rule_name rule) | None -> false
 
 (* Observation hook: when installed, called with the dense rule id
-   ([Rules.rule_id]; -1 for custom rules) and the rule instance of every
+   ([Rules.rule_id]) and the rule instance of every
    SUCCESSFUL mint ([by]/[by_opt]).  The kernel computes nothing else for
    it: a hook that wants a name asks [Rules.rule_name] itself, once per id.
    Strictly write-only telemetry — the hook cannot veto, alter or

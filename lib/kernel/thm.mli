@@ -41,8 +41,8 @@ val by_opt : Rules.ctx -> Rules.rule -> t list -> t option
     uninstall. *)
 val set_fault_hook : (string -> bool) option -> unit
 
-(** Observation hook: receives the dense rule id ([Rules.rule_id]; -1
-    for custom rules) and the rule instance of every SUCCESSFUL theorem
+(** Observation hook: receives the dense rule id ([Rules.rule_id]) and
+    the rule instance of every SUCCESSFUL theorem
     mint ([by]/[by_opt]); a hook needing the name calls
     [Rules.rule_name], once per id.  Write-only telemetry — the hook
     cannot veto, alter or construct a theorem, and the kernel reads

@@ -25,11 +25,10 @@
    contention and exact in the single-domain case the bench bounds.  The
    rule NAME is only computed, and stored, the first time an id fires
    (this module has no kernel dependency, so the caller supplies the
-   naming function with the hook: [on_rule Rules.rule_name]).  Custom rules
-   (id -1, user-chosen names) take a mutex-guarded assoc-list slow path;
-   they are rare by construction.  Chain shapes and discharge provenance
-   are rare events (once per function) and go straight to the {!Metrics}
-   registry, which also makes them scrapeable for free. *)
+   naming function with the hook: [on_rule Rules.rule_name]).  Chain
+   shapes and discharge provenance are rare events (once per function)
+   and go straight to the {!Metrics} registry, which also makes them
+   scrapeable for free. *)
 
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
@@ -39,8 +38,8 @@ let set_enabled b = Atomic.set enabled_flag b
 
 (* Capacity of the dense-id fast path.  Must be >= the kernel's
    [Rules.num_rule_ids]; this module deliberately has no kernel
-   dependency, so the bound is duplicated (generously) here and ids
-   outside [0, id_capacity) simply take the slow path. *)
+   dependency, so the bound is duplicated (generously) here; an id
+   outside [0, id_capacity) is not counted. *)
 let id_capacity = 128
 
 (* Sentinel for "no name recorded yet" — compared physically, so a fresh
@@ -55,31 +54,15 @@ let no_name = String.make 0 'x'
 let counts = Array.make id_capacity 0
 let names = Array.make id_capacity no_name
 
-(* Slow path for custom rules (id -1): (name, count) assoc updated under
-   a mutex.  Rare by construction — custom rules are explicit user
-   registrations. *)
-let custom_mu = Mutex.create ()
-let custom : (string * int) list ref = ref []
-
 (* The kernel hook body.  [enabled] is re-checked here because the hook
    stays installed for the life of the process once armed (bench rounds
    flip the flag instead of racing hook deinstallation against worker
    domains mid-map). *)
 let on_rule (name : 'r -> string) (id : int) (r : 'r) : unit =
-  if Atomic.get enabled_flag then
-    if id >= 0 && id < id_capacity then begin
-      Array.unsafe_set counts id (Array.unsafe_get counts id + 1);
-      if Array.unsafe_get names id == no_name then names.(id) <- name r
-    end
-    else begin
-      let rule = name r in
-      Mutex.lock custom_mu;
-      custom :=
-        (match List.assoc_opt rule !custom with
-        | Some n -> (rule, n + 1) :: List.remove_assoc rule !custom
-        | None -> (rule, 1) :: !custom);
-      Mutex.unlock custom_mu
-    end
+  if Atomic.get enabled_flag && id >= 0 && id < id_capacity then begin
+    Array.unsafe_set counts id (Array.unsafe_get counts id + 1);
+    if Array.unsafe_get names id == no_name then names.(id) <- name r
+  end
 
 let rule_counts () : (string * int) list =
   let merged : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -92,10 +75,6 @@ let rule_counts () : (string * int) list =
     let name = names.(i) in
     if name != no_name then add name counts.(i)
   done;
-  Mutex.lock custom_mu;
-  let cust = !custom in
-  Mutex.unlock custom_mu;
-  List.iter (fun (rule, n) -> add rule n) cust;
   Hashtbl.fold (fun rule n acc -> (rule, n) :: acc) merged []
   |> List.sort (fun (a, na) (b, nb) ->
          match Int.compare nb na with 0 -> String.compare a b | c -> c)
@@ -135,9 +114,6 @@ let record_discharge (p : provenance) ~proven ~scrubbed =
 let reset () =
   Array.fill counts 0 id_capacity 0;
   Array.fill names 0 id_capacity no_name;
-  Mutex.lock custom_mu;
-  custom := [];
-  Mutex.unlock custom_mu;
   List.iter
     (fun c -> Metrics.set_counter (Lazy.force c) 0)
     [ c_chains; c_intra; c_inter; c_scrub ];

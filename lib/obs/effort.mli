@@ -16,8 +16,8 @@ val set_enabled : bool -> unit
 
 (** The kernel hook body: [on_rule name id r] counts one successful
     application of the rule [r] with the given dense id
-    ([Rules.rule_id]; -1 for custom rules).  [name r] is called only the
-    first time an id fires, and on every application of a custom rule.
+    ([Rules.rule_id]).  [name r] is called only the first time an id
+    fires.
     Counts are unsynchronised on the hot path, so concurrent domains may
     drop the odd increment — exact when single-domain or quiescent.
     Install with [Thm.set_obs_hook (Some (Effort.on_rule Rules.rule_name))]. *)

@@ -65,8 +65,11 @@ module J = Ac_kernel.Judgment
    [Hs_unknown], shifting the constructor tags after them.  ruleset-9:
    one [Hl m] step replaced the 22 per-node heap rules, so the
    constructor tags after them moved; an older entry would decode its
-   heap and [Fn_chain] nodes as other rules and fail replay. *)
-let ruleset_tag = "acc-store-1/ruleset-9"
+   heap and [Fn_chain] nodes as other rules and fail replay.
+   ruleset-10: one [W_abs] step replaced the 31 per-node word rules, so
+   the [Hl] and [Fn_chain] tags moved again; an older entry would decode
+   its word nodes as other rules and fail replay. *)
+let ruleset_tag = "acc-store-1/ruleset-10"
 
 let magic = "ACC-STORE v1\n"
 

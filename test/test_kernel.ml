@@ -25,74 +25,127 @@ let expect_fail name f =
   | exception Thm.Kernel_error _ -> ()
   | _thm -> Alcotest.failf "%s: kernel accepted an unsound rule application" name
 
-let concl_wval thm =
-  match Thm.concl thm with
-  | J.Abs_w_val (p, f, a, c) -> (p, f, a, c)
-  | _ -> Alcotest.fail "expected abs_w_val"
+(* The word-abstraction image of [m] at result conv [want]: one [W_abs]
+   step. *)
+let wa ?(exts = []) c want m =
+  match Thm.concl (Thm.by c (Rules.W_abs (want, exts, m)) []) with
+  | J.Abs_w_stmt (_, _, _, a, _) -> a
+  | _ -> Alcotest.fail "expected abs_w_stmt"
+
+(* An image's overflow guard, printed, and the statement it guards. *)
+let overflow_guard = function
+  | M.Bind (M.Guard (Ir.Unsigned_overflow, p), M.Pwild, m) -> (Ac_lang.Pretty.expr_to_string p, m)
+  | m -> ("", m)
 
 let rule_tests =
   [
     ( "w_var requires registration",
       fun () ->
-        expect_fail "unregistered" (fun () -> Thm.by ctx (Rules.W_var "x") []);
+        let x = E.Var ("x", u32) in
+        let ret = M.Return x in
+        (* unregistered, x stays a word, read through unat *)
+        Alcotest.(check bool) "unregistered: unat x" true
+          (M.equal (wa ctx (J.Cunat Ty.W32) ret) (M.Return (E.OfWord (Ty.Tnat, x))));
         let c = wctx [ ("x", (Ty.Unsigned, Ty.W32)) ] in
-        let _, f, a, conc = concl_wval (Thm.by c (Rules.W_var "x") []) in
-        Alcotest.(check bool) "conv unat" true (J.conv_equal f (J.Cunat Ty.W32));
-        Alcotest.(check bool) "abstract side ideal" true (E.equal a (E.Var ("x", Ty.Tnat)));
-        Alcotest.(check bool) "concrete side word" true (E.equal conc (E.Var ("x", u32))) );
+        match Thm.concl (Thm.by c (Rules.W_abs (J.Cunat Ty.W32, [], ret)) []) with
+        | J.Abs_w_stmt (p, rx, _, a, conc) ->
+          Alcotest.(check bool) "no precondition" true (E.equal p E.true_e);
+          Alcotest.(check bool) "conv unat" true (J.conv_equal rx (J.Cunat Ty.W32));
+          Alcotest.(check bool) "abstract side ideal" true
+            (M.equal a (M.Return (E.Var ("x", Ty.Tnat))));
+          Alcotest.(check bool) "concrete side the term" true (conc == ret)
+        | _ -> Alcotest.fail "expected abs_w_stmt" );
     ( "w_id rejects expressions over abstracted variables",
       fun () ->
         let c = wctx [ ("x", (Ty.Unsigned, Ty.W32)) ] in
-        expect_fail "w_id" (fun () -> Thm.by c (Rules.W_id (E.Var ("x", u32))) []);
-        (* but accepts anything else *)
-        ignore (Thm.by c (Rules.W_id (E.Var ("y", u32))) []) );
+        (* at conv id an abstracted variable is re-concretised, never kept *)
+        Alcotest.(check bool) "x re-concretised" true
+          (M.equal
+             (wa c J.Cid (M.Return (E.Var ("x", u32))))
+             (M.Return (E.Cast (u32, E.Var ("x", Ty.Tnat)))));
+        (* but anything else abstracts to itself *)
+        let y = M.Return (E.Var ("y", u32)) in
+        Alcotest.(check bool) "y is its own image" true (M.equal (wa c J.Cid y) y) );
     ( "w_sum collects the no-overflow precondition (Table 3 WSUM)",
       fun () ->
         let c = wctx [ ("a", (Ty.Unsigned, Ty.W32)); ("b", (Ty.Unsigned, Ty.W32)) ] in
-        let ta = Thm.by c (Rules.W_var "a") [] in
-        let tb = Thm.by c (Rules.W_var "b") [] in
-        let p, _, a, _ = concl_wval (Thm.by c (Rules.W_binop (E.Add, Ty.Unsigned, Ty.W32)) [ ta; tb ]) in
+        let sum = E.Binop (E.Add, E.Var ("a", u32), E.Var ("b", u32)) in
+        let p, m = overflow_guard (wa c (J.Cunat Ty.W32) (M.Return sum)) in
         Alcotest.(check bool) "sum" true
-          (E.equal a (E.Binop (E.Add, E.Var ("a", Ty.Tnat), E.Var ("b", Ty.Tnat))));
-        let text = Ac_lang.Pretty.expr_to_string p in
+          (M.equal m (M.Return (E.Binop (E.Add, E.Var ("a", Ty.Tnat), E.Var ("b", Ty.Tnat)))));
         Alcotest.(check bool) "UINT_MAX bound" true
-          (Astring.String.is_infix ~affix:"4294967295" text) );
+          (Astring.String.is_infix ~affix:"4294967295" p) );
     ( "w_sub requires the monus precondition b <= a",
       fun () ->
         let c = wctx [ ("a", (Ty.Unsigned, Ty.W32)); ("b", (Ty.Unsigned, Ty.W32)) ] in
-        let ta = Thm.by c (Rules.W_var "a") [] in
-        let tb = Thm.by c (Rules.W_var "b") [] in
-        let p, _, _, _ = concl_wval (Thm.by c (Rules.W_binop (E.Sub, Ty.Unsigned, Ty.W32)) [ ta; tb ]) in
-        Alcotest.(check bool) "b <= a" true
-          (Astring.String.is_infix ~affix:"b ≤ a" (Ac_lang.Pretty.expr_to_string p)) );
+        let diff = E.Binop (E.Sub, E.Var ("a", u32), E.Var ("b", u32)) in
+        let p, _ = overflow_guard (wa c (J.Cunat Ty.W32) (M.Return diff)) in
+        Alcotest.(check bool) "b <= a" true (Astring.String.is_infix ~affix:"b ≤ a" p) );
     ( "signed arithmetic collects INT_MIN/INT_MAX bounds",
       fun () ->
         let c = wctx [ ("a", (Ty.Signed, Ty.W32)) ] in
-        let ta = Thm.by c (Rules.W_var "a") [] in
-        let p, _, _, _ =
-          concl_wval (Thm.by c (Rules.W_binop (E.Mul, Ty.Signed, Ty.W32)) [ ta; ta ])
+        let sq = E.Binop (E.Mul, E.Var ("a", s32), E.Var ("a", s32)) in
+        let p, _ = overflow_guard (wa c (J.Csint Ty.W32) (M.Return sq)) in
+        Alcotest.(check bool) "INT_MIN" true (Astring.String.is_infix ~affix:"-2147483648" p);
+        Alcotest.(check bool) "INT_MAX" true (Astring.String.is_infix ~affix:"2147483647" p) );
+    ( "w_ite gates each branch's precondition by the condition",
+      fun () ->
+        let c = wctx [ ("a", (Ty.Unsigned, Ty.W32)); ("b", (Ty.Unsigned, Ty.W32)) ] in
+        let a = E.Var ("a", u32) and b = E.Var ("b", u32) in
+        let test = E.Binop (E.Lt, a, b) in
+        let p, _ =
+          overflow_guard (wa c (J.Cunat Ty.W32) (M.Return (E.Ite (test, E.Binop (E.Add, a, b), a))))
         in
-        let text = Ac_lang.Pretty.expr_to_string p in
-        Alcotest.(check bool) "INT_MIN" true (Astring.String.is_infix ~affix:"-2147483648" text);
-        Alcotest.(check bool) "INT_MAX" true (Astring.String.is_infix ~affix:"2147483647" text) );
+        (* the sum is only evaluated, and so only bounded, when a < b *)
+        Alcotest.(check string) "gated bound" "a < b ⟶ a + b ≤ 4294967295" p );
+    ( "a loop condition takes no precondition: its arithmetic stays at word level",
+      fun () ->
+        let c = wctx [ ("i", (Ty.Unsigned, Ty.W32)); ("n", (Ty.Unsigned, Ty.W32)) ] in
+        let i = E.Var ("i", u32) and n = E.Var ("n", u32) and one = E.word_e Ty.Unsigned Ty.W32 1 in
+        let loop =
+          M.While
+            ( M.Pvar ("i", u32),
+              E.Binop (E.Lt, E.Binop (E.Add, i, one), n),
+              M.Return i,
+              E.word_e Ty.Unsigned Ty.W32 0 )
+        in
+        (* an ideal i + 1 < n would need a guard no loop condition can have *)
+        let recon x = E.Cast (u32, E.Var (x, Ty.Tnat)) in
+        match wa c J.Cid loop with
+        | M.While (_, cond, _, _) ->
+          Alcotest.(check bool) "word comparison" true
+            (E.equal cond (E.Binop (E.Lt, E.Binop (E.Add, recon "i", one), recon "n")))
+        | m -> Alcotest.failf "expected a loop, got %s" (Ac_monad.Mprint.to_string m) );
     ( "w_binop rejects mixed-conv premises",
       fun () ->
+        (* an unsigned and a signed operand: no ideal sum, no guard; the
+           operands are re-concretised and the word sum read through unat *)
         let c = wctx [ ("a", (Ty.Unsigned, Ty.W32)); ("s", (Ty.Signed, Ty.W32)) ] in
-        let ta = Thm.by c (Rules.W_var "a") [] in
-        let ts = Thm.by c (Rules.W_var "s") [] in
-        expect_fail "mixed" (fun () ->
-            Thm.by c (Rules.W_binop (E.Add, Ty.Unsigned, Ty.W32)) [ ta; ts ]) );
+        let sum = E.Binop (E.Add, E.Var ("a", u32), E.Var ("s", s32)) in
+        let recon x t ideal = E.Cast (t, E.Var (x, ideal)) in
+        Alcotest.(check bool) "re-concretised" true
+          (M.equal
+             (wa c (J.Cunat Ty.W32) (M.Return sum))
+             (M.Return
+                (E.OfWord
+                   (Ty.Tnat, E.Binop (E.Add, recon "a" u32 Ty.Tnat, recon "s" s32 Ty.Tint))))) );
     ( "ws_bind rejects pattern/conv mismatches",
       fun () ->
         let c = wctx [ ("x", (Ty.Unsigned, Ty.W32)) ] in
-        (* Left side returns a word-typed Cid value, but the pattern is
-           registered so pat_conv = unat: the kernel must refuse. *)
-        let l =
-          Thm.by c Rules.Ws_ret [ Thm.by c (Rules.W_id (E.Var ("y", u32))) [] ]
-        in
-        let r = Thm.by c Rules.Ws_ret [ Thm.by c (Rules.W_var "x") [] ] in
+        let x = E.Var ("x", u32) and px = M.Pvar ("x", u32) in
+        (* An unknown word comes at conv id, but the pattern is registered,
+           so its conv is unat: the kernel must refuse. *)
         expect_fail "mismatch" (fun () ->
-            Thm.by c (Rules.Ws_bind (M.Pvar ("x", u32))) [ l; r ]) );
+            Thm.by c (Rules.W_abs (J.Cid, [], M.Bind (M.Unknown u32, px, M.Return x))) []);
+        (* a word value is abstracted at the pattern's conv *)
+        let y = E.Var ("y", u32) in
+        Alcotest.(check bool) "bound at unat" true
+          (M.equal
+             (wa c J.Cid (M.Bind (M.Return y, px, M.Return x)))
+             (M.Bind
+                ( M.Return (E.OfWord (Ty.Tnat, y)),
+                  M.Pvar ("x", Ty.Tnat),
+                  M.Return (E.Cast (u32, E.Var ("x", Ty.Tnat))) ))) );
     ( "hv_read adds the validity side condition (Table 4)",
       fun () ->
         let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
@@ -388,18 +441,53 @@ let rule_tests =
         | _ -> Alcotest.fail "expected equivalence" );
     ( "derivation checker rejects tampered conclusions",
       fun () ->
-        (* Thm.t is abstract: we check instead that check accepts valid
-           derivations and that a wrong-ctx re-check fails for w_var. *)
+        (* Thm.t is abstract: we check instead that check accepts a valid
+           derivation and that a re-check under a context without the
+           registration it was built under fails. *)
         let c = wctx [ ("x", (Ty.Unsigned, Ty.W32)) ] in
-        let thm = Thm.by c (Rules.W_var "x") [] in
+        let thm = Thm.by c (Rules.W_abs (J.Cunat Ty.W32, [], M.Return (E.Var ("x", u32)))) [] in
         Alcotest.(check bool) "valid in its ctx" true (Thm.check c thm = Ok ());
         Alcotest.(check bool) "invalid without registration" true (Thm.check ctx thm <> Ok ()) );
     ( "custom rules are consulted by name",
       fun () ->
-        Rules.register_custom_rule "test_rule" (fun _ _ ->
-            Result.ok (J.Abs_w_val (E.true_e, J.Cid, E.int_e 1, E.int_e 1)));
-        ignore (Thm.by ctx (Rules.W_custom "test_rule") []);
-        expect_fail "unknown" (fun () -> Thm.by ctx (Rules.W_custom "no_such_rule") []) );
+        let magic = E.Var ("magic", u32) in
+        let one = E.int_e 1 in
+        Rules.register_custom_rule "test_rule" (fun _ _ e ->
+            if E.equal e magic then Some (E.true_e, J.Cid, one, e) else None);
+        (* an extension whose concrete side is not the visited node *)
+        Rules.register_custom_rule "test_wrong_side" (fun _ _ e ->
+            if E.equal e magic then Some (E.true_e, J.Cid, one, E.int_e 0) else None);
+        let ret = M.Return magic in
+        Alcotest.(check bool) "consulted when named" true
+          (M.equal (wa ~exts:[ "test_rule" ] ctx J.Cid ret) (M.Return one));
+        Alcotest.(check bool) "not consulted unnamed" true (M.equal (wa ctx J.Cid ret) ret);
+        Alcotest.(check bool) "a result for another node is not taken" true
+          (M.equal (wa ~exts:[ "test_wrong_side" ] ctx J.Cid ret) ret);
+        expect_fail "unknown" (fun () ->
+            Thm.by ctx (Rules.W_abs (J.Cid, [ "no_such_rule" ], ret)) []) );
+    ( "inferences refuse a negative loop component and a 64-bit exit code, never raise",
+      fun () ->
+        (* [Rules.infer] itself, without [Thm]'s refusal wrapper *)
+        let pv x = M.Pvar (x, u32) and v x = E.Var (x, u32) in
+        let ab = E.Tuple [ v "a"; v "b" ] in
+        let big =
+          E.Const (Value.vword Ty.Unsigned (Ac_word.of_bignum Ty.W64 (B.pred (B.pow2 64))))
+        in
+        let throw = M.Throw (E.Tuple [ big; E.unit_e ]) in
+        List.iter
+          (fun (what, rule) ->
+            match Rules.infer ctx rule [] with
+            | Ok _ | Error _ -> ()
+            | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+          [ ( "rw_prune_loop -1",
+              Rules.Rw_prune_loop
+                (-1, M.Ptuple [ pv "a"; pv "b" ], E.true_e, M.Return ab, ab,
+                 M.Ptuple [ pv "c"; pv "d" ], M.Return E.unit_e) );
+            ( "rw_try_nothrow",
+              Rules.Rw_try_nothrow (throw, M.Pwild, M.Cond (E.true_e, M.Fail, M.Throw E.unit_e)) );
+            ( "rw_elim_returns",
+              Rules.Rw_elim_returns (M.Try (throw, M.Pwild, M.Return (E.Var (Ir.ret_var, u32))), u32)
+            ) ] );
     ( "rw_inline refuses a listed position that is not a return-bind",
       fun () ->
         let rule = Rules.Rw_inline (M.Bind (M.Fail, M.Pwild, M.Fail), [ 0 ]) in

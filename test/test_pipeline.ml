@@ -268,19 +268,51 @@ let kernel_tests =
           (Result.is_error (Rules.infer ctx (Rules.L1 s) [ Thm.concl l1 ]));
         (* A certificate whose conclusion or statement was tampered with:
            both checkers recompute the image and refuse it. *)
-        let forged field v = forged l1 field v in
         let mutated = Ir.Seq (s, Ir.Skip) and skip = M.Return Ac_lang.Expr.unit_e in
         both_refuse ctx
-          [ ("vacuous image", forged 0 (J.Corres_l1 (s, skip)));
-            ("image of another statement", forged 0 (J.Corres_l1 (s, Rules.l1_image mutated)));
-            ("equivalent, not the image", forged 0 (J.Corres_l1 (s, M.Bind (m, M.Pwild, skip))));
-            ("mutated statement", forged 1 (Rules.L1 mutated)) ];
+          [ ("vacuous image", forged l1 0 (J.Corres_l1 (s, skip)));
+            ("image of another statement", forged l1 0 (J.Corres_l1 (s, Rules.l1_image mutated)));
+            ("equivalent, not the image", forged l1 0 (J.Corres_l1 (s, M.Bind (m, M.Pwild, skip))));
+            ("mutated statement", forged l1 1 (Rules.L1 mutated)) ];
         Alcotest.(check bool) "the genuine l1 theorem checks" true
           (Thm.check ctx l1 = Ok () && Check_cache.check (Check_cache.create ctx) l1 = Ok ());
-        Alcotest.(check bool) "wa thm > 10 rules" true
-          (match fr.Driver.fr_wa_thm with
-          | Some t -> Ac_kernel.Thm.size t > 10
-          | None -> false) );
+        (* WA is one kernel step too, computed under the function's
+           variable registration: mid's image guards the sum. *)
+        let wa_of src name =
+          let res = Driver.run src in
+          let fr = Option.get (Driver.find_result res name) in
+          (Option.get fr.Driver.fr_wa_thm, { res.Driver.ctx with Rules.wvars = fr.Driver.fr_wa_wvars },
+           Option.value fr.Driver.fr_hl ~default:fr.Driver.fr_l2)
+        in
+        let wa, ctx, before = wa_of mid_c "mid" in
+        let rx, ex, a, c =
+          match Thm.concl wa with
+          | J.Abs_w_stmt (_, rx, ex, a, c) -> (rx, ex, a, c)
+          | _ -> Alcotest.fail "fr_wa_thm concludes no abs_w_stmt"
+        in
+        Alcotest.(check bool) "wa is one rule over the whole body" true
+          (Thm.size wa = 1
+          && match Thm.rule wa with Rules.W_abs (_, [], m) -> m == c && M.equal m before.M.body | _ -> false);
+        Alcotest.(check bool) "a w_abs instance with premises is refused" true
+          (Result.is_error (Rules.infer ctx (Thm.rule wa) [ Thm.concl wa ]));
+        let rec unguarded (m : M.t) : M.t =
+          match m with
+          | M.Bind (M.Guard (Ir.Unsigned_overflow, _), M.Pwild, m) -> unguarded m
+          | M.Bind (x, p, y) -> M.Bind (unguarded x, p, unguarded y)
+          | M.Try (x, p, y) -> M.Try (unguarded x, p, unguarded y)
+          | M.Cond (e, x, y) -> M.Cond (e, unguarded x, unguarded y)
+          | M.While (p, e, body, i) -> M.While (p, e, unguarded body, i)
+          | m -> m
+        in
+        Alcotest.(check bool) "the image has a no-overflow guard to drop" false (M.equal (unguarded a) a);
+        let gcd_wa, _, _ = wa_of gcd_c "gcd" in
+        let true_e = Ac_lang.Expr.true_e in
+        both_refuse ctx
+          [ ("identity image", forged wa 0 (J.Abs_w_stmt (true_e, rx, ex, c, c)));
+            ("no-overflow guard dropped", forged wa 0 (J.Abs_w_stmt (true_e, rx, ex, unguarded a, c)));
+            ("another function's w_abs", forged wa 1 (Thm.rule gcd_wa)) ];
+        Alcotest.(check bool) "the genuine wa theorem checks" true
+          (Thm.check ctx wa = Ok () && Check_cache.check (Check_cache.create ctx) wa = Ok ()) );
   ]
 
 let differential_tests =

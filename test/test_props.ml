@@ -1045,11 +1045,14 @@ let k_inline =
   in
   return (Rules.Rw_inline (m, ps))
 
+(* A word-abstraction extension: the built-in ideal abstraction. *)
+let k_ext = "k_sub"
+let () = Rules.register_custom_rule k_ext (fun _ sub e -> sub e)
+
 (* One instance of a uniformly chosen constructor. *)
 let k_rule : Rules.rule Gen.t =
   let open Gen in
   let m = k_term 2 and e = k_expr and p = k_pat 1 in
-  let sw = pair k_sign k_width in
   let l2 =
     [ map (fun s -> Rules.L1 s) (k_stmt 2);
       map (fun m -> Rules.Eq_refl m) m; return Rules.Eq_trans;
@@ -1080,30 +1083,11 @@ let k_rule : Rules.rule Gen.t =
       map2 (fun m c -> Rules.Rule_guard_true (m, c)) m k_cert ]
   in
   let wa =
-    [ map (fun x -> Rules.W_var x) (oneofl k_names);
-      map2 (fun (s, w) n -> Rules.W_const (s, w, B.of_int n)) sw (int_range (-3) 300);
-      map (fun e -> Rules.W_id e) e;
-      map2 (fun op (s, w) -> Rules.W_binop (op, s, w)) k_binop sw;
-      map (fun (s, w) -> Rules.W_neg (s, w)) sw;
-      map (fun (s, w) -> Rules.W_recon (s, w)) sw;
-      return Rules.W_ite; return Rules.W_tuple;
-      map (fun e -> Rules.W_node e) e;
-      map (fun op -> Rules.W_shortcircuit op) k_binop;
-      map (fun (s, w) -> Rules.W_unconv (s, w)) sw;
-      map (fun (s, w) -> Rules.W_abs_any (s, w)) sw;
-      map (fun n -> Rules.W_custom n) (oneofl [ "no_such_rule"; "" ]);
-      return Rules.Ws_ret; return Rules.Ws_gets;
-      map (fun k -> Rules.Ws_guard k) k_kind;
-      map (fun sms -> Rules.Ws_modify sms) (list_size (int_range 0 2) k_smod);
-      map2 (fun a b -> Rules.Ws_fail (a, b)) (k_conv 1) (k_conv 1);
-      map (fun t -> Rules.Ws_unknown t) k_ty;
-      map (fun c -> Rules.Ws_throw c) (k_conv 1);
-      map (fun p -> Rules.Ws_bind p) p; map (fun p -> Rules.Ws_try p) p;
-      return Rules.Ws_cond;
-      map (fun p -> Rules.Ws_while p) p;
-      map (fun f -> Rules.Ws_call f) (oneofl [ "f"; "h" ]);
-      map (fun f -> Rules.Ws_exec_concrete f) (oneofl [ "f"; "h" ]);
-      return Rules.Ws_wrap_guard ]
+    [ map3
+        (fun c exts m -> Rules.W_abs (c, exts, m))
+        (k_conv 1)
+        (list_size (int_range 0 2) (oneofl [ k_ext; "no_such_rule"; "" ]))
+        m ]
   in
   let hl =
     [ map (fun m -> Rules.Hl m) m;
@@ -1129,13 +1113,11 @@ let k_pool : Thm.t list Lazy.t =
     (let by r ps = Thm.by k_ctx r ps in
      let x = E.Var ("x", u32) in
      let skip = by (Rules.L1 Ir.Skip) [] and refl = by (Rules.Eq_refl (M.Return x)) [] in
-     let wv = by (Rules.W_var "x") [] in
-     let wc = by (Rules.W_const (Ty.Unsigned, Ty.W32, B.of_int 7)) [] in
+     let sum = E.Binop (E.Add, x, E.word_e Ty.Unsigned Ty.W32 7) in
      [ skip; by (Rules.L1 Ir.Throw) []; by (Rules.L1 (Ir.Local_set ("x", x))) [];
        refl; by (Rules.Eq_refl M.Fail) []; by Rules.Eq_trans [ refl; refl ];
-       wv; wc; by (Rules.W_id (E.word_e Ty.Unsigned Ty.W32 1)) [];
-       by (Rules.W_binop (E.Add, Ty.Unsigned, Ty.W32)) [ wv; wc ];
-       by Rules.Ws_ret [ wv ]; by Rules.Ws_gets [ wc ];
+       by (Rules.W_abs (J.Cunat Ty.W32, [], M.Return sum)) [];
+       by (Rules.W_abs (J.Cid, [ k_ext ], M.Guard (Ir.Div_by_zero, E.Binop (E.Lt, sum, x)))) [];
        by (Rules.Hl (M.Return x)) [];
        by (Rules.Hl (M.Guard (Ir.Div_by_zero, E.HeapRead (Ty.Cword (Ty.Unsigned, Ty.W32), x)))) [];
        by (Rules.Fn_chain "f") [ skip ] ])
@@ -1168,25 +1150,22 @@ let kernel_total (rule, prems) =
    [Rules.rule_id], so the built-in ids must be dense and follow
    [rule_name]: every id in [0, num_rule_ids), two rules share an id
    exactly when they share a name, and every id in the range is some
-   rule's.  [k_rule] draws every constructor (and every operator class
-   of [W_binop]); 30,000 draws hit each of them. *)
+   rule's.  [k_rule] draws every constructor; 30,000 draws hit each of
+   them. *)
 let test_rule_ids () =
   let rules = QCheck.Gen.generate ~rand:(Random.State.make [| 24 |]) ~n:30_000 k_rule in
   let by_id = Array.make Rules.num_rule_ids None and by_name = Hashtbl.create 97 in
   List.iter
     (fun r ->
       let id = Rules.rule_id r and name = Rules.rule_name r in
-      match r with
-      | Rules.W_custom _ -> Alcotest.(check int) (name ^ " has no static id") (-1) id
-      | _ -> (
-        if id < 0 || id >= Rules.num_rule_ids then
-          Alcotest.failf "%s has id %d, outside [0, %d)" name id Rules.num_rule_ids;
-        (match by_id.(id) with
-        | Some n when n <> name -> Alcotest.failf "%s and %s share id %d" n name id
-        | _ -> by_id.(id) <- Some name);
-        match Hashtbl.find_opt by_name name with
-        | Some i when i <> id -> Alcotest.failf "%s has ids %d and %d" name i id
-        | _ -> Hashtbl.replace by_name name id))
+      if id < 0 || id >= Rules.num_rule_ids then
+        Alcotest.failf "%s has id %d, outside [0, %d)" name id Rules.num_rule_ids;
+      (match by_id.(id) with
+      | Some n when n <> name -> Alcotest.failf "%s and %s share id %d" n name id
+      | _ -> by_id.(id) <- Some name);
+      match Hashtbl.find_opt by_name name with
+      | Some i when i <> id -> Alcotest.failf "%s has ids %d and %d" name i id
+      | _ -> Hashtbl.replace by_name name id)
     rules;
   Array.iteri
     (fun id n -> if Option.is_none n then Alcotest.failf "no rule has id %d" id)

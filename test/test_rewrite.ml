@@ -63,10 +63,10 @@ let test_identity_free jobs () =
    reached 7711, behind a lifting that re-tupled the modified locals at
    every statement of a sequence it reached 7301, inlining one binding
    per head step it reached 4921, checking L1 one Simpl node at a time
-   and HL one node at a time over heap-free code it reached 3995, and
+   and HL one node at a time over heap-free code it reached 3995,
    checking HL one node at a time over heap-touching code it reached
-   2773. *)
-let echronos_ceiling = 2515
+   2773, and checking WA one node at a time it reached 2515. *)
+let echronos_ceiling = 1171
 
 let test_chain_size_ceiling () =
   let res =
