@@ -79,8 +79,10 @@ let in_range sign width v = B.le (min_value sign width) v && B.le v (max_value s
    [overflows] reports whether that reduction changed the value — the
    condition the guards emitted by the C translation test for. *)
 
+(* Operands of different widths are ill-typed: an [Invalid_argument],
+   which the constant folders treat as an expression they leave alone. *)
 let lift2 sign f a b =
-  assert (width_equal a.width b.width);
+  if not (width_equal a.width b.width) then invalid_arg "Ac_word: operand widths differ";
   norm a.width (f (value sign a) (value sign b))
 
 let ideal2 sign f a b = f (value sign a) (value sign b)
