@@ -89,18 +89,22 @@ let infer_cert ?sums (lenv : Layout.env) (m : M.t) : A.cert = fst (solve ?sums l
    conclude [Equiv (m, m)], so nothing is minted.  The prediction is
    untrusted: a wrong "unchanged" could only lose a discharge, never
    admit a theorem, and a body that changes still takes the kernel's
-   result. *)
+   result.  A body without a guard is not analysed at all: the walk
+   rewrites only guards, so it would come back unchanged, and no guard
+   verdict would reach [on_guard]. *)
 let discharge_func ?on_guard (ctx : Rules.ctx) ?(sums = []) (f : M.func) :
     (M.func * Thm.t) option =
-  let cert, predicted = solve ?on_guard ~sums ctx.Rules.lenv f.M.body in
-  if predicted == f.M.body then None
+  if not (M.has_guard f.M.body) then None
   else
-    match Thm.by_opt ctx (Rules.Rule_guard_true (f.M.body, cert)) [] with
-    | None -> None
-    | Some thm -> (
-      match Thm.concl thm with
-      | J.Equiv (m', m) when not (M.equal m' m) -> Some ({ f with M.body = m' }, thm)
-      | _ -> None)
+    let cert, predicted = solve ?on_guard ~sums ctx.Rules.lenv f.M.body in
+    if predicted == f.M.body then None
+    else
+      match Thm.by_opt ctx (Rules.Rule_guard_true (f.M.body, cert)) [] with
+      | None -> None
+      | Some thm -> (
+        match Thm.concl thm with
+        | J.Equiv (m', m) when not (M.equal m' m) -> Some ({ f with M.body = m' }, thm)
+        | _ -> None)
 
 (* How many guards of [m] the analysis proves true under [sums] — a pure
    analysis count, no kernel involved; the driver runs it with and

@@ -125,6 +125,13 @@ let rec size = function
 
 let func_size f = size f.body
 
+(* Does the term hold a guard?  The guard passes rewrite nothing else. *)
+let rec has_guard = function
+  | Guard _ -> true
+  | Bind (a, _, b) | Try (a, _, b) | Cond (_, a, b) -> has_guard a || has_guard b
+  | While (_, _, body, _) -> has_guard body
+  | Return _ | Gets _ | Modify _ | Fail | Throw _ | Unknown _ | Call _ | Exec_concrete _ -> false
+
 let rec map_sub f m =
   match m with
   | Return _ | Gets _ | Modify _ | Guard _ | Fail | Throw _ | Call _ | Exec_concrete _

@@ -166,6 +166,29 @@ let discharge_tests =
         let m = M.While (M.Pvar ("i", u32), E.Binop (E.Lt, i, w32 10), body, w32 0) in
         Alcotest.(check int) "loop guard discharged" 0
           (Ac_analysis.guard_count (discharge_m m)) );
+    ( "a guard-free body with a loop is not analysed",
+      fun () ->
+        let i = E.Var ("i", u32) in
+        let loop body = M.While (M.Pvar ("i", u32), E.Binop (E.Lt, i, w32 10), body, w32 0) in
+        let step = M.Return (E.Binop (E.Add, i, w32 1)) in
+        let func body =
+          { M.name = "f"; params = []; locals = []; ret_ty = u32; body;
+            convention = M.Lambda_bound; heap_model = M.Byte_level }
+        in
+        (* The fault hook is asked once per solver round; it never fires. *)
+        let rounds = ref 0 in
+        let run body =
+          rounds := 0;
+          Ac_analysis.set_fault_hook (Some (fun () -> incr rounds; false));
+          Fun.protect
+            ~finally:(fun () -> Ac_analysis.set_fault_hook None)
+            (fun () -> Ac_analysis.discharge_func (Rules.empty_ctx lenv) (func body))
+        in
+        Alcotest.(check bool) "no guard: None" true (Option.is_none (run (loop step)));
+        Alcotest.(check int) "no guard: no solver round" 0 !rounds;
+        let guarded = M.Bind (M.Guard (Ir.Shift_bounds, E.Binop (E.Lt, i, w32 32)), M.Pwild, step) in
+        Alcotest.(check bool) "a guard: discharged" true (Option.is_some (run (loop guarded)));
+        Alcotest.(check bool) "a guard: solver rounds" true (!rounds > 0) );
     ( "certificates for the wrong invariant are rejected",
       fun () ->
         let i = E.Var ("i", u32) in

@@ -112,7 +112,11 @@ let test_golden jobs () =
    lifting, the default tables of every profile and sel4-like's tight one;
    no budget-hit count moved.  The same tables were re-recorded with the
    alpha-renamed bodies of one-step inlining, again with no budget-hit
-   count moving. *)
+   count moving.  The tight budget-hit counts of the four profiles fell
+   when guard discharge stopped analysing bodies without a guard: such a
+   body's loops no longer run the widening fixpoint, so they no longer
+   run it dry (sel4-like 1006 to 885, capdl-sysinit-like 203 to 169,
+   piccolo-like 83 to 73, echronos-like 33 to 27); no table moved. *)
 let tight_budgets =
   { Driver.default_budgets with Driver.summary_rounds = 2; analysis_rounds = 3 }
 
@@ -137,10 +141,10 @@ let golden_sums =
     ("shift_guarded", ("a49ba6045c9e3bc747a73093b14fcc08", 0), ("a49ba6045c9e3bc747a73093b14fcc08", 0));
     ("suzuki", ("4ae763582cd574545f0c289763f32e02", 0), ("4ae763582cd574545f0c289763f32e02", 0));
     ("swap", ("0060f5696f89b5b2aca6f65c02ed5c0c", 0), ("0060f5696f89b5b2aca6f65c02ed5c0c", 0));
-    ("sel4-like", ("58a99441b617c182b2b071e70af0004a", 0), ("f6fff64981a1d3121b82bc818803cc4d", 1006));
-    ("capdl-sysinit-like", ("8948299068e57a5cad597a4fcddb3f01", 0), ("5574ea502ad1560a942d2576e05f007b", 203));
-    ("piccolo-like", ("fc4a8a4b0cfa3dd172e4cf8446fbdbf2", 0), ("43e3cd27fb5d8bbb97926324aa7ae777", 83));
-    ("echronos-like", ("d9724e9680e329894870070464ade508", 0), ("1e72e1b7c553222b7dc8ceb7ef2fe0fa", 33));
+    ("sel4-like", ("58a99441b617c182b2b071e70af0004a", 0), ("f6fff64981a1d3121b82bc818803cc4d", 885));
+    ("capdl-sysinit-like", ("8948299068e57a5cad597a4fcddb3f01", 0), ("5574ea502ad1560a942d2576e05f007b", 169));
+    ("piccolo-like", ("fc4a8a4b0cfa3dd172e4cf8446fbdbf2", 0), ("43e3cd27fb5d8bbb97926324aa7ae777", 73));
+    ("echronos-like", ("d9724e9680e329894870070464ade508", 0), ("1e72e1b7c553222b7dc8ceb7ef2fe0fa", 27));
   ]
 
 let test_golden_sums () =
