@@ -192,7 +192,7 @@ if [ "$minted" -gt "$removed" ]; then
 fi
 echo "ok: $minted rule_guard_true mints, $removed guards removed"
 
-echo "== corpus: work counts (at most one l1, one heap and one word rule application per function) =="
+echo "== corpus: work counts (at most one l1, one heap and one word rule application per function; at most 526 in total) =="
 # Deterministic counts, no timing.  L1 is one kernel step per function,
 # so `acc effort` must report no more l1 applications than functions
 # that reached L1 (level L1 or beyond in the --diag-json report).  Heap
@@ -233,6 +233,20 @@ if [ "$word_reached" -eq 0 ] || [ "$word_apps" -gt "$word_reached" ]; then
   exit 1
 fi
 echo "ok: $word_apps word-abstraction rule applications for $word_reached functions at WA"
+# The whole proof effort: the `total` line of `acc effort` may not exceed
+# the 526 rule applications recorded when the rewrite engine began to
+# replay each clean-up in one congruence step (1,291 before), and no
+# reflexivity step remains (`eq_refl` is retired).
+total_apps=$(printf '%s\n' "$effort_out" | awk '$1 == "total" { print $2 }')
+if [ -z "$total_apps" ] || [ "$total_apps" -gt 526 ]; then
+  echo "FAIL: ${total_apps:-no} rule applications in total over the corpus (at most 526)" >&2
+  exit 1
+fi
+if printf '%s\n' "$effort_out" | awk '$1 == "eq_refl"' | grep -q .; then
+  echo "FAIL: acc effort reports eq_refl applications" >&2
+  exit 1
+fi
+echo "ok: $total_apps rule applications in total over the corpus (at most 526), no eq_refl"
 
 echo "== corpus: --no-interproc A/B (feature off = clean intraprocedural output) =="
 # Toggling the summary engine off must restore the intraprocedural

@@ -68,8 +68,12 @@ module J = Ac_kernel.Judgment
    heap and [Fn_chain] nodes as other rules and fail replay.
    ruleset-10: one [W_abs] step replaced the 31 per-node word rules, so
    the [Hl] and [Fn_chain] tags moved again; an older entry would decode
-   its word nodes as other rules and fail replay. *)
-let ruleset_tag = "acc-store-1/ruleset-10"
+   its word nodes as other rules and fail replay.  ruleset-11: one
+   [Eq_congr] step replays each clean-up's whole rewrite script, and
+   [Eq_refl], [Eq_bind], [Eq_try], [Eq_cond] and [Eq_while] are gone, so
+   every tag after [Eq_trans] moved; an older entry would decode its
+   congruence nodes as other rules and fail replay. *)
+let ruleset_tag = "acc-store-1/ruleset-11"
 
 let magic = "ACC-STORE v1\n"
 
