@@ -297,12 +297,20 @@ for cycle in 1 2 3; do
   t2=$(date +%s%N)
   cold_ns=$(( cold_ns + t1 - t0 ))
   warm_ns=$(( warm_ns + t2 - t1 ))
+  # Counted, not timed: a warm pass reuses the summary walks its hits
+  # recorded, so it walks no SCC at all.
+  for f in corpus/*.c; do
+    if ! grep -q '"summary_walks":0}' "$STORE_DIR/warm.$(basename "$f").json"; then
+      echo "FAIL: warm store run re-walked the summary analysis on $f (cycle $cycle)" >&2
+      exit 1
+    fi
+  done
 done
 
 for f in corpus/*.c; do
   b=$(basename "$f")
   # The result payloads must be byte-identical; only the store counters
-  # (hits vs misses) may differ between the runs.
+  # (hits vs misses, summary walks) may differ between the runs.
   cold=$(sed 's/"store":{[^}]*}//' "$STORE_DIR/cold.$b.json")
   warm=$(sed 's/"store":{[^}]*}//' "$STORE_DIR/warm.$b.json")
   if [ "$cold" != "$warm" ]; then

@@ -62,44 +62,50 @@ let of_funcs (fs : M.func list) : t =
    summary pass wants.  Successors outside [nodes] are ignored. *)
 
 let sccs (g : t) : string list list =
-  let known = SSet.of_list g.nodes in
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
+  (* Nodes as their first positions in [g.nodes], successors as those
+     positions (unknown ones dropped), in the same orders. *)
+  let names = Array.of_list g.nodes in
+  let n = Array.length names in
+  let id = Hashtbl.create (2 * n + 1) in
+  Array.iteri (fun i v -> if not (Hashtbl.mem id v) then Hashtbl.add id v i) names;
+  let succs = Array.map (fun v -> List.filter_map (Hashtbl.find_opt id) (successors g v)) names in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
   let stack = ref [] in
   let counter = ref 0 in
   let out = ref [] in
   let rec strong v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
+    on_stack.(v) <- true;
     List.iter
       (fun w ->
-        if SSet.mem w known then
-          if not (Hashtbl.mem index w) then begin
-            strong w;
-            Hashtbl.replace lowlink v
-              (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-          end
-          else if Hashtbl.mem on_stack w then
-            Hashtbl.replace lowlink v
-              (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (successors g v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+        if index.(w) < 0 then begin
+          strong w;
+          lowlink.(v) <- min lowlink.(v) lowlink.(w)
+        end
+        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
+      succs.(v);
+    if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
         | w :: rest ->
           stack := rest;
-          Hashtbl.remove on_stack w;
-          if String.equal w v then w :: acc else pop (w :: acc)
+          on_stack.(w) <- false;
+          if w = v then names.(w) :: acc else pop (names.(w) :: acc)
       in
       out := pop [] :: !out
     end
   in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) g.nodes;
+  List.iter
+    (fun v ->
+      let i = Hashtbl.find id v in
+      if index.(i) < 0 then strong i)
+    g.nodes;
   List.rev !out
 
 (* The SCCs grouped into waves, lowest first: an SCC's wave is one more

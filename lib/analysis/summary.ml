@@ -27,7 +27,9 @@ module D = Domains
    context or a callee's entry moved in this pass, and reuses every other
    SCC's previous result, which a re-walk would reproduce exactly (a
    walk is a deterministic function of the members' bodies and contexts
-   and the callees' entries).
+   and the callees' entries).  With a proof store the same holds across
+   runs: [compute_walks] takes walks recorded with the store's hits in
+   place of walks with exactly the same inputs.
 
    Budgets: SCC rounds are capped by the shared [!Domains.budget]
    (non-convergence drops that SCC's summaries — callers havoc across
@@ -47,10 +49,12 @@ let contexts = ref 3
 let exhaustions = Atomic.make 0
 
 (* SCC walks (one SCC's fixpoint, in one refinement round) made by the
-   latest [compute]. *)
+   latest [compute] or [compute_walks]; a recorded walk standing in for
+   one does not count. *)
 let scc_walks = Atomic.make 0
 
-(* Per-function inference statistics, for `acc stats --profile`. *)
+(* Per-function inference statistics ([stats]), for `acc stats
+   --profile`. *)
 type fstat = { fs_contexts : int; fs_size : int }
 
 let base_args (f : M.func) : A.vdom list =
@@ -94,8 +98,11 @@ type scc_result = {
 }
 
 (* The part of a member's entry a walk reads at its call sites: every
-   field of every context but the loop invariants. *)
-let call_view (r : scc_result) (g : string) =
+   field of every context but the loop invariants ([None]: the SCC ran
+   out of budget and has no entry). *)
+type call_view = (A.vdom list * A.vdom * bool * bool) list option
+
+let call_view (r : scc_result) (g : string) : call_view =
   Option.map
     (fun es ->
       List.map
@@ -103,8 +110,71 @@ let call_view (r : scc_result) (g : string) =
         (List.assoc g es))
     r.entries
 
-let compute (lenv : Layout.env) (fs : M.func list) :
-    A.sums * (string * fstat) list =
+(* One SCC walk as the proof store keeps it: what it produced, and the
+   call views of the callees outside the SCC that it read (successor
+   order; [None]: the callee has no SCC in this run, so the table has no
+   entry for it).  Its other inputs are the members' bodies and contexts.
+   A store hit fixes a member's body, the layout and the budgets, and the
+   contexts are the [s_args] of the entries the walk produced.  So a
+   later run whose SCC members are all hits, under the same contexts and
+   call views, would walk to exactly [w_result].  Only walks that
+   counted no budget exhaustion are kept: the analysis deadline depends
+   on load. *)
+type walk = { w_calls : call_view option list; w_result : scc_result }
+
+(* Tables of the values recorded walks hold, so that equal values are
+   one physical value: marshalling an entry's walks then writes each
+   distinct value once (most are the same few type tops, contexts and
+   callee summaries, repeated across an SCC's rounds). *)
+type shared = {
+  vdoms : (A.vdom, A.vdom) Hashtbl.t;
+  lists : (A.vdom list, A.vdom list) Hashtbl.t;
+  envs : (A.aenv, A.aenv) Hashtbl.t;
+  sums : (A.summary, A.summary) Hashtbl.t;
+}
+
+let shared () =
+  { vdoms = Hashtbl.create 256; lists = Hashtbl.create 256; envs = Hashtbl.create 64;
+    sums = Hashtbl.create 256 }
+
+let intern tbl x =
+  match Hashtbl.find_opt tbl x with
+  | Some y -> y
+  | None ->
+    Hashtbl.add tbl x x;
+    x
+
+(* [w] with its values taken from [sh] where an equal one is there. *)
+let share (sh : shared) (w : walk) : walk =
+  let rec vd d = intern sh.vdoms (match d with A.Dtuple ds -> A.Dtuple (List.map vd ds) | d -> d) in
+  let args ds = intern sh.lists (List.map vd ds) in
+  let env (e : A.aenv) =
+    intern sh.envs { A.avars = A.SMap.map vd e.A.avars; aglobs = A.SMap.map vd e.A.aglobs }
+  in
+  let summary (s : A.summary) =
+    intern sh.sums
+      { s with
+        A.s_args = args s.A.s_args;
+        s_ret = vd s.A.s_ret;
+        s_invs = List.map (fun (k, e) -> (k, env e)) s.A.s_invs }
+  in
+  let r = w.w_result in
+  {
+    w_calls =
+      List.map
+        (Option.map
+           (Option.map (List.map (fun (a, ret, nr, th) -> (args a, vd ret, nr, th)))))
+        w.w_calls;
+    w_result =
+      { r with
+        entries = Option.map (List.map (fun (g, ss) -> (g, List.map summary ss))) r.entries;
+        observed = List.map (fun (g, ds) -> (g, args ds)) r.observed };
+  }
+
+(* The fixpoint, with the store's recorded walks ([prior], see
+   [compute_walks] below) or without ([None]: no walk keys, no records). *)
+let compute_with ~(prior : (string -> walk list option) option) (lenv : Layout.env)
+    (fs : M.func list) =
   Atomic.set scc_walks 0;
   let cg = Callgraph.of_funcs fs in
   let fmap = Hashtbl.create 64 in
@@ -184,14 +254,81 @@ let compute (lenv : Layout.env) (fs : M.func list) :
     { entries; observed = !observed; loop_hits = Atomic.get D.exhaustions - hits_before }
   in
   let last : scc_result option array = Array.make (Array.length sccs) None in
+  (* With a store: the tables this run's records share values through,
+     each SCC's recorded walks (those of its first member's entry, when
+     every member is a hit), the walks this run made, and each
+     function's SCC. *)
+  let sh = lazy (shared ()) in
+  let recorded, made, scc_of =
+    match prior with
+    | None -> ([||], [||], Hashtbl.create 1)
+    | Some prior ->
+      let scc_of = Hashtbl.create 64 in
+      Array.iteri
+        (fun i (_, members, _) -> List.iter (fun f -> Hashtbl.replace scc_of f.M.name i) members)
+        sccs;
+      ( Array.map
+          (fun (_, members, _) ->
+            match List.map (fun f -> prior f.M.name) members with
+            | Some ws :: rest when List.for_all Option.is_some rest -> ws
+            | _ -> [])
+          sccs,
+        Array.make (Array.length sccs) [],
+        scc_of )
+  in
+  (* SCC [i]'s walk under the current contexts and committed table.  With
+     a store, a recorded walk with exactly these inputs stands in for it;
+     a record must also name the SCC's members and count no exhaustion,
+     so a damaged one is a lookup miss. *)
+  let walk_or_recall i cyclic members callees committed =
+    match prior with
+    | None -> walk_scc committed cyclic members
+    | Some _ -> (
+      let w_calls =
+        List.filter_map
+          (fun g ->
+            match Hashtbl.find_opt scc_of g with
+            | Some j when j = i -> None
+            | Some j -> Some (Option.map (fun r -> call_view r g) last.(j))
+            | None -> Some None)
+          callees
+      in
+      let fits w =
+        w.w_result.loop_hits = 0
+        && (match w.w_result.entries with
+           | Some es ->
+             List.compare_lengths es members = 0
+             && List.for_all2
+                  (fun (g, ss) f ->
+                    let cs = Hashtbl.find ctxs f.M.name in
+                    String.equal g f.M.name
+                    && List.compare_lengths ss cs = 0
+                    && List.for_all2 (fun s c -> s.A.s_args = c) ss cs)
+                  es members
+           | None -> false)
+        && w.w_calls = w_calls
+      in
+      match List.find_opt fits recorded.(i) with
+      | Some w -> w.w_result
+      | None ->
+        let r = walk_scc committed cyclic members in
+        if r.loop_hits = 0 && Option.is_some r.entries then begin
+          made.(i) <- share (Lazy.force sh) { w_calls; w_result = r } :: made.(i)
+        end;
+        r)
+  in
   (* One bottom-up pass.  An SCC's walks read only its members' bodies and
      contexts and its callees' committed entries, so after the first pass
      an SCC is re-walked only when a member is in [grown] (it gained a
      context in [refine]) or a callee's entry moved earlier in this pass;
      otherwise its previous result is reused as is, exhaustions included.
-     Returns the table and the call-site argument domains observed, newest
-     first (compute is sequential, so the order is deterministic and
-     independent of [--jobs]). *)
+     Returns the table and the call-site argument domains the SCCs walked
+     (or recalled) in this pass observed, newest first (compute is
+     sequential, so the order is deterministic and independent of
+     [--jobs]).  A reused result's observations went through [refine]
+     after the pass that produced it, and an observation [refine] has
+     seen never adds a context later (contexts only grow, so a rejected
+     one stays rejected), so they are left out. *)
   let recompute (grown : (string, unit) Hashtbl.t) : A.sums * (string * A.vdom list) list =
     let moved = Hashtbl.create 16 in
     let calls = ref [] in
@@ -207,7 +344,8 @@ let compute (lenv : Layout.env) (fs : M.func list) :
             ignore (Atomic.fetch_and_add D.exhaustions r.loop_hits);
             r
           | prev ->
-            let r = walk_scc !committed cyclic members in
+            let r = walk_or_recall i cyclic members callees !committed in
+            calls := r.observed @ !calls;
             Option.iter
               (fun p ->
                 List.iter
@@ -219,7 +357,6 @@ let compute (lenv : Layout.env) (fs : M.func list) :
             last.(i) <- Some r;
             r
         in
-        calls := r.observed @ !calls;
         match r.entries with
         | Some es -> committed := es @ !committed
         | None ->
@@ -277,14 +414,50 @@ let compute (lenv : Layout.env) (fs : M.func list) :
     else outer (round + 1) grown
   in
   let table = outer 1 (Hashtbl.create 1) in
-  let stats =
-    List.map
-      (fun (g, ss) ->
-        ( g,
-          {
-            fs_contexts = List.length ss;
-            fs_size = List.fold_left (fun a s -> a + D.summary_size s) 0 ss;
-          } ))
-      table
+  let walks_of name =
+    match Hashtbl.find_opt scc_of name with Some i -> List.rev made.(i) | None -> []
   in
-  (table, stats)
+  (table, walks_of)
+
+(* Walks an entry keeps at most; older ones go first. *)
+let max_walks = 16
+
+(* [old] with the walks of [fresh] whose inputs it lacks put first, at
+   most [max_walks]; [None] when it lacks none. *)
+let merge_walks (fresh : walk list) (old : walk list) : walk list option =
+  let contexts w =
+    Option.map
+      (List.map (fun (g, ss) -> (g, List.map (fun s -> s.A.s_args) ss)))
+      w.w_result.entries
+  in
+  let same a b = a.w_calls = b.w_calls && contexts a = contexts b in
+  match List.filter (fun w -> not (List.exists (same w) old)) fresh with
+  | [] -> None
+  | added -> Some (List.filteri (fun i _ -> i < max_walks) (added @ old))
+
+let compute (lenv : Layout.env) (fs : M.func list) : A.sums =
+  fst (compute_with ~prior:None lenv fs)
+
+(* [compute_walks ~prior lenv fs] is [compute] for a run with a proof
+   store.  [prior f] is the walks recorded with [f]'s trusted store entry
+   ([None]: [f] is not a hit).  An SCC whose members are all hits takes
+   the result of a recorded walk with exactly the current inputs instead
+   of walking; the rounds, the refinement and the walk order are
+   unchanged, so the table and the exhaustion counts are a cold run's.
+   Also returns, per function, the walks its SCC made in this run, for
+   the store to save with the function's entry. *)
+let compute_walks ~(prior : string -> walk list option) (lenv : Layout.env)
+    (fs : M.func list) : A.sums * (string -> walk list) =
+  compute_with ~prior:(Some prior) lenv fs
+
+(* Per-function inference statistics of a table, for `acc stats
+   --profile`. *)
+let stats (table : A.sums) : (string * fstat) list =
+  List.map
+    (fun (g, ss) ->
+      ( g,
+        {
+          fs_contexts = List.length ss;
+          fs_size = List.fold_left (fun a s -> a + D.summary_size s) 0 ss;
+        } ))
+    table

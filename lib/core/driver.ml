@@ -105,16 +105,22 @@ let options_for options fname =
    function must appear here, so flipping any of them misses the store
    instead of replaying a result computed under different settings.
    [jobs] is deliberately absent — it changes scheduling and cost, never
-   output. *)
-let opt_string (options : options) (fname : string) : string =
-  let o = options_for options fname in
+   output.  Functions without an override share one rendering. *)
+let opt_string (options : options) : string -> string =
   let b = options.budgets in
   let fl = function None -> "-" | Some f -> string_of_float f in
-  Printf.sprintf
-    "wa=%b ha=%b dg=%b polish=%b ar=%d as=%d ad=%s rf=%d ip=%b sr=%d sc=%d"
-    o.word_abs o.heap_abs o.discharge_guards options.polish b.analysis_rounds
-    b.analysis_steps (fl b.analysis_deadline_s) b.rewrite_fuel options.interproc
-    b.summary_rounds b.summary_contexts
+  let render o =
+    Printf.sprintf
+      "wa=%b ha=%b dg=%b polish=%b ar=%d as=%d ad=%s rf=%d ip=%b sr=%d sc=%d"
+      o.word_abs o.heap_abs o.discharge_guards options.polish b.analysis_rounds
+      b.analysis_steps (fl b.analysis_deadline_s) b.rewrite_fuel options.interproc
+      b.summary_rounds b.summary_contexts
+  in
+  let default = render options.defaults in
+  fun fname ->
+    match List.assoc_opt fname options.overrides with
+    | Some o -> render o
+    | None -> default
 
 (* The degradation ladder: the last certified level a function reached. *)
 type level = Lsimpl | Ll1 | Ll2 | Lhl | Lwa
@@ -200,6 +206,7 @@ type result = {
   sums : Ac_kernel.Absdom.sums;
       (* the kernel-checkable summary table this run's certificates drew
          from ([] when [interproc] is off); `acc analyze` reuses it *)
+  summary_walks : int; (* SCC walks the summary inference made *)
   iprof : (string * iprof) list; (* per function, source order *)
 }
 
@@ -697,10 +704,21 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
         | None -> Index.find_opt l2_by_name f.Ir.name)
       simpl.Ir.funcs
   in
-  let sums, sum_stats =
-    if not options.interproc then ([], [])
-    else Profile.record "summary" (fun () -> Ac_analysis.Summary.compute lenv fbodies)
+  (* With a store, the walks recorded with the hits stand in for walks
+     whose inputs are unchanged ([Summary.compute_walks]), and the walks
+     made here are saved with the new entries. *)
+  let sums, walks_of =
+    if not options.interproc then ([], fun _ -> [])
+    else
+      Profile.record "summary" (fun () ->
+          match store with
+          | None -> (Ac_analysis.Summary.compute lenv fbodies, fun _ -> [])
+          | Some _ ->
+            Ac_analysis.Summary.compute_walks
+              ~prior:(fun n -> Option.map (fun e -> e.Store.e_walks) (hit_entry n))
+              lenv fbodies)
   in
+  let summary_walks = if options.interproc then Atomic.get Ac_analysis.Summary.scc_walks else 0 in
   let callgraph = Ac_analysis.Callgraph.of_funcs fbodies in
   (* The slice a function's certificates may draw from: the table
      restricted to its transitive callees (self included on cycles).
@@ -717,29 +735,43 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
   let sums_for name =
     match Index.find_opt sums_slices name with Some (_, s) -> s | None -> []
   in
-  (* Slice digests share the table entries, so stringify each entry once
-     (the slices are [restrict]ions of one table: same pairs) instead of
-     per cone; equal to [Domains.sums_digest] of the slice by
-     construction.  Only the store reads the digests (replay and save), so
-     the strings are built only when one is attached; eagerly, like the
-     slices, so they are read-only under [pmap]. *)
-  let entry_strings =
+  (* Each function's slice digest, equal to [Domains.sums_digest] of its
+     slice.  The slices are [restrict]ions of one table (same pairs), so
+     an entry is rendered once, and only if some slice holds it.  Only the
+     store reads the digests (replay and save), so they are computed only
+     when one is attached; eagerly, like the slices, so they are read-only
+     under [pmap]. *)
+  let sums_digests =
     if Option.is_none store then Index.empty
-    else
+    else begin
+      let rendered = Hashtbl.create 64 in
+      let render ((g, _) as entry) =
+        match Hashtbl.find_opt rendered g with
+        | Some text -> text
+        | None ->
+          let text = Ac_analysis.Domains.entry_to_string entry in
+          Hashtbl.add rendered g text;
+          text
+      in
       Index.of_list fst
-        (List.map (fun entry -> (fst entry, Ac_analysis.Domains.entry_to_string entry)) sums)
+        (List.map
+           (fun (fb : M.func) ->
+             ( fb.M.name,
+               Ac_analysis.Domains.digest_of_entry_strings
+                 (List.map render (sums_for fb.M.name)) ))
+           fbodies)
+    end
   in
   let sums_digest_for name =
-    Ac_analysis.Domains.digest_of_entry_strings
-      (List.filter_map
-         (fun (g, _) -> Option.map snd (Index.find_opt entry_strings g))
-         (sums_for name))
+    match Index.find_opt sums_digests name with
+    | Some (_, d) -> d
+    | None -> Ac_analysis.Domains.digest_of_entry_strings []
   in
   (* Per-function analysis profile, with and without the table. *)
   let iprof =
     if not (options.interproc && options.summary_profile) then []
     else
-      let sum_stats = Index.of_list fst sum_stats in
+      let sum_stats = Index.of_list fst (Ac_analysis.Summary.stats sums) in
       Profile.record "iprof" (fun () ->
           pmap
             (fun (fb : M.func) ->
@@ -1069,45 +1101,57 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
     (* Bank every clean fresh translation (no diagnostics, end-to-end
        chain assembled): only such entries can reproduce a byte-identical
        result on a later hit, and degraded functions must keep
-       re-translating so their diagnostics reappear. *)
+       re-translating so their diagnostics reappear.  A hit whose SCC made
+       a walk its entry has no record of (a caller's edit gave it a new
+       context, say) is banked again with that walk added, so the next run
+       with these inputs walks nothing. *)
     (match store with
     | None -> ()
     | Some st ->
+      let save name e =
+        match store_key name with
+        | None -> ()
+        | Some key -> (
+          match Store.save st ~key e with
+          | Result.Ok () -> ()
+          | Result.Error m -> store_diag ~fname:name m)
+      in
       Profile.record "store_save" (fun () ->
           List.iter
+            (fun (name, e) ->
+              match Ac_analysis.Summary.merge_walks (walks_of name) e.Store.e_walks with
+              | Some e_walks -> save name { e with Store.e_walks }
+              | None -> ())
+            entries;
+          List.iter
             (fun fr ->
-              if (not (is_hit fr.fr_name)) && fr.fr_diags = [] then begin
-                match (fr.fr_chain, store_key fr.fr_name) with
-                | Some chain, Some key ->
-                  let e =
-                    {
-                      Store.e_name = fr.fr_name;
-                      e_l1 = fr.fr_l1;
-                      e_l2g =
-                        (match Index.find_opt l2_by_name fr.fr_name with
-                        | Some fb -> fb
-                        | None -> fr.fr_l2);
-                      e_l2 = fr.fr_l2;
-                      e_hl = fr.fr_hl;
-                      e_wa = fr.fr_wa;
-                      e_final = fr.fr_final;
-                      e_wvars = fr.fr_wa_wvars;
-                      e_skipped = fr.fr_skipped;
-                      e_nothrow = Index.mem ctx.Rules.nothrows fr.fr_name;
-                      e_fsig =
-                        (match Index.find_opt ctx.Rules.fsigs fr.fr_name with
-                        | Some (_, s) -> s
-                        | None -> Wa.func_sig ~enabled:false fr.fr_l2);
-                      e_sums_digest = sums_digest_for fr.fr_name;
-                      e_trace = Trace.record chain;
-                      e_n_hl = List.length fr.fr_hl_thms;
-                    }
-                  in
-                  (match Store.save st ~key e with
-                  | Result.Ok () -> ()
-                  | Result.Error m -> store_diag ~fname:fr.fr_name m)
-                | _ -> ()
-              end)
+              match fr.fr_chain with
+              | Some chain when (not (is_hit fr.fr_name)) && fr.fr_diags = [] ->
+                save fr.fr_name
+                  {
+                    Store.e_name = fr.fr_name;
+                    e_l1 = fr.fr_l1;
+                    e_l2g =
+                      (match Index.find_opt l2_by_name fr.fr_name with
+                      | Some fb -> fb
+                      | None -> fr.fr_l2);
+                    e_l2 = fr.fr_l2;
+                    e_hl = fr.fr_hl;
+                    e_wa = fr.fr_wa;
+                    e_final = fr.fr_final;
+                    e_wvars = fr.fr_wa_wvars;
+                    e_skipped = fr.fr_skipped;
+                    e_nothrow = Index.mem ctx.Rules.nothrows fr.fr_name;
+                    e_fsig =
+                      (match Index.find_opt ctx.Rules.fsigs fr.fr_name with
+                      | Some (_, s) -> s
+                      | None -> Wa.func_sig ~enabled:false fr.fr_l2);
+                    e_sums_digest = sums_digest_for fr.fr_name;
+                    e_trace = Trace.record chain;
+                    e_n_hl = List.length fr.fr_hl_thms;
+                    e_walks = walks_of fr.fr_name;
+                  }
+              | _ -> ())
             miss_frs))
     ;
     let diags =
@@ -1121,7 +1165,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
       store_misses =
         (match store with Some st -> Store.misses st - snd store_base | None -> 0);
       retries = 0; restarts = 0;
-      sums; iprof }
+      sums; summary_walks; iprof }
   end
   in
   translate candidates

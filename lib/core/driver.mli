@@ -172,6 +172,11 @@ type result = {
       (** the kernel-checkable summary table this run's certificates drew
           from ([] when {!options.interproc} is off); `acc analyze`
           reuses it to classify residual guards *)
+  summary_walks : int;
+      (** SCC walks the summary inference made for this result (0 when
+          {!options.interproc} is off); with a proof store, an SCC whose
+          members are all hits reuses a recorded walk instead, so a warm
+          run with every function a hit makes none *)
   iprof : (string * iprof) list;  (** per function, source order *)
 }
 

@@ -32,9 +32,9 @@ let result_json ~file (res : Driver.result) : string =
         res.Driver.degraded
   in
   Printf.sprintf
-    "{\"file\":\"%s\",\"functions\":[%s],\"budget_exhaustions\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"diagnostics\":%s}"
+    "{\"file\":\"%s\",\"functions\":[%s],\"budget_exhaustions\":%d,\"store\":{\"hits\":%d,\"misses\":%d,\"summary_walks\":%d},\"diagnostics\":%s}"
     (Diag.json_escape file) (String.concat "," funcs) res.Driver.budget_hits
-    res.Driver.store_hits res.Driver.store_misses
+    res.Driver.store_hits res.Driver.store_misses res.Driver.summary_walks
     (Diag.list_to_json res.Driver.diags)
 
 let diag_of_finding ~severity (f : Ac_analysis.finding) : Diag.t =

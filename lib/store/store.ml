@@ -26,9 +26,9 @@ module J = Ac_kernel.Judgment
        base or the pipeline's semantics change),
      - the per-function driver option vector (and that of every function
        in the cone, since each member's local digest includes its own),
-     - the preprocessed source of the function — its pretty-printed Simpl
-       image, which is stable under comments/whitespace/reordering of
-       unrelated code,
+     - the preprocessed source of the function — its Simpl image without
+       source positions, which is stable under comments/whitespace/
+       reordering of unrelated code,
      - the layout environment and globals (struct layouts change
        semantics),
      - the digests of all transitively called functions ("the cone"),
@@ -72,8 +72,12 @@ module J = Ac_kernel.Judgment
    [Eq_congr] step replays each clean-up's whole rewrite script, and
    [Eq_refl], [Eq_bind], [Eq_try], [Eq_cond] and [Eq_while] are gone, so
    every tag after [Eq_trans] moved; an older entry would decode its
-   congruence nodes as other rules and fail replay. *)
-let ruleset_tag = "acc-store-1/ruleset-11"
+   congruence nodes as other rules and fail replay.  ruleset-12: entries
+   carry the summary walks of their function's SCC ([e_walks]), so an
+   older entry would not decode as the current [fentry]; and the content
+   keys changed, since each Simpl image is now marshalled without
+   sharing and digested on its own. *)
+let ruleset_tag = "acc-store-1/ruleset-12"
 
 let magic = "ACC-STORE v1\n"
 
@@ -82,15 +86,11 @@ let magic = "ACC-STORE v1\n"
 
 let hex s = Digest.to_hex (Digest.string s)
 
-(* Direct call targets of a Simpl function body. *)
+(* Direct call targets of a Simpl function body, sorted. *)
 let callees_of_func (f : Ir.func) : string list =
   let acc = ref [] in
-  Ir.iter_stmts
-    (function
-      | Ir.Call (_, g, _) -> if not (List.mem g !acc) then acc := g :: !acc
-      | _ -> ())
-    f.Ir.body;
-  List.sort String.compare !acc
+  Ir.iter_stmts (function Ir.Call (_, g, _) -> acc := g :: !acc | _ -> ()) f.Ir.body;
+  List.sort_uniq String.compare !acc
 
 (* [cone_keys ~tag ~opt_string prog] returns [(fname, key)] for every
    function of [prog].  [opt_string fname] must render every driver
@@ -107,27 +107,27 @@ let callees_of_func (f : Ir.func) : string list =
    fixpoint. *)
 let cone_keys ~(tag : string) ~(opt_string : string -> string) (prog : Ir.program) :
     (string * string) list =
-  let lenv_d = hex (Marshal.to_string prog.Ir.lenv []) in
-  let globals_d = hex (Marshal.to_string prog.Ir.globals []) in
+  (* Marshalled without sharing: the bytes then follow the values alone,
+     not which of their subterms happen to be physically shared, and
+     marshalling skips the sharing table.  Digests stay raw (16 bytes)
+     until the final key. *)
+  let image v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ]) in
+  let lenv_d = image prog.Ir.lenv in
+  let globals_d = image prog.Ir.globals in
   let funcs = prog.Ir.funcs in
   let local (f : Ir.func) =
     (* Digest the semantic fields of the parsed Simpl image only: name,
        signature, locals and body are position-free, so the digest is
        stable under comments, whitespace and edits to unrelated functions
        (which only shift [fpos]/[gsrc] positions). *)
-    let image =
-      Marshal.to_string (f.Ir.name, f.Ir.params, f.Ir.locals, f.Ir.ret_ty, f.Ir.body) []
-    in
-    hex
-      (String.concat "\x00" [ tag; opt_string f.Ir.name; image; lenv_d; globals_d ])
+    Digest.string
+      (String.concat "\x00"
+         [ tag; opt_string f.Ir.name;
+           image (f.Ir.name, f.Ir.params, f.Ir.locals, f.Ir.ret_ty, f.Ir.body);
+           lenv_d; globals_d ])
   in
   let locals = Hashtbl.create 64 in
-  let callees = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      Hashtbl.replace locals f.Ir.name (local f);
-      Hashtbl.replace callees f.Ir.name (callees_of_func f))
-    funcs;
+  List.iter (fun f -> Hashtbl.replace locals f.Ir.name (local f)) funcs;
   (* SCC condensation via the analysis library's call-graph module (the
      Tarjan that used to live here moved there so the interprocedural
      summary pass and the store share one implementation).  Emission is
@@ -159,12 +159,12 @@ let cone_keys ~(tag : string) ~(opt_string : string -> string) (prog : Ir.progra
                 | Some gid when gid <> id -> Some (g ^ "@" ^ Hashtbl.find comp_digest gid)
                 | Some _ -> None (* same component: covered by member_parts *)
                 | None -> Some ("extern:" ^ g))
-              (Hashtbl.find callees m))
+              (Ac_analysis.Callgraph.successors cg m))
           members
         |> List.sort_uniq String.compare
       in
       Hashtbl.replace comp_digest id
-        (hex (String.concat "\x00" (member_parts @ callee_parts))))
+        (Digest.string (String.concat "\x00" (member_parts @ callee_parts))))
     sccs;
   (* A function's key: its own local digest chained with its component's
      cone digest (so two members of one cycle still get distinct keys). *)
@@ -221,6 +221,13 @@ type fentry = {
          sharing between the chain and its components that the memoized
          checker exploits. *)
   e_n_hl : int; (* length of the [hl_thms] segment of the root's premises *)
+  e_walks : Ac_analysis.Summary.walk list;
+      (* the summary walks this function's SCC made when the entry was
+         banked ([Summary.compute_walks]).  A later run whose SCC members
+         are all hits reuses a walk whose inputs are exactly the current
+         ones instead of walking.  Untrusted like the table itself: a
+         wrong record can only cost a discharge, since the kernel
+         re-verifies every slice a certificate carries. *)
 }
 
 (* ------------------------------------------------------------------ *)

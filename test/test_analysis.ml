@@ -401,7 +401,7 @@ let summary_tests =
             (M.Bind (M.Call ("g", [ w32 5 ]), M.Pvar ("d", u32), M.Return d))
         in
         let u = mk_l2_func "u" [ ("y", u32) ] u32 (M.Return y) in
-        let sums, _ = Ac_analysis.Summary.compute lenv [ u; f; bounded_callee ] in
+        let sums = Ac_analysis.Summary.compute lenv [ u; f; bounded_callee ] in
         Alcotest.(check int) "g gained a context" 2 (List.length (List.assoc "g" sums));
         (match List.assoc "f" sums with
         | [ s ] ->
@@ -410,6 +410,46 @@ let summary_tests =
         | _ -> Alcotest.fail "f has one context");
         Alcotest.(check int) "u walked once: 3 + 2 walks" 5
           (Atomic.get Ac_analysis.Summary.scc_walks) );
+    ( "recorded walks stand in only for walks with the same inputs",
+      fun () ->
+        (* The SCCs above plus h, which calls g(y).  A run whose members
+           are all hits reuses every recorded walk.  When f calls g(7)
+           instead, g's new context is an input no record has, and so is
+           the call view of g that h then reads: both are walked again,
+           while u's recorded walk still stands in. *)
+        let y = E.Var ("y", u32) and d = E.Var ("d", u32) in
+        let caller name arg =
+          mk_l2_func name [ ("y", u32) ] u32
+            (M.Bind (M.Call ("g", [ arg ]), M.Pvar ("d", u32), M.Return d))
+        in
+        let u = mk_l2_func "u" [ ("y", u32) ] u32 (M.Return y) in
+        let h = caller "h" y in
+        let module S = Ac_analysis.Summary in
+        let digest = Ac_analysis.Domains.sums_digest in
+        let fs = [ u; caller "f" (w32 5); h; bounded_callee ] in
+        let cold, cold_walks = S.compute_walks ~prior:(fun _ -> None) lenv fs in
+        Alcotest.(check int) "cold: 4 + 3 walks" 7 (Atomic.get S.scc_walks);
+        Alcotest.(check string) "cold table = compute's" (digest (S.compute lenv fs))
+          (digest cold);
+        let warm, warm_walks = S.compute_walks ~prior:(fun n -> Some (cold_walks n)) lenv fs in
+        Alcotest.(check int) "all hits: no walk" 0 (Atomic.get S.scc_walks);
+        Alcotest.(check string) "all hits: the cold table" (digest cold) (digest warm);
+        Alcotest.(check int) "all hits: nothing new to record" 0
+          (List.length (List.concat_map warm_walks [ "u"; "f"; "h"; "g" ]));
+        let fs7 = [ u; caller "f" (w32 7); h; bounded_callee ] in
+        let edited, edited_walks =
+          S.compute_walks
+            ~prior:(fun n -> if n = "f" then None else Some (cold_walks n))
+            lenv fs7
+        in
+        Alcotest.(check int) "f edited: f twice, g and h once" 4 (Atomic.get S.scc_walks);
+        Alcotest.(check int) "g re-walked under its new context" 1
+          (List.length (edited_walks "g"));
+        Alcotest.(check int) "h re-walked: the view of g it reads moved" 1
+          (List.length (edited_walks "h"));
+        Alcotest.(check int) "u's record stood in" 0 (List.length (edited_walks "u"));
+        Alcotest.(check string) "edited: a cold run's table" (digest (S.compute lenv fs7))
+          (digest edited) );
     ( "recursive callee summaries converge and discharge",
       fun () ->
         let source = List.assoc "rec_bound" Csources.all in

@@ -328,7 +328,7 @@ let interproc_discharge_sound (((hbody : M.t), (fbody : M.t)), (a, b)) =
   let hf = mk_ufunc "h" [ ("a", u32) ] hbody in
   let ff = mk_ufunc "f" [ ("x", u32); ("y", u32) ] fbody in
   let fbodies = [ hf; ff ] in
-  let sums, _ = Ac_analysis.Summary.compute lenv fbodies in
+  let sums = Ac_analysis.Summary.compute lenv fbodies in
   let ctx = { (Rules.empty_ctx lenv) with Rules.fbodies = Rules.index_funcs fbodies } in
   let discharged cert =
     match Thm.by_opt ctx (Rules.Rule_guard_true (fbody, cert)) [] with

@@ -194,15 +194,24 @@ let test_invalidation_cone () =
   check_counters "tag change invalidates" (0, 4) (run ~dir ~tag:"other-ruleset" chain_c);
   (* And the original keys are all still present and valid. *)
   check_counters "original entries survived" (4, 0) (run ~dir chain_c);
-  (* Entries banked under the previous ruleset, whose derivations hold
-     the retired congruence rules, read as misses, not as errors. *)
-  Alcotest.(check string) "current ruleset" "acc-store-1/ruleset-11" Store.ruleset_tag;
+  (* Keys are position-free: comments, blank lines and re-indentation
+     move every function without changing one. *)
+  let reformatted =
+    "/* a header comment */\n\n"
+    ^ replace_once ~sub:"int r = 0;" ~by:"int   r = 0;   // set below\n"
+        (replace_once ~sub:"int scale(int v) {" ~by:"\n\nint scale(int v)\n{" chain_c)
+  in
+  check_counters "comment and whitespace edits still hit" (4, 0) (run ~dir reformatted);
+  (* Entries banked under the previous ruleset, which carry no summary
+     walks and were keyed over shared marshalling, read as misses, not as
+     errors. *)
+  Alcotest.(check string) "current ruleset" "acc-store-1/ruleset-12" Store.ruleset_tag;
   let old_dir = fresh_dir () in
-  check_counters "ruleset-10: banked" (0, 4)
-    (run ~dir:old_dir ~tag:"acc-store-1/ruleset-10" chain_c);
+  check_counters "ruleset-11: banked" (0, 4)
+    (run ~dir:old_dir ~tag:"acc-store-1/ruleset-11" chain_c);
   let res = run ~dir:old_dir chain_c in
-  check_counters "ruleset-10 entries miss" (0, 4) res;
-  Alcotest.(check bool) "ruleset-10 entries raise no store diagnostic" false (has_store_diag res)
+  check_counters "ruleset-11 entries miss" (0, 4) res;
+  Alcotest.(check bool) "ruleset-11 entries raise no store diagnostic" false (has_store_diag res)
 
 let test_mutual_recursion_cone () =
   let dir = fresh_dir () in
@@ -216,6 +225,119 @@ let test_mutual_recursion_cone () =
      valid. *)
   let edited = replace_once ~sub:"if (e == 1u) return 0u;" ~by:"if (e == 1u) return 2u;" parity_c in
   check_counters "caller edit keeps the cycle's entries" (2, 1) (run ~dir edited)
+
+(* ------------------------------------------------------------------ *)
+(* Recorded summary walks: a warm run re-walks only the SCCs whose inputs
+   changed, and its summary table is a cold run's. *)
+
+let sums_digest (res : Driver.result) = Ac_analysis.Domains.sums_digest res.Driver.sums
+
+let check_cold_table what (cold : Driver.result) (res : Driver.result) =
+  Alcotest.(check string) (what ^ ": cold table") (sums_digest cold) (sums_digest res);
+  Alcotest.(check int) (what ^ ": cold budget hits") cold.Driver.budget_hits
+    res.Driver.budget_hits;
+  Alcotest.(check string) (what ^ ": cold output") (fingerprint cold) (fingerprint res)
+
+let test_warm_walks_nothing () =
+  let src = Ac_codegen.generate Ac_codegen.sel4_like in
+  let plain = Driver.run ~options:opts src in
+  let plain_walks = plain.Driver.summary_walks in
+  let dir = fresh_dir () in
+  let cold = run ~dir src in
+  Alcotest.(check int) "a store-less run's walks" plain_walks cold.Driver.summary_walks;
+  Alcotest.(check bool) "the cold run walks every SCC" true (plain_walks > 500);
+  check_cold_table "cold with a store" plain cold;
+  let warm = run ~dir src in
+  Alcotest.(check int) "every function hits" 0 warm.Driver.store_misses;
+  Alcotest.(check int) "all hits: no walk" 0 warm.Driver.summary_walks;
+  check_cold_table "all hits" cold warm
+
+let test_leaf_edit_one_walk () =
+  let dir = fresh_dir () in
+  ignore (run ~dir chain_c);
+  (* [scale] is called by nothing and calls nothing. *)
+  let edited = replace_once ~sub:"return v * 2;" ~by:"return v * 3;" chain_c in
+  let warm = run ~dir edited in
+  check_counters "only the leaf misses" (3, 1) warm;
+  Alcotest.(check int) "one walk, the leaf's" 1 warm.Driver.summary_walks;
+  check_cold_table "leaf edit" (run ~dir:(fresh_dir ()) edited) warm
+
+(* The entry banked for [name], read back from [dir]. *)
+let entry_named dir name =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f -> Filename.check_suffix f ".acc")
+  |> List.find_map (fun f ->
+         let key = Filename.chop_suffix f ".acc" in
+         let ic = open_in_bin (Filename.concat dir f) in
+         let raw = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         match Store.decode ~key raw with
+         | Ok e when e.Store.e_name = name -> Some (key, e)
+         | _ -> None)
+  |> function
+  | Some ke -> ke
+  | None -> Alcotest.fail ("no entry for " ^ name)
+
+let test_context_change_rewalks () =
+  let dir = fresh_dir () in
+  ignore (run ~dir chain_c);
+  let _, before = entry_named dir "clamp" in
+  (* clamp3's call site is clamp's refined context: editing its constant
+     leaves clamp a hit whose context changed. *)
+  let edited = replace_once ~sub:"r = clamp(0, 3, v);" ~by:"r = clamp(0, 5, v);" chain_c in
+  let warm = run ~dir edited in
+  check_counters "clamp and scale hit" (2, 2) warm;
+  check_cold_table "context change" (run ~dir:(fresh_dir ()) edited) warm;
+  (* clamp was walked again and banked again with that walk added. *)
+  let _, after = entry_named dir "clamp" in
+  Alcotest.(check int) "clamp's new walk is recorded"
+    (List.length before.Store.e_walks + 1) (List.length after.Store.e_walks);
+  Alcotest.(check int) "the edited source walks nothing the next time" 0
+    (run ~dir edited).Driver.summary_walks
+
+(* Every recorded claim of [clamp] strengthened to "never returns", saved
+   under its key with an honest payload digest.  A caller whose walk
+   believed it would find every guard after the call dead; the kernel
+   re-verifies the slice, so no guard a cold run keeps may go. *)
+let test_forged_walk_record () =
+  let dir = fresh_dir () in
+  ignore (run ~dir chain_c);
+  let key, e = entry_named dir "clamp" in
+  let never_returns (s : Ac_kernel.Absdom.summary) = { s with Ac_kernel.Absdom.s_noret = true } in
+  let forge (w : Ac_analysis.Summary.walk) =
+    let r = w.Ac_analysis.Summary.w_result in
+    { w with
+      Ac_analysis.Summary.w_result =
+        { r with
+          Ac_analysis.Summary.entries =
+            Option.map (List.map (fun (g, ss) -> (g, List.map never_returns ss)))
+              r.Ac_analysis.Summary.entries } }
+  in
+  (match Store.save (open_store dir) ~key { e with Store.e_walks = List.map forge e.Store.e_walks } with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  let edited = replace_once ~sub:"return x + y + z;" ~by:"return x + y + z + 0;" chain_c in
+  let cold = run ~dir:(fresh_dir ()) edited in
+  let forged =
+    match run ~dir edited with
+    | res -> res
+    | exception ex -> Alcotest.fail ("forged record raised " ^ Printexc.to_string ex)
+  in
+  Alcotest.(check bool) "the forged claim reached the table" true
+    (sums_digest forged <> sums_digest cold);
+  let guards (res : Driver.result) name =
+    match Driver.find_result res name with
+    | Some fr -> Ac_analysis.guard_count fr.Driver.fr_final.Ac_monad.M.body
+    | None -> Alcotest.fail ("no result for " ^ name)
+  in
+  List.iter
+    (fun fr ->
+      let name = fr.Driver.fr_name in
+      Alcotest.(check bool)
+        (name ^ ": keeps every guard the cold run keeps") true
+        (guards forged name >= guards cold name))
+    cold.Driver.funcs;
+  Alcotest.(check bool) "derivations re-validate" true (Driver.check_all forged = Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Poisoning. *)
@@ -304,6 +426,7 @@ let test_forged_entry_fails_replay () =
           (Ac_analysis.Domains.restrict res_a.Driver.sums [ "f" ]);
       e_trace = Trace.record chain_a;
       e_n_hl = List.length fr_a.Driver.fr_hl_thms;
+      e_walks = [];
     }
   in
   let st = open_store dir in
@@ -884,6 +1007,13 @@ let suite =
     Alcotest.test_case "warm = cold across the corpus" `Quick test_corpus_roundtrip;
     Alcotest.test_case "hit/miss and per-key invalidation" `Quick test_invalidation_cone;
     Alcotest.test_case "mutual-recursion invalidation cone" `Quick test_mutual_recursion_cone;
+    Alcotest.test_case "an all-hit warm run makes no summary walk" `Quick
+      test_warm_walks_nothing;
+    Alcotest.test_case "a leaf edit makes one summary walk" `Quick test_leaf_edit_one_walk;
+    Alcotest.test_case "a hit whose context changed is walked again" `Quick
+      test_context_change_rewalks;
+    Alcotest.test_case "a forged walk record discharges nothing" `Quick
+      test_forged_walk_record;
     Alcotest.test_case "bit-flipped entry degrades, never mints" `Quick test_bit_flip_poisoning;
     Alcotest.test_case "forged digest-valid entry fails replay" `Quick
       test_forged_entry_fails_replay;
