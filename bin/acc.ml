@@ -130,10 +130,10 @@ let store_dir_arg =
     & opt (some string) None
     & info [ "store" ] ~docv:"DIR"
         ~doc:
-          "Persistent proof store: reuse certified per-function translation \
-           results across runs.  Entries are replayed through the kernel on \
-           every load, so the store is never trusted.  Defaults to \
-           \\$ACC_STORE when set.")
+          "Persistent proof store: reuse the per-function search results \
+           (summary walks, discharge certificates) across runs.  Every \
+           certificate is checked by the kernel, so the store is never \
+           trusted.  Defaults to \\$ACC_STORE when set.")
 
 let no_store_arg =
   Arg.(

@@ -327,10 +327,11 @@ done
 cold_ms=$(( cold_ns / 1000000 ))
 warm_ms=$(( warm_ns / 1000000 ))
 echo "cold ${cold_ms}ms, warm ${warm_ms}ms (3 cycles)"
-# Speedup floor: the warm passes replay derivations instead of
-# translating.  The corpus files are small, so ~6ms of process startup
-# per invocation lands on both sides and compresses the CLI-level ratio
-# toward 1 (typically 1.2-1.5x here) — the floor only asserts that warm
+# Speedup floor: the warm passes take the search hints their entries
+# hold (summary walks, discharge certificates) instead of searching.
+# The corpus files are small, so ~6ms of process startup per invocation
+# lands on both sides and compresses the CLI-level ratio toward 1
+# (typically 1.2-1.5x here) — the floor only asserts that warm
 # is reliably cheaper.  The real performance gate is the `gates` bench
 # at the end, which asserts warm >= 2x cold in process, without startup
 # noise.
@@ -339,7 +340,17 @@ if [ $(( warm_ms * 21 )) -gt $(( cold_ms * 20 )) ]; then
   exit 1
 fi
 
-"$ACC" cache stat --store "$STORE_DIR" > /dev/null
+# Counted, not timed: the bytes the cold pass banked.  Entries hold
+# search hints only, 8,877 bytes over the corpus when this ceiling was
+# set (42,525 when they held programs and derivation traces).  A larger
+# figure means entries grew: raise the ceiling only with the reason.
+STORE_BYTES_CEILING=10000
+store_bytes=$("$ACC" cache stat --store "$STORE_DIR" | sed -n 's/.* entries, \([0-9]*\) bytes$/\1/p')
+echo "store bytes after the cold pass: ${store_bytes} (ceiling ${STORE_BYTES_CEILING})"
+if [ -z "$store_bytes" ] || [ "$store_bytes" -gt "$STORE_BYTES_CEILING" ]; then
+  echo "FAIL: corpus proof store holds ${store_bytes:-?} bytes, above the ${STORE_BYTES_CEILING}-byte ceiling" >&2
+  exit 1
+fi
 
 echo "== store crash-safety: kill -9 a writer mid-corpus, reopen, replay =="
 # A writer process is SIGKILLed at several points while populating the

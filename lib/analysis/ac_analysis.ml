@@ -54,6 +54,21 @@ let replay_solver = Domains.replay_solver
 (* ------------------------------------------------------------------ *)
 (* Certificates and kernel-checked discharge. *)
 
+(* Discharge statistics for one body: how many guards remain. *)
+let rec guard_count (m : M.t) : int =
+  match m with
+  | M.Guard _ -> 1
+  | M.Return _ | M.Gets _ | M.Modify _ | M.Fail | M.Throw _ | M.Unknown _ | M.Call _
+  | M.Exec_concrete _ ->
+    0
+  | M.Bind (a, _, b) | M.Try (a, _, b) | M.Cond (_, a, b) -> guard_count a + guard_count b
+  | M.While (_, _, body, _) -> guard_count body
+
+(* Fixpoints [solve] ran since the driver last reset the count; a
+   discharge that takes a stored hint runs none.  Counted like
+   [Summary.scc_walks]. *)
+let solves = Atomic.make 0
+
 (* Solve [m]'s loop invariants by widening fixpoint and package them as a
    certificate, together with the body the solver's final walk produced.
    Each table entry is the invariant that final walk used (a nested
@@ -62,10 +77,12 @@ let replay_solver = Domains.replay_solver
    invariants with the same transfer functions, so whenever it accepts
    the certificate its result is this body.  [on_guard] sees the final
    verdict of each reachable guard once ([fixpoint_solver] mutes it
-   during speculative widening rounds). *)
-let solve ?on_guard ?(sums = []) (lenv : Layout.env) (m : M.t) : A.cert * M.t =
+   during speculative widening rounds); [spent] turns true when the
+   solver runs out of budget. *)
+let solve ?on_guard ?spent ?(sums = []) (lenv : Layout.env) (m : M.t) : A.cert * M.t =
+  Atomic.incr solves;
   let tbl = Hashtbl.create 8 in
-  let sv = fixpoint_solver ?on_guard ~sums tbl in
+  let sv = fixpoint_solver ?on_guard ~sums ?spent tbl in
   let m', (_ : A.aout) = A.walk lenv sv 0 A.env_top m in
   let invs =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -75,14 +92,50 @@ let solve ?on_guard ?(sums = []) (lenv : Layout.env) (m : M.t) : A.cert * M.t =
 
 let infer_cert ?sums (lenv : Layout.env) (m : M.t) : A.cert = fst (solve ?sums lenv m)
 
+(* What one discharge round's search found, as the proof store keeps it:
+   [Unchanged] when the round minted nothing, or the loop invariants of
+   the certificate the kernel accepted and the number of guards the
+   discharged body kept.  The certificate's summary table is left out: a
+   hint is offered only under the summary slice it was solved under,
+   which the caller supplies again. *)
+type hint = Unchanged | Discharged of (int * A.aenv) list * int
+
+(* A discharge round: the rewritten function and its theorem ([None]:
+   nothing changed), the hint to keep ([None]: nothing worth keeping —
+   the body has no guard, or the solver ran out of budget, which depends
+   on load), and whether a supplied hint failed to hold. *)
+type discharge = {
+  d_result : (M.func * Thm.t) option;
+  d_hint : hint option;
+  d_refused : bool;
+}
+
+(* The kernel's verdict on [cert] for [f]: [None] when it refuses the
+   certificate or the body comes back unchanged. *)
+let mint (ctx : Rules.ctx) (f : M.func) (cert : A.cert) : (M.func * Thm.t) option =
+  match Thm.by_opt ctx (Rules.Rule_guard_true (f.M.body, cert)) [] with
+  | None -> None
+  | Some thm -> (
+    match Thm.concl thm with
+    | J.Equiv (m', m) when not (M.equal m' m) -> Some ({ f with M.body = m' }, thm)
+    | _ -> None)
+
 (* Run the analysis on one function and, if any guard is provable, push the
-   certificate through the kernel.  Returns the rewritten function and the
-   [Equiv (new_body, old_body)] theorem, or [None] when nothing changed (or
-   the kernel rejected the certificate — which only costs precision).
-   [sums] is the (restricted) summary table the certificate embeds; the
-   kernel re-verifies it against [ctx.fbodies] before trusting any of it.
-   [on_guard] sees each reachable guard's final verdict once (the driver
-   counts provenance with it when effort accounting is armed).
+   certificate through the kernel.  The result is the rewritten function
+   and the [Equiv (new_body, old_body)] theorem, or [None] when nothing
+   changed (or the kernel rejected the certificate — which only costs
+   precision).  [sums] is the (restricted) summary table the certificate
+   embeds; the kernel re-verifies it against [ctx.fbodies] before
+   trusting any of it.  [on_guard] sees each reachable guard's final
+   verdict once (the driver counts provenance with it when effort
+   accounting is armed).
+
+   A stored [hint] stands in for the fixpoint: [Unchanged] mints
+   nothing, and invariants go to the kernel as the certificate.  It is
+   untrusted: when the kernel refuses it, or the body keeps another
+   number of guards than it says, the round solves after all and reports
+   the refusal; a wrong [Unchanged] could only lose a discharge.
+   [on_guard] needs the solver's walk, so hints are not taken with it.
 
    Identity-free: when the solver's own walk leaves the body as it was
    ([A.walk] returns its input physically then), the kernel's walk would
@@ -92,19 +145,39 @@ let infer_cert ?sums (lenv : Layout.env) (m : M.t) : A.cert = fst (solve ?sums l
    result.  A body without a guard is not analysed at all: the walk
    rewrites only guards, so it would come back unchanged, and no guard
    verdict would reach [on_guard]. *)
-let discharge_func ?on_guard (ctx : Rules.ctx) ?(sums = []) (f : M.func) :
-    (M.func * Thm.t) option =
-  if not (M.has_guard f.M.body) then None
+let discharge ?on_guard ?hint (ctx : Rules.ctx) ?(sums = []) (f : M.func) : discharge =
+  if not (M.has_guard f.M.body) then { d_result = None; d_hint = None; d_refused = false }
   else
-    let cert, predicted = solve ?on_guard ~sums ctx.Rules.lenv f.M.body in
-    if predicted == f.M.body then None
-    else
-      match Thm.by_opt ctx (Rules.Rule_guard_true (f.M.body, cert)) [] with
-      | None -> None
-      | Some thm -> (
-        match Thm.concl thm with
-        | J.Equiv (m', m) when not (M.equal m' m) -> Some ({ f with M.body = m' }, thm)
-        | _ -> None)
+    let held =
+      match (hint, on_guard) with
+      | None, _ | _, Some _ -> None
+      | Some Unchanged, None -> Some None
+      | Some (Discharged (invs, left)), None -> (
+        match mint ctx f { A.c_invs = invs; c_sums = sums } with
+        | Some (f', _) as r when guard_count f'.M.body = left -> Some r
+        | _ -> None
+        | exception _ -> None)
+    in
+    match held with
+    | Some r -> { d_result = r; d_hint = hint; d_refused = false }
+    | None ->
+      let spent = ref false in
+      let cert, predicted = solve ?on_guard ~spent ~sums ctx.Rules.lenv f.M.body in
+      let r = if predicted == f.M.body then None else mint ctx f cert in
+      {
+        d_result = r;
+        d_hint =
+          (if !spent then None
+           else
+             Some
+               (match r with
+               | None -> Unchanged
+               | Some (f', _) -> Discharged (cert.A.c_invs, guard_count f'.M.body)));
+        d_refused = Option.is_some hint && Option.is_none on_guard;
+      }
+
+let discharge_func ?on_guard (ctx : Rules.ctx) ?sums (f : M.func) : (M.func * Thm.t) option =
+  (discharge ?on_guard ctx ?sums f).d_result
 
 (* How many guards of [m] the analysis proves true under [sums] — a pure
    analysis count, no kernel involved; the driver runs it with and
@@ -342,13 +415,3 @@ let sort_findings (fs : finding list) : finding list =
     (l, c, kind_rank f.lf_kind, f.lf_func, f.lf_msg)
   in
   List.sort_uniq (fun a b -> compare (key a) (key b)) fs
-
-(* Discharge statistics for one body: how many guards remain. *)
-let rec guard_count (m : M.t) : int =
-  match m with
-  | M.Guard _ -> 1
-  | M.Return _ | M.Gets _ | M.Modify _ | M.Fail | M.Throw _ | M.Unknown _ | M.Call _
-  | M.Exec_concrete _ ->
-    0
-  | M.Bind (a, _, b) | M.Try (a, _, b) | M.Cond (_, a, b) -> guard_count a + guard_count b
-  | M.While (_, _, body, _) -> guard_count body

@@ -50,13 +50,13 @@ let widen_after = 3
    per-function step limit (total [iterate] calls across all loops of one
    walk) and an optional elapsed-time deadline.  Exhausting any of them
    answers ⊤ for the remaining loops — precision is lost (guards stay,
-   nothing discharges), soundness and availability are not. *)
+   nothing discharges), soundness and availability are not.  [spent]
+   turns true when this solver has run out. *)
 
 let fixpoint_solver ?(on_guard = fun _ _ _ -> ()) ?(sums = []) ?(on_call = fun _ _ -> ())
-    (tbl : (int, A.aenv) Hashtbl.t) : A.solver =
+    ?(spent = ref false) (tbl : (int, A.aenv) Hashtbl.t) : A.solver =
   let muted = ref false in
   let steps = ref 0 in
-  let spent = ref false in
   (* Monotonic elapsed time (see Solver): CPU time races ahead under
      parallel workers, and a system-clock step must not cut a run short. *)
   let deadline = Option.map (fun d -> Ac_obs.Obs.mono_s () +. d) !budget.deadline_s in
@@ -158,10 +158,10 @@ let summary_size (s : A.summary) : int =
   + List.fold_left (fun acc (_, e) -> acc + env_size e) 0 s.A.s_invs
 
 (* ------------------------------------------------------------------ *)
-(* Table plumbing: deterministic digests (a store-key/claim component —
-   a replayed entry is only valid under the summary table it was banked
-   with) and restriction to a callee cone (certificates only carry the
-   summaries their verification walk can reach). *)
+(* Table plumbing: deterministic digests (the store offers a discharge
+   hint only under the summary slice it was solved under) and restriction
+   to a callee cone (certificates only carry the summaries their
+   verification walk can reach). *)
 
 (* [restrict sums names]: the entries of [sums] named in [names], in the
    table's order.  Apply it to the table once and to each cone after: the
@@ -181,8 +181,8 @@ let restrict (sums : A.sums) : string list -> A.sums =
    images even when the tables are equal.  The Absdom printers are
    canonical (sorted [SMap.bindings], exact interval bounds), so equal
    tables digest equally whatever their heap layout.  The digest is a
-   cache-coherence key only — replay soundness always rests on the
-   kernel re-checking the certificate's own table. *)
+   cache-coherence key only — soundness always rests on the kernel
+   re-checking the certificate's own table. *)
 let summary_to_string (s : A.summary) : string =
   Printf.sprintf "(%s)->%s%s%s[%s]"
     (String.concat "," (List.map A.vdom_to_string s.A.s_args))

@@ -28,7 +28,7 @@ module D = Domains
    SCC's previous result, which a re-walk would reproduce exactly (a
    walk is a deterministic function of the members' bodies and contexts
    and the callees' entries).  With a proof store the same holds across
-   runs: [compute_walks] takes walks recorded with the store's hits in
+   runs: [infer ~prior] takes walks recorded with the store's hits in
    place of walks with exactly the same inputs.
 
    Budgets: SCC rounds are capped by the shared [!Domains.budget]
@@ -49,8 +49,7 @@ let contexts = ref 3
 let exhaustions = Atomic.make 0
 
 (* SCC walks (one SCC's fixpoint, in one refinement round) made by the
-   latest [compute] or [compute_walks]; a recorded walk standing in for
-   one does not count. *)
+   latest [infer]; a recorded walk standing in for one does not count. *)
 let scc_walks = Atomic.make 0
 
 (* Per-function inference statistics ([stats]), for `acc stats
@@ -171,10 +170,18 @@ let share (sh : shared) (w : walk) : walk =
         observed = List.map (fun (g, ds) -> (g, args ds)) r.observed };
   }
 
-(* The fixpoint, with the store's recorded walks ([prior], see
-   [compute_walks] below) or without ([None]: no walk keys, no records). *)
-let compute_with ~(prior : (string -> walk list option) option) (lenv : Layout.env)
-    (fs : M.func list) =
+(* [infer ?prior lenv fs] runs the fixpoint over [fs] and returns the
+   table, the walks each function's SCC made in this run (for the store
+   to save with the function's entry; none without [prior]) and the call
+   graph of [fs], which the driver slices the table with.
+
+   [prior f] is the walks recorded with [f]'s store entry ([None]: [f]
+   has none).  An SCC whose members all have entries takes the result of
+   a recorded walk with exactly the current inputs instead of walking;
+   the rounds, the refinement and the walk order are unchanged, so the
+   table and the exhaustion counts are a store-less run's. *)
+let infer ?(prior : (string -> walk list option) option) (lenv : Layout.env)
+    (fs : M.func list) : A.sums * (string -> walk list) * Callgraph.t =
   Atomic.set scc_walks 0;
   let cg = Callgraph.of_funcs fs in
   let fmap = Hashtbl.create 64 in
@@ -417,7 +424,7 @@ let compute_with ~(prior : (string -> walk list option) option) (lenv : Layout.e
   let walks_of name =
     match Hashtbl.find_opt scc_of name with Some i -> List.rev made.(i) | None -> []
   in
-  (table, walks_of)
+  (table, walks_of, cg)
 
 (* Walks an entry keeps at most; older ones go first. *)
 let max_walks = 16
@@ -436,19 +443,8 @@ let merge_walks (fresh : walk list) (old : walk list) : walk list option =
   | added -> Some (List.filteri (fun i _ -> i < max_walks) (added @ old))
 
 let compute (lenv : Layout.env) (fs : M.func list) : A.sums =
-  fst (compute_with ~prior:None lenv fs)
-
-(* [compute_walks ~prior lenv fs] is [compute] for a run with a proof
-   store.  [prior f] is the walks recorded with [f]'s trusted store entry
-   ([None]: [f] is not a hit).  An SCC whose members are all hits takes
-   the result of a recorded walk with exactly the current inputs instead
-   of walking; the rounds, the refinement and the walk order are
-   unchanged, so the table and the exhaustion counts are a cold run's.
-   Also returns, per function, the walks its SCC made in this run, for
-   the store to save with the function's entry. *)
-let compute_walks ~(prior : string -> walk list option) (lenv : Layout.env)
-    (fs : M.func list) : A.sums * (string -> walk list) =
-  compute_with ~prior:(Some prior) lenv fs
+  let table, _, _ = infer lenv fs in
+  table
 
 (* Per-function inference statistics of a table, for `acc stats
    --profile`. *)

@@ -3,9 +3,7 @@ module M = Ac_monad.M
 module Ir = Ac_simpl.Ir
 module Rules = Ac_kernel.Rules
 module Thm = Ac_kernel.Thm
-module J = Ac_kernel.Judgment
 module Store = Ac_store.Store
-module Trace = Ac_store.Trace
 module Index = Ac_kernel.Index
 
 (* The AutoCorres driver: runs the full pipeline of Fig 1 over a C program
@@ -103,7 +101,7 @@ let options_for options fname =
 (* The per-function option vector rendered for the proof store's content
    key: every knob that can change what the pipeline produces for one
    function must appear here, so flipping any of them misses the store
-   instead of replaying a result computed under different settings.
+   instead of offering hints found under different settings.
    [jobs] is deliberately absent — it changes scheduling and cost, never
    output.  Functions without an override share one rendering. *)
 let opt_string (options : options) : string -> string =
@@ -276,166 +274,23 @@ let attempt ~(keep_going : bool) ~(phase : Diag.phase) ~(fname : string)
     else raise (Diag.Error d)
 
 (* ------------------------------------------------------------------ *)
-(* Proof-store replay.
+(* Proof-store hints. *)
 
-   Reconstitute a [func_result] from a store entry by re-minting its
-   entire derivation through the kernel and anchoring the replayed
-   conclusions against the *current* run: the freshly parsed Simpl body,
-   the assembled unit's nothrow set and word-abstraction signatures.  An
-   entry that is stale (the source or a callee changed in a way the key
-   missed), corrupted past its digest, or hand-crafted can fail any of
-   these gates — and then it is simply re-translated — but it can never
-   contribute a theorem the kernel would not derive itself, because every
-   theorem in the result comes out of [Thm.by] right here.
-
-   [ctx] is the run's final context (post WA-demotion fixpoint): its
-   [nothrows]/[fsigs] already include this entry's own claims, which were
-   used to seed the fixpoints; the claim-vs-recomputation checks below
-   close that loop, so a wrong seed demotes the entry instead of
-   distorting the unit. *)
-let replay_entry (ctx : Rules.ctx) ~(sums_digest : string) (f : Ir.func) (e : Store.fentry) :
-    (func_result, string) Stdlib.result =
-  let name = f.Ir.name in
-  let l1_body = e.Store.e_l1.M.body in
-  let l2_body = e.Store.e_l2.M.body in
-  if not (String.equal e.Store.e_sums_digest sums_digest) then
-    (* The summary slice this function's certificates could draw from
-       differs from the one the entry was banked under (summary budgets
-       changed, or interprocedural analysis was toggled): certificates
-       might replay against summaries the kernel now resolves
-       differently, so re-translate instead. *)
-    Result.error "interprocedural summary table changed"
-  else if Rules.nothrow_in ctx.Rules.nothrows l2_body <> e.Store.e_nothrow then
-    Result.error "nothrow claim inconsistent with the assembled unit"
-  else begin
-    let conv_sig_equal (ps1, r1) (ps2, r2) =
-      List.length ps1 = List.length ps2
-      && List.for_all2 J.conv_equal ps1 ps2
-      && J.conv_equal r1 r2
-    in
-    if
-      not
-        (conv_sig_equal e.Store.e_fsig
-           (Wa.func_sig ~enabled:(e.Store.e_wa <> None) e.Store.e_l2))
-    then Result.error "signature claim inconsistent with the assembled unit"
-    else begin
-      let after_hl = match e.Store.e_hl with Some h -> h | None -> e.Store.e_l2 in
-      if Wa.collect_wvars ctx.Rules.fsigs after_hl <> e.Store.e_wvars then
-        Result.error "word-abstraction variable registration mismatch"
-      else begin
-        let rctx = { ctx with Rules.wvars = e.Store.e_wvars } in
-        match Trace.replay rctx e.Store.e_trace with
-        | Result.Error m -> Result.error m
-        | Result.Ok chain -> (
-          match Thm.premises chain with
-          | l1_thm :: l2_thm :: rest
-            when e.Store.e_n_hl >= 0 && List.length rest >= e.Store.e_n_hl ->
-            let hl_thms = List.filteri (fun i _ -> i < e.Store.e_n_hl) rest in
-            let wa_thms = List.filteri (fun i _ -> i >= e.Store.e_n_hl) rest in
-            (* Walk the chain the way [Fn_chain] folds it, collecting the
-               intermediate program after every step: the stored L2/HL/WA
-               images must be exactly the walk states at their segment
-               boundaries, so an entry cannot present one program to the
-               kernel and a different one to the user. *)
-            let step cur (t : Thm.t) =
-              match Thm.concl t with
-              | (J.Equiv (a, c) | J.Abs_h_stmt (a, c)) when M.equal c cur -> Some a
-              | J.Abs_w_stmt (_, _, _, a, c) when M.equal c cur -> Some a
-              | _ -> None
-            in
-            let states =
-              (* state after l2_thm, after each HL step, after each WA step *)
-              List.fold_left
-                (fun acc t ->
-                  match acc with
-                  | None -> None
-                  | Some (cur, sts) -> (
-                    match step cur t with
-                    | Some a -> Some (a, a :: sts)
-                    | None -> None))
-                (Some (l1_body, []))
-                (l2_thm :: rest)
-              |> Option.map (fun (_, sts) -> List.rev sts)
-            in
-            (* [e_l2g] (the pre-discharge L2 image, a [Rules.fbodies]
-               contribution) must be tied to the verified chain: either
-               no guard was discharged at L2 (it IS the anchored L2
-               state), or the L2 slot is the transitivity node whose
-               premises — both re-minted by the kernel during replay —
-               prove Equiv(l2, l2g) and Equiv(l2g, l1).  See DESIGN.md
-               ("summary trust story") for why this anchoring plus the
-               kernel's call-depth induction rules out mutually-forged
-               entry sets. *)
-            let l2g_body = e.Store.e_l2g.M.body in
-            let l2g_anchored =
-              M.equal l2g_body l2_body
-              || (let prems = Thm.premises l2_thm in
-                  List.exists
-                    (fun t ->
-                      J.judgment_equal (Thm.concl t) (J.Equiv (l2_body, l2g_body)))
-                    prems
-                  && List.exists
-                       (fun t ->
-                         J.judgment_equal (Thm.concl t) (J.Equiv (l2g_body, l1_body)))
-                       prems)
-            in
-            let anchored =
-              match states with
-              | None -> false
-              | Some sts ->
-                let state_is i b =
-                  match List.nth_opt sts i with Some s -> M.equal s b | None -> false
-                in
-                l2g_anchored
-                && J.judgment_equal (Thm.concl chain)
-                     (J.Fn_refines (name, e.Store.e_final.M.body, l1_body))
-                && J.judgment_equal (Thm.concl l1_thm) (J.Corres_l1 (f.Ir.body, l1_body))
-                && state_is 0 l2_body
-                && state_is e.Store.e_n_hl after_hl.M.body
-                && (match e.Store.e_wa with
-                   | None -> true
-                   | Some wf ->
-                     List.exists (fun s -> M.equal s wf.M.body)
-                       (List.filteri (fun i _ -> i > e.Store.e_n_hl) sts))
-            in
-            if not anchored then
-              Result.error "replayed derivation does not anchor to the current source"
-            else
-              Result.ok
-                {
-                  fr_name = name;
-                  fr_simpl = f;
-                  fr_l1 = e.Store.e_l1;
-                  fr_l1_thm = l1_thm;
-                  fr_l2 = e.Store.e_l2;
-                  fr_l2_thm = l2_thm;
-                  fr_hl = e.Store.e_hl;
-                  fr_hl_thm =
-                    (if e.Store.e_hl <> None then
-                       match hl_thms with t :: _ -> Some t | [] -> None
-                     else None);
-                  fr_hl_thms = hl_thms;
-                  fr_wa = e.Store.e_wa;
-                  fr_wa_thm =
-                    (if e.Store.e_wa <> None then
-                       match wa_thms with t :: _ -> Some t | [] -> None
-                     else None);
-                  fr_wa_thms = wa_thms;
-                  fr_wa_wvars = e.Store.e_wvars;
-                  fr_chain = Some chain;
-                  fr_final = e.Store.e_final;
-                  fr_skipped = e.Store.e_skipped;
-                  fr_diags = [];
-                }
-          | _ -> Result.error "chain derivation has unexpected premise shape")
-      end
-    end
-  end
+(* What one function's discharge rounds did with the proof store: the
+   hint each round kept (after L2, after heap/word abstraction), whether
+   one differs from the function's entry, and whether a stored hint
+   failed to hold.  Written only by the function's own tasks. *)
+type kept = {
+  mutable k_certs : Store.cert option * Store.cert option;
+  mutable k_new : bool;
+  mutable k_refused : bool;
+}
 
 let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : result =
   Ac_obs.Obs.span ~cat:"driver" "driver.run" @@ fun () ->
   install_budgets options.budgets;
   reset_budget_counters ();
+  Atomic.set Ac_analysis.solves 0;
   Profile.reset ();
   (* One persistent pool per run: worker domains are spawned here once and
      reused by every per-function phase (spawning per phase costs more than
@@ -471,12 +326,12 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
       simpl.Ir.funcs
   in
   let base_ctx = { (Rules.empty_ctx lenv) with Rules.lifted = Index.names lifted } in
-  (* ---- proof store: content keys and candidate entries ---- *)
+  (* ---- proof store: content keys and this run's entries ---- *)
   let store =
     (* A word-abstraction extension is a closure behind its registered
        name: it cannot be rendered into a stable content key, so the store
-       stands down rather than risk replaying entries built under a
-       different rule base. *)
+       stands down rather than offer hints found under a different rule
+       base. *)
     if options.strategy <> [] then None else store
   in
   let store_base =
@@ -497,9 +352,9 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
       Diag.make ~func:fname ~severity:Diag.Warning ~recoverable:true Diag.Store msg
       :: !store_diags
   in
-  let candidates : (string * Store.fentry) list =
+  let entries : (string * Store.fentry) Index.t =
     match store with
-    | None -> []
+    | None -> Index.empty
     | Some st ->
       List.filter_map
         (fun (f : Ir.func) ->
@@ -518,21 +373,11 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
               store_diag ~fname:name msg;
               None))
         simpl.Ir.funcs
+      |> Index.of_list fst
   in
-  (* ---- the translation proper, parameterized by the set of store
-     entries still trusted.  A hit that later fails replay or claim
-     validation is demoted and the translation re-entered without it;
-     [entries] shrinks strictly each retry, so this terminates (at worst
-     as a full cold run). ---- *)
-  let rec translate (entries : (string * Store.fentry) list) : result =
-  let hits = Index.of_list fst entries in
-  let hit_entry n = Option.map snd (Index.find_opt hits n) in
-  let is_hit n = Index.mem hits n in
-  let miss_funcs =
-    List.filter (fun (f : Ir.func) -> not (is_hit f.Ir.name)) simpl.Ir.funcs
-  in
-  (* L1 for every function translated this run; a failure here degrades
-     the function to its Simpl image (the bottom of the ladder). *)
+  let entry name = Option.map snd (Index.find_opt entries name) in
+  (* L1; a failure here degrades the function to its Simpl image (the
+     bottom of the ladder). *)
   let l1_results, simpl_only =
     pmap
       (fun (f : Ir.func) ->
@@ -546,25 +391,13 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
         | None ->
           Either.Right
             { dg_name = f.Ir.name; dg_simpl = f; dg_l1 = None; dg_diags = List.rev !diags })
-      miss_funcs
+      simpl.Ir.funcs
     |> List.partition_map Fun.id
   in
   let l1_funcs = List.map (fun (_, (l1f : M.func), _, _) -> l1f) l1_results in
   let l1_by_name = Index.of_list (fun (l1f : M.func) -> l1f.M.name) l1_funcs in
-  (* Source order, hits contributing their stored L1 image. *)
   let l1_prog : M.program =
-    {
-      M.lenv;
-      globals = simpl.Ir.globals;
-      funcs =
-        List.filter_map
-          (fun (f : Ir.func) ->
-            match hit_entry f.Ir.name with
-            | Some e -> Some e.Store.e_l1
-            | None -> Index.find_opt l1_by_name f.Ir.name)
-          simpl.Ir.funcs;
-      heap_types = [];
-    }
+    { M.lenv; globals = simpl.Ir.globals; funcs = l1_funcs; heap_types = [] }
   in
   (* L2.  The nothrow analysis spans functions: once a callee's exception
      wrapper is eliminated, callers can eliminate theirs too.  A function
@@ -602,22 +435,15 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
      statuses the lower waves settled.  A function outside a cycle is
      converted once.  A cyclic SCC iterates over its own members only,
      from none of them nothrow until that set stops growing — the least
-     fixpoint — and keeps the last iteration's bodies and statuses.
-     Store hits are settled from the start with their claimed status (their
-     L2 bodies are not re-derived); [replay_entry] re-checks each claim
-     against the assembled unit afterwards, so a wrong seed costs a retry,
-     never soundness. *)
-  let seed_nothrows =
-    List.filter_map (fun (n, e) -> if e.Store.e_nothrow then Some n else None) entries
-  in
+     fixpoint — and keeps the last iteration's bodies and statuses. *)
   let l2_graph = Ac_analysis.Callgraph.of_funcs l1_funcs in
   (* fname -> (final conversion, its diagnostics in emission order), and
-     the misses settled nothrow.  Written only from the calling domain. *)
+     the functions settled nothrow.  Written only from the calling
+     domain. *)
   let l2_final : (string, (M.func * Thm.t) option * Diag.t list) Hashtbl.t =
     Hashtbl.create 64
   in
-  let nothrow_misses = Hashtbl.create 64 in
-  let settled = ref seed_nothrows in
+  let settled = ref [] in
   (* [pending]: the wave's unsettled SCCs, each with its current guess of
      nothrow members. *)
   let rec run_wave pending =
@@ -645,7 +471,6 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
                && List.length guess' > List.length guess
              then Some (scc, guess')
              else begin
-               List.iter (fun n -> Hashtbl.replace nothrow_misses n ()) guess';
                settled := guess' @ !settled;
                None
              end)
@@ -656,12 +481,12 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
     (fun wave -> run_wave (List.map (fun scc -> (scc, [])) wave))
     (Ac_analysis.Callgraph.waves l2_graph);
   let nothrows =
+    let settled = Index.names !settled in
     Index.names
-      (seed_nothrows
-      @ List.filter_map
-          (fun (_, (l1f : M.func), _, _) ->
-            if Hashtbl.mem nothrow_misses l1f.M.name then Some l1f.M.name else None)
-          l1_results)
+      (List.filter_map
+         (fun (l1f : M.func) ->
+           if Index.mem settled l1f.M.name then Some l1f.M.name else None)
+         l1_funcs)
   in
   let l2_rows =
     List.map
@@ -683,54 +508,42 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
       l2_rows
   in
   (* ---- interprocedural summary inference (the tentpole) ----
-     The summary table is computed once per translation attempt,
-     sequentially, from the *pre-discharge* L2 images of the whole unit
-     (stored [e_l2g] for hits, this run's conversions for misses), so it
-     is deterministic across [--jobs] and identical between cold and
-     warm runs.  The table is an untrusted hint: every certificate that
-     draws on a slice of it re-proves that slice inside the kernel
-     against [Rules.fbodies] (same trust class as [nothrows] — see the
-     summary-trust section of DESIGN.md for why replayed entries may
-     contribute to [fbodies]). *)
-  let l2_by_name =
-    Index.of_list (fun (l2f : M.func) -> l2f.M.name)
-      (List.map (fun (_, _, _, l2f, _, _) -> l2f) l2_results)
-  in
-  let fbodies : M.func list =
-    List.filter_map
-      (fun (f : Ir.func) ->
-        match hit_entry f.Ir.name with
-        | Some e -> Some e.Store.e_l2g
-        | None -> Index.find_opt l2_by_name f.Ir.name)
-      simpl.Ir.funcs
-  in
-  (* With a store, the walks recorded with the hits stand in for walks
-     whose inputs are unchanged ([Summary.compute_walks]), and the walks
-     made here are saved with the new entries. *)
-  let sums, walks_of =
-    if not options.interproc then ([], fun _ -> [])
+     The summary table is computed once per run, sequentially, from the
+     *pre-discharge* L2 images of the whole unit, so it is deterministic
+     across [--jobs] and identical between cold and warm runs.  The table
+     is an untrusted hint: every certificate that draws on a slice of it
+     re-proves that slice inside the kernel against [Rules.fbodies] (same
+     trust class as [nothrows] — see the summary-trust section of
+     DESIGN.md). *)
+  let fbodies : M.func list = List.map (fun (_, _, _, l2f, _, _) -> l2f) l2_results in
+  (* With a store, the walks recorded with the entries stand in for walks
+     whose inputs are unchanged, and the walks made here are saved with
+     the entries.  The pass hands back the call graph it built, which
+     slices the table below. *)
+  let sums, walks_of, callgraph =
+    if not options.interproc then ([], (fun _ -> []), None)
     else
       Profile.record "summary" (fun () ->
-          match store with
-          | None -> (Ac_analysis.Summary.compute lenv fbodies, fun _ -> [])
-          | Some _ ->
-            Ac_analysis.Summary.compute_walks
-              ~prior:(fun n -> Option.map (fun e -> e.Store.e_walks) (hit_entry n))
-              lenv fbodies)
+          let prior =
+            Option.map (fun _ n -> Option.map (fun e -> e.Store.e_walks) (entry n)) store
+          in
+          let sums, walks_of, cg = Ac_analysis.Summary.infer ?prior lenv fbodies in
+          (sums, walks_of, Some cg))
   in
   let summary_walks = if options.interproc then Atomic.get Ac_analysis.Summary.scc_walks else 0 in
-  let callgraph = Ac_analysis.Callgraph.of_funcs fbodies in
   (* The slice a function's certificates may draw from: the table
      restricted to its transitive callees (self included on cycles).
-     Its digest is the function's store-key claim component.  Built
-     eagerly so lookups under [pmap] are read-only. *)
+     Built eagerly so lookups under [pmap] are read-only. *)
   let sums_slices =
-    let restrict = Ac_analysis.Domains.restrict sums in
-    List.map
-      (fun (fb : M.func) ->
-        (fb.M.name, restrict (Ac_analysis.Callgraph.reachable callgraph fb.M.name)))
-      fbodies
-    |> Index.of_list fst
+    match callgraph with
+    | None -> Index.empty
+    | Some cg ->
+      let restrict = Ac_analysis.Domains.restrict sums in
+      List.map
+        (fun (fb : M.func) ->
+          (fb.M.name, restrict (Ac_analysis.Callgraph.reachable cg fb.M.name)))
+        fbodies
+      |> Index.of_list fst
   in
   let sums_for name =
     match Index.find_opt sums_slices name with Some (_, s) -> s | None -> []
@@ -738,9 +551,10 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
   (* Each function's slice digest, equal to [Domains.sums_digest] of its
      slice.  The slices are [restrict]ions of one table (same pairs), so
      an entry is rendered once, and only if some slice holds it.  Only the
-     store reads the digests (replay and save), so they are computed only
-     when one is attached; eagerly, like the slices, so they are read-only
-     under [pmap]. *)
+     store reads the digests (hint lookup and save), so they are computed
+     only when one is attached; eagerly, like the slices, so they are
+     read-only under [pmap]. *)
+  let no_slice = Ac_analysis.Domains.digest_of_entry_strings [] in
   let sums_digests =
     if Option.is_none store then Index.empty
     else begin
@@ -763,9 +577,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
     end
   in
   let sums_digest_for name =
-    match Index.find_opt sums_digests name with
-    | Some (_, d) -> d
-    | None -> Ac_analysis.Domains.digest_of_entry_strings []
+    match Index.find_opt sums_digests name with Some (_, d) -> d | None -> no_slice
   in
   (* Per-function analysis profile, with and without the table. *)
   let iprof =
@@ -789,6 +601,16 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
             fbodies)
   in
   let base_ctx = { base_ctx with Rules.fbodies = Rules.index_funcs fbodies } in
+  (* What each function's discharge rounds keep for the store. *)
+  let kept =
+    if Option.is_none store then Index.empty
+    else
+      Index.of_list fst
+        (List.map
+           (fun (fb : M.func) ->
+             (fb.M.name, { k_certs = (None, None); k_new = false; k_refused = false }))
+           fbodies)
+  in
   (* Guard discharge, round 1 (after L2): the abstract-interpretation pass
      proves guards true and removes them through the kernel
      ([Rules.Rule_guard_true]); its [Equiv] theorem composes with the L2
@@ -797,10 +619,15 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
      This round is the interprocedural one: each function gets its
      summary slice.  Round 2 (post HL/WA) stays intraprocedural — the
      summaries describe L2-level calling conventions and types, and the
-     abstracted bodies no longer match them. *)
+     abstracted bodies no longer match them.
+
+     A function's entry offers each round the hint it kept when solved
+     under the same slice, in place of the fixpoint; the round reports
+     what it kept and whether the hint held. *)
   let discharge_ctx = { base_ctx with Rules.nothrows } in
-  let discharge ~phase ?(sums = []) ctx diags (f : M.func) : (M.func * Thm.t) option =
-    Profile.record ~func:f.M.name "guard_discharge" (fun () ->
+  let discharge ~round ?(sums = []) ctx diags (f : M.func) : (M.func * Thm.t) option =
+    let name = f.M.name in
+    Profile.record ~func:name "guard_discharge" (fun () ->
         (* Proof-effort provenance (display/telemetry only, gated): of
            the guards this pass removed, how many did the analysis prove
            true — under the summary table when one was supplied
@@ -814,12 +641,43 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
         let on_guard =
           if counted then Some (fun _ _ v -> if v = Some true then incr provable) else None
         in
+        let slot = Option.map snd (Index.find_opt kept name) in
+        let slice = if round = 1 then sums_digest_for name else no_slice in
+        let stored =
+          match entry name with
+          | Some e -> (
+            match (if round = 1 then fst else snd) e.Store.e_certs with
+            | Some c when String.equal c.Store.c_slice slice -> Some c
+            | _ -> None)
+          | None -> None
+        in
         match
-          attempt ~keep_going ~phase ~fname:f.M.name ~recoverable:true diags (fun () ->
-              Ac_analysis.discharge_func ?on_guard ctx ~sums f)
+          attempt ~keep_going ~phase:Diag.Guard_discharge ~fname:name ~recoverable:true diags
+            (fun () ->
+              Ac_analysis.discharge ?on_guard
+                ?hint:(Option.map (fun c -> c.Store.c_hint) stored)
+                ctx ~sums f)
         with
-        | Some (Some (f', _) as r) ->
-          if counted then begin
+        | None -> None
+        | Some d ->
+          Option.iter
+            (fun k ->
+              let cert =
+                Option.map
+                  (fun h ->
+                    match stored with
+                    | Some c when c.Store.c_hint == h || c.Store.c_hint = h -> c
+                    | _ ->
+                      k.k_new <- true;
+                      { Store.c_slice = slice; c_hint = h })
+                  d.Ac_analysis.d_hint
+              in
+              let l2, abs = k.k_certs in
+              k.k_certs <- (if round = 1 then (cert, abs) else (l2, cert));
+              if d.Ac_analysis.d_refused then k.k_refused <- true)
+            slot;
+          (match d.Ac_analysis.d_result with
+          | Some (f', _) when counted ->
             let removed =
               Ac_analysis.guard_count f.M.body - Ac_analysis.guard_count f'.M.body
             in
@@ -827,10 +685,8 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
               (if sums <> [] then Ac_obs.Effort.Interproc else Ac_obs.Effort.Intra)
               ~proven:(min removed !provable)
               ~scrubbed:(max 0 (removed - !provable))
-          end;
-          r
-        | Some r -> r
-        | None -> None)
+          | _ -> ());
+          d.Ac_analysis.d_result)
   in
   let l2_results =
     pmap
@@ -838,8 +694,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
         if not (options_for options (l2f : M.func).M.name).discharge_guards then row
         else begin
           match
-            discharge ~phase:Diag.Guard_discharge ~sums:(sums_for l2f.M.name)
-              discharge_ctx diags l2f
+            discharge ~round:1 ~sums:(sums_for l2f.M.name) discharge_ctx diags l2f
           with
           | None -> row
           | Some (l2f', dthm) -> (
@@ -856,19 +711,14 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
   (* Word-abstraction signatures, fixed up front so recursion and mutual
      calls are consistent; functions whose abstraction fails are demoted to
      identity signatures and the rest re-run (fixpoint). *)
-  (* Hits contribute their stored (post-demotion) signatures, constant
-     across the demotion fixpoint below; [replay_entry] re-validates them
-     against the entry's own L2 image afterwards. *)
-  let hit_fsigs = List.map (fun (n, e) -> (n, e.Store.e_fsig)) entries in
   let fsigs_for enabled_names =
     let enabled_names = Index.names enabled_names in
     Index.of_list fst
-      (hit_fsigs
-      @ List.map
-          (fun (_, _, _, (l2f : M.func), _, _) ->
-            let enabled = Index.mem enabled_names l2f.M.name in
-            (l2f.M.name, Wa.func_sig ~enabled l2f))
-          l2_results)
+      (List.map
+         (fun (_, _, _, (l2f : M.func), _, _) ->
+           let enabled = Index.mem enabled_names l2f.M.name in
+           (l2f.M.name, Wa.func_sig ~enabled l2f))
+         l2_results)
   in
   let initially_enabled =
     List.filter_map
@@ -952,7 +802,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
   let wa_ctx, wa_attempts = wa_fix initially_enabled in
   let ctx = wa_ctx in
   let wa_attempts = Index.of_list fst wa_attempts in
-  let miss_frs =
+  let funcs =
     pmap
       (fun (sf, l1f, l1_thm, l2f, l2_thm, hl, skipped, diags) ->
         let name = (l2f : M.func).M.name in
@@ -981,7 +831,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
           if
             opts.discharge_guards
             && (Option.is_some hl || Option.is_some wa)
-          then discharge ~phase:Diag.Guard_discharge ctx diags final0
+          then discharge ~round:2 ctx diags final0
           else None
         in
         let final, post_thms =
@@ -1038,137 +888,79 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
         })
       hl_results
   in
-  (* Replay the store hits under the final context.  The whole derivation
-     is re-minted through [Thm.by]; failures demote the entry and re-enter
-     the translation without it. *)
-  let hit_results =
-    pmap
-      (fun (f : Ir.func) ->
-        let e = snd (Index.find hits f.Ir.name) in
-        let r =
-          Profile.record ~func:f.Ir.name "store_replay" (fun () ->
-              match replay_entry ctx ~sums_digest:(sums_digest_for f.Ir.name) f e with
-              | r -> r
-              | exception ex -> Result.error (Diag.message_of_exn ex))
-        in
-        (f.Ir.name, r))
-      (List.filter (fun (f : Ir.func) -> is_hit f.Ir.name) simpl.Ir.funcs)
+  let degraded = simpl_only @ l1_only in
+  let heap_types =
+    funcs
+    ||> List.concat_map (fun fr ->
+            match fr.fr_hl with Some hf -> Hl.heap_types_of_func hf | None -> [])
+    ||> List.fold_left
+          (fun acc c -> if List.exists (Ty.cty_equal c) acc then acc else c :: acc)
+          []
+    ||> List.rev
   in
-  let failed =
-    List.filter_map
-      (fun (n, r) -> match r with Result.Error m -> Some (n, m) | Result.Ok _ -> None)
-      hit_results
+  let final_prog : M.program =
+    {
+      M.lenv;
+      globals = simpl.Ir.globals;
+      funcs = List.map (fun fr -> fr.fr_final) funcs;
+      heap_types;
+    }
   in
-  if failed <> [] then begin
-    List.iter
-      (fun (n, m) ->
-        Option.iter Store.demote_hit store;
-        store_diag ~fname:n ("stale or invalid store entry (re-translating): " ^ m))
-      failed;
-    let failed = Index.of_list fst failed in
-    translate (List.filter (fun (n, _) -> not (Index.mem failed n)) entries)
-  end
-  else begin
-    let hit_frs =
-      List.filter_map
-        (fun (_, r) -> match r with Result.Ok fr -> Some fr | Result.Error _ -> None)
-        hit_results
+  (* An entry whose hint did not hold is demoted, and every clean
+     translation (no diagnostics, end-to-end chain assembled) is banked
+     when it has no entry or its entry lacks what this run found: a hint
+     that held nowhere, or a walk its SCC made (a caller's edit gave it a
+     new context, say).  A degraded function is not banked: its rounds
+     may have kept what a failure left. *)
+  (match store with
+  | None -> ()
+  | Some st ->
+    let save name e =
+      match store_key name with
+      | None -> ()
+      | Some key -> (
+        match Store.save st ~key e with
+        | Result.Ok () -> ()
+        | Result.Error m -> store_diag ~fname:name m)
     in
-    (* Source order, hits and fresh translations interleaved exactly as a
-       cold run would produce them. *)
-    let frs = Index.of_list (fun fr -> fr.fr_name) (hit_frs @ miss_frs) in
-    let funcs =
-      List.filter_map (fun (f : Ir.func) -> Index.find_opt frs f.Ir.name) simpl.Ir.funcs
-    in
-    let degraded = simpl_only @ l1_only in
-    let heap_types =
-      funcs
-      ||> List.concat_map (fun fr ->
-              match fr.fr_hl with Some hf -> Hl.heap_types_of_func hf | None -> [])
-      ||> List.fold_left
-            (fun acc c -> if List.exists (Ty.cty_equal c) acc then acc else c :: acc)
-            []
-      ||> List.rev
-    in
-    let final_prog : M.program =
-      {
-        M.lenv;
-        globals = simpl.Ir.globals;
-        funcs = List.map (fun fr -> fr.fr_final) funcs;
-        heap_types;
-      }
-    in
-    (* Bank every clean fresh translation (no diagnostics, end-to-end
-       chain assembled): only such entries can reproduce a byte-identical
-       result on a later hit, and degraded functions must keep
-       re-translating so their diagnostics reappear.  A hit whose SCC made
-       a walk its entry has no record of (a caller's edit gave it a new
-       context, say) is banked again with that walk added, so the next run
-       with these inputs walks nothing. *)
-    (match store with
-    | None -> ()
-    | Some st ->
-      let save name e =
-        match store_key name with
-        | None -> ()
-        | Some key -> (
-          match Store.save st ~key e with
-          | Result.Ok () -> ()
-          | Result.Error m -> store_diag ~fname:name m)
-      in
-      Profile.record "store_save" (fun () ->
-          List.iter
-            (fun (name, e) ->
-              match Ac_analysis.Summary.merge_walks (walks_of name) e.Store.e_walks with
-              | Some e_walks -> save name { e with Store.e_walks }
-              | None -> ())
-            entries;
-          List.iter
-            (fun fr ->
-              match fr.fr_chain with
-              | Some chain when (not (is_hit fr.fr_name)) && fr.fr_diags = [] ->
-                save fr.fr_name
-                  {
-                    Store.e_name = fr.fr_name;
-                    e_l1 = fr.fr_l1;
-                    e_l2g =
-                      (match Index.find_opt l2_by_name fr.fr_name with
-                      | Some fb -> fb
-                      | None -> fr.fr_l2);
-                    e_l2 = fr.fr_l2;
-                    e_hl = fr.fr_hl;
-                    e_wa = fr.fr_wa;
-                    e_final = fr.fr_final;
-                    e_wvars = fr.fr_wa_wvars;
-                    e_skipped = fr.fr_skipped;
-                    e_nothrow = Index.mem ctx.Rules.nothrows fr.fr_name;
-                    e_fsig =
-                      (match Index.find_opt ctx.Rules.fsigs fr.fr_name with
-                      | Some (_, s) -> s
-                      | None -> Wa.func_sig ~enabled:false fr.fr_l2);
-                    e_sums_digest = sums_digest_for fr.fr_name;
-                    e_trace = Trace.record chain;
-                    e_n_hl = List.length fr.fr_hl_thms;
-                    e_walks = walks_of fr.fr_name;
-                  }
-              | _ -> ())
-            miss_frs))
-    ;
-    let diags =
-      List.rev !store_diags
-      @ List.concat_map (fun fr -> fr.fr_diags) funcs
-      @ List.concat_map (fun d -> d.dg_diags) degraded
-    in
-    { source; simpl; l1_prog; final_prog; funcs; degraded; diags;
-      budget_hits = budget_exhaustions (); ctx; heap_types;
-      store_hits = (match store with Some st -> Store.hits st - fst store_base | None -> 0);
-      store_misses =
-        (match store with Some st -> Store.misses st - snd store_base | None -> 0);
-      retries = 0; restarts = 0;
-      sums; summary_walks; iprof }
-  end
+    Profile.record "store_save" (fun () ->
+        List.iter
+          (fun fr ->
+            let name = fr.fr_name in
+            let k = snd (Index.find kept name) in
+            if k.k_refused then begin
+              Store.demote_hit st;
+              store_diag ~fname:name
+                "stale or invalid store entry: a stored discharge certificate did not hold \
+                 (solved again)"
+            end;
+            if Option.is_some fr.fr_chain && fr.fr_diags = [] then
+              let walks = walks_of name in
+              let e_walks =
+                match entry name with
+                | None -> Some walks
+                | Some e -> (
+                  match Ac_analysis.Summary.merge_walks walks e.Store.e_walks with
+                  | Some _ as merged -> merged
+                  | None -> if k.k_new || k.k_refused then Some e.Store.e_walks else None)
+              in
+              Option.iter
+                (fun e_walks ->
+                  save name { Store.e_name = name; e_walks; e_certs = k.k_certs })
+                e_walks)
+          funcs));
+  let diags =
+    List.rev !store_diags
+    @ List.concat_map (fun fr -> fr.fr_diags) funcs
+    @ List.concat_map (fun d -> d.dg_diags) degraded
   in
-  translate candidates
+  { source; simpl; l1_prog; final_prog; funcs; degraded; diags;
+    budget_hits = budget_exhaustions (); ctx; heap_types;
+    store_hits = (match store with Some st -> Store.hits st - fst store_base | None -> 0);
+    store_misses =
+      (match store with Some st -> Store.misses st - snd store_base | None -> 0);
+    retries = 0; restarts = 0;
+    sums; summary_walks; iprof }
 
 (* Re-validate every derivation the pipeline produced (the independent
    checker pass), including the [Corres_l1] theorems of functions that

@@ -161,11 +161,11 @@ type result = {
   ctx : Rules.ctx;  (** the kernel context the derivations live in *)
   heap_types : Ty.cty list;  (** the split heaps of the abstract state *)
   store_hits : int;
-      (** proof-store entries this run replayed instead of re-translating
-          (0 when no store was supplied) *)
+      (** functions whose proof-store entry this run used (0 when no
+          store was supplied) *)
   store_misses : int;
-      (** functions translated from scratch despite a store (includes
-          entries demoted after failing replay or validation) *)
+      (** functions with no usable entry (includes entries demoted after
+          a stored certificate did not hold) *)
   retries : int;  (** always 0; kept only because perfbench/bench.ml reads it *)
   restarts : int;  (** always 0; kept only because perfbench/bench.ml reads it *)
   sums : Ac_kernel.Absdom.sums;
@@ -195,16 +195,16 @@ val budget_exhaustions : unit -> int
 
     [store] makes the run incremental: each function's content key (its
     preprocessed source, the keys of its transitive callees, the option
-    vector, the ruleset tag) is looked up in the persistent proof store;
-    a hit replays the stored derivation trace through the kernel instead
-    of re-translating, so editing one function re-translates only the
-    functions whose call cone contains it.  The store sits outside the
-    TCB: every theorem in the result is minted by [Thm.by] either during
-    translation or during replay, and a stale/corrupt/forged entry fails
-    replay (or its anchor checks against the freshly parsed source) and
-    falls back to full translation with a [Diag.Store] warning.  Runs
-    with custom word-abstraction rules ignore the store (closures have no
-    stable content key).
+    vector, the ruleset tag) is looked up in the persistent proof store,
+    whose entries hold what the untrusted search found: summary walks and
+    discharge invariants.  The whole pipeline still runs; a hit skips the
+    summary walks and discharge fixpoints its entry covers, offering the
+    stored invariants to the kernel as certificates.  The store sits
+    outside the TCB: every theorem in the result is minted by [Thm.by]
+    during this run, and a certificate the kernel refuses, or whose
+    prediction fails, is solved again, the entry demoted with a
+    [Diag.Store] warning.  Runs with custom word-abstraction rules ignore
+    the store (closures have no stable content key).
 
     [pool] supplies an external worker pool, used as-is and left running
     (the batch server amortises domain spawn across requests); without it

@@ -132,9 +132,23 @@ let listen_unix path backlog =
     Unix.unlink path
   | _ -> failwith (Printf.sprintf "%s exists and is not a socket" path)
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+  (* Bound under a temporary name in the same directory and renamed onto
+     [path] once listening: a client that finds the path can connect,
+     where binding [path] itself would expose it one call before
+     [listen] and refuse a client that came in between. *)
+  let tmp =
+    Filename.concat (Filename.dirname path) (Printf.sprintf ".acc-sock%d" (Unix.getpid ()))
+  in
+  (try Unix.unlink tmp with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd backlog;
+  (try
+     Unix.bind fd (Unix.ADDR_UNIX tmp);
+     Unix.listen fd backlog;
+     Unix.rename tmp path
+   with e ->
+     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+     Unix.close fd;
+     raise e);
   Unix.set_nonblock fd;
   fd
 

@@ -1,25 +1,25 @@
-module Ty = Ac_lang.Ty
-module M = Ac_monad.M
 module Ir = Ac_simpl.Ir
-module J = Ac_kernel.Judgment
 
 (* The persistent proof store: a content-addressed, on-disk cache of
-   per-function translation results together with the derivation traces
-   needed to re-mint their theorems.
+   what the untrusted search found for each function — the summary walks
+   of its SCC and the loop invariants of its guard-discharge
+   certificates.
 
    Trust story (see DESIGN.md): the store is OUTSIDE the trusted computing
-   base.  An entry never contains a theorem — only programs (plain data)
-   and [Trace.t] recipes.  On a hit the driver replays every trace
-   through [Thm.by]/[Rules.infer] under a context rebuilt from the
-   current run, and anchors the replayed conclusions against the freshly
-   parsed source; a stale, corrupted or malicious entry can therefore
-   fail (and degrade to a full translation) but can never smuggle in a
-   judgment the kernel would not derive itself.
+   base.  An entry holds no theorem, no program and no derivation, only
+   search hints.  A warm run runs the whole pipeline from the fresh parse
+   and offers the hints where the search would run: a recorded walk
+   stands in for a summary walk with exactly the same inputs, and stored
+   invariants stand in for the discharge fixpoint, as a certificate the
+   kernel checks like any other.  A hint the kernel refuses, or whose
+   prediction does not hold, costs a fresh search and demotes the entry;
+   so a stale, corrupted or malicious entry can cost at most a discharge,
+   and nothing it holds needs anchoring to the source.
 
    Integrity: entries carry a digest over the serialized payload, checked
    before deserialization, so random corruption (the bit-flip test) is
    caught before [Marshal.from_string] ever runs.  A hand-crafted entry
-   with a matching digest still faces the replay + anchor gauntlet.
+   with a matching digest still only offers hints.
 
    Keying: an entry is addressed by a digest over
      - the format/ruleset version tag (bumped whenever the kernel's rule
@@ -37,47 +37,14 @@ module J = Ac_kernel.Judgment
    Editing one function therefore invalidates exactly the functions whose
    cone contains it. *)
 
-(* Bump when the kernel rule base, the trace format, or anything else
-   that replay depends on changes shape.  ruleset-2: [Absdom.cert]
-   became a record carrying a summary table, entries gained
-   [e_sums_digest].  ruleset-3: derivation shapes shrank — the rewrite
-   engine mints no reflexivity, congruence or transitivity step for a
-   subterm it leaves unchanged.  Older entries would still replay, but
-   their traces are about 1.6x larger, so a warm run would keep paying
-   for them and report chain sizes that disagree with a cold run.
-   ruleset-4: the rewrite engine normalises what a head step builds within
-   the same sweep, which changes some normal forms.  Older entries would
-   replay the old normal forms, so a warm run would differ from a cold
-   one.  ruleset-5: [Rw_lift] threads locals forward and builds a tuple of
-   modified locals only at a join, so its conclusion changed.  An older
-   entry would replay the old lifted term and its longer clean-up.
-   ruleset-6: eleven rules nothing minted left the kernel.  Trace nodes
-   marshal [Rules.rule], whose constructor tags shifted, so an older
-   entry would decode to the wrong rules and fail replay.  The option
-   string in the key also lost the prover budgets.  ruleset-7:
-   [Rw_inline (m, positions)] replaced [Rw_return_bind], taking its
-   constructor tag, and one step now inlines a sweep's deferred bindings
-   with other binder names.  An older entry would decode its
-   [Rw_return_bind] nodes as malformed [Rw_inline] ones and replay the
-   old normal forms.  ruleset-8: [L1 s] takes no premises and concludes
-   the image of the whole statement, so an older entry's L1 nodes, one
-   per sub-statement, would fail replay; [Hs_id] replaced [Hs_fail] and
-   [Hs_unknown], shifting the constructor tags after them.  ruleset-9:
-   one [Hl m] step replaced the 22 per-node heap rules, so the
-   constructor tags after them moved; an older entry would decode its
-   heap and [Fn_chain] nodes as other rules and fail replay.
-   ruleset-10: one [W_abs] step replaced the 31 per-node word rules, so
-   the [Hl] and [Fn_chain] tags moved again; an older entry would decode
-   its word nodes as other rules and fail replay.  ruleset-11: one
-   [Eq_congr] step replays each clean-up's whole rewrite script, and
-   [Eq_refl], [Eq_bind], [Eq_try], [Eq_cond] and [Eq_while] are gone, so
-   every tag after [Eq_trans] moved; an older entry would decode its
-   congruence nodes as other rules and fail replay.  ruleset-12: entries
-   carry the summary walks of their function's SCC ([e_walks]), so an
-   older entry would not decode as the current [fentry]; and the content
-   keys changed, since each Simpl image is now marshalled without
-   sharing and digested on its own. *)
-let ruleset_tag = "acc-store-1/ruleset-12"
+(* Bump when the entry format, or anything the hints depend on (the
+   kernel rule base, the analysis), changes shape.  Tags up to ruleset-12
+   followed the derivation traces entries used to hold, whose rule
+   constructors moved with every change to the kernel's rule base.
+   ruleset-13: entries keep search hints only (walks and discharge
+   invariants) instead of programs and derivation traces, so an older
+   entry would not decode as the current [fentry]. *)
+let ruleset_tag = "acc-store-1/ruleset-13"
 
 let magic = "ACC-STORE v1\n"
 
@@ -177,57 +144,26 @@ let cone_keys ~(tag : string) ~(opt_string : string -> string) (prog : Ir.progra
 (* ------------------------------------------------------------------ *)
 (* Entries. *)
 
-(* Everything the driver needs to reconstitute a clean [func_result]
-   without re-running any phase: the intermediate and final programs and
-   the derivation traces.  [e_nothrow] and [e_fsig] are the function's own
-   contributions to the run's inter-function fixpoints (nothrow set,
-   word-abstraction signatures); the driver seeds the fixpoints with them
-   for hit functions and validates them against the recomputed values
-   once the whole unit is assembled — a mismatch demotes the entry to a
-   miss.  Only clean results are stored (no diagnostics, chain theorem
-   assembled), so replaying an entry never has to reproduce diagnostics. *)
+(* One discharge round's hint ([Ac_analysis.hint]) with the digest of
+   the summary slice it was solved under (the table restricted to the
+   function's transitive callees, [Domains.digest_of_entry_strings]).  A
+   run offers the hint only when its own slice has the same digest: a
+   callee's summary can change without the function's key changing (a
+   budget, or another caller's context). *)
+type cert = { c_slice : string; c_hint : Ac_analysis.hint }
+
+(* What the untrusted search found for one function.  [e_certs] holds
+   the hint of each discharge round, after L2 and after heap/word
+   abstraction ([None]: that round kept nothing).  [e_walks] holds the
+   summary walks the function's SCC made ([Summary.infer]); a later run
+   whose SCC members all have entries reuses a walk whose inputs are
+   exactly the current ones instead of walking.  Both are untrusted: a
+   wrong one can only cost a discharge, since the kernel checks every
+   certificate and every summary slice it carries. *)
 type fentry = {
   e_name : string;
-  e_l1 : M.func;
-  e_l2g : M.func;
-      (* the L2 image *before* guard discharge: the body the
-         interprocedural summary pass analyses.  Kept so a warm run
-         rebuilds the exact summary table a cold run computed (the
-         post-discharge [e_l2] would do in practice, but "guard removal
-         never changes an abstract walk" is a theorem about the analysis,
-         not an invariant the store should lean on). *)
-  e_l2 : M.func;
-  e_hl : M.func option;
-  e_wa : M.func option;
-  e_final : M.func;
-  e_wvars : (string * (Ty.sign * Ty.width)) list;
-  e_skipped : (string * string) list;
-  e_nothrow : bool; (* this function's own membership in the nothrow set *)
-  e_fsig : J.conv list * J.conv; (* its word-abstraction signature *)
-  e_sums_digest : string;
-      (* digest of the interprocedural summary table restricted to this
-         function's transitive callees — the slice its certificates may
-         reference.  Replay validates it against the current run's table
-         (a mismatch demotes to a miss): a callee body edit already
-         changes the cone key, but summary *budgets/rounds* can change
-         the table for identical sources, and an entry minted under a
-         different table could otherwise replay against summaries the
-         kernel would now reject or resolve differently. *)
-  e_trace : Trace.t;
-      (* the end-to-end chain derivation.  The premises of its root are
-         exactly the component theorems in pipeline order —
-         [l1_thm :: l2_thm :: hl_thms @ wa_thms] — so one trace serves the
-         whole [func_result], and replaying it preserves the physical
-         sharing between the chain and its components that the memoized
-         checker exploits. *)
-  e_n_hl : int; (* length of the [hl_thms] segment of the root's premises *)
   e_walks : Ac_analysis.Summary.walk list;
-      (* the summary walks this function's SCC made when the entry was
-         banked ([Summary.compute_walks]).  A later run whose SCC members
-         are all hits reuses a walk whose inputs are exactly the current
-         ones instead of walking.  Untrusted like the table itself: a
-         wrong record can only cost a discharge, since the kernel
-         re-verifies every slice a certificate carries. *)
+  e_certs : cert option * cert option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -345,8 +281,8 @@ let reset_counters t =
 
 let count_retry t () = t.io_retries <- t.io_retries + 1
 
-(* A hit that later fails replay or post-run validation is really a miss;
-   the driver reclassifies it so counters describe usable entries. *)
+(* A hit whose hint the kernel refused is really a miss; the driver
+   reclassifies it so counters describe usable entries. *)
 let demote_hit t =
   t.hits <- max 0 (t.hits - 1);
   t.misses <- t.misses + 1
@@ -547,8 +483,8 @@ type doctor_report = {
 
 (* Verify every entry end-to-end: read, digest-check, deserialize.  Any
    failure quarantines the entry.  After the scan every surviving entry
-   is replayable as far as the store format is concerned (replay itself
-   re-derives the theorems, so format integrity is all doctor owes).
+   decodes (its hints are checked where a run uses them, so format
+   integrity is all doctor owes).
    With [purge] the quarantine directory is emptied afterwards. *)
 let doctor ?grace_s ?(purge = false) ~(dir : string) () : (doctor_report, string) result =
   match Lock.acquire ~timeout_s:10.0 ~dir () with

@@ -427,18 +427,18 @@ let summary_tests =
         let module S = Ac_analysis.Summary in
         let digest = Ac_analysis.Domains.sums_digest in
         let fs = [ u; caller "f" (w32 5); h; bounded_callee ] in
-        let cold, cold_walks = S.compute_walks ~prior:(fun _ -> None) lenv fs in
+        let cold, cold_walks, _ = S.infer ~prior:(fun _ -> None) lenv fs in
         Alcotest.(check int) "cold: 4 + 3 walks" 7 (Atomic.get S.scc_walks);
         Alcotest.(check string) "cold table = compute's" (digest (S.compute lenv fs))
           (digest cold);
-        let warm, warm_walks = S.compute_walks ~prior:(fun n -> Some (cold_walks n)) lenv fs in
+        let warm, warm_walks, _ = S.infer ~prior:(fun n -> Some (cold_walks n)) lenv fs in
         Alcotest.(check int) "all hits: no walk" 0 (Atomic.get S.scc_walks);
         Alcotest.(check string) "all hits: the cold table" (digest cold) (digest warm);
         Alcotest.(check int) "all hits: nothing new to record" 0
           (List.length (List.concat_map warm_walks [ "u"; "f"; "h"; "g" ]));
         let fs7 = [ u; caller "f" (w32 7); h; bounded_callee ] in
-        let edited, edited_walks =
-          S.compute_walks
+        let edited, edited_walks, _ =
+          S.infer
             ~prior:(fun n -> if n = "f" then None else Some (cold_walks n))
             lenv fs7
         in

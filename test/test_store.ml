@@ -1,24 +1,24 @@
-(* PR 4's persistent proof store: content-keyed invalidation, kernel
-   replay, and the trust story.
+(* The persistent proof store: content-keyed invalidation, search hints,
+   and the trust story.
 
    The properties pinned here are the ones the store's soundness argument
    stands on:
 
-   - a warm (replayed) run is observably identical to a cold run — same
-     programs, levels, skip lists, diagnostics;
+   - a warm run is observably identical to a cold run — same programs,
+     levels, skip lists, diagnostics — and skips the search its entries
+     cover (summary walks, discharge fixpoints);
    - invalidation tracks every key component: the function's own source,
      the sources of its transitive callees (through mutual-recursion
      cycles), the driver option vector, and the ruleset tag;
    - a corrupted entry (bit flip) is rejected before deserialization and
      degrades to full translation — it can never mint a theorem;
-   - a digest-valid but *wrong* entry (a forged certificate recorded from
-     a different program) fails kernel replay / source anchoring and
-     degrades the same way. *)
+   - a digest-valid but *wrong* entry (a forged certificate taken from a
+     different program) is refused by the kernel, diagnosed, and solved
+     again. *)
 
 module Driver = Autocorres.Driver
 module Diag = Autocorres.Diag
 module Store = Ac_store.Store
-module Trace = Ac_store.Trace
 module Rules = Ac_kernel.Rules
 module Thm = Ac_kernel.Thm
 module J = Ac_kernel.Judgment
@@ -202,16 +202,15 @@ let test_invalidation_cone () =
         (replace_once ~sub:"int scale(int v) {" ~by:"\n\nint scale(int v)\n{" chain_c)
   in
   check_counters "comment and whitespace edits still hit" (4, 0) (run ~dir reformatted);
-  (* Entries banked under the previous ruleset, which carry no summary
-     walks and were keyed over shared marshalling, read as misses, not as
-     errors. *)
-  Alcotest.(check string) "current ruleset" "acc-store-1/ruleset-12" Store.ruleset_tag;
+  (* Entries banked under the previous ruleset, which held programs and
+     derivation traces, read as misses, not as errors. *)
+  Alcotest.(check string) "current ruleset" "acc-store-1/ruleset-13" Store.ruleset_tag;
   let old_dir = fresh_dir () in
-  check_counters "ruleset-11: banked" (0, 4)
-    (run ~dir:old_dir ~tag:"acc-store-1/ruleset-11" chain_c);
+  check_counters "ruleset-12: banked" (0, 4)
+    (run ~dir:old_dir ~tag:"acc-store-1/ruleset-12" chain_c);
   let res = run ~dir:old_dir chain_c in
-  check_counters "ruleset-11 entries miss" (0, 4) res;
-  Alcotest.(check bool) "ruleset-11 entries raise no store diagnostic" false (has_store_diag res)
+  check_counters "ruleset-12 entries miss" (0, 4) res;
+  Alcotest.(check bool) "ruleset-12 entries raise no store diagnostic" false (has_store_diag res)
 
 let test_mutual_recursion_cone () =
   let dir = fresh_dir () in
@@ -251,6 +250,25 @@ let test_warm_walks_nothing () =
   Alcotest.(check int) "every function hits" 0 warm.Driver.store_misses;
   Alcotest.(check int) "all hits: no walk" 0 warm.Driver.summary_walks;
   check_cold_table "all hits" cold warm
+
+(* Discharge fixpoints, counted like the walks: a warm run whose every
+   function hits takes each round's stored certificate instead of
+   solving, and still produces the cold run's output. *)
+let test_warm_solves_nothing () =
+  let src = Ac_codegen.generate Ac_codegen.sel4_like in
+  let solves () = Atomic.get Ac_analysis.solves in
+  let plain = Driver.run ~options:opts src in
+  let plain_solves = solves () in
+  let dir = fresh_dir () in
+  let cold = run ~dir src in
+  Alcotest.(check int) "a store-less run's fixpoints" plain_solves (solves ());
+  Alcotest.(check bool) "the cold run solves" true (plain_solves > 500);
+  check_cold_table "cold with a store" plain cold;
+  let warm = run ~dir src in
+  Alcotest.(check int) "every function hits" 0 warm.Driver.store_misses;
+  Alcotest.(check int) "all hits: no fixpoint" 0 (solves ());
+  check_cold_table "all hits" cold warm;
+  Alcotest.(check bool) "warm derivations re-validate" true (Driver.check_all warm = Ok ())
 
 let test_leaf_edit_one_walk () =
   let dir = fresh_dir () in
@@ -294,6 +312,42 @@ let test_context_change_rewalks () =
     (List.length before.Store.e_walks + 1) (List.length after.Store.e_walks);
   Alcotest.(check int) "the edited source walks nothing the next time" 0
     (run ~dir edited).Driver.summary_walks
+
+(* [f]'s key covers [f] and [g], but [g]'s summary contexts also come
+   from [g]'s other callers: with three more of them, the context [f]'s
+   call gives [g] no longer fits under the cap, and the guards [f]'s
+   certificate discharged stay.  [f] is a hit whose summary slice
+   changed, so its stored certificate is not offered: the round solves
+   under the new slice, as a cold run does, and nothing is diagnosed. *)
+let slice_c ~others =
+  "int g(int x) {\n  return x;\n}\n"
+  ^ String.concat ""
+      (List.mapi
+         (fun i k ->
+           Printf.sprintf "int h%d(int v) {\n  int r = 0;\n  r = g(%d);\n  return r;\n}\n" i k)
+         others)
+  ^ "int f(int v) {\n  int r = 0;\n  r = g(5);\n  return 100 / r;\n}\n"
+
+let test_slice_change_solves () =
+  let dir = fresh_dir () in
+  let before = run ~dir (slice_c ~others:[]) in
+  let edited = slice_c ~others:[ 1; 2; 0 ] in
+  let cold = run ~dir:(fresh_dir ()) edited in
+  let guards (res : Driver.result) =
+    match Driver.find_result res "f" with
+    | Some fr -> Ac_analysis.guard_count fr.Driver.fr_l2.Ac_monad.M.body
+    | None -> Alcotest.fail "no result for f"
+  in
+  Alcotest.(check bool) "f keeps guards it discharged before" true
+    (guards cold > guards before);
+  let warm = run ~dir edited in
+  check_counters "g and f hit" (2, 3) warm;
+  Alcotest.(check bool) "nothing is diagnosed" false (has_store_diag warm);
+  Alcotest.(check string) "the cold output" (fingerprint cold) (fingerprint warm);
+  let again = run ~dir edited in
+  check_counters "all hit" (5, 0) again;
+  Alcotest.(check int) "f was banked with the new slice: no fixpoint" 0
+    (Atomic.get Ac_analysis.solves)
 
 (* Every recorded claim of [clamp] strengthened to "never returns", saved
    under its key with an honest payload digest.  A caller whose walk
@@ -379,107 +433,61 @@ let test_bit_flip_poisoning () =
      entries and hits again. *)
   check_counters "store repopulated" (4, 0) (run ~dir chain_c)
 
-(* A forged certificate with a *valid* digest: an entry recorded from a
-   genuinely certified translation of a different program, saved under
-   the victim's content key.  Decoding succeeds — only kernel replay and
-   the source anchor can catch it, and they must. *)
+(* Forged certificates with a *valid* digest, saved under the victim's
+   content key and slice digest: the discharge invariants a genuine
+   translation of a different program found, and no invariants at all
+   (valid, but weaker: the guard before the loop still goes, the one the
+   loop invariant proves stays, so only the guard count the hint
+   predicts gives it away).  Each decodes and is offered to the kernel,
+   and must be refused: the round solves again, the entry is demoted and
+   banked again, and the result is the cold run's. *)
+let loop_c i bound =
+  Printf.sprintf
+    "int f(int n) {\n  int %s = 0;\n  int s = 0;\n  if (n > 0 && n < 100) {\n    s = n + 1;\n  }\n  while (%s < %d) {\n    s = 100 / (%s + 1);\n    %s = %s + 1;\n  }\n  return s;\n}\n"
+    i i bound i i i
+
+let round1_cert dir =
+  match entry_named dir "f" with
+  | key, ({ Store.e_certs = Some c, _; _ } as e) -> (
+    match c.Store.c_hint with
+    | Ac_analysis.Discharged (invs, left) when invs <> [] -> (key, e, c, invs, left)
+    | _ -> Alcotest.fail "f's round-1 hint holds no invariants")
+  | _ -> Alcotest.fail "f's entry has no round-1 certificate"
+
 let test_forged_entry_fails_replay () =
-  let src_a = "int f(int x) { return x + 1; }\n" in
-  let src_b = "int f(int x) { return x + 2; }\n" in
-  let dir = fresh_dir () in
-  (* Cold-run B once to learn the key the driver will use for it. *)
-  let cold_b = run ~dir src_b in
-  let key_b =
-    match
-      Array.to_list (Sys.readdir dir)
-      |> List.filter (fun f -> Filename.check_suffix f ".acc")
-    with
-    | [ f ] -> Filename.chop_suffix f ".acc"
-    | l -> Alcotest.fail (Printf.sprintf "expected 1 entry, found %d" (List.length l))
-  in
-  (* Record a genuine certificate — for A. *)
-  let res_a = Driver.run ~options:opts src_a in
-  let fr_a = List.hd res_a.Driver.funcs in
-  let chain_a =
-    match fr_a.Driver.fr_chain with
-    | Some t -> t
-    | None -> Alcotest.fail "A produced no chain"
-  in
-  let forged =
-    {
-      Store.e_name = "f";
-      e_l1 = fr_a.Driver.fr_l1;
-      e_l2g = fr_a.Driver.fr_l2;
-      e_l2 = fr_a.Driver.fr_l2;
-      e_hl = fr_a.Driver.fr_hl;
-      e_wa = fr_a.Driver.fr_wa;
-      e_final = fr_a.Driver.fr_final;
-      e_wvars = fr_a.Driver.fr_wa_wvars;
-      e_skipped = fr_a.Driver.fr_skipped;
-      e_nothrow = Ac_kernel.Index.mem res_a.Driver.ctx.Rules.nothrows "f";
-      e_fsig = snd (Ac_kernel.Index.find res_a.Driver.ctx.Rules.fsigs "f");
-      (* A genuine-looking digest, from A's own summary table: rejection
-         must come from replay/anchoring, not from an obviously-bogus
-         digest. *)
-      e_sums_digest =
-        Ac_analysis.Domains.sums_digest
-          (Ac_analysis.Domains.restrict res_a.Driver.sums [ "f" ]);
-      e_trace = Trace.record chain_a;
-      e_n_hl = List.length fr_a.Driver.fr_hl_thms;
-      e_walks = [];
-    }
-  in
-  let st = open_store dir in
-  (match Store.save st ~key:key_b forged with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  (* The forged entry decodes (its digest is honest), so it surfaces as a
-     hit — and then replay anchors it against B's parsed source, rejects
-     it, and the driver re-translates. *)
-  let warm_b = run ~dir src_b in
-  Alcotest.(check bool) "forged entry is diagnosed" true (has_store_diag warm_b);
-  check_counters "forged entry is demoted to a miss" (0, 1) warm_b;
-  Alcotest.(check string) "B's result is B's, not A's" (prog_fingerprint cold_b)
-    (prog_fingerprint warm_b);
-  Alcotest.(check bool) "derivations re-validate" true (Driver.check_all warm_b = Ok ())
-
-(* ------------------------------------------------------------------ *)
-(* Trace record/replay in isolation. *)
-
-let test_trace_roundtrip () =
-  let res = Driver.run ~options:opts Csources.gcd_c in
-  let fr = List.hd res.Driver.funcs in
-  let chain = match fr.Driver.fr_chain with Some t -> t | None -> Alcotest.fail "no chain" in
-  let tr = Trace.record chain in
-  Alcotest.(check int) "tree size is preserved" (Thm.size chain) (Trace.tree_size tr);
-  let ctx = { res.Driver.ctx with Rules.wvars = fr.Driver.fr_wa_wvars } in
-  match Trace.replay ctx tr with
-  | Error m -> Alcotest.fail ("replay failed: " ^ m)
-  | Ok t ->
-    Alcotest.(check bool) "replayed conclusion is the original" true
-      (J.judgment_equal (Thm.concl t) (Thm.concl chain));
-    (* Replay under the wrong context must not reproduce the theorem,
-       exactly like the corrupted-certificate tests of the memoized
-       checker: the one-step word rule recomputes its image under the
-       context's registration, so without it the chain concludes another
-       program or breaks. *)
-    Alcotest.(check bool) "replay under the wrong context fails" true
-      (match Trace.replay res.Driver.ctx tr with
-      | Error _ -> true
-      | Ok t -> not (J.judgment_equal (Thm.concl t) (Thm.concl chain)))
-
-(* A trace node the kernel's rule base has no case for is an [Error] of
-   replay, wherever it sits in the trace, never an escaping exception. *)
-let test_trace_replay_refuses () =
-  let ctx = Rules.empty_ctx Ac_lang.Layout.empty in
-  let module M = Ac_monad.M in
-  let bad = { Trace.n_rule = Rules.Rw_inline (M.Bind (M.Fail, M.Pwild, M.Fail), [ 0 ]); n_prems = [] } in
-  let leaf = { Trace.n_rule = Rules.Rw_dead_after_fail (M.Pwild, M.Fail); n_prems = [] } in
+  let src_b = loop_c "i" 9 in
+  let dir_a = fresh_dir () in
+  ignore (run ~dir:dir_a (loop_c "j" 2));
+  let _, _, _, invs_a, left_a = round1_cert dir_a in
   List.iter
-    (fun (where, tr) ->
-      Alcotest.(check bool) (where ^ ": replay is an Error") true
-        (match Trace.replay ctx tr with Error _ -> true | Ok _ -> false))
-    [ ("first node", [| bad |]); ("later node", [| leaf; bad |]) ]
+    (fun (what, forge) ->
+      let dir = fresh_dir () in
+      let cold_b = run ~dir src_b in
+      let key_b, e_b, c_b, invs_b, left_b = round1_cert dir in
+      Alcotest.(check bool) "the two programs' invariants differ" false (invs_a = invs_b);
+      let forged =
+        { e_b with
+          Store.e_certs =
+            (Some { c_b with Store.c_hint = forge left_b }, snd e_b.Store.e_certs) }
+      in
+      (match Store.save (open_store dir) ~key:key_b forged with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m);
+      let warm_b = run ~dir src_b in
+      Alcotest.(check bool) (what ^ ": diagnosed") true (has_store_diag warm_b);
+      check_counters (what ^ ": demoted to a miss") (0, 1) warm_b;
+      Alcotest.(check bool) (what ^ ": the round solved again") true
+        (Atomic.get Ac_analysis.solves > 0);
+      Alcotest.(check string) (what ^ ": B's cold programs") (prog_fingerprint cold_b)
+        (prog_fingerprint warm_b);
+      Alcotest.(check bool) (what ^ ": derivations re-validate") true
+        (Driver.check_all warm_b = Ok ());
+      let again = run ~dir src_b in
+      check_counters (what ^ ": the entry banked again hits") (1, 0) again;
+      Alcotest.(check string) (what ^ ": and gives the cold run") (fingerprint cold_b)
+        (fingerprint again))
+    [ ("another program's invariants", fun _ -> Ac_analysis.Discharged (invs_a, left_a));
+      ("no invariants", fun left -> Ac_analysis.Discharged ([], left)) ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: warm = cold across the corpus under random option vectors. *)
@@ -899,109 +907,6 @@ let test_lock_survives_same_process_release () =
   Alcotest.(check bool) "lock is reacquirable after release" true (probe_locked dir);
   Lock.release again
 
-(* ------------------------------------------------------------------ *)
-(* qcheck: a mutated trace never makes replay raise.  A trace read from
-   disk is untrusted: whatever its nodes say, replay must answer [Ok] or
-   [Error], which the driver turns into a cache miss. *)
-
-(* Every chain the corpus and the echronos-like unit translate to, with
-   the context it replays under. *)
-let recorded_traces =
-  lazy
-    (List.map snd Csources.all @ [ Ac_codegen.generate Ac_codegen.echronos_like ]
-    |> List.concat_map (fun src ->
-           let res = Driver.run ~options:opts src in
-           List.filter_map
-             (fun fr ->
-               Option.map
-                 (fun chain ->
-                   ({ res.Driver.ctx with Rules.wvars = fr.Driver.fr_wa_wvars },
-                    Trace.record chain))
-                 fr.Driver.fr_chain)
-             res.Driver.funcs)
-    |> Array.of_list)
-
-(* Node and position operands are taken modulo the trace's length and
-   the premise list's. *)
-type mutation =
-  | Swap_rules of int * int
-  | Drop_prem of int * int
-  | Dup_prem of int * int
-  | Rotate_prems of int * int
-  | Bad_index of int * int
-  | Truncate of int
-
-let show_mutation = function
-  | Swap_rules (i, j) -> Printf.sprintf "swap rules %d %d" i j
-  | Drop_prem (i, k) -> Printf.sprintf "drop premise %d of %d" k i
-  | Dup_prem (i, k) -> Printf.sprintf "duplicate premise %d of %d" k i
-  | Rotate_prems (i, k) -> Printf.sprintf "rotate premises of %d by %d" i k
-  | Bad_index (i, p) -> Printf.sprintf "premise index %d at %d" p i
-  | Truncate k -> Printf.sprintf "truncate to %d" k
-
-let gen_mutation =
-  let open QCheck.Gen in
-  let node = int_bound 1_000_000 and pos = int_bound 8 in
-  oneof
-    [
-      map2 (fun i j -> Swap_rules (i, j)) node node;
-      map2 (fun i k -> Drop_prem (i, k)) node pos;
-      map2 (fun i k -> Dup_prem (i, k)) node pos;
-      map2 (fun i k -> Rotate_prems (i, 1 + k)) node pos;
-      (* out of range: negative, the node itself or later, past the end *)
-      map2 (fun i p -> Bad_index (i, p)) node (int_range (-3) 1_000_000);
-      map (fun k -> Truncate k) node;
-    ]
-
-let mutate (tr : Trace.t) m : Trace.t =
-  let n = Array.length tr in
-  if n = 0 then tr else
-  let tr = Array.copy tr in
-  let edit i f =
-    let node = tr.(i mod n) in
-    let ps = node.Trace.n_prems in
-    let k = List.length ps in
-    tr.(i mod n) <- { node with Trace.n_prems = (if k = 0 then ps else f ps k) }
-  in
-  match m with
-  | Swap_rules (i, j) ->
-    let a = tr.(i mod n) and b = tr.(j mod n) in
-    tr.(i mod n) <- { a with Trace.n_rule = b.Trace.n_rule };
-    tr.(j mod n) <- { b with Trace.n_rule = a.Trace.n_rule };
-    tr
-  | Drop_prem (i, p) ->
-    edit i (fun ps k -> List.filteri (fun j _ -> j <> p mod k) ps);
-    tr
-  | Dup_prem (i, p) ->
-    edit i (fun ps k -> List.nth ps (p mod k) :: ps);
-    tr
-  | Rotate_prems (i, r) ->
-    edit i (fun ps k ->
-        let r = r mod k in
-        List.filteri (fun j _ -> j >= r) ps @ List.filteri (fun j _ -> j < r) ps);
-    tr
-  | Bad_index (i, p) ->
-    let node = tr.(i mod n) in
-    let p = if p < 0 then p else if p mod 2 = 0 then (i mod n) + (p mod 4) else n + (p mod 4) in
-    tr.(i mod n) <- { node with Trace.n_prems = p :: node.Trace.n_prems };
-    tr
-  | Truncate k -> Array.sub tr 0 (k mod n)
-
-let prop_mutated_replay_total =
-  QCheck.Test.make ~count:2000 ~name:"store: a mutated trace replays to Ok or Error, never raises"
-    QCheck.(
-      make
-        ~print:(fun (t, ms) ->
-          Printf.sprintf "trace %d: %s" t (String.concat "; " (List.map show_mutation ms)))
-        Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 3) gen_mutation)))
-    (fun (t, ms) ->
-      let traces = Lazy.force recorded_traces in
-      let ctx, tr = traces.(t mod Array.length traces) in
-      match Trace.replay ctx (List.fold_left mutate tr ms) with
-      | Ok _ | Error _ -> true
-      | exception e ->
-        QCheck.Test.fail_reportf "replay raised %s" (Printexc.to_string e))
-
 let suite =
   [
     Alcotest.test_case "warm = cold across the corpus" `Quick test_corpus_roundtrip;
@@ -1009,15 +914,18 @@ let suite =
     Alcotest.test_case "mutual-recursion invalidation cone" `Quick test_mutual_recursion_cone;
     Alcotest.test_case "an all-hit warm run makes no summary walk" `Quick
       test_warm_walks_nothing;
+    Alcotest.test_case "an all-hit warm run solves no discharge fixpoint" `Quick
+      test_warm_solves_nothing;
     Alcotest.test_case "a leaf edit makes one summary walk" `Quick test_leaf_edit_one_walk;
     Alcotest.test_case "a hit whose context changed is walked again" `Quick
       test_context_change_rewalks;
+    Alcotest.test_case "a hit whose summary slice changed solves again" `Quick
+      test_slice_change_solves;
     Alcotest.test_case "a forged walk record discharges nothing" `Quick
       test_forged_walk_record;
     Alcotest.test_case "bit-flipped entry degrades, never mints" `Quick test_bit_flip_poisoning;
     Alcotest.test_case "forged digest-valid entry fails replay" `Quick
       test_forged_entry_fails_replay;
-    Alcotest.test_case "trace record/replay roundtrip" `Quick test_trace_roundtrip;
     QCheck_alcotest.to_alcotest prop_replay_identical;
     Alcotest.test_case "CLI store exit codes" `Quick test_cli_exit_codes;
     Alcotest.test_case "serve lint emits --diag-json-shaped findings" `Quick
@@ -1034,7 +942,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_write_truncation;
     Alcotest.test_case "strict lock survives same-process with_lock (fd-drop fix)"
       `Quick test_lock_survives_same_process_release;
-    Alcotest.test_case "replay of a rule the kernel refuses is an Error" `Quick
-      test_trace_replay_refuses;
-    QCheck_alcotest.to_alcotest prop_mutated_replay_total;
   ]
