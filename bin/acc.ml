@@ -331,13 +331,10 @@ let with_funcs res func_filter f =
 (* Front-end errors carry positions; render them the way compilers do, on
    stderr, and exit 2 (a problem with the input, not a finding). *)
 let run_frontend ?store ?pool ~file ~options source =
-  try Driver.run ~options ?store ?pool source with
-  | Ac_cfront.Lexer.Lex_error (m, pos) ->
-    usage_error "%s:%d:%d: lexical error: %s" file pos.Ac_cfront.Ast.line pos.Ac_cfront.Ast.col m
-  | Ac_cfront.Parser.Parse_error (m, pos) ->
-    usage_error "%s:%d:%d: parse error: %s" file pos.Ac_cfront.Ast.line pos.Ac_cfront.Ast.col m
-  | Ac_cfront.Typecheck.Type_error (m, pos) ->
-    usage_error "%s:%d:%d: type error: %s" file pos.Ac_cfront.Ast.line pos.Ac_cfront.Ast.col m
+  match Driver.run ~options ?store ?pool source with
+  | res -> res
+  | exception e -> (
+    match Diag.frontend_error ~file e with Some m -> usage_error "%s" m | None -> raise e)
 
 let translate files no_heap no_word no_discharge no_interproc keep_low stage func_filter
     keep_going diag_json budgets jobs store_dir no_store trace trace_format =
@@ -379,7 +376,7 @@ let translate files no_heap no_word no_discharge no_interproc keep_low stage fun
   if !any_degraded then exit 1
 
 let check file no_heap no_word no_discharge no_interproc keep_low keep_going budgets
-    cases jobs uncached store_dir no_store trace trace_format =
+    cases jobs store_dir no_store trace trace_format =
   setup_trace trace trace_format;
   let source = read_file file in
   let options =
@@ -395,7 +392,7 @@ let check file no_heap no_word no_discharge no_interproc keep_low keep_going bud
     List.filter (fun (d : Diag.t) -> d.Diag.d_phase = Diag.Store) res.Driver.diags
   in
   List.iter (fun d -> prerr_endline (Diag.to_string ~file d)) store_problems;
-  (match Driver.check_all ~cached:(not uncached) res with
+  (match Driver.check_all res with
   | Ok () -> Printf.printf "kernel: all refinement derivations re-validated\n"
   | Error e ->
     Printf.printf "kernel: FAILED (%s)\n" e;
@@ -475,25 +472,7 @@ let lint file no_heap no_word no_interproc keep_low jobs store_dir no_store =
   in
   let store = store_of ~store_dir ~no_store in
   let res = run_frontend ?store ~file ~options source in
-  let lenv = res.Driver.ctx.Ac_kernel.Rules.lenv in
-  let guard_findings =
-    List.concat_map
-      (fun fr ->
-        Ac_analysis.lint_func lenv ~simpl:fr.Driver.fr_simpl ~sums:res.Driver.sums
-          fr.Driver.fr_l2)
-      res.Driver.funcs
-  in
-  (* Definite initialisation runs on the typed front-end IR, where
-     uninitialised locals are still visible (downstream they are
-     default-initialised). *)
-  let uninit_findings =
-    let tprog = Ac_cfront.Typecheck.parse_and_check source in
-    List.concat_map Ac_analysis.uninit_findings tprog.Ac_cfront.Tir.tp_funcs
-  in
-  (* Deterministic output order at any --jobs value, and no duplicates when
-     a degradation retry re-analysed a function: sort by position, then
-     guard kind, then function. *)
-  let findings = Ac_analysis.sort_findings (guard_findings @ uninit_findings) in
+  let findings = Session.lint_findings res in
   List.iter (print_finding ~file ~severity:Diag.Warning) findings;
   if findings <> [] then exit 1;
   Printf.printf "%s: no findings\n" file
@@ -833,23 +812,14 @@ let check_cmd =
   let cases =
     Arg.(value & opt int 100 & info [ "cases" ] ~doc:"Differential test cases per function")
   in
-  let uncached =
-    Arg.(
-      value & flag
-      & info [ "uncached" ]
-          ~doc:
-            "Re-walk every derivation occurrence with the kernel's own checker \
-             instead of the memoized external one (same verdicts, slower; the \
-             ground-truth mode)")
-  in
   Cmd.v
     (Cmd.info "check" ~doc:"Re-validate derivations and differential-test the abstraction")
     (protected
        Term.(
-         const (fun a b c d e f g h i j k l m n o () ->
-             check a b c d e f g h i j k l m n o)
+         const (fun a b c d e f g h i j k l m n () ->
+             check a b c d e f g h i j k l m n)
          $ file_arg $ no_heap $ no_word $ no_discharge $ no_interproc $ keep_low
-         $ keep_going $ budgets_term $ cases $ jobs $ uncached $ store_dir_arg
+         $ keep_going $ budgets_term $ cases $ jobs $ store_dir_arg
          $ no_store_arg $ trace_arg $ trace_format_arg))
 
 let stats_cmd =

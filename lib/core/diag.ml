@@ -79,6 +79,19 @@ let message_of_exn (e : exn) : string =
   | Out_of_memory -> "internal error: out of memory"
   | e -> "internal error: " ^ Printexc.to_string e
 
+(* A front-end error (lexical, parse or type) rendered the way compilers
+   do, [file:line:col: parse error: msg]; [None] for any other exception.
+   The one rendering of the CLI's stderr line and serve's error text. *)
+let frontend_error ~file (e : exn) : string option =
+  let at kind m (p : Ast.pos) =
+    Some (Printf.sprintf "%s:%d:%d: %s error: %s" file p.Ast.line p.Ast.col kind m)
+  in
+  match e with
+  | Ac_cfront.Lexer.Lex_error (m, p) -> at "lexical" m p
+  | Ac_cfront.Parser.Parse_error (m, p) -> at "parse" m p
+  | Ac_cfront.Typecheck.Type_error (m, p) -> at "type" m p
+  | _ -> None
+
 let to_string ?file (d : t) : string =
   let where =
     match (file, d.d_pos) with

@@ -966,42 +966,25 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
    checker pass), including the [Corres_l1] theorems of functions that
    degraded before L2.
 
-   Theorems are grouped by function and each group is checked under that
-   function's word-abstraction context (the context the end-to-end chain
-   was built under).  This is semantically identical to checking the
-   L1/L2/HL components under [res.ctx]: the two contexts differ only in
+   A function's end-to-end chain holds its component theorems as
+   premises ([Fn_chain] over L1, L2, HL and WA), so one [Thm.check] of
+   the chain re-infers every component too; the components are walked on
+   their own only when no chain was assembled.  The check runs under the
+   function's word-abstraction context, the one the chain was built
+   under.  That is semantically identical to checking the L1/L2/HL
+   components under [res.ctx]: the two contexts differ only in
    [Rules.wvars], which [Rules.infer] consults solely in the [W_abs]
    rule, and that appears only in derivations built under that same
-   [wvars].
-   That wvars-locality invariant is stated (and must be maintained) next
-   to [Rules.infer] in rules.ml, and the test suite pins it down by also
+   [wvars].  The invariant is stated (and must be maintained) next to
+   [Rules.infer] in rules.ml, and the test suite pins it down by also
    checking every component theorem under [res.ctx] ("components check
-   under the run context" in test_perf_layer.ml).  Grouping this way lets
-   the cached mode share one memo table between a function's component
-   theorems and its chain — the chain holds the components as physical
-   premises, so its re-walk is pure cache hits.
+   under the run context" in test_perf_layer.ml).
 
-   [cached] routes the walk through [Check_cache] (memoized on physical
-   node identity, one cache per context, dropped when this call returns).
-   The uncached walk via [Thm.check] stays available as ground truth; the
-   test suite runs both over the corpus and asserts identical verdicts. *)
+   [~cached:false] walks every component theorem and then the chain,
+   re-inferring each component twice: the benchmark's
+   [kernel.check_uncached_s] layer times that walk. *)
 let check_all ?(cached = true) (res : result) : (unit, string) Result.t =
   Profile.record "check" @@ fun () ->
-  let check_group (ctx, thms) =
-    let step =
-      if cached then begin
-        let cache = Check_cache.create ctx in
-        Check_cache.check cache
-      end
-      else Thm.check ctx
-    in
-    let rec go = function
-      | [] -> Result.ok ()
-      | t :: rest -> (
-        match step t with Result.Ok () -> go rest | Result.Error _ as e -> e)
-    in
-    go thms
-  in
   let groups =
     List.map
       (fun fr ->
@@ -1009,16 +992,24 @@ let check_all ?(cached = true) (res : result) : (unit, string) Result.t =
            function's variable registration, recorded in [fr_wa_wvars] at
            translation time; re-check under exactly that. *)
         let wa_ctx = { res.ctx with Rules.wvars = fr.fr_wa_wvars } in
-        ( wa_ctx,
+        let components =
           [ fr.fr_l1_thm; fr.fr_l2_thm ] @ fr.fr_hl_thms @ fr.fr_wa_thms
-          @ match fr.fr_chain with Some t -> [ t ] | None -> [] ))
+        in
+        ( wa_ctx,
+          match fr.fr_chain with
+          | Some t when cached -> [ t ]
+          | Some t -> components @ [ t ]
+          | None -> components ))
       res.funcs
     @ [ ( res.ctx,
           List.filter_map (fun d -> Option.map snd d.dg_l1) res.degraded ) ]
   in
   let rec go = function
     | [] -> Result.ok ()
-    | g :: rest -> (
-      match check_group g with Result.Ok () -> go rest | Result.Error _ as e -> e)
+    | (ctx, t :: rest) :: groups -> (
+      match Thm.check ctx t with
+      | Result.Ok () -> go ((ctx, rest) :: groups)
+      | Result.Error _ as e -> e)
+    | (_, []) :: groups -> go groups
   in
   go groups

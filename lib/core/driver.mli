@@ -222,12 +222,10 @@ val run :
   result
 
 (** Independently re-validate every derivation the pipeline produced
-    (including the per-function end-to-end chains and the L1 theorems of
-    degraded functions).  [cached] (the default) memoizes the walk on
-    physical node identity via {!Check_cache}, so derivation DAGs shared
-    between a function's component theorems and its end-to-end chain are
-    re-inferred once; [~cached:false] re-walks every occurrence with the
-    kernel's own [Thm.check].  Both modes accept and reject exactly the
-    same derivations — the cache sits outside the trusted core and cannot
-    mint a theorem. *)
+    with the kernel's own [Thm.check]: each function's end-to-end chain
+    (whose premises are its L1/L2/HL/WA theorems, so one walk covers
+    them), the component theorems of a function without a chain, and the
+    L1 theorems of degraded functions.  [~cached:false] also walks each
+    component theorem before the chain, re-inferring it twice; it exists
+    only for the benchmark's [kernel.check_uncached_s] layer. *)
 val check_all : ?cached:bool -> result -> (unit, string) Result.t

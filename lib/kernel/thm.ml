@@ -12,13 +12,6 @@ type t = {
   concl : Judgment.judgment;
   rule : Rules.rule;
   prems : t list;
-  id : int;
-      (* Unique per node (process-wide, atomic), so external tooling — the
-         memoized checker in particular — can key hash tables on theorem
-         nodes in O(1) instead of hashing the judgment structurally.  The
-         id carries no logical content: checking never consults it, and
-         it is read-only, so nothing outside the kernel can alter a
-         theorem node in any way. *)
   d_depth : int;
   d_size : int;
       (* Derivation shape, maintained incrementally at mint time (a fold
@@ -26,20 +19,16 @@ type t = {
          recursive definitions — depth = longest premise path, size =
          applications counted with multiplicity under sharing — would
          cost a full derivation walk per query, which telemetry performs
-         once per function chain; these fields make that O(1).  Like
-         [id], they carry no logical content and [check] never reads
-         them. *)
+         once per function chain; these fields make that O(1).  They
+         carry no logical content and [check] never reads them. *)
 }
 
 exception Kernel_error of string
-
-let next_id = Atomic.make 0
 
 let concl t = t.concl
 let rule_name t = Rules.rule_name t.rule
 let rule t = t.rule
 let premises t = t.prems
-let id t = t.id
 
 (* Test-only fault injection: when installed, the hook is consulted before
    every proof-constructing inference ([by]/[by_opt]) and, by answering
@@ -78,7 +67,7 @@ let rec shape d s = function
 
 let mint concl rule prems =
   let d_depth, d_size = shape 0 0 prems in
-  { concl; rule; prems; id = Atomic.fetch_and_add next_id 1; d_depth; d_size }
+  { concl; rule; prems; d_depth; d_size }
 
 (* [Rules.infer], total: an instance whose inference raises (an ill-typed
    constant folded, a struct the layout does not declare, ...) is refused

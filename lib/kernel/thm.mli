@@ -13,19 +13,10 @@ val concl : t -> Judgment.judgment
 val rule_name : t -> string
 val premises : t -> t list
 
-(** The kernel rule that concluded this theorem.  Exposed so external
-    (untrusted) audit tooling — e.g. the memoized derivation checker in
-    [Ac_core.Check_cache] — can re-run [Rules.infer] itself; exposing the
-    rule reveals nothing the derivation printer does not already show, and
+(** The kernel rule that concluded this theorem.  Exposing the rule
+    reveals nothing the derivation printer does not already show, and
     grants no way to construct a theorem. *)
 val rule : t -> Rules.rule
-
-(** A unique id per theorem node (process-wide), usable as an O(1) hash
-    key by external tooling — the memoized checker in
-    [Ac_core.Check_cache] keys its per-run memo table on it.  Carries no
-    logical content, and is read-only: external tooling can observe
-    theorem nodes through it but cannot alter them. *)
-val id : t -> int
 
 (** Apply a kernel rule to premise theorems.
     @raise Kernel_error if the rule's side conditions fail. *)

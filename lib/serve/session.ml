@@ -47,6 +47,28 @@ let diag_of_finding ~severity (f : Ac_analysis.finding) : Diag.t =
   Diag.make ~func:f.Ac_analysis.lf_func ?pos:f.Ac_analysis.lf_pos ~severity
     Diag.Guard_discharge msg
 
+(* A lint's findings, shared by [acc lint] and serve [lint]: refuted guards
+   (executions that would dereference NULL, divide by zero, ...) plus
+   possibly-uninitialised reads.  Definite initialisation runs on the typed
+   front-end IR of [res.source], where uninitialised locals are still
+   visible (downstream they are default-initialised).  Sorted by position,
+   then guard kind, then function: deterministic at any --jobs value, and
+   no duplicates when a degradation retry re-analysed a function. *)
+let lint_findings (res : Driver.result) : Ac_analysis.finding list =
+  let lenv = res.Driver.ctx.Ac_kernel.Rules.lenv in
+  let guard_findings =
+    List.concat_map
+      (fun fr ->
+        Ac_analysis.lint_func lenv ~simpl:fr.Driver.fr_simpl ~sums:res.Driver.sums
+          fr.Driver.fr_l2)
+      res.Driver.funcs
+  in
+  let uninit_findings =
+    let tprog = Ac_cfront.Typecheck.parse_and_check res.Driver.source in
+    List.concat_map Ac_analysis.uninit_findings tprog.Ac_cfront.Tir.tp_funcs
+  in
+  Ac_analysis.sort_findings (guard_findings @ uninit_findings)
+
 (* Flight recorder: when armed, this holds the dump action — harvest the
    span rings, repair truncation, write the trace file.  Consulted from
    the SIGUSR1 check, the watchdog on a deadline overrun, and the CLI's
@@ -316,16 +338,7 @@ let run (cfg : config) : (unit, string) result =
             (List.length res.Driver.degraded)
             res.Driver.store_hits res.Driver.store_misses
         | "lint", Some file ->
-          let res = run file in
-          let lenv = res.Driver.ctx.Ac_kernel.Rules.lenv in
-          let findings =
-            Ac_analysis.sort_findings
-              (List.concat_map
-                 (fun fr ->
-                   Ac_analysis.lint_func lenv ~simpl:fr.Driver.fr_simpl
-                     ~sums:res.Driver.sums fr.Driver.fr_l2)
-                 res.Driver.funcs)
-          in
+          let findings = lint_findings (run file) in
           (* Findings use the --diag-json diagnostic shape, so serve and
              one-shot clients parse one format. *)
           Printf.sprintf "{\"ok\":true,\"cmd\":\"lint\",\"file\":\"%s\",\"findings\":%s}"
@@ -335,10 +348,14 @@ let run (cfg : config) : (unit, string) result =
       with
       | resp -> resp
       (* One failing request (missing file, parse error, even an internal
-         error) answers with ok:false and the session continues. *)
+         error) answers with ok:false and the session continues.  A
+         front-end error reads as the CLI prints it. *)
       | exception Diag.Error d -> err_json (Diag.to_string d)
       | exception Sys_error m -> err_json m
-      | exception e -> err_json (Diag.message_of_exn e)
+      | exception e -> (
+        match Option.bind arg (fun file -> Diag.frontend_error ~file e) with
+        | Some m -> err_json m
+        | None -> err_json (Diag.message_of_exn e))
     in
     let resp =
       if Obs.enabled () then

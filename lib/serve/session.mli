@@ -37,6 +37,10 @@ val dump_flight : unit -> unit
     response body. *)
 val result_json : file:string -> Autocorres.Driver.result -> string
 
+(** The sorted findings of [acc lint] and serve [lint] for a translation:
+    refuted guards plus possibly-uninitialised reads. *)
+val lint_findings : Autocorres.Driver.result -> Ac_analysis.finding list
+
 (** A lint/analyze finding as a structured diagnostic: the JSON shape of
     serve [lint] responses and [acc analyze --json]. *)
 val diag_of_finding :

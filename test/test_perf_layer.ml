@@ -1,5 +1,6 @@
 (* PR 3's performance layer: term-order/equality consistency, hash-cons
-   soundness, the memoized derivation checker, and the parallel driver.
+   soundness, the shape of the derivations the checker walks, and the
+   parallel driver.
 
    The ordering/equality properties are the bugfix half (compare_t used to
    ignore the sort on Var, so ordered containers could identify terms that
@@ -9,10 +10,10 @@
 module B = Ac_bignum
 module T = Ac_prover.Term
 module Driver = Autocorres.Driver
-module Check_cache = Autocorres.Check_cache
 module Pool = Autocorres.Pool
 module Diag = Autocorres.Diag
 module Thm = Ac_kernel.Thm
+module Rules = Ac_kernel.Rules
 module Mprint = Ac_monad.Mprint
 module Csources = Ac_cases.Csources
 
@@ -207,30 +208,68 @@ let test_cli_jobs_differential () =
     Csources.all
 
 (* ------------------------------------------------------------------ *)
-(* Cached vs uncached derivation checking: over every theorem the corpus
-   produces, both modes accept; over a corrupted derivation, both
-   reject. *)
+(* The premise [Driver.check_all] rests on: one [Thm.check] of a chain
+   audits the whole function, because the chain's premises are exactly
+   the component theorems, and the walk re-infers each node once, because
+   the derivation is a tree (no node is shared, so its distinct nodes by
+   physical identity number [Thm.size], which counts with multiplicity).
+   Over the corpus plus two Table 5 profiles. *)
+module Phys = Hashtbl.Make (struct
+  type t = Thm.t
 
-let test_check_differential () =
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let distinct_nodes chain =
+  let seen = Phys.create 256 in
+  let rec walk t =
+    if not (Phys.mem seen t) then begin
+      Phys.add seen t ();
+      List.iter walk (Thm.premises t)
+    end
+  in
+  walk chain;
+  Phys.length seen
+
+let test_chain_premises () =
+  let corpus =
+    Sys.readdir Paths.corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.map Filename.remove_extension
+  in
+  Alcotest.(check int) "corpus files" 18 (List.length corpus);
   List.iter
-    (fun (name, src) ->
-      let res = Driver.run ~options:(opts 1) src in
-      Alcotest.(check bool)
-        (name ^ ": uncached accepts") true
-        (Driver.check_all ~cached:false res = Ok ());
-      Alcotest.(check bool)
-        (name ^ ": cached accepts") true
-        (Driver.check_all ~cached:true res = Ok ()))
-    Csources.all
+    (fun name ->
+      let res = Driver.run ~options:(opts 1) (Test_l2_order.unit_source name) in
+      List.iter
+        (fun (fr : Driver.func_result) ->
+          Option.iter
+            (fun chain ->
+              let where = name ^ "/" ^ fr.Driver.fr_name in
+              let components =
+                fr.Driver.fr_l1_thm :: fr.Driver.fr_l2_thm :: fr.Driver.fr_hl_thms
+                @ fr.Driver.fr_wa_thms
+              in
+              let prems = Thm.premises chain in
+              Alcotest.(check bool) (where ^ ": premises are the components") true
+                (List.compare_lengths prems components = 0
+                && List.for_all2 ( == ) prems components);
+              Alcotest.(check int) (where ^ ": derivation is a tree") (Thm.size chain)
+                (distinct_nodes chain))
+            fr.Driver.fr_chain)
+        res.Driver.funcs)
+    (corpus @ [ "echronos-like"; "piccolo-like" ])
 
 (* The kernel deliberately exposes no way to build a theorem without
    running [Rules.infer] — not even for tests — so the corrupted
-   certificate the auditors must catch is a *genuine* derivation
-   presented under the wrong context: gcd's end-to-end chain was built
-   under its word-abstraction context (whose [wvars] the W_* steps
-   depend on), so auditing it under the run context, whose [wvars] are
-   empty, re-runs the same inferences against premises they cannot
-   reproduce.  Both the uncached and the cached checker must reject. *)
+   certificate the audit must catch is a *genuine* derivation presented
+   under the wrong context: gcd's end-to-end chain was built under its
+   word-abstraction context (whose [wvars] the W_* steps depend on), so
+   auditing it under the run context, whose [wvars] are empty, re-runs
+   the same inferences against premises they cannot reproduce.  Both of
+   [Driver.check_all]'s modes must reject a result that records the run
+   context's [wvars] for gcd. *)
 let test_check_rejects_corruption () =
   let res = Driver.run ~options:(opts 1) Csources.gcd_c in
   let fr = List.hd res.Driver.funcs in
@@ -240,29 +279,21 @@ let test_check_rejects_corruption () =
     | None -> Alcotest.fail "gcd produced no end-to-end chain theorem"
   in
   (* Sanity: the derivation is genuine — under the context it was built
-     with (recomputed by check_all), everything accepts. *)
+     with (recomputed by check_all), both modes accept. *)
   Alcotest.(check bool) "derivation is genuine" true
-    (Driver.check_all ~cached:false res = Ok ());
+    (Driver.check_all res = Ok () && Driver.check_all ~cached:false res = Ok ());
   let is_err = function Error _ -> true | Ok () -> false in
   Alcotest.(check bool)
     "kernel check rejects the wrong-context derivation" true
     (is_err (Thm.check res.Driver.ctx chain));
-  let cache = Check_cache.create res.Driver.ctx in
-  Alcotest.(check bool)
-    "cached check rejects the wrong-context derivation" true
-    (is_err (Check_cache.check cache chain));
-  (* And a fresh cache re-validates from scratch: its memo table is
-     private and dies with it, so nothing an earlier cache (or anyone
-     else) did can pre-seed a later one. *)
-  let good = fr.Driver.fr_l2_thm in
-  let c1 = Check_cache.create res.Driver.ctx in
-  Alcotest.(check bool) "first cache accepts" true
-    (Check_cache.check c1 good = Ok ());
-  let c2 = Check_cache.create res.Driver.ctx in
-  Alcotest.(check bool) "second cache accepts" true
-    (Check_cache.check c2 good = Ok ());
-  Alcotest.(check bool) "second cache re-walked the derivation" true
-    (Check_cache.misses c2 > 0)
+  let wrong =
+    { res with
+      Driver.funcs = [ { fr with Driver.fr_wa_wvars = res.Driver.ctx.Rules.wvars } ] }
+  in
+  Alcotest.(check bool) "check_all rejects the wrong-context chain" true
+    (is_err (Driver.check_all wrong));
+  Alcotest.(check bool) "check_all ~cached:false rejects it too" true
+    (is_err (Driver.check_all ~cached:false wrong))
 
 (* Pin down the wvars-locality invariant stated next to [Rules.infer]
    (and relied on by [Driver.check_all]'s per-function grouping): the
@@ -296,7 +327,7 @@ let suite =
       ("pool survives missed wakeups", `Quick, test_pool_missed_wakeup);
       ("driver --jobs differential over corpus", `Slow, test_driver_jobs_differential);
       ("CLI --diag-json --jobs differential", `Slow, test_cli_jobs_differential);
-      ("cached vs uncached check over corpus", `Slow, test_check_differential);
+      ("chains: components as premises, a tree", `Slow, test_chain_premises);
       ("both check modes reject corruption", `Quick, test_check_rejects_corruption);
       ( "components check under the run context",
         `Slow,

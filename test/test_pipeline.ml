@@ -10,7 +10,6 @@ module M = Ac_monad.M
 module Mprint = Ac_monad.Mprint
 module Driver = Autocorres.Driver
 module Refine_test = Autocorres.Refine_test
-module Check_cache = Autocorres.Check_cache
 module Ir = Ac_simpl.Ir
 module Rules = Ac_kernel.Rules
 module Thm = Ac_kernel.Thm
@@ -181,14 +180,12 @@ let forged thm field v =
   Obj.set_field r' field (Obj.repr v);
   (Obj.obj r' : Thm.t)
 
-(* Both the kernel's checker and the memoized one refuse each theorem. *)
-let both_refuse ctx cases =
+(* The kernel's checker refuses each theorem. *)
+let refuse ctx cases =
   List.iter
     (fun (what, t) ->
       Alcotest.(check bool) (what ^ ": kernel check refuses") true
-        (Result.is_error (Thm.check ctx t));
-      Alcotest.(check bool) (what ^ ": cached check refuses") true
-        (Result.is_error (Check_cache.check (Check_cache.create ctx) t)))
+        (Result.is_error (Thm.check ctx t)))
     cases
 
 let kernel_tests =
@@ -214,10 +211,10 @@ let kernel_tests =
                 | None -> Alcotest.failf "%s/%s: no chain" name fr.Driver.fr_name)
               res.Driver.funcs)
           corpus );
-    ( "hl: a forged heap-abstraction image is refused by both checkers",
+    ( "hl: a forged heap-abstraction image is refused by the checker",
       fun () ->
-        (* HL is one kernel step per function, like L1: the checkers
-           recompute the image, so a genuine node with its conclusion
+        (* HL is one kernel step per function, like L1: the checker
+           recomputes the image, so a genuine node with its conclusion
            overwritten is refused. *)
         let res = Driver.run reverse_c in
         let fr = Option.get (Driver.find_result res "reverse") in
@@ -243,12 +240,12 @@ let kernel_tests =
           go a
         in
         Alcotest.(check bool) "the image has a guard to forge away" false (M.equal unguarded a);
-        both_refuse ctx
+        refuse ctx
           [ ("identity image", forged hl 0 (J.Abs_h_stmt (c, c)));
             ("guards made vacuous", forged hl 0 (J.Abs_h_stmt (unguarded, c)));
             ("another term's image", forged hl 1 (Rules.Hl fr.Driver.fr_l1.M.body)) ];
         Alcotest.(check bool) "the genuine hl theorem checks" true
-          (Thm.check ctx hl = Ok () && Check_cache.check (Check_cache.create ctx) hl = Ok ()) );
+          (Thm.check ctx hl = Ok ()) );
     ( "derivations are substantial (not vacuous)",
       fun () ->
         let res = Driver.run reverse_c in
@@ -267,15 +264,15 @@ let kernel_tests =
         Alcotest.(check bool) "an l1 instance with premises is refused" true
           (Result.is_error (Rules.infer ctx (Rules.L1 s) [ Thm.concl l1 ]));
         (* A certificate whose conclusion or statement was tampered with:
-           both checkers recompute the image and refuse it. *)
+           the checker recomputes the image and refuses it. *)
         let mutated = Ir.Seq (s, Ir.Skip) and skip = M.Return Ac_lang.Expr.unit_e in
-        both_refuse ctx
+        refuse ctx
           [ ("vacuous image", forged l1 0 (J.Corres_l1 (s, skip)));
             ("image of another statement", forged l1 0 (J.Corres_l1 (s, Rules.l1_image mutated)));
             ("equivalent, not the image", forged l1 0 (J.Corres_l1 (s, M.Bind (m, M.Pwild, skip))));
             ("mutated statement", forged l1 1 (Rules.L1 mutated)) ];
         Alcotest.(check bool) "the genuine l1 theorem checks" true
-          (Thm.check ctx l1 = Ok () && Check_cache.check (Check_cache.create ctx) l1 = Ok ());
+          (Thm.check ctx l1 = Ok ());
         (* WA is one kernel step too, computed under the function's
            variable registration: mid's image guards the sum. *)
         let wa_of src name =
@@ -307,12 +304,12 @@ let kernel_tests =
         Alcotest.(check bool) "the image has a no-overflow guard to drop" false (M.equal (unguarded a) a);
         let gcd_wa, _, _ = wa_of gcd_c "gcd" in
         let true_e = Ac_lang.Expr.true_e in
-        both_refuse ctx
+        refuse ctx
           [ ("identity image", forged wa 0 (J.Abs_w_stmt (true_e, rx, ex, c, c)));
             ("no-overflow guard dropped", forged wa 0 (J.Abs_w_stmt (true_e, rx, ex, unguarded a, c)));
             ("another function's w_abs", forged wa 1 (Thm.rule gcd_wa)) ];
         Alcotest.(check bool) "the genuine wa theorem checks" true
-          (Thm.check ctx wa = Ok () && Check_cache.check (Check_cache.create ctx) wa = Ok ()) );
+          (Thm.check ctx wa = Ok ()) );
   ]
 
 let differential_tests =

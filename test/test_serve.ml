@@ -288,6 +288,58 @@ let test_sigterm_drain () =
   Sys.remove a
 
 (* ------------------------------------------------------------------ *)
+(* Serve answers what the CLI prints: a front-end error reads as the
+   CLI's stderr line, and `lint` reports the CLI's findings, the
+   uninitialised reads included. *)
+
+(* Run `acc ARGS`; return its exit code, stdout and stderr. *)
+let run_cli args =
+  let out = Filename.temp_file "cli_out" ".txt" in
+  let err = Filename.temp_file "cli_err" ".txt" in
+  let code =
+    shell
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote acc_exe) args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let o = read_file out and e = read_file err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+let test_frontend_errors () =
+  List.iter
+    (fun (what, src) ->
+      let f = Filename.temp_file "serve_bad" ".c" in
+      write_file f src;
+      let code, _, err = run_cli ("translate " ^ Filename.quote f) in
+      Alcotest.(check int) (what ^ ": CLI exits 2") 2 code;
+      let resp = stdin_serve (Printf.sprintf "translate %s\n" f) in
+      Alcotest.(check string) (what ^ ": serve error is the CLI's line")
+        (Printf.sprintf "{\"ok\":false,\"error\":\"%s\"}\n"
+           (Autocorres.Diag.json_escape (String.trim err)))
+        resp;
+      Sys.remove f)
+    [ ("lex", "int f(void) { return 1 @ 2; }\n");
+      ("parse", "int f( {");
+      ("type", "int f(void) { return y; }\n") ]
+
+let test_lint_matches_cli () =
+  let f = Filename.temp_file "serve_lint" ".c" in
+  write_file f "int f(int a) { int x; if (a > 0) x = 1; return x; }\n";
+  let code, out, _ = run_cli ("lint " ^ Filename.quote f) in
+  Alcotest.(check int) "CLI lint exits 1" 1 code;
+  Alcotest.(check string) "CLI reports the uninitialised read"
+    (Printf.sprintf "%s:1:41: warning: 'x' may be used uninitialised (in f)\n" f)
+    out;
+  let resp = stdin_serve (Printf.sprintf "lint %s\n" f) in
+  Alcotest.(check string) "serve reports the same finding"
+    (Printf.sprintf
+       "{\"ok\":true,\"cmd\":\"lint\",\"file\":\"%s\",\"findings\":[{\"phase\":\"guard-discharge\",\"function\":\"f\",\"line\":1,\"col\":41,\"severity\":\"warning\",\"recoverable\":false,\"message\":\"'x' may be used uninitialised\"}]}\n"
+       (Autocorres.Diag.json_escape f))
+    resp;
+  Sys.remove f
+
+(* ------------------------------------------------------------------ *)
 (* Backpressure: a pipelining client into --max-inflight 1 gets one
    response per request, overloads are the exact structured line, and
    `status` on the same connection accounts for every shed. *)
@@ -561,4 +613,7 @@ let suite =
       test_sigterm_trace_flush;
     Alcotest.test_case "SIGUSR1 dumps the flight recorder mid-flight" `Slow
       test_sigusr1_flight_dump;
+    Alcotest.test_case "front-end errors read as the CLI prints them" `Quick
+      test_frontend_errors;
+    Alcotest.test_case "lint reports the CLI's findings" `Quick test_lint_matches_cli;
   ]
