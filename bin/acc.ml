@@ -74,43 +74,8 @@ let protect (f : unit -> unit) () =
 
 let read_file path =
   if not (Sys.file_exists path) then usage_error "acc: %s: no such file" path;
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | s -> s
-  | exception Sys_error m -> usage_error "acc: %s" m
-
-let options_of ?(no_discharge = false) ?(no_interproc = false) ?(keep_going = false)
-    ?(budgets = Driver.default_budgets) ?(jobs = 1) ~no_heap ~no_word ~keep_low () =
-  {
-    Driver.defaults =
-      {
-        Driver.word_abs = not no_word;
-        heap_abs = not no_heap;
-        discharge_guards = not no_discharge;
-      };
-    overrides =
-      List.map
-        (fun f ->
-          ( f,
-            {
-              Driver.word_abs = false;
-              heap_abs = false;
-              discharge_guards = not no_discharge;
-            } ))
-        keep_low;
-    strategy = Autocorres.Wa.default_strategy;
-    polish = true;
-    keep_going;
-    budgets;
-    jobs = max 1 jobs;
-    interproc = not no_interproc;
-    summary_profile = false;
-  }
+  try In_channel.with_open_bin path (fun ic -> really_input_string ic (in_channel_length ic))
+  with Sys_error m -> usage_error "acc: %s" m
 
 let file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"C source file")
@@ -120,6 +85,10 @@ let file_arg =
    t.json corpus/*.c`.  With a single file the behaviour is unchanged. *)
 let files_arg =
   Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc:"C source file(s)")
+
+(* `acc trace` and `acc effort` check for an empty list themselves. *)
+let any_files_arg =
+  Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"C source file(s)")
 
 (* ------------------------------------------------------------------ *)
 (* The persistent proof store (--store DIR / $ACC_STORE / --no-store). *)
@@ -141,22 +110,24 @@ let no_store_arg =
     & info [ "no-store" ]
         ~doc:"Ignore --store and \\$ACC_STORE; translate from scratch")
 
-(* Resolve the store handle.  An unusable store directory is a structured
-   diagnostic (exit 1 via [protect]), not an internal error: the store is
-   part of the user's configuration, and the failure mode must match the
-   exit contract. *)
-let store_of ~store_dir ~no_store : Store.t option =
-  let dir =
-    if no_store then None
-    else
-      match store_dir with Some d -> Some d | None -> Sys.getenv_opt "ACC_STORE"
+let store_dir_of store_dir =
+  match store_dir with Some _ -> store_dir | None -> Sys.getenv_opt "ACC_STORE"
+
+(* An unusable store directory is a structured diagnostic (exit 1 via
+   [protect]), not an internal error: the store is part of the user's
+   configuration, and the failure mode must match the exit contract. *)
+let store_failure m = raise (Diag.Error (Diag.make ~severity:Diag.Error Diag.Store m))
+
+(* The store flags as one term.  It yields an opener, not a handle, so
+   the store opens inside the command body, under [protect]. *)
+let store_term : (unit -> Store.t option) Term.t =
+  let opener store_dir no_store () =
+    match if no_store then None else store_dir_of store_dir with
+    | None -> None
+    | Some dir -> (
+      match Store.open_ ~dir () with Ok st -> Some st | Error m -> store_failure m)
   in
-  match dir with
-  | None -> None
-  | Some d -> (
-    match Store.open_ ~dir:d () with
-    | Ok st -> Some st
-    | Error m -> raise (Diag.Error (Diag.make ~severity:Diag.Error Diag.Store m)))
+  Term.(const opener $ store_dir_arg $ no_store_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Tracing (--trace FILE on translate/check/analyze/serve, `acc trace`).
@@ -187,7 +158,10 @@ let trace_format_arg =
         ~doc:"Trace file format: $(b,chrome) (trace_event JSON) or $(b,jsonl) \
               (one event object per line, for streaming consumers)")
 
-let setup_trace trace format =
+(* The tracing flags as one term; [setup_trace] arms them. *)
+let trace_term = Term.(const (fun path format -> (path, format)) $ trace_arg $ trace_format_arg)
+
+let setup_trace (trace, format) =
   match trace with
   | None -> ()
   | Some path ->
@@ -309,6 +283,31 @@ let budgets_term =
     const mk $ analysis_rounds $ analysis_steps $ rewrite_fuel $ summary_rounds
     $ summary_contexts $ timeout)
 
+(* The pipeline flags as one term producing a [Driver.options].
+   Translate and check take them all; lint and analyze go without
+   --no-discharge and --keep-going (fault isolation is always on there),
+   and lint also without the budget flags. *)
+let options_term ?(full = true) ?(budgets = true) () =
+  let mk no_heap no_word no_discharge no_interproc keep_low keep_going budgets jobs =
+    let switches word_abs heap_abs =
+      { Driver.word_abs; heap_abs; discharge_guards = not no_discharge }
+    in
+    { Driver.default_options with
+      Driver.defaults = switches (not no_word) (not no_heap);
+      overrides = List.map (fun f -> (f, switches false false)) keep_low;
+      keep_going; budgets; jobs = max 1 jobs; interproc = not no_interproc }
+  in
+  let if_flag on term default = if on then term else Term.const default in
+  Term.(
+    const mk $ no_heap $ no_word $ if_flag full no_discharge false $ no_interproc $ keep_low
+    $ if_flag full keep_going true
+    $ if_flag budgets budgets_term Driver.default_budgets
+    $ jobs)
+
+(* Every default with fault isolation on: what stats, trace and effort run. *)
+let keep_going_options jobs =
+  { Driver.default_options with Driver.keep_going = true; jobs = max 1 jobs }
+
 let stage =
   Arg.(
     value
@@ -320,71 +319,67 @@ let func_filter =
     value & opt (some string) None
     & info [ "func" ] ~docv:"NAME" ~doc:"Print only this function")
 
-let with_funcs res func_filter f =
-  List.iter
-    (fun fr ->
-      match func_filter with
-      | Some name when name <> fr.Driver.fr_name -> ()
-      | _ -> f fr)
-    res.Driver.funcs
-
 (* Front-end errors carry positions; render them the way compilers do, on
    stderr, and exit 2 (a problem with the input, not a finding). *)
-let run_frontend ?store ?pool ~file ~options source =
-  match Driver.run ~options ?store ?pool source with
-  | res -> res
+let frontend ~file f =
+  match f () with
+  | r -> r
   | exception e -> (
     match Diag.frontend_error ~file e with Some m -> usage_error "%s" m | None -> raise e)
 
-let translate files no_heap no_word no_discharge no_interproc keep_low stage func_filter
-    keep_going diag_json budgets jobs store_dir no_store trace trace_format =
-  setup_trace trace trace_format;
-  let options =
-    options_of ~no_discharge ~no_interproc ~keep_going ~budgets ~jobs ~no_heap ~no_word
-      ~keep_low ()
-  in
-  let store = store_of ~store_dir ~no_store in
-  let any_degraded = ref false in
+(* One file read, then the store opened, then one run: check, lint and
+   analyze, in the order they report a missing file and a bad store. *)
+let run_file ~options store file =
+  let source = read_file file in
+  let store = store () in
+  frontend ~file (fun () -> Driver.run ~options ?store source)
+
+(* One run per file, same options and store: the loop behind translate,
+   `acc trace` and `acc effort`.  [label] tags each file's trace events
+   with its basename. *)
+let each_file ?store ?(label = false) ~options files f =
   List.iter
     (fun file ->
-      let source = read_file file in
-      let res = run_frontend ?store ~file ~options source in
+      let run () = run_file ~options (fun () -> store) file in
+      f file (if label then Obs.with_ctx (Filename.basename file) run else run ()))
+    files
+
+let translate files options stage func_filter diag_json store trace () =
+  setup_trace trace;
+  let store = store () in
+  let any_degraded = ref false in
+  each_file ?store ~options files (fun file res ->
       if diag_json then print_endline (Session.result_json ~file res)
       else begin
-        with_funcs res func_filter (fun fr ->
-            (match stage with
-            | `Simpl -> print_endline (Ac_simpl.Print.func_to_string fr.Driver.fr_simpl)
-            | `L1 -> print_endline (Ac_monad.Mprint.func_to_string fr.Driver.fr_l1)
-            | `L2 -> print_endline (Ac_monad.Mprint.func_to_string fr.Driver.fr_l2)
-            | `Final -> print_endline (Ac_monad.Mprint.func_to_string fr.Driver.fr_final));
-            List.iter
-              (fun (phase, why) -> Printf.printf "  (%s skipped: %s)\n" phase why)
-              fr.Driver.fr_skipped);
+        let shown name = Option.fold ~none:true ~some:(String.equal name) func_filter in
+        List.iter
+          (fun fr ->
+            if shown fr.Driver.fr_name then begin
+              (match stage with
+              | `Simpl -> print_endline (Ac_simpl.Print.func_to_string fr.Driver.fr_simpl)
+              | `L1 -> print_endline (Ac_monad.Mprint.func_to_string fr.Driver.fr_l1)
+              | `L2 -> print_endline (Ac_monad.Mprint.func_to_string fr.Driver.fr_l2)
+              | `Final -> print_endline (Ac_monad.Mprint.func_to_string fr.Driver.fr_final));
+              List.iter
+                (fun (phase, why) -> Printf.printf "  (%s skipped: %s)\n" phase why)
+                fr.Driver.fr_skipped
+            end)
+          res.Driver.funcs;
         List.iter
           (fun (d : Driver.degraded) ->
-            match func_filter with
-            | Some name when name <> d.Driver.dg_name -> ()
-            | _ ->
+            if shown d.Driver.dg_name then
               Printf.printf "/* %s: degraded to %s */\n" d.Driver.dg_name
                 (Driver.level_name (Driver.degraded_level d)))
           res.Driver.degraded;
         (* Diagnostics go to stderr, compiler-style. *)
         List.iter (fun d -> prerr_endline (Diag.to_string ~file d)) res.Driver.diags
       end;
-      if res.Driver.degraded <> [] then any_degraded := true)
-    files;
+      if res.Driver.degraded <> [] then any_degraded := true);
   if !any_degraded then exit 1
 
-let check file no_heap no_word no_discharge no_interproc keep_low keep_going budgets
-    cases jobs store_dir no_store trace trace_format =
-  setup_trace trace trace_format;
-  let source = read_file file in
-  let options =
-    options_of ~no_discharge ~no_interproc ~keep_going ~budgets ~jobs ~no_heap ~no_word
-      ~keep_low ()
-  in
-  let store = store_of ~store_dir ~no_store in
-  let res = run_frontend ?store ~file ~options source in
+let check file options cases store trace () =
+  setup_trace trace;
+  let res = run_file ~options store file in
   (* In an audit run, a store entry that had to be rejected (unreadable,
      corrupt, stale) is itself a finding: report it structured and exit 1,
      even though the translation degraded gracefully past it. *)
@@ -417,28 +412,23 @@ let check file no_heap no_word no_discharge no_interproc keep_low keep_going bud
   end;
   if store_problems <> [] then exit 1
 
-let stats file profile profile_json jobs store_dir no_store =
+let stats file profile profile_json jobs store () =
   let source = read_file file in
-  (* Run the front end once under [run_frontend] so lexical/parse/type
-     errors render compiler-style and exit 2 before measuring. *)
-  let options =
-    { Driver.default_options with
-      Driver.keep_going = true;
-      jobs = max 1 jobs;
-      (* The summary columns cost two extra analysis passes per function,
-         so they are only measured when the profile is requested. *)
-      summary_profile = profile || profile_json }
-  in
-  let store = store_of ~store_dir ~no_store in
-  let (_ : Driver.result) = run_frontend ~file ~options source in
-  (* Proof-effort accounting for the profile, armed after the probe run
-     above so the profile counts exactly one measured translation. *)
-  if profile || profile_json then Ac_stats.arm_effort ();
+  let profiled = profile || profile_json in
+  (* The summary columns cost two extra analysis passes per function, so
+     they are only measured when the profile is requested. *)
+  let options = { (keep_going_options jobs) with Driver.summary_profile = profiled } in
+  let store = store () in
+  (* Proof-effort accounting for the profile, armed before the one
+     measured translation.  Front-end errors render compiler-style and
+     exit 2, as for every other command. *)
+  if profiled then Ac_stats.arm_effort ();
   let row, res =
-    Ac_stats.measure ~options ?store ~name:(Filename.basename file) source
+    frontend ~file (fun () ->
+        Ac_stats.measure ~options ?store ~name:(Filename.basename file) source)
   in
   (* Include derivation checking in the profile, as in a full audit run. *)
-  if profile || profile_json then ignore (Driver.check_all res);
+  if profiled then ignore (Driver.check_all res);
   if profile_json then print_endline (Autocorres.Profile.to_json ())
   else begin
     print_string
@@ -447,31 +437,23 @@ let stats file profile profile_json jobs store_dir no_store =
     if profile then print_string (Ac_stats.profile_report res)
   end
 
-let print_finding ~file ~severity (f : Ac_analysis.finding) =
+(* One finding, compiler-style, worded as [Session.diag_of_finding] words it. *)
+let print_finding ~file ~severity f =
+  let d = Session.diag_of_finding ~severity f in
   let where =
-    match f.Ac_analysis.lf_pos with
+    match d.Diag.d_pos with
     | Some p -> Printf.sprintf "%s:%d:%d" file p.Ac_cfront.Ast.line p.Ac_cfront.Ast.col
     | None -> file
   in
-  let kind =
-    match f.Ac_analysis.lf_kind with
-    | Some k -> Printf.sprintf " [%s]" (Ac_simpl.Ir.guard_kind_name k)
-    | None -> ""
-  in
-  Printf.printf "%s: %s: %s%s (in %s)\n" where (Diag.severity_name severity)
-    f.Ac_analysis.lf_msg kind f.Ac_analysis.lf_func
+  Printf.printf "%s: %s: %s (in %s)\n" where (Diag.severity_name severity) d.Diag.d_msg
+    f.Ac_analysis.lf_func
 
 (* `acc lint`: replay the guard analysis and report refuted guards (these
    executions would dereference NULL, divide by zero, ... — likely UB) plus
    possibly-uninitialised reads, with positions from the front end.  Exit 1
    when there are findings, 0 otherwise. *)
-let lint file no_heap no_word no_interproc keep_low jobs store_dir no_store =
-  let source = read_file file in
-  let options =
-    options_of ~no_interproc ~keep_going:true ~jobs ~no_heap ~no_word ~keep_low ()
-  in
-  let store = store_of ~store_dir ~no_store in
-  let res = run_frontend ?store ~file ~options source in
+let lint file options store () =
+  let res = run_file ~options store file in
   let findings = Session.lint_findings res in
   List.iter (print_finding ~file ~severity:Diag.Warning) findings;
   if findings <> [] then exit 1;
@@ -484,16 +466,9 @@ let lint file no_heap no_word no_interproc keep_low jobs store_dir no_store =
    residual (neither: the proof obligation the verification engineer
    keeps).  Exit 0 when nothing was refuted, 1 on refuted findings,
    2 on input/internal errors. *)
-let analyze file no_heap no_word no_interproc keep_low budgets jobs json store_dir
-    no_store trace trace_format =
-  setup_trace trace trace_format;
-  let source = read_file file in
-  let options =
-    options_of ~no_interproc ~keep_going:true ~budgets ~jobs ~no_heap ~no_word ~keep_low
-      ()
-  in
-  let store = store_of ~store_dir ~no_store in
-  let res = run_frontend ?store ~file ~options source in
+let analyze file options json store trace () =
+  setup_trace trace;
+  let res = run_file ~options store file in
   let lenv = res.Driver.ctx.Ac_kernel.Rules.lenv in
   let sums = res.Driver.sums in
   let rows =
@@ -563,9 +538,9 @@ let analyze file no_heap no_word no_interproc keep_low budgets jobs json store_d
    stdin or, with --socket/--tcp, many concurrent clients.  `--connect
    PATH` turns the binary into a pipelining line client for shell
    scripts instead. *)
-let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
-    max_inflight connect_path trace trace_format metrics_port flight_recorder
-    flight_dump_path slow_ms slow_log =
+let serve jobs request_timeout inject store socket_path tcp_port max_inflight connect_path
+    ((trace, trace_format) as tracing) metrics_port flight_recorder flight_dump_path slow_ms
+    slow_log () =
   (match connect_path with
   | Some path -> exit (Ac_serve.Client.run ~path)
   | None -> ());
@@ -575,12 +550,11 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
   | Some n when n <= 0 -> usage_error "acc serve: --flight-recorder: N must be positive"
   | _ -> ());
   let faults = Option.map (parse_faults ~what:"acc serve") inject in
-  setup_trace trace trace_format;
+  setup_trace tracing;
   let cfg =
-    { Session.jobs = max 1 jobs; request_timeout; faults;
-      store = store_of ~store_dir ~no_store; socket_path; tcp_port; max_inflight;
-      metrics_port; trace; trace_format; flight_recorder; flight_dump_path; slow_ms;
-      slow_log }
+    { Session.jobs = max 1 jobs; request_timeout; faults; store = store (); socket_path;
+      tcp_port; max_inflight; metrics_port; trace; trace_format; flight_recorder;
+      flight_dump_path; slow_ms; slow_log }
   in
   match Session.run cfg with Ok () -> () | Error m -> usage_error "acc serve: %s" m
 
@@ -588,17 +562,11 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
    store.  gc and doctor take the store lock (so they never race a
    concurrent writer destructively) and honour the tmp-file grace window
    (so they never delete an in-flight write). *)
-let cache action store_dir max_entries grace purge =
-  let dir =
-    match store_dir with Some d -> Some d | None -> Sys.getenv_opt "ACC_STORE"
-  in
-  match dir with
+let cache action store_dir max_entries grace purge () =
+  match store_dir_of store_dir with
   | None -> usage_error "acc cache: no store directory (use --store DIR or $ACC_STORE)"
   | Some dir -> (
-    let or_die = function
-      | Ok v -> v
-      | Error m -> raise (Diag.Error (Diag.make ~severity:Diag.Error Diag.Store m))
-    in
+    let or_die = function Ok v -> v | Error m -> store_failure m in
     match action with
     | `Stat ->
       let s = or_die (Store.stat ~dir) in
@@ -621,129 +589,21 @@ let cache action store_dir max_entries grace purge =
 (* ------------------------------------------------------------------ *)
 (* `acc trace`: run a traced translation over one or more files and write
    the merged trace, or validate an existing trace file
-   (`--validate TRACE`).  The validator is deliberately self-contained —
-   it checks the structural invariants a trace viewer relies on
-   (balanced B/E per thread, monotone timestamps, integer pid/tid) over
-   the one-event-per-line format this binary emits, so ci.sh needs no
-   external JSON tooling. *)
-
-let find_sub (s : string) (pat : string) : int option =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = pat then Some i else go (i + 1)
-  in
-  go 0
-
-(* Raw value text after ["key":], up to the next [,}] — fields this
-   binary emits in fixed order ahead of the free-form [args] object, so
-   the first match is the real field. *)
-let field_raw line key =
-  match find_sub line (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length key + 3 in
-    let rec stop j =
-      if j >= String.length line then j
-      else match line.[j] with ',' | '}' -> j | _ -> stop (j + 1)
-    in
-    Some (String.sub line start (stop start - start))
-
-let field_str line key =
-  match field_raw line key with
-  | Some v
-    when String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"' ->
-    Some (String.sub v 1 (String.length v - 2))
-  | _ -> None
+   (`--validate TRACE`): read its event lines back with [Obs.ev_of_line]
+   and check them with [Obs.check], the invariants a trace viewer relies
+   on, so ci.sh needs no external JSON tooling. *)
 
 let validate_trace path =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        prerr_endline ("acc trace: invalid trace: " ^ m);
-        exit 1)
-      fmt
-  in
-  let lines = String.split_on_char '\n' (read_file path) in
-  let is_event l =
-    String.length l > 7 && String.sub l 0 8 = "{\"name\":"
-  in
-  let events = List.filter is_event lines in
-  if events = [] then fail "no events in %s" path;
-  (* Per-tid span stack (B pushes, E must match the top) and last
-     timestamp (must be monotone per tid — events within a tid are in
-     buffer order). *)
-  let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
-  let last_ts : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
-  let tids = Hashtbl.create 8 in
-  List.iteri
-    (fun i line ->
-      let ln = i + 1 in
-      let name =
-        match field_str line "name" with
-        | Some n -> n
-        | None -> fail "line %d: missing name" ln
-      in
-      let ph =
-        match field_str line "ph" with
-        | Some p -> p
-        | None -> fail "line %d: missing ph" ln
-      in
-      let int_field key =
-        match field_raw line key with
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n >= 0 -> n
-          | _ -> fail "line %d: bad %s %S" ln key v)
-        | None -> fail "line %d: missing %s" ln key
-      in
-      let pid = int_field "pid" in
-      ignore pid;
-      let tid = int_field "tid" in
-      Hashtbl.replace tids tid ();
-      let ts =
-        match Option.bind (field_raw line "ts") float_of_string_opt with
-        | Some t when t >= 0. && Float.is_finite t -> t
-        | _ -> fail "line %d: bad ts" ln
-      in
-      (match Hashtbl.find_opt last_ts tid with
-      | Some r ->
-        if ts < !r then fail "line %d: ts not monotone on tid %d" ln tid;
-        r := ts
-      | None -> Hashtbl.add last_ts tid (ref ts));
-      let stack =
-        match Hashtbl.find_opt stacks tid with
-        | Some s -> s
-        | None ->
-          let s = ref [] in
-          Hashtbl.add stacks tid s;
-          s
-      in
-      match ph with
-      | "B" -> stack := name :: !stack
-      | "E" -> (
-        match !stack with
-        | top :: rest ->
-          if top <> name then
-            fail "line %d: E %S does not match open span %S on tid %d" ln name top tid;
-          stack := rest
-        | [] -> fail "line %d: E %S with no open span on tid %d" ln name tid)
-      | "i" | "I" -> ()
-      | "X" -> (
-        match Option.bind (field_raw line "dur") float_of_string_opt with
-        | Some d when d >= 0. && Float.is_finite d -> ()
-        | _ -> fail "line %d: X event with bad dur" ln)
-      | other -> fail "line %d: unknown ph %S" ln other)
-    events;
-  Hashtbl.iter
-    (fun tid s ->
-      match !s with
-      | [] -> ()
-      | top :: _ -> fail "unbalanced trace: span %S still open on tid %d" top tid)
-    stacks;
-  Printf.printf "%s: OK: %d events, %d threads\n" path (List.length events)
-    (Hashtbl.length tids)
+  let fail m = prerr_endline ("acc trace: invalid trace: " ^ m); exit 1 in
+  let lines = List.filter_map Obs.ev_of_line (String.split_on_char '\n' (read_file path)) in
+  if lines = [] then fail ("no events in " ^ path);
+  let event i = function Ok e -> e | Error m -> fail (Printf.sprintf "line %d: %s" (i + 1) m) in
+  let evs = List.mapi event lines in
+  Result.iter_error fail (Obs.check evs);
+  Printf.printf "%s: OK: %d events, %d threads\n" path (List.length evs)
+    (List.length (List.sort_uniq Int.compare (List.map (fun e -> e.Obs.ev_tid) evs)))
 
-let trace_run files out format jobs validate =
+let trace_run files out format jobs validate () =
   match validate with
   | Some tpath -> validate_trace tpath
   | None ->
@@ -755,17 +615,9 @@ let trace_run files out format jobs validate =
       | None -> usage_error "acc trace: --out FILE required"
     in
     Obs.set_enabled true;
-    let options =
-      options_of ~keep_going:true ~jobs ~no_heap:false ~no_word:false ~keep_low:[] ()
-    in
     let funcs = ref 0 in
-    List.iter
-      (fun file ->
-        let source = read_file file in
-        Obs.with_ctx (Filename.basename file) @@ fun () ->
-        let res = run_frontend ~file ~options source in
-        funcs := !funcs + List.length res.Driver.funcs)
-      files;
+    each_file ~label:true ~options:(keep_going_options jobs) files (fun _ res ->
+        funcs := !funcs + List.length res.Driver.funcs);
     let evs = Obs.harvest () in
     Obs.write_trace ~format out;
     Printf.printf "trace: %d file(s), %d function(s), %d event(s) -> %s\n"
@@ -778,23 +630,15 @@ let trace_run files out format jobs validate =
    observation hook is installed from outside the kernel; the
    translation output itself is byte-identical to an unhooked run (ci.sh
    asserts it). *)
-let effort_run files json jobs store_dir no_store =
+let effort_run files json jobs store () =
   if files = [] then usage_error "acc effort: no input files";
   Ac_stats.arm_effort ();
-  let options =
-    options_of ~keep_going:true ~jobs ~no_heap:false ~no_word:false ~keep_low:[] ()
-  in
-  let store = store_of ~store_dir ~no_store in
-  List.iter
-    (fun file ->
-      let source = read_file file in
-      let (_ : Driver.result) = run_frontend ?store ~file ~options source in
-      ())
-    files;
+  let store = store () in
+  each_file ?store ~options:(keep_going_options jobs) files (fun _ _ -> ());
   print_string (Ac_stats.effort_report ~json ~files:(List.length files))
 
-(* Wrap a fully-applied command body in [protect], keeping cmdliner's
-   n-ary term application readable. *)
+(* Wrap a command body, applied to everything but its final [()], in
+   [protect]. *)
 let protected term = Term.(const protect $ term $ const ())
 
 let translate_cmd =
@@ -802,11 +646,8 @@ let translate_cmd =
     (Cmd.info "translate" ~doc:"Abstract a C file and print the result")
     (protected
        Term.(
-         const (fun a b c d e f g h i j k l m n o p () ->
-             translate a b c d e f g h i j k l m n o p)
-         $ files_arg $ no_heap $ no_word $ no_discharge $ no_interproc $ keep_low $ stage
-         $ func_filter $ keep_going $ diag_json $ budgets_term $ jobs $ store_dir_arg
-         $ no_store_arg $ trace_arg $ trace_format_arg))
+         const translate $ files_arg $ options_term () $ stage $ func_filter $ diag_json
+         $ store_term $ trace_term))
 
 let check_cmd =
   let cases =
@@ -815,12 +656,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"Re-validate derivations and differential-test the abstraction")
     (protected
-       Term.(
-         const (fun a b c d e f g h i j k l m n () ->
-             check a b c d e f g h i j k l m n)
-         $ file_arg $ no_heap $ no_word $ no_discharge $ no_interproc $ keep_low
-         $ keep_going $ budgets_term $ cases $ jobs $ store_dir_arg
-         $ no_store_arg $ trace_arg $ trace_format_arg))
+       Term.(const check $ file_arg $ options_term () $ cases $ store_term $ trace_term))
 
 let stats_cmd =
   let profile =
@@ -840,19 +676,14 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"Pipeline statistics (Table 5 metrics)")
     (protected
-       Term.(
-         const (fun a b c d e f () -> stats a b c d e f)
-         $ file_arg $ profile $ profile_json $ jobs $ store_dir_arg $ no_store_arg))
+       Term.(const stats $ file_arg $ profile $ profile_json $ jobs $ store_term))
 
 let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Report statically refutable UB guards and uninitialised reads")
     (protected
-       Term.(
-         const (fun a b c d e f g h () -> lint a b c d e f g h)
-         $ file_arg $ no_heap $ no_word $ no_interproc $ keep_low $ jobs $ store_dir_arg
-         $ no_store_arg))
+       Term.(const lint $ file_arg $ options_term ~full:false ~budgets:false () $ store_term))
 
 let analyze_cmd =
   let json =
@@ -872,9 +703,8 @@ let analyze_cmd =
           nothing is refuted, 1 on refuted findings, 2 on input errors.")
     (protected
        Term.(
-         const (fun a b c d e f g h i j k l () -> analyze a b c d e f g h i j k l)
-         $ file_arg $ no_heap $ no_word $ no_interproc $ keep_low $ budgets_term $ jobs
-         $ json $ store_dir_arg $ no_store_arg $ trace_arg $ trace_format_arg))
+         const analyze $ file_arg $ options_term ~full:false () $ json $ store_term
+         $ trace_term))
 
 let serve_cmd =
   let request_timeout =
@@ -948,7 +778,7 @@ let serve_cmd =
             "Serve an OpenMetrics/Prometheus scrape endpoint on \
              127.0.0.1:$(docv): GET /metrics (counters, gauges, latency \
              histograms, proof-effort series), /healthz (liveness), /readyz \
-             (store lock reachable, worker pool healthy).  Handled by the \
+             (not draining, store lock reachable).  Handled by the \
              same select loop as request traffic — request output stays \
              byte-identical whether or not anyone scrapes.  Socket mode \
              only.")
@@ -1005,12 +835,9 @@ let serve_cmd =
           exit 0.")
     (protected
        Term.(
-         const (fun a b c d e f g h i j k l m n o p () ->
-             serve a b c d e f g h i j k l m n o p)
-         $ jobs $ request_timeout $ inject $ store_dir_arg $ no_store_arg
-         $ socket_arg $ tcp_arg $ max_inflight_arg $ connect_arg $ trace_arg
-         $ trace_format_arg $ metrics_port_arg $ flight_recorder_arg
-         $ flight_dump_arg $ slow_ms_arg $ slow_log_arg))
+         const serve $ jobs $ request_timeout $ inject $ store_term $ socket_arg $ tcp_arg
+         $ max_inflight_arg $ connect_arg $ trace_term $ metrics_port_arg
+         $ flight_recorder_arg $ flight_dump_arg $ slow_ms_arg $ slow_log_arg))
 
 let trace_cmd =
   let out_arg =
@@ -1039,10 +866,7 @@ let trace_cmd =
           translate --trace` but quiet: it prints a one-line summary instead \
           of the translated program.")
     (protected
-       Term.(
-         const (fun a b c d e () -> trace_run a b c d e)
-         $ Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"C source file(s)")
-         $ out_arg $ trace_format_arg $ jobs $ validate_arg))
+       Term.(const trace_run $ any_files_arg $ out_arg $ trace_format_arg $ jobs $ validate_arg))
 
 let effort_cmd =
   let json =
@@ -1062,10 +886,7 @@ let effort_cmd =
           interprocedural vs dead-code scrubbing).  Observation only: the \
           translation output is byte-identical to an unobserved run.")
     (protected
-       Term.(
-         const (fun a b c d e () -> effort_run a b c d e)
-         $ Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"C source file(s)")
-         $ json $ jobs $ store_dir_arg $ no_store_arg))
+       Term.(const effort_run $ any_files_arg $ json $ jobs $ store_term))
 
 let cache_cmd =
   let action =
@@ -1105,9 +926,7 @@ let cache_cmd =
           damaged ones into .quarantine/, and reports; gc and doctor run under \
           the store lock.")
     (protected
-       Term.(
-         const (fun a b c d e () -> cache a b c d e)
-         $ action $ store_dir_arg $ max_entries $ grace $ purge))
+       Term.(const cache $ action $ store_dir_arg $ max_entries $ grace $ purge))
 
 let () =
   (* $ACC_FAULTS arms the fault-injection harness for any subcommand (the

@@ -582,6 +582,7 @@ fi
 "$ACC" trace --validate "$OBS_DIR/d.json"
 # shellcheck disable=SC2086
 "$ACC" trace -o "$OBS_DIR/d.jsonl" --trace-format jsonl corpus/*.c > /dev/null
+"$ACC" trace --validate "$OBS_DIR/d.jsonl"
 echo "ok: traced translate byte-identical; traces validate"
 
 echo "== obs: traced serve session is byte-identical =="

@@ -106,22 +106,9 @@ let to_string ?file (d : t) : string =
     (if d.d_recoverable then " [degraded]" else "")
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering, dependency-free. *)
+(* JSON rendering, with the escaper every JSON writer here shares. *)
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Ac_obs.Obs.json_escape
 
 let to_json (d : t) : string =
   let fields =

@@ -14,9 +14,9 @@
    - wall seconds are summed across workers, so under [--jobs N] a
      phase's total can exceed the elapsed time of the run (it is
      cumulative work, the quantity a speedup is computed against);
-   - allocation is per-domain ([Gc.allocated_bytes] is domain-local in
-     OCaml 5), which is exactly right: the delta is taken on the domain
-     running the work.
+   - allocation is per-domain ([Obs.alloc_bytes] reads the calling
+     domain's counters in OCaml 5), which is exactly right: the delta is
+     taken on the domain running the work.
 
    Registry counters only grow (a scrape must never see one go
    backwards), so [reset] records a baseline and [snapshot] reports the
@@ -66,10 +66,10 @@ let reset () = Atomic.set baseline (totals ())
 let record ?(cat = "driver") ?func (phase : string) (f : unit -> 'a) : 'a =
   let measured () =
     let t0 = mono_s () in
-    let a0 = Gc.allocated_bytes () in
+    let a0 = Ac_obs.Obs.alloc_bytes () in
     Fun.protect
       ~finally:(fun () ->
-        let dt = mono_s () -. t0 and da = Gc.allocated_bytes () -. a0 in
+        let dt = mono_s () -. t0 and da = Ac_obs.Obs.alloc_bytes () -. a0 in
         let h, a = cells_of phase in
         Metrics.observe h dt;
         Metrics.add a (int_of_float da))

@@ -513,8 +513,10 @@ let eval_binop op (a : Value.t) (b : Value.t) : Value.t =
     | Mul -> wrap (B.mul x y)
     | Div -> if B.is_zero y then stuck "division by zero" else wrap (B.div x y)
     | Rem -> if B.is_zero y then stuck "remainder by zero" else wrap (B.rem x y)
-    | Shl -> wrap (B.shift_left x (B.to_int_exn y))
-    | Shr -> wrap (B.shift_right x (B.to_int_exn y))
+    | Shl | Shr -> (
+      match B.to_int_opt y with
+      | Some n when n >= 0 -> wrap ((if op = Shl then B.shift_left else B.shift_right) x n)
+      | _ -> stuck "shift by a negative or non-native count")
     | Band -> wrap (B.logand x y)
     | Bor -> wrap (B.logor x y)
     | Bxor -> wrap (B.logxor x y)

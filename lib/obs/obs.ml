@@ -24,6 +24,13 @@
    file-mtime comparisons only. *)
 let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
+(* Exact at any moment: under OCaml 5.1 the minor part of
+   [Gc.allocated_bytes] moves only at minor collections, so a short run's
+   delta is off by up to a minor heap; [Gc.minor_words] is not. *)
+let alloc_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 type ph = B | E | I | X
 
 type ev = {
@@ -183,6 +190,28 @@ let harvest () : ev list =
       | c -> c)
     all
 
+(* The per-tid walk [repair] and [check] share, in stream order: each
+   tid's open spans, innermost first, and its last timestamp.  [visit]
+   sees each event first; then a B opens a span and an E naming the
+   innermost one closes it.  Any other E goes to [orphan], which says
+   whether to keep it.  Returns the kept events and the final lanes. *)
+type lane = { mutable opened : ev list; mutable last_ts : float }
+
+let walk_lanes ?(visit = fun _ _ _ -> ()) ~orphan evs =
+  let lanes = Hashtbl.create 8 in
+  let fresh tid = let l = { opened = []; last_ts = neg_infinity } in Hashtbl.add lanes tid l; l in
+  let keep i e =
+    let l = match Hashtbl.find_opt lanes e.ev_tid with Some l -> l | None -> fresh e.ev_tid in
+    visit i e l;
+    l.last_ts <- e.ev_ts;
+    match (e.ev_ph, l.opened) with
+    | B, opened -> l.opened <- e :: opened; true
+    | E, top :: rest when top.ev_name = e.ev_name -> l.opened <- rest; true
+    | E, _ -> orphan i e l
+    | (I | X), _ -> true
+  in
+  (List.filteri keep evs, lanes)
+
 (* Truncation repair for flight-recorder dumps.  A ring overwrite cuts a
    prefix off each domain's stream, and a dump can land while spans are
    still open, so a raw harvest may contain:
@@ -195,60 +224,46 @@ let harvest () : ev list =
    closed with a synthetic E at that tid's final timestamp.  On an
    already-balanced stream this is the identity. *)
 let repair (evs : ev list) : ev list =
-  let stacks : (int, (string * string) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let last_ts : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  let stack_of tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add stacks tid s;
-      s
-  in
-  let kept =
-    List.filter
-      (fun e ->
-        Hashtbl.replace last_ts e.ev_tid e.ev_ts;
-        match e.ev_ph with
-        | B ->
-          let s = stack_of e.ev_tid in
-          s := (e.ev_name, e.ev_cat) :: !s;
-          true
-        | E -> (
-          let s = stack_of e.ev_tid in
-          match !s with
-          | (top, _) :: rest when top = e.ev_name ->
-            s := rest;
-            true
-          | _ -> false (* closes a span lost to the ring: orphaned *))
-        | I | X -> true)
-      evs
-  in
+  let kept, lanes = walk_lanes ~orphan:(fun _ _ _ -> false) evs in
   (* Close every span still open, innermost first, at the tid's last
      seen timestamp (ts stays monotone per tid). *)
   let closers =
     Hashtbl.fold
-      (fun tid s acc ->
-        let ts = try Hashtbl.find last_ts tid with Not_found -> 0. in
+      (fun _ l acc ->
         List.fold_left
-          (fun acc (name, cat) ->
-            { ev_name = name; ev_cat = cat; ev_ph = E; ev_ts = ts; ev_dur = 0.;
-              ev_tid = tid; ev_seq = 0; ev_args = [] }
-            :: acc)
-          acc !s)
-      stacks []
+          (fun acc b -> { b with ev_ph = E; ev_ts = l.last_ts; ev_dur = 0.; ev_args = [] } :: acc)
+          acc l.opened)
+      lanes []
   in
   (* Synthetic closers get fresh sequence numbers above every real one,
      assigned in emission order, so per-tid seq stays strictly
      increasing through the repaired tail. *)
-  let next = ref (List.fold_left (fun m e -> max m e.ev_seq) (-1) evs + 1) in
-  kept
-  @ List.map
-      (fun e ->
-        let s = !next in
-        incr next;
-        { e with ev_seq = s })
-      (List.rev closers)
+  let next = List.fold_left (fun m e -> max m e.ev_seq) (-1) evs + 1 in
+  kept @ List.mapi (fun i e -> { e with ev_seq = next + i }) (List.rev closers)
+
+(* What a trace viewer relies on; the first fault is named by its
+   event's 1-based position among the events. *)
+let check (evs : ev list) : (unit, string) result =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let visit i e l =
+    if e.ev_ts < l.last_ts then bad "line %d: ts not monotone on tid %d" (i + 1) e.ev_tid;
+    if e.ev_ph = X && not (Float.is_finite e.ev_dur && e.ev_dur >= 0.) then
+      bad "line %d: X event with bad dur" (i + 1)
+  in
+  let orphan i e l =
+    match l.opened with
+    | top :: _ ->
+      bad "line %d: E %S does not match open span %S on tid %d" (i + 1) e.ev_name
+        top.ev_name e.ev_tid
+    | [] -> bad "line %d: E %S with no open span on tid %d" (i + 1) e.ev_name e.ev_tid
+  in
+  let still_open tid = function
+    | { opened = b :: _; _ } -> bad "unbalanced trace: span %S still open on tid %d" b.ev_name tid
+    | _ -> ()
+  in
+  try Ok (Hashtbl.iter still_open (snd (walk_lanes ~visit ~orphan evs)))
+  with Bad m -> Error m
 
 let reset () =
   Mutex.lock reg_mu;
@@ -304,6 +319,79 @@ let render_ev buf ~pid ~t0 e =
       args;
     Buffer.add_char buf '}');
   Buffer.add_char buf '}'
+
+(* --- reading back --- *)
+
+(* A JSON string literal's contents: the inverse of [json_escape]. *)
+let unquote raw =
+  let n = String.length raw in
+  let b = Buffer.create n in
+  let rec go i =
+    match raw.[i] with
+    | '"' when i = n - 1 -> Some (Buffer.contents b)
+    | '\\' when raw.[i + 1] = 'u' ->
+      Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub raw (i + 2) 4)));
+      go (i + 6)
+    | '\\' ->
+      Buffer.add_char b (match raw.[i + 1] with 'n' -> '\n' | 'r' -> '\r' | 't' -> '\t' | c -> c);
+      go (i + 2)
+    | c -> Buffer.add_char b c; go (i + 1)
+  in
+  try if raw.[0] = '"' then go 1 else None with Failure _ | Invalid_argument _ -> None
+
+(* The fields of one object as [render_ev] writes it, each key with the
+   raw text of its value: a string with its quotes, an object with its
+   braces, a number up to the next [,] or [}].  A line cut off after a
+   value reads up to the cut. *)
+let fields_of s =
+  let n = String.length s in
+  let rec past_string i =
+    match s.[i] with '"' -> i + 1 | '\\' -> past_string (i + 2) | _ -> past_string (i + 1)
+  in
+  let rec until stops i =
+    if i >= n || String.contains stops s.[i] then i
+    else until stops (if s.[i] = '"' then past_string (i + 1) else i + 1)
+  in
+  let rec fields i acc =
+    let k = if s.[i] = '"' then past_string (i + 1) else raise Exit in
+    if s.[k] <> ':' then raise Exit;
+    let v = if s.[k + 1] = '{' then until "}" (k + 2) + 1 else until ",}" (k + 1) in
+    let acc = (String.sub s i (k - i), String.sub s (k + 1) (v - k - 1)) :: acc in
+    if v < n && s.[v] = ',' then fields (v + 1) acc else List.rev acc
+  in
+  try if s.[0] = '{' then Some (fields 1 []) else None with Exit | Invalid_argument _ -> None
+
+let ev_of_line line : (ev, string) result option =
+  let read () =
+    let fields = match fields_of line with Some f -> f | None -> failwith "malformed event" in
+    let raw key = List.assoc_opt (Printf.sprintf "%S" key) fields in
+    let str key = Option.bind (raw key) unquote in
+    let need find key = match find key with Some v -> v | None -> failwith ("missing " ^ key) in
+    let id key =
+      let v = need raw key in
+      match int_of_string_opt v with
+      | Some n when n >= 0 -> n
+      | _ -> failwith (Printf.sprintf "bad %s %S" key v)
+    in
+    let micros key = Option.value ~default:nan (Option.bind (raw key) float_of_string_opt) /. 1e6 in
+    let ev_name = need str "name" in
+    let ph = need str "ph" in
+    let _pid = id "pid" in
+    let ev_tid = id "tid" in
+    let ev_ts = micros "ts" in
+    if not (Float.is_finite ev_ts && ev_ts >= 0.) then failwith "bad ts";
+    let ev_ph =
+      match ph with
+      | "B" -> B | "E" -> E | "i" | "I" -> I | "X" -> X
+      | p -> failwith (Printf.sprintf "unknown ph %S" p)
+    in
+    let arg (k, v) = match (unquote k, unquote v) with Some k, Some v -> Some (k, v) | _ -> None in
+    { ev_name; ev_cat = Option.value ~default:"" (str "cat"); ev_ph; ev_ts;
+      ev_dur = (if ev_ph = X then micros "dur" else 0.); ev_tid; ev_seq = 0;
+      ev_args = List.filter_map arg (Option.value ~default:[] (Option.bind (raw "args") fields_of)) }
+  in
+  if not (String.starts_with ~prefix:"{\"name\":" line) then None
+  else Some (try Ok (read ()) with Failure m -> Error m)
 
 let min_ts evs = List.fold_left (fun acc e -> Float.min acc e.ev_ts) infinity evs
 

@@ -25,6 +25,11 @@ val set_enabled : bool -> unit
     steps.  Only differences are meaningful. *)
 val mono_s : unit -> float
 
+(** Bytes allocated so far by the calling domain, exact at every call
+    (unlike [Gc.allocated_bytes] under OCaml 5.1, whose minor part moves
+    only at minor collections).  Only differences are meaningful. *)
+val alloc_bytes : unit -> float
+
 (** {1 Events} *)
 
 type ph =
@@ -93,9 +98,15 @@ val set_ring : int option -> unit
 (** Truncation repair for mid-run dumps: drops E events whose B was lost
     to the ring, and closes spans still open at dump time with synthetic
     E events at the thread's last timestamp — the output always passes
-    [acc trace --validate].  The identity on balanced streams.  Apply to
-    a {!harvest} result before export. *)
+    {!check}.  The identity on balanced streams.  Apply to a {!harvest}
+    result before export. *)
 val repair : ev list -> ev list
+
+(** Well-formedness of an event stream, per tid: timestamps never go
+    back, each E closes the innermost open B, each X has a finite [dur]
+    >= 0, and no span is left open.  [Error] names the first fault by its
+    event's 1-based position: ["line 2: ts not monotone on tid 0"]. *)
+val check : ev list -> (unit, string) result
 
 (** Clear every buffer and the dropped counter. *)
 val reset : unit -> unit
@@ -110,6 +121,15 @@ val to_chrome : ev list -> string
 (** One JSON object per line, same fields, no array wrapper — for
     streaming consumers. *)
 val to_jsonl : ev list -> string
+
+(** Read back one line of {!to_chrome} or {!to_jsonl} output: [None] for
+    a line that is not an event (the Chrome header and footer), else the
+    event — [ts] and [dur] back in seconds, [ev_seq] 0 — or the first
+    fault found in it, such as ["missing tid"] or ["unknown ph \"Q\""]. *)
+val ev_of_line : string -> (ev, string) result option
+
+(** JSON string-literal escaping, shared by every JSON writer. *)
+val json_escape : string -> string
 
 (** Harvest every buffer and write the trace to [path] (repaired first in
     ring mode, so a dump always validates).  A write error is reported on

@@ -5,7 +5,7 @@
    requests per connection with newline-delimited lines — the exact
    grammar and JSON response shape of stdin serve mode, byte for byte —
    and feeds every connection's requests into ONE bounded in-flight
-   scheduler running over the process's shared Pool + Store.
+   scheduler running over the session's proof store and worker pool.
 
    Architecture: a single-threaded [Unix.select] event loop.  Request
    execution is serialized on the main domain (the handler may run the
@@ -13,7 +13,7 @@
    worker pool under [--jobs]); the event loop interleaves socket I/O
    with execution by running at most one request between select calls.
    This keeps the translation core — whose global state (profile
-   counters, check cache, store counters) is reset per run — on one
+   counters, store counters) is reset per run — on one
    domain, exactly as stdin mode has always run it, so socket mode
    inherits its correctness unchanged.
 

@@ -594,8 +594,31 @@ let test_inline_linear () =
     true
     (large <= 12. *. small)
 
+(* An ideal-integer shift by a count no native int holds, or by a
+   negative one, is stuck like a division by zero: the simplifier leaves
+   the shift in place instead of letting an exception escape the kernel.
+   The term is the one qcheck shrank a [Rw_simp] totality failure to,
+   [- -1 >> sint -9223372036854775808]. *)
+let test_shift_count_stuck () =
+  let minus_one = E.Unop (E.Neg, E.Const (Value.Vint B.minus_one)) in
+  let w64_min = Ac_word.of_bignum Ac_word.W64 (B.of_string "-9223372036854775808") in
+  let big = E.OfWord (Ty.Tint, E.Const (Value.Vword (Ac_word.Signed, w64_min))) in
+  List.iter
+    (fun (what, e) ->
+      (match E.eval_pure Layout.empty E.SMap.empty e with
+      | v -> Alcotest.failf "%s: evaluated to %a" what Value.pp v
+      | exception E.Eval_stuck _ -> ());
+      match Ac_kernel.Esimp.simp Layout.empty e with
+      | E.Binop ((E.Shl | E.Shr), _, _) -> ()
+      | _ -> Alcotest.failf "%s: simp folded the shift away" what)
+    [ ("shift right by sint of the least 64-bit word", E.Binop (E.Shr, minus_one, big));
+      ("shift left by the same", E.Binop (E.Shl, minus_one, big));
+      ("shift by -9", E.Binop (E.Shr, minus_one, E.Const (Value.Vint (B.of_int (-9))))) ]
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) rule_tests
+  @ [ Alcotest.test_case "an ideal shift by an out-of-range count is stuck" `Quick
+        test_shift_count_stuck ]
   @ [ Alcotest.test_case "lifting is linear in statements, whatever the locals" `Quick
         test_lift_linear;
       Alcotest.test_case "L2 inlining allocates linearly in local updates" `Quick

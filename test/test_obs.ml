@@ -391,6 +391,103 @@ let test_cli_trace_byte_identical () =
         (contains t "\"func\":\"gcd\"");
       run "%s trace --validate %s > /dev/null 2>&1" (q acc_exe) (q trace))
 
+(* The trace text reads back into the events it was written from, in
+   both formats: names, categories, phases, tids and args exactly (JSON
+   escapes included), timestamps to the microsecond precision written. *)
+let test_trace_reads_back () =
+  with_tracing (fun () ->
+      Obs.with_ctx "a \"ctx\", {braced}\n\001" (fun () ->
+          Obs.span ~cat:"t" "outer" (fun () ->
+              Obs.instant ~cat:"t" ~args:[ ("k,}", "v\\") ] "tick";
+              Obs.complete ~cat:"q" ~ts0:(Obs.mono_s ()) ~dur:0.25 "done"));
+      let evs = Obs.harvest () in
+      let t0 = List.fold_left (fun m e -> Float.min m e.Obs.ev_ts) infinity evs in
+      let shape e =
+        (e.Obs.ev_name, e.Obs.ev_cat, e.Obs.ev_ph, e.Obs.ev_tid, e.Obs.ev_args)
+      in
+      List.iter
+        (fun (fmt, text) ->
+          let back =
+            List.filter_map Obs.ev_of_line (String.split_on_char '\n' text)
+            |> List.map (function Ok e -> e | Error m -> Alcotest.fail (fmt ^ ": " ^ m))
+          in
+          Alcotest.(check bool) (fmt ^ ": same events") true
+            (List.map shape back = List.map shape evs);
+          List.iter2
+            (fun a b ->
+              Alcotest.(check bool) (fmt ^ ": ts and dur to the microsecond") true
+                (Float.abs (a.Obs.ev_ts -. (b.Obs.ev_ts -. t0)) < 1e-6
+                && Float.abs (a.Obs.ev_dur -. b.Obs.ev_dur) < 1e-6))
+            back evs;
+          Alcotest.(check (result unit string)) (fmt ^ ": well-formed") (Ok ())
+            (Obs.check back))
+        [ ("jsonl", Obs.to_jsonl evs); ("chrome", Obs.to_chrome evs) ])
+
+(* `acc trace --validate` on broken traces: each is rejected with exit 1
+   and exactly one stderr line naming the first fault; a missing file is
+   an input error (exit 2). *)
+let test_cli_validate_rejects () =
+  let ev ?(extra = "") name ph ts =
+    Printf.sprintf "{\"name\":\"%s\",\"cat\":\"t\",\"ph\":\"%s\",\"pid\":7,\"tid\":0,\"ts\":%s%s}"
+      name ph ts extra
+  in
+  let trace = Filename.temp_file "obs_bad" ".json" in
+  let err = Filename.temp_file "obs_bad" ".err" in
+  let run_validate () =
+    let code =
+      Sys.command
+        (Printf.sprintf "%s trace --validate %s > /dev/null 2> %s" (Filename.quote acc_exe)
+           (Filename.quote trace) (Filename.quote err))
+    in
+    (code, read_file err)
+  in
+  let validate contents =
+    write_file trace contents;
+    run_validate ()
+  in
+  let rejects what contents msg =
+    let code, stderr = validate contents in
+    Alcotest.(check int) (what ^ ": exit 1") 1 code;
+    Alcotest.(check string) (what ^ ": one diagnostic line")
+      ("acc trace: invalid trace: " ^ msg ^ "\n") stderr
+  in
+  let lines ls = String.concat "\n" ls ^ "\n" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ trace; err ])
+    (fun () ->
+      rejects "E with no open span" (lines [ ev "a" "E" "1.000" ])
+        "line 1: E \"a\" with no open span on tid 0";
+      rejects "E closing the wrong span"
+        (lines [ ev "a" "B" "1.000"; ev "b" "B" "2.000"; ev "a" "E" "3.000" ])
+        "line 3: E \"a\" does not match open span \"b\" on tid 0";
+      rejects "ts going backwards"
+        (lines [ ev "a" "B" "5.000"; ev "a" "E" "2.000" ])
+        "line 2: ts not monotone on tid 0";
+      rejects "unknown ph" (lines [ ev "a" "Q" "1.000" ]) "line 1: unknown ph \"Q\"";
+      rejects "X with negative dur"
+        (lines [ ev ~extra:",\"dur\":-1.000" "a" "X" "1.000" ])
+        "line 1: X event with bad dur";
+      rejects "X with no dur" (lines [ ev "a" "X" "1.000" ]) "line 1: X event with bad dur";
+      rejects "missing tid"
+        (lines [ "{\"name\":\"a\",\"cat\":\"t\",\"ph\":\"i\",\"pid\":7,\"ts\":1.000}" ])
+        "line 1: missing tid";
+      rejects "non-integer tid"
+        (lines [ "{\"name\":\"a\",\"cat\":\"t\",\"ph\":\"i\",\"pid\":7,\"tid\":1.5,\"ts\":1.000}" ])
+        "line 1: bad tid \"1.5\"";
+      rejects "span left open" (lines [ ev "a" "B" "1.000"; ev "i" "i" "2.000" ])
+        "unbalanced trace: span \"a\" still open on tid 0";
+      rejects "no events" "" ("no events in " ^ trace);
+      (* the Chrome wrapper: header and footer lines are not events *)
+      rejects "chrome wrapper, ts going backwards"
+        ("{\"traceEvents\":[\n" ^ ev "a" "B" "5.000" ^ ",\n" ^ ev "a" "E" "2.000"
+       ^ "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"0\"}}\n")
+        "line 2: ts not monotone on tid 0";
+      let code, _ = validate (lines [ ev "a" "B" "1.000"; ev "a" "E" "2.000" ]) in
+      Alcotest.(check int) "a balanced trace validates" 0 code;
+      Sys.remove trace;
+      let code, _ = run_validate () in
+      Alcotest.(check int) "missing trace file: exit 2" 2 code)
+
 (* ------------------------------------------------------------------ *)
 (* Serve: status grows latency percentiles, and the metrics verb dumps
    the registry. *)
@@ -472,6 +569,8 @@ let test_ring_overwrite_and_closers () =
             (Obs.dropped () > 0);
           Alcotest.(check (option string)) "repaired dump well-formed" None
             (check_wellformed evs);
+          Alcotest.(check (result unit string)) "and Obs.check agrees" (Ok ())
+            (Obs.check evs);
           Alcotest.(check bool) "open span closed synthetically" true
             (List.exists
                (fun e -> e.Obs.ev_ph = Obs.E && String.equal e.Obs.ev_name "open")
@@ -642,6 +741,9 @@ let suite =
       test_profile_reset_baseline;
     Alcotest.test_case "cli: --trace is byte-invisible and validates" `Slow
       test_cli_trace_byte_identical;
+    Alcotest.test_case "trace text reads back into its events" `Quick test_trace_reads_back;
+    Alcotest.test_case "cli: trace --validate rejects broken traces" `Quick
+      test_cli_validate_rejects;
     Alcotest.test_case "serve: status latency + metrics verb" `Slow
       test_serve_status_latency_and_metrics;
     Alcotest.test_case "ring: repair is identity on balanced streams" `Quick

@@ -351,9 +351,9 @@ let test_frontend_structs () =
    expressions.  Allocation is the measure: unlike wall time it is
    deterministic, and a quadratic pass shows in it just as plainly. *)
 let allocated_bytes f =
-  let before = Gc.allocated_bytes () in
+  let before = Ac_obs.Obs.alloc_bytes () in
   ignore (Sys.opaque_identity (f ()));
-  Gc.allocated_bytes () -. before
+  Ac_obs.Obs.alloc_bytes () -. before
 
 let test_frontend_long_literal () =
   (* Every value of 2^64 or more is out of range at every type, so the
