@@ -166,7 +166,7 @@ let setup_trace (trace, format) =
   | None -> ()
   | Some path ->
     Obs.set_enabled true;
-    at_exit (fun () -> Obs.write_trace ~format path)
+    at_exit (fun () -> ignore (Obs.write_trace ~format path))
 
 let no_heap =
   Arg.(value & flag & info [ "no-heap-abs" ] ~doc:"Disable heap abstraction (Sec 4)")
@@ -618,10 +618,9 @@ let trace_run files out format jobs validate () =
     let funcs = ref 0 in
     each_file ~label:true ~options:(keep_going_options jobs) files (fun _ res ->
         funcs := !funcs + List.length res.Driver.funcs);
-    let evs = Obs.harvest () in
-    Obs.write_trace ~format out;
+    let events = Obs.write_trace ~format out in
     Printf.printf "trace: %d file(s), %d function(s), %d event(s) -> %s\n"
-      (List.length files) !funcs (List.length evs) out
+      (List.length files) !funcs events out
 
 (* ------------------------------------------------------------------ *)
 (* `acc effort`: translate FILE(s) with proof-effort accounting armed and
@@ -882,9 +881,10 @@ let effort_cmd =
        ~doc:
          "Proof-effort report: translate FILE(s) with kernel observation \
           armed and report per-rule application counts, refinement-chain \
-          depth/size, and guard-discharge provenance (intraprocedural vs \
-          interprocedural vs dead-code scrubbing).  Observation only: the \
-          translation output is byte-identical to an unobserved run.")
+          depth/size, and guard-discharge provenance (the guards each \
+          intraprocedural or interprocedural round removed).  Observation \
+          only: the translation output is byte-identical to an unobserved \
+          run.")
     (protected
        Term.(const effort_run $ any_files_arg $ json $ jobs $ store_term))
 

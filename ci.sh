@@ -175,13 +175,13 @@ echo "== corpus: identity-free discharge (every Rule_guard_true mint removes a g
 # The driver asks the kernel for a Rule_guard_true theorem only when the
 # analyser's own walk changed the body, so each mint removes at least one
 # guard: the rule's count is at most the guards the discharge provenance
-# line attributes (intra + interproc + scrub_dead).
+# line attributes (intra + interproc).
 effort_out=$("$ACC" effort corpus/*.c)
 minted=$(printf '%s\n' "$effort_out" | awk '$1 == "rule_guard_true" { print $2 }')
 minted=${minted:-0}
 removed=$(printf '%s\n' "$effort_out" \
-  | sed -n 's/^discharge provenance: \([0-9]*\) intra, \([0-9]*\) interproc, \([0-9]*\) scrub_dead$/\1 \2 \3/p' \
-  | awk '{ print $1 + $2 + $3 }')
+  | sed -n 's/^discharge provenance: \([0-9]*\) intra, \([0-9]*\) interproc$/\1 \2/p' \
+  | awk '{ print $1 + $2 }')
 if [ -z "$removed" ]; then
   echo "FAIL: acc effort printed no discharge provenance line" >&2
   exit 1

@@ -20,9 +20,10 @@ module J = Ac_kernel.Judgment
    - the widening fixpoint that solves for loop invariants,
    - packaging the solved invariants as a certificate and pushing it
      through the kernel as [Rules.Rule_guard_true],
-   - `acc lint`: replaying the analysis to harvest *refuted* guards
-     (definitely-failing UB checks) and definite-initialisation findings,
-     mapped back to source positions recorded by the C front-end.
+   - `acc lint`: reading the fixpoint's final walk to harvest *refuted*
+     guards (definitely-failing UB checks) and definite-initialisation
+     findings, mapped back to source positions recorded by the C
+     front-end.
 
    A bug here can only lose precision or produce a certificate the kernel
    rejects — it cannot produce an unsound theorem. *)
@@ -49,7 +50,6 @@ let budget = Domains.budget
 let exhaustions = Domains.exhaustions
 let set_fault_hook = Domains.set_fault_hook
 let fixpoint_solver = Domains.fixpoint_solver
-let replay_solver = Domains.replay_solver
 
 (* ------------------------------------------------------------------ *)
 (* Certificates and kernel-checked discharge. *)
@@ -75,14 +75,12 @@ let solves = Atomic.make 0
    loop's entry is overwritten on every outer iteration, last by the
    final one), and the kernel re-walks [m] under exactly those
    invariants with the same transfer functions, so whenever it accepts
-   the certificate its result is this body.  [on_guard] sees the final
-   verdict of each reachable guard once ([fixpoint_solver] mutes it
-   during speculative widening rounds); [spent] turns true when the
+   the certificate its result is this body.  [spent] turns true when the
    solver runs out of budget. *)
-let solve ?on_guard ?spent ?(sums = []) (lenv : Layout.env) (m : M.t) : A.cert * M.t =
+let solve ?spent ?(sums = []) (lenv : Layout.env) (m : M.t) : A.cert * M.t =
   Atomic.incr solves;
   let tbl = Hashtbl.create 8 in
-  let sv = fixpoint_solver ?on_guard ~sums ?spent tbl in
+  let sv = fixpoint_solver ~sums ?spent tbl in
   let m', (_ : A.aout) = A.walk lenv sv 0 A.env_top m in
   let invs =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -126,16 +124,13 @@ let mint (ctx : Rules.ctx) (f : M.func) (cert : A.cert) : (M.func * Thm.t) optio
    changed (or the kernel rejected the certificate — which only costs
    precision).  [sums] is the (restricted) summary table the certificate
    embeds; the kernel re-verifies it against [ctx.fbodies] before
-   trusting any of it.  [on_guard] sees each reachable guard's final
-   verdict once (the driver counts provenance with it when effort
-   accounting is armed).
+   trusting any of it.
 
    A stored [hint] stands in for the fixpoint: [Unchanged] mints
    nothing, and invariants go to the kernel as the certificate.  It is
    untrusted: when the kernel refuses it, or the body keeps another
    number of guards than it says, the round solves after all and reports
    the refusal; a wrong [Unchanged] could only lose a discharge.
-   [on_guard] needs the solver's walk, so hints are not taken with it.
 
    Identity-free: when the solver's own walk leaves the body as it was
    ([A.walk] returns its input physically then), the kernel's walk would
@@ -143,16 +138,15 @@ let mint (ctx : Rules.ctx) (f : M.func) (cert : A.cert) : (M.func * Thm.t) optio
    untrusted: a wrong "unchanged" could only lose a discharge, never
    admit a theorem, and a body that changes still takes the kernel's
    result.  A body without a guard is not analysed at all: the walk
-   rewrites only guards, so it would come back unchanged, and no guard
-   verdict would reach [on_guard]. *)
-let discharge ?on_guard ?hint (ctx : Rules.ctx) ?(sums = []) (f : M.func) : discharge =
+   rewrites only guards, so it would come back unchanged. *)
+let discharge ?hint (ctx : Rules.ctx) ?(sums = []) (f : M.func) : discharge =
   if not (M.has_guard f.M.body) then { d_result = None; d_hint = None; d_refused = false }
   else
     let held =
-      match (hint, on_guard) with
-      | None, _ | _, Some _ -> None
-      | Some Unchanged, None -> Some None
-      | Some (Discharged (invs, left)), None -> (
+      match hint with
+      | None -> None
+      | Some Unchanged -> Some None
+      | Some (Discharged (invs, left)) -> (
         match mint ctx f { A.c_invs = invs; c_sums = sums } with
         | Some (f', _) as r when guard_count f'.M.body = left -> Some r
         | _ -> None
@@ -162,7 +156,7 @@ let discharge ?on_guard ?hint (ctx : Rules.ctx) ?(sums = []) (f : M.func) : disc
     | Some r -> { d_result = r; d_hint = hint; d_refused = false }
     | None ->
       let spent = ref false in
-      let cert, predicted = solve ?on_guard ~spent ~sums ctx.Rules.lenv f.M.body in
+      let cert, predicted = solve ~spent ~sums ctx.Rules.lenv f.M.body in
       let r = if predicted == f.M.body then None else mint ctx f cert in
       {
         d_result = r;
@@ -173,23 +167,22 @@ let discharge ?on_guard ?hint (ctx : Rules.ctx) ?(sums = []) (f : M.func) : disc
                (match r with
                | None -> Unchanged
                | Some (f', _) -> Discharged (cert.A.c_invs, guard_count f'.M.body)));
-        d_refused = Option.is_some hint && Option.is_none on_guard;
+        d_refused = Option.is_some hint;
       }
 
-let discharge_func ?on_guard (ctx : Rules.ctx) ?sums (f : M.func) : (M.func * Thm.t) option =
-  (discharge ?on_guard ctx ?sums f).d_result
+let discharge_func (ctx : Rules.ctx) ?sums (f : M.func) : (M.func * Thm.t) option =
+  (discharge ctx ?sums f).d_result
 
 (* How many guards of [m] the analysis proves true under [sums] — a pure
    analysis count, no kernel involved; the driver runs it with and
    without the summary table to attribute discharges intra vs inter for
-   `acc stats --profile`. *)
+   `acc stats --profile`.  The fixpoint's final walk reports each guard
+   once. *)
 let count_provable (lenv : Layout.env) ~(sums : A.sums) (m : M.t) : int =
-  let tbl = Hashtbl.create 8 in
-  let (_ : M.t * A.aout) = A.walk lenv (fixpoint_solver ~sums tbl) 0 A.env_top m in
   let n = ref 0 in
   let on_guard _ _ v = if v = Some true then incr n in
   let (_ : M.t * A.aout) =
-    A.walk lenv (replay_solver ~on_guard ~sums tbl) 0 A.env_top m
+    A.walk lenv (fixpoint_solver ~on_guard ~sums (Hashtbl.create 8)) 0 A.env_top m
   in
   !n
 
@@ -335,19 +328,16 @@ let uninit_findings (tf : Tir.tfunc) : finding list =
   let (_ : SSet.t) = go (SSet.of_list (List.map fst tf.Tir.tf_params)) tf.Tir.tf_body in
   List.rev !findings
 
-(* Survey one function: run the fixpoint, then replay under the solved
-   invariants classifying every guard occurrence (spurious refutations
-   against half-converged loop environments never surface, because the
-   first pass reports nothing).  Refuted guards are definitely-failing
-   UB checks; residual guards are merely unproved.  [sums] lets the
-   classification use interprocedural facts. *)
+(* Survey one function: classify every guard occurrence by the verdict
+   the fixpoint's final walk gives it (spurious refutations against
+   half-converged loop environments never surface, because the solver
+   mutes the walks of its widening rounds).  Refuted guards are
+   definitely-failing UB checks; residual guards are merely unproved.
+   [sums] lets the classification use interprocedural facts. *)
 type survey = { sv_refuted : finding list; sv_residual : finding list }
 
 let survey_func (lenv : Layout.env) ?(simpl : Ir.func option) ?(sums = []) (f : M.func) :
     survey =
-  let tbl = Hashtbl.create 8 in
-  let sv = fixpoint_solver ~sums tbl in
-  let (_ : M.t * A.aout) = A.walk lenv sv 0 A.env_top f.M.body in
   let occs = ref [] in
   let refuted = ref [] in
   let residual = ref [] in
@@ -360,7 +350,7 @@ let survey_func (lenv : Layout.env) ?(simpl : Ir.func option) ?(sums = []) (f : 
     | Some true -> ()
   in
   let (_ : M.t * A.aout) =
-    A.walk lenv (replay_solver ~on_guard ~sums tbl) 0 A.env_top f.M.body
+    A.walk lenv (fixpoint_solver ~on_guard ~sums (Hashtbl.create 8)) 0 A.env_top f.M.body
   in
   let occurrences = List.rev !occs in
   let gsrc = match simpl with Some sf -> sf.Ir.gsrc | None -> [] in

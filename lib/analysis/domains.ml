@@ -6,7 +6,7 @@ module A = Ac_kernel.Absdom
 
    - the resource budget and the widening fixpoint solver over [A.aenv]
      (the kernel's [A.walk] is parameterised by a [solver]; the trusted
-     one lives in [Absdom.check_solver], these untrusted ones may widen
+     one lives in [Absdom.check_solver], this untrusted one may widen
      and may give up),
    - the lattice of summaries (ascending from a ⊥ "no outcome yet" claim,
      used by the bottom-up SCC fixpoint),
@@ -41,10 +41,11 @@ let set_fault_hook h = fault_hook := h
 let widen_after = 3
 
 (* ------------------------------------------------------------------ *)
-(* Solvers.  Joins for a few rounds, then widens; loop bodies walked
+(* The solver.  Joins for a few rounds, then widens; loop bodies walked
    during iteration report guard verdicts against not-yet-stable
    environments, so [on_guard] is muted inside [solve] and only the final
-   stabilised walk (performed by [A.walk] after [solve] returns) reports.
+   stabilised walk (performed by [A.walk] after [solve] returns) reports:
+   one walk under this solver hears each guard occurrence exactly once.
 
    The fixpoint runs under the budget above: a per-loop round limit, a
    per-function step limit (total [iterate] calls across all loops of one
@@ -99,19 +100,6 @@ let fixpoint_solver ?(on_guard = fun _ _ _ -> ()) ?(sums = []) ?(on_call = fun _
     A.on_guard = (fun k c v -> if not !muted then on_guard k c v);
     A.sums = sums;
     A.on_call = (fun g ds -> if not !muted then on_call g ds);
-  }
-
-(* Replay with already-solved invariants: every guard is visited exactly
-   once, under its final environment. *)
-let replay_solver ~on_guard ?(sums = []) ?(on_call = fun _ _ -> ())
-    (tbl : (int, A.aenv) Hashtbl.t) : A.solver =
-  {
-    A.solve =
-      (fun idx _head _iterate ->
-        match Hashtbl.find_opt tbl idx with Some inv -> inv | None -> A.env_top);
-    A.on_guard = on_guard;
-    A.sums = sums;
-    A.on_call = on_call;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -189,7 +189,6 @@ type iprof = {
 type result = {
   source : string;
   simpl : Ir.program;
-  l1_prog : M.program;
   final_prog : M.program; (* the program a verification engineer works on *)
   funcs : func_result list;
   degraded : degraded list; (* functions that fell below L2 (keep_going) *)
@@ -396,9 +395,6 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
   in
   let l1_funcs = List.map (fun (_, (l1f : M.func), _, _) -> l1f) l1_results in
   let l1_by_name = Index.of_list (fun (l1f : M.func) -> l1f.M.name) l1_funcs in
-  let l1_prog : M.program =
-    { M.lenv; globals = simpl.Ir.globals; funcs = l1_funcs; heap_types = [] }
-  in
   (* L2.  The nothrow analysis spans functions: once a callee's exception
      wrapper is eliminated, callers can eliminate theirs too.  A function
      whose conversion fails with the clean-up rewrites on is retried
@@ -628,19 +624,6 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
   let discharge ~round ?(sums = []) ctx diags (f : M.func) : (M.func * Thm.t) option =
     let name = f.M.name in
     Profile.record ~func:name "guard_discharge" (fun () ->
-        (* Proof-effort provenance (display/telemetry only, gated): of
-           the guards this pass removed, how many did the analysis prove
-           true — under the summary table when one was supplied
-           (interprocedural) — and how many vanished with dead code
-           scrubbed by the certificate walk.  The count rides the
-           discharge's own guard hook, which changes nothing the
-           discharge computes, so results are byte-identical either
-           way. *)
-        let counted = Ac_obs.Effort.enabled () in
-        let provable = ref 0 in
-        let on_guard =
-          if counted then Some (fun _ _ v -> if v = Some true then incr provable) else None
-        in
         let slot = Option.map snd (Index.find_opt kept name) in
         let slice = if round = 1 then sums_digest_for name else no_slice in
         let stored =
@@ -654,7 +637,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
         match
           attempt ~keep_going ~phase:Diag.Guard_discharge ~fname:name ~recoverable:true diags
             (fun () ->
-              Ac_analysis.discharge ?on_guard
+              Ac_analysis.discharge
                 ?hint:(Option.map (fun c -> c.Store.c_hint) stored)
                 ctx ~sums f)
         with
@@ -676,15 +659,14 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
               k.k_certs <- (if round = 1 then (cert, abs) else (l2, cert));
               if d.Ac_analysis.d_refused then k.k_refused <- true)
             slot;
+          (* Proof-effort provenance (display/telemetry only, gated):
+             the guards this round removed, interprocedural when a
+             summary slice was supplied. *)
           (match d.Ac_analysis.d_result with
-          | Some (f', _) when counted ->
-            let removed =
-              Ac_analysis.guard_count f.M.body - Ac_analysis.guard_count f'.M.body
-            in
+          | Some (f', _) when Ac_obs.Effort.enabled () ->
             Ac_obs.Effort.record_discharge
               (if sums <> [] then Ac_obs.Effort.Interproc else Ac_obs.Effort.Intra)
-              ~proven:(min removed !provable)
-              ~scrubbed:(max 0 (removed - !provable))
+              (Ac_analysis.guard_count f.M.body - Ac_analysis.guard_count f'.M.body)
           | _ -> ());
           d.Ac_analysis.d_result)
   in
@@ -954,7 +936,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool (source : string) : r
     @ List.concat_map (fun fr -> fr.fr_diags) funcs
     @ List.concat_map (fun d -> d.dg_diags) degraded
   in
-  { source; simpl; l1_prog; final_prog; funcs; degraded; diags;
+  { source; simpl; final_prog; funcs; degraded; diags;
     budget_hits = budget_exhaustions (); ctx; heap_types;
     store_hits = (match store with Some st -> Store.hits st - fst store_base | None -> 0);
     store_misses =

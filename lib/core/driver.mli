@@ -150,12 +150,11 @@ type iprof = {
 type result = {
   source : string;
   simpl : Ir.program;
-  l1_prog : M.program;
   final_prog : M.program;
   funcs : func_result list;
   degraded : degraded list;
       (** functions that fell below L2 (only with [keep_going]); they are
-          excluded from [l1_prog]/[final_prog] *)
+          excluded from [final_prog] *)
   diags : Diag.t list;  (** every diagnostic collected during the run *)
   budget_hits : int;  (** budget exhaustions during this run *)
   ctx : Rules.ctx;  (** the kernel context the derivations live in *)

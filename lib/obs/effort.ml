@@ -4,8 +4,7 @@
    metering in production is kernel activity: how many times each
    inference rule was applied, how deep and large the per-function
    refinement chains come out, and which pass paid for each discharged
-   guard (intraprocedural analysis, interprocedural summaries, or
-   dead-code scrubbing inside the certificate walk).
+   guard (intraprocedural analysis or interprocedural summaries).
 
    Trust boundary: the kernel exposes one observation hook
    ([Thm.set_obs_hook], fed the dense rule id and the rule instance of
@@ -64,18 +63,10 @@ let on_rule (name : 'r -> string) (id : int) (r : 'r) : unit =
     if Array.unsafe_get names id == no_name then names.(id) <- name r
   end
 
+(* Each dense id has one rule name, so the slots are the rules. *)
 let rule_counts () : (string * int) list =
-  let merged : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let add rule n =
-    if n > 0 then
-      Hashtbl.replace merged rule
-        (n + Option.value ~default:0 (Hashtbl.find_opt merged rule))
-  in
-  for i = 0 to id_capacity - 1 do
-    let name = names.(i) in
-    if name != no_name then add name counts.(i)
-  done;
-  Hashtbl.fold (fun rule n acc -> (rule, n) :: acc) merged []
+  List.init id_capacity (fun i -> (names.(i), counts.(i)))
+  |> List.filter (fun (name, n) -> name != no_name && n > 0)
   |> List.sort (fun (a, na) (b, nb) ->
          match Int.compare nb na with 0 -> String.compare a b | c -> c)
 
@@ -91,7 +82,6 @@ let h_chain_size = lazy (Metrics.histogram "kernel.chain_size")
 let c_chains = lazy (Metrics.counter "kernel.chains")
 let c_intra = lazy (Metrics.counter "kernel.discharged_intra")
 let c_inter = lazy (Metrics.counter "kernel.discharged_interproc")
-let c_scrub = lazy (Metrics.counter "kernel.discharged_scrub_dead")
 
 let observe_chain ~depth ~size =
   if Atomic.get enabled_flag then begin
@@ -102,12 +92,9 @@ let observe_chain ~depth ~size =
 
 type provenance = Intra | Interproc
 
-let record_discharge (p : provenance) ~proven ~scrubbed =
-  if Atomic.get enabled_flag then begin
-    Metrics.add (Lazy.force (match p with Intra -> c_intra | Interproc -> c_inter))
-      proven;
-    Metrics.add (Lazy.force c_scrub) scrubbed
-  end
+let record_discharge (p : provenance) removed =
+  if Atomic.get enabled_flag then
+    Metrics.add (Lazy.force (match p with Intra -> c_intra | Interproc -> c_inter)) removed
 
 (* --- reports --- *)
 
@@ -116,7 +103,7 @@ let reset () =
   Array.fill names 0 id_capacity no_name;
   List.iter
     (fun c -> Metrics.set_counter (Lazy.force c) 0)
-    [ c_chains; c_intra; c_inter; c_scrub ];
+    [ c_chains; c_intra; c_inter ];
   List.iter (fun h -> Metrics.reset_histogram (Lazy.force h)) [ h_chain_depth; h_chain_size ]
 
 (* The caller passes the kernel's hook setter: this module has no kernel
@@ -152,10 +139,9 @@ let report ?files () =
          chains shape
   | None -> ());
   if files <> None || total > 0 then
-    Printf.bprintf b "discharge provenance: %d intra, %d interproc, %d scrub_dead\n"
+    Printf.bprintf b "discharge provenance: %d intra, %d interproc\n"
       (Metrics.counter_value (Lazy.force c_intra))
-      (Metrics.counter_value (Lazy.force c_inter))
-      (Metrics.counter_value (Lazy.force c_scrub));
+      (Metrics.counter_value (Lazy.force c_inter));
   Buffer.contents b
 
 let snapshot_json () =
@@ -174,13 +160,12 @@ let snapshot_json () =
       (Metrics.quantile h 0.50) (Metrics.quantile h 0.95) (Metrics.quantile h 0.99)
   in
   Printf.sprintf
-    "{\"rule_applications\":{%s},\"total_applications\":%d,\"chains\":%d,\"chain_depth\":%s,\"chain_size\":%s,\"discharge_provenance\":{\"intra\":%d,\"interproc\":%d,\"scrub_dead\":%d}}"
+    "{\"rule_applications\":{%s},\"total_applications\":%d,\"chains\":%d,\"chain_depth\":%s,\"chain_size\":%s,\"discharge_provenance\":{\"intra\":%d,\"interproc\":%d}}"
     rules (total_applications ())
     (Metrics.counter_value (Lazy.force c_chains))
     (hist h_chain_depth) (hist h_chain_size)
     (Metrics.counter_value (Lazy.force c_intra))
     (Metrics.counter_value (Lazy.force c_inter))
-    (Metrics.counter_value (Lazy.force c_scrub))
 
 (* Per-rule counters as labelled OpenMetrics series.  The chain
    histograms and provenance counters live in the [Metrics] registry and

@@ -33,11 +33,9 @@ val observe_chain : depth:int -> size:int -> unit
     summaries. *)
 type provenance = Intra | Interproc
 
-(** [record_discharge p ~proven ~scrubbed]: of the guards a discharge
-    pass removed, [proven] were proven true by the analysis under
-    provenance [p] and [scrubbed] disappeared with dead code scrubbed by
-    the certificate walk. *)
-val record_discharge : provenance -> proven:int -> scrubbed:int -> unit
+(** [record_discharge p removed]: a discharge round of provenance [p]
+    removed [removed] guards. *)
+val record_discharge : provenance -> int -> unit
 
 (** Merged per-rule counts, most-applied first (ties by name). *)
 val rule_counts : unit -> (string * int) list

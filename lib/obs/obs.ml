@@ -429,10 +429,11 @@ let write_trace ~format path =
      byte-for-byte what it always was. *)
   let evs = if ring () <> None then repair evs else evs in
   let s = match format with `Chrome -> to_chrome evs | `Jsonl -> to_jsonl evs in
-  match
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
-  with
+  (match
+     let oc = open_out path in
+     output_string oc s;
+     close_out oc
+   with
   | () -> ()
-  | exception Sys_error m -> Printf.eprintf "acc: cannot write trace: %s\n%!" m
+  | exception Sys_error m -> Printf.eprintf "acc: cannot write trace: %s\n%!" m);
+  List.length evs

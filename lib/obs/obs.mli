@@ -132,6 +132,7 @@ val ev_of_line : string -> (ev, string) result option
 val json_escape : string -> string
 
 (** Harvest every buffer and write the trace to [path] (repaired first in
-    ring mode, so a dump always validates).  A write error is reported on
-    stderr, never raised. *)
-val write_trace : format:[ `Chrome | `Jsonl ] -> string -> unit
+    ring mode, so a dump always validates); the result is the number of
+    events in the trace.  A write error is reported on stderr, never
+    raised. *)
+val write_trace : format:[ `Chrome | `Jsonl ] -> string -> int

@@ -156,7 +156,8 @@ let run (cfg : config) : (unit, string) result =
         | Some p -> p
         | None -> Printf.sprintf "acc-flight-%d.json" (Unix.getpid ())
       in
-      flight_dump := Some (fun () -> Obs.write_trace ~format:cfg.trace_format path);
+      flight_dump :=
+        Some (fun () -> ignore (Obs.write_trace ~format:cfg.trace_format path));
       try
         Sys.set_signal Sys.sigusr1
           (Sys.Signal_handle (fun _ -> Atomic.set usr1_requested true))
@@ -450,7 +451,9 @@ let run (cfg : config) : (unit, string) result =
      part of the same promise (the at_exit rewrite is then a harmless
      no-op). *)
   if Result.is_ok served then begin
-    Option.iter (Obs.write_trace ~format:cfg.trace_format) cfg.trace;
+    Option.iter
+      (fun path -> ignore (Obs.write_trace ~format:cfg.trace_format path))
+      cfg.trace;
     flush stdout
   end;
   served

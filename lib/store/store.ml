@@ -337,7 +337,6 @@ let decode ~key (raw : string) : (fentry, string) result =
   end
 
 let load (t : t) ~(key : string) : load_result =
-  Ac_obs.Obs.span ~cat:"store" "store.load" @@ fun () ->
   let path = entry_path t.dir key in
   if not (Sys.file_exists path) then begin
     t.misses <- t.misses + 1;
@@ -375,7 +374,6 @@ let load (t : t) ~(key : string) : load_result =
    rename is what carries correctness; it exists to shrink the window in
    which gc can observe the in-flight tmp file. *)
 let save (t : t) ~(key : string) (e : fentry) : (unit, string) result =
-  Ac_obs.Obs.span ~cat:"store" "store.save" @@ fun () ->
   try
     mkdirs t.dir;
     let payload = Marshal.to_string e [] in

@@ -595,6 +595,27 @@ let uninit_tests =
 (* ------------------------------------------------------------------ *)
 (* Lint: refuted guards map back to source positions. *)
 
+(* Two nested loops whose counters need widening, a division refuted at
+   one iteration of the outer loop and a division left unproved in the
+   inner one. *)
+let nested_loops_c =
+  "int f(int n, int d) {\n\
+  \  int s = 0;\n\
+  \  int i = 0;\n\
+  \  while (i < 100) {\n\
+  \    int j = 0;\n\
+  \    while (j < i) {\n\
+  \      s = s + j / d;\n\
+  \      j = j + 1;\n\
+  \    }\n\
+  \    if (i == 50) {\n\
+  \      s = s / (i - 50);\n\
+  \    }\n\
+  \    i = i + 1;\n\
+  \  }\n\
+  \  return s;\n\
+   }\n"
+
 let lint_tests =
   [
     ( "a division by zero under the refuting branch is reported",
@@ -629,6 +650,55 @@ let lint_tests =
             res.Driver.funcs
         in
         Alcotest.(check int) "no findings" 0 (List.length findings) );
+    ( "nested widened loops: findings and one verdict per guard",
+      fun () ->
+        let res = Driver.run nested_loops_c in
+        let klenv = res.Driver.ctx.Rules.lenv in
+        let sums = res.Driver.sums in
+        let show (f : Ac_analysis.finding) =
+          match f.Ac_analysis.lf_pos with
+          | Some p ->
+            Printf.sprintf "%d:%d %s" p.Ac_cfront.Ast.line p.Ac_cfront.Ast.col f.lf_msg
+          | None -> "?:? " ^ f.lf_msg
+        in
+        List.iter
+          (fun fr ->
+            let body = fr.Driver.fr_l2.M.body in
+            let sv =
+              Ac_analysis.survey_func klenv ~simpl:fr.Driver.fr_simpl ~sums fr.Driver.fr_l2
+            in
+            Alcotest.(check (list string)) "refuted"
+              [ "11:7 division by zero" ]
+              (List.map show sv.Ac_analysis.sv_refuted);
+            Alcotest.(check (list string)) "residual"
+              [ "7:7 unproved guard: division by zero";
+                "7:7 unproved guard: signed overflow";
+                "7:7 unproved guard: signed overflow" ]
+              (List.map show sv.Ac_analysis.sv_residual);
+            let heard = ref [] in
+            let on_guard k c _ = heard := (k, c) :: !heard in
+            let (_ : M.t * A.aout) =
+              A.walk klenv
+                (Ac_analysis.fixpoint_solver ~on_guard ~sums (Hashtbl.create 8))
+                0 A.env_top body
+            in
+            Alcotest.(check int) "one verdict per guard" (Ac_analysis.guard_count body)
+              (List.length !heard);
+            let rec guards (m : M.t) =
+              match m with
+              | M.Guard (k, c) -> [ (k, c) ]
+              | M.Bind (a, _, b) | M.Try (a, _, b) | M.Cond (_, a, b) -> guards a @ guards b
+              | M.While (_, _, b, _) -> guards b
+              | _ -> []
+            in
+            let same (k, c) (k', c') = k = k' && E.equal c c' in
+            List.iter
+              (fun g ->
+                let n l = List.length (List.filter (same g) l) in
+                Alcotest.(check int) "each occurrence heard once" (n (guards body))
+                  (n !heard))
+              (guards body))
+          res.Driver.funcs );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -731,6 +801,75 @@ let prediction_tests =
         in
         Alcotest.(check int) "mints = changed bodies" changed minted;
         Alcotest.(check bool) "some body changed" true (changed > 0) );
+    ( "discharge provenance counts the guards each round removed",
+      fun () ->
+        let corpus =
+          Sys.readdir Paths.corpus_dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".c")
+          |> List.sort compare
+          |> List.map (fun f ->
+                 (f, In_channel.with_open_bin (Paths.corpus_file f) In_channel.input_all))
+        in
+        let inputs =
+          corpus
+          @ List.map
+              (fun p -> (p.Ac_codegen.p_name, Ac_codegen.generate p))
+              [ Ac_codegen.echronos_like; Ac_codegen.piccolo_like ]
+        in
+        Alcotest.(check int) "the whole corpus" 18 (List.length corpus);
+        let provenance () =
+          let json = Effort.snapshot_json () in
+          let key = "\"discharge_provenance\":" in
+          let rec find i =
+            if String.sub json i (String.length key) = key then i + String.length key
+            else find (i + 1)
+          in
+          let at = find 0 in
+          Scanf.sscanf
+            (String.sub json at (String.length json - at))
+            "{\"intra\":%d,\"interproc\":%d}}%!"
+            (fun intra inter -> intra + inter)
+        in
+        let total = ref 0 in
+        List.iter
+          (fun (name, source) ->
+            (* Every round the kernel accepted, with the body it rewrote. *)
+            let rounds = ref [] in
+            Thm.set_obs_hook
+              (Some
+                 (fun id r ->
+                   Effort.on_rule Rules.rule_name id r;
+                   match r with
+                   | Rules.Rule_guard_true (m, cert) -> rounds := (m, cert) :: !rounds
+                   | _ -> ()));
+            Effort.set_enabled true;
+            Effort.reset ();
+            let res, provenance =
+              Fun.protect
+                ~finally:(fun () ->
+                  Effort.set_enabled false;
+                  Thm.set_obs_hook None;
+                  Effort.reset ())
+                (fun () ->
+                  let res = Driver.run ~options:keep_going source in
+                  (res, provenance ()))
+            in
+            let klenv = res.Driver.ctx.Rules.lenv in
+            let dropped =
+              List.fold_left
+                (fun n (m, cert) ->
+                  match A.discharge klenv res.Driver.ctx.Rules.fbodies cert m with
+                  | Result.Ok m' ->
+                    n + Ac_analysis.guard_count m - Ac_analysis.guard_count m'
+                  | Result.Error e ->
+                    Alcotest.failf "%s: a minted round re-checks: %s" name e)
+                0 !rounds
+            in
+            Alcotest.(check int) (name ^ ": intra + interproc = guards removed") dropped
+              provenance;
+            total := !total + provenance)
+          inputs;
+        Alcotest.(check bool) "some round removed a guard" true (!total > 0) );
   ]
 
 let tests =

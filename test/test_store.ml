@@ -270,6 +270,42 @@ let test_warm_solves_nothing () =
   check_cold_table "all hits" cold warm;
   Alcotest.(check bool) "warm derivations re-validate" true (Driver.check_all warm = Ok ())
 
+(* Effort accounting observes the discharge rounds without changing
+   them: an armed all-hit warm run takes the stored certificates too,
+   and reports what the unarmed run outputs and the cold run's
+   provenance. *)
+let test_armed_warm_takes_hints () =
+  let src = Ac_codegen.generate Ac_codegen.echronos_like in
+  let armed f =
+    Ac_stats.arm_effort ();
+    Fun.protect
+      ~finally:(fun () ->
+        Ac_obs.Effort.set_enabled false;
+        Thm.set_obs_hook None;
+        Ac_obs.Effort.reset ())
+      (fun () ->
+        let res = f () in
+        let provenance =
+          String.split_on_char '\n' (Ac_obs.Effort.report ~files:1 ())
+          |> List.filter (String.starts_with ~prefix:"discharge provenance:")
+        in
+        (res, provenance))
+  in
+  let dir = fresh_dir () in
+  let cold, cold_provenance = armed (fun () -> run ~dir src) in
+  Alcotest.(check int) "one provenance line" 1 (List.length cold_provenance);
+  let warm = run ~dir src in
+  Alcotest.(check int) "unarmed: every function hits" 0 warm.Driver.store_misses;
+  Alcotest.(check int) "unarmed: no fixpoint" 0 (Atomic.get Ac_analysis.solves);
+  let armed_warm, warm_provenance = armed (fun () -> run ~dir src) in
+  Alcotest.(check int) "armed: every function hits" 0 armed_warm.Driver.store_misses;
+  Alcotest.(check int) "armed: no fixpoint" 0 (Atomic.get Ac_analysis.solves);
+  Alcotest.(check string) "armed: the unarmed output" (fingerprint warm)
+    (fingerprint armed_warm);
+  Alcotest.(check (list string)) "armed: the cold provenance" cold_provenance
+    warm_provenance;
+  check_cold_table "armed all hits" cold armed_warm
+
 let test_leaf_edit_one_walk () =
   let dir = fresh_dir () in
   ignore (run ~dir chain_c);
@@ -916,6 +952,8 @@ let suite =
       test_warm_walks_nothing;
     Alcotest.test_case "an all-hit warm run solves no discharge fixpoint" `Quick
       test_warm_solves_nothing;
+    Alcotest.test_case "an armed all-hit warm run takes the stored hints" `Quick
+      test_armed_warm_takes_hints;
     Alcotest.test_case "a leaf edit makes one summary walk" `Quick test_leaf_edit_one_walk;
     Alcotest.test_case "a hit whose context changed is walked again" `Quick
       test_context_change_rewalks;
